@@ -3,8 +3,8 @@
 Everything is parameterised by :class:`QParams` (the base q and a truncation
 policy).  Operands are plain callables on the non-negative reals; operators
 realise Jackson sums and factor products with runtime convergence control,
-raising :class:`NonConvergence`, :class:`PoleError` or :class:`DomainError`
-through a shared error channel.
+raising :class:`NonConvergence`, :class:`PoleError`, :class:`DomainError` or
+:class:`NumericOverflow` through a shared error channel.
 """
 
 from .core import (
@@ -19,7 +19,13 @@ from .core import (
     q_integral,
     q_integral_tail,
 )
-from .errors import DomainError, NonConvergence, PoleError, QCalculusError
+from .errors import (
+    DomainError,
+    NonConvergence,
+    NumericOverflow,
+    PoleError,
+    QCalculusError,
+)
 from .fractional import (
     FracOrder,
     RightOpContext,
@@ -49,6 +55,7 @@ __all__ = [
     "NonConvergence",
     "PoleError",
     "DomainError",
+    "NumericOverflow",
     "QParams",
     "Truncation",
     "GridPoint",

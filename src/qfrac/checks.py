@@ -173,6 +173,22 @@ def _rel_err(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
+def _captured(rec: IdentityRecord, compute: Callable[[], None]) -> bool:
+    """Run compute() under a term counter whose total goes to rec.terms.
+
+    A numeric failure, from this package or from float arithmetic, becomes
+    rec.error and gives False, so one bad record never aborts its suite.
+    """
+    with count_terms() as counter:
+        try:
+            compute()
+        except (QCalculusError, ArithmeticError) as exc:
+            rec.error = f"{type(exc).__name__}: {exc}"
+        finally:
+            rec.terms = counter.total
+    return rec.error is None
+
+
 def _record(
     identity: str,
     params: dict,
@@ -181,17 +197,14 @@ def _record(
     tolerance: float,
 ) -> IdentityRecord:
     rec = IdentityRecord(identity=identity, params=params, tolerance=tolerance)
-    with count_terms() as counter:
-        try:
-            rec.lhs = lhs_fn()
-            rec.rhs = rhs_fn()
-        except QCalculusError as exc:
-            rec.error = f"{type(exc).__name__}: {exc}"
-            rec.terms = counter.total
-            return rec
-    rec.terms = counter.total
-    rec.rel_err = _rel_err(rec.lhs, rec.rhs)
-    rec.passed = rec.rel_err <= rec.tolerance
+
+    def compute() -> None:
+        rec.lhs = lhs_fn()
+        rec.rhs = rhs_fn()
+
+    if _captured(rec, compute):
+        rec.rel_err = _rel_err(rec.lhs, rec.rhs)
+        rec.passed = rec.rel_err <= rec.tolerance
     return rec
 
 
@@ -684,44 +697,41 @@ def _vanishing_above_record(
         params={"q": q, "alpha": alpha, "beta": beta, "b": b, "t": x},
         tolerance=0.0,
     )
-    with count_terms() as counter:
-        try:
-            shift = q ** (1.0 - alpha)
-            total = 0.0
-            exact = True
-            for i in range(1, 13):
-                tt = b / q**i
-                tau = tt * q ** (1.0 - beta)
+    shift = q ** (1.0 - alpha)
 
-                def g(s: float, tau: float = tau) -> float:
-                    fv = f(s * shift)
-                    if fv == 0.0:
-                        return 0.0
-                    return special.q_factorial_power(s, tau, alpha - 1.0, p) * fv
+    def compute() -> None:
+        total = 0.0
+        exact = True
+        for i in range(1, 13):
+            tt = b / q**i
+            tau = tt * q ** (1.0 - beta)
 
-                inner = (
-                    r_coef(alpha, q)
-                    / special.q_gamma(alpha, p)
-                    * (q_integral_tail(g, tau, INF, p) - q_integral_tail(g, b, INF, p))
-                )
-                summand = (
-                    (1.0 - q)
-                    * b
-                    * q**-i
-                    * special.q_factorial_power(tt, x, beta - 1.0, p)
-                    * inner
-                )
-                exact = exact and inner == 0.0 and summand == 0.0
-                total += summand
-        except QCalculusError as exc:
-            rec.error = f"{type(exc).__name__}: {exc}"
-            rec.terms = counter.total
-            return rec
-    rec.terms = counter.total
-    rec.lhs = total
-    rec.rhs = 0.0
-    rec.rel_err = abs(total)
-    rec.passed = exact and total == 0.0
+            def g(s: float, tau: float = tau) -> float:
+                fv = f(s * shift)
+                if fv == 0.0:
+                    return 0.0
+                return special.q_factorial_power(s, tau, alpha - 1.0, p) * fv
+
+            inner = (
+                r_coef(alpha, q)
+                / special.q_gamma(alpha, p)
+                * (q_integral_tail(g, tau, INF, p) - q_integral_tail(g, b, INF, p))
+            )
+            summand = (
+                (1.0 - q)
+                * b
+                * q**-i
+                * special.q_factorial_power(tt, x, beta - 1.0, p)
+                * inner
+            )
+            exact = exact and inner == 0.0 and summand == 0.0
+            total += summand
+        rec.lhs = total
+        rec.rhs = 0.0
+        rec.rel_err = abs(total)
+        rec.passed = exact and total == 0.0
+
+    _captured(rec, compute)
     return rec
 
 
@@ -795,20 +805,25 @@ def _ivp_records(seed: int, trunc: Truncation) -> Iterator[IdentityRecord]:
         )
 
     # Sup-norm distance of Picard iterates to the closed form must not increase.
-    errors = []
-    for m in (5, 10, 15, 20, 25):
-        ym = solve_ivp_picard(prob, m, p)
-        errors.append(max(abs(ym(t) - closed(t)) for t in ts))
-    monotone = all(errors[i + 1] <= errors[i] + 1e-9 for i in range(len(errors) - 1))
-    yield IdentityRecord(
+    monotone_rec = IdentityRecord(
         identity="picard_error_monotone",
         params={"q": q, "alpha": 0.9, "lam": 0.3, "a": a, "m_values": [5, 10, 15, 20, 25]},
-        lhs=errors[-1],
-        rhs=0.0,
-        rel_err=0.0 if monotone else max(errors),
         tolerance=1e-9,
-        passed=monotone,
     )
+
+    def picard_errors() -> None:
+        errors = []
+        for m in (5, 10, 15, 20, 25):
+            ym = solve_ivp_picard(prob, m, p)
+            errors.append(max(abs(ym(t) - closed(t)) for t in ts))
+        monotone = all(errors[i + 1] <= errors[i] + 1e-9 for i in range(len(errors) - 1))
+        monotone_rec.lhs = errors[-1]
+        monotone_rec.rhs = 0.0
+        monotone_rec.rel_err = 0.0 if monotone else max(errors)
+        monotone_rec.passed = monotone
+
+    _captured(monotone_rec, picard_errors)
+    yield monotone_rec
 
     prob_forced = IVProblem(0.9, 0.3, 0.0, 1.0, lambda s: s)
     closed_forced = solve_ivp_closed(prob_forced, p)

@@ -1,8 +1,9 @@
 """Command-line front end: evaluate operators, run identity suites, explore.
 
 Exit codes: 0 success, 1 identity failure (check), 2 numeric failure
-(non-convergence or pole), 3 usage error (bad flags, malformed expression,
-domain violations).  Reports are byte-reproducible for a fixed seed.
+(non-convergence, pole or overflow), 3 usage error (bad flags, malformed
+expression, domain violations).  Reports are byte-reproducible for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import sys
 from typing import Iterator
 
 from . import checks
-from .core import QParams, Truncation, count_terms
-from .errors import DomainError, NonConvergence, PoleError, QCalculusError
+from .core import QParams, Truncation, _grid_exponent, count_terms
+from .errors import DomainError, QCalculusError
 from .expr import ExprError, compile_expr
 from .fractional import (
     left_caputo,
@@ -96,13 +97,6 @@ def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _grid_member_exponent(value: float, q: float, what: str) -> int:
-    d = math.log(value) / math.log(q) if value > 0 else None
-    if d is None or abs(d - round(d)) > 1e-9:
-        raise UsageError(f"{what}={value} must be an integer power of q={q}")
-    return int(round(d))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +251,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     b = args.b if args.b is not None else 1.0
     if not (math.isfinite(b) and b > 0):
         raise UsageError(f"explore requires a finite positive --b, got {b}")
-    _grid_member_exponent(b, q, "--b")
+    if _grid_exponent(b, q) is None:
+        raise UsageError(f"--b={b} must be an integer power of q={q}")
     t = args.t if args.t is not None else b * q * q
-    m = _grid_member_exponent(t / b, q, "--t relative to --b")
+    m = _grid_exponent(t / b, q)
+    if m is None:
+        raise UsageError(f"--t relative to --b={t / b} must be an integer power of q={q}")
     if m <= 0:
         raise UsageError(f"--t must lie strictly below --b on the grid, got t={t}, b={b}")
     expr = compile_expr(args.f if args.f is not None else "1")
@@ -363,13 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ExprError, DomainError) as exc:
         print(f"qfrac: error: {exc}", file=sys.stderr)
         return 3
-    except (NonConvergence, PoleError) as exc:
-        print(f"qfrac: numeric failure: {exc}", file=sys.stderr)
-        return 2
-    except QCalculusError as exc:  # pragma: no cover - defensive
-        print(f"qfrac: numeric failure: {exc}", file=sys.stderr)
-        return 2
-    except ZeroDivisionError as exc:
+    except (QCalculusError, OverflowError, ZeroDivisionError) as exc:
         print(f"qfrac: numeric failure: {exc}", file=sys.stderr)
         return 2
 

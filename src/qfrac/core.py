@@ -8,13 +8,14 @@ behaviour is governed by a :class:`Truncation` policy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, NumericOverflow
 
 __all__ = [
     "QFunction",
@@ -240,6 +241,17 @@ def _grid_exponent(ratio: float, q: float, tol: float = 1e-9) -> int | None:
     return None
 
 
+def _power(base: float, exponent: float, where: str, *args: object) -> float:
+    """base**exponent; an overflow raises NumericOverflow, its message naming
+    the arguments through where.format(*args)."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise NumericOverflow(
+            f"{where.format(*args)}: {base!r}**{exponent!r} overflowed"
+        ) from None
+
+
 def q_bracket(r: float, p: QParams) -> float:
     """The q-number [r]_q = (1 - q**r) / (1 - q)."""
     return (1.0 - p.q**r) / (1.0 - p.q)
@@ -263,8 +275,9 @@ def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
     return nabla_q(lambda x: nabla_q_n(f, x, n - 1, p), t, p)
 
 
-def _base_sum(f: QFunction, x: float, p: QParams) -> float:
-    """Jackson sum (1 - q) x sum_{i>=0} q**i f(x q**i) for the range [0, x]."""
+def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -> float:
+    """Jackson sum (1 - q) x sum_i q**i f(x q**i) over i >= 0, the range [0, x],
+    or over i < steps, the range [x q**steps, x]."""
     if x == 0.0:
         return 0.0
     q = p.q
@@ -272,7 +285,7 @@ def _base_sum(f: QFunction, x: float, p: QParams) -> float:
     def terms() -> Iterator[float]:
         weight = (1.0 - q) * x
         s = x
-        while True:
+        for _ in itertools.count() if steps is None else range(steps):
             yield weight * f(s)
             weight *= q
             s *= q
@@ -283,15 +296,21 @@ def _base_sum(f: QFunction, x: float, p: QParams) -> float:
 def q_integral(f: QFunction, a: float, t: float, p: QParams) -> float:
     """Signed nabla q-integral of f from a to t.
 
-    Computed as the difference of two Jackson sums anchored at zero, so both
-    endpoints may be arbitrary non-negative reals; a > t yields the negative
-    of the reversed integral.
+    When a / t = q**d for an integer d (a, t > 0) the integral is the finite
+    Jackson sum over the |d| lattice points of the larger endpoint, negated
+    when a > t.  Otherwise it is the difference of two Jackson sums anchored at
+    zero, so both endpoints may be arbitrary non-negative reals.
     """
     if a < 0.0 or t < 0.0:
         raise DomainError(f"integration endpoints must be >= 0, got a={a}, t={t}")
     if a == t:
         return 0.0
-    return _base_sum(f, t, p) - _base_sum(f, a, p)
+    d = _grid_exponent(a / t, p.q) if a > 0.0 and t > 0.0 else None
+    if d is None:
+        return _jackson_sum(f, t, p) - _jackson_sum(f, a, p)
+    if d >= 0:
+        return _jackson_sum(f, t, p, d)
+    return -_jackson_sum(f, a, p, -d)
 
 
 def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
@@ -304,30 +323,29 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
     """
     if not t > 0.0:
         raise DomainError(f"tail integrals require t > 0, got t={t}")
+    steps = _upper_steps(t, b, p.q)
     q = p.q
-    if math.isinf(b):
-        def terms() -> Iterator[float]:
-            weight = (1.0 - q) * t
-            s = t
-            while True:
-                weight /= q
-                s /= q
-                yield weight * f(s)
 
-        return _accumulate(terms(), p.trunc, detect_growth=True, label="tail integral")
+    def terms() -> Iterator[float]:
+        weight = (1.0 - q) * t
+        s = t
+        for _ in itertools.count() if steps is None else range(steps):
+            weight /= q
+            s /= q
+            yield weight * f(s)
+
+    return _accumulate(
+        terms(), p.trunc, detect_growth=steps is None, label="tail integral"
+    )
+
+
+def _upper_steps(t: float, b: float, q: float) -> int | None:
+    """m with b = t q**-m (m >= 0), or None for b = infinity; DomainError else."""
+    if math.isinf(b):
+        return None
     m = _grid_exponent(b / t, q)
     if m is None or m > 0:
         raise DomainError(
             f"finite upper limit must satisfy b = t * q**-m, m >= 0; got t={t}, b={b}"
         )
-    steps = -m
-
-    def finite_terms() -> Iterator[float]:
-        weight = (1.0 - q) * t
-        s = t
-        for _ in range(steps):
-            weight /= q
-            s /= q
-            yield weight * f(s)
-
-    return _accumulate(finite_terms(), p.trunc, label="tail integral")
+    return -m

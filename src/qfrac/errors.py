@@ -1,6 +1,8 @@
 """Error channel shared by every operator in the package."""
 
-__all__ = ["QCalculusError", "NonConvergence", "PoleError", "DomainError"]
+__all__ = [
+    "QCalculusError", "NonConvergence", "PoleError", "DomainError", "NumericOverflow",
+]
 
 
 class QCalculusError(Exception):
@@ -17,3 +19,7 @@ class PoleError(QCalculusError):
 
 class DomainError(QCalculusError, ValueError):
     """Arguments outside the domain an operation is defined on."""
+
+
+class NumericOverflow(QCalculusError, OverflowError):
+    """A power of valid arguments is too large for a double."""

@@ -10,12 +10,23 @@ plain iterated q-derivative.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from . import special
-from .core import GridPoint, QFunction, QParams, nabla_q_n, q_integral, q_integral_tail
+from .core import (
+    GridPoint,
+    QFunction,
+    QParams,
+    _accumulate,
+    _grid_exponent,
+    _power,
+    _upper_steps,
+    nabla_q_n,
+    q_integral,
+)
 from .errors import DomainError
 
 __all__ = [
@@ -90,15 +101,59 @@ def _right_context(ctx: "RightOpContext | float | GridPoint") -> RightOpContext:
     return RightOpContext(ctx)
 
 
+_WEIGHT_AT = "{} fractional integral at t={!r}, alpha={!r}, q={!r}"
+
+
+def _lattice_series(
+    f: QFunction, x: float, upward: bool, alpha: float, weight: float,
+    ratio: float, steps: int | None, p: QParams, *, detect_growth: bool = False,
+    label: str,
+) -> float:
+    """sum_k w_k f(x_k) over k < steps, or over all k >= 0 when steps is None.
+
+    The points are x_{k+1} = x_k / q (upward) or x_k * q, and the weights
+    w_0 = weight, w_{k+1} = w_k * ratio * (1 - q**(alpha+k)) / (1 - q**(k+1)):
+    the kernel of a fractional integral over q_gamma(alpha) on the lattice,
+    a ratio of q-Pochhammer symbols, so no factorial power is ever rebuilt.
+    """
+    q = p.q
+
+    def terms() -> Iterator[float]:
+        w = weight
+        point = x
+        num = q**alpha
+        den = q
+        for _ in itertools.count() if steps is None else range(steps):
+            yield w * f(point)
+            w *= ratio * (1.0 - num) / (1.0 - den)
+            num *= q
+            den *= q
+            point = point / q if upward else point * q
+
+    return _accumulate(terms(), p.trunc, detect_growth=detect_growth, label=label)
+
+
 def left_frac_integral(
     f: QFunction, a: float, order: OrderLike, t: float, p: QParams
 ) -> float:
     """Left q-fractional integral of order alpha starting at a, evaluated at t.
 
     (1 / q_gamma(alpha)) * integral_a^t (t - qs)_q^(alpha-1) f(s) nabla_q s.
+
+    When a = 0 or a = t q**m (m >= 0) this is the lattice series
+    sum_{i<m} c_i f(t q**i), c_i = ((1-q) t)**alpha q**i (q**alpha; q)_i / (q; q)_i
+    (m infinite for a = 0); any other a takes the Jackson sum of the kernel.
     """
     alpha = _integral_order(order)
     q = p.q
+    if t > 0.0:
+        steps = None if a == 0.0 else _grid_exponent(a / t, q)
+        if a == 0.0 or (steps is not None and steps >= 0):
+            weight = _power((1.0 - q) * t, alpha, _WEIGHT_AT, "left", t, alpha, q)
+            return _lattice_series(
+                f, t, False, alpha, weight, q, steps, p,
+                label="left fractional integral",
+            )
 
     def integrand(s: float) -> float:
         kernel = special.q_factorial_power(t, q * s, alpha - 1.0, p)
@@ -114,19 +169,27 @@ def right_frac_integral(
     """Right q-fractional integral of order alpha ending at ctx.b, at t.
 
     r(alpha)/q_gamma(alpha) * integral_t^b (s - t)_q^(alpha-1) f(s q**(1-alpha)) nabla_q s;
-    the operand is sampled on the shifted grid s * q**(1 - alpha).
+    the operand is sampled on the shifted grid s * q**(1 - alpha).  With b
+    infinite or b = t q**-m, this is the lattice series sum_{i=1..m} w_i
+    f(t q**(1-alpha-i)), w_1 = r(alpha) ((1-q) t)**alpha q**-alpha and
+    w_{i+1} = w_i q**-alpha (1 - q**(alpha+i-1)) / (1 - q**i); divergence of
+    the infinite series is detected at runtime.
     """
     alpha = _integral_order(order)
     b = _right_context(ctx).b_value(p)
+    if not t > 0.0:
+        raise DomainError(f"right fractional integrals require t > 0, got t={t}")
     q = p.q
+    steps = _upper_steps(t, b, q)
     shift = q ** (1.0 - alpha)
-
-    def integrand(s: float) -> float:
-        kernel = special.q_factorial_power(s, t, alpha - 1.0, p)
-        return kernel * f(s * shift) if kernel != 0.0 else 0.0
-
-    tail = q_integral_tail(integrand, t, b, p)
-    return r_coef(alpha, q) * tail / special.q_gamma(alpha, p)
+    q_neg_alpha = q**-alpha
+    weight = r_coef(alpha, q) * q_neg_alpha * _power(
+        (1.0 - q) * t, alpha, _WEIGHT_AT, "right", t, alpha, q
+    )
+    return _lattice_series(
+        lambda s: f(s * shift), t / q, True, alpha, weight, q_neg_alpha, steps, p,
+        detect_growth=steps is None, label="right fractional integral",
+    )
 
 
 def left_riemann_deriv(

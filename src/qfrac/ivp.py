@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import special
-from .core import QFunction, QParams, _accumulate, count_terms, q_integral
+from .core import QFunction, QParams, _accumulate, count_terms
 from .errors import DomainError
 from .fractional import left_caputo, left_frac_integral
 
@@ -136,14 +136,11 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     def rule(t: float) -> float:
         value = a0 * q_mittag_leffler(head_params, t, p) if a0 != 0.0 else 0.0
         if forcing is not None:
-            def integrand(s: float) -> float:
-                kernel = special.q_factorial_power(t, p.q * s, alpha - 1.0, p)
-                if kernel == 0.0:
-                    return 0.0
+            def waved(s: float) -> float:
                 wave = q_mittag_leffler(MLParams(alpha, alpha, lam, z0=shift * s), t, p)
-                return kernel * wave * forcing(s)
+                return wave * forcing(s)
 
-            value += q_integral(integrand, a, t, p)
+            value += special.q_gamma(alpha, p) * left_frac_integral(waved, a, alpha, t, p)
         return value
 
     return IVPSolution(_memoised(rule, diagnostics), "closed-form", diagnostics)

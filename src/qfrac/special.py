@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .core import QParams, Truncation, _accumulate, _grid_exponent, _note_terms
+from .core import QParams, Truncation, _accumulate, _grid_exponent, _note_terms, _power
 from .errors import DomainError, NonConvergence, PoleError
 
 __all__ = [
@@ -100,6 +100,9 @@ def _product_with_stoprule(factors: Iterator[float], trunc: Truncation, label: s
     raise NonConvergence(f"{label}: factor stream ended unexpectedly")
 
 
+_QFACT_AT = "(t - s)_q^alpha at t={!r}, s={!r}, alpha={!r}, q={!r}"
+
+
 def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     """The q-factorial power (t - s)_q^alpha.
 
@@ -117,13 +120,13 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
             return 1.0
         if t == 0.0:
             # prod (0 - q**i s) = (-s)**m q**(m(m-1)/2)
-            return (-s) ** m * q ** (m * (m - 1) // 2)
+            return _power(-s, m, _QFACT_AT, t, s, alpha, q) * q ** (m * (m - 1) // 2)
         d = _grid_exponent(s / t, q) if s != 0.0 and s / t > 0.0 else None
         product = 1.0
         if d is not None:
             for i in range(m):
                 product *= 1.0 - q ** (d + i)
-            return t**m * product
+            return _power(t, m, _QFACT_AT, t, s, alpha, q) * product
         power = 1.0
         for _ in range(m):
             product *= t - power * s
@@ -140,7 +143,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     if t < 0.0:
         raise DomainError(f"fractional q-factorial power needs t > 0, got t={t}")
     if s == 0.0:
-        return t**alpha
+        return _power(t, alpha, _QFACT_AT, t, s, alpha, q)
     u = s / t
     d = _grid_exponent(u, q) if u > 0.0 else None
     trunc = p.trunc
@@ -151,13 +154,15 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
                 raise PoleError(
                     f"(t - s)_q^{alpha} has a vanishing denominator at s = t q**{-d}"
                 )
-            return t**alpha * _pochhammer_tail(float(d), p) / _pochhammer_tail(d + alpha, p)
+            scale = _power(t, alpha, _QFACT_AT, t, s, alpha, q)
+            return scale * _pochhammer_tail(float(d), p) / _pochhammer_tail(d + alpha, p)
         if d <= 0:
             # Numerator factor 1 - q**(d + i) vanishes identically at i = -d.
             return 0.0
         x2 = d + alpha
         if x2 > 0.0:
-            return t**alpha * _pochhammer_tail(float(d), p) / _pochhammer_tail(x2, p)
+            scale = _power(t, alpha, _QFACT_AT, t, s, alpha, q)
+            return scale * _pochhammer_tail(float(d), p) / _pochhammer_tail(x2, p)
 
         def snapped_factors() -> Iterator[float]:
             i = 0
@@ -166,7 +171,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
                 i += 1
 
         product = _product_with_stoprule(snapped_factors(), trunc, "q-factorial power")
-        return t**alpha * product
+        return _power(t, alpha, _QFACT_AT, t, s, alpha, q) * product
 
     # Generic, off-grid ratio.  A denominator within ~1e-12 of zero cannot be
     # told apart from a true pole at double precision (the ratio u itself
@@ -186,7 +191,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
             den_pow *= q
 
     product = _product_with_stoprule(factors(), trunc, "q-factorial power")
-    return t**alpha * product
+    return _power(t, alpha, _QFACT_AT, t, s, alpha, q) * product
 
 
 def q_gamma(alpha: float, p: QParams) -> float:
@@ -206,7 +211,8 @@ def q_gamma(alpha: float, p: QParams) -> float:
         # Shift negative non-integer arguments up through the recurrence.
         divisor *= (1.0 - q**a) / (1.0 - q)
         a += 1.0
-    value = (1.0 - q) ** (1.0 - a) * _pochhammer_tail(1.0, p) / _pochhammer_tail(a, p)
+    scale = _power(1.0 - q, 1.0 - a, "q_gamma at alpha={!r}, q={!r}", alpha, q)
+    value = scale * _pochhammer_tail(1.0, p) / _pochhammer_tail(a, p)
     return value / divisor
 
 

@@ -131,6 +131,22 @@ class TestEvalErrors:
         code, _, _ = run_cli(["eval", "gamma", "--q", "0.5", "--alpha", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["eval", "qfact", "--q", "0.5", "--t", "1e-300", "--s", "0", "--alpha", "-5"],
+             ["t=1e-300", "s=0.0", "alpha=-5.0", "q=0.5"]),
+            (["eval", "gamma", "--q", "0.5", "--alpha", "1e308"],
+             ["alpha=1e+308", "q=0.5"]),
+        ],
+    )
+    def test_overflow_is_exit_two(self, argv, names):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("qfrac: numeric failure:")
+        for name in names:
+            assert name in err
+
 
 class TestEnvironment:
     def test_env_budget_applies(self, monkeypatch):

@@ -141,6 +141,21 @@ class TestIntegral:
             -q_integral(f, 1.0, 0.25, p_half)
         )
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_aligned_endpoints_give_finite_sum(self, q):
+        # a = t q**d: the d lattice points t, tq, ..., t q**(d-1), nothing else.
+        p = QParams(q)
+        f = lambda s: 1.0 + s + s * s
+        t = 0.8
+        for d in range(1, 7):
+            a = t * q**d
+            want = (1.0 - q) * t * sum(q**i * f(t * q**i) for i in range(d))
+            with count_terms() as counter:
+                got = q_integral(f, a, t, p)
+            assert abs(got - want) <= 1e-13 * abs(want)
+            assert counter.total <= d
+            assert q_integral(f, t, a, p) == -got
+
     def test_negative_endpoint_rejected(self, p_half):
         with pytest.raises(DomainError):
             q_integral(lambda s: s, -1.0, 1.0, p_half)

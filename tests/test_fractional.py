@@ -2,12 +2,15 @@ import math
 
 import pytest
 
+import qfrac.special
+
 from qfrac import (
     DomainError,
     FracOrder,
     GridPoint,
     QParams,
     RightOpContext,
+    Truncation,
     left_caputo,
     left_frac_integral,
     left_riemann_deriv,
@@ -273,3 +276,105 @@ class TestCaputo:
                 )
                 direct = left_frac_integral(f, 0.0, alpha + beta, t, p_half)
                 assert rel_err(nested, direct) < 1e-6
+
+
+# Lattice series: on points aligned with t the integrals are sums whose weights
+# follow by recurrence.  The reference below rebuilds every weight from direct
+# q-Pochhammer products instead.
+LATTICE_QS = (0.3, 0.5, 0.9)
+LATTICE_ORDERS = (0.3, 1.0, 1.7, 2.5)
+LATTICE_T = 0.8
+
+
+def pochhammer_ratio(alpha, q, n):
+    """(q**alpha; q)_n / (q; q)_n as two plain products."""
+    num = den = 1.0
+    for k in range(n):
+        num *= 1.0 - q ** (alpha + k)
+        den *= 1.0 - q ** (k + 1)
+    return num / den
+
+
+def lattice_terms(q, ratio_bound=1e-20):
+    """Enough terms for an infinite lattice series to fall below ratio_bound."""
+    return int(math.log(ratio_bound) / math.log(q)) + 1
+
+
+def left_reference(f, alpha, t, m, q):
+    """sum_{i<m} ((1-q) t)**alpha q**i (q**alpha; q)_i / (q; q)_i f(t q**i)."""
+    scale = ((1.0 - q) * t) ** alpha
+    return sum(
+        scale * q**i * pochhammer_ratio(alpha, q, i) * f(t * q**i) for i in range(m)
+    )
+
+
+def right_reference(f, alpha, t, m, q):
+    """sum_{i=1..m} r(alpha) ((1-q) t)**alpha q**(-i alpha)
+    (q**alpha; q)_{i-1} / (q; q)_{i-1} f(t q**(1-alpha-i))."""
+    scale = r_coef(alpha, q) * ((1.0 - q) * t) ** alpha
+    return sum(
+        scale * q ** (-i * alpha) * pochhammer_ratio(alpha, q, i - 1)
+        * f(t * q ** (1.0 - alpha - i))
+        for i in range(1, m + 1)
+    )
+
+
+def tight(q):
+    # Truncation of infinite series far below the 1e-12 comparison.
+    return QParams(q, Truncation(rel_tol=1e-16))
+
+
+class TestLatticeSeries:
+    @pytest.mark.parametrize("q", LATTICE_QS)
+    @pytest.mark.parametrize("alpha", LATTICE_ORDERS)
+    def test_left_matches_direct_products(self, q, alpha):
+        p = tight(q)
+        f = lambda s: 1.0 + s * s
+        t = LATTICE_T
+        got = left_frac_integral(f, 0.0, alpha, t, p)
+        want = left_reference(f, alpha, t, lattice_terms(q), q)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        for m in range(1, 7):
+            got = left_frac_integral(f, t * q**m, alpha, t, p)
+            want = left_reference(f, alpha, t, m, q)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("q", LATTICE_QS)
+    @pytest.mark.parametrize("alpha", LATTICE_ORDERS)
+    def test_right_matches_direct_products(self, q, alpha):
+        p = tight(q)
+        f = lambda s: s**-4.0
+        t = LATTICE_T
+        got = right_frac_integral(f, INF, alpha, t, p)
+        want = right_reference(f, alpha, t, lattice_terms(q ** (4.0 - alpha)), q)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        for m in range(1, 7):
+            got = right_frac_integral(f, t * q**-m, alpha, t, p)
+            want = right_reference(f, alpha, t, m, q)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_aligned_points_make_no_factorial_powers(self, monkeypatch, p_half):
+        def forbidden(*args):
+            raise AssertionError("lattice path rebuilt a kernel")
+
+        monkeypatch.setattr(qfrac.special, "q_factorial_power", forbidden)
+        monkeypatch.setattr(qfrac.special, "q_gamma", forbidden)
+        left_frac_integral(lambda s: 1.0 + s, 0.5**3, 0.7, 1.0, p_half)
+        left_frac_integral(lambda s: 1.0 + s, 0.0, 0.7, 1.0, p_half)
+        right_frac_integral(lambda s: s**-2.0, INF, 0.7, 1.0, p_half)
+        right_frac_integral(lambda s: s**-2.0, 4.0, 0.7, 1.0, p_half)
+
+    # Values of the Jackson-sum route at parameters whose a is off the grid of
+    # t, frozen before the lattice series existed; that route is unchanged.
+    @pytest.mark.parametrize(
+        "q, alpha, a, t, frozen",
+        [
+            (0.5, 0.7, 0.3, 1.0, 1.4759167793447419),
+            (0.3, 1.7, 0.1, 0.8, 0.7348738573656067),
+            (0.9, 0.3, 0.45, 1.0, 1.6663539181422815),
+            (0.5, 2.5, 0.15, 0.8, 0.28844528317782286),
+        ],
+    )
+    def test_off_grid_start_keeps_jackson_route(self, q, alpha, a, t, frozen):
+        got = left_frac_integral(lambda s: 1.0 + s * s, a, alpha, t, QParams(q))
+        assert abs(got - frozen) <= 1e-14 * abs(frozen)
