@@ -8,7 +8,6 @@ raising :class:`NonConvergence`, :class:`PoleError`, :class:`DomainError` or
 """
 
 from .core import (
-    GridPoint,
     QFunction,
     QParams,
     Truncation,
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .fractional import (
     FracOrder,
-    RightOpContext,
     left_caputo,
     left_frac_integral,
     left_riemann_deriv,
@@ -58,10 +56,8 @@ __all__ = [
     "NumericOverflow",
     "QParams",
     "Truncation",
-    "GridPoint",
     "QFunction",
     "FracOrder",
-    "RightOpContext",
     "MLParams",
     "IVProblem",
     "IVPSolution",

@@ -1,4 +1,4 @@
-"""Exact q-grid representation and the basic nabla q-calculus.
+"""Truncation policy, term accounting and the basic nabla q-calculus.
 
 Everything here lives on the geometric scale t, tq, tq**2, ... for a fixed
 base 0 < q < 1.  The backward q-derivative is an exact difference quotient;
@@ -21,7 +21,6 @@ __all__ = [
     "QFunction",
     "Truncation",
     "QParams",
-    "GridPoint",
     "count_terms",
     "q_bracket",
     "nabla_q",
@@ -74,62 +73,6 @@ class QParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie strictly inside (0, 1), got {self.q}")
-
-
-@dataclass(frozen=True, eq=False)
-class GridPoint:
-    """A point q**(exponent + shift) of a (possibly shifted) q-grid, or zero.
-
-    Comparison is carried out on the exact pair (exponent, shift), never on the
-    derived floating value, so points reached along different algebraic routes
-    still compare equal.
-    """
-
-    exponent: int = 0
-    shift: float = 0.0
-    is_zero: bool = False
-
-    def __post_init__(self) -> None:
-        if self.is_zero:
-            object.__setattr__(self, "exponent", 0)
-            object.__setattr__(self, "shift", 0.0)
-            return
-        if not math.isfinite(self.shift) or self.shift < 0.0:
-            raise DomainError(f"shift must be finite and >= 0, got {self.shift}")
-
-    @classmethod
-    def zero(cls) -> "GridPoint":
-        return cls(is_zero=True)
-
-    def value(self, q: "float | QParams") -> float:
-        base = q.q if isinstance(q, QParams) else q
-        if self.is_zero:
-            return 0.0
-        return base ** (self.exponent + self.shift)
-
-    def scaled(self, dexp: int = 0, dshift: float = 0.0) -> "GridPoint":
-        """Multiply by q**(dexp + dshift), renormalising shift into [0, 1)."""
-        if self.is_zero:
-            return self
-        exponent = self.exponent + dexp
-        shift = self.shift + dshift
-        carry = math.floor(shift)
-        return GridPoint(exponent + carry, shift - carry)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GridPoint):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return self.exponent + self.shift == other.exponent + other.shift
-
-    def __hash__(self) -> int:
-        return hash((self.is_zero, self.exponent + self.shift))
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "GridPoint.zero()"
-        return f"GridPoint({self.exponent}, {self.shift!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +283,8 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
 
 
 def _upper_steps(t: float, b: float, q: float) -> int | None:
-    """m with b = t q**-m (m >= 0), or None for b = infinity; DomainError else."""
-    if math.isinf(b):
+    """m with b = t q**-m (m >= 0), or None for b = +infinity; DomainError else."""
+    if b == math.inf:
         return None
     m = _grid_exponent(b / t, q)
     if m is None or m > 0:

@@ -17,7 +17,6 @@ from typing import Iterator, Union
 
 from . import special
 from .core import (
-    GridPoint,
     QFunction,
     QParams,
     _accumulate,
@@ -31,7 +30,6 @@ from .errors import DomainError
 
 __all__ = [
     "FracOrder",
-    "RightOpContext",
     "r_coef",
     "left_frac_integral",
     "right_frac_integral",
@@ -68,19 +66,6 @@ class FracOrder:
         return cls(alpha, math.floor(alpha) + 1, False)
 
 
-@dataclass(frozen=True)
-class RightOpContext:
-    """Upper endpoint of a right-sided operator: a grid point or infinity."""
-
-    b: float | GridPoint = math.inf
-
-    def b_value(self, p: QParams) -> float:
-        value = self.b.value(p) if isinstance(self.b, GridPoint) else float(self.b)
-        if not value > 0.0:
-            raise DomainError(f"right endpoint must be positive, got {value}")
-        return value
-
-
 def r_coef(alpha: float, q: float) -> float:
     """Prefactor q**(-alpha (alpha - 1) / 2) of right-sided operators."""
     return q ** (-0.5 * alpha * (alpha - 1.0))
@@ -93,12 +78,6 @@ def _integral_order(order: OrderLike) -> float:
             f"fractional integral order must avoid 0, -1, -2, ...; got {alpha}"
         )
     return alpha
-
-
-def _right_context(ctx: "RightOpContext | float | GridPoint") -> RightOpContext:
-    if isinstance(ctx, RightOpContext):
-        return ctx
-    return RightOpContext(ctx)
 
 
 _WEIGHT_AT = "{} fractional integral at t={!r}, alpha={!r}, q={!r}"
@@ -163,20 +142,19 @@ def left_frac_integral(
 
 
 def right_frac_integral(
-    f: QFunction, ctx: "RightOpContext | float | GridPoint", order: OrderLike,
-    t: float, p: QParams,
+    f: QFunction, b: float, order: OrderLike, t: float, p: QParams
 ) -> float:
-    """Right q-fractional integral of order alpha ending at ctx.b, at t.
+    """Right q-fractional integral of order alpha ending at b, at t.
 
     r(alpha)/q_gamma(alpha) * integral_t^b (s - t)_q^(alpha-1) f(s q**(1-alpha)) nabla_q s;
     the operand is sampled on the shifted grid s * q**(1 - alpha).  With b
     infinite or b = t q**-m, this is the lattice series sum_{i=1..m} w_i
     f(t q**(1-alpha-i)), w_1 = r(alpha) ((1-q) t)**alpha q**-alpha and
     w_{i+1} = w_i q**-alpha (1 - q**(alpha+i-1)) / (1 - q**i); divergence of
-    the infinite series is detected at runtime.
+    the infinite series is detected at runtime.  Any other b (b <= 0, NaN, or
+    off the grid of t) raises DomainError.
     """
     alpha = _integral_order(order)
-    b = _right_context(ctx).b_value(p)
     if not t > 0.0:
         raise DomainError(f"right fractional integrals require t > 0, got t={t}")
     q = p.q
@@ -206,18 +184,16 @@ def left_riemann_deriv(
 
 
 def right_riemann_deriv(
-    f: QFunction, ctx: "RightOpContext | float | GridPoint", order: OrderLike,
-    t: float, p: QParams,
+    f: QFunction, b: float, order: OrderLike, t: float, p: QParams
 ) -> float:
     """Right Riemann q-fractional derivative: (-1)**n nabla_q^n of the right integral."""
     o = FracOrder.of(order)
     sign = -1.0 if o.n % 2 else 1.0
     if o.is_integer:
         return sign * nabla_q_n(f, t, o.n, p)
-    context = _right_context(ctx)
     inner_order = o.n - o.alpha
     return sign * nabla_q_n(
-        lambda x: right_frac_integral(f, context, inner_order, x, p), t, o.n, p
+        lambda x: right_frac_integral(f, b, inner_order, x, p), t, o.n, p
     )
 
 
@@ -238,8 +214,7 @@ def left_caputo(
 
 
 def right_caputo(
-    f: QFunction, ctx: "RightOpContext | float | GridPoint", order: OrderLike,
-    t: float, p: QParams,
+    f: QFunction, b: float, order: OrderLike, t: float, p: QParams
 ) -> float:
     """Right Caputo q-fractional derivative via the compositional definition.
 
@@ -250,7 +225,6 @@ def right_caputo(
     sign = -1.0 if o.n % 2 else 1.0
     if o.is_integer:
         return sign * nabla_q_n(f, t, o.n, p)
-    context = _right_context(ctx)
     return right_frac_integral(
-        lambda s: sign * nabla_q_n(f, s, o.n, p), context, o.n - o.alpha, t, p
+        lambda s: sign * nabla_q_n(f, s, o.n, p), b, o.n - o.alpha, t, p
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from . import special
@@ -104,17 +105,12 @@ class IVPSolution:
 
 
 def _memoised(rule: QFunction, diagnostics: dict) -> QFunction:
-    cache: dict[float, float] = {}
-
+    @cache
     def wrapped(t: float) -> float:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
         with count_terms() as counter:
             value = rule(t)
         diagnostics["evaluations"] += 1
         diagnostics["terms"] += counter.total
-        cache[t] = value
         return value
 
     return wrapped

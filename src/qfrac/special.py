@@ -8,7 +8,8 @@ product for integer alpha >= 0, otherwise the ratio product
 When s/t coincides with an integer power of q the ratio is snapped onto the
 grid so that vanishing (s/t = q**-j) and poles surface exactly instead of as
 rounding noise.  Aligned products reduce to ratios of the tail product
-(q**x; q)_inf, which is memoised per (q, x, truncation policy).
+(q**x; q)_inf, which is memoised per (q, x, truncation policy) in a bounded
+cache.
 """
 
 from __future__ import annotations
@@ -46,13 +47,18 @@ def q_pochhammer(n: int, p: QParams) -> float:
 
 
 _TAIL_CACHE: dict[tuple[float, float, Truncation], tuple[float, int]] = {}
+# Entries kept before the cache starts over: aligned products (q_gamma and
+# the grid-snapped factorial powers) reuse a few thousand (q, x) pairs, while
+# random off-grid arguments would otherwise grow it without bound.
+_TAIL_CACHE_SIZE = 4096
 
 
 def _pochhammer_tail(x: float, p: QParams) -> float:
     """(q**x; q)_inf = prod_{j>=0} (1 - q**(x+j)) for x > 0, memoised.
 
     Cache hits report the same term count a fresh computation would, so
-    diagnostics stay identical between cold and warm runs.
+    diagnostics stay identical between cold and warm runs.  The cache is
+    cleared once it holds _TAIL_CACHE_SIZE entries.
     """
     key = (p.q, x, p.trunc)
     cached = _TAIL_CACHE.get(key)
@@ -69,6 +75,8 @@ def _pochhammer_tail(x: float, p: QParams) -> float:
             small_run += 1
             if small_run >= trunc.consecutive_small:
                 _note_terms(count)
+                if len(_TAIL_CACHE) >= _TAIL_CACHE_SIZE:
+                    _TAIL_CACHE.clear()
                 _TAIL_CACHE[key] = (product, count)
                 return product
         else:

@@ -262,6 +262,16 @@ class TestExplore:
         assert "PoleError" in rows[0]["error"]
         assert rows[1]["status"] == "ok"
 
+    def test_arithmetic_error_becomes_error_row(self):
+        code, out, _ = run_cli(
+            ["explore", "--q", "0.5", "--b", "1", "--t", "0.25", "--f", "inv(s - 0.5)",
+             "--grid", "0.75,0.25;1,1"]
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert [row["status"] for row in rows] == ["error", "ok"]
+        assert rows[0]["error"].startswith("ZeroDivisionError: ")
+
     def test_all_rows_erroring_is_numeric_failure(self):
         code, out, _ = run_cli(
             ["explore", "--q", "0.5", "--b", "1", "--grid", "0.5,0.5"]

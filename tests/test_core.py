@@ -1,12 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfrac import (
     DomainError,
-    GridPoint,
     NonConvergence,
     QParams,
     Truncation,
@@ -48,35 +47,6 @@ class TestParams:
     def test_truncation_invariants(self, kwargs):
         with pytest.raises(DomainError):
             Truncation(**kwargs)
-
-
-class TestGridPoint:
-    def test_zero(self):
-        z = GridPoint.zero()
-        assert z.value(0.5) == 0.0
-        assert z == GridPoint.zero()
-        assert z != GridPoint(0, 0.0)
-
-    def test_value(self, p_half):
-        assert GridPoint(3, 0.0).value(p_half) == 0.5**3
-        assert GridPoint(-2, 0.5).value(0.5) == pytest.approx(0.5**-1.5)
-
-    def test_equality_is_on_total_exponent(self):
-        # Same point reached along different (exponent, shift) splits.
-        assert GridPoint(2, 0.5) == GridPoint(1, 1.5)
-        assert hash(GridPoint(2, 0.5)) == hash(GridPoint(1, 1.5))
-        assert GridPoint(2, 0.5) != GridPoint(2, 0.25)
-
-    def test_scaled_renormalises_shift(self):
-        moved = GridPoint(0, 0.0).scaled(dexp=-1, dshift=0.4)
-        assert moved == GridPoint(-1, 0.4)
-        back = moved.scaled(dshift=-0.4)
-        assert back == GridPoint(-1, 0.0)
-        assert 0.0 <= back.shift < 1.0
-
-    def test_negative_shift_rejected(self):
-        with pytest.raises(DomainError):
-            GridPoint(0, -0.1)
 
 
 class TestBracketAndDerivative:
@@ -239,14 +209,19 @@ class TestCalculusTheorems:
     t=st.floats(min_value=1e-3, max_value=1e3),
     vals=st.tuples(*[st.floats(min_value=-10, max_value=10) for _ in range(4)]),
 )
+@example(q=0.625, t=0.001, vals=(0.0, 1.0, 5.0, 0.0))
 def test_product_rule_is_exact(q, t, vals):
     p = QParams(q)
     f_t, f_qt, g_t, g_qt = vals
     f = lambda x: f_t if x == t else f_qt
     g = lambda x: g_t if x == t else g_qt
     lhs = nabla_q(lambda x: f(x) * g(x), t, p)
-    rhs = f(q * t) * nabla_q(g, t, p) + nabla_q(f, t, p) * g(t)
-    assert rel_err(lhs, rhs) < 1e-12
+    first = f(q * t) * nabla_q(g, t, p)
+    second = nabla_q(f, t, p) * g(t)
+    # The two products on the right may be large and cancel; their rounding
+    # error scales with their size, not with the (possibly zero) result.
+    scale = max(1.0, abs(lhs), abs(first) + abs(second))
+    assert abs(lhs - (first + second)) < 1e-12 * scale
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,9 +7,7 @@ import qfrac.special
 from qfrac import (
     DomainError,
     FracOrder,
-    GridPoint,
     QParams,
-    RightOpContext,
     Truncation,
     left_caputo,
     left_frac_integral,
@@ -56,20 +54,16 @@ class TestFracOrder:
         assert FracOrder.of(o) is o
 
 
-class TestRightOpContext:
+class TestRightEndpoint:
     def test_r_coefficient_normalisation(self):
         assert r_coef(1.0, 0.5) == 1.0
         assert r_coef(0.0, 0.5) == 1.0
         assert r_coef(2.0, 0.5) == pytest.approx(2.0)
 
-    def test_endpoint_from_gridpoint(self, p_half):
-        ctx = RightOpContext(GridPoint(-2, 0.0))
-        assert ctx.b_value(p_half) == 4.0
-        assert RightOpContext().b_value(p_half) == INF
-
     def test_nonpositive_endpoint_rejected(self, p_half):
-        with pytest.raises(DomainError):
-            RightOpContext(0.0).b_value(p_half)
+        for b in (0.0, -1.0, -INF, math.nan):
+            with pytest.raises(DomainError):
+                right_frac_integral(lambda s: s, b, 0.5, 1.0, p_half)
 
 
 class TestLeftIntegral:
@@ -138,13 +132,6 @@ class TestRightIntegral:
     def test_endpoint_below_point_rejected(self, p_half):
         with pytest.raises(DomainError):
             right_frac_integral(lambda s: s, 0.25, 1.0, 1.0, p_half)
-
-    def test_gridpoint_endpoint(self, p_half):
-        direct = right_frac_integral(lambda s: s**-2.0, 4.0, 0.5, 1.0, p_half)
-        via_point = right_frac_integral(
-            lambda s: s**-2.0, GridPoint(-2, 0.0), 0.5, 1.0, p_half
-        )
-        assert direct == via_point
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
     def test_semigroup_with_infinite_endpoint(self, q):

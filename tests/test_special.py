@@ -281,3 +281,19 @@ def test_concurrent_evaluation_is_consistent():
         th.join()
     serial = [q_gamma(0.5 + 0.1 * k, p) for k in range(20)]
     assert all(r == serial for r in results)
+
+
+def test_tail_cache_is_bounded():
+    # More distinct q_gamma arguments than the cache keeps: it starts over
+    # instead of growing, and values match a cold computation.
+    from qfrac import special
+
+    p = QParams(0.6)
+    alphas = [0.5 + k / 8192.0 for k in range(4200)]
+    special._TAIL_CACHE.clear()
+    warm = [q_gamma(alpha, p) for alpha in alphas]
+    assert len(special._TAIL_CACHE) <= 4096
+    for alpha, value in list(zip(alphas, warm))[::300]:
+        special._TAIL_CACHE.clear()
+        assert q_gamma(alpha, p) == value
+        assert q_gamma(alpha, p) == value  # served from the cache
