@@ -1,0 +1,6 @@
+"""``python -m qfrac``: the same command line as the ``qfrac`` script."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

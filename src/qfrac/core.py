@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -76,33 +75,37 @@ class QParams:
 
 
 # ---------------------------------------------------------------------------
-# Term accounting.  Diagnostics only: sums report how many terms they consumed
-# to every counter active on the stack.  Uses a ContextVar so concurrent use
-# stays isolated; purely observational, never affects values.
+# Term accounting.  Diagnostics only: sums add how many terms they consumed to
+# the innermost open count_terms() block, which adds its total to the block
+# around it when it closes; so a note costs one add however deeply blocks
+# nest.  Uses a ContextVar so concurrent use (threads, asyncio tasks) stays
+# isolated; purely observational, never affects values.
 
-class TermCounter:
-    __slots__ = ("total",)
+_INNERMOST: ContextVar["count_terms | None"] = ContextVar("qfrac_counter", default=None)
 
-    def __init__(self) -> None:
+
+class count_terms:
+    """Collect the number of series/product terms consumed inside the block.
+
+    ``with count_terms() as c: ...`` then ``c.total``.  Terms of a nested
+    block reach ``c.total`` when that block closes.
+    """
+
+    __slots__ = ("total", "_token")
+
+    def __enter__(self) -> "count_terms":
         self.total = 0
+        self._token = _INNERMOST.set(self)
+        return self
 
-
-_COUNTERS: ContextVar[tuple[TermCounter, ...]] = ContextVar("qfrac_counters", default=())
-
-
-@contextmanager
-def count_terms() -> Iterator[TermCounter]:
-    """Collect the number of series/product terms consumed inside the block."""
-    counter = TermCounter()
-    token = _COUNTERS.set(_COUNTERS.get() + (counter,))
-    try:
-        yield counter
-    finally:
-        _COUNTERS.reset(token)
+    def __exit__(self, *exc_info: object) -> None:
+        _INNERMOST.reset(self._token)
+        _note_terms(self.total)
 
 
 def _note_terms(n: int) -> None:
-    for counter in _COUNTERS.get():
+    counter = _INNERMOST.get()
+    if counter is not None:
         counter.total += n
 
 

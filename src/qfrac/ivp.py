@@ -11,10 +11,10 @@ to the equation itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 from . import special
 from .core import QFunction, QParams, _accumulate, count_terms
@@ -117,26 +117,26 @@ def _memoised(rule: QFunction, diagnostics: dict) -> QFunction:
 
 
 def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
-    """Closed-form solution via the q-Mittag-Leffler kernel.
+    """Closed-form solution: y(t) = a0 E_{alpha,1}(lam, t - a) + forcing term.
 
-    y(t) = a0 * E(lam, t - a)  +  integral_a^t (t - qs)_q^(alpha-1)
-           E_{alpha,alpha}(lam, t - q**alpha s) f(s) nabla_q s,
-    with E of order (alpha, 1) in the first term.
+    The forcing term integral_a^t (t - qs)_q^(alpha-1) E_{alpha,alpha}(lam,
+    t - q**alpha s) f(s) nabla_q s is, by the q-power rule (t - s)_q^(mu)
+    (t - q**mu s)_q^(nu) = (t - s)_q^(mu+nu), sum_k lam**k I_a^(alpha(k+1)) f(t).
     """
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
-    forcing = prob.forcing
+    # Every term of the forcing series samples f on the same lattice points.
+    forcing = None if prob.forcing is None else cache(prob.forcing)
     head_params = MLParams(alpha, 1.0, lam, z0=a)
-    shift = p.q**alpha
     diagnostics = {"terms": 0, "evaluations": 0}
 
     def rule(t: float) -> float:
         value = a0 * q_mittag_leffler(head_params, t, p) if a0 != 0.0 else 0.0
         if forcing is not None:
-            def waved(s: float) -> float:
-                wave = q_mittag_leffler(MLParams(alpha, alpha, lam, z0=shift * s), t, p)
-                return wave * forcing(s)
-
-            value += special.q_gamma(alpha, p) * left_frac_integral(waved, a, alpha, t, p)
+            value += _accumulate(
+                (lam**k * left_frac_integral(forcing, a, alpha * (k + 1), t, p)
+                 for k in itertools.count()),
+                p.trunc, detect_growth=True, label="closed-form forcing",
+            )
         return value
 
     return IVPSolution(_memoised(rule, diagnostics), "closed-form", diagnostics)
@@ -185,10 +185,9 @@ def ivp_residual(
     """Pointwise defect of y in the equation: Caputo term minus lam y(t) + f(t)."""
     if not t > prob.a:
         raise DomainError(f"residual point must satisfy t > a, got t={t}, a={prob.a}")
-    rule: Callable[[float], float] = y
     forcing_value = prob.forcing(t) if prob.forcing is not None else 0.0
     return (
-        left_caputo(rule, prob.a, prob.alpha, t, p)
-        - prob.lam * rule(t)
+        left_caputo(y, prob.a, prob.alpha, t, p)
+        - prob.lam * y(t)
         - forcing_value
     )

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +169,18 @@ class TestEnvironment:
         monkeypatch.setenv("QFRAC_REL_TOL", "tiny")
         code, _, _ = run_cli(["eval", "gamma", "--q", "0.5", "--alpha", "1"])
         assert code == 3
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "qfrac", "eval", "gamma", "--q", "0.5", "--alpha", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(parse_csv(done.stdout)[0]["value"]) == pytest.approx(1.0)
 
 
 class TestCheck:

@@ -1,4 +1,6 @@
+import asyncio
 import math
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -139,6 +141,45 @@ class TestIntegral:
         with count_terms() as counter:
             q_integral(lambda s: s, 0.0, 1.0, p_half)
         assert counter.total > 10
+
+    def test_nested_counters_each_see_their_block(self, p_half):
+        f = lambda s: s
+        with count_terms() as outer:
+            q_integral(f, 0.0, 1.0, p_half)
+            once = outer.total
+            with count_terms() as inner:
+                q_integral(f, 0.0, 1.0, p_half)
+            q_integral(f, 0.0, 1.0, p_half)
+        assert once > 0
+        assert inner.total == once
+        assert outer.total == 3 * once
+
+    def test_counter_ignores_other_threads(self, p_half):
+        f = lambda s: s
+        with count_terms() as counter:
+            worker = threading.Thread(target=q_integral, args=(f, 0.0, 1.0, p_half))
+            worker.start()
+            worker.join()
+        assert counter.total == 0
+
+    def test_interleaved_tasks_keep_their_own_counts(self, p_half):
+        # Two asyncio tasks whose counter blocks overlap in time each count
+        # only their own integral.
+        f = lambda s: s
+        with count_terms() as alone:
+            q_integral(f, 0.0, 1.0, p_half)
+
+        async def counted(delay):
+            with count_terms() as counter:
+                await asyncio.sleep(delay)
+                q_integral(f, 0.0, 1.0, p_half)
+                await asyncio.sleep(0.02)
+            return counter.total
+
+        async def both():
+            return await asyncio.gather(counted(0.0), counted(0.01))
+
+        assert asyncio.run(both()) == [alone.total, alone.total]
 
 
 class TestTailIntegral:

@@ -1,15 +1,23 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qfrac.ivp
+import qfrac.special
 from qfrac import (
     DomainError,
     IVProblem,
     MLParams,
+    QCalculusError,
     QParams,
     ivp_residual,
     left_frac_integral,
     q_exp_e,
     q_factorial_power,
     q_gamma,
+    q_integral,
     q_mittag_leffler,
     solve_ivp_closed,
     solve_ivp_picard,
@@ -219,3 +227,91 @@ class TestFixedPoint:
                     / q_gamma(alpha * k + 1.0, p_half)
                 )
                 assert rel_err(term, rule(t)) < 1e-9
+
+
+def quadratic(c0, c1, c2):
+    return lambda s: c0 + c1 * s + c2 * s * s
+
+
+def convolution_forcing_term(alpha, lam, a, t, f, p):
+    """The forcing term as the paper writes it: the Jackson sum of the kernel
+    (t - qs)_q^(alpha-1) times E_{alpha,alpha}(lam, t - q**alpha s) f(s)."""
+    shift = p.q**alpha
+
+    def integrand(s):
+        kernel = q_factorial_power(t, p.q * s, alpha - 1.0, p)
+        if kernel == 0.0:
+            return 0.0
+        wave = q_mittag_leffler(MLParams(alpha, alpha, lam, z0=shift * s), t, p)
+        return kernel * wave * f(s)
+
+    return q_integral(integrand, a, t, p)
+
+
+class TestForcingSeries:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("lam", [0.3, -0.3])
+    def test_matches_the_convolution_with_mittag_leffler(self, q, alpha, lam):
+        # sum_k lam**k I_a^(alpha(k+1)) f(t), from the q-power rule, against
+        # the convolution it replaces; a on and off the grid of t.
+        p = QParams(q)
+        f = quadratic(1.0, -0.5, 0.7)
+        for a in (0.0, q**4, 0.37 * q**4):
+            base = a if a > 0.0 else q**4
+            points = [base * q**-j for j in range(1, 5)] + [0.77]
+            y = solve_ivp_closed(IVProblem(alpha, lam, a, 0.0, f), p)
+            for t in points:
+                want = convolution_forcing_term(alpha, lam, a, t, f, p)
+                assert y(t) == pytest.approx(want, rel=1e-9, abs=0.0), (a, t)
+
+    @pytest.mark.parametrize("a_steps", [None, 3])
+    def test_lattice_start_needs_no_factorial_power(self, monkeypatch, a_steps):
+        # a = 0 or a = t q**m: every fractional integral is a lattice series,
+        # so neither the generic q-factorial power nor the q-Mittag-Leffler
+        # series is evaluated, for the solution or for its residual.
+        calls = {"q_factorial_power": 0, "q_mittag_leffler": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(qfrac.special, "q_factorial_power")
+        counted(qfrac.ivp, "q_mittag_leffler")
+        p = QParams(0.5)
+        t = 1.0
+        a = 0.0 if a_steps is None else t * p.q**a_steps
+        prob = IVProblem(0.8, 0.3, a, 0.0, quadratic(1.0, -0.5, 0.7))
+        y = solve_ivp_closed(prob, p)
+        assert y(t) != 0.0
+        assert abs(ivp_residual(prob, y, t, p)) <= 1e-5
+        assert calls == {"q_factorial_power": 0, "q_mittag_leffler": 0}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.floats(0.2, 0.8),
+    alpha=st.floats(0.5, 1.0),
+    lam=st.floats(-0.4, 0.4),
+    from_origin=st.booleans(),
+    j=st.integers(1, 4),
+    coeffs=st.tuples(*(st.floats(-1.0, 1.0) for _ in range(3))),
+)
+def test_forced_closed_form_solves_the_equation(q, alpha, lam, from_origin, j, coeffs):
+    # At t = a q**-j (t = q**(4-j) from the origin) the forced closed form
+    # either meets the equation to 1e-5 or fails through the error channel.
+    p = QParams(q)
+    a = 0.0 if from_origin else q**4
+    t = q ** (4 - j)
+    prob = IVProblem(alpha, lam, a, 1.0, quadratic(*coeffs))
+    try:
+        residual = ivp_residual(prob, solve_ivp_closed(prob, p), t, p)
+    except QCalculusError:
+        return
+    assert math.isfinite(residual)
+    assert abs(residual) <= 1e-5
