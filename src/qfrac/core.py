@@ -38,9 +38,10 @@ QFunction = Callable[[float], float]
 class Truncation:
     """Stopping policy for every infinite sum or factor product.
 
-    A sum stops once ``consecutive_small`` successive terms satisfy
-    ``|term| <= rel_tol * |partial_sum| + abs_tol``; products use the analogous
-    test on ``|factor - 1|``.  Exhausting ``max_terms`` raises
+    An infinite sum stops once ``consecutive_small`` successive terms satisfy
+    ``|term| <= rel_tol * |partial_sum| + abs_tol``; a sum with a known number
+    of terms is summed in full; products use the analogous test on
+    ``|factor - 1|``.  Exhausting ``max_terms`` raises
     :class:`~qfrac.errors.NonConvergence`.
     """
 
@@ -124,8 +125,22 @@ def _accumulate(
     trunc: Truncation,
     *,
     detect_growth: bool = False,
+    finite: bool = False,
+    scale: float = 1.0,
     label: str = "series",
 ) -> float:
+    """Sum terms under the stopping rule.
+
+    A finite sum (``finite=True``: terms known to end) is summed in full; only
+    an infinite one stops on ``consecutive_small`` small terms.  Both raise
+    NonConvergence past ``max_terms`` terms or at a non-finite term.  A caller
+    that multiplies the sum by ``scale > 0`` afterwards passes it, so that
+    ``abs_tol`` bounds the terms it stands for.
+    """
+    max_terms, rel_tol = trunc.max_terms, trunc.rel_tol
+    abs_tol = trunc.abs_tol / scale if scale else math.inf
+    # A small run never reaches max_terms + 1 before the budget check fires.
+    small_limit = max_terms + 1 if finite else trunc.consecutive_small
     total = 0.0
     small_run = 0
     growth_run = 0
@@ -134,19 +149,19 @@ def _accumulate(
     count = 0
     for term in terms:
         count += 1
-        if count > trunc.max_terms:
+        if count > max_terms:
             _note_terms(count)
             raise NonConvergence(
-                f"{label}: stopping rule did not fire within {trunc.max_terms} terms"
+                f"{label}: stopping rule did not fire within {max_terms} terms"
             )
         if not math.isfinite(term):
             _note_terms(count)
             raise NonConvergence(f"{label}: non-finite term at index {count - 1}")
         total += term
         mag = abs(term)
-        if mag <= trunc.rel_tol * abs(total) + trunc.abs_tol:
+        if mag <= rel_tol * abs(total) + abs_tol:
             small_run += 1
-            if small_run >= trunc.consecutive_small:
+            if small_run >= small_limit:
                 _note_terms(count)
                 return total
         else:
@@ -236,7 +251,7 @@ def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -
             weight *= q
             s *= q
 
-    return _accumulate(terms(), p.trunc, label="q-integral")
+    return _accumulate(terms(), p.trunc, finite=steps is not None, label="q-integral")
 
 
 def q_integral(f: QFunction, a: float, t: float, p: QParams) -> float:
@@ -280,8 +295,9 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
             s /= q
             yield weight * f(s)
 
+    finite = steps is not None
     return _accumulate(
-        terms(), p.trunc, detect_growth=steps is None, label="tail integral"
+        terms(), p.trunc, detect_growth=not finite, finite=finite, label="tail integral"
     )
 
 

@@ -83,6 +83,24 @@ def _integral_order(order: OrderLike) -> float:
 _WEIGHT_AT = "{} fractional integral at t={!r}, alpha={!r}, q={!r}"
 
 
+def _lattice_weights(
+    alpha: float, q: float, ratio: float, weight: float = 1.0
+) -> Iterator[float]:
+    """w_0 = weight, w_{k+1} = w_k * ratio * (1 - q**(alpha+k)) / (1 - q**(k+1)).
+
+    The kernel of a fractional integral over q_gamma(alpha) on the lattice, a
+    ratio of q-Pochhammer symbols, so no factorial power is ever rebuilt.
+    """
+    w = weight
+    num = q**alpha
+    den = q
+    while True:
+        yield w
+        w *= ratio * (1.0 - num) / (1.0 - den)
+        num *= q
+        den *= q
+
+
 def _lattice_series(
     f: QFunction, x: float, upward: bool, alpha: float, weight: float,
     ratio: float, steps: int | None, p: QParams, *, detect_growth: bool = False,
@@ -90,26 +108,21 @@ def _lattice_series(
 ) -> float:
     """sum_k w_k f(x_k) over k < steps, or over all k >= 0 when steps is None.
 
-    The points are x_{k+1} = x_k / q (upward) or x_k * q, and the weights
-    w_0 = weight, w_{k+1} = w_k * ratio * (1 - q**(alpha+k)) / (1 - q**(k+1)):
-    the kernel of a fractional integral over q_gamma(alpha) on the lattice,
-    a ratio of q-Pochhammer symbols, so no factorial power is ever rebuilt.
+    The points are x_{k+1} = x_k / q (upward) or x_k * q, and the weights those
+    of _lattice_weights(alpha, q, ratio, weight).
     """
     q = p.q
+    weights = _lattice_weights(alpha, q, ratio, weight)
 
     def terms() -> Iterator[float]:
-        w = weight
         point = x
-        num = q**alpha
-        den = q
-        for _ in itertools.count() if steps is None else range(steps):
+        for w in weights if steps is None else itertools.islice(weights, steps):
             yield w * f(point)
-            w *= ratio * (1.0 - num) / (1.0 - den)
-            num *= q
-            den *= q
             point = point / q if upward else point * q
 
-    return _accumulate(terms(), p.trunc, detect_growth=detect_growth, label=label)
+    return _accumulate(
+        terms(), p.trunc, detect_growth=detect_growth, finite=steps is not None, label=label
+    )
 
 
 def left_frac_integral(

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable, Iterator
 
 from . import special
-from .core import QFunction, QParams, _accumulate, count_terms
+from .core import QFunction, QParams, _accumulate, _grid_exponent, _power, count_terms
 from .errors import DomainError
-from .fractional import left_caputo, left_frac_integral
+from .fractional import _WEIGHT_AT, _lattice_weights, left_caputo, left_frac_integral
 
 __all__ = [
     "MLParams",
@@ -88,8 +91,9 @@ class IVProblem:
 class IVPSolution:
     """Evaluable solution with a method tag and evaluation diagnostics.
 
-    Instances are callable; evaluations are memoised per point, so sharing one
-    across threads is safe (cache writes are idempotent).
+    Instances are callable.  Evaluations are memoised: per point in closed
+    form (cache writes are idempotent), per lattice cell under a lock for
+    Picard, so sharing one across threads is safe.
     """
 
     def __init__(self, rule: QFunction, method: str, diagnostics: dict) -> None:
@@ -132,9 +136,11 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     def rule(t: float) -> float:
         value = a0 * q_mittag_leffler(head_params, t, p) if a0 != 0.0 else 0.0
         if forcing is not None:
+            # With lam = 0 every term after the first is 0.0 times an integral.
+            ks = range(1) if lam == 0.0 else itertools.count()
             value += _accumulate(
                 (lam**k * left_frac_integral(forcing, a, alpha * (k + 1), t, p)
-                 for k in itertools.count()),
+                 for k in ks),
                 p.trunc, detect_growth=True, label="closed-form forcing",
             )
         return value
@@ -142,41 +148,135 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     return IVPSolution(_memoised(rule, diagnostics), "closed-form", diagnostics)
 
 
+class _Column:
+    """A function on the lattice x_e = base * q**e, e < end (any e if end is
+    None), kept as runs of consecutive cells.  fill(e) computes a cell the
+    first time it is read, so each cell is computed once and only if needed."""
+
+    __slots__ = ("_fill", "_end", "_runs")
+
+    def __init__(self, fill: Callable[[int], float], end: int | None) -> None:
+        self._fill = fill
+        self._end = end
+        self._runs: dict[int, list[float]] = {}  # first index -> its run
+
+    def at(self, e: int) -> float:
+        start, run = self._run(e)
+        return run[e - start]
+
+    def cells(self, e: int) -> Iterator[float]:
+        """The cells e, e + 1, ... up to end, each computed when reached."""
+        return itertools.chain.from_iterable(self._pieces(e))
+
+    def _pieces(self, e: int) -> Iterator[list[float]]:
+        while e != self._end:
+            start, run = self._run(e)
+            piece = run[e - start:]
+            yield piece
+            e += len(piece)
+
+    def _run(self, e: int) -> tuple[int, list[float]]:
+        """The run holding cell e, which is computed and stored if missing."""
+        runs = self._runs
+        for start, run in runs.items():
+            if 0 <= e - start < len(run):
+                return start, run
+        value = self._fill(e)
+        for start, run in runs.items():
+            if start + len(run) == e:
+                run.append(value)
+                break
+        else:
+            start, run = e, [value]
+            runs[e] = run
+        following = runs.pop(e + 1, None)
+        if following is not None:
+            run += following
+        return start, run
+
+
 def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
     """m-step successive approximation y_k = a0 + lam I^alpha y_{k-1} + I^alpha f.
 
-    Every fractional integral is evaluated numerically from the previous
-    iterate; iterates are memoised per evaluation point, so nested Jackson
-    chains are shared instead of recomputed.
+    Each iterate is a column of its values on a lattice x_e = base q**e: the
+    time scale a q**e (e <= 0) when a > 0, and for a = 0 the chain t q**e of
+    the first point t evaluated on it (a point off every such chain starts its
+    own).  A cell of iterate k is
+
+        a0 + lam ((1-q) x_e)**alpha sum_i w_i y_{k-1}(x_{e+i}) + I^alpha f(x_e),
+
+    with w_0 = 1 and w_{i+1} = w_i q (1 - q**(alpha+i)) / (1 - q**(i+1)) from
+    one weight table per solution, and I^alpha f a column of the same sums
+    over f, sampled once per lattice point.  For a > 0 the sum ends at x_{-1}
+    and is summed in full; for a = 0 it is infinite and stops by the
+    truncation rule.  Cells are computed when first needed and shared by every
+    later evaluation on the lattice.  With a > 0, a point t off the time scale
+    raises DomainError, as does t < a; y(a) = a0.
     """
     if m < 0:
         raise DomainError(f"iteration count must be >= 0, got {m}")
-    alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
+    alpha, lam, a, a0, f = prob.alpha, prob.lam, prob.a, prob.a0, prob.forcing
+    q, trunc = p.q, p.trunc
     diagnostics = {"terms": 0, "evaluations": 0, "iterations": m}
+    source = _lattice_weights(alpha, q, q)
+    # Cells are read in order 0, 1, ..., so fill(i) is the i-th weight.
+    weights = _Column(lambda i: next(source), None)
 
-    forcing_term: QFunction | None = None
-    if prob.forcing is not None:
-        forcing = prob.forcing
-        forcing_term = _memoised(
-            lambda t: left_frac_integral(forcing, a, alpha, t, p), diagnostics
-        )
+    def lattice(base: float, end: int | None) -> _Column:
+        """Iterate m on x_e = base q**e, over the columns below it."""
 
-    def constant(_: float) -> float:
-        return a0
-
-    iterate: QFunction = constant
-    for _ in range(m):
-        previous = iterate
-
-        def level(t: float, prev: QFunction = previous) -> float:
-            value = a0 + lam * left_frac_integral(prev, a, alpha, t, p)
-            if forcing_term is not None:
-                value += forcing_term(t)
+        def integral(column: _Column, e: int) -> float:
+            """I^alpha of column at x_e; one per iterate or forcing cell."""
+            x = base * q**e
+            scale = _power((1.0 - q) * x, alpha, _WEIGHT_AT, "left", x, alpha, q)
+            value = scale * _accumulate(
+                map(operator.mul, weights.cells(0), column.cells(e)), trunc,
+                finite=end is not None, scale=scale, label="left fractional integral",
+            )
+            diagnostics["evaluations"] += 1
             return value
 
-        iterate = _memoised(level, diagnostics)
+        level = _Column(lambda e: a0, end)
+        forcing = None
+        if f is not None:
+            samples = _Column(lambda e: f(base * q**e), end)
+            forcing = _Column(lambda e: integral(samples, e), end)
+        for _ in range(m):
 
-    return IVPSolution(iterate, f"picard({m})", diagnostics)
+            def iterate(e: int, prev: _Column = level) -> float:
+                value = a0 + lam * integral(prev, e)
+                return value if forcing is None else value + forcing.at(e)
+
+            level = _Column(iterate, end)
+        return level
+
+    lattices = [(a, lattice(a, 0))] if a > 0.0 else []
+    lock = threading.RLock()  # columns are shared state
+
+    def rule(t: float) -> float:
+        if not t >= a:
+            raise DomainError(f"Picard iterates need t >= a, got t={t}, a={a}")
+        if t == 0.0:  # t = a = 0, where no lattice passes
+            return a0
+        with lock:
+            for base, top in lattices:
+                e = _grid_exponent(t / base, q)
+                if e is not None:
+                    break
+            else:
+                if a > 0.0:
+                    raise DomainError(
+                        f"with a > 0, Picard iterates live on the time scale "
+                        f"a q**-j; t={t} is not on it (a={a})"
+                    )
+                top, e = lattice(t, None), 0
+                lattices.append((t, top))
+            with count_terms() as counter:
+                value = top.at(e)
+            diagnostics["terms"] += counter.total
+            return value
+
+    return IVPSolution(rule, f"picard({m})", diagnostics)
 
 
 def ivp_residual(

@@ -128,6 +128,14 @@ class TestIntegral:
             assert counter.total <= d
             assert q_integral(f, t, a, p) == -got
 
+    def test_finite_sum_ignores_the_stopping_rule(self, p_half):
+        # The operand is 0 at the first four of the ten lattice points.
+        f = lambda s: 1.0 if s < 0.1 else 0.0
+        with count_terms() as counter:
+            got = q_integral(f, 0.5**10, 1.0, p_half)
+        assert got == 0.0615234375
+        assert counter.total == 10
+
     def test_negative_endpoint_rejected(self, p_half):
         with pytest.raises(DomainError):
             q_integral(lambda s: s, -1.0, 1.0, p_half)
@@ -197,6 +205,11 @@ class TestTailIntegral:
 
     def test_empty_range(self, p_half):
         assert q_integral_tail(lambda s: s, 1.0, 1.0, p_half) == 0.0
+
+    def test_finite_upper_limit_sums_every_point(self, p_half):
+        # 0 at the first three points above t; the terms at 16 and 32 are (1-q) / s.
+        f = lambda s: s**-2.0 if s > 10.0 else 0.0
+        assert q_integral_tail(f, 1.0, 2.0**5, p_half) == 0.5 * (2.0**-4 + 2.0**-5)
 
     def test_divergent_tail_detected(self, p_half):
         with pytest.raises(NonConvergence):

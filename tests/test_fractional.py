@@ -340,6 +340,20 @@ class TestLatticeSeries:
             want = right_reference(f, alpha, t, m, q)
             assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("q", LATTICE_QS)
+    def test_finite_sums_are_summed_in_full(self, q):
+        # Operands that are 0 at the first four points of a ten-point sum:
+        # the small-term stopping rule must not end a finite sum.
+        p, t, alpha = QParams(q), LATTICE_T, 0.7
+        low = lambda s: 1.0 + s if s < t * q**3.5 else 0.0
+        got = left_frac_integral(low, t * q**10, alpha, t, p)
+        want = left_reference(low, alpha, t, 10, q)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        high = lambda s: s**-4.0 if s > t * q ** (-3.5 - alpha) else 0.0
+        got = right_frac_integral(high, t * q**-10, alpha, t, p)
+        want = right_reference(high, alpha, t, 10, q)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_aligned_points_make_no_factorial_powers(self, monkeypatch, p_half):
         def forbidden(*args):
             raise AssertionError("lattice path rebuilt a kernel")

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,11 @@ from qfrac import (
     DomainError,
     IVProblem,
     MLParams,
+    NonConvergence,
     QCalculusError,
     QParams,
+    Truncation,
+    count_terms,
     ivp_residual,
     left_frac_integral,
     q_exp_e,
@@ -19,6 +25,7 @@ from qfrac import (
     q_gamma,
     q_integral,
     q_mittag_leffler,
+    right_frac_integral,
     solve_ivp_closed,
     solve_ivp_picard,
 )
@@ -315,3 +322,187 @@ def test_forced_closed_form_solves_the_equation(q, alpha, lam, from_origin, j, c
         return
     assert math.isfinite(residual)
     assert abs(residual) <= 1e-5
+
+
+def chained_picard(alpha, lam, a, a0, f, m, p):
+    """Successive approximation as a chain of memoised left_frac_integral
+    closures, one per iterate: the pointwise route the lattice columns
+    replace."""
+    forcing = None if f is None else cache(lambda t: left_frac_integral(f, a, alpha, t, p))
+    y = lambda t: a0
+    for _ in range(m):
+
+        @cache
+        def y(t, prev=y):
+            value = a0 + lam * left_frac_integral(prev, a, alpha, t, p)
+            return value if forcing is None else value + forcing(t)
+
+    return y
+
+
+def scale_points(q, a):
+    """t = a q**-j for j = 1..4 (t = q**(4 - j) when a = 0)."""
+    base = a if a > 0.0 else q**4
+    return [base * q**-j for j in range(1, 5)]
+
+
+# q = 0.5, alpha = 0.9, lam = 0.3, a0 = 1, forcing s, m = 5 at t = q**3 .. 1:
+# iterate and forcing cells the chained closures evaluate, per start a.
+CHAINED_EVALUATIONS = {0.0: 598, 0.5**4: 24}
+
+
+class TestPicardLattice:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("lam", [0.3, -0.3])
+    def test_matches_chained_integrals(self, q, alpha, lam):
+        p = QParams(q)
+        for a in (0.0, q**4):
+            for f in (None, lambda s: s):
+                for m in (0, 1, 5):
+                    y = solve_ivp_picard(IVProblem(alpha, lam, a, 1.0, f), m, p)
+                    want = chained_picard(alpha, lam, a, 1.0, f, m, p)
+                    for t in scale_points(q, a):
+                        assert y(t) == pytest.approx(want(t), rel=1e-12, abs=0.0), (a, f, m, t)
+
+    @pytest.mark.parametrize("a", sorted(CHAINED_EVALUATIONS))
+    def test_cells_are_shared_between_points(self, a):
+        q = 0.5
+        p = QParams(q)
+        prob = IVProblem(0.9, 0.3, a, 1.0, lambda s: s)
+        points = (q**3, q**2, q, 1.0)
+        counts, values = [], []
+        for order in (points, points[::-1]):
+            y = solve_ivp_picard(prob, 5, p)
+            values.append({t: y(t) for t in order})
+            counts.append(y.diagnostics["evaluations"])
+        assert values[0] == values[1]
+        assert counts[0] == counts[1] <= CHAINED_EVALUATIONS[a]
+
+    def test_frozen_problem_term_count(self, p_half):
+        y = solve_ivp_picard(IVProblem(0.84, 0.3, 0.0, 1.0), 10, p_half)
+        with count_terms() as counter:
+            y(1.0)
+        assert counter.total == 77_910
+        assert y.diagnostics["evaluations"] == 1_855
+
+    @pytest.mark.parametrize("t", [0.37, 0.5**5, -1.0, math.nan])
+    def test_points_off_the_time_scale_rejected(self, p_half, t):
+        y = solve_ivp_picard(IVProblem(0.9, 0.3, 0.5**4, 1.0, lambda s: s), 3, p_half)
+        with pytest.raises(DomainError, match="t="):
+            y(t)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5**4])
+    def test_initial_point_gives_initial_value(self, p_half, a):
+        y = solve_ivp_picard(IVProblem(0.9, 0.3, a, 2.5, lambda s: s), 3, p_half)
+        assert y(a) == 2.5
+
+    def test_budget_exhaustion_from_origin(self):
+        p = QParams(0.5, Truncation(max_terms=5))
+        y = solve_ivp_picard(IVProblem(0.9, 0.3, 0.0, 1.0), 2, p)
+        with pytest.raises(NonConvergence):
+            y(1.0)
+
+    def test_threads_sharing_a_solution(self, p_half):
+        # Cells are shared state: threads evaluating one solution at once
+        # must see the values, and compute the cells, of one thread alone.
+        prob = IVProblem(0.9, 0.3, 0.0, 1.0, lambda s: s)
+        points = [0.5**j for j in range(8)]
+        alone = solve_ivp_picard(prob, 6, p_half)
+        want = [alone(t) for t in points]
+        shared = solve_ivp_picard(prob, 6, p_half)
+        got = {}
+
+        def worker(i):
+            got[i] = [shared(t) for t in points[i % 2::2] + points]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for i, values in got.items():
+            assert values[-len(points):] == want
+        assert len(got) == 6
+        assert shared.diagnostics["evaluations"] == alone.diagnostics["evaluations"]
+
+
+def test_zero_rate_takes_one_forcing_integral(monkeypatch):
+    # With lam = 0 every later term of the forcing series is 0.0 * integral.
+    orders = []
+
+    def recorded(f, a, order, t, p):
+        orders.append(order)
+        return left_frac_integral(f, a, order, t, p)
+
+    monkeypatch.setattr(qfrac.ivp, "left_frac_integral", recorded)
+    p, alpha = QParams(0.5), 0.8
+    f = quadratic(1.0, -0.5, 0.7)
+    for a in (0.0, 0.5**4):
+        orders.clear()
+        y = solve_ivp_closed(IVProblem(alpha, 0.0, a, 0.0, f), p)
+        assert y(1.0) == left_frac_integral(f, a, alpha, 1.0, p)
+        assert orders == [alpha]
+
+
+POINT_EXPONENTS = st.integers(-2, 4)
+SMALL_M = st.integers(0, 5)
+
+
+def _finite_or_error(fn, *args):
+    try:
+        value = fn(*args)
+    except QCalculusError:
+        return
+    assert math.isfinite(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(0.2, 0.8),
+    alpha=st.floats(0.3, 2.5),
+    i=POINT_EXPONENTS,
+    m=SMALL_M,
+    start=st.sampled_from(["origin", "grid", "off-grid"]),
+)
+def test_left_integral_is_finite_or_an_error(q, alpha, i, m, start):
+    t = q**i
+    a = {"origin": 0.0, "grid": t * q**m, "off-grid": 0.37 * t * q**m}[start]
+    _finite_or_error(left_frac_integral, quadratic(1.0, -0.5, 0.7), a, alpha, t, QParams(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(0.2, 0.8),
+    alpha=st.floats(0.3, 2.5),
+    i=POINT_EXPONENTS,
+    m=SMALL_M,
+    infinite=st.booleans(),
+)
+def test_right_integral_is_finite_or_an_error(q, alpha, i, m, infinite):
+    t = q**i
+    b = math.inf if infinite else t * q**-m
+    _finite_or_error(right_frac_integral, lambda s: s**-3.0, b, alpha, t, QParams(q))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.floats(0.2, 0.8),
+    alpha=st.floats(0.3, 1.0),
+    lam=st.floats(-0.4, 0.4),
+    from_origin=st.booleans(),
+    j=st.integers(1, 4),
+    m=SMALL_M,
+    forced=st.booleans(),
+)
+def test_picard_is_finite_or_an_error(q, alpha, lam, from_origin, j, m, forced):
+    a = 0.0 if from_origin else q**4
+    f = quadratic(1.0, -0.5, 0.7) if forced else None
+    y = solve_ivp_picard(IVProblem(alpha, lam, a, 1.0, f), m, QParams(q))
+    _finite_or_error(y, q ** (4 - j))
