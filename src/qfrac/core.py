@@ -226,14 +226,37 @@ def nabla_q(f: QFunction, t: float, p: QParams) -> float:
 
 
 def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
-    """n-fold backward q-derivative by literal repeated application."""
+    """n-fold backward q-derivative, nabla_q applied n times.
+
+    For n >= 2, f is sampled once at x_k = q * x_{k-1} (x_0 = t, k <= n) and
+    n rounds of differences D(x_k) = (D(x_k) - D(x_{k+1})) / ((1 - q) x_k)
+    give the value bit for bit as the literal recursion would, from n + 1
+    samples instead of 2**n.  An order above the term budget raises
+    NonConvergence.
+    """
     if n < 0:
         raise DomainError(f"derivative order must be >= 0, got {n}")
     if n == 0:
         return f(t)
     if n == 1:
         return nabla_q(f, t, p)
-    return nabla_q(lambda x: nabla_q_n(f, x, n - 1, p), t, p)
+    q = p.q
+    if n > p.trunc.max_terms:
+        raise NonConvergence(
+            f"nabla_q^n with n={n} at t={t!r}, q={q!r}: n exceeds the budget of "
+            f"{p.trunc.max_terms} terms"
+        )
+    points = [t]
+    for _ in range(n):
+        points.append(q * points[-1])
+    if not points[n - 1] > 0.0:
+        # The first point the recursion would have rejected.
+        bad = next(x for x in points if not x > 0.0)
+        raise DomainError(f"nabla_q is undefined at t = {bad}; requires t > 0")
+    row = [f(x) for x in points]
+    for m in range(n, 0, -1):
+        row = [(row[k] - row[k + 1]) / ((1.0 - q) * points[k]) for k in range(m)]
+    return row[0]
 
 
 def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -> float:

@@ -84,16 +84,18 @@ _WEIGHT_AT = "{} fractional integral at t={!r}, alpha={!r}, q={!r}"
 
 
 def _lattice_weights(
-    alpha: float, q: float, ratio: float, weight: float = 1.0
+    alpha: float, q: float, ratio: float, weight: float = 1.0, offset: float = 1.0
 ) -> Iterator[float]:
-    """w_0 = weight, w_{k+1} = w_k * ratio * (1 - q**(alpha+k)) / (1 - q**(k+1)).
+    """w_0 = weight, w_{k+1} = w_k * ratio * (1 - c q**(alpha+k)) / (1 - c q**(k+1))
+    with c = offset.
 
     The kernel of a fractional integral over q_gamma(alpha) on the lattice, a
-    ratio of q-Pochhammer symbols, so no factorial power is ever rebuilt.
+    ratio of q-Pochhammer symbols, so no factorial power is ever rebuilt.  With
+    c = a / t < 1 they follow the kernel (t - qs)_q^(alpha-1) along s = a q**k.
     """
     w = weight
-    num = q**alpha
-    den = q
+    num = offset * q**alpha
+    den = offset * q
     while True:
         yield w
         w *= ratio * (1.0 - num) / (1.0 - den)
@@ -104,15 +106,15 @@ def _lattice_weights(
 def _lattice_series(
     f: QFunction, x: float, upward: bool, alpha: float, weight: float,
     ratio: float, steps: int | None, p: QParams, *, detect_growth: bool = False,
-    label: str,
+    offset: float = 1.0, label: str,
 ) -> float:
     """sum_k w_k f(x_k) over k < steps, or over all k >= 0 when steps is None.
 
     The points are x_{k+1} = x_k / q (upward) or x_k * q, and the weights those
-    of _lattice_weights(alpha, q, ratio, weight).
+    of _lattice_weights(alpha, q, ratio, weight, offset).
     """
     q = p.q
-    weights = _lattice_weights(alpha, q, ratio, weight)
+    weights = _lattice_weights(alpha, q, ratio, weight, offset)
 
     def terms() -> Iterator[float]:
         point = x
@@ -125,6 +127,21 @@ def _lattice_series(
     )
 
 
+def _left_off_grid(f: QFunction, a: float, alpha: float, t: float, p: QParams) -> float:
+    """I_a^alpha f(t) for 0 < a < t off the grid of t: the lattice series from 0
+    at t minus the one at a whose weights run at offset a / t."""
+    q = p.q
+    label = f"left fractional integral at t={t!r}, a={a!r}, alpha={alpha!r}, q={q!r}"
+    weight = _power((1.0 - q) * t, alpha, "{}", label)
+    whole = _lattice_series(f, t, False, alpha, weight, q, None, p, label=label)
+    start = (1.0 - q) * a * special.q_factorial_power(t, q * a, alpha - 1.0, p)
+    start /= special.q_gamma(alpha, p)
+    below = _lattice_series(
+        f, a, False, alpha, start, q, None, p, offset=a / t, label=label
+    )
+    return whole - below
+
+
 def left_frac_integral(
     f: QFunction, a: float, order: OrderLike, t: float, p: QParams
 ) -> float:
@@ -134,7 +151,13 @@ def left_frac_integral(
 
     When a = 0 or a = t q**m (m >= 0) this is the lattice series
     sum_{i<m} c_i f(t q**i), c_i = ((1-q) t)**alpha q**i (q**alpha; q)_i / (q; q)_i
-    (m infinite for a = 0); any other a takes the Jackson sum of the kernel.
+    (m infinite for a = 0).  A start 0 < a < t off the grid of t gives that
+    series for m infinite minus the Jackson sum anchored at a,
+    sum_i W_i f(a q**i), W_0 = (1-q) a (t - qa)_q^(alpha-1) / q_gamma(alpha)
+    and W_{i+1} = W_i q (1 - c q**(alpha+i)) / (1 - c q**(i+1)), c = a / t,
+    so one factorial power and one q_gamma per call.  Any other a (a > t off
+    or on the grid, or t <= 0) takes the Jackson sum of the kernel built by
+    q_factorial_power at every point.
     """
     alpha = _integral_order(order)
     q = p.q
@@ -146,6 +169,8 @@ def left_frac_integral(
                 f, t, False, alpha, weight, q, steps, p,
                 label="left fractional integral",
             )
+        if 0.0 < a < t:
+            return _left_off_grid(f, a, alpha, t, p)
 
     def integrand(s: float) -> float:
         kernel = special.q_factorial_power(t, q * s, alpha - 1.0, p)

@@ -152,6 +152,49 @@ class TestEvalErrors:
             assert name in err
 
 
+    def test_huge_integer_order_is_numeric_failure(self):
+        # An integer order above the term budget; it used to recurse until
+        # RecursionError.
+        code, out, err = run_cli(
+            ["eval", "caputo", "--q", "0.5", "--alpha", "1e308", "--t", "1", "--f", "s"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("qfrac: numeric failure:")
+        assert "t=1.0" in err and "q=0.5" in err
+
+    def test_high_integer_order_returns_promptly(self):
+        # nabla_q^30 takes 31 samples of f, not 2**30; a subprocess with a
+        # timeout keeps a regression from hanging the suite.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "qfrac", "eval", "--q", "0.9", "caputo",
+             "--alpha", "30", "--t", "0.3", "--f", "s"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode in (0, 2), done.stderr
+
+    def test_off_grid_failure_names_parameters(self):
+        code, _, err = run_cli(
+            ["eval", "--q", "0.5", "fracint", "--alpha", "0.7", "--t", "1",
+             "--a", "0.3", "--f", "inv(s)"]
+        )
+        assert code == 2
+        assert err.startswith("qfrac: numeric failure: left fractional integral")
+        for name in ("t=1.0", "a=0.3", "alpha=0.7", "q=0.5"):
+            assert name in err
+
+    def test_off_grid_kernel_overflow_names_parameters(self):
+        code, out, err = run_cli(
+            ["eval", "--q", "0.5", "fracint", "--alpha", "300", "--t", "1e10",
+             "--a", "3e9", "--f", "1"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("qfrac: numeric failure:")
+        for name in ("t=10000000000.0", "a=3000000000.0", "alpha=300.0"):
+            assert name in err
+
+
 class TestEnvironment:
     def test_env_budget_applies(self, monkeypatch):
         monkeypatch.setenv("QFRAC_MAX_TERMS", "5")

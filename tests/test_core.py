@@ -82,6 +82,44 @@ class TestBracketAndDerivative:
         with pytest.raises(DomainError):
             nabla_q_n(f, 1.0, -1, p_half)
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_difference_table_matches_literal_recursion(self, q):
+        p = QParams(q)
+
+        def literal(f, t, n):
+            if n == 0:
+                return f(t)
+            return nabla_q(lambda x: literal(f, x, n - 1), t, p)
+
+        operands = (lambda s: s * s - 0.3 * s + 0.5, lambda s: 1.0 / (1.0 + s),
+                    lambda s: s**3.3)
+        for n in range(2, 8):
+            for t in (1.0, 0.37, 2.5, 1e-3):
+                for f in operands:
+                    assert nabla_q_n(f, t, n, p) == literal(f, t, n)
+
+    def test_samples_each_point_once(self, p_half):
+        points = []
+
+        def f(s):
+            points.append(s)
+            return s**3
+
+        nabla_q_n(f, 1.0, 12, p_half)
+        assert points == [0.5**k for k in range(13)]
+
+    def test_order_beyond_budget_is_nonconvergence(self):
+        p = QParams(0.5, Truncation(max_terms=10))
+        assert math.isfinite(nabla_q_n(lambda s: s, 1.0, 10, p))
+        with pytest.raises(NonConvergence, match="n=11 at t=1.0, q=0.5"):
+            nabla_q_n(lambda s: s, 1.0, 11, p)
+
+    # From t = 5e-324 the chain t, qt, ... underflows to 0 at its second point.
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, 5e-324])
+    def test_iterated_rejects_nonpositive_point(self, t, p_half):
+        with pytest.raises(DomainError):
+            nabla_q_n(lambda s: s, t, 3, p_half)
+
 
 def brute_jackson(f, x, q, terms=400):
     """Independent straight-loop Jackson sum for the range [0, x]."""

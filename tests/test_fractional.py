@@ -7,6 +7,8 @@ import qfrac.special
 from qfrac import (
     DomainError,
     FracOrder,
+    NonConvergence,
+    NumericOverflow,
     QParams,
     Truncation,
     left_caputo,
@@ -366,7 +368,8 @@ class TestLatticeSeries:
         right_frac_integral(lambda s: s**-2.0, 4.0, 0.7, 1.0, p_half)
 
     # Values of the Jackson-sum route at parameters whose a is off the grid of
-    # t, frozen before the lattice series existed; that route is unchanged.
+    # t, frozen before the lattice series existed; the offset lattice series
+    # that now serves 0 < a < t agrees with them.
     @pytest.mark.parametrize(
         "q, alpha, a, t, frozen",
         [
@@ -379,3 +382,116 @@ class TestLatticeSeries:
     def test_off_grid_start_keeps_jackson_route(self, q, alpha, a, t, frozen):
         got = left_frac_integral(lambda s: 1.0 + s * s, a, alpha, t, QParams(q))
         assert abs(got - frozen) <= 1e-14 * abs(frozen)
+
+
+# Off-grid starts 0 < a < t: the lattice series from 0 at t minus the series
+# anchored at a, whose weights run the lattice recurrence at offset c = a / t.
+# The reference is the Jackson-sum route it replaced: the kernel
+# (t - qs)_q^(alpha-1) built by q_factorial_power at every Jackson point.
+OFF_GRID_QS = (0.3, 0.5, 0.7, 0.9)
+OFF_GRID_ORDERS = (0.3, 0.77, 1.4, 1.8, 2.6)
+OFF_GRID_RATIOS = (0.13, 0.37, 0.71)
+OFF_GRID_TS = (1.0, 0.6)
+OFF_GRID_OPERANDS = (
+    lambda s: 1.0,
+    lambda s: s,
+    lambda s: s * s - 0.3 * s + 0.5,
+)
+
+
+def jackson_left_integral(f, a, alpha, t, p):
+    def integrand(s):
+        kernel = q_factorial_power(t, p.q * s, alpha - 1.0, p)
+        return kernel * f(s) if kernel != 0.0 else 0.0
+
+    return q_integral(integrand, a, t, p) / q_gamma(alpha, p)
+
+
+def off_grid_sweep(q):
+    for alpha in OFF_GRID_ORDERS:
+        for c in OFF_GRID_RATIOS:
+            for t in OFF_GRID_TS:
+                yield alpha, c * t, t
+
+
+class TestOffGridStart:
+    @pytest.mark.parametrize("q", OFF_GRID_QS)
+    def test_integral_matches_jackson_route(self, q):
+        p = QParams(q)
+        for alpha, a, t in off_grid_sweep(q):
+            for f in OFF_GRID_OPERANDS:
+                got = left_frac_integral(f, a, alpha, t, p)
+                want = jackson_left_integral(f, a, alpha, t, p)
+                assert rel_err(got, want) <= 1e-12, (alpha, a, t)
+
+    @pytest.mark.parametrize("q", OFF_GRID_QS)
+    def test_caputo_matches_jackson_route(self, q):
+        # Order n = 1 operands are smooth, so the routes agree to rounding.
+        # For n = 2 the operand nabla_q^2 f carries rounding noise of about
+        # eps / s**2 near 0; both routes sum it to within ~1e-11 of the exact
+        # value (largest gap between them 1.6e-12, at q = 0.9).  Order 2.6
+        # (n = 3) is left out: there both routes return noise of order 1.
+        p = QParams(q)
+        for alpha, a, t in off_grid_sweep(q):
+            if alpha > 2.0:
+                continue
+            n, tol = (1, 1e-12) if alpha < 1.0 else (2, 1e-11)
+            for f in OFF_GRID_OPERANDS:
+                got = left_caputo(f, a, alpha, t, p)
+                want = jackson_left_integral(
+                    lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p
+                )
+                assert rel_err(got, want) <= tol, (alpha, a, t)
+
+    def test_one_factorial_power_and_one_gamma_per_call(self, monkeypatch, p_half):
+        calls = {"q_factorial_power": 0, "q_gamma": 0}
+        for name in calls:
+            original = getattr(qfrac.special, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(qfrac.special, name, counted)
+        f = lambda s: 1.0 + s * s
+        left_frac_integral(f, 0.37, 0.77, 1.0, p_half)
+        assert calls == {"q_factorial_power": 1, "q_gamma": 1}
+        left_caputo(f, 0.37, 0.77, 1.0, p_half)
+        assert calls == {"q_factorial_power": 2, "q_gamma": 2}
+
+    def test_constant_against_exact_value(self):
+        # I_a^alpha 1 (t) = (t - a)_q^(alpha) / q_gamma(alpha + 1).  The error
+        # is the stopping rule's truncation, shared by both routes; the worst
+        # over the sweep must not exceed the Jackson route's, frozen here.
+        jackson_worst = 1.2910153641524876e-10
+        worst = 0.0
+        for q in OFF_GRID_QS:
+            p = QParams(q)
+            for alpha, a, t in off_grid_sweep(q):
+                got = left_frac_integral(lambda s: 1.0, a, alpha, t, p)
+                exact = q_factorial_power(t, a, alpha, p) / q_gamma(alpha + 1.0, p)
+                worst = max(worst, abs(got - exact) / abs(exact))
+        assert worst <= jackson_worst
+
+    # a > t stays on the Jackson route; its values, frozen from that route.
+    @pytest.mark.parametrize(
+        "q, alpha, a, t, frozen",
+        [
+            (0.5, 0.7, 1.3, 1.0, -2.094130270645129),
+            (0.3, 1.7, 2.0, 0.8, -1.6253787825382526),
+            (0.9, 0.3, 1.45, 1.0, 3.175763290632273),
+        ],
+    )
+    def test_start_above_point_keeps_values(self, q, alpha, a, t, frozen):
+        got = left_frac_integral(lambda s: 1.0 + s * s, a, alpha, t, QParams(q))
+        assert abs(got - frozen) <= 1e-14 * abs(frozen)
+
+    def test_failure_names_the_parameters(self, p_half):
+        with pytest.raises(NonConvergence) as info:
+            left_frac_integral(lambda s: 1.0 / s, 0.3, 0.7, 1.0, p_half)
+        for name in ("left fractional integral", "t=1.0", "a=0.3", "alpha=0.7", "q=0.5"):
+            assert name in str(info.value)
+        with pytest.raises(NumericOverflow) as info:
+            left_frac_integral(lambda s: 1.0, 3e9, 300.0, 1e10, p_half)
+        for name in ("t=10000000000.0", "a=3000000000.0", "alpha=300.0"):
+            assert name in str(info.value)

@@ -19,7 +19,9 @@ from qfrac import (
     Truncation,
     count_terms,
     ivp_residual,
+    left_caputo,
     left_frac_integral,
+    left_riemann_deriv,
     q_exp_e,
     q_factorial_power,
     q_gamma,
@@ -475,6 +477,24 @@ def test_left_integral_is_finite_or_an_error(q, alpha, i, m, start):
     t = q**i
     a = {"origin": 0.0, "grid": t * q**m, "off-grid": 0.37 * t * q**m}[start]
     _finite_or_error(left_frac_integral, quadratic(1.0, -0.5, 0.7), a, alpha, t, QParams(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(0.2, 0.8),
+    alpha=st.floats(0.3, 2.5),
+    i=POINT_EXPONENTS,
+    m=SMALL_M,
+    below=st.booleans(),
+    caputo=st.booleans(),
+)
+def test_left_derivatives_off_grid_are_finite_or_an_error(q, alpha, i, m, below, caputo):
+    # a off the grid of t, below t (offset lattice series) or above it
+    # (Jackson route); Riemann samples the integral on both sides of a.
+    t = q**i
+    a = 0.37 * t * q**m if below else t * q**-m / 0.37
+    op = left_caputo if caputo else left_riemann_deriv
+    _finite_or_error(op, quadratic(1.0, -0.5, 0.7), a, alpha, t, QParams(q))
 
 
 @settings(max_examples=40, deadline=None)
