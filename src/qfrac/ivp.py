@@ -198,20 +198,30 @@ class _Column:
 def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
     """m-step successive approximation y_k = a0 + lam I^alpha y_{k-1} + I^alpha f.
 
-    Each iterate is a column of its values on a lattice x_e = base q**e: the
+    By linearity y_m = a0 + d_1 + ... + d_m (summed in that order) with the
+    increments d_k = y_k - y_{k-1}:
+
+        d_1 = lam I^alpha a0 + I^alpha f,   d_k = lam I^alpha d_{k-1} (k >= 2).
+
+    Each increment is a column of its values on a lattice x_e = base q**e: the
     time scale a q**e (e <= 0) when a > 0, and for a = 0 the chain t q**e of
     the first point t evaluated on it (a point off every such chain starts its
-    own).  A cell of iterate k is
+    own).  A cell of I^alpha g is
 
-        a0 + lam ((1-q) x_e)**alpha sum_i w_i y_{k-1}(x_{e+i}) + I^alpha f(x_e),
+        ((1-q) x_e)**alpha sum_i w_i g(x_{e+i}),
 
     with w_0 = 1 and w_{i+1} = w_i q (1 - q**(alpha+i)) / (1 - q**(i+1)) from
-    one weight table per solution, and I^alpha f a column of the same sums
-    over f, sampled once per lattice point.  For a > 0 the sum ends at x_{-1}
-    and is summed in full; for a = 0 it is infinite and stops by the
-    truncation rule.  Cells are computed when first needed and shared by every
-    later evaluation on the lattice.  With a > 0, a point t off the time scale
-    raises DomainError, as does t < a; y(a) = a0.
+    one weight table per solution; f is sampled once per lattice point.  For
+    a > 0 the sum ends at x_{-1} and is summed in full; for a = 0 it is
+    infinite and stops by the truncation rule.  There the increments pay off:
+    toward 0, d_k(x) = O(x**(alpha k)) while y_k -> a0, so the terms of the
+    sum over d_{k-1} fall like q**(i (1 + alpha (k-1))) instead of q**i, and
+    each deeper increment stops after a fraction of the terms and reads that
+    many fewer cells below it.  Cells are computed when first needed and
+    shared by every later evaluation on the lattice; diagnostics count the
+    integrals of the increment and forcing cells ("evaluations") and their
+    terms.  With a > 0, a point t off the time scale raises DomainError, as
+    does t < a; y(a) = a0.
     """
     if m < 0:
         raise DomainError(f"iteration count must be >= 0, got {m}")
@@ -223,10 +233,10 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
     weights = _Column(lambda i: next(source), None)
 
     def lattice(base: float, end: int | None) -> _Column:
-        """Iterate m on x_e = base q**e, over the columns below it."""
+        """Iterate m on x_e = base q**e, over the increment columns below it."""
 
         def integral(column: _Column, e: int) -> float:
-            """I^alpha of column at x_e; one per iterate or forcing cell."""
+            """I^alpha of column at x_e; one per increment or forcing cell."""
             x = base * q**e
             scale = _power((1.0 - q) * x, alpha, _WEIGHT_AT, "left", x, alpha, q)
             value = scale * _accumulate(
@@ -236,19 +246,26 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
             diagnostics["evaluations"] += 1
             return value
 
-        level = _Column(lambda e: a0, end)
-        forcing = None
-        if f is not None:
-            samples = _Column(lambda e: f(base * q**e), end)
-            forcing = _Column(lambda e: integral(samples, e), end)
-        for _ in range(m):
+        initial = _Column(lambda e: a0, end)
+        samples = None if f is None else _Column(lambda e: f(base * q**e), end)
 
-            def iterate(e: int, prev: _Column = level) -> float:
-                value = a0 + lam * integral(prev, e)
-                return value if forcing is None else value + forcing.at(e)
+        def first(e: int) -> float:
+            value = lam * integral(initial, e)
+            return value if samples is None else value + integral(samples, e)
 
-            level = _Column(iterate, end)
-        return level
+        increments = [_Column(first, end)] if m else []
+        for _ in range(m - 1):
+            increments.append(_Column(
+                lambda e, prev=increments[-1]: lam * integral(prev, e), end
+            ))
+
+        def iterate(e: int) -> float:
+            value = a0
+            for increment in increments:
+                value += increment.at(e)
+            return value
+
+        return _Column(iterate, end)
 
     lattices = [(a, lattice(a, 0))] if a > 0.0 else []
     lock = threading.RLock()  # columns are shared state

@@ -18,7 +18,7 @@ import math
 from typing import Iterator
 
 from .core import QParams, Truncation, _accumulate, _grid_exponent, _note_terms, _power
-from .errors import DomainError, NonConvergence, PoleError
+from .errors import DomainError, NonConvergence, NumericOverflow, PoleError
 
 __all__ = [
     "q_pochhammer",
@@ -114,7 +114,10 @@ _QFACT_AT = "(t - s)_q^alpha at t={!r}, s={!r}, alpha={!r}, q={!r}"
 def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     """The q-factorial power (t - s)_q^alpha.
 
-    Integer alpha >= 0 gives the finite product prod_{i<alpha} (t - q**i s).
+    Integer alpha >= 0 gives the finite product prod_{i<alpha} (t - q**i s);
+    with t != 0 an alpha above the truncation's max_terms raises
+    NonConvergence instead of multiplying that many factors, and a product
+    too large for a double raises NumericOverflow.
     Any other real alpha uses the infinite ratio product, which vanishes
     exactly when s = t q**-j (j >= 0) and raises PoleError when a denominator
     factor hits zero (negative integer alpha on the grid).
@@ -129,16 +132,30 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
         if t == 0.0:
             # prod (0 - q**i s) = (-s)**m q**(m(m-1)/2)
             return _power(-s, m, _QFACT_AT, t, s, alpha, q) * q ** (m * (m - 1) // 2)
+        if m > p.trunc.max_terms:
+            raise NonConvergence(
+                f"{_QFACT_AT.format(t, s, alpha, q)}: integer order {m} exceeds "
+                f"the budget of {p.trunc.max_terms} factors"
+            )
         d = _grid_exponent(s / t, q) if s != 0.0 and s / t > 0.0 else None
         product = 1.0
         if d is not None:
             for i in range(m):
-                product *= 1.0 - q ** (d + i)
-            return _power(t, m, _QFACT_AT, t, s, alpha, q) * product
-        power = 1.0
-        for _ in range(m):
-            product *= t - power * s
-            power *= q
+                factor = 1.0 - q ** (d + i)
+                if factor == 0.0:
+                    # s = t q**-i: the factors left lie in (0, 1), so the
+                    # product is a signed zero even if those before overflowed.
+                    product = math.copysign(0.0, product)
+                    break
+                product *= factor
+            product *= _power(t, m, _QFACT_AT, t, s, alpha, q)
+        else:
+            power = 1.0
+            for _ in range(m):
+                product *= t - power * s
+                power *= q
+        if not math.isfinite(product):
+            raise NumericOverflow(f"{_QFACT_AT.format(t, s, alpha, q)}: product overflowed")
         return product
 
     # Fractional (or negative integer) exponent: ratio product.

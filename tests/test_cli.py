@@ -174,6 +174,22 @@ class TestEvalErrors:
         )
         assert done.returncode in (0, 2), done.stderr
 
+    @pytest.mark.parametrize("s", ["0.5", "0.37"])
+    def test_huge_integer_factorial_power_is_numeric_failure(self, s):
+        # An integer order of 3e9 used to multiply that many factors, on and
+        # off the grid of t; a subprocess with a timeout keeps a regression
+        # from hanging the suite.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "qfrac", "eval", "--q", "0.5", "qfact",
+             "--alpha", "3e9", "--t", "1", "--s", s],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("qfrac: numeric failure:")
+        assert "alpha=3000000000.0" in done.stderr
+
     def test_off_grid_failure_names_parameters(self):
         code, _, err = run_cli(
             ["eval", "--q", "0.5", "fracint", "--alpha", "0.7", "--t", "1",

@@ -27,7 +27,9 @@ from qfrac import (
     q_gamma,
     q_integral,
     q_mittag_leffler,
+    right_caputo,
     right_frac_integral,
+    right_riemann_deriv,
     solve_ivp_closed,
     solve_ivp_picard,
 )
@@ -382,11 +384,17 @@ class TestPicardLattice:
         assert counts[0] == counts[1] <= CHAINED_EVALUATIONS[a]
 
     def test_frozen_problem_term_count(self, p_half):
+        # Increment columns from a = 0: each deeper increment's sums stop
+        # sooner than those of the iterate it adds to.  The level columns
+        # (each iterate summed whole) took 77,910 terms over 1,855
+        # evaluations for the value 1.3984050887919168.
         y = solve_ivp_picard(IVProblem(0.84, 0.3, 0.0, 1.0), 10, p_half)
         with count_terms() as counter:
-            y(1.0)
-        assert counter.total == 77_910
-        assert y.diagnostics["evaluations"] == 1_855
+            value = y(1.0)
+        assert counter.total == 10_223
+        assert y.diagnostics["evaluations"] == 445
+        assert counter.total < 77_910 and y.diagnostics["evaluations"] < 1_855
+        assert rel_err(value, 1.3984050887919168) < 1e-14
 
     @pytest.mark.parametrize("t", [0.37, 0.5**5, -1.0, math.nan])
     def test_points_off_the_time_scale_rejected(self, p_half, t):
@@ -433,6 +441,28 @@ class TestPicardLattice:
             assert values[-len(points):] == want
         assert len(got) == 6
         assert shared.diagnostics["evaluations"] == alone.diagnostics["evaluations"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(0.2, 0.6),
+    alpha=st.floats(0.3, 1.0),
+    lam=st.floats(-0.5, 0.5),
+    m=st.integers(0, 4),
+    from_origin=st.booleans(),
+    forced=st.booleans(),
+    j=st.integers(1, 4),
+)
+def test_picard_increments_match_chained_integrals(q, alpha, lam, m, from_origin, forced, j):
+    # y_m = a0 + d_1 + ... + d_m over increment columns against the iterates
+    # y_k as chained left_frac_integral closures, at t = q**(4 - j).
+    p = QParams(q)
+    a = 0.0 if from_origin else q**4
+    f = quadratic(1.0, -0.5, 0.7) if forced else None
+    t = q ** (4 - j)
+    y = solve_ivp_picard(IVProblem(alpha, lam, a, 1.0, f), m, p)
+    want = chained_picard(alpha, lam, a, 1.0, f, m, p)
+    assert y(t) == pytest.approx(want(t), rel=1e-12, abs=0.0)
 
 
 def test_zero_rate_takes_one_forcing_integral(monkeypatch):
@@ -503,12 +533,61 @@ def test_left_derivatives_off_grid_are_finite_or_an_error(q, alpha, i, m, below,
     alpha=st.floats(0.3, 2.5),
     i=POINT_EXPONENTS,
     m=SMALL_M,
+    from_origin=st.booleans(),
+    caputo=st.booleans(),
+)
+def test_left_derivatives_on_lattice_are_finite_or_an_error(q, alpha, i, m, from_origin, caputo):
+    t = q**i
+    a = 0.0 if from_origin else t * q**m
+    op = left_caputo if caputo else left_riemann_deriv
+    _finite_or_error(op, quadratic(1.0, -0.5, 0.7), a, alpha, t, QParams(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(0.2, 0.8),
+    alpha=st.floats(0.3, 2.5),
+    i=POINT_EXPONENTS,
+    m=SMALL_M,
     infinite=st.booleans(),
 )
 def test_right_integral_is_finite_or_an_error(q, alpha, i, m, infinite):
     t = q**i
     b = math.inf if infinite else t * q**-m
     _finite_or_error(right_frac_integral, lambda s: s**-3.0, b, alpha, t, QParams(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(0.2, 0.8),
+    alpha=st.floats(0.3, 2.5),
+    i=POINT_EXPONENTS,
+    m=SMALL_M,
+    infinite=st.booleans(),
+    caputo=st.booleans(),
+)
+def test_right_derivatives_are_finite_or_an_error(q, alpha, i, m, infinite, caputo):
+    t = q**i
+    b = math.inf if infinite else t * q**-m
+    op = right_caputo if caputo else right_riemann_deriv
+    _finite_or_error(op, lambda s: s**-3.0, b, alpha, t, QParams(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(0.2, 0.8),
+    order=st.integers(0, 10**12),
+    i=POINT_EXPONENTS,
+    m=SMALL_M,
+    place=st.sampled_from(["origin", "zero", "below", "off-grid", "above"]),
+)
+def test_integer_factorial_power_is_finite_or_an_error(q, order, i, m, place):
+    # Orders past the term budget must fail through the error channel rather
+    # than multiply that many factors; t = 0 has a closed form.
+    t = 0.0 if place == "origin" else q**i
+    s = {"origin": q**i, "zero": 0.0, "below": t * q**m,
+         "off-grid": 0.37 * t * q**m, "above": t * q**-m}[place]
+    _finite_or_error(q_factorial_power, t, s, float(order), QParams(q))
 
 
 @settings(max_examples=30, deadline=None)

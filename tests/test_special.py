@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from qfrac import (
     DomainError,
+    NonConvergence,
     PoleError,
     QParams,
+    Truncation,
     nabla_q,
     q_bracket,
     q_exp_E,
@@ -98,6 +100,19 @@ class TestFactorialPower:
             q_factorial_power(1.0, 2.0, -2.0, p_half)
         with pytest.raises(PoleError):
             q_factorial_power(1.0, 1.0, -1.0, p_half)
+
+    @pytest.mark.parametrize("s", [0.5, 0.37])
+    def test_integer_order_beyond_budget_is_nonconvergence(self, s):
+        # Both product loops (s on and off the grid of t) stop at the budget
+        # instead of multiplying alpha factors.
+        p = QParams(0.5, Truncation(max_terms=10))
+        assert q_factorial_power(1.0, s, 10.0, p) > 0.0
+        with pytest.raises(NonConvergence) as info:
+            q_factorial_power(1.0, s, 11.0, p)
+        for name in ("t=1.0", f"s={s}", "alpha=11.0", "q=0.5"):
+            assert name in str(info.value)
+        with pytest.raises(NonConvergence):
+            q_factorial_power(1.0, s, 3e9, QParams(0.5))
 
     def test_fractional_matches_integer_route(self):
         # Lemma-style split consistency: alpha = 2 via the ratio product.
