@@ -26,7 +26,6 @@ from .errors import (
     QCalculusError,
 )
 from .fractional import (
-    FracOrder,
     left_caputo,
     left_frac_integral,
     left_riemann_deriv,
@@ -57,7 +56,6 @@ __all__ = [
     "QParams",
     "Truncation",
     "QFunction",
-    "FracOrder",
     "MLParams",
     "IVProblem",
     "IVPSolution",

@@ -34,33 +34,30 @@ __all__ = [
 QFunction = Callable[[float], float]
 
 
+# The fixed parts of the stopping rule that Truncation describes.
+_ABS_TOL = 1e-300
+_SMALL_RUN = 3
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Stopping policy for every infinite sum or factor product.
 
-    An infinite sum stops once ``consecutive_small`` successive terms satisfy
-    ``|term| <= rel_tol * |partial_sum| + abs_tol``; a sum with a known number
-    of terms is summed in full; products use the analogous test on
-    ``|factor - 1|``.  Exhausting ``max_terms`` raises
+    An infinite sum stops once ``_SMALL_RUN`` (3) successive terms satisfy
+    ``|term| <= rel_tol * |partial_sum| + _ABS_TOL`` (1e-300); a sum with a
+    known number of terms is summed in full; products use the analogous test
+    on ``|factor - 1|``.  Exhausting ``max_terms`` raises
     :class:`~qfrac.errors.NonConvergence`.
     """
 
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
     max_terms: int = 10_000
-    consecutive_small: int = 3
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0.0:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.abs_tol < 0.0:
-            raise DomainError(f"abs_tol must be non-negative, got {self.abs_tol}")
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be at least 1, got {self.max_terms}")
-        if self.consecutive_small < 1:
-            raise DomainError(
-                f"consecutive_small must be at least 1, got {self.consecutive_small}"
-            )
 
 
 @dataclass(frozen=True)
@@ -132,15 +129,15 @@ def _accumulate(
     """Sum terms under the stopping rule.
 
     A finite sum (``finite=True``: terms known to end) is summed in full; only
-    an infinite one stops on ``consecutive_small`` small terms.  Both raise
+    an infinite one stops on ``_SMALL_RUN`` small terms.  Both raise
     NonConvergence past ``max_terms`` terms or at a non-finite term.  A caller
     that multiplies the sum by ``scale > 0`` afterwards passes it, so that
-    ``abs_tol`` bounds the terms it stands for.
+    ``_ABS_TOL`` bounds the terms it stands for.
     """
     max_terms, rel_tol = trunc.max_terms, trunc.rel_tol
-    abs_tol = trunc.abs_tol / scale if scale else math.inf
+    abs_tol = _ABS_TOL / scale if scale else math.inf
     # A small run never reaches max_terms + 1 before the budget check fires.
-    small_limit = max_terms + 1 if finite else trunc.consecutive_small
+    small_limit = max_terms + 1 if finite else _SMALL_RUN
     total = 0.0
     small_run = 0
     growth_run = 0
@@ -172,7 +169,7 @@ def _accumulate(
                     growth_base = prev_mag
                 growth_run += 1
                 if (
-                    growth_run >= trunc.consecutive_small
+                    growth_run >= _SMALL_RUN
                     and mag > _GROWTH_FACTOR * growth_base
                 ):
                     _note_terms(count)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 from . import special
 from .core import (
@@ -29,7 +28,6 @@ from .core import (
 from .errors import DomainError
 
 __all__ = [
-    "FracOrder",
     "r_coef",
     "left_frac_integral",
     "right_frac_integral",
@@ -39,31 +37,15 @@ __all__ = [
     "right_caputo",
 ]
 
-OrderLike = Union[float, "FracOrder"]
+def _derivative_order(order: float) -> tuple[float, int]:
+    """(alpha, n) for a derivative order alpha > 0, with n = ceil(alpha).
 
-
-@dataclass(frozen=True)
-class FracOrder:
-    """A derivative order alpha > 0 with its ceiling index.
-
-    For non-integer alpha, n = floor(alpha) + 1; exactly integer alpha routes
-    operators through their integer-order clause with n = alpha.
+    n == alpha selects an operator's integer-order clause.
     """
-
-    alpha: float
-    n: int
-    is_integer: bool
-
-    @classmethod
-    def of(cls, order: OrderLike) -> "FracOrder":
-        if isinstance(order, FracOrder):
-            return order
-        alpha = float(order)
-        if not (math.isfinite(alpha) and alpha > 0.0):
-            raise DomainError(f"derivative order must be a finite real > 0, got {alpha}")
-        if alpha == round(alpha):
-            return cls(alpha, int(round(alpha)), True)
-        return cls(alpha, math.floor(alpha) + 1, False)
+    alpha = float(order)
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError(f"derivative order must be a finite real > 0, got {alpha}")
+    return alpha, math.ceil(alpha)
 
 
 def r_coef(alpha: float, q: float) -> float:
@@ -71,8 +53,8 @@ def r_coef(alpha: float, q: float) -> float:
     return q ** (-0.5 * alpha * (alpha - 1.0))
 
 
-def _integral_order(order: OrderLike) -> float:
-    alpha = order.alpha if isinstance(order, FracOrder) else float(order)
+def _integral_order(order: float) -> float:
+    alpha = float(order)
     if not math.isfinite(alpha) or (alpha == round(alpha) and alpha <= 0.0):
         raise DomainError(
             f"fractional integral order must avoid 0, -1, -2, ...; got {alpha}"
@@ -105,16 +87,16 @@ def _lattice_weights(
 
 def _lattice_series(
     f: QFunction, x: float, upward: bool, alpha: float, weight: float,
-    ratio: float, steps: int | None, p: QParams, *, detect_growth: bool = False,
-    offset: float = 1.0, label: str,
+    steps: int | None, p: QParams, *, offset: float = 1.0, label: str,
 ) -> float:
     """sum_k w_k f(x_k) over k < steps, or over all k >= 0 when steps is None.
 
     The points are x_{k+1} = x_k / q (upward) or x_k * q, and the weights those
-    of _lattice_weights(alpha, q, ratio, weight, offset).
+    of _lattice_weights(alpha, q, ratio, weight, offset) with ratio q**-alpha
+    upward and q downward.  An infinite upward series is watched for growth.
     """
     q = p.q
-    weights = _lattice_weights(alpha, q, ratio, weight, offset)
+    weights = _lattice_weights(alpha, q, q**-alpha if upward else q, weight, offset)
 
     def terms() -> Iterator[float]:
         point = x
@@ -123,7 +105,8 @@ def _lattice_series(
             point = point / q if upward else point * q
 
     return _accumulate(
-        terms(), p.trunc, detect_growth=detect_growth, finite=steps is not None, label=label
+        terms(), p.trunc, detect_growth=upward and steps is None,
+        finite=steps is not None, label=label,
     )
 
 
@@ -133,17 +116,15 @@ def _left_off_grid(f: QFunction, a: float, alpha: float, t: float, p: QParams) -
     q = p.q
     label = f"left fractional integral at t={t!r}, a={a!r}, alpha={alpha!r}, q={q!r}"
     weight = _power((1.0 - q) * t, alpha, "{}", label)
-    whole = _lattice_series(f, t, False, alpha, weight, q, None, p, label=label)
+    whole = _lattice_series(f, t, False, alpha, weight, None, p, label=label)
     start = (1.0 - q) * a * special.q_factorial_power(t, q * a, alpha - 1.0, p)
     start /= special.q_gamma(alpha, p)
-    below = _lattice_series(
-        f, a, False, alpha, start, q, None, p, offset=a / t, label=label
-    )
+    below = _lattice_series(f, a, False, alpha, start, None, p, offset=a / t, label=label)
     return whole - below
 
 
 def left_frac_integral(
-    f: QFunction, a: float, order: OrderLike, t: float, p: QParams
+    f: QFunction, a: float, order: float, t: float, p: QParams
 ) -> float:
     """Left q-fractional integral of order alpha starting at a, evaluated at t.
 
@@ -166,8 +147,7 @@ def left_frac_integral(
         if a == 0.0 or (steps is not None and steps >= 0):
             weight = _power((1.0 - q) * t, alpha, _WEIGHT_AT, "left", t, alpha, q)
             return _lattice_series(
-                f, t, False, alpha, weight, q, steps, p,
-                label="left fractional integral",
+                f, t, False, alpha, weight, steps, p, label="left fractional integral"
             )
         if 0.0 < a < t:
             return _left_off_grid(f, a, alpha, t, p)
@@ -180,7 +160,7 @@ def left_frac_integral(
 
 
 def right_frac_integral(
-    f: QFunction, b: float, order: OrderLike, t: float, p: QParams
+    f: QFunction, b: float, order: float, t: float, p: QParams
 ) -> float:
     """Right q-fractional integral of order alpha ending at b, at t.
 
@@ -198,71 +178,66 @@ def right_frac_integral(
     q = p.q
     steps = _upper_steps(t, b, q)
     shift = q ** (1.0 - alpha)
-    q_neg_alpha = q**-alpha
-    weight = r_coef(alpha, q) * q_neg_alpha * _power(
+    weight = r_coef(alpha, q) * q**-alpha * _power(
         (1.0 - q) * t, alpha, _WEIGHT_AT, "right", t, alpha, q
     )
     return _lattice_series(
-        lambda s: f(s * shift), t / q, True, alpha, weight, q_neg_alpha, steps, p,
-        detect_growth=steps is None, label="right fractional integral",
+        lambda s: f(s * shift), t / q, True, alpha, weight, steps, p,
+        label="right fractional integral",
     )
 
 
 def left_riemann_deriv(
-    f: QFunction, a: float, order: OrderLike, t: float, p: QParams
+    f: QFunction, a: float, order: float, t: float, p: QParams
 ) -> float:
     """Left Riemann q-fractional derivative: nabla_q^n of the (n - alpha)-integral."""
-    o = FracOrder.of(order)
-    if o.is_integer:
-        return nabla_q_n(f, t, o.n, p)
-    inner_order = o.n - o.alpha
-    return nabla_q_n(
-        lambda x: left_frac_integral(f, a, inner_order, x, p), t, o.n, p
-    )
+    alpha, n = _derivative_order(order)
+    if n == alpha:
+        return nabla_q_n(f, t, n, p)
+    inner_order = n - alpha
+    return nabla_q_n(lambda x: left_frac_integral(f, a, inner_order, x, p), t, n, p)
 
 
 def right_riemann_deriv(
-    f: QFunction, b: float, order: OrderLike, t: float, p: QParams
+    f: QFunction, b: float, order: float, t: float, p: QParams
 ) -> float:
     """Right Riemann q-fractional derivative: (-1)**n nabla_q^n of the right integral."""
-    o = FracOrder.of(order)
-    sign = -1.0 if o.n % 2 else 1.0
-    if o.is_integer:
-        return sign * nabla_q_n(f, t, o.n, p)
-    inner_order = o.n - o.alpha
+    alpha, n = _derivative_order(order)
+    sign = -1.0 if n % 2 else 1.0
+    if n == alpha:
+        return sign * nabla_q_n(f, t, n, p)
+    inner_order = n - alpha
     return sign * nabla_q_n(
-        lambda x: right_frac_integral(f, b, inner_order, x, p), t, o.n, p
+        lambda x: right_frac_integral(f, b, inner_order, x, p), t, n, p
     )
 
 
 def left_caputo(
-    f: QFunction, a: float, order: OrderLike, t: float, p: QParams
+    f: QFunction, a: float, order: float, t: float, p: QParams
 ) -> float:
     """Left Caputo q-fractional derivative: (n - alpha)-integral of nabla_q^n f.
 
     Kills constants for non-integer order; integer order is the plain n-fold
     q-derivative.
     """
-    o = FracOrder.of(order)
-    if o.is_integer:
-        return nabla_q_n(f, t, o.n, p)
-    return left_frac_integral(
-        lambda s: nabla_q_n(f, s, o.n, p), a, o.n - o.alpha, t, p
-    )
+    alpha, n = _derivative_order(order)
+    if n == alpha:
+        return nabla_q_n(f, t, n, p)
+    return left_frac_integral(lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p)
 
 
 def right_caputo(
-    f: QFunction, b: float, order: OrderLike, t: float, p: QParams
+    f: QFunction, b: float, order: float, t: float, p: QParams
 ) -> float:
     """Right Caputo q-fractional derivative via the compositional definition.
 
     The right (n - alpha)-integral applied to the n-fold image of f under the
     reflected derivative, which on this scale is -nabla_q.
     """
-    o = FracOrder.of(order)
-    sign = -1.0 if o.n % 2 else 1.0
-    if o.is_integer:
-        return sign * nabla_q_n(f, t, o.n, p)
+    alpha, n = _derivative_order(order)
+    sign = -1.0 if n % 2 else 1.0
+    if n == alpha:
+        return sign * nabla_q_n(f, t, n, p)
     return right_frac_integral(
-        lambda s: sign * nabla_q_n(f, s, o.n, p), b, o.n - o.alpha, t, p
+        lambda s: sign * nabla_q_n(f, s, n, p), b, n - alpha, t, p
     )

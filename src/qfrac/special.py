@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .core import QParams, Truncation, _accumulate, _grid_exponent, _note_terms, _power
+from .core import _SMALL_RUN, QParams, Truncation, _accumulate, _grid_exponent, _note_terms, _power
 from .errors import DomainError, NonConvergence, NumericOverflow, PoleError
 
 __all__ = [
@@ -73,7 +73,7 @@ def _pochhammer_tail(x: float, p: QParams) -> float:
         product *= 1.0 - power
         if power <= trunc.rel_tol:
             small_run += 1
-            if small_run >= trunc.consecutive_small:
+            if small_run >= _SMALL_RUN:
                 _note_terms(count)
                 if len(_TAIL_CACHE) >= _TAIL_CACHE_SIZE:
                     _TAIL_CACHE.clear()
@@ -99,7 +99,7 @@ def _product_with_stoprule(factors: Iterator[float], trunc: Truncation, label: s
         product *= factor
         if abs(factor - 1.0) <= trunc.rel_tol:
             small_run += 1
-            if small_run >= trunc.consecutive_small:
+            if small_run >= _SMALL_RUN:
                 _note_terms(count)
                 return product
         else:
@@ -111,6 +111,12 @@ def _product_with_stoprule(factors: Iterator[float], trunc: Truncation, label: s
 _QFACT_AT = "(t - s)_q^alpha at t={!r}, s={!r}, alpha={!r}, q={!r}"
 
 
+def _rounded_pole(t: float, s: float, alpha: float, q: float) -> PoleError:
+    # A denominator factor 1 - q**(d + i + alpha) on the grid s = t q**d
+    # rounded to 0: alpha is a pole to within float resolution.
+    return PoleError(f"{_QFACT_AT.format(t, s, alpha, q)}: a denominator factor is numerically 0")
+
+
 def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     """The q-factorial power (t - s)_q^alpha.
 
@@ -120,7 +126,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     too large for a double raises NumericOverflow.
     Any other real alpha uses the infinite ratio product, which vanishes
     exactly when s = t q**-j (j >= 0) and raises PoleError when a denominator
-    factor hits zero (negative integer alpha on the grid).
+    factor hits zero (negative integer alpha on the grid) or rounds to zero.
     """
     q = p.q
     if not math.isfinite(alpha):
@@ -173,26 +179,29 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     d = _grid_exponent(u, q) if u > 0.0 else None
     trunc = p.trunc
     if d is not None:
-        if _is_integer_valued(alpha):
-            m = -int(round(alpha))
-            if d <= m:
-                raise PoleError(
-                    f"(t - s)_q^{alpha} has a vanishing denominator at s = t q**{-d}"
-                )
-            scale = _power(t, alpha, _QFACT_AT, t, s, alpha, q)
-            return scale * _pochhammer_tail(float(d), p) / _pochhammer_tail(d + alpha, p)
+        if _is_integer_valued(alpha) and d <= -alpha:
+            raise PoleError(
+                f"(t - s)_q^{alpha} has a vanishing denominator at s = t q**{-d}"
+            )
         if d <= 0:
             # Numerator factor 1 - q**(d + i) vanishes identically at i = -d.
             return 0.0
         x2 = d + alpha
         if x2 > 0.0:
             scale = _power(t, alpha, _QFACT_AT, t, s, alpha, q)
-            return scale * _pochhammer_tail(float(d), p) / _pochhammer_tail(x2, p)
+            num = scale * _pochhammer_tail(float(d), p)
+            den = _pochhammer_tail(x2, p)
+            if den == 0.0:
+                raise _rounded_pole(t, s, alpha, q)
+            return num / den
 
         def snapped_factors() -> Iterator[float]:
             i = 0
             while True:
-                yield (1.0 - q ** (d + i)) / (1.0 - q ** (d + i + alpha))
+                den = 1.0 - q ** (d + i + alpha)
+                if den == 0.0:
+                    raise _rounded_pole(t, s, alpha, q)
+                yield (1.0 - q ** (d + i)) / den
                 i += 1
 
         product = _product_with_stoprule(snapped_factors(), trunc, "q-factorial power")
@@ -207,7 +216,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
         den_pow = u * q**alpha
         while True:
             den = 1.0 - den_pow
-            if abs(den) < max(trunc.abs_tol, 1e-12):
+            if abs(den) < 1e-12:
                 raise PoleError(
                     f"(t - s)_q^{alpha} denominator vanished for s/t = {u}"
                 )
@@ -219,26 +228,38 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     return _power(t, alpha, _QFACT_AT, t, s, alpha, q) * product
 
 
+_GAMMA_AT = "q_gamma at alpha={!r}, q={!r}"
+
+
 def q_gamma(alpha: float, p: QParams) -> float:
     """q-gamma via (1 - q)**(1 - alpha) (q; q)_inf / (q**alpha; q)_inf.
 
     Satisfies the recurrence q_gamma(alpha + 1) = [alpha]_q q_gamma(alpha)
-    with q_gamma(1) = 1; poles at alpha = 0, -1, -2, ...
+    with q_gamma(1) = 1; poles at alpha = 0, -1, -2, ...  Negative alpha is
+    shifted up through the recurrence, one step per unit, within the
+    truncation's max_terms.
     """
     if not math.isfinite(alpha):
         raise DomainError(f"q_gamma argument must be finite, got {alpha}")
     if _is_integer_valued(alpha) and alpha <= 0.0:
         raise PoleError(f"q_gamma has a pole at alpha = {alpha}")
     q = p.q
+    if -alpha > p.trunc.max_terms:
+        raise NonConvergence(
+            f"{_GAMMA_AT.format(alpha, q)}: shifting to alpha > 0 takes more than "
+            f"the budget of {p.trunc.max_terms} steps"
+        )
     divisor = 1.0
     a = alpha
     while a <= 0.0:
-        # Shift negative non-integer arguments up through the recurrence.
-        divisor *= (1.0 - q**a) / (1.0 - q)
+        divisor *= (1.0 - _power(q, a, _GAMMA_AT, alpha, q)) / (1.0 - q)
         a += 1.0
-    scale = _power(1.0 - q, 1.0 - a, "q_gamma at alpha={!r}, q={!r}", alpha, q)
-    value = scale * _pochhammer_tail(1.0, p) / _pochhammer_tail(a, p)
-    return value / divisor
+    scale = _power(1.0 - q, 1.0 - a, _GAMMA_AT, alpha, q)
+    tail = _pochhammer_tail(a, p)
+    if tail == 0.0 or divisor == 0.0:
+        # q**a rounded to 1: alpha is a pole to within float resolution.
+        raise PoleError(f"{_GAMMA_AT.format(alpha, q)} is numerically on a pole")
+    return scale * _pochhammer_tail(1.0, p) / tail / divisor
 
 
 def q_exp_e(t: float, p: QParams) -> float:
@@ -270,7 +291,7 @@ def q_exp_E(t: float, p: QParams) -> float:
         power = 1.0
         while True:
             den = 1.0 - power * t
-            if den == 0.0 or abs(den) < trunc.abs_tol:
+            if den == 0.0:
                 raise PoleError(f"E_q factor vanished at t={t}")
             yield 1.0 / den
             power *= q

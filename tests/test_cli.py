@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfrac.special
 
@@ -134,6 +137,12 @@ class TestEvalErrors:
     def test_gamma_pole_is_exit_two(self):
         code, _, _ = run_cli(["eval", "gamma", "--q", "0.5", "--alpha", "0"])
         assert code == 2
+
+    def test_gamma_pole_within_float_resolution_names_parameters(self):
+        code, out, err = run_cli(["eval", "gamma", "--q", "0.5", "--alpha", "1e-320"])
+        assert code == 2 and out == ""
+        assert err.startswith("qfrac: numeric failure:")
+        assert "alpha=1e-320" in err and "q=0.5" in err
 
     @pytest.mark.parametrize(
         "argv, names",
@@ -372,3 +381,32 @@ class TestExplore:
         rows = parse_csv(target.read_text())
         assert len(rows) == 2
         assert rows[0].keys() == rows[1].keys()
+
+
+# Values that break naive numerics, next to ordinary ones.
+EXTREME_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308, 5e-324, 0.0, -1.0]
+)
+FUZZ_FLOATS = st.one_of(
+    EXTREME_FLOATS, st.floats(0.0, 3.0), st.floats(-3.0, 3.0), st.floats(-1e12, 1e12),
+    st.floats(),
+)
+EVAL_TARGETS = ["gamma", "qfact", "ml", "eq", "Eq", "fracint", "fracder", "caputo"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    target=st.sampled_from(EVAL_TARGETS),
+    q=st.one_of(st.floats(0.05, 0.95), st.floats(0.95, 1.0), FUZZ_FLOATS),
+    values=st.fixed_dictionaries(
+        {name: FUZZ_FLOATS for name in ("alpha", "beta", "lambda", "a", "b", "s", "t", "z", "z0")}
+    ),
+    f=st.sampled_from(["s", "s*s - 0.3*s", "inv(s)", "s^0.5", "s^-3", "t - s"]),
+    side=st.sampled_from(["left", "right"]),
+)
+def test_eval_fuzz_exits_through_documented_codes(target, q, values, f, side):
+    # A small term budget keeps nested operators quick on every example.
+    argv = ["eval", target, f"--q={q!r}", "--max-terms=300", f"--f={f}", f"--side={side}"]
+    argv += [f"--{name}={value!r}" for name, value in values.items()]
+    code, _, _ = run_cli(argv)
+    assert code in (0, 2, 3)

@@ -41,9 +41,7 @@ class TestParams:
         [
             {"rel_tol": 0.0},
             {"rel_tol": -1e-9},
-            {"abs_tol": -1.0},
             {"max_terms": 0},
-            {"consecutive_small": 0},
         ],
     )
     def test_truncation_invariants(self, kwargs):

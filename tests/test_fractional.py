@@ -6,7 +6,6 @@ import qfrac.special
 
 from qfrac import (
     DomainError,
-    FracOrder,
     NonConvergence,
     NumericOverflow,
     QParams,
@@ -33,27 +32,48 @@ INF = math.inf
 INV_GAMMA_THREE_HALVES = 1.0859231828858144
 
 
-class TestFracOrder:
-    def test_fractional(self):
-        o = FracOrder.of(0.5)
-        assert (o.alpha, o.n, o.is_integer) == (0.5, 1, False)
-        o = FracOrder.of(1.5)
-        assert (o.alpha, o.n, o.is_integer) == (1.5, 2, False)
+# Each derivative with its default endpoint and its sign per q-derivative.
+DERIVATIVES = [
+    pytest.param(left_riemann_deriv, 0.0, 1.0, id="left_riemann"),
+    pytest.param(left_caputo, 0.0, 1.0, id="left_caputo"),
+    pytest.param(right_riemann_deriv, INF, -1.0, id="right_riemann"),
+    pytest.param(right_caputo, INF, -1.0, id="right_caputo"),
+]
 
-    def test_integer_routes_to_own_order(self):
-        o = FracOrder.of(1.0)
-        assert (o.n, o.is_integer) == (1, True)
-        o = FracOrder.of(2)
-        assert (o.n, o.is_integer) == (2, True)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, -2.0])
-    def test_rejects_nonpositive(self, alpha):
+class TestDerivativeOrder:
+    @pytest.mark.parametrize("op,endpoint,sign", DERIVATIVES)
+    @pytest.mark.parametrize("order", [0.0, -0.5, -2.0, math.nan, INF, -INF])
+    def test_rejects_order(self, op, endpoint, sign, order, p_half):
         with pytest.raises(DomainError):
-            FracOrder.of(alpha)
+            op(lambda s: s, endpoint, order, 1.0, p_half)
 
-    def test_idempotent(self):
-        o = FracOrder.of(0.7)
-        assert FracOrder.of(o) is o
+    @pytest.mark.parametrize("op,endpoint,sign", DERIVATIVES)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_integer_order_is_nabla_q_n(self, op, endpoint, sign, n, p_half):
+        f = lambda s: s**-3.0 + 0.4 * s
+        want = sign**n * nabla_q_n(f, 0.8, n, p_half)
+        assert op(f, endpoint, n, 0.8, p_half) == want
+        assert op(f, endpoint, float(n), 0.8, p_half) == want
+
+    @pytest.mark.parametrize("alpha,n", [(0.5, 1), (1.5, 2), (2.25, 3)])
+    def test_fractional_order_uses_ceiling(self, alpha, n, p_half):
+        # Both derivatives compose n q-derivatives with an (n - alpha)-integral;
+        # right ones take (-1)**n from the reflected derivative.
+        for integral, deriv, caputo, end, f, sign in (
+            (left_frac_integral, left_riemann_deriv, left_caputo, 0.0,
+             lambda s: s * s + 0.4 * s, 1.0),
+            (right_frac_integral, right_riemann_deriv, right_caputo, INF,
+             lambda s: s**-3.0, (-1.0) ** n),
+        ):
+            want = sign * nabla_q_n(
+                lambda x: integral(f, end, n - alpha, x, p_half), 0.8, n, p_half
+            )
+            assert deriv(f, end, alpha, 0.8, p_half) == want
+            want = integral(
+                lambda s: sign * nabla_q_n(f, s, n, p_half), end, n - alpha, 0.8, p_half
+            )
+            assert caputo(f, end, alpha, 0.8, p_half) == want
 
 
 class TestRightEndpoint:

@@ -14,6 +14,7 @@ from qfrac import (
     IVProblem,
     MLParams,
     NonConvergence,
+    PoleError,
     QCalculusError,
     QParams,
     Truncation,
@@ -22,6 +23,7 @@ from qfrac import (
     left_caputo,
     left_frac_integral,
     left_riemann_deriv,
+    q_exp_E,
     q_exp_e,
     q_factorial_power,
     q_gamma,
@@ -78,6 +80,10 @@ class TestMittagLeffler:
                 / q_gamma(0.9 * k + 1.0, p_half)
             )
         assert rel_err(got, total) < 1e-13
+
+    def test_beta_on_a_gamma_pole_within_float_resolution(self, p_half):
+        with pytest.raises(PoleError, match=r"alpha=1e-320, q=0\.5"):
+            q_mittag_leffler(MLParams(0.5, 1e-320, 0.5), 0.5, p_half)
 
     def test_vanishing_powers_below_origin(self, p_half):
         # Aligned z below z0 kills every k >= 1 term exactly.
@@ -605,3 +611,53 @@ def test_picard_is_finite_or_an_error(q, alpha, lam, from_origin, j, m, forced):
     f = quadratic(1.0, -0.5, 0.7) if forced else None
     y = solve_ivp_picard(IVProblem(alpha, lam, a, 1.0, f), m, QParams(q))
     _finite_or_error(y, q ** (4 - j))
+
+
+# Real arguments, tiny ones and ones within 1e-15 of the poles 0, -1, -2.
+NEAR_POLES = st.one_of(
+    st.floats(-6.0, 6.0),
+    st.floats(1e-300, 1e-15),
+    st.floats(-1e-15, 1e-15),
+    st.builds(lambda n, e: n + e, st.sampled_from([-1.0, -2.0]), st.floats(-1e-15, 1e-15)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(0.2, 0.95), alpha=NEAR_POLES)
+def test_q_gamma_is_finite_or_an_error(q, alpha):
+    _finite_or_error(q_gamma, alpha, QParams(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(0.2, 0.95),
+    alpha=NEAR_POLES,
+    i=POINT_EXPONENTS,
+    m=SMALL_M,
+    place=st.sampled_from(["zero", "below", "off-grid", "above"]),
+)
+def test_fractional_factorial_power_is_finite_or_an_error(q, alpha, i, m, place):
+    t = q**i
+    s = {"zero": 0.0, "below": t * q**m, "off-grid": 0.37 * t * q**m,
+         "above": t * q**-m}[place]
+    _finite_or_error(q_factorial_power, t, s, alpha, QParams(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(0.2, 0.95), t=st.one_of(st.floats(-12.0, 12.0), st.floats()))
+def test_q_exponentials_are_finite_or_an_error(q, t):
+    _finite_or_error(q_exp_e, t, QParams(q))
+    _finite_or_error(q_exp_E, t, QParams(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(0.2, 0.8),
+    alpha=st.floats(0.2, 2.0),
+    beta=NEAR_POLES,
+    lam=st.floats(-2.0, 2.0),
+    z=st.floats(0.0, 2.0),
+    z0=st.sampled_from([0.0, 0.37, 1.0]),
+)
+def test_q_mittag_leffler_is_finite_or_an_error(q, alpha, beta, lam, z, z0):
+    _finite_or_error(q_mittag_leffler, MLParams(alpha, beta, lam, z0), z, QParams(q))

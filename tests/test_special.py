@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from qfrac import (
     DomainError,
     NonConvergence,
+    NumericOverflow,
     PoleError,
     QParams,
     Truncation,
@@ -101,6 +104,15 @@ class TestFactorialPower:
         with pytest.raises(PoleError):
             q_factorial_power(1.0, 1.0, -1.0, p_half)
 
+    @pytest.mark.parametrize("toward", [0.0, -10.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_order_one_ulp_from_grid_pole(self, d, toward):
+        # 1 - q**(d + alpha) rounds to 0 at q = 0.9; above or below -d the
+        # zero sits in the tail product or in the snapped factor stream.
+        alpha = math.nextafter(-float(d), toward)
+        with pytest.raises(PoleError, match=rf"alpha={alpha!r}, q=0\.9"):
+            q_factorial_power(1.0, 0.9**d, alpha, QParams(0.9))
+
     @pytest.mark.parametrize("s", [0.5, 0.37])
     def test_integer_order_beyond_budget_is_nonconvergence(self, s):
         # Both product loops (s on and off the grid of t) stop at the budget
@@ -157,6 +169,21 @@ class TestGamma:
     def test_poles(self, alpha, p_half):
         with pytest.raises(PoleError):
             q_gamma(alpha, p_half)
+
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-320, 5e-324, -1e-17])
+    def test_pole_within_float_resolution(self, alpha, p_half):
+        # q**alpha rounds to 1, so (q**alpha; q)_inf or the shift divisor is 0.
+        with pytest.raises(PoleError, match=rf"alpha={alpha!r}, q=0\.5"):
+            q_gamma(alpha, p_half)
+
+    def test_shift_beyond_budget_is_nonconvergence(self):
+        # The shift takes one step per unit; it used to run a billion steps.
+        with pytest.raises(NonConvergence, match=r"alpha=-999999999\.5, q=0\.999"):
+            q_gamma(-1e9 + 0.5, QParams(0.999))
+
+    def test_shift_overflow_is_numeric_overflow(self, p_half):
+        with pytest.raises(NumericOverflow, match=r"alpha=-2000\.5, q=0\.5"):
+            q_gamma(-2000.5, p_half)
 
     def test_negative_noninteger_through_recurrence(self, p_half):
         got = q_gamma(-0.5, p_half)
