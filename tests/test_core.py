@@ -41,7 +41,9 @@ class TestParams:
         [
             {"rel_tol": 0.0},
             {"rel_tol": -1e-9},
+            {"rel_tol": float("nan")},
             {"max_terms": 0},
+            {"max_terms": -5},
         ],
     )
     def test_truncation_invariants(self, kwargs):
