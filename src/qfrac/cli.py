@@ -9,12 +9,13 @@ seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from typing import Iterator
+from typing import Callable, Iterator, TextIO
 
 from . import checks
 from .core import QParams, Truncation, _grid_exponent, count_terms
@@ -53,23 +54,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_env(name: str) -> float | None:
+def _env(name: str, parse: Callable[[str], float]) -> float | None:
+    """The variable parsed as --rel-tol (float) or --max-terms (int) would be."""
     raw = os.environ.get(name)
     if raw is None:
         return None
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
-        raise UsageError(f"environment variable {name}={raw!r} is not a number")
+        kind = "an integer" if parse is int else "a number"
+        raise UsageError(f"environment variable {name}={raw!r} is not {kind}")
 
 
 def _resolve_truncation(args: argparse.Namespace) -> Truncation:
     # Precedence: flag, then environment, then library default.
-    rel_tol = args.rel_tol if args.rel_tol is not None else _float_env(ENV_REL_TOL)
+    rel_tol = args.rel_tol if args.rel_tol is not None else _env(ENV_REL_TOL, float)
     max_terms = args.max_terms
     if max_terms is None:
-        env_terms = _float_env(ENV_MAX_TERMS)
-        max_terms = int(env_terms) if env_terms is not None else None
+        max_terms = _env(ENV_MAX_TERMS, int)
     default = Truncation()
     try:
         return Truncation(
@@ -93,10 +95,19 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise UsageError(f"eval {args.target} requires --{name.replace('_', '-')}")
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """stdout for None or '-', else the file at path, closed on leaving.  A path
+    that cannot be opened is a usage error."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    try:
+        stream = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path!r}: {exc.strerror or exc}")
+    with stream:
+        yield stream
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +192,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         columns.append("terms")
     # Materialise before writing so failures do not leave partial output.
     rows = list(_eval_rows(args, p))
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         writer = csv.DictWriter(stream, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -199,12 +206,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     trunc = _resolve_truncation(args)
     report = checks.run_suite(args.suite, seed=args.seed, trunc=trunc)
     payload = json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write(payload)
-    finally:
-        if owned:
-            stream.close()
     if args.verbose:
         for rec in report.records:
             state = "pass" if rec.passed else "FAIL"
@@ -263,8 +266,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     f = lambda s: expr(s, t)
     pairs = _parse_grid(args.grid)
     records = checks.explore_finite_right_semigroup(pairs, q, b, f, t, trunc)
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         writer = csv.DictWriter(stream, fieldnames=EXPLORE_COLUMNS)
         writer.writeheader()
         for rec in records:
@@ -285,9 +287,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                     "error": rec.error,
                 }
             )
-    finally:
-        if owned:
-            stream.close()
     if records and all(rec.status == "error" for rec in records):
         return 2
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -54,8 +55,8 @@ class Truncation:
     max_terms: int = 10_000
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be at least 1, got {self.max_terms}")
 
@@ -256,22 +257,35 @@ def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
     return row[0]
 
 
+def _chain_sum(
+    f: QFunction, x: float, upward: bool, weights: Iterable[float],
+    steps: int | None, p: QParams, label: str,
+) -> float:
+    """sum_k w_k f(x_k) over k < steps (all k >= 0 if steps is None) with w_k the
+    weights, x_0 = x and x_{k+1} = x_k / q (upward) or x_k * q; the one loop that
+    walks a chain.  An infinite upward sum is watched for growth."""
+    q = p.q
+
+    def terms() -> Iterator[float]:
+        point = x
+        for w in weights if steps is None else itertools.islice(weights, steps):
+            yield w * f(point)
+            point = point / q if upward else point * q
+
+    return _accumulate(
+        terms(), p.trunc, detect_growth=upward and steps is None,
+        finite=steps is not None, label=label,
+    )
+
+
 def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -> float:
     """Jackson sum (1 - q) x sum_i q**i f(x q**i) over i >= 0, the range [0, x],
     or over i < steps, the range [x q**steps, x]."""
     if x == 0.0:
         return 0.0
     q = p.q
-
-    def terms() -> Iterator[float]:
-        weight = (1.0 - q) * x
-        s = x
-        for _ in itertools.count() if steps is None else range(steps):
-            yield weight * f(s)
-            weight *= q
-            s *= q
-
-    return _accumulate(terms(), p.trunc, finite=steps is not None, label="q-integral")
+    weights = itertools.accumulate(itertools.repeat(q), operator.mul, initial=(1.0 - q) * x)
+    return _chain_sum(f, x, False, weights, steps, p, "q-integral")
 
 
 def q_integral(f: QFunction, a: float, t: float, p: QParams) -> float:
@@ -306,19 +320,10 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
         raise DomainError(f"tail integrals require t > 0, got t={t}")
     steps = _upper_steps(t, b, p.q)
     q = p.q
-
-    def terms() -> Iterator[float]:
-        weight = (1.0 - q) * t
-        s = t
-        for _ in itertools.count() if steps is None else range(steps):
-            weight /= q
-            s /= q
-            yield weight * f(s)
-
-    finite = steps is not None
-    return _accumulate(
-        terms(), p.trunc, detect_growth=not finite, finite=finite, label="tail integral"
+    weights = itertools.accumulate(
+        itertools.repeat(q), operator.truediv, initial=(1.0 - q) * t / q
     )
+    return _chain_sum(f, t / q, True, weights, steps, p, "tail integral")
 
 
 def _upper_steps(t: float, b: float, q: float) -> int | None:

@@ -10,7 +10,6 @@ plain iterated q-derivative.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator
 
@@ -18,7 +17,7 @@ from . import special
 from .core import (
     QFunction,
     QParams,
-    _accumulate,
+    _chain_sum,
     _grid_exponent,
     _power,
     _upper_steps,
@@ -89,25 +88,11 @@ def _lattice_series(
     f: QFunction, x: float, upward: bool, alpha: float, weight: float,
     steps: int | None, p: QParams, *, offset: float = 1.0, label: str,
 ) -> float:
-    """sum_k w_k f(x_k) over k < steps, or over all k >= 0 when steps is None.
-
-    The points are x_{k+1} = x_k / q (upward) or x_k * q, and the weights those
-    of _lattice_weights(alpha, q, ratio, weight, offset) with ratio q**-alpha
-    upward and q downward.  An infinite upward series is watched for growth.
-    """
+    """core._chain_sum over the weights _lattice_weights(alpha, q, ratio,
+    weight, offset), with ratio q**-alpha upward and q downward."""
     q = p.q
     weights = _lattice_weights(alpha, q, q**-alpha if upward else q, weight, offset)
-
-    def terms() -> Iterator[float]:
-        point = x
-        for w in weights if steps is None else itertools.islice(weights, steps):
-            yield w * f(point)
-            point = point / q if upward else point * q
-
-    return _accumulate(
-        terms(), p.trunc, detect_growth=upward and steps is None,
-        finite=steps is not None, label=label,
-    )
+    return _chain_sum(f, x, upward, weights, steps, p, label)
 
 
 def _left_off_grid(f: QFunction, a: float, alpha: float, t: float, p: QParams) -> float:

@@ -148,51 +148,26 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     return IVPSolution(_memoised(rule, diagnostics), "closed-form", diagnostics)
 
 
-class _Column:
+class _Column(dict):
     """A function on the lattice x_e = base * q**e, e < end (any e if end is
-    None), kept as runs of consecutive cells.  fill(e) computes a cell the
-    first time it is read, so each cell is computed once and only if needed."""
+    None), as a dict of its cells.  fill(e) computes a cell the first time it
+    is read, so each cell is computed once and only if needed."""
 
-    __slots__ = ("_fill", "_end", "_runs")
+    __slots__ = ("_fill", "_end")
 
     def __init__(self, fill: Callable[[int], float], end: int | None) -> None:
+        super().__init__()
         self._fill = fill
         self._end = end
-        self._runs: dict[int, list[float]] = {}  # first index -> its run
 
-    def at(self, e: int) -> float:
-        start, run = self._run(e)
-        return run[e - start]
+    def __missing__(self, e: int) -> float:
+        value = self[e] = self._fill(e)
+        return value
 
     def cells(self, e: int) -> Iterator[float]:
         """The cells e, e + 1, ... up to end, each computed when reached."""
-        return itertools.chain.from_iterable(self._pieces(e))
-
-    def _pieces(self, e: int) -> Iterator[list[float]]:
-        while e != self._end:
-            start, run = self._run(e)
-            piece = run[e - start:]
-            yield piece
-            e += len(piece)
-
-    def _run(self, e: int) -> tuple[int, list[float]]:
-        """The run holding cell e, which is computed and stored if missing."""
-        runs = self._runs
-        for start, run in runs.items():
-            if 0 <= e - start < len(run):
-                return start, run
-        value = self._fill(e)
-        for start, run in runs.items():
-            if start + len(run) == e:
-                run.append(value)
-                break
-        else:
-            start, run = e, [value]
-            runs[e] = run
-        following = runs.pop(e + 1, None)
-        if following is not None:
-            run += following
-        return start, run
+        indices = itertools.count(e) if self._end is None else range(e, self._end)
+        return map(self.__getitem__, indices)
 
 
 def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
@@ -232,7 +207,7 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
     # Cells are read in order 0, 1, ..., so fill(i) is the i-th weight.
     weights = _Column(lambda i: next(source), None)
 
-    def lattice(base: float, end: int | None) -> _Column:
+    def lattice(base: float, end: int | None) -> Callable[[int], float]:
         """Iterate m on x_e = base q**e, over the increment columns below it."""
 
         def integral(column: _Column, e: int) -> float:
@@ -262,10 +237,10 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
         def iterate(e: int) -> float:
             value = a0
             for increment in increments:
-                value += increment.at(e)
+                value += increment[e]
             return value
 
-        return _Column(iterate, end)
+        return iterate
 
     lattices = [(a, lattice(a, 0))] if a > 0.0 else []
     lock = threading.RLock()  # columns are shared state
@@ -289,7 +264,7 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
                 top, e = lattice(t, None), 0
                 lattices.append((t, top))
             with count_terms() as counter:
-                value = top.at(e)
+                value = top(e)
             diagnostics["terms"] += counter.total
             return value
 

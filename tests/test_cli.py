@@ -98,6 +98,29 @@ class TestEval:
 
 
 class TestEvalErrors:
+    @pytest.mark.parametrize("rel_tol", ["inf", "1.0", "1e300"])
+    def test_rel_tol_outside_unit_interval_is_usage(self, rel_tol):
+        code, out, err = run_cli(
+            ["eval", "eq", "--q", "0.5", "--t", "0.5", "--rel-tol", rel_tol]
+        )
+        assert code == 3 and out == ""
+        assert "rel_tol must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "gamma", "--q", "0.5", "--alpha", "1.5"],
+            ["check", "core"],
+            ["explore", "--grid", "0.5,0.5"],
+        ],
+        ids=["eval", "check", "explore"],
+    )
+    def test_unwritable_out_is_usage(self, tmp_path, argv):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(argv + ["--out", str(target)])
+        assert code == 3 and out == ""
+        assert err.startswith("qfrac: error:") and str(target) in err
+
     def test_domain_error_is_usage(self):
         code, out, err = run_cli(["eval", "Eq", "--q", "0.5", "--t", "1.5"])
         assert code == 3
@@ -233,10 +256,25 @@ class TestEnvironment:
         )
         assert code == 0
 
-    def test_malformed_environment(self, monkeypatch):
-        monkeypatch.setenv("QFRAC_REL_TOL", "tiny")
-        code, _, _ = run_cli(["eval", "gamma", "--q", "0.5", "--alpha", "1"])
-        assert code == 3
+    @pytest.mark.parametrize(
+        "name, raw",
+        [
+            ("QFRAC_REL_TOL", "tiny"),
+            ("QFRAC_REL_TOL", "inf"),
+            ("QFRAC_MAX_TERMS", "nan"),
+            ("QFRAC_MAX_TERMS", "inf"),
+            ("QFRAC_MAX_TERMS", "1e400"),
+            ("QFRAC_MAX_TERMS", "2.7"),
+            ("QFRAC_MAX_TERMS", "0"),
+        ],
+    )
+    def test_malformed_environment(self, monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        code, out, err = run_cli(["eval", "gamma", "--q", "0.5", "--alpha", "1"])
+        assert code == 3 and out == ""
+        assert err.startswith("qfrac: error:")
+        if name == "QFRAC_MAX_TERMS" and raw != "0":
+            assert f"{name}={raw!r} is not an integer" in err
 
 
 class TestModuleEntryPoint:

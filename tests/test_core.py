@@ -44,6 +44,8 @@ class TestParams:
             {"rel_tol": float("nan")},
             {"max_terms": 0},
             {"max_terms": -5},
+            {"rel_tol": INF},
+            {"rel_tol": 1.0},
         ],
     )
     def test_truncation_invariants(self, kwargs):

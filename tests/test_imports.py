@@ -1,0 +1,74 @@
+"""Every module of the package uses each name it imports.
+
+A name counts as used when the module reads it (including inside a quoted
+annotation) or lists it in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qfrac"
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> its line; __future__ imports excluded."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # Quoted annotations such as "count_terms | None".
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported_names(tree).items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+
+
+def test_detects_an_unused_import():
+    source = "import itertools\nimport math\nfrom .core import _accumulate\nmath.pi\n"
+    assert unused_imports(source) == ["line 1: itertools", "line 3: _accumulate"]
+
+
+def test_counts_all_and_quoted_annotations_as_use():
+    source = (
+        "from .core import QParams, count_terms\n"
+        "__all__ = ['QParams']\n"
+        "x: 'count_terms | None' = None\n"
+    )
+    assert unused_imports(source) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_unused_imports(module):
+    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []

@@ -613,6 +613,29 @@ def test_picard_is_finite_or_an_error(q, alpha, lam, from_origin, j, m, forced):
     _finite_or_error(y, q ** (4 - j))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(0.2, 0.8),
+    alpha=st.floats(0.3, 1.0),
+    lam=st.floats(-0.4, 0.4),
+    from_origin=st.booleans(),
+    j=st.integers(-2, 4),
+    frac=st.floats(0.05, 0.95),
+    forced=st.booleans(),
+)
+def test_closed_form_off_the_time_scale_is_finite_or_an_error(
+    q, alpha, lam, from_origin, j, frac, forced
+):
+    # t = a q**-(j + frac) lies between two points of the time scale when
+    # a > 0 (below a for j < 0); with a = 0 every t > 0 is admissible.  The
+    # equation holds only on the time scale, so no residual is asserted.
+    a = 0.0 if from_origin else q**4
+    t = (q**4 if from_origin else a) * q ** -(j + frac)
+    f = quadratic(1.0, -0.5, 0.7) if forced else None
+    y = solve_ivp_closed(IVProblem(alpha, lam, a, 1.0, f), QParams(q))
+    _finite_or_error(y, t)
+
+
 # Real arguments, tiny ones and ones within 1e-15 of the poles 0, -1, -2.
 NEAR_POLES = st.one_of(
     st.floats(-6.0, 6.0),
