@@ -17,7 +17,6 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from operator import itemgetter
-from typing import Any, Callable
 
 from . import special
 from .core import (QFunction, QParams, Truncation, count_terms, nabla_q, nabla_q_n, q_bracket,
@@ -28,7 +27,7 @@ from .fractional import (left_caputo, left_frac_integral, left_riemann_deriv, r_
 from .ivp import (IVProblem, MLParams, ivp_residual, q_mittag_leffler, solve_ivp_closed,
                   solve_ivp_picard)
 
-__all__ = ["Lcg", "IdentityRecord", "CheckReport", "ExploreRecord", "SUITE_NAMES", "run_suite",
+__all__ = ["Lcg", "IdentityRecord", "CheckReport", "SUITE_NAMES", "run_suite",
            "explore_finite_right_semigroup", "default_explore_grid"]
 
 INF = math.inf
@@ -127,38 +126,28 @@ def _rel_err(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
-def _captured(rec: Any, compute: Callable[[], None]) -> bool:
-    """Run compute() under a term counter whose total goes to rec.terms.
-
-    A numeric failure, from this package or from float arithmetic, becomes
-    rec.error and gives False, so one bad record never aborts its suite.
-    """
-    with count_terms() as counter:
-        try:
-            compute()
-        except (QCalculusError, ArithmeticError) as exc:
-            rec.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            rec.terms = counter.total
-    return rec.error is None
-
-
 def _within(lhs, rhs, tolerance):
     err = _rel_err(lhs, rhs)
     return lhs, err, err <= tolerance
 
 
 def _record(identity, params, lhs_fn, rhs_fn, tolerance, judge=_within) -> IdentityRecord:
-    """Both routes, then judge(lhs, rhs, tolerance) gives the recorded lhs, rel_err
-    and verdict (lhs_fn may return raw values that the judge reduces to one)."""
+    """Both routes under a term counter whose total goes to terms, then
+    judge(lhs, rhs, tolerance) gives the recorded lhs, rel_err and verdict
+    (lhs_fn may return raw values that the judge reduces to one).
+
+    A numeric failure, from this package or from float arithmetic, becomes
+    the record's error, so one bad record never aborts its suite.
+    """
     rec = IdentityRecord(identity, params, tolerance=tolerance)
-
-    def compute():
-        rec.lhs = lhs_fn()
-        rec.rhs = rhs_fn()
-        rec.lhs, rec.rel_err, rec.passed = judge(rec.lhs, rec.rhs, tolerance)
-
-    _captured(rec, compute)
+    with count_terms() as counter:
+        try:
+            rec.lhs = lhs_fn()
+            rec.rhs = rhs_fn()
+            rec.lhs, rec.rel_err, rec.passed = judge(rec.lhs, rec.rhs, tolerance)
+        except (QCalculusError, ArithmeticError) as exc:
+            rec.error = f"{type(exc).__name__}: {exc}"
+        rec.terms = counter.total
     return rec
 
 
@@ -526,22 +515,6 @@ def run_suite(
 # ---------------------------------------------------------------------------
 # Finite-b right semigroup exploration (measured, never asserted).
 
-@dataclass
-class ExploreRecord:
-    alpha: float
-    beta: float
-    q: float
-    b: float
-    t: float
-    lhs: float = math.nan
-    rhs: float = math.nan
-    abs_err: float = math.nan
-    rel_err: float = math.nan
-    terms: int = 0
-    status: str = "ok"
-    error: str | None = None
-
-
 def default_explore_grid() -> list[tuple[float, float]]:
     """6 x 6 grid over 0.25..1.5; includes pairs with integer alpha + beta."""
     values = [0.25 * k for k in range(1, 7)]
@@ -567,14 +540,6 @@ def _right_integral_anchored(
     return r_coef(alpha, q) * q_integral(integrand, x, b, p) / special.q_gamma(alpha, p)
 
 
-def _explore_pair(rec: ExploreRecord, f: QFunction, p: QParams) -> None:
-    inner = cache(lambda x: _right_integral_anchored(f, rec.b, rec.alpha, x, p))
-    rec.lhs = right_frac_integral(inner, rec.b, rec.beta, rec.t, p)
-    rec.rhs = right_frac_integral(f, rec.b, rec.alpha + rec.beta, rec.t, p)
-    rec.abs_err = abs(rec.lhs - rec.rhs)
-    rec.rel_err = _rel_err(rec.lhs, rec.rhs)
-
-
 def explore_finite_right_semigroup(
     pairs: list[tuple[float, float]],
     q: float,
@@ -582,19 +547,23 @@ def explore_finite_right_semigroup(
     f: QFunction,
     t: float,
     trunc: Truncation | None = None,
-) -> list[ExploreRecord]:
+) -> list[IdentityRecord]:
     """Residuals of the nested-vs-direct finite-b right integrals on a grid.
 
-    The nested route needs the inner integral at points off the grid of b,
-    where no proved composition rule exists; records therefore carry residuals
-    only and make no pass/fail judgement.  A pair whose evaluation fails
-    numerically becomes a row with status "error".
+    One "right_semigroup_finite" record per (alpha, beta) pair: lhs is the
+    nested route, rhs the direct alpha + beta integral.  The nested route
+    needs the inner integral at points off the grid of b, where no proved
+    composition rule exists; the tolerance is therefore NaN, so a record
+    carries its residual and is never judged.  A pair whose evaluation fails
+    numerically carries the failure in its error field.
     """
     p = QParams(q, trunc or Truncation())
     records = []
     for alpha, beta in pairs:
-        rec = ExploreRecord(alpha=alpha, beta=beta, q=q, b=b, t=t)
-        if not _captured(rec, partial(_explore_pair, rec, f, p)):
-            rec.status = "error"
-        records.append(rec)
+        inner = cache(partial(_right_integral_anchored, f, b, alpha, p=p))
+        records.append(_record(
+            "right_semigroup_finite", {"q": q, "alpha": alpha, "beta": beta, "b": b, "t": t},
+            partial(right_frac_integral, inner, b, beta, t, p),
+            partial(right_frac_integral, f, b, alpha + beta, t, p), math.nan,
+        ))
     return records

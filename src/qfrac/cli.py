@@ -68,18 +68,11 @@ def _env(name: str, parse: Callable[[str], float]) -> float | None:
 
 def _resolve_truncation(args: argparse.Namespace) -> Truncation:
     # Precedence: flag, then environment, then library default.
-    rel_tol = args.rel_tol if args.rel_tol is not None else _env(ENV_REL_TOL, float)
-    max_terms = args.max_terms
-    if max_terms is None:
-        max_terms = _env(ENV_MAX_TERMS, int)
-    default = Truncation()
-    try:
-        return Truncation(
-            rel_tol=rel_tol if rel_tol is not None else default.rel_tol,
-            max_terms=max_terms if max_terms is not None else default.max_terms,
-        )
-    except DomainError as exc:
-        raise UsageError(str(exc))
+    given = {
+        "rel_tol": args.rel_tol if args.rel_tol is not None else _env(ENV_REL_TOL, float),
+        "max_terms": args.max_terms if args.max_terms is not None else _env(ENV_MAX_TERMS, int),
+    }
+    return Truncation(**{key: value for key, value in given.items() if value is not None})
 
 
 def _float_list(raw: str, flag: str) -> list[float]:
@@ -112,6 +105,17 @@ def _output(path: str | None) -> Iterator[TextIO]:
 
 # ---------------------------------------------------------------------------
 # eval
+
+# (target, side) -> operator(f, endpoint, alpha, t, p).
+_OPERATORS = {
+    ("fracint", "left"): left_frac_integral,
+    ("fracint", "right"): right_frac_integral,
+    ("fracder", "left"): left_riemann_deriv,
+    ("fracder", "right"): right_riemann_deriv,
+    ("caputo", "left"): left_caputo,
+    ("caputo", "right"): right_caputo,
+}
+
 
 def _eval_rows(args: argparse.Namespace, p: QParams) -> Iterator[dict]:
     target = args.target
@@ -152,35 +156,19 @@ def _eval_rows(args: argparse.Namespace, p: QParams) -> Iterator[dict]:
         func = q_exp_e if target == "eq" else q_exp_E
         for t in _float_list(args.t, "--t"):
             yield row(lambda t=t: func(t, p), t=t)
-    elif target in ("fracint", "fracder", "caputo"):
+    else:  # an operator of _OPERATORS
         _require(args, "alpha", "t", "f")
         expr = compile_expr(args.f)
+        op = _OPERATORS[target, args.side]
+        key, default = ("a", 0.0) if args.side == "left" else ("b", math.inf)
+        end = getattr(args, key)
+        if end is None:
+            end = default
         for t in _float_list(args.t, "--t"):
-            f = lambda s, t=t: expr(s, t)
-            if args.side == "left":
-                a = args.a if args.a is not None else 0.0
-                op = {
-                    "fracint": left_frac_integral,
-                    "fracder": left_riemann_deriv,
-                    "caputo": left_caputo,
-                }[target]
-                yield row(
-                    lambda op=op, f=f, a=a, t=t: op(f, a, args.alpha, t, p),
-                    alpha=args.alpha, a=a, t=t, f=args.f,
-                )
-            else:
-                b = args.b if args.b is not None else math.inf
-                op = {
-                    "fracint": right_frac_integral,
-                    "fracder": right_riemann_deriv,
-                    "caputo": right_caputo,
-                }[target]
-                yield row(
-                    lambda op=op, f=f, b=b, t=t: op(f, b, args.alpha, t, p),
-                    alpha=args.alpha, b=b, t=t, f=args.f,
-                )
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown eval target {target!r}")
+            yield row(
+                lambda t=t: op(lambda s: expr(s, t), end, args.alpha, t, p),
+                alpha=args.alpha, t=t, f=args.f, **{key: end},
+            )
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -204,10 +192,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     trunc = _resolve_truncation(args)
-    report = checks.run_suite(args.suite, seed=args.seed, trunc=trunc)
-    payload = json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
+    # Open --out first, so an unwritable path fails before the suite runs.
     with _output(args.out) as stream:
-        stream.write(payload)
+        report = checks.run_suite(args.suite, seed=args.seed, trunc=trunc)
+        stream.write(json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n")
     if args.verbose:
         for rec in report.records:
             state = "pass" if rec.passed else "FAIL"
@@ -265,29 +253,27 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     expr = compile_expr(args.f if args.f is not None else "1")
     f = lambda s: expr(s, t)
     pairs = _parse_grid(args.grid)
-    records = checks.explore_finite_right_semigroup(pairs, q, b, f, t, trunc)
+    # Open --out first, so an unwritable path fails before the pairs run.
     with _output(args.out) as stream:
+        records = checks.explore_finite_right_semigroup(pairs, q, b, f, t, trunc)
+        # Columns a record does not fill (a) stay empty, as does a NaN value.
+        blank_nan = lambda x: "" if math.isnan(x) else repr(x)
         writer = csv.DictWriter(stream, fieldnames=EXPLORE_COLUMNS)
         writer.writeheader()
         for rec in records:
             writer.writerow(
                 {
-                    "identity_id": "right_semigroup_finite",
-                    "q": repr(rec.q),
-                    "alpha": repr(rec.alpha),
-                    "beta": repr(rec.beta),
-                    "a": "",
-                    "b": repr(rec.b),
-                    "t": repr(rec.t),
-                    "value_lhs": "" if math.isnan(rec.lhs) else repr(rec.lhs),
-                    "value_rhs": "" if math.isnan(rec.rhs) else repr(rec.rhs),
-                    "rel_err": "" if math.isnan(rec.rel_err) else repr(rec.rel_err),
+                    "identity_id": rec.identity,
+                    **{key: repr(value) for key, value in rec.params.items()},
+                    "value_lhs": blank_nan(rec.lhs),
+                    "value_rhs": blank_nan(rec.rhs),
+                    "rel_err": blank_nan(rec.rel_err),
                     "terms": rec.terms,
-                    "status": rec.status,
+                    "status": "error" if rec.error else "ok",
                     "error": rec.error,
                 }
             )
-    if records and all(rec.status == "error" for rec in records):
+    if records and all(rec.error for rec in records):
         return 2
     return 0
 

@@ -184,7 +184,7 @@ def _accumulate(
     return total
 
 
-def _grid_exponent(ratio: float, q: float, tol: float = 1e-9) -> int | None:
+def _grid_exponent(ratio: float, q: float) -> int | None:
     """Integer d with ratio == q**d up to snap tolerance, else None.
 
     Floating inputs that are grid points in intent land within ~1e-12 of an
@@ -195,7 +195,7 @@ def _grid_exponent(ratio: float, q: float, tol: float = 1e-9) -> int | None:
         return None
     d = math.log(ratio) / math.log(q)
     r = round(d)
-    if abs(d - r) <= tol:
+    if abs(d - r) <= 1e-9:
         return int(r)
     return None
 

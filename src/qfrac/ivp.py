@@ -16,7 +16,6 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Iterator
 
 from . import special
@@ -91,9 +90,9 @@ class IVProblem:
 class IVPSolution:
     """Evaluable solution with a method tag and evaluation diagnostics.
 
-    Instances are callable.  Evaluations are memoised: per point in closed
-    form (cache writes are idempotent), per lattice cell under a lock for
-    Picard, so sharing one across threads is safe.
+    Instances are callable.  Evaluations are memoised in a _Column, keyed by
+    the point in closed form (writes are idempotent) and by the lattice cell
+    under a lock for Picard, so sharing one across threads is safe.
     """
 
     def __init__(self, rule: QFunction, method: str, diagnostics: dict) -> None:
@@ -108,16 +107,27 @@ class IVPSolution:
         return f"IVPSolution(method={self.method!r})"
 
 
-def _memoised(rule: QFunction, diagnostics: dict) -> QFunction:
-    @cache
-    def wrapped(t: float) -> float:
-        with count_terms() as counter:
-            value = rule(t)
-        diagnostics["evaluations"] += 1
-        diagnostics["terms"] += counter.total
+class _Column(dict):
+    """A memo of fill, as a dict keyed by a lattice cell or a point: fill(key)
+    is computed the first time key is read, so each value is computed once and
+    only if needed.  On the lattice x_e = base * q**e, e < end (any e if end
+    is None), the keys are the cells e and cells(e) walks them upward."""
+
+    __slots__ = ("_fill", "_end")
+
+    def __init__(self, fill: Callable[[float], float], end: int | None = None) -> None:
+        super().__init__()
+        self._fill = fill
+        self._end = end
+
+    def __missing__(self, key: float) -> float:
+        value = self[key] = self._fill(key)
         return value
 
-    return wrapped
+    def cells(self, e: int) -> Iterator[float]:
+        """The cells e, e + 1, ... up to end, each computed when reached."""
+        indices = itertools.count(e) if self._end is None else range(e, self._end)
+        return map(self.__getitem__, indices)
 
 
 def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
@@ -129,45 +139,26 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     """
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
     # Every term of the forcing series samples f on the same lattice points.
-    forcing = None if prob.forcing is None else cache(prob.forcing)
+    forcing = None if prob.forcing is None else _Column(prob.forcing).__getitem__
     head_params = MLParams(alpha, 1.0, lam, z0=a)
     diagnostics = {"terms": 0, "evaluations": 0}
 
     def rule(t: float) -> float:
-        value = a0 * q_mittag_leffler(head_params, t, p) if a0 != 0.0 else 0.0
-        if forcing is not None:
-            # With lam = 0 every term after the first is 0.0 times an integral.
-            ks = range(1) if lam == 0.0 else itertools.count()
-            value += _accumulate(
-                (lam**k * left_frac_integral(forcing, a, alpha * (k + 1), t, p)
-                 for k in ks),
-                p.trunc, detect_growth=True, label="closed-form forcing",
-            )
+        with count_terms() as counter:
+            value = a0 * q_mittag_leffler(head_params, t, p) if a0 != 0.0 else 0.0
+            if forcing is not None:
+                # With lam = 0 every term after the first is 0.0 times an integral.
+                ks = range(1) if lam == 0.0 else itertools.count()
+                value += _accumulate(
+                    (lam**k * left_frac_integral(forcing, a, alpha * (k + 1), t, p)
+                     for k in ks),
+                    p.trunc, detect_growth=True, label="closed-form forcing",
+                )
+        diagnostics["evaluations"] += 1
+        diagnostics["terms"] += counter.total
         return value
 
-    return IVPSolution(_memoised(rule, diagnostics), "closed-form", diagnostics)
-
-
-class _Column(dict):
-    """A function on the lattice x_e = base * q**e, e < end (any e if end is
-    None), as a dict of its cells.  fill(e) computes a cell the first time it
-    is read, so each cell is computed once and only if needed."""
-
-    __slots__ = ("_fill", "_end")
-
-    def __init__(self, fill: Callable[[int], float], end: int | None) -> None:
-        super().__init__()
-        self._fill = fill
-        self._end = end
-
-    def __missing__(self, e: int) -> float:
-        value = self[e] = self._fill(e)
-        return value
-
-    def cells(self, e: int) -> Iterator[float]:
-        """The cells e, e + 1, ... up to end, each computed when reached."""
-        indices = itertools.count(e) if self._end is None else range(e, self._end)
-        return map(self.__getitem__, indices)
+    return IVPSolution(_Column(rule).__getitem__, "closed-form", diagnostics)
 
 
 def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
@@ -205,7 +196,7 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
     diagnostics = {"terms": 0, "evaluations": 0, "iterations": m}
     source = _lattice_weights(alpha, q, q)
     # Cells are read in order 0, 1, ..., so fill(i) is the i-th weight.
-    weights = _Column(lambda i: next(source), None)
+    weights = _Column(lambda i: next(source))
 
     def lattice(base: float, end: int | None) -> Callable[[int], float]:
         """Iterate m on x_e = base q**e, over the increment columns below it."""

@@ -11,13 +11,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfrac.checks
 import qfrac.special
+from qfrac import QParams
+from qfrac.expr import compile_expr
+from qfrac.fractional import (left_caputo, left_frac_integral, left_riemann_deriv, right_caputo,
+                              right_frac_integral, right_riemann_deriv)
 
 from conftest import run_cli
 
 
 def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
+
+
+OPERATORS = {
+    ("fracint", "left"): left_frac_integral,
+    ("fracint", "right"): right_frac_integral,
+    ("fracder", "left"): left_riemann_deriv,
+    ("fracder", "right"): right_riemann_deriv,
+    ("caputo", "left"): left_caputo,
+    ("caputo", "right"): right_caputo,
+}
 
 
 class TestEval:
@@ -96,6 +111,30 @@ class TestEval:
         tight_terms = int(parse_csv(out)[0]["terms"])
         assert loose_terms < tight_terms
 
+    @pytest.mark.parametrize("given", [True, False], ids=["endpoint", "default"])
+    @pytest.mark.parametrize("target, side", list(OPERATORS))
+    def test_operator_rows_match_the_library(self, target, side, given):
+        # Left operators start at --a (default 0), right ones end at --b (default inf).
+        key, end, other = ("a", 0.125, "b") if side == "left" else ("b", 4.0, "a")
+        f = "s*s - 0.3*s + 0.5" if side == "left" else "s^-3"
+        argv = ["eval", target, "--side", side, "--q", "0.5", "--alpha", "0.7", "--t", "1,0.5",
+                "--f", f]
+        if given:
+            argv += [f"--{key}", repr(end)]
+        else:
+            end = 0.0 if side == "left" else math.inf
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        rows = parse_csv(out)
+        expr = compile_expr(f)
+        assert [row["t"] for row in rows] == ["1.0", "0.5"]
+        for row in rows:
+            t = float(row["t"])
+            expected = OPERATORS[target, side](lambda s: expr(s, t), end, 0.7, t, QParams(0.5))
+            assert row["value"] == repr(expected)
+            assert row[key] == repr(end) and row[other] == ""
+            assert row["target"] == target and row["alpha"] == "0.7" and row["f"] == f
+
 
 class TestEvalErrors:
     @pytest.mark.parametrize("rel_tol", ["inf", "1.0", "1e300"])
@@ -107,15 +146,21 @@ class TestEvalErrors:
         assert "rel_tol must lie in (0, 1)" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, work",
         [
-            ["eval", "gamma", "--q", "0.5", "--alpha", "1.5"],
-            ["check", "core"],
-            ["explore", "--grid", "0.5,0.5"],
+            (["eval", "gamma", "--q", "0.5", "--alpha", "1.5"], None),
+            (["check", "core"], "run_suite"),
+            (["explore", "--grid", "0.5,0.5"], "explore_finite_right_semigroup"),
         ],
         ids=["eval", "check", "explore"],
     )
-    def test_unwritable_out_is_usage(self, tmp_path, argv):
+    def test_unwritable_out_is_usage(self, tmp_path, monkeypatch, argv, work):
+        # check and explore must fail on the path before doing their work.
+        if work is not None:
+            def must_not_run(*args, **kwargs):
+                raise AssertionError(f"{work} ran before --out was opened")
+
+            monkeypatch.setattr(qfrac.checks, work, must_not_run)
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(argv + ["--out", str(target)])
         assert code == 3 and out == ""
@@ -400,6 +445,20 @@ class TestExplore:
         )
         assert code == 2
         assert parse_csv(out)[0]["status"] == "error"
+
+    def test_values_pinned(self):
+        # The nested and direct routes disagree off the grid of b; the error
+        # row is a pole of the kernel.
+        code, out, _ = run_cli(
+            ["explore", "--q", "0.5", "--b", "1", "--grid", "0.25,0.5;0.5,0.5;1,1"]
+        )
+        assert code == 0
+        fields = ("value_lhs", "value_rhs", "rel_err", "terms", "status")
+        assert [tuple(row[k] for k in fields) for row in parse_csv(out)] == [
+            ("-0.4281711760356856", "0.7830775818059572", "1.2112487578416429", "5472", "ok"),
+            ("", "", "", "41", "error"),
+            ("0.125", "0.875", "0.75", "173", "ok"),
+        ]
 
     def test_misaligned_endpoint_rejected(self):
         code, _, _ = run_cli(["explore", "--q", "0.5", "--b", "3"])

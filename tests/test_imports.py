@@ -1,10 +1,14 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports and binds each
+name it exports.
 
 A name counts as used when the module reads it (including inside a quoted
-annotation) or lists it in ``__all__``.
+annotation) or lists it in ``__all__``, so a stale ``__all__`` entry would
+pass the first check; the second imports each module and looks the entries up.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -72,3 +76,21 @@ def test_counts_all_and_quoted_annotations_as_use():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def unbound_exports(module: types.ModuleType) -> list[str]:
+    """Names in module.__all__ that the module does not bind."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_detects_a_stale_export():
+    module = types.ModuleType("stale")
+    module.__all__ = ["kept", "deleted"]
+    module.kept = 1
+    assert unbound_exports(module) == ["deleted"]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_all_exports_bound(module):
+    name = "qfrac" if module == "__init__" else f"qfrac.{module}"
+    assert unbound_exports(importlib.import_module(name)) == []
