@@ -3,7 +3,9 @@
 Everything here lives on the geometric scale t, tq, tq**2, ... for a fixed
 base 0 < q < 1.  The backward q-derivative is an exact difference quotient;
 integrals are Jackson sums, i.e. truncated geometric series whose stopping
-behaviour is governed by a :class:`Truncation` policy.
+behaviour is governed by a :class:`Truncation` policy.  Every infinite sum
+of the package stops in ``_accumulate``: once its terms fall geometrically it
+adds their closed tail, and otherwise it stops on a run of small terms.
 """
 
 from __future__ import annotations
@@ -38,16 +40,24 @@ QFunction = Callable[[float], float]
 # The fixed parts of the stopping rule that Truncation describes.
 _ABS_TOL = 1e-300
 _SMALL_RUN = 3
+# Share of rel_tol that the drift of a closed geometric tail may reach.
+_TAIL_SHARE = 0.1
 
 
 @dataclass(frozen=True)
 class Truncation:
     """Stopping policy for every infinite sum or factor product.
 
-    An infinite sum stops once ``_SMALL_RUN`` (3) successive terms satisfy
-    ``|term| <= rel_tol * |partial_sum| + _ABS_TOL`` (1e-300); a sum with a
-    known number of terms is summed in full; products use the analogous test
-    on ``|factor - 1|``.  Exhausting ``max_terms`` raises
+    An infinite sum whose term ratios rho_n = term_n / term_{n-1} lie in
+    (0, 1) and settle returns ``S + term_n rho_n / (1 - rho_n)``, its partial
+    sum plus the closed geometric tail, once for ``_SMALL_RUN`` (3) successive
+    terms the drift ``|rho_n - rho_{n-1}| / (1 - rho_n)**2 * |term_n|`` is at
+    most ``_TAIL_SHARE * rel_tol * |S + tail| + _ABS_TOL`` (0.1 and 1e-300).
+    Any other infinite sum (alternating terms, ratios that never settle)
+    stops once 3 successive terms satisfy
+    ``|term| <= rel_tol * |partial_sum| + _ABS_TOL``.  A sum with a known
+    number of terms is summed in full; products use the small-term test on
+    ``|factor - 1|``.  Exhausting ``max_terms`` raises
     :class:`~qfrac.errors.NonConvergence`.
     """
 
@@ -129,18 +139,30 @@ def _accumulate(
 ) -> float:
     """Sum terms under the stopping rule.
 
-    A finite sum (``finite=True``: terms known to end) is summed in full; only
-    an infinite one stops on ``_SMALL_RUN`` small terms.  Both raise
-    NonConvergence past ``max_terms`` terms or at a non-finite term.  A caller
-    that multiplies the sum by ``scale > 0`` afterwards passes it, so that
-    ``_ABS_TOL`` bounds the terms it stands for.
+    A finite sum (``finite=True``: terms known to end) is summed in full.  An
+    infinite one tracks the last ratio rho_n = term_n / term_{n-1}: while it
+    and the one before lie in (0, 1), the tail is taken as geometric, worth
+    term_n rho_n / (1 - rho_n), and after ``_SMALL_RUN`` successive terms
+    whose drift |rho_n - rho_{n-1}| |term_n| / (1 - rho_n)**2 (the error of
+    that tail when the ratio moves as it just did) stays within
+    ``_TAIL_SHARE * rel_tol * |S + tail| + abs_tol`` the sum returns
+    S + tail; any other ratio (sign change, zero or growing term) restarts
+    that run.  Otherwise it stops on ``_SMALL_RUN`` small terms.  Both kinds
+    raise NonConvergence past ``max_terms`` terms or at a non-finite term.
+    A caller that multiplies the sum by ``scale > 0`` afterwards passes it,
+    so that ``_ABS_TOL`` bounds the terms it stands for.
     """
     max_terms, rel_tol = trunc.max_terms, trunc.rel_tol
     abs_tol = _ABS_TOL / scale if scale else math.inf
     # A small run never reaches max_terms + 1 before the budget check fires.
     small_limit = max_terms + 1 if finite else _SMALL_RUN
+    tail_tol = _TAIL_SHARE * rel_tol
     total = 0.0
     small_run = 0
+    # A finite sum never closes a tail: its previous term stays 0.
+    prev_term = 0.0
+    prev_ratio = 0.0
+    tail_run = 0
     growth_run = 0
     growth_base = math.inf
     prev_mag = math.inf
@@ -157,6 +179,24 @@ def _accumulate(
             raise NonConvergence(f"{label}: non-finite term at index {count - 1}")
         total += term
         mag = abs(term)
+        if prev_term:
+            ratio = term / prev_term
+            gap = 1.0 - ratio
+            # The drift test times (1 - ratio)**2, so that it divides by
+            # nothing: (S + tail) (1 - ratio) = S (1 - ratio) + term ratio.
+            if 0.0 < ratio < 1.0 and 0.0 < prev_ratio < 1.0 and (
+                abs(ratio - prev_ratio) * mag
+                <= (tail_tol * abs(total * gap + term * ratio) + abs_tol * gap) * gap
+            ):
+                tail_run += 1
+                if tail_run >= _SMALL_RUN:
+                    _note_terms(count)
+                    return total + term * ratio / gap
+            else:
+                tail_run = 0
+            prev_ratio = ratio
+        if not finite:
+            prev_term = term
         if mag <= rel_tol * abs(total) + abs_tol:
             small_run += 1
             if small_run >= small_limit:

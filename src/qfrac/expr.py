@@ -69,14 +69,18 @@ def compile_expr(text: str) -> Callable[[float, float], float]:
     except SyntaxError as exc:
         raise ExprError(f"cannot parse expression {text!r}: {exc.msg}") from None
     _validate(tree)
-    code = compile(tree, "<qfrac --f>", "eval")
+    # lambda s, t=0.0: float(<expression>), evaluated once; its globals hold
+    # only the helpers and float, and no builtins.
+    args = ast.arguments(
+        posonlyargs=[], args=[ast.arg("s"), ast.arg("t")], kwonlyargs=[],
+        kw_defaults=[], defaults=[ast.Constant(0.0)],
+    )
+    body = ast.Call(ast.Name("float", ast.Load()), [tree.body], [])
+    func = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
     env = {
         "__builtins__": {},
+        "float": float,
         "sqr": lambda x: x * x,
         "inv": lambda x: 1.0 / x,
     }
-
-    def func(s: float, t: float = 0.0) -> float:
-        return float(eval(code, env, {"s": s, "t": t}))
-
-    return func
+    return eval(compile(func, "<qfrac --f>", "eval"), env)

@@ -179,7 +179,9 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
     with w_0 = 1 and w_{i+1} = w_i q (1 - q**(alpha+i)) / (1 - q**(i+1)) from
     one weight table per solution; f is sampled once per lattice point.  For
     a > 0 the sum ends at x_{-1} and is summed in full; for a = 0 it is
-    infinite and stops by the truncation rule.  There the increments pay off:
+    infinite and stops by the truncation rule, except for the constant part
+    lam I^alpha a0 of d_1, which is lam a0 x**alpha / Gamma_q(alpha + 1)
+    with one q_gamma per lattice.  There the increments pay off:
     toward 0, d_k(x) = O(x**(alpha k)) while y_k -> a0, so the terms of the
     sum over d_{k-1} fall like q**(i (1 + alpha (k-1))) instead of q**i, and
     each deeper increment stops after a fraction of the terms and reads that
@@ -212,11 +214,16 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
             diagnostics["evaluations"] += 1
             return value
 
-        initial = _Column(lambda e: a0, end)
+        if end is None:  # from a = 0, I^alpha a0 is a0 x**alpha / Gamma_q(alpha + 1)
+            ramp = lam * a0 / special.q_gamma(alpha + 1.0, p)
+            constant = lambda e: ramp * (base * q**e) ** alpha
+        else:
+            initial = _Column(lambda e: a0, end)
+            constant = lambda e: lam * integral(initial, e)
         samples = None if f is None else _Column(lambda e: f(base * q**e), end)
 
         def first(e: int) -> float:
-            value = lam * integral(initial, e)
+            value = constant(e)
             return value if samples is None else value + integral(samples, e)
 
         increments = [_Column(first, end)] if m else []
@@ -242,19 +249,19 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
         if t == 0.0:  # t = a = 0, where no lattice passes
             return a0
         with lock:
-            for base, top in lattices:
-                e = _grid_exponent(t / base, q)
-                if e is not None:
-                    break
-            else:
-                if a > 0.0:
-                    raise DomainError(
-                        f"with a > 0, Picard iterates live on the time scale "
-                        f"a q**-j; t={t} is not on it (a={a})"
-                    )
-                top, e = lattice(t, None), 0
-                lattices.append((t, top))
-            with count_terms() as counter:
+            with count_terms() as counter:  # a new lattice's q_gamma counts too
+                for base, top in lattices:
+                    e = _grid_exponent(t / base, q)
+                    if e is not None:
+                        break
+                else:
+                    if a > 0.0:
+                        raise DomainError(
+                            f"with a > 0, Picard iterates live on the time scale "
+                            f"a q**-j; t={t} is not on it (a={a})"
+                        )
+                    top, e = lattice(t, None), 0
+                    lattices.append((t, top))
                 value = top(e)
             diagnostics["terms"] += counter.total
             return value

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -32,3 +33,9 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 
 def rel_err(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1.0)
+
+
+def chain_wobble(q: float):
+    """1 + 0.5 (-1)**k at s = q**k: along a chain of 1 the term ratios
+    alternate, so no geometric tail settles and sums take the small-term stop."""
+    return lambda s: 1.0 + 0.5 * (-1.0) ** round(math.log(s) / math.log(q))

@@ -455,7 +455,7 @@ class TestExplore:
         assert code == 0
         fields = ("value_lhs", "value_rhs", "rel_err", "terms", "status")
         assert [tuple(row[k] for k in fields) for row in parse_csv(out)] == [
-            ("-0.4281711760356856", "0.7830775818059572", "1.2112487578416429", "5472", "ok"),
+            ("-0.4281711760357816", "0.7830775818059572", "1.2112487578417388", "2905", "ok"),
             ("", "", "", "41", "error"),
             ("0.125", "0.875", "0.75", "173", "ok"),
         ]

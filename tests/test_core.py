@@ -3,24 +3,32 @@ import math
 import threading
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qfrac import (
     DomainError,
+    IVProblem,
+    MLParams,
     NonConvergence,
+    QCalculusError,
     QParams,
     Truncation,
     count_terms,
+    left_frac_integral,
     nabla_q,
     nabla_q_n,
     q_bracket,
     q_exp_e,
     q_integral,
     q_integral_tail,
+    q_mittag_leffler,
+    right_frac_integral,
+    solve_ivp_closed,
+    solve_ivp_picard,
 )
 
-from conftest import rel_err
+from conftest import chain_wobble, rel_err
 
 INF = math.inf
 
@@ -183,11 +191,12 @@ class TestIntegral:
     def test_budget_exhaustion(self):
         p = QParams(0.9, Truncation(max_terms=5))
         with pytest.raises(NonConvergence):
-            q_integral(lambda s: 1.0, 0.0, 1.0, p)
+            q_integral(chain_wobble(0.9), 0.0, 1.0, p)
 
     def test_term_counting(self, p_half):
+        f = chain_wobble(0.5)
         with count_terms() as counter:
-            q_integral(lambda s: s, 0.0, 1.0, p_half)
+            q_integral(lambda s: s * f(s), 0.0, 1.0, p_half)
         assert counter.total > 10
 
     def test_nested_counters_each_see_their_block(self, p_half):
@@ -334,3 +343,63 @@ def test_integral_additive_over_adjacent_ranges(q, exps):
     whole = q_integral(f, a, c, p)
     split = q_integral(f, a, b, p) + q_integral(f, b, c, p)
     assert rel_err(whole, split) < 1e-13
+
+
+# Infinite sums of (q, alpha, t, lam, p) for the guard against false early
+# stops: polynomials and exp(-s) toward 0, s**-k and exp(-s) toward infinity,
+# and sign-alternating series (lam < 0) that keep the small-term stop.  Every
+# term is positive for lam >= 0, so the sum at |lam| bounds the terms' sizes.
+_POLY = lambda s: s * s - 0.3 * s + 0.5
+_DECAY = lambda s: math.exp(-s)
+_INFINITE_SUMS = {
+    "jackson poly": lambda q, al, t, lam, p: q_integral(_POLY, 0.0, t, p),
+    "jackson exp": lambda q, al, t, lam, p: q_integral(_DECAY, 0.0, t, p),
+    "tail s^-2": lambda q, al, t, lam, p: q_integral_tail(lambda s: s**-2.0, t, INF, p),
+    "tail s^-5": lambda q, al, t, lam, p: q_integral_tail(lambda s: s**-5.0, t, INF, p),
+    "tail exp": lambda q, al, t, lam, p: q_integral_tail(_DECAY, t, INF, p),
+    "left poly": lambda q, al, t, lam, p: left_frac_integral(_POLY, 0.0, al, t, p),
+    "left exp": lambda q, al, t, lam, p: left_frac_integral(_DECAY, 0.0, al, t, p),
+    "right s^-4": lambda q, al, t, lam, p: right_frac_integral(
+        lambda s: s**-4.0, INF, al, t, p),
+    "right exp": lambda q, al, t, lam, p: right_frac_integral(_DECAY, INF, al, t, p),
+    "mittag-leffler": lambda q, al, t, lam, p: q_mittag_leffler(MLParams(al, 1.0, lam), t, p),
+    "mittag-leffler z0": lambda q, al, t, lam, p: q_mittag_leffler(
+        MLParams(al, 1.0, lam, z0=t * q**3), t, p),
+    "e_q": lambda q, al, t, lam, p: q_exp_e(0.6 * lam / (1.0 - q), p),
+    "closed forcing": lambda q, al, t, lam, p: solve_ivp_closed(
+        IVProblem(min(al, 1.0), lam, 0.0, 1.0, _POLY), p)(t),
+    "picard": lambda q, al, t, lam, p: solve_ivp_picard(
+        IVProblem(min(al, 1.0), lam, 0.0, 1.0, _DECAY), 6, p)(t),
+}
+
+
+@pytest.mark.parametrize("name", _INFINITE_SUMS)
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(min_value=0.2, max_value=0.9),
+    alpha=st.floats(min_value=0.2, max_value=2.5),
+    t=st.floats(min_value=0.3, max_value=3.0),
+    lam=st.floats(min_value=-1.5, max_value=1.5),
+)
+def test_no_false_early_stop(name, q, alpha, t, lam):
+    # A sum that stops, or closes its tail, too soon shows as a gap to the
+    # same sum taken far past the default tolerance, where a tail closes only
+    # once its ratio has settled to about 1e-16.
+    total = _INFINITE_SUMS[name]
+    try:
+        got = total(q, alpha, t, lam, QParams(q))
+        tight = total(q, alpha, t, lam, QParams(q, Truncation(1e-15, 1_000_000)))
+        size = total(q, alpha, t, abs(lam), QParams(q))
+    except QCalculusError:
+        assume(False)
+    # Alternating sums cancel to below their terms, whose q-gamma and
+    # factorial-power products carry the truncation of rel_tol themselves.
+    assert abs(got - tight) <= 1e-11 * size
+
+
+def test_zero_run_at_chain_start_stops_the_sum():
+    # The documented limit of the small-term stop: an operand that is 0 at the
+    # first 3 points of an infinite chain integrates to 0, against the true
+    # (1 - q) sum_{i>=3} q**i = 0.125 at q = 0.5.
+    f = lambda s: 0.0 if s > 0.2 else 1.0
+    assert q_integral(f, 0.0, 1.0, QParams(0.5)) == 0.0

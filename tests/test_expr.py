@@ -57,6 +57,12 @@ class TestRejected:
         with pytest.raises(ExprError):
             compile_expr(text)
 
+    @pytest.mark.parametrize("text", ["float(s)", "__builtins__", "__import__"])
+    def test_names_of_the_compiled_lambda_stay_rejected(self, text):
+        # The compiled lambda's globals hold float; the grammar still does not.
+        with pytest.raises(ExprError):
+            compile_expr(text)
+
     def test_division_by_zero_surfaces_at_call_time(self):
         f = compile_expr("inv(s)")
         with pytest.raises(ZeroDivisionError):

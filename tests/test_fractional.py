@@ -387,16 +387,17 @@ class TestLatticeSeries:
         right_frac_integral(lambda s: s**-2.0, INF, 0.7, 1.0, p_half)
         right_frac_integral(lambda s: s**-2.0, 4.0, 0.7, 1.0, p_half)
 
-    # Values of the Jackson-sum route at parameters whose a is off the grid of
-    # t, frozen before the lattice series existed; the offset lattice series
-    # that now serves 0 < a < t agrees with them.
+    # Values at parameters whose a is off the grid of t, frozen first from the
+    # Jackson-sum route, which the offset lattice series that now serves
+    # 0 < a < t agreed with, and again once sums closed their geometric tails;
+    # each new value is closer to a 50-digit evaluation of the definition.
     @pytest.mark.parametrize(
         "q, alpha, a, t, frozen",
         [
-            (0.5, 0.7, 0.3, 1.0, 1.4759167793447419),
-            (0.3, 1.7, 0.1, 0.8, 0.7348738573656067),
-            (0.9, 0.3, 0.45, 1.0, 1.6663539181422815),
-            (0.5, 2.5, 0.15, 0.8, 0.28844528317782286),
+            (0.5, 0.7, 0.3, 1.0, 1.475916779345052),
+            (0.3, 1.7, 0.1, 0.8, 0.7348738573656225),
+            (0.9, 0.3, 0.45, 1.0, 1.6663539181530589),
+            (0.5, 2.5, 0.15, 0.8, 0.2884452831778578),
         ],
     )
     def test_off_grid_start_keeps_jackson_route(self, q, alpha, a, t, frozen):
@@ -493,13 +494,14 @@ class TestOffGridStart:
                 worst = max(worst, abs(got - exact) / abs(exact))
         assert worst <= jackson_worst
 
-    # a > t stays on the Jackson route; its values, frozen from that route.
+    # a > t stays on the Jackson route; its values, frozen from that route
+    # with closed geometric tails.
     @pytest.mark.parametrize(
         "q, alpha, a, t, frozen",
         [
-            (0.5, 0.7, 1.3, 1.0, -2.094130270645129),
-            (0.3, 1.7, 2.0, 0.8, -1.6253787825382526),
-            (0.9, 0.3, 1.45, 1.0, 3.175763290632273),
+            (0.5, 0.7, 1.3, 1.0, -2.0941302706452363),
+            (0.3, 1.7, 2.0, 0.8, -1.6253787825382797),
+            (0.9, 0.3, 1.45, 1.0, 3.1757632906359476),
         ],
     )
     def test_start_above_point_keeps_values(self, q, alpha, a, t, frozen):
