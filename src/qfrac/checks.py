@@ -192,6 +192,7 @@ _DRAWN = {"q": _Q_SWEEP_GAMMA, "m": range(1, 6)}
 _DRAWN_ALPHA = {**_DRAWN, "alpha": lambda q, m, draws: [abs(b) + 0.15 for b, _ in draws[q, m]]}
 _LEFT = {"a": _STARTS, "f": _POLYS, "t": _ABOVE_A}
 _RIGHT = {"b": _ENDS, "f": _POLYS, "t": _BELOW_B}
+_RIGHT_INF = {"f": ("s^-2", "s^-4"), "t": _TS}
 _IVP = {"q": (0.5,), "alpha": (0.9,), "lam": (0.3,), "a": (0.5**4,)}
 
 
@@ -262,6 +263,26 @@ def _picard_errors(q, alpha, lam, a, f, p, memo, m_values):
     iterates = (solve_ivp_picard(IVProblem(alpha, lam, a, 1.0), m, p) for m in m_values)
     return [max(abs(y(t) - _closed_at(alpha, lam, a, f, t, p, memo)) for t in _IVP_TS(q))
             for y in iterates]
+
+
+# The definitions of the derivatives, n = ceil(alpha) q-derivatives composed
+# with the (n - alpha)-integral: references that the lattice series at order
+# -alpha, which serve these derivatives from a = 0, a = t q**m and to
+# b = infinity, never call.
+def _riemann_composed(f, a, alpha, t, p):
+    n = math.ceil(alpha)
+    return nabla_q_n(lambda x: left_frac_integral(f, a, n - alpha, x, p), t, n, p)
+
+
+def _caputo_composed(f, a, alpha, t, p):
+    n = math.ceil(alpha)
+    return left_frac_integral(lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p)
+
+
+def _right_riemann_composed(f, alpha, t, p):
+    n = math.ceil(alpha)
+    return (-1.0) ** n * nabla_q_n(
+        lambda x: right_frac_integral(f, INF, n - alpha, x, p), t, n, p)
 
 
 # ivp_fixed_point's solutions, memoised under their own key: its records
@@ -429,13 +450,21 @@ _TABLE = {
             * special.q_factorial_power(b, q * t, alpha - 1.0, p) * f(q ** (1.0 - alpha) * b / q)),
         _Identity("caputo_riemann_left", 1e-6, {"alpha": (0.3, 0.6, 0.9), **_LEFT},
             lambda alpha, a, f, t, p: left_caputo(f, a, alpha, t, p),
-            lambda alpha, a, f, t, p: left_riemann_deriv(f, a, alpha, t, p)
+            lambda alpha, a, f, t, p: _riemann_composed(f, a, alpha, t, p)
             - special.q_factorial_power(t, a, -alpha, p) * f(a) / special.q_gamma(1.0 - alpha, p)),
         _Identity("caputo_riemann_right", 1e-6, {"alpha": (0.3, 0.6, 0.9), **_RIGHT},
             lambda q, alpha, b, f, t, p: right_caputo(f, b / q, alpha, t, p),
             lambda q, alpha, b, f, t, p: right_riemann_deriv(f, b, alpha, t, p)
             - r_coef(1.0 - alpha, q) / special.q_gamma(1.0 - alpha, p)
             * special.q_factorial_power(b, q * t, -alpha, p) * f(q**alpha * b / q)),
+        # Each derivative's series against the other's definition.
+        _Identity("riemann_caputo_left", 1e-6, {"alpha": (0.3, 0.6, 0.9), **_LEFT},
+            lambda alpha, a, f, t, p: left_riemann_deriv(f, a, alpha, t, p),
+            lambda alpha, a, f, t, p: _caputo_composed(f, a, alpha, t, p)
+            + special.q_factorial_power(t, a, -alpha, p) * f(a) / special.q_gamma(1.0 - alpha, p)),
+        _Identity("riemann_series_right", 1e-10, {"alpha": (0.3, 0.6, 0.9), **_RIGHT_INF},
+            lambda alpha, f, t, p: right_riemann_deriv(f, INF, alpha, t, p),
+            _right_riemann_composed),
         _Identity("caputo_inversion", 1e-6,
             {"alpha": (0.7, 1.6), "a": _STARTS_BY_ORDER, "f": _POLYS, "t": _ABOVE_A},
             lambda alpha, a, f, t, p, memo: left_frac_integral(

@@ -3,9 +3,13 @@
 Left operators integrate downward from t on the chain t, tq, tq**2, ...;
 right operators integrate upward toward b (or infinity) and evaluate their
 operand at shifted points s * q**(1 - alpha), i.e. on a shifted q-grid.
-Derivatives of non-integer order compose an exact n-fold q-derivative with a
-fractional integral of order n - alpha; integer orders short-circuit to the
-plain iterated q-derivative.
+On grid-aligned endpoints an operator is one lattice series, and a
+derivative of non-integer order alpha is the integral's series at order
+-alpha (the q-Grunwald-Letnikov form of Al-Salam and Agarwal): left ones from
+a = 0 or a = t q**m, the right Riemann one to b = infinity.  The other
+endpoints compose an exact n-fold q-derivative (n = ceil(alpha)) with a
+fractional integral of order n - alpha, the definitions themselves.  Integer
+orders short-circuit to the plain iterated q-derivative.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from .core import (
     _power,
     _upper_steps,
     nabla_q_n,
+    q_bracket,
     q_integral,
 )
-from .errors import DomainError
+from .errors import DomainError, NonConvergence, QCalculusError
 
 __all__ = [
     "r_coef",
@@ -108,6 +113,26 @@ def _left_off_grid(f: QFunction, a: float, alpha: float, t: float, p: QParams) -
     return whole - below
 
 
+def _start_steps(a: float, t: float, q: float) -> int | None:
+    """The number of terms of the left lattice series at t from a: m for
+    a = t q**m (m >= 0), None (infinitely many) for a = 0, and -1 where no
+    lattice series serves (t <= 0, or a off the grid of t or above t)."""
+    if not t > 0.0:
+        return -1
+    if a == 0.0:
+        return None
+    m = _grid_exponent(a / t, q)
+    return -1 if m is None or m < 0 else m
+
+
+def _left_series(f: QFunction, t: float, alpha: float, steps: int | None, p: QParams) -> float:
+    """((1-q) t)**alpha sum_{i<steps} c_i f(t q**i): the left lattice series of
+    order alpha, an integral for alpha > 0 and a derivative for alpha < 0."""
+    q = p.q
+    weight = _power((1.0 - q) * t, alpha, _WEIGHT_AT, "left", t, alpha, q)
+    return _lattice_series(f, t, False, alpha, weight, steps, p, label="left fractional integral")
+
+
 def left_frac_integral(
     f: QFunction, a: float, order: float, t: float, p: QParams
 ) -> float:
@@ -127,15 +152,11 @@ def left_frac_integral(
     """
     alpha = _integral_order(order)
     q = p.q
-    if t > 0.0:
-        steps = None if a == 0.0 else _grid_exponent(a / t, q)
-        if a == 0.0 or (steps is not None and steps >= 0):
-            weight = _power((1.0 - q) * t, alpha, _WEIGHT_AT, "left", t, alpha, q)
-            return _lattice_series(
-                f, t, False, alpha, weight, steps, p, label="left fractional integral"
-            )
-        if 0.0 < a < t:
-            return _left_off_grid(f, a, alpha, t, p)
+    steps = _start_steps(a, t, q)
+    if steps != -1:
+        return _left_series(f, t, alpha, steps, p)
+    if 0.0 < a < t:
+        return _left_off_grid(f, a, alpha, t, p)
 
     def integrand(s: float) -> float:
         kernel = special.q_factorial_power(t, q * s, alpha - 1.0, p)
@@ -175,10 +196,19 @@ def right_frac_integral(
 def left_riemann_deriv(
     f: QFunction, a: float, order: float, t: float, p: QParams
 ) -> float:
-    """Left Riemann q-fractional derivative: nabla_q^n of the (n - alpha)-integral."""
+    """Left Riemann q-fractional derivative nabla_q^n I_a^(n - alpha) f(t).
+
+    From a = 0 or a = t q**m (t > 0) it is the left lattice series at order
+    -alpha, ((1-q) t)**-alpha sum_{i<m} w_i f(t q**i) with the weights of
+    left_frac_integral (m infinite for a = 0).  Any other a keeps the
+    composition.
+    """
     alpha, n = _derivative_order(order)
     if n == alpha:
         return nabla_q_n(f, t, n, p)
+    steps = _start_steps(a, t, p.q)
+    if steps != -1:
+        return _left_series(f, t, -alpha, steps, p)
     inner_order = n - alpha
     return nabla_q_n(lambda x: left_frac_integral(f, a, inner_order, x, p), t, n, p)
 
@@ -186,28 +216,79 @@ def left_riemann_deriv(
 def right_riemann_deriv(
     f: QFunction, b: float, order: float, t: float, p: QParams
 ) -> float:
-    """Right Riemann q-fractional derivative: (-1)**n nabla_q^n of the right integral."""
+    """Right Riemann q-fractional derivative (-1)**n nabla_q^n of the right
+    (n - alpha)-integral.
+
+    To b = infinity it is the right integral's lattice series at order
+    -alpha.  A finite b keeps the composition: the series differs from it in
+    the boundary terms at b.
+    """
     alpha, n = _derivative_order(order)
     sign = -1.0 if n % 2 else 1.0
     if n == alpha:
         return sign * nabla_q_n(f, t, n, p)
+    if b == math.inf:
+        return right_frac_integral(f, b, -alpha, t, p)
     inner_order = n - alpha
     return sign * nabla_q_n(
         lambda x: right_frac_integral(f, b, inner_order, x, p), t, n, p
     )
 
 
+def _taylor_remainder(
+    f: QFunction, a: float, n: int, alpha: float, t: float, p: QParams
+) -> QFunction:
+    """s -> f(s) - sum_{k<n} nabla_q^k f(a) (s - a)_q^(k) / [k]_q!: f less the
+    q-Taylor part that a Caputo derivative of order alpha in (n - 1, n) from a
+    drops.  A coefficient that fails in float arithmetic or is not finite (f
+    singular at a) raises NonConvergence naming t, a and alpha.
+    """
+    q = p.q
+    try:
+        coeffs = [nabla_q_n(f, a, k, p) for k in range(n)]
+        failure = None if all(map(math.isfinite, coeffs)) else f"got {coeffs}"
+    except QCalculusError:
+        raise
+    except (ZeroDivisionError, OverflowError) as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+    if failure is not None:
+        raise NonConvergence(
+            f"left Caputo derivative at t={t!r}, a={a!r}, alpha={alpha!r}, q={q!r}: "
+            f"the q-Taylor coefficients of f at a are not finite ({failure})"
+        )
+    # Horner's scheme: (s - a)_q^(k) / [k]_q! = prod_{j<k} (s - a q**j) / [j + 1]_q.
+    top = coeffs[-1]
+    nest = [(coeffs[j], a * q**j, q_bracket(j + 1, p)) for j in range(n - 2, -1, -1)]
+
+    def remainder(s: float) -> float:
+        value = top
+        for coeff, shift, bracket in nest:
+            value = coeff + (s - shift) / bracket * value
+        return f(s) - value
+
+    return remainder
+
+
 def left_caputo(
     f: QFunction, a: float, order: float, t: float, p: QParams
 ) -> float:
-    """Left Caputo q-fractional derivative: (n - alpha)-integral of nabla_q^n f.
+    """Left Caputo q-fractional derivative I_a^(n - alpha) nabla_q^n f(t).
 
-    Kills constants for non-integer order; integer order is the plain n-fold
-    q-derivative.
+    From a = t q**m (t > 0) it is the left lattice series at order -alpha,
+    cut at m terms, of f minus its q-Taylor part of degree n - 1 at a; from
+    a = 0 with n = 1 it is the infinite series of f - f(0).  Caputo from 0
+    with n >= 2 (which needs nabla_q^k f(0)) and any other a keep the
+    composition.  Kills constants for non-integer order; integer order is
+    the plain n-fold q-derivative.
     """
     alpha, n = _derivative_order(order)
     if n == alpha:
         return nabla_q_n(f, t, n, p)
+    steps = _start_steps(a, t, p.q)
+    if steps == 0:  # a = t: an empty sum, which reads no sample of f
+        return 0.0
+    if steps != -1 and (a > 0.0 or n == 1):
+        return _left_series(_taylor_remainder(f, a, n, alpha, t, p), t, -alpha, steps, p)
     return left_frac_integral(lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p)
 
 

@@ -16,6 +16,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 from . import special
@@ -56,7 +57,13 @@ class MLParams:
 
 
 def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
-    """Evaluate the q-Mittag-Leffler series at z; divergence detected at runtime."""
+    """Evaluate the q-Mittag-Leffler series at z; divergence detected at runtime.
+
+    With z0 = 0 each term is the one before times lam z**alpha
+    q_gamma(alpha (k-1) + beta) / q_gamma(alpha k + beta) (see _ml_ratios).
+    """
+    if mp.z0 == 0.0:
+        return _ml_from_origin(_ml_ratios(mp.alpha, mp.beta, mp.lam, p), mp.alpha, z, p)
 
     def terms():
         k = 0
@@ -130,6 +137,40 @@ class _Column(dict):
         return map(self.__getitem__, indices)
 
 
+def _ml_ratios(alpha: float, beta: float, lam: float, p: QParams) -> _Column:
+    """The q-Mittag-Leffler coefficients c_k = lam**k / q_gamma(alpha k + beta)
+    as a _Column of c_0 and the ratios c_k / c_{k-1} (k >= 1).
+
+    Once x = alpha (k - 1) + beta > 0 the ratio is lam times
+    q_gamma(x) / q_gamma(x + alpha) = (1-q)**alpha (q**(x+alpha); q)_inf / (q**x; q)_inf,
+    one new q-Pochhammer tail per coefficient, and no power of lam or 1 - q
+    grows with k.
+    """
+    step = lam * (1.0 - p.q) ** alpha
+
+    def fill(k: int) -> float:
+        x, before = alpha * k + beta, alpha * (k - 1) + beta
+        if k == 0:
+            return 1.0 / special.q_gamma(x, p)
+        if before <= 0.0:
+            return lam * special.q_gamma(before, p) / special.q_gamma(x, p)
+        tail = special._pochhammer_tail
+        return step * tail(x, p) / tail(before, p)
+
+    return _Column(fill)
+
+
+def _ml_from_origin(ratios: _Column, alpha: float, z: float, p: QParams) -> float:
+    """sum_k c_k (z - 0)_q^(alpha k), each term the one before times
+    z**alpha c_k / c_{k-1}, over the _Column of _ml_ratios."""
+    power = special.q_factorial_power(z, 0.0, alpha, p)
+    terms = itertools.accumulate(
+        map(operator.mul, ratios.cells(1), itertools.repeat(power)), operator.mul,
+        initial=ratios[0],
+    )
+    return _accumulate(terms, p.trunc, detect_growth=True, label="q-Mittag-Leffler")
+
+
 def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     """Closed-form solution: y(t) = a0 E_{alpha,1}(lam, t - a) + forcing term.
 
@@ -140,12 +181,16 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
     # Every term of the forcing series samples f on the same lattice points.
     forcing = None if prob.forcing is None else _Column(prob.forcing).__getitem__
-    head_params = MLParams(alpha, 1.0, lam, z0=a)
+    if a == 0.0:  # the head's coefficients, once per solution
+        ratios = _ml_ratios(alpha, 1.0, lam, p)
+        head = lambda t: _ml_from_origin(ratios, alpha, t, p)
+    else:
+        head = partial(q_mittag_leffler, MLParams(alpha, 1.0, lam, z0=a), p=p)
     diagnostics = {"terms": 0, "evaluations": 0}
 
     def rule(t: float) -> float:
         with count_terms() as counter:
-            value = a0 * q_mittag_leffler(head_params, t, p) if a0 != 0.0 else 0.0
+            value = a0 * head(t) if a0 != 0.0 else 0.0
             if forcing is not None:
                 # With lam = 0 every term after the first is 0.0 times an integral.
                 ks = range(1) if lam == 0.0 else itertools.count()

@@ -33,6 +33,8 @@ RECORD_COUNTS = {
         "left_transfer_first_order": 252,
         "left_transfer_iterated": 72,
         "power_rule": 216,
+        "riemann_caputo_left": 252,
+        "riemann_series_right": 72,
         "right_inverse_reduction": 24,
         "right_semigroup_infinite": 108,
         "right_transfer": 252,
@@ -79,12 +81,12 @@ def test_record_counts_per_identity(report_all):
         counts[rec.identity] = counts.get(rec.identity, 0) + 1
     expected = {name: n for suite in RECORD_COUNTS.values() for name, n in suite.items()}
     assert counts == expected
-    assert len(counts) == 34
+    assert len(counts) == 36
     suites = {suite: {entry.name for entry in checks._TABLE[suite]} for suite in checks.SUITE_NAMES}
     assert suites == {suite: set(by_name) for suite, by_name in RECORD_COUNTS.items()}
     totals = {suite: sum(by_name.values()) for suite, by_name in RECORD_COUNTS.items()}
-    assert totals == {"core": 519, "special": 309, "frac": 2478, "ivp": 73}
-    assert len(report_all.records) == 3379
+    assert totals == {"core": 519, "special": 309, "frac": 2802, "ivp": 73}
+    assert len(report_all.records) == 3703
 
 
 def test_suite_builders_are_generator_functions():

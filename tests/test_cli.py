@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qfrac.checks
 import qfrac.special
-from qfrac import QParams
+from qfrac import NonConvergence, QParams
 from qfrac.expr import compile_expr
 from qfrac.fractional import (left_caputo, left_frac_integral, left_riemann_deriv, right_caputo,
                               right_frac_integral, right_riemann_deriv)
@@ -276,6 +276,24 @@ class TestEvalErrors:
         assert err.startswith("qfrac: numeric failure: left fractional integral")
         for name in ("t=1.0", "a=0.3", "alpha=0.7", "q=0.5"):
             assert name in err
+
+    def test_caputo_operand_singular_at_the_start(self, p_half):
+        # The series from a reads f(a), which inv(s) from a = 0 has not.
+        with pytest.raises(NonConvergence) as info:
+            left_caputo(compile_expr("inv(s)"), 0.0, 0.5, 1.0, p_half)
+        for name in ("left Caputo derivative", "t=1.0", "a=0.0", "alpha=0.5", "q=0.5"):
+            assert name in str(info.value)
+        code, out, err = run_cli(
+            ["eval", "caputo", "--side", "left", "--q", "0.5", "--alpha", "0.5",
+             "--a", "0", "--t", "1", "--f", "inv(s)"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("qfrac: numeric failure: left Caputo derivative")
+        assert "Traceback" not in err
+        for name in ("t=1.0", "a=0.0", "alpha=0.5"):
+            assert name in err
+        # From a = t the sum is empty and reads no sample, as the composition.
+        assert left_caputo(compile_expr("inv(s - 1)"), 1.0, 0.5, 1.0, p_half) == 0.0
 
     def test_off_grid_kernel_overflow_names_parameters(self):
         code, out, err = run_cli(

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfrac.special
 
@@ -8,6 +10,7 @@ from qfrac import (
     DomainError,
     NonConvergence,
     NumericOverflow,
+    QCalculusError,
     QParams,
     Truncation,
     left_caputo,
@@ -23,6 +26,8 @@ from qfrac import (
     right_frac_integral,
     right_riemann_deriv,
 )
+
+from qfrac.core import _grid_exponent
 
 from conftest import rel_err
 
@@ -56,24 +61,44 @@ class TestDerivativeOrder:
         assert op(f, endpoint, n, 0.8, p_half) == want
         assert op(f, endpoint, float(n), 0.8, p_half) == want
 
+    # 50-digit values of the exact power rules at q = 1/2, t = 0.8, per alpha:
+    # from 0, R^alpha (s^2 + 0.4 s) = [2]_q / G(3 - alpha) t^(2 - alpha)
+    # + 0.4 / G(2 - alpha) t^(1 - alpha), with G = q_gamma; to infinity, the
+    # right Riemann derivative of s^-3, (-1)^n nabla_q^n of the right
+    # (n - alpha)-integral's power rule r(b) q^(2b) G(3 - b) / G(3) x^(b - 3),
+    # b = n - alpha, r(b) = q^(-b (b - 1) / 2).
+    POWER_RULE = {
+        0.5: (1.2900053695070397, 7.40152542628445),
+        1.5: (1.7413999308958668, 190.84293923630435),
+        2.25: (1.1884116001938652, 3555.877242267481),
+    }
+
     @pytest.mark.parametrize("alpha,n", [(0.5, 1), (1.5, 2), (2.25, 3)])
     def test_fractional_order_uses_ceiling(self, alpha, n, p_half):
-        # Both derivatives compose n q-derivatives with an (n - alpha)-integral;
-        # right ones take (-1)**n from the reflected derivative.
-        for integral, deriv, caputo, end, f, sign in (
-            (left_frac_integral, left_riemann_deriv, left_caputo, 0.0,
-             lambda s: s * s + 0.4 * s, 1.0),
-            (right_frac_integral, right_riemann_deriv, right_caputo, INF,
-             lambda s: s**-3.0, (-1.0) ** n),
-        ):
-            want = sign * nabla_q_n(
-                lambda x: integral(f, end, n - alpha, x, p_half), 0.8, n, p_half
+        # From 0 and to infinity the Riemann derivatives, and left Caputo with
+        # n = 1, are the series at order -alpha: within 1e-15 of the exact
+        # values, where composing n q-derivatives with the (n - alpha)-integral
+        # is up to 6.3e-15 off.  The routes that keep the composition (left
+        # Caputo from 0 with n >= 2, right Caputo) give it bit for bit, right
+        # ones with (-1)**n from the reflected derivative.
+        left_f = lambda s: s * s + 0.4 * s
+        right_f = lambda s: s**-3.0
+        left_exact, right_exact = self.POWER_RULE[alpha]
+        got = left_riemann_deriv(left_f, 0.0, alpha, 0.8, p_half)
+        assert abs(got - left_exact) <= 1e-15 * left_exact
+        got = right_riemann_deriv(right_f, INF, alpha, 0.8, p_half)
+        assert abs(got - right_exact) <= 1e-15 * right_exact
+        got = left_caputo(left_f, 0.0, alpha, 0.8, p_half)
+        if n == 1:
+            assert abs(got - left_exact) <= 1e-15 * left_exact
+        else:
+            assert got == left_frac_integral(
+                lambda s: nabla_q_n(left_f, s, n, p_half), 0.0, n - alpha, 0.8, p_half
             )
-            assert deriv(f, end, alpha, 0.8, p_half) == want
-            want = integral(
-                lambda s: sign * nabla_q_n(f, s, n, p_half), end, n - alpha, 0.8, p_half
-            )
-            assert caputo(f, end, alpha, 0.8, p_half) == want
+        sign = (-1.0) ** n
+        assert right_caputo(right_f, INF, alpha, 0.8, p_half) == right_frac_integral(
+            lambda s: sign * nabla_q_n(right_f, s, n, p_half), INF, n - alpha, 0.8, p_half
+        )
 
 
 class TestRightEndpoint:
@@ -517,3 +542,88 @@ class TestOffGridStart:
             left_frac_integral(lambda s: 1.0, 3e9, 300.0, 1e10, p_half)
         for name in ("t=10000000000.0", "a=3000000000.0", "alpha=300.0"):
             assert name in str(info.value)
+
+
+# Derivatives on grid-aligned endpoints are the lattice series at order
+# -alpha.  The references are the definitions: n = ceil(alpha) q-derivatives
+# composed with the (n - alpha)-integral.
+def composed_riemann(f, a, alpha, t, p):
+    n = math.ceil(alpha)
+    return nabla_q_n(lambda x: left_frac_integral(f, a, n - alpha, x, p), t, n, p)
+
+
+def composed_caputo(f, a, alpha, t, p):
+    n = math.ceil(alpha)
+    return left_frac_integral(lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p)
+
+
+def composed_right_riemann(f, b, alpha, t, p):
+    n = math.ceil(alpha)
+    return (-1.0) ** n * nabla_q_n(
+        lambda x: right_frac_integral(f, b, n - alpha, x, p), t, n, p
+    )
+
+
+SERIES_Q = st.floats(0.2, 0.8)
+SERIES_ORDERS = st.floats(0.3, 2.5).filter(lambda x: abs(x - round(x)) >= 0.05)
+SERIES_TS = st.floats(0.5, 2.0)
+COEFFS = st.tuples(*(st.floats(-1.0, 1.0) for _ in range(3)))
+LEFT_OPERANDS = st.one_of(
+    COEFFS.map(lambda c: lambda s: c[0] + c[1] * s + c[2] * s * s),
+    st.just(lambda s: 1.0 / (s + 0.2)),
+)
+RIGHT_OPERANDS = st.sampled_from(
+    [lambda s: s**-3.0, lambda s: s**-4.0, lambda s: math.exp(-s)]
+)
+# Largest gap seen between a series and its composition over these ranges is
+# 9e-12, at q near 0.8, from 0 and n = 3; the composition's nested sums carry it.
+SERIES_TOL = 1e-10
+
+
+class TestDerivativeSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(q=SERIES_Q, alpha=SERIES_ORDERS, t=SERIES_TS, f=LEFT_OPERANDS,
+           m=st.one_of(st.none(), st.integers(0, 5)))
+    def test_left_series_match_the_definitions(self, q, alpha, t, f, m):
+        # a = 0 (m None) or a = t q**m, including a = t and m < n = ceil(alpha).
+        p = QParams(q)
+        a = 0.0 if m is None else t * q**m
+        got = left_riemann_deriv(f, a, alpha, t, p)
+        assert rel_err(got, composed_riemann(f, a, alpha, t, p)) <= SERIES_TOL
+        if m is not None or alpha < 1.0:
+            got = left_caputo(f, a, alpha, t, p)
+            assert rel_err(got, composed_caputo(f, a, alpha, t, p)) <= SERIES_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=SERIES_Q, alpha=SERIES_ORDERS, t=SERIES_TS, f=RIGHT_OPERANDS)
+    def test_right_series_matches_the_definition(self, q, alpha, t, f):
+        p = QParams(q)
+        got = right_riemann_deriv(f, INF, alpha, t, p)
+        assert rel_err(got, composed_right_riemann(f, INF, alpha, t, p)) <= SERIES_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=SERIES_Q, alpha=SERIES_ORDERS, t=SERIES_TS, f=LEFT_OPERANDS,
+           ratio=st.floats(0.1, 1.9), m=st.integers(1, 4))
+    def test_other_endpoints_keep_the_composition(self, q, alpha, t, f, ratio, m):
+        # An a off the grid of t or above it, Caputo from 0 with n >= 2 and a
+        # finite b give the composition bit for bit, or fail as it does
+        # (Caputo from 0 with n >= 3 can, see README).
+        p = QParams(q)
+        starts = [t / q**m] + ([t * ratio] if _grid_exponent(ratio, q) is None else [])
+        for a in starts:
+            assert outcome(left_riemann_deriv, f, a, alpha, t, p) == outcome(
+                composed_riemann, f, a, alpha, t, p)
+        for a in starts + ([0.0] if alpha > 1.0 else []):
+            assert outcome(left_caputo, f, a, alpha, t, p) == outcome(
+                composed_caputo, f, a, alpha, t, p)
+        decay = lambda s: s**-4.0
+        assert right_riemann_deriv(decay, t / q**m, alpha, t, p) == composed_right_riemann(
+            decay, t / q**m, alpha, t, p)
+
+
+def outcome(route, *args):
+    """The route's value, or the type and message of the error it raised."""
+    try:
+        return route(*args)
+    except QCalculusError as exc:
+        return type(exc), str(exc)

@@ -85,6 +85,14 @@ class TestMittagLeffler:
         with pytest.raises(PoleError, match=r"alpha=1e-320, q=0\.5"):
             q_mittag_leffler(MLParams(0.5, 1e-320, 0.5), 0.5, p_half)
 
+    def test_alternating_ratio_near_one_does_not_overflow(self):
+        # Term ratio lam z (1 - q) -> -0.993: the sum takes thousands of terms.
+        # Each coefficient comes from the one before by a ratio of q-Pochhammer
+        # tails, so no q_gamma(1049) overflows on 0.5078125**-1048.  The value
+        # is e_q(lam z) = 1 / ((1 - q) lam z; q)_inf, from 40-digit mpmath.
+        got = q_mittag_leffler(MLParams(1.0, 1.0, -1.40625), 1.390625, QParams(0.4921875))
+        assert abs(got - 0.21703696478195688) <= 1e-10
+
     def test_vanishing_powers_below_origin(self, p_half):
         # Aligned z below z0 kills every k >= 1 term exactly.
         mp = MLParams(0.9, 1.0, 0.3, 0.5**2)
@@ -125,6 +133,20 @@ class TestClosedForm:
         y = solve_ivp_closed(IVProblem(1.0, 1.0, 0.0, 1.0), p_half)
         for t in (0.5**3, 0.25, 0.5, 1.0):
             assert rel_err(y(t), q_exp_e(t, p_half)) < 1e-8
+
+    def test_head_coefficients_once_per_solution(self, monkeypatch, p_half):
+        # From a = 0 the head's lam**k / q_gamma(alpha k + 1) are computed once
+        # per solution: one q_gamma call, whatever the number of points.
+        calls = []
+        q_gamma_inner = qfrac.special.q_gamma
+        monkeypatch.setattr(
+            qfrac.special, "q_gamma", lambda *args: calls.append(args) or q_gamma_inner(*args))
+        y = solve_ivp_closed(IVProblem(0.9, 0.3, 0.0, 1.0), p_half)
+        values = [y(0.5**k) for k in range(8)]
+        assert len(calls) == 1
+        for k, value in enumerate(values):
+            want = q_mittag_leffler(MLParams(0.9, 1.0, 0.3), 0.5**k, p_half)
+            assert value == want
 
     def test_method_tag_and_diagnostics(self, p_half):
         y = solve_ivp_closed(IVProblem(0.9, 0.3, 0.0, 1.0), p_half)
