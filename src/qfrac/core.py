@@ -5,7 +5,9 @@ base 0 < q < 1.  The backward q-derivative is an exact difference quotient;
 integrals are Jackson sums, i.e. truncated geometric series whose stopping
 behaviour is governed by a :class:`Truncation` policy.  Every infinite sum
 of the package stops in ``_accumulate``: once its terms fall geometrically it
-adds their closed tail, and otherwise it stops on a run of small terms.
+adds their closed tail, and otherwise it stops on a run of small terms.  Every
+infinite product is a q-Pochhammer symbol (c; q)_inf, taken by
+``special._q_product``, which closes its tail the same way.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ class Truncation:
     Any other infinite sum (alternating terms, ratios that never settle)
     stops once 3 successive terms satisfy
     ``|term| <= rel_tol * |partial_sum| + _ABS_TOL``.  A sum with a known
-    number of terms is summed in full; products use the small-term test on
-    ``|factor - 1|``.  Exhausting ``max_terms`` raises
-    :class:`~qfrac.errors.NonConvergence`.
+    number of terms is summed in full.  A product (c; q)_inf stops once 3
+    successive ``|c q**j|`` are at most rel_tol and multiplies in its closed
+    tail ``1 - c q**(j+1) / (1 - q)``, within ``(rel_tol / (1 - q))**2``.
+    Exhausting ``max_terms`` raises :class:`~qfrac.errors.NonConvergence`.
     """
 
     rel_tol: float = 1e-12

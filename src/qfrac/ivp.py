@@ -171,6 +171,9 @@ def _ml_from_origin(ratios: _Column, alpha: float, z: float, p: QParams) -> floa
     return _accumulate(terms, p.trunc, detect_growth=True, label="q-Mittag-Leffler")
 
 
+_FORCING_AT = "closed-form forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
+
+
 def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     """Closed-form solution: y(t) = a0 E_{alpha,1}(lam, t - a) + forcing term.
 
@@ -195,7 +198,8 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
                 # With lam = 0 every term after the first is 0.0 times an integral.
                 ks = range(1) if lam == 0.0 else itertools.count()
                 value += _accumulate(
-                    (lam**k * left_frac_integral(forcing, a, alpha * (k + 1), t, p)
+                    (_power(lam, k, _FORCING_AT, t, alpha, lam, k)
+                     * left_frac_integral(forcing, a, alpha * (k + 1), t, p)
                      for k in ks),
                     p.trunc, detect_growth=True, label="closed-form forcing",
                 )

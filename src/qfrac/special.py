@@ -1,15 +1,16 @@
 """q-special functions: factorial powers, q-gamma, q-Pochhammer, q-exponentials.
 
 The central primitive is the q-factorial power (t - s)_q^alpha: a finite
-product for integer alpha >= 0, otherwise the ratio product
+product for integer alpha >= 0, otherwise the ratio
 
-    t**alpha * prod_{i>=0} (1 - (s/t) q**i) / (1 - (s/t) q**(i+alpha)).
+    t**alpha * (s/t; q)_inf / ((s/t) q**alpha; q)_inf.
 
-When s/t coincides with an integer power of q the ratio is snapped onto the
-grid so that vanishing (s/t = q**-j) and poles surface exactly instead of as
-rounding noise.  Aligned products reduce to ratios of the tail product
-(q**x; q)_inf, which is memoised per (q, x, truncation policy) in a bounded
-cache.
+q_gamma and E_q are quotients of the same products (c; q)_inf, and every one
+of them comes from one loop, ``_q_product``, which closes its tail.  When s/t
+coincides with an integer power of q the ratio is snapped onto the grid so
+that vanishing (s/t = q**-j) and poles surface exactly instead of as rounding
+noise.  Aligned products are tails (q**x; q)_inf, memoised per (q, x,
+truncation policy) in a bounded cache.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .core import _SMALL_RUN, QParams, Truncation, _accumulate, _grid_exponent, _note_terms, _power
+from .core import (
+    _SMALL_RUN, QParams, Truncation, _accumulate, _grid_exponent, _note_terms, _power, count_terms,
+)
 from .errors import DomainError, NonConvergence, NumericOverflow, PoleError
 
 __all__ = [
@@ -46,6 +49,30 @@ def q_pochhammer(n: int, p: QParams) -> float:
     return product
 
 
+def _q_product(c: float, p: QParams) -> float:
+    """(c; q)_inf = prod_{j>=0} (1 - c q**j) for finite c, uncached.
+
+    It takes the factors up to and including the _SMALL_RUN (3) successive
+    |c q**j| at most rel_tol (they fall monotonically, so their number is
+    known up front) and multiplies in the closed tail
+    prod_{i>j} (1 - c q**i) = 1 - c q**(j+1) / (1 - q), whose error is at
+    most (rel_tol / (1 - q))**2.
+    """
+    q, rel_tol, max_terms = p.q, p.trunc.rel_tol, p.trunc.max_terms
+    count = _SMALL_RUN
+    if abs(c) > rel_tol:
+        count += math.ceil((math.log(abs(c)) - math.log(rel_tol)) / -math.log(q))
+    if count > max_terms:
+        _note_terms(max_terms)
+        raise NonConvergence(f"(c; q)_inf did not converge for c={c!r}, q={q!r}")
+    product = 1.0
+    for _ in range(count):
+        product *= 1.0 - c
+        c *= q
+    _note_terms(count)
+    return product * (1.0 - c / (1.0 - q))
+
+
 _TAIL_CACHE: dict[tuple[float, float, Truncation], tuple[float, int]] = {}
 # Entries kept before the cache starts over: aligned products (q_gamma and
 # the grid-snapped factorial powers) reuse a few thousand (q, x) pairs, while
@@ -54,67 +81,29 @@ _TAIL_CACHE_SIZE = 4096
 
 
 def _pochhammer_tail(x: float, p: QParams) -> float:
-    """(q**x; q)_inf = prod_{j>=0} (1 - q**(x+j)) for x > 0, memoised.
+    """(q**x; q)_inf, memoised.
 
     Cache hits report the same term count a fresh computation would, so
-    diagnostics stay identical between cold and warm runs.  The cache is
-    cleared once it holds _TAIL_CACHE_SIZE entries.
+    diagnostics stay identical between cold and warm runs.  A product of
+    _SMALL_RUN factors (q**x at most rel_tol) is cheaper than its entry and
+    is not stored.  The cache is cleared once it holds _TAIL_CACHE_SIZE
+    entries.
     """
     key = (p.q, x, p.trunc)
     cached = _TAIL_CACHE.get(key)
     if cached is not None:
         _note_terms(cached[1])
         return cached[0]
-    trunc = p.trunc
-    product = 1.0
-    power = p.q**x
-    small_run = 0
-    for count in range(1, trunc.max_terms + 1):
-        product *= 1.0 - power
-        if power <= trunc.rel_tol:
-            small_run += 1
-            if small_run >= _SMALL_RUN:
-                _note_terms(count)
-                if len(_TAIL_CACHE) >= _TAIL_CACHE_SIZE:
-                    _TAIL_CACHE.clear()
-                _TAIL_CACHE[key] = (product, count)
-                return product
-        else:
-            small_run = 0
-        power *= p.q
-    _note_terms(trunc.max_terms)
-    raise NonConvergence(f"(q**x; q)_inf did not converge for q={p.q}, x={x}")
-
-
-def _product_with_stoprule(factors: Iterator[float], trunc: Truncation, label: str) -> float:
-    product = 1.0
-    small_run = 0
-    for count, factor in enumerate(factors, start=1):
-        if count > trunc.max_terms:
-            _note_terms(count)
-            raise NonConvergence(f"{label}: no convergence within {trunc.max_terms} factors")
-        if not math.isfinite(factor):
-            _note_terms(count)
-            raise NonConvergence(f"{label}: non-finite factor at index {count - 1}")
-        product *= factor
-        if abs(factor - 1.0) <= trunc.rel_tol:
-            small_run += 1
-            if small_run >= _SMALL_RUN:
-                _note_terms(count)
-                return product
-        else:
-            small_run = 0
-    _note_terms(trunc.max_terms)
-    raise NonConvergence(f"{label}: factor stream ended unexpectedly")
+    with count_terms() as counter:
+        product = _q_product(_power(p.q, x, "(q**x; q)_inf at x={!r}, q={!r}", x, p.q), p)
+    if counter.total > _SMALL_RUN:
+        if len(_TAIL_CACHE) >= _TAIL_CACHE_SIZE:
+            _TAIL_CACHE.clear()
+        _TAIL_CACHE[key] = (product, counter.total)
+    return product
 
 
 _QFACT_AT = "(t - s)_q^alpha at t={!r}, s={!r}, alpha={!r}, q={!r}"
-
-
-def _rounded_pole(t: float, s: float, alpha: float, q: float) -> PoleError:
-    # A denominator factor 1 - q**(d + i + alpha) on the grid s = t q**d
-    # rounded to 0: alpha is a pole to within float resolution.
-    return PoleError(f"{_QFACT_AT.format(t, s, alpha, q)}: a denominator factor is numerically 0")
 
 
 def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
@@ -176,8 +165,9 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     if s == 0.0:
         return _power(t, alpha, _QFACT_AT, t, s, alpha, q)
     u = s / t
+    if not math.isfinite(u):
+        raise DomainError(f"{_QFACT_AT.format(t, s, alpha, q)}: s/t must be finite")
     d = _grid_exponent(u, q) if u > 0.0 else None
-    trunc = p.trunc
     if d is not None:
         if _is_integer_valued(alpha) and d <= -alpha:
             raise PoleError(
@@ -186,46 +176,35 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
         if d <= 0:
             # Numerator factor 1 - q**(d + i) vanishes identically at i = -d.
             return 0.0
-        x2 = d + alpha
-        if x2 > 0.0:
-            scale = _power(t, alpha, _QFACT_AT, t, s, alpha, q)
-            num = scale * _pochhammer_tail(float(d), p)
-            den = _pochhammer_tail(x2, p)
-            if den == 0.0:
-                raise _rounded_pole(t, s, alpha, q)
-            return num / den
+        den = _pochhammer_tail(d + alpha, p)
+        if den == 0.0:
+            # A denominator factor 1 - q**(d + i + alpha) rounded to 0: alpha
+            # is a pole to within float resolution.
+            raise PoleError(
+                f"{_QFACT_AT.format(t, s, alpha, q)}: a denominator factor is numerically 0"
+            )
+        return _power(t, alpha, _QFACT_AT, t, s, alpha, q) * _pochhammer_tail(float(d), p) / den
 
-        def snapped_factors() -> Iterator[float]:
-            i = 0
-            while True:
-                den = 1.0 - q ** (d + i + alpha)
-                if den == 0.0:
-                    raise _rounded_pole(t, s, alpha, q)
-                yield (1.0 - q ** (d + i)) / den
-                i += 1
-
-        product = _product_with_stoprule(snapped_factors(), trunc, "q-factorial power")
-        return _power(t, alpha, _QFACT_AT, t, s, alpha, q) * product
-
-    # Generic, off-grid ratio.  A denominator within ~1e-12 of zero cannot be
-    # told apart from a true pole at double precision (the ratio u itself
-    # carries rounding), so it is reported as one instead of returning a
-    # meaninglessly amplified product.
-    def factors() -> Iterator[float]:
-        num_pow = u
-        den_pow = u * q**alpha
-        while True:
-            den = 1.0 - den_pow
-            if abs(den) < 1e-12:
-                raise PoleError(
-                    f"(t - s)_q^{alpha} denominator vanished for s/t = {u}"
-                )
-            yield (1.0 - num_pow) / den
-            num_pow *= q
-            den_pow *= q
-
-    product = _product_with_stoprule(factors(), trunc, "q-factorial power")
-    return _power(t, alpha, _QFACT_AT, t, s, alpha, q) * product
+    # Generic, off-grid ratio.  A denominator factor within ~1e-12 of zero
+    # cannot be told apart from a true pole at double precision (the ratio u
+    # itself carries rounding), so it is reported as one instead of returning
+    # a meaninglessly amplified product.  Only for c > 0 can a factor
+    # 1 - c q**j vanish; the one nearest zero has q**j nearest 1/c.
+    c = u * q**alpha
+    if c > 0.0 and abs(1.0 - c * q ** max(0, round(math.log(c) / -math.log(q)))) < 1e-12:
+        raise PoleError(f"(t - s)_q^{alpha} denominator vanished for s/t = {u}")
+    # While |u q**j| > 1 both products grow like q**(-j**2 / 2) and would
+    # overflow apart; the ratio of their factors stays near q**-alpha.
+    value = _power(t, alpha, _QFACT_AT, t, s, alpha, q)
+    while abs(u) > 1.0:
+        value *= (1.0 - u) / (1.0 - c)
+        u *= q
+        c *= q
+        _note_terms(1)
+    value *= _q_product(u, p) / _q_product(c, p)
+    if not math.isfinite(value):
+        raise NumericOverflow(f"{_QFACT_AT.format(t, s, alpha, q)}: the value overflowed")
+    return value
 
 
 _GAMMA_AT = "q_gamma at alpha={!r}, q={!r}"
@@ -282,18 +261,6 @@ def q_exp_e(t: float, p: QParams) -> float:
 
 def q_exp_E(t: float, p: QParams) -> float:
     """Big q-exponential E_q(t) = prod_{n>=0} (1 - q**n t)**-1 for |t| < 1."""
-    if abs(t) >= 1.0:
+    if not abs(t) < 1.0:
         raise DomainError(f"E_q requires |t| < 1, got t={t}")
-    q = p.q
-    trunc = p.trunc
-
-    def factors() -> Iterator[float]:
-        power = 1.0
-        while True:
-            den = 1.0 - power * t
-            if den == 0.0:
-                raise PoleError(f"E_q factor vanished at t={t}")
-            yield 1.0 / den
-            power *= q
-
-    return _product_with_stoprule(factors(), trunc, "E_q product")
+    return 1.0 / _q_product(t, p)

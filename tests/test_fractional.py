@@ -414,15 +414,18 @@ class TestLatticeSeries:
 
     # Values at parameters whose a is off the grid of t, frozen first from the
     # Jackson-sum route, which the offset lattice series that now serves
-    # 0 < a < t agreed with, and again once sums closed their geometric tails;
-    # each new value is closer to a 50-digit evaluation of the definition.
+    # 0 < a < t agreed with, and again once sums and then the q-Pochhammer
+    # products closed their geometric tails; each new value is closer to a
+    # 40-digit evaluation of the definition (relative error then -> now:
+    # 3.5e-14 -> -4.3e-15, -1.2e-15 -> -2.7e-16, 4.7e-13 -> -3.0e-13,
+    # -4.3e-14 -> 2.6e-15).
     @pytest.mark.parametrize(
         "q, alpha, a, t, frozen",
         [
-            (0.5, 0.7, 0.3, 1.0, 1.475916779345052),
-            (0.3, 1.7, 0.1, 0.8, 0.7348738573656225),
-            (0.9, 0.3, 0.45, 1.0, 1.6663539181530589),
-            (0.5, 2.5, 0.15, 0.8, 0.2884452831778578),
+            (0.5, 0.7, 0.3, 1.0, 1.4759167793449937),
+            (0.3, 1.7, 0.1, 0.8, 0.7348738573656232),
+            (0.9, 0.3, 0.45, 1.0, 1.6663539181517721),
+            (0.5, 2.5, 0.15, 0.8, 0.28844528317787077),
         ],
     )
     def test_off_grid_start_keeps_jackson_route(self, q, alpha, a, t, frozen):
@@ -520,13 +523,16 @@ class TestOffGridStart:
         assert worst <= jackson_worst
 
     # a > t stays on the Jackson route; its values, frozen from that route
-    # with closed geometric tails.
+    # once sums and products closed their geometric tails.  Each is closer to
+    # a 40-digit evaluation of the definition than the pin before (relative
+    # error then -> now: -4.1e-13 -> -8.9e-16, -7.7e-15 -> -5.0e-16,
+    # -2.7e-12 -> -6.5e-14).
     @pytest.mark.parametrize(
         "q, alpha, a, t, frozen",
         [
-            (0.5, 0.7, 1.3, 1.0, -2.0941302706452363),
-            (0.3, 1.7, 2.0, 0.8, -1.6253787825382797),
-            (0.9, 0.3, 1.45, 1.0, 3.1757632906359476),
+            (0.5, 0.7, 1.3, 1.0, -2.0941302706460965),
+            (0.3, 1.7, 2.0, 0.8, -1.6253787825382915),
+            (0.9, 0.3, 1.45, 1.0, 3.1757632906441766),
         ],
     )
     def test_start_above_point_keeps_values(self, q, alpha, a, t, frozen):

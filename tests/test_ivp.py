@@ -14,6 +14,7 @@ from qfrac import (
     IVProblem,
     MLParams,
     NonConvergence,
+    NumericOverflow,
     PoleError,
     QCalculusError,
     QParams,
@@ -331,6 +332,16 @@ class TestForcingSeries:
         assert abs(ivp_residual(prob, y, t, p)) <= 1e-5
         assert calls == {"q_factorial_power": 0, "q_mittag_leffler": 0}
 
+    def test_power_of_lam_overflow_is_numeric_overflow(self):
+        # The alternating series at lam = -1.5 runs about 1,750 terms, and
+        # lam**k leaves the double range before the sum stops.
+        prob = IVProblem(1.0, -1.5, 0.0, 1.0, lambda s: s * s - 0.3 * s + 0.5)
+        y = solve_ivp_closed(prob, QParams(0.5625))
+        with pytest.raises(NumericOverflow) as info:
+            y(1.5)
+        for name in ("t=1.5", "alpha=1.0", "lam=-1.5", "k="):
+            assert name in str(info.value)
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -417,14 +428,15 @@ class TestPicardLattice:
         # is integrated exactly.  The level columns (each iterate summed whole)
         # took 77,910 terms over 1,855 evaluations for the value
         # 1.3984050887919168; sum_k 0.3**k / Gamma_q(0.84 k + 1), k <= 10, is
-        # 1.398405088791997 to 16 digits.
+        # 1.398405088791997 to 16 digits.  The pin, with closed product tails
+        # in q_gamma, is 4.2e-16 from it (the open tails gave -2.9e-14).
         y = solve_ivp_picard(IVProblem(0.84, 0.3, 0.0, 1.0), 10, p_half)
         with count_terms() as counter:
             value = y(1.0)
         assert counter.total == 3_451
         assert y.diagnostics["evaluations"] == 270
         assert counter.total < 77_910 and y.diagnostics["evaluations"] < 1_855
-        assert rel_err(value, 1.398405088791957) < 1e-14
+        assert rel_err(value, 1.3984050887919977) < 1e-14
 
     @pytest.mark.parametrize("t", [0.37, 0.5**5, -1.0, math.nan])
     def test_points_off_the_time_scale_rejected(self, p_half, t):

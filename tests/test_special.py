@@ -6,17 +6,20 @@ from hypothesis import strategies as st
 
 from qfrac import (
     DomainError,
+    MLParams,
     NonConvergence,
     NumericOverflow,
     PoleError,
     QParams,
     Truncation,
+    count_terms,
     nabla_q,
     q_bracket,
     q_exp_E,
     q_exp_e,
     q_factorial_power,
     q_gamma,
+    q_mittag_leffler,
     q_pochhammer,
 )
 
@@ -125,6 +128,31 @@ class TestFactorialPower:
             assert name in str(info.value)
         with pytest.raises(NonConvergence):
             q_factorial_power(1.0, s, 3e9, QParams(0.5))
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_off_grid_denominator_on_a_pole(self, j):
+        # u q**alpha = q**-j: factor j of the off-grid denominator vanishes to
+        # within the rounding of alpha.
+        q, u = 0.5, 0.7
+        alpha = math.log(q**-j / u) / math.log(q)
+        with pytest.raises(PoleError, match="denominator vanished"):
+            q_factorial_power(1.0, u, alpha, QParams(q))
+
+    def test_far_above_the_grid(self):
+        # s/t = 1e6: each product of the ratio overflows on its own, the
+        # ratio does not (40-digit value of the definition).
+        got = q_factorial_power(1.0, 1e6 + 0.3, 0.5, QParams(0.9))
+        assert abs(got + 423.7187376674178176837417742147015516) <= 1e-12 * 423.72
+        # At alpha = 200.5 the value itself, about e**900, leaves the range.
+        with pytest.raises(NumericOverflow, match="alpha=200.5"):
+            q_factorial_power(1.0, 1e6 + 0.3, 200.5, QParams(0.9))
+        with pytest.raises(DomainError, match="s/t must be finite"):
+            q_factorial_power(1.0, math.inf, 0.5, QParams(0.9))
+
+    def test_snapped_denominator_overflow_is_numeric_overflow(self, p_half):
+        # s = t q: the denominator (q**(1 + alpha); q)_inf starts at 2**1999.5.
+        with pytest.raises(NumericOverflow, match="x=-1999.5"):
+            q_factorial_power(1.0, 0.5, -2000.5, p_half)
 
     def test_fractional_matches_integer_route(self):
         # Lemma-style split consistency: alpha = 2 via the ratio product.
@@ -339,3 +367,59 @@ def test_tail_cache_is_bounded():
         special._TAIL_CACHE.clear()
         assert q_gamma(alpha, p) == value
         assert q_gamma(alpha, p) == value  # served from the cache
+
+
+# 40-digit evaluations (mpmath) of the defining products (c; q)_inf at these
+# double arguments and q = 0.9.  Dropping the products' tails left errors up
+# to 7e-12; closed, every one is within 1e-13.
+CLOSED_TAIL_VALUES = [
+    (q_gamma, (0.3,), 2.900210909023131012215910735685928283),
+    (q_gamma, (1.7,), 0.9135840865056117479846376692334107496),
+    (q_gamma, (4.2,), 6.483772811335001178691860470545106255),
+    (q_gamma, (-0.6,), -3.315159330518250833858305261534416188),
+    # (t - s)_q^alpha off the grid of t ...
+    (q_factorial_power, (1.3, 0.47, 0.63), 0.8831266841169200493812724476171958724),
+    (q_factorial_power, (0.8, 0.61, 2.2), 0.03710891755936692281114283531597199328),
+    (q_factorial_power, (1.0, 0.37, -0.45), 1.257613972057434119792958177826279972),
+    # ... and on it, s = t q**d, the last two with d + alpha <= 0.
+    (q_factorial_power, (1.0, 0.9**2, 0.63), 0.3339143343447536551046636833237375473),
+    (q_factorial_power, (1.0, 0.9, -1.4), -85.64498502484615717192198575659172166),
+    (q_factorial_power, (1.0, 0.9**2, -2.7), -1899.066215113781730475784266645128336),
+    (q_exp_E, (0.9,), 777564.2033595849334620768527328384666),
+    (q_exp_E, (-0.9,), 0.0005733390599864219617738197393204639325),
+]
+
+
+@pytest.mark.parametrize("func, args, want", CLOSED_TAIL_VALUES)
+def test_products_close_their_tails(func, args, want):
+    got = func(*args, QParams(0.9))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_tail_memo_replays_term_counts():
+    from qfrac import special
+
+    p = QParams(0.9)
+    special._TAIL_CACHE.clear()
+    counts = []
+    for _ in range(2):  # cold, then warm
+        with count_terms() as counter:
+            q_gamma(0.3, p)
+        counts.append(counter.total)
+    assert (0.9, 0.3, p.trunc) in special._TAIL_CACHE
+    assert counts[0] == counts[1] > 0
+
+
+def test_short_tails_skip_the_cache():
+    # A q-Mittag-Leffler series takes one tail per coefficient.  Those with
+    # q**x below rel_tol are 3 factors, cheaper than an entry, so a long
+    # series leaves in place the tails q_gamma stored.
+    from qfrac import special
+
+    p = QParams(0.4921875)
+    special._TAIL_CACHE.clear()
+    q_gamma(0.37, p)
+    assert len(special._TAIL_CACHE) == 2
+    q_mittag_leffler(MLParams(1.0, 1.0, -1.40625), 1.390625, p)
+    assert len(special._TAIL_CACHE) == 39
+    assert (p.q, 0.37, p.trunc) in special._TAIL_CACHE
