@@ -266,9 +266,9 @@ def _picard_errors(q, alpha, lam, a, f, p, memo, m_values):
 
 
 # The definitions of the derivatives, n = ceil(alpha) q-derivatives composed
-# with the (n - alpha)-integral: references that the lattice series at order
-# -alpha, which serve these derivatives from a = 0, a = t q**m and to
-# b = infinity, never call.
+# with the (n - alpha)-integral: references that the integrals at order
+# -alpha, which serve these derivatives from every a > 0 below t, from a = 0
+# (Caputo there only for n = 1) and to b = infinity, never call.
 def _riemann_composed(f, a, alpha, t, p):
     n = math.ceil(alpha)
     return nabla_q_n(lambda x: left_frac_integral(f, a, n - alpha, x, p), t, n, p)

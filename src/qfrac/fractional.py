@@ -3,13 +3,15 @@
 Left operators integrate downward from t on the chain t, tq, tq**2, ...;
 right operators integrate upward toward b (or infinity) and evaluate their
 operand at shifted points s * q**(1 - alpha), i.e. on a shifted q-grid.
-On grid-aligned endpoints an operator is one lattice series, and a
-derivative of non-integer order alpha is the integral's series at order
--alpha (the q-Grunwald-Letnikov form of Al-Salam and Agarwal): left ones from
-a = 0 or a = t q**m, the right Riemann one to b = infinity.  The other
-endpoints compose an exact n-fold q-derivative (n = ceil(alpha)) with a
-fractional integral of order n - alpha, the definitions themselves.  Integer
-orders short-circuit to the plain iterated q-derivative.
+On grid-aligned endpoints an operator is one lattice series.  A derivative
+of non-integer order alpha is the integral at order -alpha (the
+q-Grunwald-Letnikov form of Al-Salam and Agarwal): the left Riemann one from
+every start, left Caputo (on f less its q-Taylor part) from every start
+below t, and the right Riemann one to b = infinity.  Left Caputo from 0 with
+n >= 2 or from above t, and the right derivatives to a finite b, compose an
+exact n-fold q-derivative (n = ceil(alpha)) with a fractional integral of
+order n - alpha, the definitions themselves.  Integer orders short-circuit
+to the plain iterated q-derivative.
 """
 
 from __future__ import annotations
@@ -125,14 +127,6 @@ def _start_steps(a: float, t: float, q: float) -> int | None:
     return -1 if m is None or m < 0 else m
 
 
-def _left_series(f: QFunction, t: float, alpha: float, steps: int | None, p: QParams) -> float:
-    """((1-q) t)**alpha sum_{i<steps} c_i f(t q**i): the left lattice series of
-    order alpha, an integral for alpha > 0 and a derivative for alpha < 0."""
-    q = p.q
-    weight = _power((1.0 - q) * t, alpha, _WEIGHT_AT, "left", t, alpha, q)
-    return _lattice_series(f, t, False, alpha, weight, steps, p, label="left fractional integral")
-
-
 def left_frac_integral(
     f: QFunction, a: float, order: float, t: float, p: QParams
 ) -> float:
@@ -148,13 +142,16 @@ def left_frac_integral(
     and W_{i+1} = W_i q (1 - c q**(alpha+i)) / (1 - c q**(i+1)), c = a / t,
     so one factorial power and one q_gamma per call.  Any other a (a > t off
     or on the grid, or t <= 0) takes the Jackson sum of the kernel built by
-    q_factorial_power at every point.
+    q_factorial_power at every point.  A negative non-integer order -alpha
+    gives the left Riemann derivative of order alpha on every route.
     """
     alpha = _integral_order(order)
     q = p.q
     steps = _start_steps(a, t, q)
     if steps != -1:
-        return _left_series(f, t, alpha, steps, p)
+        weight = _power((1.0 - q) * t, alpha, _WEIGHT_AT, "left", t, alpha, q)
+        return _lattice_series(f, t, False, alpha, weight, steps, p,
+                               label="left fractional integral")
     if 0.0 < a < t:
         return _left_off_grid(f, a, alpha, t, p)
 
@@ -198,19 +195,17 @@ def left_riemann_deriv(
 ) -> float:
     """Left Riemann q-fractional derivative nabla_q^n I_a^(n - alpha) f(t).
 
-    From a = 0 or a = t q**m (t > 0) it is the left lattice series at order
-    -alpha, ((1-q) t)**-alpha sum_{i<m} w_i f(t q**i) with the weights of
-    left_frac_integral (m infinite for a = 0).  Any other a keeps the
-    composition.
+    For non-integer alpha it is left_frac_integral at order -alpha from every
+    start a: the kernel's derivative in t is the kernel of one order less,
+    so the n q-derivatives pass through the sum term by term.  t <= 0 raises
+    DomainError.
     """
     alpha, n = _derivative_order(order)
     if n == alpha:
         return nabla_q_n(f, t, n, p)
-    steps = _start_steps(a, t, p.q)
-    if steps != -1:
-        return _left_series(f, t, -alpha, steps, p)
-    inner_order = n - alpha
-    return nabla_q_n(lambda x: left_frac_integral(f, a, inner_order, x, p), t, n, p)
+    if not t > 0.0:
+        raise DomainError(f"left Riemann derivative needs t > 0, got t={t}")
+    return left_frac_integral(f, a, -alpha, t, p)
 
 
 def right_riemann_deriv(
@@ -274,21 +269,24 @@ def left_caputo(
 ) -> float:
     """Left Caputo q-fractional derivative I_a^(n - alpha) nabla_q^n f(t).
 
-    From a = t q**m (t > 0) it is the left lattice series at order -alpha,
-    cut at m terms, of f minus its q-Taylor part of degree n - 1 at a; from
-    a = 0 with n = 1 it is the infinite series of f - f(0).  Caputo from 0
-    with n >= 2 (which needs nabla_q^k f(0)) and any other a keep the
-    composition.  Kills constants for non-integer order; integer order is
-    the plain n-fold q-derivative.
+    From 0 < a < t, on the grid of t or off it, it is left_frac_integral at
+    order -alpha of f minus its q-Taylor part of degree n - 1 at a; from
+    a = 0 with n = 1, of f - f(0).  Caputo from 0 with n >= 2 (which needs
+    nabla_q^k f(0)) and from a > t (where the q-power rule behind the Taylor
+    step fails), or at t <= 0, keep the composition; from a = t it is an
+    empty sum.  Kills constants for non-integer order; integer order is the
+    plain n-fold q-derivative.
     """
     alpha, n = _derivative_order(order)
     if n == alpha:
         return nabla_q_n(f, t, n, p)
-    steps = _start_steps(a, t, p.q)
-    if steps == 0:  # a = t: an empty sum, which reads no sample of f
-        return 0.0
-    if steps != -1 and (a > 0.0 or n == 1):
-        return _left_series(_taylor_remainder(f, a, n, alpha, t, p), t, -alpha, steps, p)
+    if 0.0 < a < t or (a == 0.0 < t and n == 1):
+        remainder = _taylor_remainder(f, a, n, alpha, t, p)
+        # The remainder vanishes at a q**k, k < n, so from an a off the grid
+        # of t the integral is the one from a q**n, whose anchored sum does
+        # not open with the n zero terms that the stopping rule takes for its end.
+        start = a if _start_steps(a, t, p.q) != -1 else a * p.q**n
+        return left_frac_integral(remainder, start, -alpha, t, p)
     return left_frac_integral(lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p)
 
 

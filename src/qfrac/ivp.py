@@ -16,7 +16,6 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator
 
 from . import special
@@ -59,22 +58,10 @@ class MLParams:
 def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
     """Evaluate the q-Mittag-Leffler series at z; divergence detected at runtime.
 
-    With z0 = 0 each term is the one before times lam z**alpha
-    q_gamma(alpha (k-1) + beta) / q_gamma(alpha k + beta) (see _ml_ratios).
+    The coefficients come from one _ml_ratios column and the sum from
+    _ml_sum, for every z0.
     """
-    if mp.z0 == 0.0:
-        return _ml_from_origin(_ml_ratios(mp.alpha, mp.beta, mp.lam, p), mp.alpha, z, p)
-
-    def terms():
-        k = 0
-        lam_pow = 1.0
-        while True:
-            power = special.q_factorial_power(z, mp.z0, mp.alpha * k, p)
-            yield lam_pow * power / special.q_gamma(mp.alpha * k + mp.beta, p)
-            k += 1
-            lam_pow *= mp.lam
-
-    return _accumulate(terms(), p.trunc, detect_growth=True, label="q-Mittag-Leffler")
+    return _ml_sum(_ml_ratios(mp.alpha, mp.beta, mp.lam, p), mp.alpha, z, mp.z0, p)
 
 
 @dataclass(frozen=True)
@@ -160,13 +147,19 @@ def _ml_ratios(alpha: float, beta: float, lam: float, p: QParams) -> _Column:
     return _Column(fill)
 
 
-def _ml_from_origin(ratios: _Column, alpha: float, z: float, p: QParams) -> float:
-    """sum_k c_k (z - 0)_q^(alpha k), each term the one before times
-    z**alpha c_k / c_{k-1}, over the _Column of _ml_ratios."""
-    power = special.q_factorial_power(z, 0.0, alpha, p)
+def _ml_sum(ratios: _Column, alpha: float, z: float, z0: float, p: QParams) -> float:
+    """sum_k c_k (z - z0)_q^(alpha k) over the _Column of _ml_ratios.
+
+    Each term is the one before times c_k / c_{k-1} and, by the q-power
+    rule, (z - q**(alpha (k-1)) z0)_q^(alpha), which is z**alpha for z0 = 0;
+    so neither c_k nor the power is formed apart, and neither overflows on
+    long series.
+    """
+    q = p.q
+    steps = (special.q_factorial_power(z, z0 * q ** (alpha * k), alpha, p)
+             for k in itertools.count())
     terms = itertools.accumulate(
-        map(operator.mul, ratios.cells(1), itertools.repeat(power)), operator.mul,
-        initial=ratios[0],
+        map(operator.mul, ratios.cells(1), steps), operator.mul, initial=ratios[0]
     )
     return _accumulate(terms, p.trunc, detect_growth=True, label="q-Mittag-Leffler")
 
@@ -184,16 +177,12 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
     # Every term of the forcing series samples f on the same lattice points.
     forcing = None if prob.forcing is None else _Column(prob.forcing).__getitem__
-    if a == 0.0:  # the head's coefficients, once per solution
-        ratios = _ml_ratios(alpha, 1.0, lam, p)
-        head = lambda t: _ml_from_origin(ratios, alpha, t, p)
-    else:
-        head = partial(q_mittag_leffler, MLParams(alpha, 1.0, lam, z0=a), p=p)
+    ratios = _ml_ratios(alpha, 1.0, lam, p)  # the head's coefficients, once per solution
     diagnostics = {"terms": 0, "evaluations": 0}
 
     def rule(t: float) -> float:
         with count_terms() as counter:
-            value = a0 * head(t) if a0 != 0.0 else 0.0
+            value = a0 * _ml_sum(ratios, alpha, t, a, p) if a0 != 0.0 else 0.0
             if forcing is not None:
                 # With lam = 0 every term after the first is 0.0 times an integral.
                 ks = range(1) if lam == 0.0 else itertools.count()

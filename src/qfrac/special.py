@@ -194,7 +194,13 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     if c > 0.0 and abs(1.0 - c * q ** max(0, round(math.log(c) / -math.log(q)))) < 1e-12:
         raise PoleError(f"(t - s)_q^{alpha} denominator vanished for s/t = {u}")
     # While |u q**j| > 1 both products grow like q**(-j**2 / 2) and would
-    # overflow apart; the ratio of their factors stays near q**-alpha.
+    # overflow apart; the ratio of their factors stays near q**-alpha.  That
+    # takes log|u| / -log q steps, known before the loop.
+    if abs(u) > 1.0 and math.log(abs(u)) / -math.log(q) > p.trunc.max_terms:
+        raise NonConvergence(
+            f"{_QFACT_AT.format(t, s, alpha, q)}: the factors with |s/t q**j| > 1 "
+            f"exceed the budget of {p.trunc.max_terms}"
+        )
     value = _power(t, alpha, _QFACT_AT, t, s, alpha, q)
     while abs(u) > 1.0:
         value *= (1.0 - u) / (1.0 - c)

@@ -441,11 +441,31 @@ OFF_GRID_QS = (0.3, 0.5, 0.7, 0.9)
 OFF_GRID_ORDERS = (0.3, 0.77, 1.4, 1.8, 2.6)
 OFF_GRID_RATIOS = (0.13, 0.37, 0.71)
 OFF_GRID_TS = (1.0, 0.6)
-OFF_GRID_OPERANDS = (
-    lambda s: 1.0,
-    lambda s: s,
-    lambda s: s * s - 0.3 * s + 0.5,
-)
+# Polynomials as coefficients of s**0, s**1, ...
+OFF_GRID_POLYS = ((1.0,), (0.0, 1.0), (0.5, -0.3, 1.0))
+
+
+def polynomial(coeffs):
+    return lambda s: sum(c * s**j for j, c in enumerate(coeffs))
+
+
+OFF_GRID_OPERANDS = tuple(map(polynomial, OFF_GRID_POLYS))
+
+
+def power_rule(coeffs, a, alpha, t, p, first=0):
+    """sum_{k >= first} nabla_q^k f(a) (t - a)_q^(k-alpha) / q_gamma(k - alpha + 1)
+    for the polynomial f: by the q-power rule the left Riemann derivative of
+    order alpha from a (first = 0), or the Caputo one from a < t (first = n).
+    The q-derivatives at a come from the coefficients, nabla_q s**j = [j]_q s**(j-1).
+    """
+    q, total, k = p.q, 0.0, 0
+    while coeffs:
+        if k >= first:
+            total += polynomial(coeffs)(a) * q_factorial_power(
+                t, a, k - alpha, p) / q_gamma(k - alpha + 1.0, p)
+        coeffs = [c * (1.0 - q**j) / (1.0 - q) for j, c in enumerate(coeffs)][1:]
+        k += 1
+    return total
 
 
 def jackson_left_integral(f, a, alpha, t, p):
@@ -475,22 +495,40 @@ class TestOffGridStart:
 
     @pytest.mark.parametrize("q", OFF_GRID_QS)
     def test_caputo_matches_jackson_route(self, q):
-        # Order n = 1 operands are smooth, so the routes agree to rounding.
-        # For n = 2 the operand nabla_q^2 f carries rounding noise of about
-        # eps / s**2 near 0; both routes sum it to within ~1e-11 of the exact
-        # value (largest gap between them 1.6e-12, at q = 0.9).  Order 2.6
-        # (n = 3) is left out: there both routes return noise of order 1.
+        # The Caputo derivative is the integral at order -alpha of f less its
+        # q-Taylor part, checked against the exact q-power rule values.  The
+        # composition summed nabla_q^n f, whose samples carry rounding noise
+        # of about eps / s**n near 0: at alpha = 1.4, q = 0.5, a = 0.13, t = 1
+        # it gave 1.2507 for 1.4709, and for alpha = 2.6 (n = 3) up to 16
+        # where the value is 0.
         p = QParams(q)
         for alpha, a, t in off_grid_sweep(q):
+            for coeffs in OFF_GRID_POLYS:
+                got = left_caputo(polynomial(coeffs), a, alpha, t, p)
+                want = power_rule(coeffs, a, alpha, t, p, math.ceil(alpha))
+                assert rel_err(got, want) <= 1e-12, (alpha, a, t, coeffs)
+
+    @pytest.mark.parametrize("q", OFF_GRID_QS)
+    def test_riemann_matches_power_rule(self, q):
+        p = QParams(q)
+        for alpha, a, t in off_grid_sweep(q):
+            for coeffs in OFF_GRID_POLYS:
+                got = left_riemann_deriv(polynomial(coeffs), a, alpha, t, p)
+                want = power_rule(coeffs, a, alpha, t, p)
+                assert rel_err(got, want) <= 1e-12, (alpha, a, t, coeffs)
+
+    @pytest.mark.parametrize("q", OFF_GRID_QS)
+    def test_caputo_of_order_three_on_a_cubic(self, q):
+        # The q-Taylor remainder vanishes at a, qa and q**2 a.  Summed from a,
+        # those three zeros end the anchored sum (the stopping rule's small
+        # run), which left cubics off by up to 6e-2; the sum starts at
+        # a q**3 instead.
+        p, coeffs = QParams(q), (0.5, -0.3, 1.0, 1.0)
+        for alpha, a, t in off_grid_sweep(q):
             if alpha > 2.0:
-                continue
-            n, tol = (1, 1e-12) if alpha < 1.0 else (2, 1e-11)
-            for f in OFF_GRID_OPERANDS:
-                got = left_caputo(f, a, alpha, t, p)
-                want = jackson_left_integral(
-                    lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p
-                )
-                assert rel_err(got, want) <= tol, (alpha, a, t)
+                got = left_caputo(polynomial(coeffs), a, alpha, t, p)
+                want = power_rule(coeffs, a, alpha, t, p, 3)
+                assert rel_err(got, want) <= 1e-12, (alpha, a, t)
 
     def test_one_factorial_power_and_one_gamma_per_call(self, monkeypatch, p_half):
         calls = {"q_factorial_power": 0, "q_gamma": 0}
@@ -583,6 +621,8 @@ RIGHT_OPERANDS = st.sampled_from(
 )
 # Largest gap seen between a series and its composition over these ranges is
 # 9e-12, at q near 0.8, from 0 and n = 3; the composition's nested sums carry it.
+# Against the q-power rule the largest is 1.4e-11 (Riemann from a > t, a
+# value of 2.5e3).
 SERIES_TOL = 1e-10
 
 
@@ -608,20 +648,32 @@ class TestDerivativeSeries:
         assert rel_err(got, composed_right_riemann(f, INF, alpha, t, p)) <= SERIES_TOL
 
     @settings(max_examples=40, deadline=None)
-    @given(q=SERIES_Q, alpha=SERIES_ORDERS, t=SERIES_TS, f=LEFT_OPERANDS,
+    @given(q=SERIES_Q, alpha=SERIES_ORDERS, t=SERIES_TS, coeffs=COEFFS,
            ratio=st.floats(0.1, 1.9), m=st.integers(1, 4))
-    def test_other_endpoints_keep_the_composition(self, q, alpha, t, f, ratio, m):
-        # An a off the grid of t or above it, Caputo from 0 with n >= 2 and a
-        # finite b give the composition bit for bit, or fail as it does
-        # (Caputo from 0 with n >= 3 can, see README).
-        p = QParams(q)
-        starts = [t / q**m] + ([t * ratio] if _grid_exponent(ratio, q) is None else [])
-        for a in starts:
-            assert outcome(left_riemann_deriv, f, a, alpha, t, p) == outcome(
-                composed_riemann, f, a, alpha, t, p)
-        for a in starts + ([0.0] if alpha > 1.0 else []):
+    def test_other_endpoints_keep_the_composition(self, q, alpha, t, coeffs, ratio, m):
+        # Caputo from 0 with n >= 2 and from a > t, and a finite b, give the
+        # composition bit for bit, or fail as it does (Caputo from 0 with
+        # n >= 3 can, see README).  Riemann from an a off the grid of t or
+        # above it, and Caputo from an a off the grid below t, are the
+        # integral at order -alpha; for a polynomial the q-power rule gives
+        # their exact values.  The composition is no reference there: near t
+        # it samples nabla_q^n f below a (Caputo of s**2 - 0.3 s + 0.5 from
+        # a / t = 0.9993, alpha = 1.5, q = 0.5: off by 0.19, the series by
+        # 3e-16, against 40 digits).  On a pole of the kernel both raise
+        # PoleError, so the outcomes compare by error type.
+        p, f, n = QParams(q), polynomial(coeffs), math.ceil(alpha)
+        off_grid = [t * ratio] if _grid_exponent(ratio, q) is None else []
+        above = [t / q**m] + [a for a in off_grid if a > t]
+        below = [a for a in off_grid if a < t]
+        for a in above + ([0.0] if n >= 2 else []):
             assert outcome(left_caputo, f, a, alpha, t, p) == outcome(
                 composed_caputo, f, a, alpha, t, p)
+        for a in above + below:
+            assert_near(value_or_error_type(left_riemann_deriv, f, a, alpha, t, p),
+                        value_or_error_type(power_rule, coeffs, a, alpha, t, p))
+        for a in below:
+            assert_near(value_or_error_type(left_caputo, f, a, alpha, t, p),
+                        value_or_error_type(power_rule, coeffs, a, alpha, t, p, n))
         decay = lambda s: s**-4.0
         assert right_riemann_deriv(decay, t / q**m, alpha, t, p) == composed_right_riemann(
             decay, t / q**m, alpha, t, p)
@@ -633,3 +685,19 @@ def outcome(route, *args):
         return route(*args)
     except QCalculusError as exc:
         return type(exc), str(exc)
+
+
+def value_or_error_type(route, *args):
+    """The route's value, or the type of the error it raised."""
+    try:
+        return route(*args)
+    except QCalculusError as exc:
+        return type(exc)
+
+
+def assert_near(got, want):
+    """Two value_or_error_type outcomes: values within SERIES_TOL, or one error type."""
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert rel_err(got, want) <= SERIES_TOL

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports and binds each
-name it exports.
+name it exports, and some module of the package reads each private name
+bound at the top level of a module, so no helper outlives its callers.
 
 A name counts as used when the module reads it (including inside a quoted
 annotation) or lists it in ``__all__``, so a stale ``__all__`` entry would
@@ -94,3 +95,53 @@ def test_detects_a_stale_export():
 def test_all_exports_bound(module):
     name = "qfrac" if module == "__init__" else f"qfrac.{module}"
     assert unbound_exports(importlib.import_module(name)) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private top-level name a module binds (def, class or assignment) -> its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [target.id for target in bound if isinstance(target, ast.Name)]
+        else:
+            continue
+        names.update((name, node.lineno) for name in targets
+                     if name.startswith("_") and not name.startswith("__"))
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names and attributes the module loads."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """Private top-level names that no module of sources reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = set().union(*map(read_names, trees.values()))
+    return [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in reads
+    ]
+
+
+def test_detects_an_unread_private_name():
+    sources = {
+        "a.py": "def _kept(): pass\ndef _left_behind(): pass\n_LIMIT: int = 3\n",
+        "b.py": "from .a import _kept\n_kept()\n",
+    }
+    assert unread_privates(sources) == ["a.py line 2: _left_behind", "a.py line 3: _LIMIT"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_privates(sources) == []

@@ -149,6 +149,19 @@ class TestFactorialPower:
         with pytest.raises(DomainError, match="s/t must be finite"):
             q_factorial_power(1.0, math.inf, 0.5, QParams(0.9))
 
+    def test_ratio_prefix_beyond_budget_is_nonconvergence(self):
+        # The factors with |s/t q**j| > 1 number log(s/t) / -log q, known
+        # before the loop: about 6.9 million here, against a budget of 10,000.
+        with pytest.raises(NonConvergence) as info:
+            q_factorial_power(1.0, 1e300, 0.5, QParams(0.9999))
+        for name in ("t=1.0", "s=1e+300", "alpha=0.5", "q=0.9999"):
+            assert name in str(info.value)
+        # At q = 0.5 they number 996.6: a budget of 1,000 takes them, 996 does not.
+        within = QParams(0.5, Truncation(max_terms=1000))
+        assert math.isfinite(q_factorial_power(1.0, 1e300, 0.5, within))
+        with pytest.raises(NonConvergence):
+            q_factorial_power(1.0, 1e300, 0.5, QParams(0.5, Truncation(max_terms=996)))
+
     def test_snapped_denominator_overflow_is_numeric_overflow(self, p_half):
         # s = t q: the denominator (q**(1 + alpha); q)_inf starts at 2**1999.5.
         with pytest.raises(NumericOverflow, match="x=-1999.5"):
