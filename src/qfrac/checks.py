@@ -269,9 +269,9 @@ def _picard_errors(q, alpha, lam, a, f, p, memo, m_values):
 # with the (n - alpha)-integral: references that the integrals at order
 # -alpha, which serve these derivatives from every a > 0 below t, from a = 0
 # (Caputo there only for n = 1) and to b = infinity, never call.
-def _riemann_composed(f, a, alpha, t, p):
+def _riemann_composed(f, a, alpha, t, p, memo):
     n = math.ceil(alpha)
-    return nabla_q_n(lambda x: left_frac_integral(f, a, n - alpha, x, p), t, n, p)
+    return nabla_q_n(memo(_pointwise, left_frac_integral, f, a, n - alpha, p), t, n, p)
 
 
 def _caputo_composed(f, a, alpha, t, p):
@@ -279,10 +279,10 @@ def _caputo_composed(f, a, alpha, t, p):
     return left_frac_integral(lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p)
 
 
-def _right_riemann_composed(f, alpha, t, p):
+def _right_riemann_composed(f, alpha, t, p, memo):
     n = math.ceil(alpha)
     return (-1.0) ** n * nabla_q_n(
-        lambda x: right_frac_integral(f, INF, n - alpha, x, p), t, n, p)
+        memo(_pointwise, right_frac_integral, f, INF, n - alpha, p), t, n, p)
 
 
 # ivp_fixed_point's solutions, memoised under their own key: its records
@@ -410,17 +410,19 @@ _TABLE = {
             lambda a, f, alpha, beta, t, p: left_frac_integral(f, a, alpha + beta, t, p)),
         _Identity("cauchy_reduction", 1e-6,
             {"a": _STARTS, "f": _POLYS, "n": (1, 2), "t": _ABOVE_A},
-            lambda a, f, n, t, p: nabla_q_n(lambda x: left_frac_integral(f, a, n, x, p), t, n, p),
+            lambda a, f, n, t, p, memo: nabla_q_n(
+                memo(_pointwise, left_frac_integral, f, a, n, p), t, n, p),
             lambda f, t: f(t)),
         # Right-sided reductions on decaying operands (b = infinity).
         _Identity("right_inverse_reduction", 1e-8,
             {("n", "f"): ((1, "s^-2"), (2, "s^-4")), "t": _TS},
-            lambda f, n, t, p: nabla_q_n(lambda x: right_frac_integral(f, INF, n, x, p), t, n, p),
+            lambda f, n, t, p, memo: nabla_q_n(
+                memo(_pointwise, right_frac_integral, f, INF, n, p), t, n, p),
             lambda f, n, t: (-1.0) ** n * f(t)),
         _Identity("right_semigroup_infinite", 1e-6, {"alpha": _ORDERS, "beta": _ORDERS,
                   "f": lambda alpha, beta: ["s^-4" if alpha + beta >= 2.0 else "s^-2"], "t": _TS},
-            lambda alpha, beta, f, t, p: right_frac_integral(
-                lambda x: right_frac_integral(f, INF, alpha, x, p), INF, beta, t, p),
+            lambda alpha, beta, f, t, p, memo: right_frac_integral(
+                memo(_pointwise, right_frac_integral, f, INF, alpha, p), INF, beta, t, p),
             lambda alpha, beta, f, t, p: right_frac_integral(f, INF, alpha + beta, t, p)),
         # Every summand vanishes identically, so the sum is exactly zero.
         _Identity("vanishing_above_endpoint", 0.0,
@@ -429,28 +431,28 @@ _TABLE = {
         _Identity("left_transfer_first_order", 1e-6, {"alpha": _ORDERS, **_LEFT},
             lambda alpha, a, f, t, p: left_frac_integral(
                 lambda s: nabla_q(f, s, p), a, alpha, t, p),
-            lambda alpha, a, f, t, p: nabla_q(
-                lambda x: left_frac_integral(f, a, alpha, x, p), t, p)
+            lambda alpha, a, f, t, p, memo: nabla_q(
+                memo(_pointwise, left_frac_integral, f, a, alpha, p), t, p)
             - special.q_factorial_power(t, a, alpha - 1.0, p) * f(a) / special.q_gamma(alpha, p)),
         _Identity("left_transfer_iterated", 1e-6, {"alpha": (1.5, 2.3), "a": _STARTS_BY_ORDER,
                                                    "f": _POLYS, "t": _ABOVE_A, "p_fold": (2,)},
             lambda alpha, a, f, t, p: left_frac_integral(
                 lambda s: nabla_q_n(f, s, 2, p), a, alpha, t, p),
-            lambda alpha, a, f, t, p: nabla_q_n(
-                lambda x: left_frac_integral(f, a, alpha, x, p), t, 2, p)
+            lambda alpha, a, f, t, p, memo: nabla_q_n(
+                memo(_pointwise, left_frac_integral, f, a, alpha, p), t, 2, p)
             - sum(special.q_factorial_power(t, a, alpha - 2.0 + k, p)
                   / special.q_gamma(alpha + k - 1.0, p) * nabla_q_n(f, a, k, p)
                   for k in range(2))),
         _Identity("right_transfer", 1e-6, {"alpha": _ORDERS, **_RIGHT},
             lambda q, alpha, b, f, t, p: right_frac_integral(
                 lambda s: -nabla_q(f, s, p), b / q, alpha, t, p),
-            lambda q, alpha, b, f, t, p: -nabla_q(
-                lambda x: right_frac_integral(f, b, alpha, x, p), t, p)
+            lambda q, alpha, b, f, t, p, memo: -nabla_q(
+                memo(_pointwise, right_frac_integral, f, b, alpha, p), t, p)
             - r_coef(alpha, q) / special.q_gamma(alpha, p)
             * special.q_factorial_power(b, q * t, alpha - 1.0, p) * f(q ** (1.0 - alpha) * b / q)),
         _Identity("caputo_riemann_left", 1e-6, {"alpha": (0.3, 0.6, 0.9), **_LEFT},
             lambda alpha, a, f, t, p: left_caputo(f, a, alpha, t, p),
-            lambda alpha, a, f, t, p: _riemann_composed(f, a, alpha, t, p)
+            lambda alpha, a, f, t, p, memo: _riemann_composed(f, a, alpha, t, p, memo)
             - special.q_factorial_power(t, a, -alpha, p) * f(a) / special.q_gamma(1.0 - alpha, p)),
         _Identity("caputo_riemann_right", 1e-6, {"alpha": (0.3, 0.6, 0.9), **_RIGHT},
             lambda q, alpha, b, f, t, p: right_caputo(f, b / q, alpha, t, p),

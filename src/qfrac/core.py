@@ -138,7 +138,7 @@ def _accumulate(
     detect_growth: bool = False,
     finite: bool = False,
     scale: float = 1.0,
-    label: str = "series",
+    where: tuple = ("series",),
 ) -> float:
     """Sum terms under the stopping rule.
 
@@ -153,7 +153,9 @@ def _accumulate(
     that run.  Otherwise it stops on ``_SMALL_RUN`` small terms.  Both kinds
     raise NonConvergence past ``max_terms`` terms or at a non-finite term.
     A caller that multiplies the sum by ``scale > 0`` afterwards passes it,
-    so that ``_ABS_TOL`` bounds the terms it stands for.
+    so that ``_ABS_TOL`` bounds the terms it stands for.  A failure's message
+    opens with ``where[0].format(*where[1:])``, a template and its arguments
+    (as _power takes them), formatted only when it is raised.
     """
     max_terms, rel_tol = trunc.max_terms, trunc.rel_tol
     abs_tol = _ABS_TOL / scale if scale else math.inf
@@ -175,11 +177,11 @@ def _accumulate(
         if count > max_terms:
             _note_terms(count)
             raise NonConvergence(
-                f"{label}: stopping rule did not fire within {max_terms} terms"
+                f"{_name(where)}: stopping rule did not fire within {max_terms} terms"
             )
         if not math.isfinite(term):
             _note_terms(count)
-            raise NonConvergence(f"{label}: non-finite term at index {count - 1}")
+            raise NonConvergence(f"{_name(where)}: non-finite term at index {count - 1}")
         total += term
         mag = abs(term)
         if prev_term:
@@ -218,13 +220,18 @@ def _accumulate(
                 ):
                     _note_terms(count)
                     raise NonConvergence(
-                        f"{label}: terms grew for {growth_run} successive steps"
+                        f"{_name(where)}: terms grew for {growth_run} successive steps"
                     )
             else:
                 growth_run = 0
             prev_mag = mag
     _note_terms(count)
     return total
+
+
+def _name(where: tuple) -> str:
+    """The message prefix that a (template, *args) tuple stands for."""
+    return where[0].format(*where[1:])
 
 
 def _grid_exponent(ratio: float, q: float) -> int | None:
@@ -302,11 +309,12 @@ def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
 
 def _chain_sum(
     f: QFunction, x: float, upward: bool, weights: Iterable[float],
-    steps: int | None, p: QParams, label: str,
+    steps: int | None, p: QParams, where: tuple,
 ) -> float:
     """sum_k w_k f(x_k) over k < steps (all k >= 0 if steps is None) with w_k the
     weights, x_0 = x and x_{k+1} = x_k / q (upward) or x_k * q; the one loop that
-    walks a chain.  An infinite upward sum is watched for growth."""
+    walks a chain.  An infinite upward sum is watched for growth; where names
+    a failure, as in _accumulate."""
     q = p.q
 
     def terms() -> Iterator[float]:
@@ -317,7 +325,7 @@ def _chain_sum(
 
     return _accumulate(
         terms(), p.trunc, detect_growth=upward and steps is None,
-        finite=steps is not None, label=label,
+        finite=steps is not None, where=where,
     )
 
 
@@ -328,7 +336,7 @@ def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -
         return 0.0
     q = p.q
     weights = itertools.accumulate(itertools.repeat(q), operator.mul, initial=(1.0 - q) * x)
-    return _chain_sum(f, x, False, weights, steps, p, "q-integral")
+    return _chain_sum(f, x, False, weights, steps, p, ("q-integral at x={!r}, q={!r}", x, q))
 
 
 def q_integral(f: QFunction, a: float, t: float, p: QParams) -> float:
@@ -366,7 +374,8 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
     weights = itertools.accumulate(
         itertools.repeat(q), operator.truediv, initial=(1.0 - q) * t / q
     )
-    return _chain_sum(f, t / q, True, weights, steps, p, "tail integral")
+    return _chain_sum(f, t / q, True, weights, steps, p,
+                      ("tail integral from t={!r} to b={!r}, q={!r}", t, b, q))
 
 
 def _upper_steps(t: float, b: float, q: float) -> int | None:

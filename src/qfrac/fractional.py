@@ -68,7 +68,10 @@ def _integral_order(order: float) -> float:
     return alpha
 
 
-_WEIGHT_AT = "{} fractional integral at t={!r}, alpha={!r}, q={!r}"
+# Failures of an integral's lattice series or weight name its parameters
+# through these, formatted only when raised.
+_LEFT_AT = "left fractional integral at t={!r}, a={!r}, alpha={!r}, q={!r}"
+_RIGHT_AT = "right fractional integral at t={!r}, b={!r}, alpha={!r}, q={!r}"
 
 
 def _lattice_weights(
@@ -93,25 +96,25 @@ def _lattice_weights(
 
 def _lattice_series(
     f: QFunction, x: float, upward: bool, alpha: float, weight: float,
-    steps: int | None, p: QParams, *, offset: float = 1.0, label: str,
+    steps: int | None, p: QParams, where: tuple, offset: float = 1.0,
 ) -> float:
     """core._chain_sum over the weights _lattice_weights(alpha, q, ratio,
     weight, offset), with ratio q**-alpha upward and q downward."""
     q = p.q
     weights = _lattice_weights(alpha, q, q**-alpha if upward else q, weight, offset)
-    return _chain_sum(f, x, upward, weights, steps, p, label)
+    return _chain_sum(f, x, upward, weights, steps, p, where)
 
 
 def _left_off_grid(f: QFunction, a: float, alpha: float, t: float, p: QParams) -> float:
     """I_a^alpha f(t) for 0 < a < t off the grid of t: the lattice series from 0
     at t minus the one at a whose weights run at offset a / t."""
     q = p.q
-    label = f"left fractional integral at t={t!r}, a={a!r}, alpha={alpha!r}, q={q!r}"
-    weight = _power((1.0 - q) * t, alpha, "{}", label)
-    whole = _lattice_series(f, t, False, alpha, weight, None, p, label=label)
+    where = (_LEFT_AT, t, a, alpha, q)
+    weight = _power((1.0 - q) * t, alpha, *where)
+    whole = _lattice_series(f, t, False, alpha, weight, None, p, where)
     start = (1.0 - q) * a * special.q_factorial_power(t, q * a, alpha - 1.0, p)
     start /= special.q_gamma(alpha, p)
-    below = _lattice_series(f, a, False, alpha, start, None, p, offset=a / t, label=label)
+    below = _lattice_series(f, a, False, alpha, start, None, p, where, a / t)
     return whole - below
 
 
@@ -149,9 +152,9 @@ def left_frac_integral(
     q = p.q
     steps = _start_steps(a, t, q)
     if steps != -1:
-        weight = _power((1.0 - q) * t, alpha, _WEIGHT_AT, "left", t, alpha, q)
-        return _lattice_series(f, t, False, alpha, weight, steps, p,
-                               label="left fractional integral")
+        where = (_LEFT_AT, t, a, alpha, q)
+        weight = _power((1.0 - q) * t, alpha, *where)
+        return _lattice_series(f, t, False, alpha, weight, steps, p, where)
     if 0.0 < a < t:
         return _left_off_grid(f, a, alpha, t, p)
 
@@ -181,13 +184,9 @@ def right_frac_integral(
     q = p.q
     steps = _upper_steps(t, b, q)
     shift = q ** (1.0 - alpha)
-    weight = r_coef(alpha, q) * q**-alpha * _power(
-        (1.0 - q) * t, alpha, _WEIGHT_AT, "right", t, alpha, q
-    )
-    return _lattice_series(
-        lambda s: f(s * shift), t / q, True, alpha, weight, steps, p,
-        label="right fractional integral",
-    )
+    where = (_RIGHT_AT, t, b, alpha, q)
+    weight = r_coef(alpha, q) * q**-alpha * _power((1.0 - q) * t, alpha, *where)
+    return _lattice_series(lambda s: f(s * shift), t / q, True, alpha, weight, steps, p, where)
 
 
 def left_riemann_deriv(

@@ -21,7 +21,8 @@ from typing import Callable, Iterator
 from . import special
 from .core import QFunction, QParams, _accumulate, _grid_exponent, _power, count_terms
 from .errors import DomainError
-from .fractional import _WEIGHT_AT, _lattice_weights, left_caputo, left_frac_integral
+from .fractional import (_LEFT_AT, _lattice_series, _lattice_weights, _start_steps, left_caputo,
+                         left_frac_integral)
 
 __all__ = [
     "MLParams",
@@ -161,7 +162,9 @@ def _ml_sum(ratios: _Column, alpha: float, z: float, z0: float, p: QParams) -> f
     terms = itertools.accumulate(
         map(operator.mul, ratios.cells(1), steps), operator.mul, initial=ratios[0]
     )
-    return _accumulate(terms, p.trunc, detect_growth=True, label="q-Mittag-Leffler")
+    return _accumulate(terms, p.trunc, detect_growth=True,
+                       where=("q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, q={!r}",
+                              z, z0, alpha, q))
 
 
 _FORCING_AT = "closed-form forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
@@ -173,24 +176,41 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     The forcing term integral_a^t (t - qs)_q^(alpha-1) E_{alpha,alpha}(lam,
     t - q**alpha s) f(s) nabla_q s is, by the q-power rule (t - s)_q^(mu)
     (t - q**mu s)_q^(nu) = (t - s)_q^(mu+nu), sum_k lam**k I_a^(alpha(k+1)) f(t).
+    Where the integrals are lattice series (a = 0 or a = t q**m), I_a^(alpha(k+1))
+    f(t) is h**(k+1) times the series of unit weight, h = ((1-q) t)**alpha, so
+    term k is z**k, z = lam h, times the series of weight h: z**k falls while
+    the sum converges (|z| < 1), where lam**k alone may overflow.
     """
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
+    q = p.q
     # Every term of the forcing series samples f on the same lattice points.
     forcing = None if prob.forcing is None else _Column(prob.forcing).__getitem__
     ratios = _ml_ratios(alpha, 1.0, lam, p)  # the head's coefficients, once per solution
     diagnostics = {"terms": 0, "evaluations": 0}
 
+    def forcing_terms(t: float) -> Iterator[float]:
+        steps = _start_steps(a, t, q)
+        if steps == -1:  # a off the grid of t
+            for k in itertools.count():
+                yield (_power(lam, k, _FORCING_AT, t, alpha, lam, k)
+                       * left_frac_integral(forcing, a, alpha * (k + 1), t, p))
+            return
+        h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
+        for k in itertools.count():
+            order = alpha * (k + 1)
+            yield (_power(lam * h, k, _FORCING_AT, t, alpha, lam, k) * _lattice_series(
+                forcing, t, False, order, h, steps, p, (_LEFT_AT, t, a, order, q)))
+
     def rule(t: float) -> float:
         with count_terms() as counter:
             value = a0 * _ml_sum(ratios, alpha, t, a, p) if a0 != 0.0 else 0.0
-            if forcing is not None:
-                # With lam = 0 every term after the first is 0.0 times an integral.
-                ks = range(1) if lam == 0.0 else itertools.count()
+            if forcing is not None and lam == 0.0:
+                # Every term after the first is 0.0 times an integral.
+                value += left_frac_integral(forcing, a, alpha, t, p)
+            elif forcing is not None:
                 value += _accumulate(
-                    (_power(lam, k, _FORCING_AT, t, alpha, lam, k)
-                     * left_frac_integral(forcing, a, alpha * (k + 1), t, p)
-                     for k in ks),
-                    p.trunc, detect_growth=True, label="closed-form forcing",
+                    forcing_terms(t), p.trunc, detect_growth=True,
+                    where=("closed-form forcing at t={!r}, alpha={!r}, lam={!r}", t, alpha, lam),
                 )
         diagnostics["evaluations"] += 1
         diagnostics["terms"] += counter.total
@@ -244,10 +264,11 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
         def integral(column: _Column, e: int) -> float:
             """I^alpha of column at x_e; one per increment or forcing cell."""
             x = base * q**e
-            scale = _power((1.0 - q) * x, alpha, _WEIGHT_AT, "left", x, alpha, q)
+            where = (_LEFT_AT, x, a, alpha, q)
+            scale = _power((1.0 - q) * x, alpha, *where)
             value = scale * _accumulate(
                 map(operator.mul, weights.cells(0), column.cells(e)), trunc,
-                finite=end is not None, scale=scale, label="left fractional integral",
+                finite=end is not None, scale=scale, where=where,
             )
             diagnostics["evaluations"] += 1
             return value

@@ -262,7 +262,8 @@ def q_exp_e(t: float, p: QParams) -> float:
             k += 1
             term *= t * (1.0 - q) / (1.0 - q**k)
 
-    return _accumulate(terms(), p.trunc, detect_growth=True, label="e_q series")
+    return _accumulate(terms(), p.trunc, detect_growth=True,
+                       where=("e_q series at t={!r}, q={!r}", t, q))
 
 
 def q_exp_E(t: float, p: QParams) -> float:

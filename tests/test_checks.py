@@ -1,8 +1,12 @@
 import inspect
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from qfrac import checks
+from qfrac import checks, fractional
+from qfrac.fractional import left_frac_integral
 
 # Records per identity at seed 7: the table must keep producing exactly these.
 RECORD_COUNTS = {
@@ -93,3 +97,91 @@ def test_suite_builders_are_generator_functions():
     # Each record is computed when it is asked for, so it can be timed alone.
     assert set(checks._SUITE_BUILDERS) == set(checks.SUITE_NAMES)
     assert all(inspect.isgeneratorfunction(b) for b in checks._SUITE_BUILDERS.values())
+
+
+# The operators whose nested evaluation the suite memo must serve.
+OPERATORS = frozenset(fractional.__all__) - {"r_coef"}
+PACKAGE = Path(checks.__file__).parent
+
+
+def called_by_library(frame) -> bool:
+    """Whether a call made from frame evaluates an operand of a library
+    operator: a module of the package other than checks lies between it and
+    the record it belongs to."""
+    while frame is not None and frame.f_code is not checks._record.__code__:
+        path = Path(frame.f_code.co_filename)
+        if path.parent == PACKAGE and path.name != "checks.py":
+            return True
+        frame = frame.f_back
+    return False
+
+
+def test_nested_routes_evaluate_each_inner_point_once(monkeypatch):
+    # Inner integrals of nested routes go through the suite memo: within one
+    # run no (operator, operand, endpoint, order, point) is computed twice.
+    # A second run computes the same ones again, so the memo does not
+    # outlive its run, and reports the same.
+    runs = []
+
+    def counted(op):
+        def wrapper(f, end, order, x, p):
+            if called_by_library(sys._getframe(1)):
+                runs[-1].append((op.__name__, f, end, order, x, p))
+            return op(f, end, order, x, p)
+
+        return wrapper
+
+    for name in ("left_frac_integral", "right_frac_integral"):
+        monkeypatch.setattr(checks, name, counted(getattr(checks, name)))
+    reports = []
+    for _ in range(2):
+        runs.append([])
+        reports.append(checks.run_suite("frac", 7).to_json_obj())
+    first, second = runs
+    assert {call[0] for call in first} == {"left_frac_integral", "right_frac_integral"}
+    repeated = [call for call, n in Counter(first).items() if n > 1]
+    assert not repeated, repeated[:3]
+    assert second == first
+    assert reports[0] == reports[1]
+
+
+def nested_operator_calls(routes, namespace) -> list[str]:
+    """Functions nested in routes, or in the helpers of namespace that they
+    call by name, that call a fractional operator by name: an inner operator
+    evaluated outside the suite memo."""
+    found, seen = [], set()
+    todo = [route.__code__ for route in routes]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        for name in code.co_names:
+            helper = namespace.get(name)
+            if inspect.isfunction(helper) and helper.__globals__ is namespace:
+                todo.append(helper.__code__)
+        for nested in filter(inspect.iscode, code.co_consts):
+            if OPERATORS.intersection(nested.co_names):
+                found.append(f"{nested.co_name} in {code.co_name} line {nested.co_firstlineno}")
+            todo.append(nested)
+    return sorted(found)
+
+
+def _composed_helper(f, t, p):
+    return checks.nabla_q(lambda x: left_frac_integral(f, 0.0, 0.5, x, p), t, p)
+
+
+def test_detects_a_nested_operator():
+    direct = lambda f, t, p: checks.nabla_q(lambda x: left_frac_integral(f, 0.0, 0.5, x, p), t, p)
+    via_helper = lambda f, t, p: _composed_helper(f, t, p)
+    memoised = lambda f, t, p, memo: checks.nabla_q(
+        memo(checks._pointwise, left_frac_integral, f, 0.0, 0.5, p), t, p)
+    found = nested_operator_calls([direct, via_helper, memoised], globals())
+    assert [entry.split(" line ")[0] for entry in found] == [
+        "<lambda> in <lambda>", "<lambda> in _composed_helper"]
+
+
+def test_nested_routes_use_the_memo():
+    routes = [route for entries in checks._TABLE.values() for entry in entries
+              for route in (entry.lhs, entry.rhs)]
+    assert nested_operator_calls(routes, vars(checks)) == []

@@ -277,6 +277,20 @@ class TestEvalErrors:
         for name in ("t=1.0", "a=0.3", "alpha=0.7", "q=0.5"):
             assert name in err
 
+    @pytest.mark.parametrize("argv, names", [
+        (["--side", "right", "--b", "inf", "--f", "s"],
+         ["right fractional integral at t=1.0, b=inf, alpha=0.5, q=0.5", "terms grew"]),
+        (["--a", "0", "--f", "inv(s)"],
+         ["left fractional integral at t=1.0, a=0.0, alpha=0.5, q=0.5", "non-finite term"]),
+    ])
+    def test_lattice_series_failure_names_parameters(self, argv, names):
+        code, _, err = run_cli(
+            ["eval", "--q", "0.5", "fracint", "--alpha", "0.5", "--t", "1", *argv])
+        assert code == 2
+        assert err.startswith("qfrac: numeric failure: ")
+        for name in names:
+            assert name in err
+
     def test_caputo_operand_singular_at_the_start(self, p_half):
         # The series from a reads f(a), which inv(s) from a = 0 has not.
         with pytest.raises(NonConvergence) as info:

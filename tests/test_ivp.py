@@ -14,7 +14,6 @@ from qfrac import (
     IVProblem,
     MLParams,
     NonConvergence,
-    NumericOverflow,
     PoleError,
     QCalculusError,
     QParams,
@@ -332,15 +331,20 @@ class TestForcingSeries:
         assert abs(ivp_residual(prob, y, t, p)) <= 1e-5
         assert calls == {"q_factorial_power": 0, "q_mittag_leffler": 0}
 
-    def test_power_of_lam_overflow_is_numeric_overflow(self):
-        # The alternating series at lam = -1.5 runs about 1,750 terms, and
-        # lam**k leaves the double range before the sum stops.
-        prob = IVProblem(1.0, -1.5, 0.0, 1.0, lambda s: s * s - 0.3 * s + 0.5)
-        y = solve_ivp_closed(prob, QParams(0.5625))
-        with pytest.raises(NumericOverflow) as info:
-            y(1.5)
-        for name in ("t=1.5", "alpha=1.0", "lam=-1.5", "k="):
-            assert name in str(info.value)
+    def test_long_alternating_series_matches_the_recursion(self):
+        # The alternating series at lam = -1.5 runs about 1,750 terms, past
+        # the k = 1,751 where lam**k leaves the double range; z**k, z = lam
+        # ((1-q) t)**alpha = -0.984, does not.  At alpha = 1 the equation is
+        # the q-difference recursion y(x) (1 - (1-q) x lam) = y(qx) + (1-q) x f(x),
+        # run up the chain of t from y(0) = 1 at depth 400.
+        q, lam, t = 0.5625, -1.5, 1.5
+        f = lambda s: s * s - 0.3 * s + 0.5
+        y = solve_ivp_closed(IVProblem(1.0, lam, 0.0, 1.0, f), QParams(q))
+        want = 1.0
+        for e in range(400, -1, -1):
+            x = t * q**e
+            want = (want + (1.0 - q) * x * f(x)) / (1.0 - (1.0 - q) * x * lam)
+        assert abs(y(t) - want) <= 1e-10
 
 
 @settings(max_examples=30, deadline=None)
