@@ -268,7 +268,7 @@ def _picard_errors(q, alpha, lam, a, f, p, memo, m_values):
 # The definitions of the derivatives, n = ceil(alpha) q-derivatives composed
 # with the (n - alpha)-integral: references that the integrals at order
 # -alpha, which serve these derivatives from every a > 0 below t, from a = 0
-# (Caputo there only for n = 1) and to b = infinity, never call.
+# (Caputo there only for n = 1) and to every b (right Riemann), never call.
 def _riemann_composed(f, a, alpha, t, p, memo):
     n = math.ceil(alpha)
     return nabla_q_n(memo(_pointwise, left_frac_integral, f, a, n - alpha, p), t, n, p)
@@ -279,10 +279,10 @@ def _caputo_composed(f, a, alpha, t, p):
     return left_frac_integral(lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p)
 
 
-def _right_riemann_composed(f, alpha, t, p, memo):
+def _right_riemann_composed(f, b, alpha, t, p, memo):
     n = math.ceil(alpha)
     return (-1.0) ** n * nabla_q_n(
-        memo(_pointwise, right_frac_integral, f, INF, n - alpha, p), t, n, p)
+        memo(_pointwise, right_frac_integral, f, b, n - alpha, p), t, n, p)
 
 
 # ivp_fixed_point's solutions, memoised under their own key: its records
@@ -424,6 +424,11 @@ _TABLE = {
             lambda alpha, beta, f, t, p, memo: right_frac_integral(
                 memo(_pointwise, right_frac_integral, f, INF, alpha, p), INF, beta, t, p),
             lambda alpha, beta, f, t, p: right_frac_integral(f, INF, alpha + beta, t, p)),
+        # To a finite b the nested route equals the direct one to b q: exact finite sums.
+        _Identity("right_semigroup_shifted", 1e-12, {"alpha": _ORDERS, **_RIGHT},
+            lambda alpha, b, f, t, p, memo: right_frac_integral(
+                memo(_pointwise, right_frac_integral, f, b, alpha, p), b, 1.0, t, p),
+            lambda q, alpha, b, f, t, p: right_frac_integral(f, b * q, alpha + 1.0, t, p)),
         # Every summand vanishes identically, so the sum is exactly zero.
         _Identity("vanishing_above_endpoint", 0.0,
             {("alpha", "beta"): ((0.5, 0.7), (1.3, 0.4)), "b": (1.0,), "t": lambda q: [q**2]},
@@ -459,6 +464,10 @@ _TABLE = {
             lambda q, alpha, b, f, t, p: right_riemann_deriv(f, b, alpha, t, p)
             - r_coef(1.0 - alpha, q) / special.q_gamma(1.0 - alpha, p)
             * special.q_factorial_power(b, q * t, -alpha, p) * f(q**alpha * b / q)),
+        # To infinity the boundary term vanishes for decaying operands.
+        _Identity("caputo_riemann_right_infinite", 1e-10, {"alpha": (0.3, 0.6, 0.9), **_RIGHT_INF},
+            lambda alpha, f, t, p: right_caputo(f, INF, alpha, t, p),
+            lambda alpha, f, t, p: right_riemann_deriv(f, INF, alpha, t, p)),
         # Each derivative's series against the other's definition.
         _Identity("riemann_caputo_left", 1e-6, {"alpha": (0.3, 0.6, 0.9), **_LEFT},
             lambda alpha, a, f, t, p: left_riemann_deriv(f, a, alpha, t, p),
@@ -466,6 +475,9 @@ _TABLE = {
             + special.q_factorial_power(t, a, -alpha, p) * f(a) / special.q_gamma(1.0 - alpha, p)),
         _Identity("riemann_series_right", 1e-10, {"alpha": (0.3, 0.6, 0.9), **_RIGHT_INF},
             lambda alpha, f, t, p: right_riemann_deriv(f, INF, alpha, t, p),
+            lambda alpha, f, t, p, memo: _right_riemann_composed(f, INF, alpha, t, p, memo)),
+        _Identity("riemann_series_right", 1e-10, {"alpha": (0.3, 0.6, 0.9), **_RIGHT},
+            lambda alpha, b, f, t, p: right_riemann_deriv(f, b, alpha, t, p),
             _right_riemann_composed),
         _Identity("caputo_inversion", 1e-6,
             {"alpha": (0.7, 1.6), "a": _STARTS_BY_ORDER, "f": _POLYS, "t": _ABOVE_A},

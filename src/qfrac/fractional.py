@@ -7,11 +7,11 @@ On grid-aligned endpoints an operator is one lattice series.  A derivative
 of non-integer order alpha is the integral at order -alpha (the
 q-Grunwald-Letnikov form of Al-Salam and Agarwal): the left Riemann one from
 every start, left Caputo (on f less its q-Taylor part) from every start
-below t, and the right Riemann one to b = infinity.  Left Caputo from 0 with
-n >= 2 or from above t, and the right derivatives to a finite b, compose an
-exact n-fold q-derivative (n = ceil(alpha)) with a fractional integral of
-order n - alpha, the definitions themselves.  Integer orders short-circuit
-to the plain iterated q-derivative.
+below t, and the right Riemann one to every b, whose endpoint moves to
+b q**-n (n = ceil(alpha)).  Left Caputo from 0 with n >= 2 or from above t,
+and right Caputo, compose an exact n-fold q-derivative with a fractional
+integral of order n - alpha, the definitions themselves.  Integer orders
+short-circuit to the plain iterated q-derivative.
 """
 
 from __future__ import annotations
@@ -105,19 +105,6 @@ def _lattice_series(
     return _chain_sum(f, x, upward, weights, steps, p, where)
 
 
-def _left_off_grid(f: QFunction, a: float, alpha: float, t: float, p: QParams) -> float:
-    """I_a^alpha f(t) for 0 < a < t off the grid of t: the lattice series from 0
-    at t minus the one at a whose weights run at offset a / t."""
-    q = p.q
-    where = (_LEFT_AT, t, a, alpha, q)
-    weight = _power((1.0 - q) * t, alpha, *where)
-    whole = _lattice_series(f, t, False, alpha, weight, None, p, where)
-    start = (1.0 - q) * a * special.q_factorial_power(t, q * a, alpha - 1.0, p)
-    start /= special.q_gamma(alpha, p)
-    below = _lattice_series(f, a, False, alpha, start, None, p, where, a / t)
-    return whole - below
-
-
 def _start_steps(a: float, t: float, q: float) -> int | None:
     """The number of terms of the left lattice series at t from a: m for
     a = t q**m (m >= 0), None (infinitely many) for a = 0, and -1 where no
@@ -130,6 +117,29 @@ def _start_steps(a: float, t: float, q: float) -> int | None:
     return -1 if m is None or m < 0 else m
 
 
+def _left_series(f: QFunction, a: float, alpha: float, t: float, steps: int | None,
+                 weight: float, p: QParams) -> float:
+    """weight * sum_{i<m} c_i f(t q**i), c_i = q**i (q**alpha; q)_i / (q; q)_i, for
+    m = steps = _start_steps(a, t, q): I_a^alpha f(t) at weight ((1-q) t)**alpha.
+
+    For steps = -1 (0 < a < t off the grid of t) it is that series for m
+    infinite less the one anchored at a, sum_i W_i f(a q**i), W_0 = weight c
+    (1 - qc)_q^(alpha-1) (q**alpha; q)_inf / (q; q)_inf and W_{i+1} = W_i q
+    (1 - c q**(alpha+i)) / (1 - c q**(i+1)), c = a / t: one factorial power and
+    two memoised q-Pochhammer tails, no q_gamma, so a large alpha does not overflow.
+    """
+    q = p.q
+    where = (_LEFT_AT, t, a, alpha, q)
+    if steps != -1:
+        return _lattice_series(f, t, False, alpha, weight, steps, p, where)
+    c = a / t
+    tail = special._pochhammer_tail
+    start = weight * c * special.q_factorial_power(1.0, q * c, alpha - 1.0, p)
+    start *= tail(alpha, p) / tail(1.0, p)
+    whole = _lattice_series(f, t, False, alpha, weight, None, p, where)
+    return whole - _lattice_series(f, a, False, alpha, start, None, p, where, c)
+
+
 def left_frac_integral(
     f: QFunction, a: float, order: float, t: float, p: QParams
 ) -> float:
@@ -137,26 +147,19 @@ def left_frac_integral(
 
     (1 / q_gamma(alpha)) * integral_a^t (t - qs)_q^(alpha-1) f(s) nabla_q s.
 
-    When a = 0 or a = t q**m (m >= 0) this is the lattice series
-    sum_{i<m} c_i f(t q**i), c_i = ((1-q) t)**alpha q**i (q**alpha; q)_i / (q; q)_i
-    (m infinite for a = 0).  A start 0 < a < t off the grid of t gives that
-    series for m infinite minus the Jackson sum anchored at a,
-    sum_i W_i f(a q**i), W_0 = (1-q) a (t - qa)_q^(alpha-1) / q_gamma(alpha)
-    and W_{i+1} = W_i q (1 - c q**(alpha+i)) / (1 - c q**(i+1)), c = a / t,
-    so one factorial power and one q_gamma per call.  Any other a (a > t off
-    or on the grid, or t <= 0) takes the Jackson sum of the kernel built by
-    q_factorial_power at every point.  A negative non-integer order -alpha
-    gives the left Riemann derivative of order alpha on every route.
+    From a = 0, a = t q**m (m >= 0) or 0 < a < t off the grid of t it is
+    _left_series of weight ((1-q) t)**alpha: a lattice series, less its part
+    anchored at a off the grid.  Any other a (a > t off or on the grid, or
+    t <= 0) takes the Jackson sum of the kernel built by q_factorial_power at
+    every point.  A negative non-integer order -alpha gives the left Riemann
+    derivative of order alpha on every route.
     """
     alpha = _integral_order(order)
     q = p.q
     steps = _start_steps(a, t, q)
-    if steps != -1:
-        where = (_LEFT_AT, t, a, alpha, q)
-        weight = _power((1.0 - q) * t, alpha, *where)
-        return _lattice_series(f, t, False, alpha, weight, steps, p, where)
-    if 0.0 < a < t:
-        return _left_off_grid(f, a, alpha, t, p)
+    if steps != -1 or 0.0 < a < t:
+        weight = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
+        return _left_series(f, a, alpha, t, steps, weight, p)
 
     def integrand(s: float) -> float:
         kernel = special.q_factorial_power(t, q * s, alpha - 1.0, p)
@@ -211,22 +214,20 @@ def right_riemann_deriv(
     f: QFunction, b: float, order: float, t: float, p: QParams
 ) -> float:
     """Right Riemann q-fractional derivative (-1)**n nabla_q^n of the right
-    (n - alpha)-integral.
+    (n - alpha)-integral to b.
 
-    To b = infinity it is the right integral's lattice series at order
-    -alpha.  A finite b keeps the composition: the series differs from it in
-    the boundary terms at b.
+    For non-integer alpha it is the right integral's lattice series at order
+    -alpha to b q**-n (n = ceil(alpha)), for every b: with b = t q**-m its
+    m + n terms reach no point above b, and b = infinity stays infinite.
+    b below t raises DomainError, as the integral to b does.
     """
     alpha, n = _derivative_order(order)
     sign = -1.0 if n % 2 else 1.0
     if n == alpha:
         return sign * nabla_q_n(f, t, n, p)
-    if b == math.inf:
-        return right_frac_integral(f, b, -alpha, t, p)
-    inner_order = n - alpha
-    return sign * nabla_q_n(
-        lambda x: right_frac_integral(f, b, inner_order, x, p), t, n, p
-    )
+    if not b >= t:
+        raise DomainError(f"right Riemann derivative needs b >= t, got t={t}, b={b}")
+    return right_frac_integral(f, b / p.q**n, -alpha, t, p)
 
 
 def _taylor_remainder(

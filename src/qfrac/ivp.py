@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 from . import special
 from .core import QFunction, QParams, _accumulate, _grid_exponent, _power, count_terms
 from .errors import DomainError
-from .fractional import (_LEFT_AT, _lattice_series, _lattice_weights, _start_steps, left_caputo,
+from .fractional import (_LEFT_AT, _lattice_weights, _left_series, _start_steps, left_caputo,
                          left_frac_integral)
 
 __all__ = [
@@ -176,10 +176,11 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     The forcing term integral_a^t (t - qs)_q^(alpha-1) E_{alpha,alpha}(lam,
     t - q**alpha s) f(s) nabla_q s is, by the q-power rule (t - s)_q^(mu)
     (t - q**mu s)_q^(nu) = (t - s)_q^(mu+nu), sum_k lam**k I_a^(alpha(k+1)) f(t).
-    Where the integrals are lattice series (a = 0 or a = t q**m), I_a^(alpha(k+1))
-    f(t) is h**(k+1) times the series of unit weight, h = ((1-q) t)**alpha, so
+    I_a^(alpha(k+1)) f(t) is h**(k+1) times the left series of unit weight
+    (on the lattice or from an a off the grid of t), h = ((1-q) t)**alpha, so
     term k is z**k, z = lam h, times the series of weight h: z**k falls while
-    the sum converges (|z| < 1), where lam**k alone may overflow.
+    the sum converges (|z| < 1), where lam**k or Gamma_q(alpha(k+1)) alone
+    may overflow.  t < a raises DomainError; y(a) = a0.
     """
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
     q = p.q
@@ -190,24 +191,21 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
 
     def forcing_terms(t: float) -> Iterator[float]:
         steps = _start_steps(a, t, q)
-        if steps == -1:  # a off the grid of t
-            for k in itertools.count():
-                yield (_power(lam, k, _FORCING_AT, t, alpha, lam, k)
-                       * left_frac_integral(forcing, a, alpha * (k + 1), t, p))
-            return
         h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
         for k in itertools.count():
-            order = alpha * (k + 1)
-            yield (_power(lam * h, k, _FORCING_AT, t, alpha, lam, k) * _lattice_series(
-                forcing, t, False, order, h, steps, p, (_LEFT_AT, t, a, order, q)))
+            yield (_power(lam * h, k, _FORCING_AT, t, alpha, lam, k)
+                   * _left_series(forcing, a, alpha * (k + 1), t, steps, h, p))
 
     def rule(t: float) -> float:
+        if not t >= a:
+            raise DomainError(f"the closed form needs t >= a, got t={t}, a={a}")
         with count_terms() as counter:
             value = a0 * _ml_sum(ratios, alpha, t, a, p) if a0 != 0.0 else 0.0
-            if forcing is not None and lam == 0.0:
+            forced = forcing is not None and t > a  # at t = a the integrals are empty
+            if forced and lam == 0.0:
                 # Every term after the first is 0.0 times an integral.
                 value += left_frac_integral(forcing, a, alpha, t, p)
-            elif forcing is not None:
+            elif forced:
                 value += _accumulate(
                     forcing_terms(t), p.trunc, detect_growth=True,
                     where=("closed-form forcing at t={!r}, alpha={!r}, lam={!r}", t, alpha, lam),

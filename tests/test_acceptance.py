@@ -137,6 +137,12 @@ def test_criterion_7_gamma_and_factorial_lemma(special_report):
 def test_criterion_8_right_operator_reductions(frac_report):
     ok = _all_pass(frac_report, "right_inverse_reduction", 1e-8)
     ok = ok and _all_pass(frac_report, "right_semigroup_infinite", 1e-6)
+    # The right Riemann series to every b against its definition, the finite
+    # right semigroup with the endpoint moved to b q, and right Caputo
+    # against the Riemann series to infinity.
+    ok = ok and _all_pass(frac_report, "riemann_series_right", 1e-10)
+    ok = ok and _all_pass(frac_report, "right_semigroup_shifted", 1e-12)
+    ok = ok and _all_pass(frac_report, "caputo_riemann_right_infinite", 1e-10)
     # The analytically derived tail value: the order-one right integral of
     # s^-2 is q / t, whose q-derivative returns -1/t^2.
     for q in (0.3, 0.5, 0.8):
@@ -146,8 +152,10 @@ def test_criterion_8_right_operator_reductions(frac_report):
             ok = ok and rel_err(value, q / t) < 1e-8
     _criterion(
         8,
-        "right-operator reductions at 1e-8 (incl. the q/t tail) and the "
-        "infinite right semigroup at 1e-6",
+        "right-operator reductions at 1e-8 (incl. the q/t tail), the "
+        "infinite right semigroup at 1e-6, the right Riemann series to every b "
+        "and right Caputo to infinity at 1e-10, and the shifted finite "
+        "right semigroup at 1e-12",
         ok,
     )
 

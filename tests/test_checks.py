@@ -32,15 +32,17 @@ RECORD_COUNTS = {
         "caputo_inversion": 120,
         "caputo_riemann_left": 252,
         "caputo_riemann_right": 252,
+        "caputo_riemann_right_infinite": 72,
         "cauchy_reduction": 168,
         "left_semigroup": 756,
         "left_transfer_first_order": 252,
         "left_transfer_iterated": 72,
         "power_rule": 216,
         "riemann_caputo_left": 252,
-        "riemann_series_right": 72,
+        "riemann_series_right": 324,
         "right_inverse_reduction": 24,
         "right_semigroup_infinite": 108,
+        "right_semigroup_shifted": 252,
         "right_transfer": 252,
         "vanishing_above_endpoint": 6,
     },
@@ -85,12 +87,12 @@ def test_record_counts_per_identity(report_all):
         counts[rec.identity] = counts.get(rec.identity, 0) + 1
     expected = {name: n for suite in RECORD_COUNTS.values() for name, n in suite.items()}
     assert counts == expected
-    assert len(counts) == 36
+    assert len(counts) == 38
     suites = {suite: {entry.name for entry in checks._TABLE[suite]} for suite in checks.SUITE_NAMES}
     assert suites == {suite: set(by_name) for suite, by_name in RECORD_COUNTS.items()}
     totals = {suite: sum(by_name.values()) for suite, by_name in RECORD_COUNTS.items()}
-    assert totals == {"core": 519, "special": 309, "frac": 2802, "ivp": 73}
-    assert len(report_all.records) == 3703
+    assert totals == {"core": 519, "special": 309, "frac": 3378, "ivp": 73}
+    assert len(report_all.records) == 4279
 
 
 def test_suite_builders_are_generator_functions():

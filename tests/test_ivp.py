@@ -36,6 +36,8 @@ from qfrac import (
     solve_ivp_picard,
 )
 
+from qfrac.fractional import _left_series
+
 from conftest import chain_wobble, rel_err
 
 # alpha=0.9, beta=1, lam=0.3, z=1, z0=q^4, q=1/2; frozen from a 50-digit run.
@@ -345,6 +347,59 @@ class TestForcingSeries:
             x = t * q**e
             want = (want + (1.0 - q) * x * f(x)) / (1.0 - (1.0 - q) * x * lam)
         assert abs(y(t) - want) <= 1e-10
+
+
+class TestOffGridClosedForm:
+    def test_long_series_from_an_off_grid_start_sums(self):
+        # The same series from a = 0.00037, off the grid of t: term k is z**k
+        # times the left series of weight h, which forms no Gamma_q(alpha(k+1))
+        # (it left the double range at alpha(k+1) = 860).  The value is that
+        # of sum_k lam**k (t - a)_q^(k) / [k]_q! plus the Jackson integral from
+        # a to t of f against the same series in (t - qs)_q^(k), both at 50
+        # digits: 1.099927824921041867587589175739501681.
+        f = lambda s: s * s - 0.3 * s + 0.5
+        y = solve_ivp_closed(IVProblem(1.0, -1.5, 0.00037, 1.0, f), QParams(0.5625))
+        value = y(1.5)
+        assert math.isfinite(value)
+        assert abs(value - 1.0999278249210419) <= 1e-12
+
+    # Values from an a off the grid of t as the per-term integrals
+    # lam**k I_a^(alpha(k+1)) f(t) gave them; the left series of weight h
+    # moved 200 random problems of this kind by at most 8.1e-16.
+    @pytest.mark.parametrize(
+        "q, alpha, lam, a, a0, coeffs, t, before",
+        [
+            (0.5, 0.8, 0.3, 0.37, 1.0, (1.0, -0.5, 0.7), 1.0, 2.252485958920297),
+            (0.3, 0.5, -0.4, 0.013, 0.5, (0.0, -0.2, 1.0), 0.6, 0.49757255304097425),
+            (0.9, 1.0, 0.45, 0.2, -1.0, (0.5, 1.0, 0.0), 0.77, -0.6389620153861649),
+            (0.7, 0.65, -0.25, 0.05, 0.0, (0.0, 0.0, 1.0), 2.3, 4.4676096973101656),
+        ],
+    )
+    def test_off_grid_values_are_kept(self, q, alpha, lam, a, a0, coeffs, t, before):
+        y = solve_ivp_closed(IVProblem(alpha, lam, a, a0, quadratic(*coeffs)), QParams(q))
+        assert rel_err(y(t), before) <= 1e-14
+
+    @pytest.mark.parametrize("t", [0.2, 0.37 * 0.5, -1.0, math.nan])
+    def test_point_below_start_rejected(self, p_half, t):
+        y = solve_ivp_closed(IVProblem(0.8, 0.3, 0.37, 1.0, quadratic(1.0, -0.5, 0.7)), p_half)
+        with pytest.raises(DomainError):
+            y(t)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5**4])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_initial_point_gives_initial_value(self, p_half, a, lam):
+        # At t = a the forcing integrals are empty; t = a = 0 is the point
+        # that Caputo from 0 reads in ivp_residual.
+        y = solve_ivp_closed(IVProblem(0.8, lam, a, 1.25, quadratic(1.0, -0.5, 0.7)), p_half)
+        assert y(a) == 1.25
+
+    def test_high_order_term_against_exact_value(self):
+        # The unit-weight left series at order 1500 from a off the grid of t,
+        # I_a^1500 f(t) / ((1-q) t)**1500, against a 50-digit Jackson sum of
+        # the definition: 5.028457578120820334656464045859239136.
+        f = lambda s: s * s - 0.3 * s + 0.5
+        got = _left_series(f, 0.00037, 1500.0, 1.5, -1, 1.0, QParams(0.5625))
+        assert rel_err(got, 5.028457578120820334656464045859239136) <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)
