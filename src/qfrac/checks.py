@@ -251,11 +251,15 @@ def _increments(t, lam, a, alpha, p):
     return chain
 
 
-# y(t) for C^alpha y = lam y + f, y(a) = 1: closed form, or m Picard steps.
+# y(t) for C^alpha y = lam y + f, y(a) = 1: closed form, or m Picard steps;
+# and the closed form's residual in the equation at t.
 _closed_at = lambda alpha, lam, a, f, t, p, memo: memo(
     solve_ivp_closed, IVProblem(alpha, lam, a, 1.0, f), p)(t)
 _picard_at = lambda alpha, lam, a, f, t, p, memo, m: memo(
     solve_ivp_picard, IVProblem(alpha, lam, a, 1.0, f), m, p)(t)
+_residual_at = lambda alpha, lam, a, f, t, p, memo: ivp_residual(
+    IVProblem(alpha, lam, a, 1.0, f), memo(solve_ivp_closed, IVProblem(alpha, lam, a, 1.0, f), p),
+    t, p)
 
 
 def _picard_errors(q, alpha, lam, a, f, p, memo, m_values):
@@ -499,9 +503,7 @@ _TABLE = {
                 memo(_fixed_point_solution, alpha, lam, a, p), a, alpha, t, p)),
         _Identity("picard_vs_closed", 1e-6, {**_IVP, "m": (25,), "t": _IVP_TS},
             _picard_at, _closed_at),
-        _Identity("ivp_residual_closed", 1e-5, {**_IVP, "t": _IVP_TS},
-            lambda alpha, lam, a, t, p, memo: ivp_residual(IVProblem(alpha, lam, a, 1.0),
-                memo(solve_ivp_closed, IVProblem(alpha, lam, a, 1.0), p), t, p)),
+        _Identity("ivp_residual_closed", 1e-5, {**_IVP, "t": _IVP_TS}, _residual_at),
         _Identity("closed_exp_reduction", 1e-8,
             {"q": (0.5,), "alpha": (1.0,), "lam": (1.0,), "a": (0.0,), "t": _IVP_TS},
             _closed_at, lambda t, p: special.q_exp_e(t, p)),
@@ -515,6 +517,13 @@ _TABLE = {
             lambda alpha, lam, a, t, k, p: lam**k * special.q_factorial_power(t, a, alpha * k, p)
             / special.q_gamma(alpha * k + 1.0, p),
             lambda alpha, lam, a, t, k, p, memo: memo(_increments, t, lam, a, alpha, p)[k](t)),
+        # Picard(m), a cut series, against the sum of the first m increments:
+        # iterated integrals, a route that shares no series with it.
+        _Identity("picard_vs_increments", 1e-12, {**_IVP, "m": (1, 3, 5), "t": _IVP_TS},
+            _picard_at, lambda alpha, lam, a, t, m, p, memo: sum(
+                d(t) for d in memo(_increments, t, lam, a, alpha, p)[:m + 1])),
+        _Identity("ivp_residual_forced", 1e-5,
+            {**_IVP, "a": (0.0, 0.5**4), "f": ("t",), "t": _IVP_TS}, _residual_at),
     ),
 }
 

@@ -137,8 +137,7 @@ def _accumulate(
     *,
     detect_growth: bool = False,
     finite: bool = False,
-    scale: float = 1.0,
-    where: tuple = ("series",),
+    where: tuple,
 ) -> float:
     """Sum terms under the stopping rule.
 
@@ -152,13 +151,11 @@ def _accumulate(
     S + tail; any other ratio (sign change, zero or growing term) restarts
     that run.  Otherwise it stops on ``_SMALL_RUN`` small terms.  Both kinds
     raise NonConvergence past ``max_terms`` terms or at a non-finite term.
-    A caller that multiplies the sum by ``scale > 0`` afterwards passes it,
-    so that ``_ABS_TOL`` bounds the terms it stands for.  A failure's message
-    opens with ``where[0].format(*where[1:])``, a template and its arguments
-    (as _power takes them), formatted only when it is raised.
+    A failure's message opens with ``where[0].format(*where[1:])``, a
+    template and its arguments (as _power takes them), formatted only when it
+    is raised.
     """
-    max_terms, rel_tol = trunc.max_terms, trunc.rel_tol
-    abs_tol = _ABS_TOL / scale if scale else math.inf
+    max_terms, rel_tol, abs_tol = trunc.max_terms, trunc.rel_tol, _ABS_TOL
     # A small run never reaches max_terms + 1 before the budget check fires.
     small_limit = max_terms + 1 if finite else _SMALL_RUN
     tail_tol = _TAIL_SHARE * rel_tol

@@ -75,7 +75,7 @@ _RIGHT_AT = "right fractional integral at t={!r}, b={!r}, alpha={!r}, q={!r}"
 
 
 def _lattice_weights(
-    alpha: float, q: float, ratio: float, weight: float = 1.0, offset: float = 1.0
+    alpha: float, q: float, ratio: float, weight: float, offset: float
 ) -> Iterator[float]:
     """w_0 = weight, w_{k+1} = w_k * ratio * (1 - c q**(alpha+k)) / (1 - c q**(k+1))
     with c = offset.

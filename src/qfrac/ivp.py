@@ -4,9 +4,9 @@ Solves, for 0 < alpha <= 1 on the q-grid through a,
 
     (left Caputo deriv of order alpha of y)(t) = lam * y(t) + f(t),  y(a) = a0,
 
-either in closed form through the q-Mittag-Leffler kernel or by Picard
-successive approximation, with a pointwise residual check tying the two back
-to the equation itself.
+in closed form through the q-Mittag-Leffler kernel, or by m steps of Picard
+successive approximation, which are that series cut after m terms; a
+pointwise residual check ties the solutions back to the equation itself.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import special
-from .core import QFunction, QParams, _accumulate, _grid_exponent, _power, count_terms
+from .core import QFunction, QParams, _accumulate, _power, count_terms
 from .errors import DomainError
-from .fractional import (_LEFT_AT, _lattice_weights, _left_series, _start_steps, left_caputo,
+from .fractional import (_LEFT_AT, _left_series, _start_steps, left_caputo,
                          left_frac_integral)
 
 __all__ = [
@@ -85,44 +85,48 @@ class IVProblem:
 class IVPSolution:
     """Evaluable solution with a method tag and evaluation diagnostics.
 
-    Instances are callable.  Evaluations are memoised in a _Column, keyed by
-    the point in closed form (writes are idempotent) and by the lattice cell
-    under a lock for Picard, so sharing one across threads is safe.
+    Instances are callable.  Values of rule are memoised in a _Column keyed
+    by the point, under a lock, so threads sharing one compute each point once.
     """
 
     def __init__(self, rule: QFunction, method: str, diagnostics: dict) -> None:
-        self._rule = rule
+        self._memo, self._lock = _Column(rule), threading.Lock()
         self.method = method
         self.diagnostics = diagnostics
 
     def __call__(self, t: float) -> float:
-        return self._rule(t)
+        with self._lock:  # the memo and the diagnostics that rule keeps
+            return self._memo[t]
 
     def __repr__(self) -> str:
         return f"IVPSolution(method={self.method!r})"
 
 
 class _Column(dict):
-    """A memo of fill, as a dict keyed by a lattice cell or a point: fill(key)
-    is computed the first time key is read, so each value is computed once and
-    only if needed.  On the lattice x_e = base * q**e, e < end (any e if end
-    is None), the keys are the cells e and cells(e) walks them upward."""
+    """A memo of fill, as a dict keyed by a point or a cell k: fill(key) is
+    computed the first time key is read, so each value is computed once and
+    only if needed."""
 
-    __slots__ = ("_fill", "_end")
+    __slots__ = ("_fill",)
 
-    def __init__(self, fill: Callable[[float], float], end: int | None = None) -> None:
+    def __init__(self, fill: Callable[[float], float]) -> None:
         super().__init__()
         self._fill = fill
-        self._end = end
 
     def __missing__(self, key: float) -> float:
         value = self[key] = self._fill(key)
         return value
 
-    def cells(self, e: int) -> Iterator[float]:
-        """The cells e, e + 1, ... up to end, each computed when reached."""
-        indices = itertools.count(e) if self._end is None else range(e, self._end)
-        return map(self.__getitem__, indices)
+    def cells(self, k: int) -> Iterator[float]:
+        """The cells k, k + 1, ..., each computed when reached."""
+        return map(self.__getitem__, itertools.count(k))
+
+
+def _sum(terms: Iterator[float], count: int | None, p: QParams, where: tuple) -> float:
+    """Sum under the stopping rule, watched for growth, or the first count terms in full."""
+    if count is None:
+        return _accumulate(terms, p.trunc, detect_growth=True, where=where)
+    return _accumulate(itertools.islice(terms, count), p.trunc, finite=True, where=where)
 
 
 def _ml_ratios(alpha: float, beta: float, lam: float, p: QParams) -> _Column:
@@ -148,8 +152,10 @@ def _ml_ratios(alpha: float, beta: float, lam: float, p: QParams) -> _Column:
     return _Column(fill)
 
 
-def _ml_sum(ratios: _Column, alpha: float, z: float, z0: float, p: QParams) -> float:
-    """sum_k c_k (z - z0)_q^(alpha k) over the _Column of _ml_ratios.
+def _ml_sum(ratios: _Column, alpha: float, z: float, z0: float, p: QParams,
+            count: int | None = None) -> float:
+    """sum_k c_k (z - z0)_q^(alpha k) over the _Column of _ml_ratios, over
+    k < count if count is given (see _sum).
 
     Each term is the one before times c_k / c_{k-1} and, by the q-power
     rule, (z - q**(alpha (k-1)) z0)_q^(alpha), which is z**alpha for z0 = 0;
@@ -162,12 +168,54 @@ def _ml_sum(ratios: _Column, alpha: float, z: float, z0: float, p: QParams) -> f
     terms = itertools.accumulate(
         map(operator.mul, ratios.cells(1), steps), operator.mul, initial=ratios[0]
     )
-    return _accumulate(terms, p.trunc, detect_growth=True,
-                       where=("q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, q={!r}",
-                              z, z0, alpha, q))
+    return _sum(terms, count, p,
+                ("q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, q={!r}", z, z0, alpha, q))
 
 
-_FORCING_AT = "closed-form forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
+_FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
+
+
+def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
+    """The closed form's series (see solve_ivp_closed), summed to the stopping
+    rule for m None, else cut after m terms: the m-th Picard iterate."""
+    alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
+    q = p.q
+    # Every term of the forcing series samples f on the same lattice points.
+    forcing = None if prob.forcing is None else _Column(prob.forcing).__getitem__
+    ratios = _ml_ratios(alpha, 1.0, lam, p)  # the head's coefficients, once per solution
+    head_terms = None if m is None else m + 1
+    diagnostics = {"terms": 0, "evaluations": 0}
+
+    def forcing_terms(t: float, steps: int | None) -> Iterator[float]:
+        h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
+        for k in itertools.count():
+            yield (_power(lam * h, k, _FORCING_AT, t, alpha, lam, k)
+                   * _left_series(forcing, a, alpha * (k + 1), t, steps, h, p))
+
+    def rule(t: float) -> float:
+        if not t >= a:
+            raise DomainError(f"the solution needs t >= a, got t={t}, a={a}")
+        steps = _start_steps(a, t, q)
+        if m is not None and a > 0.0 and steps == -1:
+            raise DomainError(f"with a > 0, Picard iterates live on the time scale "
+                              f"a q**-j; t={t} is not on it (a={a})")
+        with count_terms() as counter:
+            value = a0 * _ml_sum(ratios, alpha, t, a, p, head_terms) if a0 != 0.0 else 0.0
+            # At t = a the integrals are empty; Picard(0) has no forcing term.
+            forced = forcing is not None and t > a and m != 0
+            if forced and lam == 0.0:
+                # Every term after the first is 0.0 times an integral.
+                value += left_frac_integral(forcing, a, alpha, t, p)
+            elif forced:
+                value += _sum(forcing_terms(t, steps), m, p,
+                              ("forcing at t={!r}, alpha={!r}, lam={!r}", t, alpha, lam))
+        diagnostics["evaluations"] += 1
+        diagnostics["terms"] += counter.total
+        return value
+
+    if m is not None:
+        diagnostics["iterations"] = m
+    return IVPSolution(rule, "closed-form" if m is None else f"picard({m})", diagnostics)
 
 
 def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
@@ -180,150 +228,29 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     (on the lattice or from an a off the grid of t), h = ((1-q) t)**alpha, so
     term k is z**k, z = lam h, times the series of weight h: z**k falls while
     the sum converges (|z| < 1), where lam**k or Gamma_q(alpha(k+1)) alone
-    may overflow.  t < a raises DomainError; y(a) = a0.
+    may overflow.  Terms that grow raise NonConvergence.  t < a raises
+    DomainError; y(a) = a0.
     """
-    alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
-    q = p.q
-    # Every term of the forcing series samples f on the same lattice points.
-    forcing = None if prob.forcing is None else _Column(prob.forcing).__getitem__
-    ratios = _ml_ratios(alpha, 1.0, lam, p)  # the head's coefficients, once per solution
-    diagnostics = {"terms": 0, "evaluations": 0}
-
-    def forcing_terms(t: float) -> Iterator[float]:
-        steps = _start_steps(a, t, q)
-        h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
-        for k in itertools.count():
-            yield (_power(lam * h, k, _FORCING_AT, t, alpha, lam, k)
-                   * _left_series(forcing, a, alpha * (k + 1), t, steps, h, p))
-
-    def rule(t: float) -> float:
-        if not t >= a:
-            raise DomainError(f"the closed form needs t >= a, got t={t}, a={a}")
-        with count_terms() as counter:
-            value = a0 * _ml_sum(ratios, alpha, t, a, p) if a0 != 0.0 else 0.0
-            forced = forcing is not None and t > a  # at t = a the integrals are empty
-            if forced and lam == 0.0:
-                # Every term after the first is 0.0 times an integral.
-                value += left_frac_integral(forcing, a, alpha, t, p)
-            elif forced:
-                value += _accumulate(
-                    forcing_terms(t), p.trunc, detect_growth=True,
-                    where=("closed-form forcing at t={!r}, alpha={!r}, lam={!r}", t, alpha, lam),
-                )
-        diagnostics["evaluations"] += 1
-        diagnostics["terms"] += counter.total
-        return value
-
-    return IVPSolution(_Column(rule).__getitem__, "closed-form", diagnostics)
+    return _series_solution(prob, None, p)
 
 
 def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
     """m-step successive approximation y_k = a0 + lam I^alpha y_{k-1} + I^alpha f.
 
-    By linearity y_m = a0 + d_1 + ... + d_m (summed in that order) with the
-    increments d_k = y_k - y_{k-1}:
+    By the q-power rule and the semigroup law I^alpha I^(alpha k) =
+    I^(alpha (k+1)), y_m is the closed form's series cut after term m:
 
-        d_1 = lam I^alpha a0 + I^alpha f,   d_k = lam I^alpha d_{k-1} (k >= 2).
+        y_m(t) = a0 sum_{k<=m} lam**k (t - a)_q^(alpha k) / Gamma_q(alpha k + 1)
+                 + sum_{k<m} lam**k I_a^(alpha(k+1)) f(t),
 
-    Each increment is a column of its values on a lattice x_e = base q**e: the
-    time scale a q**e (e <= 0) when a > 0, and for a = 0 the chain t q**e of
-    the first point t evaluated on it (a point off every such chain starts its
-    own).  A cell of I^alpha g is
-
-        ((1-q) x_e)**alpha sum_i w_i g(x_{e+i}),
-
-    with w_0 = 1 and w_{i+1} = w_i q (1 - q**(alpha+i)) / (1 - q**(i+1)) from
-    one weight table per solution; f is sampled once per lattice point.  For
-    a > 0 the sum ends at x_{-1} and is summed in full; for a = 0 it is
-    infinite and stops by the truncation rule, except for the constant part
-    lam I^alpha a0 of d_1, which is lam a0 x**alpha / Gamma_q(alpha + 1)
-    with one q_gamma per lattice.  There the increments pay off:
-    toward 0, d_k(x) = O(x**(alpha k)) while y_k -> a0, so the terms of the
-    sum over d_{k-1} fall like q**(i (1 + alpha (k-1))) instead of q**i, and
-    each deeper increment stops after a fraction of the terms and reads that
-    many fewer cells below it.  Cells are computed when first needed and
-    shared by every later evaluation on the lattice; diagnostics count the
-    integrals of the increment and forcing cells ("evaluations") and their
-    terms.  With a > 0, a point t off the time scale raises DomainError, as
-    does t < a; y(a) = a0.
+    each summed in full however its terms grow, so y_m exists where the closed
+    form raises NonConvergence.  Diagnostics count the evaluated points and
+    their terms.  m < 0, t < a and, with a > 0, a t off the time scale
+    a q**-j raise DomainError; y(a) = a0, and y_0 = a0 even when forced.
     """
     if m < 0:
         raise DomainError(f"iteration count must be >= 0, got {m}")
-    alpha, lam, a, a0, f = prob.alpha, prob.lam, prob.a, prob.a0, prob.forcing
-    q, trunc = p.q, p.trunc
-    diagnostics = {"terms": 0, "evaluations": 0, "iterations": m}
-    source = _lattice_weights(alpha, q, q)
-    # Cells are read in order 0, 1, ..., so fill(i) is the i-th weight.
-    weights = _Column(lambda i: next(source))
-
-    def lattice(base: float, end: int | None) -> Callable[[int], float]:
-        """Iterate m on x_e = base q**e, over the increment columns below it."""
-
-        def integral(column: _Column, e: int) -> float:
-            """I^alpha of column at x_e; one per increment or forcing cell."""
-            x = base * q**e
-            where = (_LEFT_AT, x, a, alpha, q)
-            scale = _power((1.0 - q) * x, alpha, *where)
-            value = scale * _accumulate(
-                map(operator.mul, weights.cells(0), column.cells(e)), trunc,
-                finite=end is not None, scale=scale, where=where,
-            )
-            diagnostics["evaluations"] += 1
-            return value
-
-        if end is None:  # from a = 0, I^alpha a0 is a0 x**alpha / Gamma_q(alpha + 1)
-            ramp = lam * a0 / special.q_gamma(alpha + 1.0, p)
-            constant = lambda e: ramp * (base * q**e) ** alpha
-        else:
-            initial = _Column(lambda e: a0, end)
-            constant = lambda e: lam * integral(initial, e)
-        samples = None if f is None else _Column(lambda e: f(base * q**e), end)
-
-        def first(e: int) -> float:
-            value = constant(e)
-            return value if samples is None else value + integral(samples, e)
-
-        increments = [_Column(first, end)] if m else []
-        for _ in range(m - 1):
-            increments.append(_Column(
-                lambda e, prev=increments[-1]: lam * integral(prev, e), end
-            ))
-
-        def iterate(e: int) -> float:
-            value = a0
-            for increment in increments:
-                value += increment[e]
-            return value
-
-        return iterate
-
-    lattices = [(a, lattice(a, 0))] if a > 0.0 else []
-    lock = threading.RLock()  # columns are shared state
-
-    def rule(t: float) -> float:
-        if not t >= a:
-            raise DomainError(f"Picard iterates need t >= a, got t={t}, a={a}")
-        if t == 0.0:  # t = a = 0, where no lattice passes
-            return a0
-        with lock:
-            with count_terms() as counter:  # a new lattice's q_gamma counts too
-                for base, top in lattices:
-                    e = _grid_exponent(t / base, q)
-                    if e is not None:
-                        break
-                else:
-                    if a > 0.0:
-                        raise DomainError(
-                            f"with a > 0, Picard iterates live on the time scale "
-                            f"a q**-j; t={t} is not on it (a={a})"
-                        )
-                    top, e = lattice(t, None), 0
-                    lattices.append((t, top))
-                value = top(e)
-            diagnostics["terms"] += counter.total
-            return value
-
-    return IVPSolution(rule, f"picard({m})", diagnostics)
+    return _series_solution(prob, m, p)
 
 
 def ivp_residual(

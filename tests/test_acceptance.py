@@ -107,11 +107,16 @@ def test_criterion_5_ivp_correctness(ivp_report):
         _all_pass(ivp_report, "picard_vs_closed", 1e-6)
         and _all_pass(ivp_report, "ivp_residual_closed", 1e-5)
         and _all_pass(ivp_report, "closed_exp_reduction", 1e-8)
+        # Picard against iterated integrals, and the forced closed form in
+        # the equation: routes that do not share the closed form's series.
+        and _all_pass(ivp_report, "picard_vs_increments", 1e-12)
+        and _all_pass(ivp_report, "ivp_residual_forced", 1e-5)
     )
     _criterion(
         5,
         "closed form vs 25-step Picard (1e-6), residual (1e-5), "
-        "order-one reduction to e_q (1e-8)",
+        "order-one reduction to e_q (1e-8), Picard vs iterated integrals "
+        "(1e-12), forced residual (1e-5)",
         ok,
     )
 

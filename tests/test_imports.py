@@ -1,6 +1,8 @@
 """Every module of the package uses each name it imports and binds each
 name it exports, and some module of the package reads each private name
-bound at the top level of a module, so no helper outlives its callers.
+bound at the top level of a module, so no helper outlives its callers.  Each
+default of a private helper is passed by one call and left to by another, so
+no default stands for a constant or is never read.
 
 A name counts as used when the module reads it (including inside a quoted
 annotation) or lists it in ``__all__``, so a stale ``__all__`` entry would
@@ -145,3 +147,111 @@ def test_detects_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_privates(sources) == []
+
+
+def private_callables(tree: ast.Module):
+    """(shown name, the name calls use, def, whether it takes self) for each
+    top-level private function and each method of a private class (__init__
+    is called by the class name; other dunder methods by no name)."""
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and private(node.name):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef) and private(node.name):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    item.name == "__init__" or not item.name.startswith("__")
+                ):
+                    called = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", called, item, True
+
+
+def called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def default_misuses(sources: dict[str, str]) -> list[str]:
+    """Defaults of private helpers that no call passes (the parameter is a
+    constant) or that every call overrides (the default is dead).  A helper
+    also used as a value (passed to memo, partial, map; an annotation is not
+    a use) is skipped, as is a call with *args or **kwargs."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    calls = {}
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            calls.setdefault(called_name(node), []).append(node)
+    # Names that are called or that annotate are not values.
+    skipped = {id(call.func) for found in calls.values() for call in found}
+    skipped |= {id(sub) for node in nodes
+                for part in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                if part is not None for sub in ast.walk(part)}
+    values = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in nodes
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        and id(node) not in skipped
+    }
+    found = []
+    for module, tree in trees.items():
+        for shown, called, node, method in private_callables(tree):
+            if called in values:
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][1 if method else 0:]
+            defaults = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            defaults += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            known = [c for c in calls.get(called, ())
+                     if not any(isinstance(a, ast.Starred) for a in c.args)
+                     and all(k.arg is not None for k in c.keywords)]
+            for name in defaults:
+                index = positional.index(name) if name in positional else None
+                passed = [(index is not None and len(c.args) > index)
+                          or any(k.arg == name for k in c.keywords) for c in known]
+                if not any(passed):
+                    found.append(f"{module} line {node.lineno}: {shown}({name}=) is never passed")
+                elif all(passed):
+                    found.append(f"{module} line {node.lineno}: {shown}({name}=) is always passed")
+    return found
+
+
+def test_detects_a_default_with_one_use_pattern():
+    sources = {
+        "a.py": (
+            "def _sum(terms, *, finite=False, where=('series',), scale=1.0):\n"
+            "    return terms\n"
+            "def _mapped(x, y=1):\n"
+            "    return x\n"
+            "class _Memo(dict):\n"
+            "    def __init__(self, fill, end=None):\n"
+            "        self.fill = fill\n"
+            "    def __missing__(self, key, spare=0):\n"
+            "        return key\n"
+            "    def cells(self, e, step=1) -> _Memo:\n"
+            "        return e\n"
+        ),
+        "b.py": (
+            "from .a import _sum, _mapped, _Memo\n"
+            "_sum([1], where=('a',))\n"
+            "_sum([2], finite=True, where=('b',))\n"
+            "list(map(_mapped, [1]))\n"
+            "_Memo(len).cells(0)\n"
+            "_Memo(len, 3).cells(0, 2)\n"
+            "_Memo(len).cells(1)\n"
+            "m: _Memo = _Memo(len, 2)\n"
+        ),
+    }
+    assert default_misuses(sources) == [
+        "a.py line 1: _sum(where=) is always passed",
+        "a.py line 1: _sum(scale=) is never passed",
+    ]
+    # With the call that passes end gone, end is never passed.
+    sources["b.py"] = sources["b.py"].replace("_Memo(len, 3)", "_Memo(len)")
+    sources["b.py"] = sources["b.py"].replace("_Memo(len, 2)", "_Memo(len)")
+    assert default_misuses(sources)[2:] == ["a.py line 6: _Memo.__init__(end=) is never passed"]
+
+
+def test_every_default_has_two_use_patterns():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert default_misuses(sources) == []

@@ -43,6 +43,20 @@ from conftest import chain_wobble, rel_err
 # alpha=0.9, beta=1, lam=0.3, z=1, z0=q^4, q=1/2; frozen from a 50-digit run.
 ML_REGRESSION = 1.3634725967451728
 
+# (lam, m, t) -> sum_{k<=m} lam**k t**(0.8 k) / Gamma_q(0.8 k + 1) at q = 0.9,
+# the m-th Picard iterate of the unforced problem from a = 0 with a0 = 1;
+# summed to 50 digits from the float t and q.
+PICARD_PARTIAL_SUMS = {
+    (0.3, 5, 1.0): 1.396555740177224,
+    (0.3, 5, 0.9**2): 1.3237169391336427,
+    (0.3, 25, 1.0): 1.396570547017593,
+    (0.3, 25, 0.9**2): 1.323722244113314,
+    (-0.4, 5, 1.0): 0.6669918697433724,
+    (-0.4, 5, 0.9**2): 0.708189879182867,
+    (-0.4, 25, 1.0): 0.6670594853226522,
+    (-0.4, 25, 0.9**2): 0.7082148905658082,
+}
+
 
 class TestMLParams:
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
@@ -205,6 +219,36 @@ class TestPicard:
         picard = solve_ivp_picard(prob, 25, p_half)
         for t in (0.25, 0.5, 1.0):
             assert rel_err(closed(t), picard(t)) < 1e-6
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("a", [0.0, 0.5**4])
+    def test_zero_iterations_ignore_the_forcing(self, p_half, lam, a):
+        # y_0 = a0: the lam = 0 one-integral shortcut must not add I^alpha f.
+        y = solve_ivp_picard(IVProblem(0.9, lam, a, 2.5, lambda s: s + 1.0), 0, p_half)
+        for t in scale_points(0.5, a):
+            assert y(t) == 2.5
+
+    @pytest.mark.parametrize(("lam", "m", "t", "want"), [
+        (lam, m, t, want) for (lam, m, t), want in PICARD_PARTIAL_SUMS.items()
+    ])
+    def test_partial_sums_against_exact_values(self, lam, m, t, want):
+        y = solve_ivp_picard(IVProblem(0.8, lam, 0.0, 1.0), m, QParams(0.9))
+        assert rel_err(y(t), want) < 2e-15
+
+    @pytest.mark.parametrize("a", [0.0, 0.5**4])
+    def test_iterates_of_a_divergent_series(self, p_half, a):
+        # lam (1-q)**alpha t**alpha > 1 on every point: the closed form's
+        # series diverges, but each iterate is a finite sum.  By m = 5 the
+        # head's terms at t = 0.5 and 1 have grown for 3 steps by more than
+        # 1e3, so a growth watch on the cut sums would raise there.
+        prob = IVProblem(0.9, 20.0, a, 1.0, lambda s: s)
+        y = solve_ivp_picard(prob, 5, p_half)
+        want = chained_picard(0.9, 20.0, a, 1.0, prob.forcing, 5, p_half)
+        closed = solve_ivp_closed(prob, p_half)
+        for t in scale_points(0.5, a):
+            assert y(t) == pytest.approx(want(t), rel=1e-12, abs=0.0)
+            with pytest.raises(NonConvergence):
+                closed(t)
 
 
 class TestResidual:
@@ -428,8 +472,8 @@ def test_forced_closed_form_solves_the_equation(q, alpha, lam, from_origin, j, c
 
 def chained_picard(alpha, lam, a, a0, f, m, p):
     """Successive approximation as a chain of memoised left_frac_integral
-    closures, one per iterate: the pointwise route the lattice columns
-    replace."""
+    closures, one per iterate: the definition, a route independent of the
+    series that solve_ivp_picard cuts."""
     forcing = None if f is None else cache(lambda t: left_frac_integral(f, a, alpha, t, p))
     y = lambda t: a0
     for _ in range(m):
@@ -449,7 +493,8 @@ def scale_points(q, a):
 
 
 # q = 0.5, alpha = 0.9, lam = 0.3, a0 = 1, forcing s, m = 5 at t = q**3 .. 1:
-# iterate and forcing cells the chained closures evaluate, per start a.
+# iterate and forcing points the chained closures evaluate, per start a, a
+# bound for the points a solution evaluates.
 CHAINED_EVALUATIONS = {0.0: 598, 0.5**4: 24}
 
 
@@ -482,18 +527,16 @@ class TestPicardLattice:
         assert counts[0] == counts[1] <= CHAINED_EVALUATIONS[a]
 
     def test_frozen_problem_term_count(self, p_half):
-        # Increment columns from a = 0: each deeper increment's sums stop
-        # sooner than those of the iterate it adds to, and the constant column
-        # is integrated exactly.  The level columns (each iterate summed whole)
-        # took 77,910 terms over 1,855 evaluations for the value
-        # 1.3984050887919168; sum_k 0.3**k / Gamma_q(0.84 k + 1), k <= 10, is
-        # 1.398405088791997 to 16 digits.  The pin, with closed product tails
-        # in q_gamma, is 4.2e-16 from it (the open tails gave -2.9e-14).
+        # The series sum_k 0.3**k / Gamma_q(0.84 k + 1), k <= 10, is
+        # 1.398405088791997 to 16 digits; one point, its 11 terms and their
+        # q_gamma products.  Iterates summed whole on lattice columns took
+        # 77,910 terms over 1,855 evaluations, and increment columns 3,451
+        # terms over 270.
         y = solve_ivp_picard(IVProblem(0.84, 0.3, 0.0, 1.0), 10, p_half)
         with count_terms() as counter:
             value = y(1.0)
-        assert counter.total == 3_451
-        assert y.diagnostics["evaluations"] == 270
+        assert counter.total == 859
+        assert y.diagnostics["evaluations"] == 1
         assert counter.total < 77_910 and y.diagnostics["evaluations"] < 1_855
         assert rel_err(value, 1.3984050887919977) < 1e-14
 
@@ -509,8 +552,8 @@ class TestPicardLattice:
         assert y(a) == 2.5
 
     def test_budget_exhaustion_from_origin(self):
-        # 60 terms cover q_gamma's products; the forcing column's terms fall
-        # like q**(0.1 i) with no settled ratio and need more.
+        # 60 terms cover q_gamma's products; the forcing integral's terms
+        # fall like q**(0.1 i) with no settled ratio and need more.
         p = QParams(0.5, Truncation(max_terms=60))
         wobble = chain_wobble(0.5)
         y = solve_ivp_picard(
@@ -520,8 +563,8 @@ class TestPicardLattice:
             y(1.0)
 
     def test_threads_sharing_a_solution(self, p_half):
-        # Cells are shared state: threads evaluating one solution at once
-        # must see the values, and compute the cells, of one thread alone.
+        # The memo is shared state: threads evaluating one solution at once
+        # must see the values, and compute the points, of one thread alone.
         prob = IVProblem(0.9, 0.3, 0.0, 1.0, lambda s: s)
         points = [0.5**j for j in range(8)]
         alone = solve_ivp_picard(prob, 6, p_half)
@@ -560,8 +603,8 @@ class TestPicardLattice:
     j=st.integers(1, 4),
 )
 def test_picard_increments_match_chained_integrals(q, alpha, lam, m, from_origin, forced, j):
-    # y_m = a0 + d_1 + ... + d_m over increment columns against the iterates
-    # y_k as chained left_frac_integral closures, at t = q**(4 - j).
+    # The series cut after term m against the iterates y_k as chained
+    # left_frac_integral closures, at t = q**(4 - j).
     p = QParams(q)
     a = 0.0 if from_origin else q**4
     f = quadratic(1.0, -0.5, 0.7) if forced else None
