@@ -262,6 +262,19 @@ _residual_at = lambda alpha, lam, a, f, t, p, memo: ivp_residual(
     t, p)
 
 
+def _forcing_by_orders(alpha, lam, a, f, t, p):
+    """sum_k lam**k I_a^(alpha(k+1)) f(t), one fractional integral per order
+    until a term is below 1e-17 of the sum: the route that the closed form's
+    kernel series replaces on the lattice."""
+    total, k = 0.0, 0
+    while True:
+        term = lam**k * left_frac_integral(f, a, alpha * (k + 1), t, p)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return total
+        k += 1
+
+
 def _picard_errors(q, alpha, lam, a, f, p, memo, m_values):
     """Sup-norm distance of Picard iterates to the closed form, per m."""
     iterates = (solve_ivp_picard(IVProblem(alpha, lam, a, 1.0), m, p) for m in m_values)
@@ -524,6 +537,15 @@ _TABLE = {
                 d(t) for d in memo(_increments, t, lam, a, alpha, p)[:m + 1])),
         _Identity("ivp_residual_forced", 1e-5,
             {**_IVP, "a": (0.0, 0.5**4), "f": ("t",), "t": _IVP_TS}, _residual_at),
+        # The forcing from a = 0 or on the grid of a: the kernel's one series
+        # (and its first orders apart, more of them as q nears 1) against the
+        # integrals order by order.
+        _Identity("forcing_kernel_vs_orders", 1e-12,
+            {**_IVP, "q": (0.3, 0.5, 0.9), "a": lambda q: (0.0, q**4), "f": ("t", "t+t^2"),
+             "t": _IVP_TS},
+            lambda alpha, lam, a, f, t, p, memo: memo(
+                solve_ivp_closed, IVProblem(alpha, lam, a, 0.0, f), p)(t),
+            _forcing_by_orders),
     ),
 }
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import special
-from .core import QFunction, QParams, _accumulate, _power, count_terms
-from .errors import DomainError
+from .core import QFunction, QParams, _accumulate, _chain_sum, _name, _power, count_terms
+from .errors import DomainError, NonConvergence
 from .fractional import (_LEFT_AT, _left_series, _start_steps, left_caputo,
                          left_frac_integral)
 
@@ -158,21 +158,128 @@ def _ml_sum(ratios: _Column, alpha: float, z: float, z0: float, p: QParams,
     k < count if count is given (see _sum).
 
     Each term is the one before times c_k / c_{k-1} and, by the q-power
-    rule, (z - q**(alpha (k-1)) z0)_q^(alpha), which is z**alpha for z0 = 0;
-    so neither c_k nor the power is formed apart, and neither overflows on
-    long series.
+    rule, (z - q**(alpha (k-1)) z0)_q^(alpha): z**alpha for z0 = 0, one power
+    per sum; z**alpha (q**(j + alpha (k-1)); q)_inf / (q**(j + alpha k); q)_inf
+    for z0 = z q**j, one new memoised tail per term; a factorial power per
+    term for any other z0.  So neither c_k nor the power is formed apart, and
+    neither overflows on long series.
     """
     q = p.q
-    steps = (special.q_factorial_power(z, z0 * q ** (alpha * k), alpha, p)
-             for k in itertools.count())
+
+    def steps() -> Iterator[float]:
+        j = _start_steps(z0, z, q)  # None for z0 = 0, -1 off the grid
+        if j == -1:
+            yield from (special.q_factorial_power(z, z0 * q ** (alpha * k), alpha, p)
+                        for k in itertools.count())
+        elif j is None:
+            yield from itertools.repeat(special.q_factorial_power(z, 0.0, alpha, p))
+        else:
+            power, tail = special.q_factorial_power(z, 0.0, alpha, p), special._pochhammer_tail
+            before = tail(float(j), p)
+            for k in itertools.count(1):
+                after = tail(j + alpha * k, p)
+                yield power * before / after
+                before = after
+
     terms = itertools.accumulate(
-        map(operator.mul, ratios.cells(1), steps), operator.mul, initial=ratios[0]
+        map(operator.mul, ratios.cells(1), steps()), operator.mul, initial=ratios[0]
     )
     return _sum(terms, count, p,
                 ("q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, q={!r}", z, z0, alpha, q))
 
 
 _FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
+# The kernel's recurrence carries each rounding error into later cells grown
+# by at most A(beta) = (-q**beta; q)_inf / (q**beta; q)_inf, beta = alpha (P + 1)
+# its lowest order; the first P orders, the fewest that keep A within this
+# bound, are summed one by one instead.
+_KERNEL_GAIN = 8.0
+# Cells a kernel row is first filled to when its series has no known length.
+_KERNEL_CHUNK = 16
+
+
+def _kernel_orders(alpha: float, q: float) -> int:
+    """The fewest P >= 0 with A(alpha (P + 1)) <= _KERNEL_GAIN.  A is the
+    product of (1 + q**(beta+j)) / (1 - q**(beta+j)) over j >= 0, multiplied
+    out until it passes the bound or its factors round to 1, so a rejected P
+    costs a few factors."""
+    orders = 0
+    while True:
+        gain, x = 1.0, q ** (alpha * (orders + 1))
+        while gain <= _KERNEL_GAIN and x > 1e-17:
+            gain *= (1.0 + x) / (1.0 - x)
+            x *= q
+        if gain <= _KERNEL_GAIN:
+            return orders
+        orders += 1
+
+
+class _Kernel:
+    """The forcing kernel K_i(x) = sum_{k>=P} z**k w_i^(alpha(k+1)) (over
+    P <= k < m for Picard(m)) at the chain points x of one solution, with
+    z = lam ((1-q) x)**alpha, P = _kernel_orders(alpha, q) and w^(mu) the unit
+    weights of _lattice_weights(mu, q, q, 1, 1): past its first P orders the
+    forcing at x is the one series h sum_i K_i(x) f(x q**i), h = ((1-q) x)**alpha.
+
+    Row x holds K_0(x), K_1(x), ...  K_0 = z**P / (1 - z) (sum_{P<=k<m} z**k
+    for Picard), and as z(xq) = q**alpha z(x) the weights' recurrence gives
+    K_i(x) = q / (1 - q**i) (K_{i-1}(x) - q**(i-1+alpha) K_{i-1}(xq)), two
+    multiplies a cell.  Rows are keyed by the point, so the evaluations that
+    pass x (the residual's points among them) read the same cells; they are
+    filled from the solution's rule, under its lock.
+    """
+
+    def __init__(self, alpha: float, lam: float, m: int | None, q: float) -> None:
+        self.orders = _kernel_orders(alpha, q)
+        self._alpha, self._lam, self._m, self._q = alpha, lam, m, q
+        self._rows: dict[float, list[float]] = {}
+        self._scale, self._shift = [0.0], [0.0]  # q / (1 - q**i), q**(i-1+alpha); i >= 1
+
+    @property
+    def cells(self) -> int:
+        """The cells filled so far."""
+        return sum(map(len, self._rows.values()))
+
+    def _first(self, x: float) -> float:
+        """K_0(x)."""
+        z = self._lam * ((1.0 - self._q) * x) ** self._alpha
+        if self._m is None:
+            return z**self.orders / (1.0 - z)
+        return sum(z**k for k in range(self.orders, self._m))
+
+    def row(self, x: float, n: int) -> list[float]:
+        """Row x with at least n cells.  Cell i of a row reads cell i - 1 of
+        the row below (xq), so the rows below that are short, one cell less
+        each, are filled first, upward from the first one long enough."""
+        rows, q = self._rows, self._q
+        short = []
+        while True:
+            row = rows.get(x)
+            if row is None:
+                row = rows[x] = [self._first(x)]
+            if len(row) >= n:
+                break
+            short.append((row, n))
+            x, n = x * q, n - 1
+        scale, shift = self._scale, self._shift
+        for i in range(len(scale), n + len(short)):
+            scale.append(q / (1.0 - q**i))
+            shift.append(q ** (i - 1 + self._alpha))
+        below = row
+        for row, n in reversed(short):
+            for i in range(len(row), n):
+                row.append(scale[i] * (row[i - 1] - shift[i] * below[i - 1]))
+            below = row
+        return below
+
+    def weights(self, x: float, h: float, steps: int | None) -> Iterator[float]:
+        """h K_0(x), h K_1(x), ...: the weights of the series at x, steps
+        of them, or without end for steps None."""
+        row = self.row(x, steps or _KERNEL_CHUNK)
+        for i in itertools.count():
+            if i == len(row):
+                row = self.row(x, i + i // 2)
+            yield h * row[i]
 
 
 def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
@@ -184,13 +291,29 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     forcing = None if prob.forcing is None else _Column(prob.forcing).__getitem__
     ratios = _ml_ratios(alpha, 1.0, lam, p)  # the head's coefficients, once per solution
     head_terms = None if m is None else m + 1
-    diagnostics = {"terms": 0, "evaluations": 0}
+    kernel = None if forcing is None or lam == 0.0 else _Kernel(alpha, lam, m, q)
+    diagnostics = {"terms": 0, "evaluations": 0, "kernel_cells": 0}
 
-    def forcing_terms(t: float, steps: int | None) -> Iterator[float]:
-        h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
+    def order_terms(t: float, steps: int | None, h: float) -> Iterator[float]:
         for k in itertools.count():
             yield (_power(lam * h, k, _FORCING_AT, t, alpha, lam, k)
                    * _left_series(forcing, a, alpha * (k + 1), t, steps, h, p))
+
+    def forced(t: float, steps: int | None) -> float:
+        """The forcing term at t > a: order by order from an a off the grid
+        of t, else its first P orders and the kernel's series."""
+        h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
+        where = ("forcing at t={!r}, alpha={!r}, lam={!r}, q={!r}", t, alpha, lam, q)
+        if steps == -1:
+            return _sum(order_terms(t, steps, h), m, p, where)
+        if m is None and not abs(lam * h) < 1.0:
+            raise NonConvergence(f"{_name(where)}: |lam ((1-q) t)**alpha| = {abs(lam * h)!r} "
+                                 f">= 1, so the series diverges")
+        count = kernel.orders if m is None else min(kernel.orders, m)
+        value = _sum(order_terms(t, steps, h), count, p, where)
+        if m is None or m > kernel.orders:
+            value += _chain_sum(forcing, t, False, kernel.weights(t, h, steps), steps, p, where)
+        return value
 
     def rule(t: float) -> float:
         if not t >= a:
@@ -202,15 +325,14 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
         with count_terms() as counter:
             value = a0 * _ml_sum(ratios, alpha, t, a, p, head_terms) if a0 != 0.0 else 0.0
             # At t = a the integrals are empty; Picard(0) has no forcing term.
-            forced = forcing is not None and t > a and m != 0
-            if forced and lam == 0.0:
-                # Every term after the first is 0.0 times an integral.
-                value += left_frac_integral(forcing, a, alpha, t, p)
-            elif forced:
-                value += _sum(forcing_terms(t, steps), m, p,
-                              ("forcing at t={!r}, alpha={!r}, lam={!r}", t, alpha, lam))
+            if forcing is not None and t > a and m != 0:
+                # With lam = 0 every term after the first is 0.0 times an integral.
+                value += (forced(t, steps) if kernel is not None
+                          else left_frac_integral(forcing, a, alpha, t, p))
         diagnostics["evaluations"] += 1
         diagnostics["terms"] += counter.total
+        if kernel is not None:
+            diagnostics["kernel_cells"] = kernel.cells
         return value
 
     if m is not None:
@@ -226,10 +348,12 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     (t - q**mu s)_q^(nu) = (t - s)_q^(mu+nu), sum_k lam**k I_a^(alpha(k+1)) f(t).
     I_a^(alpha(k+1)) f(t) is h**(k+1) times the left series of unit weight
     (on the lattice or from an a off the grid of t), h = ((1-q) t)**alpha, so
-    term k is z**k, z = lam h, times the series of weight h: z**k falls while
-    the sum converges (|z| < 1), where lam**k or Gamma_q(alpha(k+1)) alone
-    may overflow.  Terms that grow raise NonConvergence.  t < a raises
-    DomainError; y(a) = a0.
+    term k is z**k, z = lam h, times the series of weight h, and neither
+    lam**k nor Gamma_q(alpha(k+1)) is formed.  From a = 0 or on the grid of
+    a the terms past the first P are one series over _Kernel, whose cells
+    the solution's points share; |z| >= 1 there raises NonConvergence.  From
+    an a off the grid of t the terms are summed one by one, and terms that
+    grow raise NonConvergence.  t < a raises DomainError; y(a) = a0.
     """
     return _series_solution(prob, None, p)
 
@@ -244,7 +368,9 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
                  + sum_{k<m} lam**k I_a^(alpha(k+1)) f(t),
 
     each summed in full however its terms grow, so y_m exists where the closed
-    form raises NonConvergence.  Diagnostics count the evaluated points and
+    form raises NonConvergence.  On the lattice the forcing is its first
+    min(P, m) terms and, for m > P, the _Kernel series with K_0 the sum of
+    z**k over P <= k < m.  Diagnostics count the evaluated points and
     their terms.  m < 0, t < a and, with a > 0, a t off the time scale
     a q**-j raise DomainError; y(a) = a0, and y_0 = a0 even when forced.
     """

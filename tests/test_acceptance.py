@@ -111,12 +111,14 @@ def test_criterion_5_ivp_correctness(ivp_report):
         # the equation: routes that do not share the closed form's series.
         and _all_pass(ivp_report, "picard_vs_increments", 1e-12)
         and _all_pass(ivp_report, "ivp_residual_forced", 1e-5)
+        # The forcing's kernel series against its integrals order by order.
+        and _all_pass(ivp_report, "forcing_kernel_vs_orders", 1e-12)
     )
     _criterion(
         5,
         "closed form vs 25-step Picard (1e-6), residual (1e-5), "
         "order-one reduction to e_q (1e-8), Picard vs iterated integrals "
-        "(1e-12), forced residual (1e-5)",
+        "(1e-12), forced residual (1e-5), forcing kernel vs orders (1e-12)",
         ok,
     )
 

@@ -48,6 +48,7 @@ RECORD_COUNTS = {
     },
     "ivp": {
         "closed_exp_reduction": 4,
+        "forcing_kernel_vs_orders": 48,
         "ivp_fixed_point": 32,
         "ivp_nonhomogeneous": 4,
         "ivp_residual_closed": 4,
@@ -89,12 +90,12 @@ def test_record_counts_per_identity(report_all):
         counts[rec.identity] = counts.get(rec.identity, 0) + 1
     expected = {name: n for suite in RECORD_COUNTS.values() for name, n in suite.items()}
     assert counts == expected
-    assert len(counts) == 40
+    assert len(counts) == 41
     suites = {suite: {entry.name for entry in checks._TABLE[suite]} for suite in checks.SUITE_NAMES}
     assert suites == {suite: set(by_name) for suite, by_name in RECORD_COUNTS.items()}
     totals = {suite: sum(by_name.values()) for suite, by_name in RECORD_COUNTS.items()}
-    assert totals == {"core": 519, "special": 309, "frac": 3378, "ivp": 93}
-    assert len(report_all.records) == 4299
+    assert totals == {"core": 519, "special": 309, "frac": 3378, "ivp": 141}
+    assert len(report_all.records) == 4347
 
 
 def test_suite_builders_are_generator_functions():

@@ -109,6 +109,21 @@ class TestMittagLeffler:
         got = q_mittag_leffler(MLParams(1.0, 1.0, -1.40625), 1.390625, QParams(0.4921875))
         assert abs(got - 0.21703696478195688) <= 1e-10
 
+    @pytest.mark.parametrize(("z0", "calls"), [(0.0, 1), (0.5**3, 1), (0.37, 14)])
+    def test_factorial_powers_per_sum(self, monkeypatch, p_half, z0, calls):
+        # From z0 = 0 each step is z**alpha, and from z0 = z q**j a ratio of
+        # memoised q-Pochhammer tails times z**alpha: one factorial power per
+        # sum.  Only a z0 off the grid of z takes one per term.
+        counted = []
+        inner = qfrac.special.q_factorial_power
+        monkeypatch.setattr(qfrac.special, "q_factorial_power",
+                            lambda *args: counted.append(args) or inner(*args))
+        got = q_mittag_leffler(MLParams(0.9, 1.0, 0.3, z0), 1.0, p_half)
+        assert len(counted) == calls
+        total = sum(0.3**k * inner(1.0, z0, 0.9 * k, p_half) / q_gamma(0.9 * k + 1.0, p_half)
+                    for k in range(80))
+        assert rel_err(got, total) < 1e-14
+
     def test_vanishing_powers_below_origin(self, p_half):
         # Aligned z below z0 kills every k >= 1 term exactly.
         mp = MLParams(0.9, 1.0, 0.3, 0.5**2)
@@ -378,9 +393,10 @@ class TestForcingSeries:
         assert calls == {"q_factorial_power": 0, "q_mittag_leffler": 0}
 
     def test_long_alternating_series_matches_the_recursion(self):
-        # The alternating series at lam = -1.5 runs about 1,750 terms, past
-        # the k = 1,751 where lam**k leaves the double range; z**k, z = lam
-        # ((1-q) t)**alpha = -0.984, does not.  At alpha = 1 the equation is
+        # The head's alternating series at lam = -1.5 runs about 1,750
+        # terms, past the k = 1,751 where lam**k leaves the double range;
+        # z**k, z = lam ((1-q) t)**alpha = -0.984, does not, and the forcing
+        # is one kernel series past its first order.  At alpha = 1 the equation is
         # the q-difference recursion y(x) (1 - (1-q) x lam) = y(qx) + (1-q) x f(x),
         # run up the chain of t from y(0) = 1 at depth 400.
         q, lam, t = 0.5625, -1.5, 1.5
@@ -391,6 +407,11 @@ class TestForcingSeries:
             x = t * q**e
             want = (want + (1.0 - q) * x * f(x)) / (1.0 - (1.0 - q) * x * lam)
         assert abs(y(t) - want) <= 1e-10
+        # The same recursion at 60 digits from depth 2,000 gives
+        # 1.09986522712180468.  Summed order by order the forcing was 4.5e-13
+        # off; the kernel's one series is 9e-15 off, and the head's 1,750
+        # alternating terms 8.9e-14.
+        assert abs(y(t) - 1.0998652271218048) <= 1e-13
 
 
 class TestOffGridClosedForm:
@@ -444,6 +465,62 @@ class TestOffGridClosedForm:
         f = lambda s: s * s - 0.3 * s + 0.5
         got = _left_series(f, 0.00037, 1500.0, 1.5, -1, 1.0, QParams(0.5625))
         assert rel_err(got, 5.028457578120820334656464045859239136) <= 1e-14
+
+
+class TestForcingKernel:
+    @pytest.mark.parametrize(("q", "alpha", "orders"), [
+        (0.3, 0.5, 0), (0.3, 1.0, 0), (0.5, 0.5, 2), (0.5, 1.0, 1),
+        (0.9, 0.5, 42), (0.9, 1.0, 21),
+    ])
+    def test_orders_kept_apart(self, q, alpha, orders):
+        # P is the fewest orders that bring the recurrence's gain
+        # A(beta) = (-q**beta; q)_inf / (q**beta; q)_inf, beta = alpha (P + 1),
+        # within 8; A from the package's own q-Pochhammer products.
+        p = QParams(q)
+
+        def gain(beta):
+            return qfrac.special._q_product(-(q**beta), p) / qfrac.special._pochhammer_tail(beta, p)
+
+        assert qfrac.ivp._kernel_orders(alpha, q) == orders
+        assert gain(alpha * (orders + 1)) <= 8.0
+        assert orders == 0 or gain(alpha * orders) > 8.0
+
+    def test_orders_apart_keep_the_kernel_accurate(self, monkeypatch):
+        # With no order kept apart the recurrence's rounding reaches 1.2e-9
+        # here (1.5e-8 at alpha = 0.5); with P = 23 the kernel meets the
+        # orders to 1e-14.
+        p, f = QParams(0.9), quadratic(1.0, -0.5, 0.7)
+        want = sum(0.3**k * left_frac_integral(f, 0.0, 0.9 * (k + 1), 1.0, p) for k in range(60))
+        prob = IVProblem(0.9, 0.3, 0.0, 0.0, f)
+        assert rel_err(solve_ivp_closed(prob, p)(1.0), want) < 1e-14
+        monkeypatch.setattr(qfrac.ivp, "_KERNEL_GAIN", math.inf)
+        assert rel_err(solve_ivp_closed(prob, p)(1.0), want) > 1e-9
+
+    @pytest.mark.parametrize("a", [0.0, 0.5**4])
+    def test_divergent_forcing_raises(self, p_half, a):
+        # |lam ((1-q) t)**alpha| = 10.7 >= 1 at t = 1: the forcing series
+        # diverges, and the message names the parameters.
+        y = solve_ivp_closed(IVProblem(0.9, 20.0, a, 0.0, lambda s: s), p_half)
+        with pytest.raises(NonConvergence, match=r"t=1\.0, alpha=0\.9, lam=20\.0, q=0\.5"):
+            y(1.0)
+
+    def test_residual_reads_the_solution_cells(self, p_half):
+        # The residual's 19 points lie on the chain of t, whose kernel rows
+        # closed(t) has filled: order by order the residual took 3,424
+        # terms; one series per point takes 995.  A second residual reads
+        # the point memo and fills no cell.
+        prob = IVProblem(0.8, 0.3, 0.0, 1.0, quadratic(1.0, -0.5, 0.7))
+        y = solve_ivp_closed(prob, p_half)
+        y(1.0)
+        with count_terms() as counter:
+            first = ivp_residual(prob, y, 1.0, p_half)
+        assert counter.total == 995 < 3_424
+        assert abs(first) <= 1e-13
+        assert y.diagnostics["evaluations"] == 19
+        cells = y.diagnostics["kernel_cells"]
+        assert cells == 1_032
+        assert ivp_residual(prob, y, 1.0, p_half) == first
+        assert y.diagnostics["kernel_cells"] == cells
 
 
 @settings(max_examples=30, deadline=None)
