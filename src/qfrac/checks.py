@@ -539,10 +539,12 @@ _TABLE = {
             {**_IVP, "a": (0.0, 0.5**4), "f": ("t",), "t": _IVP_TS}, _residual_at),
         # The forcing from a = 0 or on the grid of a: the kernel's one series
         # (and its first orders apart, more of them as q nears 1) against the
-        # integrals order by order.
+        # integrals order by order.  The second lam puts z = lam ((1-q) t)**alpha
+        # at 1/2 for t = 1, so that the kernel, not the stopping rule, ends
+        # the orders at every q.
         _Identity("forcing_kernel_vs_orders", 1e-12,
-            {**_IVP, "q": (0.3, 0.5, 0.9), "a": lambda q: (0.0, q**4), "f": ("t", "t+t^2"),
-             "t": _IVP_TS},
+            {**_IVP, "q": (0.3, 0.5, 0.9), "lam": lambda q, alpha: (0.3, 0.5 / (1.0 - q) ** alpha),
+             "a": lambda q: (0.0, q**4), "f": ("t", "t+t^2"), "t": _IVP_TS},
             lambda alpha, lam, a, f, t, p, memo: memo(
                 solve_ivp_closed, IVProblem(alpha, lam, a, 0.0, f), p)(t),
             _forcing_by_orders),

@@ -11,6 +11,7 @@ pointwise residual check ties the solutions back to the equation itself.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -198,54 +199,46 @@ _KERNEL_GAIN = 8.0
 _KERNEL_CHUNK = 16
 
 
-def _kernel_orders(alpha: float, q: float) -> int:
-    """The fewest P >= 0 with A(alpha (P + 1)) <= _KERNEL_GAIN.  A is the
-    product of (1 + q**(beta+j)) / (1 - q**(beta+j)) over j >= 0, multiplied
-    out until it passes the bound or its factors round to 1, so a rejected P
-    costs a few factors."""
-    orders = 0
-    while True:
-        gain, x = 1.0, q ** (alpha * (orders + 1))
-        while gain <= _KERNEL_GAIN and x > 1e-17:
-            gain *= (1.0 + x) / (1.0 - x)
-            x *= q
-        if gain <= _KERNEL_GAIN:
-            return orders
-        orders += 1
+def _kernel_orders(alpha: float, p: QParams) -> int:
+    """The fewest P >= 0 with A(alpha (P + 1)) <= _KERNEL_GAIN, by doubling
+    and bisection: A falls as beta grows, so a large P takes few products."""
+
+    def within(orders: int) -> bool:
+        beta = alpha * (orders + 1)
+        gain = special._q_product(-(p.q**beta), p) / special._pochhammer_tail(beta, p)
+        return gain <= _KERNEL_GAIN
+
+    top = 1
+    while not within(top):
+        top *= 2
+    return bisect.bisect_left(range(top), True, key=within)
 
 
 class _Kernel:
-    """The forcing kernel K_i(x) = sum_{k>=P} z**k w_i^(alpha(k+1)) (over
-    P <= k < m for Picard(m)) at the chain points x of one solution, with
-    z = lam ((1-q) x)**alpha, P = _kernel_orders(alpha, q) and w^(mu) the unit
-    weights of _lattice_weights(mu, q, q, 1, 1): past its first P orders the
-    forcing at x is the one series h sum_i K_i(x) f(x q**i), h = ((1-q) x)**alpha.
+    """The forcing kernel K_i(x) = sum_{k>=P} z**k w_i^(alpha(k+1)) at the
+    chain points x of one solution, with z = lam ((1-q) x)**alpha,
+    P = _kernel_orders(alpha, p) and w^(mu) the unit weights of
+    _lattice_weights(mu, q, q, 1, 1): past its first P orders the forcing at
+    x is the one series h sum_i K_i(x) f(x q**i), h = ((1-q) x)**alpha.
 
-    Row x holds K_0(x), K_1(x), ...  K_0 = z**P / (1 - z) (sum_{P<=k<m} z**k
-    for Picard), and as z(xq) = q**alpha z(x) the weights' recurrence gives
-    K_i(x) = q / (1 - q**i) (K_{i-1}(x) - q**(i-1+alpha) K_{i-1}(xq)), two
+    Row x holds K_0(x), K_1(x), ...  K_0 = z**P / (1 - z), and as
+    z(xq) = q**alpha z(x) the weights' recurrence gives K_i(x)
+    = q / (1 - q**i) (K_{i-1}(x) - q**(i-1+alpha) K_{i-1}(xq)), two
     multiplies a cell.  Rows are keyed by the point, so the evaluations that
     pass x (the residual's points among them) read the same cells; they are
     filled from the solution's rule, under its lock.
     """
 
-    def __init__(self, alpha: float, lam: float, m: int | None, q: float) -> None:
-        self.orders = _kernel_orders(alpha, q)
-        self._alpha, self._lam, self._m, self._q = alpha, lam, m, q
+    def __init__(self, alpha: float, lam: float, p: QParams) -> None:
+        self.orders = _kernel_orders(alpha, p)
+        self._alpha, self._lam, self._q = alpha, lam, p.q
         self._rows: dict[float, list[float]] = {}
         self._scale, self._shift = [0.0], [0.0]  # q / (1 - q**i), q**(i-1+alpha); i >= 1
-
-    @property
-    def cells(self) -> int:
-        """The cells filled so far."""
-        return sum(map(len, self._rows.values()))
 
     def _first(self, x: float) -> float:
         """K_0(x)."""
         z = self._lam * ((1.0 - self._q) * x) ** self._alpha
-        if self._m is None:
-            return z**self.orders / (1.0 - z)
-        return sum(z**k for k in range(self.orders, self._m))
+        return z**self.orders / (1.0 - z)
 
     def row(self, x: float, n: int) -> list[float]:
         """Row x with at least n cells.  Cell i of a row reads cell i - 1 of
@@ -291,8 +284,8 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     forcing = None if prob.forcing is None else _Column(prob.forcing).__getitem__
     ratios = _ml_ratios(alpha, 1.0, lam, p)  # the head's coefficients, once per solution
     head_terms = None if m is None else m + 1
-    kernel = None if forcing is None or lam == 0.0 else _Kernel(alpha, lam, m, q)
-    diagnostics = {"terms": 0, "evaluations": 0, "kernel_cells": 0}
+    kernel = None if forcing is None or lam == 0.0 or m is not None else _Kernel(alpha, lam, p)
+    diagnostics = {"terms": 0, "evaluations": 0}
 
     def order_terms(t: float, steps: int | None, h: float) -> Iterator[float]:
         for k in itertools.count():
@@ -300,18 +293,26 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
                    * _left_series(forcing, a, alpha * (k + 1), t, steps, h, p))
 
     def forced(t: float, steps: int | None) -> float:
-        """The forcing term at t > a: order by order from an a off the grid
-        of t, else its first P orders and the kernel's series."""
+        """The forcing term at t > a: order by order for Picard and from an a
+        off the grid of t, else its first P orders and the kernel's series."""
         h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
         where = ("forcing at t={!r}, alpha={!r}, lam={!r}, q={!r}", t, alpha, lam, q)
-        if steps == -1:
+        if kernel is None or steps == -1:
             return _sum(order_terms(t, steps, h), m, p, where)
-        if m is None and not abs(lam * h) < 1.0:
+        if not abs(lam * h) < 1.0:
             raise NonConvergence(f"{_name(where)}: |lam ((1-q) t)**alpha| = {abs(lam * h)!r} "
                                  f">= 1, so the series diverges")
-        count = kernel.orders if m is None else min(kernel.orders, m)
-        value = _sum(order_terms(t, steps, h), count, p, where)
-        if m is None or m > kernel.orders:
+        passed = []  # set once all P orders are summed and the rule has not ended them
+
+        def orders() -> Iterator[float]:
+            yield from itertools.islice(order_terms(t, steps, h), kernel.orders)
+            passed.append(True)
+
+        # Where z is small (far down the chain) the stopping rule ends the
+        # orders before P, as it did with no kernel, and the kernel's terms,
+        # below the rule, are left out.
+        value = _sum(orders(), None, p, where)
+        if passed:
             value += _chain_sum(forcing, t, False, kernel.weights(t, h, steps), steps, p, where)
         return value
 
@@ -327,12 +328,10 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
             # At t = a the integrals are empty; Picard(0) has no forcing term.
             if forcing is not None and t > a and m != 0:
                 # With lam = 0 every term after the first is 0.0 times an integral.
-                value += (forced(t, steps) if kernel is not None
+                value += (forced(t, steps) if lam != 0.0
                           else left_frac_integral(forcing, a, alpha, t, p))
         diagnostics["evaluations"] += 1
         diagnostics["terms"] += counter.total
-        if kernel is not None:
-            diagnostics["kernel_cells"] = kernel.cells
         return value
 
     if m is not None:
@@ -351,9 +350,10 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     term k is z**k, z = lam h, times the series of weight h, and neither
     lam**k nor Gamma_q(alpha(k+1)) is formed.  From a = 0 or on the grid of
     a the terms past the first P are one series over _Kernel, whose cells
-    the solution's points share; |z| >= 1 there raises NonConvergence.  From
-    an a off the grid of t the terms are summed one by one, and terms that
-    grow raise NonConvergence.  t < a raises DomainError; y(a) = a0.
+    the solution's points share, unless the stopping rule ends the terms
+    first; |z| >= 1 there raises NonConvergence.  From an a off the grid of
+    t the terms are summed one by one, and terms that grow raise
+    NonConvergence.  t < a raises DomainError; y(a) = a0.
     """
     return _series_solution(prob, None, p)
 
@@ -368,9 +368,7 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
                  + sum_{k<m} lam**k I_a^(alpha(k+1)) f(t),
 
     each summed in full however its terms grow, so y_m exists where the closed
-    form raises NonConvergence.  On the lattice the forcing is its first
-    min(P, m) terms and, for m > P, the _Kernel series with K_0 the sum of
-    z**k over P <= k < m.  Diagnostics count the evaluated points and
+    form raises NonConvergence.  Diagnostics count the evaluated points and
     their terms.  m < 0, t < a and, with a > 0, a t off the time scale
     a q**-j raise DomainError; y(a) = a0, and y_0 = a0 even when forced.
     """

@@ -48,7 +48,7 @@ RECORD_COUNTS = {
     },
     "ivp": {
         "closed_exp_reduction": 4,
-        "forcing_kernel_vs_orders": 48,
+        "forcing_kernel_vs_orders": 96,
         "ivp_fixed_point": 32,
         "ivp_nonhomogeneous": 4,
         "ivp_residual_closed": 4,
@@ -94,8 +94,8 @@ def test_record_counts_per_identity(report_all):
     suites = {suite: {entry.name for entry in checks._TABLE[suite]} for suite in checks.SUITE_NAMES}
     assert suites == {suite: set(by_name) for suite, by_name in RECORD_COUNTS.items()}
     totals = {suite: sum(by_name.values()) for suite, by_name in RECORD_COUNTS.items()}
-    assert totals == {"core": 519, "special": 309, "frac": 3378, "ivp": 141}
-    assert len(report_all.records) == 4347
+    assert totals == {"core": 519, "special": 309, "frac": 3378, "ivp": 189}
+    assert len(report_all.records) == 4395
 
 
 def test_suite_builders_are_generator_functions():

@@ -475,26 +475,44 @@ class TestForcingKernel:
     def test_orders_kept_apart(self, q, alpha, orders):
         # P is the fewest orders that bring the recurrence's gain
         # A(beta) = (-q**beta; q)_inf / (q**beta; q)_inf, beta = alpha (P + 1),
-        # within 8; A from the package's own q-Pochhammer products.
+        # within 8.
         p = QParams(q)
 
         def gain(beta):
             return qfrac.special._q_product(-(q**beta), p) / qfrac.special._pochhammer_tail(beta, p)
 
-        assert qfrac.ivp._kernel_orders(alpha, q) == orders
+        assert qfrac.ivp._kernel_orders(alpha, p) == orders
         assert gain(alpha * (orders + 1)) <= 8.0
         assert orders == 0 or gain(alpha * orders) > 8.0
 
     def test_orders_apart_keep_the_kernel_accurate(self, monkeypatch):
-        # With no order kept apart the recurrence's rounding reaches 1.2e-9
-        # here (1.5e-8 at alpha = 0.5); with P = 23 the kernel meets the
-        # orders to 1e-14.
+        # z = lam ((1-q) t)**alpha = 0.378, so z**23 is above rel_tol and the
+        # kernel takes the orders past P = 23.  With no order kept apart the
+        # recurrence's rounding reaches 1e-10 here; with P the kernel meets
+        # the orders to 1e-14.
         p, f = QParams(0.9), quadratic(1.0, -0.5, 0.7)
-        want = sum(0.3**k * left_frac_integral(f, 0.0, 0.9 * (k + 1), 1.0, p) for k in range(60))
-        prob = IVProblem(0.9, 0.3, 0.0, 0.0, f)
+        want = sum(3.0**k * left_frac_integral(f, 0.0, 0.9 * (k + 1), 1.0, p) for k in range(60))
+        prob = IVProblem(0.9, 3.0, 0.0, 0.0, f)
         assert rel_err(solve_ivp_closed(prob, p)(1.0), want) < 1e-14
         monkeypatch.setattr(qfrac.ivp, "_KERNEL_GAIN", math.inf)
-        assert rel_err(solve_ivp_closed(prob, p)(1.0), want) > 1e-9
+        assert rel_err(solve_ivp_closed(prob, p)(1.0), want) > 1e-11
+
+    @pytest.mark.parametrize(("q", "alpha", "orders", "terms", "value"), [
+        (0.9, 0.1, 214, 1_741, 1.3408618799972052),
+        (0.99, 0.04, 11_358, 15_799, 1.392971839841547),
+    ])
+    def test_rule_ends_the_orders_before_the_kernel(self, q, alpha, orders, terms, value):
+        # As q nears 1 or alpha 0, P grows past what the stopping rule needs
+        # where z is small: here z = 0.24 and 0.25, and the rule ends the
+        # orders after about 20, as it did before the kernel, with the same
+        # terms and value.  Summing all P orders first took 22,075 terms at
+        # q = 0.9 and ran out of the 10,000-term budget at q = 0.99.
+        p = QParams(q)
+        y = solve_ivp_closed(IVProblem(alpha, 0.3, 0.0, 0.0, lambda s: s), p)
+        assert qfrac.ivp._kernel_orders(alpha, p) == orders
+        with count_terms() as counter:
+            assert y(1.0) == value
+        assert counter.total == terms
 
     @pytest.mark.parametrize("a", [0.0, 0.5**4])
     def test_divergent_forcing_raises(self, p_half, a):
@@ -506,21 +524,19 @@ class TestForcingKernel:
 
     def test_residual_reads_the_solution_cells(self, p_half):
         # The residual's 19 points lie on the chain of t, whose kernel rows
-        # closed(t) has filled: order by order the residual took 3,424
+        # closed(t) has filled: order by order the residual took 3,422
         # terms; one series per point takes 995.  A second residual reads
-        # the point memo and fills no cell.
+        # the point memo: it evaluates no point, so it fills no cell.
         prob = IVProblem(0.8, 0.3, 0.0, 1.0, quadratic(1.0, -0.5, 0.7))
         y = solve_ivp_closed(prob, p_half)
         y(1.0)
         with count_terms() as counter:
             first = ivp_residual(prob, y, 1.0, p_half)
-        assert counter.total == 995 < 3_424
+        assert counter.total == 995 < 3_422
         assert abs(first) <= 1e-13
-        assert y.diagnostics["evaluations"] == 19
-        cells = y.diagnostics["kernel_cells"]
-        assert cells == 1_032
+        assert y.diagnostics == {"terms": 2_219, "evaluations": 19}
         assert ivp_residual(prob, y, 1.0, p_half) == first
-        assert y.diagnostics["kernel_cells"] == cells
+        assert y.diagnostics == {"terms": 2_219, "evaluations": 19}
 
 
 @settings(max_examples=30, deadline=None)
