@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import math
 import os
+import re
 import sys
 from typing import Callable, Iterator, TextIO
 
@@ -50,6 +50,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" or "-0.5,1" after a flag for an unknown option,
+        # as only "-1" and "-0.5" pass its pattern; no flag starts "-<digit>".
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 
@@ -195,7 +201,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # Open --out first, so an unwritable path fails before the suite runs.
     with _output(args.out) as stream:
         report = checks.run_suite(args.suite, seed=args.seed, trunc=trunc)
-        stream.write(json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n")
+        stream.write(report.to_json() + "\n")
     if args.verbose:
         for rec in report.records:
             state = "pass" if rec.passed else "FAIL"

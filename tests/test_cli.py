@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qfrac.checks
 import qfrac.special
-from qfrac import NonConvergence, QParams
+from qfrac import NonConvergence, QParams, Truncation
 from qfrac.expr import compile_expr
 from qfrac.fractional import (left_caputo, left_frac_integral, left_riemann_deriv, right_caputo,
                               right_frac_integral, right_riemann_deriv)
@@ -110,6 +110,21 @@ class TestEval:
         )
         tight_terms = int(parse_csv(out)[0]["terms"])
         assert loose_terms < tight_terms
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["ml", "--q", "0.5", "--alpha", "0.5", "--z", "1"], "--lambda", "-1e-3"),
+            (["qfact", "--q", "0.5", "--alpha", "0.5", "--t", "1"], "--s", "-1e-2"),
+            (["eq", "--q", "0.5"], "--t", "-0.5,1"),
+            (["ml", "--q", "0.5", "--alpha", "0.5", "--z", "1,2"], "--lambda", "-.5E-1"),
+        ],
+        ids=["exponent", "exponent-s", "list", "leading-dot"],
+    )
+    def test_negative_value_after_flag(self, argv, flag, value):
+        code, out, err = run_cli(["eval", *argv, flag, value])
+        assert code == 0, err
+        assert run_cli(["eval", *argv, f"{flag}={value}"]) == (0, out, "")
 
     @pytest.mark.parametrize("given", [True, False], ids=["endpoint", "default"])
     @pytest.mark.parametrize("target, side", list(OPERATORS))
@@ -379,6 +394,59 @@ class TestCheck:
         assert report["n_records"] == len(report["records"]) > 100
         assert "duration" not in report
         assert "suite=special" in err
+
+    @staticmethod
+    def check_stdout(monkeypatch, argv, report=None):
+        """Stdout of `qfrac check ... --out -` and the report it wrote, which is
+        the suite's unless a report is given to write instead."""
+        reports = []
+        run_suite = qfrac.checks.run_suite
+
+        def capture(*args, **kwargs):
+            reports.append(report or run_suite(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(qfrac.checks, "run_suite", capture)
+        _, out, _ = run_cli(["check", *argv, "--out", "-"])
+        (written,) = reports
+        return out, written
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["core"], ["special"], ["frac"], ["ivp"], ["all"], ["core", "--max-terms", "1"]],
+        ids=["core", "special", "frac", "ivp", "all", "core-max-terms-1"],
+    )
+    def test_report_bytes_are_the_stdlib_indented_dump(self, monkeypatch, argv):
+        out, report = self.check_stdout(monkeypatch, [*argv, "--seed", "7"])
+        assert out == json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        if "--max-terms" in argv:
+            assert sum(rec.error is not None for rec in report.records) > 100
+
+    @pytest.mark.parametrize("n_records", [0, 5], ids=["no-records", "edge-cases"])
+    def test_report_bytes_on_edge_cases(self, monkeypatch, n_records):
+        error = 'quote " backslash \\ { [ },\n      { \n      "params": 0 new\nline λ \u2192'
+        records = [
+            qfrac.checks.IdentityRecord("non_finite", {"a": math.inf, "b": -math.inf, "q": 0.5},
+                                        math.nan, math.inf, -math.inf, 1e-12),
+            qfrac.checks.IdentityRecord("awkward \u00e9rror", {"f": error, "params": 0}, error=error),
+            qfrac.checks.IdentityRecord("empty_params", {}, 1.0, 1.0, 0.0, 1e-12, True, 3),
+            qfrac.checks.IdentityRecord("list_param", {"m_values": [5, 10], "none": [],
+                                                       "deep": [{"x": [1.5]}, {}], "q": 0.5}),
+            qfrac.checks.IdentityRecord("after_list", {"q": 0.3, "t": -0.0}, passed=True),
+        ][:n_records]
+        given = qfrac.checks.CheckReport("core", 7, Truncation(), records)
+        out, report = self.check_stdout(monkeypatch, ["core"], given)
+        assert out == json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+    def test_report_never_enters_the_pure_python_encoder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        code, out, _ = run_cli(["check", "frac", "--seed", "7", "--out", "-"])
+        assert code == 0
+        assert json.loads(out)["n_records"] > 2000
 
     def test_unknown_suite(self):
         code, _, _ = run_cli(["check", "bogus"])
