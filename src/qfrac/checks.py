@@ -20,8 +20,8 @@ from functools import cache, partial
 from operator import itemgetter
 
 from . import special
-from .core import (QFunction, QParams, Truncation, count_terms, nabla_q, nabla_q_n, q_bracket,
-                   q_integral, q_integral_tail)
+from .core import (QFunction, QParams, Truncation, _power, count_terms, nabla_q, nabla_q_n,
+                   q_bracket, q_integral, q_integral_tail)
 from .errors import QCalculusError
 from .fractional import (left_caputo, left_frac_integral, left_riemann_deriv, r_coef,
                          right_caputo, right_frac_integral, right_riemann_deriv)
@@ -664,7 +664,8 @@ def _right_integral_anchored(
     grid-aligned definition exactly whenever the points do align).
     """
     q = p.q
-    shift = q ** (1.0 - alpha)
+    shift = _power(q, 1.0 - alpha, "right integral from x={!r} to b={!r}, alpha={!r}, q={!r}",
+                   x, b, alpha, q)
 
     def integrand(s: float) -> float:
         kernel = special.q_factorial_power(s, x, alpha - 1.0, p)

@@ -52,9 +52,10 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # argparse takes "-1e-3" or "-0.5,1" after a flag for an unknown option,
-        # as only "-1" and "-0.5" pass its pattern; no flag starts "-<digit>".
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse takes "-1e-3", "-0.5,1" or "-inf" after a flag for an unknown
+        # option, as only "-1" and "-0.5" pass its pattern; no flag starts
+        # "-<digit>", "-inf" or "-nan", in any case.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)

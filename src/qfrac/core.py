@@ -135,50 +135,57 @@ def _accumulate(
     terms: Iterable[float],
     trunc: Truncation,
     *,
-    detect_growth: bool = False,
-    finite: bool = False,
+    detect_growth: bool,
+    count: int | None = None,
     where: tuple,
 ) -> float:
-    """Sum terms under the stopping rule.
+    """Sum terms under the stopping rule, or their first ``count`` in full.
 
-    A finite sum (``finite=True``: terms known to end) is summed in full.  An
-    infinite one tracks the last ratio rho_n = term_n / term_{n-1}: while it
-    and the one before lie in (0, 1), the tail is taken as geometric, worth
-    term_n rho_n / (1 - rho_n), and after ``_SMALL_RUN`` successive terms
-    whose drift |rho_n - rho_{n-1}| |term_n| / (1 - rho_n)**2 (the error of
-    that tail when the ratio moves as it just did) stays within
+    A cut sum (``count`` given) adds its first count terms whatever they are:
+    zero terms do not end it, and growing ones do not raise even with
+    ``detect_growth``.  An infinite one (``count`` None) tracks the last
+    ratio rho_n = term_n / term_{n-1}: while it and the one before lie in
+    (0, 1), the tail is taken as geometric, worth term_n rho_n / (1 - rho_n),
+    and after ``_SMALL_RUN`` successive terms whose drift
+    |rho_n - rho_{n-1}| |term_n| / (1 - rho_n)**2 (the error of that tail
+    when the ratio moves as it just did) stays within
     ``_TAIL_SHARE * rel_tol * |S + tail| + abs_tol`` the sum returns
     S + tail; any other ratio (sign change, zero or growing term) restarts
-    that run.  Otherwise it stops on ``_SMALL_RUN`` small terms.  Both kinds
+    that run.  Otherwise it stops on ``_SMALL_RUN`` small terms, and with
+    ``detect_growth`` raises NonConvergence on a growth run.  Both kinds
     raise NonConvergence past ``max_terms`` terms or at a non-finite term.
     A failure's message opens with ``where[0].format(*where[1:])``, a
     template and its arguments (as _power takes them), formatted only when it
     is raised.
     """
     max_terms, rel_tol, abs_tol = trunc.max_terms, trunc.rel_tol, _ABS_TOL
+    finite = count is not None
+    if finite:
+        terms = itertools.islice(terms, count)
+        detect_growth = False
     # A small run never reaches max_terms + 1 before the budget check fires.
     small_limit = max_terms + 1 if finite else _SMALL_RUN
     tail_tol = _TAIL_SHARE * rel_tol
     total = 0.0
     small_run = 0
-    # A finite sum never closes a tail: its previous term stays 0.
+    # A cut sum never closes a tail: its previous term stays 0.
     prev_term = 0.0
     prev_ratio = 0.0
     tail_run = 0
     growth_run = 0
     growth_base = math.inf
     prev_mag = math.inf
-    count = 0
+    n = 0
     for term in terms:
-        count += 1
-        if count > max_terms:
-            _note_terms(count)
+        n += 1
+        if n > max_terms:
+            _note_terms(n)
             raise NonConvergence(
                 f"{_name(where)}: stopping rule did not fire within {max_terms} terms"
             )
         if not math.isfinite(term):
-            _note_terms(count)
-            raise NonConvergence(f"{_name(where)}: non-finite term at index {count - 1}")
+            _note_terms(n)
+            raise NonConvergence(f"{_name(where)}: non-finite term at index {n - 1}")
         total += term
         mag = abs(term)
         if prev_term:
@@ -192,7 +199,7 @@ def _accumulate(
             ):
                 tail_run += 1
                 if tail_run >= _SMALL_RUN:
-                    _note_terms(count)
+                    _note_terms(n)
                     return total + term * ratio / gap
             else:
                 tail_run = 0
@@ -202,7 +209,7 @@ def _accumulate(
         if mag <= rel_tol * abs(total) + abs_tol:
             small_run += 1
             if small_run >= small_limit:
-                _note_terms(count)
+                _note_terms(n)
                 return total
         else:
             small_run = 0
@@ -215,14 +222,14 @@ def _accumulate(
                     growth_run >= _SMALL_RUN
                     and mag > _GROWTH_FACTOR * growth_base
                 ):
-                    _note_terms(count)
+                    _note_terms(n)
                     raise NonConvergence(
                         f"{_name(where)}: terms grew for {growth_run} successive steps"
                     )
             else:
                 growth_run = 0
             prev_mag = mag
-    _note_terms(count)
+    _note_terms(n)
     return total
 
 
@@ -316,14 +323,11 @@ def _chain_sum(
 
     def terms() -> Iterator[float]:
         point = x
-        for w in weights if steps is None else itertools.islice(weights, steps):
+        for w in weights:
             yield w * f(point)
             point = point / q if upward else point * q
 
-    return _accumulate(
-        terms(), p.trunc, detect_growth=upward and steps is None,
-        finite=steps is not None, where=where,
-    )
+    return _accumulate(terms(), p.trunc, detect_growth=upward, count=steps, where=where)
 
 
 def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -> float:
@@ -375,13 +379,26 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
                       ("tail integral from t={!r} to b={!r}, q={!r}", t, b, q))
 
 
+def _start_steps(a: float, t: float, q: float) -> int | None:
+    """The number of lattice steps down from t to a: m for a = t q**m
+    (m >= 0), None (infinitely many) for a = 0, and -1 where no lattice
+    series serves (t <= 0, or a off the grid of t or above t)."""
+    if not t > 0.0:
+        return -1
+    if a == 0.0:
+        return None
+    m = _grid_exponent(a / t, q)
+    return -1 if m is None or m < 0 else m
+
+
 def _upper_steps(t: float, b: float, q: float) -> int | None:
-    """m with b = t q**-m (m >= 0), or None for b = +infinity; DomainError else."""
+    """m with b = t q**-m (m >= 0), that is t = b q**m, or None for
+    b = +infinity; DomainError else."""
     if b == math.inf:
         return None
-    m = _grid_exponent(b / t, q)
-    if m is None or m > 0:
+    m = _start_steps(t, b, q)  # None only for t = 0, below every finite b
+    if m is None or m < 0:
         raise DomainError(
             f"finite upper limit must satisfy b = t * q**-m, m >= 0; got t={t}, b={b}"
         )
-    return -m
+    return m

@@ -24,8 +24,8 @@ from .core import (
     QFunction,
     QParams,
     _chain_sum,
-    _grid_exponent,
     _power,
+    _start_steps,
     _upper_steps,
     nabla_q_n,
     q_bracket,
@@ -55,8 +55,10 @@ def _derivative_order(order: float) -> tuple[float, int]:
 
 
 def r_coef(alpha: float, q: float) -> float:
-    """Prefactor q**(-alpha (alpha - 1) / 2) of right-sided operators."""
-    return q ** (-0.5 * alpha * (alpha - 1.0))
+    """Prefactor q**(-alpha (alpha - 1) / 2) of right-sided operators; an
+    overflow raises NumericOverflow naming alpha and q."""
+    return _power(q, -0.5 * alpha * (alpha - 1.0), "r(alpha) at alpha={!r}, q={!r}",
+                  alpha, q)
 
 
 def _integral_order(order: float) -> float:
@@ -74,47 +76,32 @@ _LEFT_AT = "left fractional integral at t={!r}, a={!r}, alpha={!r}, q={!r}"
 _RIGHT_AT = "right fractional integral at t={!r}, b={!r}, alpha={!r}, q={!r}"
 
 
-def _lattice_weights(
-    alpha: float, q: float, ratio: float, weight: float, offset: float
-) -> Iterator[float]:
-    """w_0 = weight, w_{k+1} = w_k * ratio * (1 - c q**(alpha+k)) / (1 - c q**(k+1))
-    with c = offset.
-
-    The kernel of a fractional integral over q_gamma(alpha) on the lattice, a
-    ratio of q-Pochhammer symbols, so no factorial power is ever rebuilt.  With
-    c = a / t < 1 they follow the kernel (t - qs)_q^(alpha-1) along s = a q**k.
-    """
-    w = weight
-    num = offset * q**alpha
-    den = offset * q
-    while True:
-        yield w
-        w *= ratio * (1.0 - num) / (1.0 - den)
-        num *= q
-        den *= q
-
-
 def _lattice_series(
     f: QFunction, x: float, upward: bool, alpha: float, weight: float,
     steps: int | None, p: QParams, where: tuple, offset: float = 1.0,
 ) -> float:
-    """core._chain_sum over the weights _lattice_weights(alpha, q, ratio,
-    weight, offset), with ratio q**-alpha upward and q downward."""
+    """core._chain_sum over the weights w_0 = weight and
+    w_{k+1} = w_k * ratio * (1 - c q**(alpha+k)) / (1 - c q**(k+1)), with
+    c = offset and ratio q**-alpha upward, q downward.
+
+    Downward they are the kernel of a fractional integral over q_gamma(alpha)
+    on the lattice, a ratio of q-Pochhammer symbols, so no factorial power is
+    ever rebuilt.  With c = a / t < 1 they follow the kernel
+    (t - qs)_q^(alpha-1) along s = a q**k.
+    """
+    # The state comes in as arguments, as a closure over it makes each call
+    # slower, which shows on short series.
+    def weights(w: float, ratio: float, num: float, den: float, q: float) -> Iterator[float]:
+        while True:
+            yield w
+            w *= ratio * (1.0 - num) / (1.0 - den)
+            num *= q
+            den *= q
+
     q = p.q
-    weights = _lattice_weights(alpha, q, q**-alpha if upward else q, weight, offset)
-    return _chain_sum(f, x, upward, weights, steps, p, where)
-
-
-def _start_steps(a: float, t: float, q: float) -> int | None:
-    """The number of terms of the left lattice series at t from a: m for
-    a = t q**m (m >= 0), None (infinitely many) for a = 0, and -1 where no
-    lattice series serves (t <= 0, or a off the grid of t or above t)."""
-    if not t > 0.0:
-        return -1
-    if a == 0.0:
-        return None
-    m = _grid_exponent(a / t, q)
-    return -1 if m is None or m < 0 else m
+    ratio = q**-alpha if upward else q
+    return _chain_sum(f, x, upward, weights(weight, ratio, offset * q**alpha, offset * q, q),
+                      steps, p, where)
 
 
 def _left_series(f: QFunction, a: float, alpha: float, t: float, steps: int | None,
@@ -151,8 +138,9 @@ def left_frac_integral(
     _left_series of weight ((1-q) t)**alpha: a lattice series, less its part
     anchored at a off the grid.  Any other a (a > t off or on the grid, or
     t <= 0) takes the Jackson sum of the kernel built by q_factorial_power at
-    every point.  A negative non-integer order -alpha gives the left Riemann
-    derivative of order alpha on every route.
+    every point; a NaN a or t raises DomainError.  A negative non-integer
+    order -alpha gives the left Riemann derivative of order alpha on every
+    route.
     """
     alpha = _integral_order(order)
     q = p.q
@@ -160,6 +148,8 @@ def left_frac_integral(
     if steps != -1 or 0.0 < a < t:
         weight = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
         return _left_series(f, a, alpha, t, steps, weight, p)
+    if math.isnan(a) or math.isnan(t):
+        raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: an endpoint is NaN")
 
     def integrand(s: float) -> float:
         kernel = special.q_factorial_power(t, q * s, alpha - 1.0, p)
@@ -186,8 +176,8 @@ def right_frac_integral(
         raise DomainError(f"right fractional integrals require t > 0, got t={t}")
     q = p.q
     steps = _upper_steps(t, b, q)
-    shift = q ** (1.0 - alpha)
     where = (_RIGHT_AT, t, b, alpha, q)
+    shift = _power(q, 1.0 - alpha, *where)
     weight = r_coef(alpha, q) * q**-alpha * _power((1.0 - q) * t, alpha, *where)
     return _lattice_series(lambda s: f(s * shift), t / q, True, alpha, weight, steps, p, where)
 

@@ -17,13 +17,14 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator
 
 from . import special
-from .core import QFunction, QParams, _accumulate, _chain_sum, _name, _power, count_terms
+from .core import (QFunction, QParams, _accumulate, _chain_sum, _name, _power, _start_steps,
+                   count_terms)
 from .errors import DomainError, NonConvergence
-from .fractional import (_LEFT_AT, _left_series, _start_steps, left_caputo,
-                         left_frac_integral)
+from .fractional import _LEFT_AT, _left_series, left_caputo, left_frac_integral
 
 __all__ = [
     "MLParams",
@@ -86,53 +87,28 @@ class IVProblem:
 class IVPSolution:
     """Evaluable solution with a method tag and evaluation diagnostics.
 
-    Instances are callable.  Values of rule are memoised in a _Column keyed
-    by the point, under a lock, so threads sharing one compute each point once.
+    Instances are callable.  Values of rule are memoised by functools.cache,
+    keyed by the point, under a lock, so threads sharing one compute each
+    point once.
     """
 
     def __init__(self, rule: QFunction, method: str, diagnostics: dict) -> None:
-        self._memo, self._lock = _Column(rule), threading.Lock()
+        self._memo, self._lock = cache(rule), threading.Lock()
         self.method = method
         self.diagnostics = diagnostics
 
     def __call__(self, t: float) -> float:
         with self._lock:  # the memo and the diagnostics that rule keeps
-            return self._memo[t]
+            return self._memo(t)
 
     def __repr__(self) -> str:
         return f"IVPSolution(method={self.method!r})"
 
 
-class _Column(dict):
-    """A memo of fill, as a dict keyed by a point or a cell k: fill(key) is
-    computed the first time key is read, so each value is computed once and
-    only if needed."""
-
-    __slots__ = ("_fill",)
-
-    def __init__(self, fill: Callable[[float], float]) -> None:
-        super().__init__()
-        self._fill = fill
-
-    def __missing__(self, key: float) -> float:
-        value = self[key] = self._fill(key)
-        return value
-
-    def cells(self, k: int) -> Iterator[float]:
-        """The cells k, k + 1, ..., each computed when reached."""
-        return map(self.__getitem__, itertools.count(k))
-
-
-def _sum(terms: Iterator[float], count: int | None, p: QParams, where: tuple) -> float:
-    """Sum under the stopping rule, watched for growth, or the first count terms in full."""
-    if count is None:
-        return _accumulate(terms, p.trunc, detect_growth=True, where=where)
-    return _accumulate(itertools.islice(terms, count), p.trunc, finite=True, where=where)
-
-
-def _ml_ratios(alpha: float, beta: float, lam: float, p: QParams) -> _Column:
+def _ml_ratios(alpha: float, beta: float, lam: float, p: QParams) -> Callable[[int], float]:
     """The q-Mittag-Leffler coefficients c_k = lam**k / q_gamma(alpha k + beta)
-    as a _Column of c_0 and the ratios c_k / c_{k-1} (k >= 1).
+    as k -> c_0 for k = 0 and c_k / c_{k-1} for k >= 1, memoised by
+    functools.cache, so each is computed once and only if a sum reads it.
 
     Once x = alpha (k - 1) + beta > 0 the ratio is lam times
     q_gamma(x) / q_gamma(x + alpha) = (1-q)**alpha (q**(x+alpha); q)_inf / (q**x; q)_inf,
@@ -150,13 +126,14 @@ def _ml_ratios(alpha: float, beta: float, lam: float, p: QParams) -> _Column:
         tail = special._pochhammer_tail
         return step * tail(x, p) / tail(before, p)
 
-    return _Column(fill)
+    return cache(fill)
 
 
-def _ml_sum(ratios: _Column, alpha: float, z: float, z0: float, p: QParams,
+def _ml_sum(ratios: Callable[[int], float], alpha: float, z: float, z0: float, p: QParams,
             count: int | None = None) -> float:
-    """sum_k c_k (z - z0)_q^(alpha k) over the _Column of _ml_ratios, over
-    k < count if count is given (see _sum).
+    """sum_k c_k (z - z0)_q^(alpha k) over the ratios of _ml_ratios, to the
+    stopping rule watched for growth, or over k < count in full if count is
+    given (see core._accumulate).
 
     Each term is the one before times c_k / c_{k-1} and, by the q-power
     rule, (z - q**(alpha (k-1)) z0)_q^(alpha): z**alpha for z0 = 0, one power
@@ -183,10 +160,12 @@ def _ml_sum(ratios: _Column, alpha: float, z: float, z0: float, p: QParams,
                 before = after
 
     terms = itertools.accumulate(
-        map(operator.mul, ratios.cells(1), steps()), operator.mul, initial=ratios[0]
+        map(operator.mul, map(ratios, itertools.count(1)), steps()), operator.mul,
+        initial=ratios(0),
     )
-    return _sum(terms, count, p,
-                ("q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, q={!r}", z, z0, alpha, q))
+    return _accumulate(terms, p.trunc, detect_growth=True, count=count,
+                       where=("q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, q={!r}",
+                              z, z0, alpha, q))
 
 
 _FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
@@ -217,9 +196,10 @@ def _kernel_orders(alpha: float, p: QParams) -> int:
 class _Kernel:
     """The forcing kernel K_i(x) = sum_{k>=P} z**k w_i^(alpha(k+1)) at the
     chain points x of one solution, with z = lam ((1-q) x)**alpha,
-    P = _kernel_orders(alpha, p) and w^(mu) the unit weights of
-    _lattice_weights(mu, q, q, 1, 1): past its first P orders the forcing at
-    x is the one series h sum_i K_i(x) f(x q**i), h = ((1-q) x)**alpha.
+    P = _kernel_orders(alpha, p) and w^(mu) the weights of
+    fractional._lattice_series downward at order mu, weight 1 and offset 1:
+    past its first P orders the forcing at x is the one series
+    h sum_i K_i(x) f(x q**i), h = ((1-q) x)**alpha.
 
     Row x holds K_0(x), K_1(x), ...  K_0 = z**P / (1 - z), and as
     z(xq) = q**alpha z(x) the weights' recurrence gives K_i(x)
@@ -281,7 +261,7 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
     q = p.q
     # Every term of the forcing series samples f on the same lattice points.
-    forcing = None if prob.forcing is None else _Column(prob.forcing).__getitem__
+    forcing = None if prob.forcing is None else cache(prob.forcing)
     ratios = _ml_ratios(alpha, 1.0, lam, p)  # the head's coefficients, once per solution
     head_terms = None if m is None else m + 1
     kernel = None if forcing is None or lam == 0.0 or m is not None else _Kernel(alpha, lam, p)
@@ -298,7 +278,8 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
         h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
         where = ("forcing at t={!r}, alpha={!r}, lam={!r}, q={!r}", t, alpha, lam, q)
         if kernel is None or steps == -1:
-            return _sum(order_terms(t, steps, h), m, p, where)
+            return _accumulate(order_terms(t, steps, h), p.trunc, detect_growth=True, count=m,
+                               where=where)
         if not abs(lam * h) < 1.0:
             raise NonConvergence(f"{_name(where)}: |lam ((1-q) t)**alpha| = {abs(lam * h)!r} "
                                  f">= 1, so the series diverges")
@@ -311,7 +292,7 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
         # Where z is small (far down the chain) the stopping rule ends the
         # orders before P, as it did with no kernel, and the kernel's terms,
         # below the rule, are left out.
-        value = _sum(orders(), None, p, where)
+        value = _accumulate(orders(), p.trunc, detect_growth=True, where=where)
         if passed:
             value += _chain_sum(forcing, t, False, kernel.weights(t, h, steps), steps, p, where)
         return value

@@ -118,13 +118,15 @@ class TestEval:
             (["qfact", "--q", "0.5", "--alpha", "0.5", "--t", "1"], "--s", "-1e-2"),
             (["eq", "--q", "0.5"], "--t", "-0.5,1"),
             (["ml", "--q", "0.5", "--alpha", "0.5", "--z", "1,2"], "--lambda", "-.5E-1"),
+            (["eq", "--q", "0.5"], "--t", "-inf"),
+            (["fracint", "--q", "0.5", "--alpha", "0.5", "--f", "s"], "--t", "-Infinity"),
+            (["qfact", "--q", "0.5", "--alpha", "0.5", "--t", "1"], "--s", "-nan"),
         ],
-        ids=["exponent", "exponent-s", "list", "leading-dot"],
+        ids=["exponent", "exponent-s", "list", "leading-dot", "inf", "infinity", "nan"],
     )
     def test_negative_value_after_flag(self, argv, flag, value):
-        code, out, err = run_cli(["eval", *argv, flag, value])
-        assert code == 0, err
-        assert run_cli(["eval", *argv, f"{flag}={value}"]) == (0, out, "")
+        # The value reaches the command as it does after "=", not a usage error.
+        assert run_cli(["eval", *argv, flag, value]) == run_cli(["eval", *argv, f"{flag}={value}"])
 
     @pytest.mark.parametrize("given", [True, False], ids=["endpoint", "default"])
     @pytest.mark.parametrize("target, side", list(OPERATORS))
@@ -305,6 +307,29 @@ class TestEvalErrors:
         assert err.startswith("qfrac: numeric failure: ")
         for name in names:
             assert name in err
+
+    @pytest.mark.parametrize("argv, names", [
+        (["eval", "fracint", "--side", "right", "--alpha", "60", "--t", "1", "--f", "inv(s)"],
+         ["r(alpha) at alpha=60.0, q=0.5", "overflowed"]),
+        (["explore", "--b", "1", "--t", "0.25", "--grid", "1e308,1"],
+         ["NumericOverflow: right integral from x=0.5 to b=1.0, alpha=1e+308, q=0.5"]),
+    ], ids=["eval", "explore"])
+    def test_right_power_overflow_names_parameters(self, argv, names):
+        code, out, err = run_cli([argv[0], "--q", "0.5", *argv[1:]])
+        assert code == 2
+        for name in names:
+            assert name in out + err
+        assert "Numerical result out of range" not in out + err
+
+    @pytest.mark.parametrize("endpoints, name", [
+        (["--t", "1", "--a", "nan"], "t=1.0, a=nan, alpha=0.5, q=0.5"),
+        (["--t", "nan"], "t=nan, a=0.0, alpha=0.5, q=0.5"),
+    ], ids=["a", "t"])
+    def test_nan_endpoint_of_left_integral(self, endpoints, name):
+        argv = ["eval", "fracint", "--q", "0.5", "--alpha", "0.5", "--f", "s", *endpoints]
+        code, out, err = run_cli(argv)
+        assert code == 3 and out == ""
+        assert err.startswith("qfrac: error: left fractional integral at " + name)
 
     def test_caputo_operand_singular_at_the_start(self, p_half):
         # The series from a reads f(a), which inv(s) from a = 0 has not.

@@ -1,4 +1,5 @@
 import asyncio
+import itertools
 import math
 import threading
 
@@ -27,10 +28,12 @@ from qfrac import (
     solve_ivp_closed,
     solve_ivp_picard,
 )
+from qfrac.core import _accumulate, _start_steps, _upper_steps
 
 from conftest import chain_wobble, rel_err
 
 INF = math.inf
+NAN = math.nan
 
 
 class TestParams:
@@ -277,6 +280,72 @@ class TestTailIntegral:
     def test_nonpositive_point_rejected(self, p_half):
         with pytest.raises(DomainError):
             q_integral_tail(lambda s: s, 0.0, INF, p_half)
+
+
+class TestCutSum:
+    """_accumulate(count=n) adds the first n terms in full, whatever they are."""
+
+    WHERE = ("cut sum at x={!r}", 1.5)
+
+    def test_zero_terms_do_not_end_it(self):
+        terms = [0.0] * 5 + [1.0, 2.0]
+        got = _accumulate(terms, Truncation(), detect_growth=False, count=6, where=self.WHERE)
+        assert got == 1.0
+        assert _accumulate(terms, Truncation(), detect_growth=False, where=self.WHERE) == 0.0
+
+    def test_growing_terms_do_not_raise(self):
+        growing = lambda: (2.0**k for k in itertools.count())
+        got = _accumulate(growing(), Truncation(), detect_growth=True, count=40, where=self.WHERE)
+        assert got == 2.0**40 - 1.0
+        with pytest.raises(NonConvergence, match="terms grew"):
+            _accumulate(growing(), Truncation(), detect_growth=True, where=self.WHERE)
+
+    def test_terms_past_the_budget_raise(self):
+        with pytest.raises(NonConvergence) as info:
+            _accumulate(itertools.repeat(1.0), Truncation(max_terms=5), detect_growth=False,
+                        count=10, where=self.WHERE)
+        assert str(info.value).startswith("cut sum at x=1.5: ")
+        got = _accumulate(itertools.repeat(1.0), Truncation(max_terms=5), detect_growth=False,
+                          count=5, where=self.WHERE)
+        assert got == 5.0
+
+
+_Q = 0.3
+_T = 1.7
+
+
+@pytest.mark.parametrize("rule, args, expected", [
+    (_start_steps, (0.5, 0.0, _Q), -1),
+    (_start_steps, (0.5, -1.0, _Q), -1),
+    (_start_steps, (0.0, _T, _Q), None),
+    (_start_steps, (_T, _T, _Q), 0),
+    (_start_steps, (_T * _Q**3, _T, _Q), 3),
+    (_start_steps, (_T / _Q, _T, _Q), -1),
+    (_start_steps, (0.5, _T, _Q), -1),
+    (_start_steps, (NAN, _T, _Q), -1),
+    (_start_steps, (0.5, NAN, _Q), -1),
+    (_upper_steps, (_T, INF, _Q), None),
+    (_upper_steps, (_T, _T, _Q), 0),
+    (_upper_steps, (_T, _T * _Q**-2, _Q), 2),
+    (_upper_steps, (_T, _T * _Q, _Q), DomainError),
+    (_upper_steps, (_T, 0.0, _Q), DomainError),
+    (_upper_steps, (_T, -1.0, _Q), DomainError),
+    (_upper_steps, (_T, NAN, _Q), DomainError),
+    (_upper_steps, (_T, 2.0, _Q), DomainError),
+], ids=[
+    "start-t-zero", "start-t-negative", "start-a-zero", "start-a-is-t", "start-three-steps",
+    "start-above-t", "start-off-grid", "start-a-nan", "start-t-nan",
+    "upper-infinite", "upper-b-is-t", "upper-two-steps", "upper-below-t", "upper-b-zero",
+    "upper-b-negative", "upper-b-nan", "upper-off-grid",
+])
+def test_lattice_step_rules(rule, args, expected):
+    # _start_steps(a, t, q) counts the steps down from t to a; _upper_steps(t,
+    # b, q) the steps up from t to b, which is _start_steps(t, b, q).
+    if expected is DomainError:
+        with pytest.raises(DomainError, match="finite upper limit"):
+            rule(*args)
+    else:
+        assert rule(*args) == expected
 
 
 class TestCalculusTheorems:
