@@ -51,12 +51,13 @@ class Truncation:
     """Stopping policy for every infinite sum or factor product.
 
     An infinite sum whose term ratios rho_n = term_n / term_{n-1} lie in
-    (0, 1) and settle returns ``S + term_n rho_n / (1 - rho_n)``, its partial
-    sum plus the closed geometric tail, once for ``_SMALL_RUN`` (3) successive
-    terms the drift ``|rho_n - rho_{n-1}| / (1 - rho_n)**2 * |term_n|`` is at
-    most ``_TAIL_SHARE * rel_tol * |S + tail| + _ABS_TOL`` (0.1 and 1e-300).
-    Any other infinite sum (alternating terms, ratios that never settle)
-    stops once 3 successive terms satisfy
+    (0, 1), or in (-1, 0), and settle returns
+    ``S + term_n rho_n / (1 - rho_n)``, its partial sum plus the closed
+    geometric tail, once for ``_SMALL_RUN`` (3) successive terms the drift
+    ``|rho_n - rho_{n-1}| / (1 - rho_n)**2 * |term_n|`` is at most
+    ``_TAIL_SHARE * rel_tol * |S + tail| + _ABS_TOL`` (0.1 and 1e-300).
+    Any other infinite sum (ratios that change sign or never settle) stops
+    once 3 successive terms satisfy
     ``|term| <= rel_tol * |partial_sum| + _ABS_TOL``.  A sum with a known
     number of terms is summed in full.  A product (c; q)_inf stops once 3
     successive ``|c q**j|`` are at most rel_tol and multiplies in its closed
@@ -144,16 +145,17 @@ def _accumulate(
     A cut sum (``count`` given) adds its first count terms whatever they are:
     zero terms do not end it, and growing ones do not raise even with
     ``detect_growth``.  An infinite one (``count`` None) tracks the last
-    ratio rho_n = term_n / term_{n-1}: while it and the one before lie in
-    (0, 1), the tail is taken as geometric, worth term_n rho_n / (1 - rho_n),
-    and after ``_SMALL_RUN`` successive terms whose drift
-    |rho_n - rho_{n-1}| |term_n| / (1 - rho_n)**2 (the error of that tail
-    when the ratio moves as it just did) stays within
+    ratio rho_n = term_n / term_{n-1}: while it and the one before both lie
+    in (0, 1) or both in (-1, 0), the tail is taken as geometric, worth
+    term_n rho_n / (1 - rho_n), and after ``_SMALL_RUN`` successive terms
+    whose drift |rho_n - rho_{n-1}| |term_n| / (1 - rho_n)**2 (the error of
+    that tail when the ratio moves as it just did) stays within
     ``_TAIL_SHARE * rel_tol * |S + tail| + abs_tol`` the sum returns
-    S + tail; any other ratio (sign change, zero or growing term) restarts
-    that run.  Otherwise it stops on ``_SMALL_RUN`` small terms, and with
-    ``detect_growth`` raises NonConvergence on a growth run.  Both kinds
-    raise NonConvergence past ``max_terms`` terms or at a non-finite term.
+    S + tail; any other ratio (a ratio changing sign, a zero or growing
+    term) restarts that run.  Otherwise it stops on ``_SMALL_RUN`` small
+    terms, and with ``detect_growth`` raises NonConvergence on a growth run.
+    Both kinds raise NonConvergence past ``max_terms`` terms or at a
+    non-finite term.
     A failure's message opens with ``where[0].format(*where[1:])``, a
     template and its arguments (as _power takes them), formatted only when it
     is raised.
@@ -191,9 +193,11 @@ def _accumulate(
         if prev_term:
             ratio = term / prev_term
             gap = 1.0 - ratio
+            # Positive ratios are tested first, as they are the common case.
             # The drift test times (1 - ratio)**2, so that it divides by
             # nothing: (S + tail) (1 - ratio) = S (1 - ratio) + term ratio.
-            if 0.0 < ratio < 1.0 and 0.0 < prev_ratio < 1.0 and (
+            if (0.0 < ratio < 1.0 and 0.0 < prev_ratio < 1.0
+                    or -1.0 < ratio < 0.0 and -1.0 < prev_ratio < 0.0) and (
                 abs(ratio - prev_ratio) * mag
                 <= (tail_tol * abs(total * gap + term * ratio) + abs_tol * gap) * gap
             ):

@@ -31,7 +31,7 @@ from .core import (
     q_bracket,
     q_integral,
 )
-from .errors import DomainError, NonConvergence, QCalculusError
+from .errors import DomainError, NonConvergence, NumericOverflow, QCalculusError
 
 __all__ = [
     "r_coef",
@@ -56,9 +56,13 @@ def _derivative_order(order: float) -> tuple[float, int]:
 
 def r_coef(alpha: float, q: float) -> float:
     """Prefactor q**(-alpha (alpha - 1) / 2) of right-sided operators; an
-    overflow raises NumericOverflow naming alpha and q."""
-    return _power(q, -0.5 * alpha * (alpha - 1.0), "r(alpha) at alpha={!r}, q={!r}",
-                  alpha, q)
+    overflow, of the power or of its exponent (|alpha| above about 1e154),
+    raises NumericOverflow naming alpha and q."""
+    where = "r(alpha) at alpha={!r}, q={!r}"
+    value = _power(q, -0.5 * alpha * (alpha - 1.0), where, alpha, q)
+    if math.isinf(value):
+        raise NumericOverflow(f"{where.format(alpha, q)}: the exponent overflowed")
+    return value
 
 
 def _integral_order(order: float) -> float:
@@ -137,10 +141,10 @@ def left_frac_integral(
     From a = 0, a = t q**m (m >= 0) or 0 < a < t off the grid of t it is
     _left_series of weight ((1-q) t)**alpha: a lattice series, less its part
     anchored at a off the grid.  Any other a (a > t off or on the grid, or
-    t <= 0) takes the Jackson sum of the kernel built by q_factorial_power at
-    every point; a NaN a or t raises DomainError.  A negative non-integer
-    order -alpha gives the left Riemann derivative of order alpha on every
-    route.
+    t = 0) takes the Jackson sum of the kernel built by q_factorial_power at
+    every point; a NaN or negative a or t raises DomainError.  A negative
+    non-integer order -alpha gives the left Riemann derivative of order alpha
+    on every route.
     """
     alpha = _integral_order(order)
     q = p.q
@@ -150,6 +154,8 @@ def left_frac_integral(
         return _left_series(f, a, alpha, t, steps, weight, p)
     if math.isnan(a) or math.isnan(t):
         raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: an endpoint is NaN")
+    if a < 0.0 or t < 0.0:
+        raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: endpoints must be >= 0")
 
     def integrand(s: float) -> float:
         kernel = special.q_factorial_power(t, q * s, alpha - 1.0, p)

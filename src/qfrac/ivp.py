@@ -61,10 +61,10 @@ class MLParams:
 def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
     """Evaluate the q-Mittag-Leffler series at z; divergence detected at runtime.
 
-    The coefficients come from one _ml_ratios column and the sum from
-    _ml_sum, for every z0.
+    The sum is _ml_sum's for every z0, over one _ml_ratios column, which
+    it reads only where its terms are not finite q-products.
     """
-    return _ml_sum(_ml_ratios(mp.alpha, mp.beta, mp.lam, p), mp.alpha, z, mp.z0, p)
+    return _ml_sum(mp, _ml_ratios(mp, p), z, p)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class IVPSolution:
         return f"IVPSolution(method={self.method!r})"
 
 
-def _ml_ratios(alpha: float, beta: float, lam: float, p: QParams) -> Callable[[int], float]:
+def _ml_ratios(mp: MLParams, p: QParams) -> Callable[[int], float]:
     """The q-Mittag-Leffler coefficients c_k = lam**k / q_gamma(alpha k + beta)
     as k -> c_0 for k = 0 and c_k / c_{k-1} for k >= 1, memoised by
     functools.cache, so each is computed once and only if a sum reads it.
@@ -115,6 +115,7 @@ def _ml_ratios(alpha: float, beta: float, lam: float, p: QParams) -> Callable[[i
     one new q-Pochhammer tail per coefficient, and no power of lam or 1 - q
     grows with k.
     """
+    alpha, beta, lam = mp.alpha, mp.beta, mp.lam
     step = lam * (1.0 - p.q) ** alpha
 
     def fill(k: int) -> float:
@@ -129,23 +130,50 @@ def _ml_ratios(alpha: float, beta: float, lam: float, p: QParams) -> Callable[[i
     return cache(fill)
 
 
-def _ml_sum(ratios: Callable[[int], float], alpha: float, z: float, z0: float, p: QParams,
-            count: int | None = None) -> float:
-    """sum_k c_k (z - z0)_q^(alpha k) over the ratios of _ml_ratios, to the
-    stopping rule watched for growth, or over k < count in full if count is
-    given (see core._accumulate).
+# Below this c, 1 - c rounds to 1.0, so a factor 1 - c of a finite
+# q-product changes nothing.
+_UNIT_FACTOR = 2.0**-54
 
-    Each term is the one before times c_k / c_{k-1} and, by the q-power
+
+def _ml_sum(mp: MLParams, ratios: Callable[[int], float], z: float, p: QParams,
+            count: int | None = None) -> float:
+    """sum_k c_k (z - z0)_q^(alpha k) over the ratios of _ml_ratios(mp, p), to
+    the stopping rule watched for growth, or over k < count in full if count
+    is given (see core._accumulate).
+
+    For z0 = z q**j with an integer 1 <= beta <= j each term is a finite
+    q-product: by the q-power rule and q_gamma's product form, term k is
+    (1-q)**(beta-1) zeta**k N_k / (q; q)_(j-1) with zeta = lam ((1-q) z)**alpha
+    and N_k = (q**(alpha k + beta); q)_(j - beta), whose factors are
+    multiplied until they round to 1, so no q_gamma and no infinite product
+    is formed; for beta = 1 and j = 1 it is zeta**k.
+
+    Else each term is the one before times c_k / c_{k-1} and, by the q-power
     rule, (z - q**(alpha (k-1)) z0)_q^(alpha): z**alpha for z0 = 0, one power
     per sum; z**alpha (q**(j + alpha (k-1)); q)_inf / (q**(j + alpha k); q)_inf
-    for z0 = z q**j, one new memoised tail per term; a factorial power per
-    term for any other z0.  So neither c_k nor the power is formed apart, and
-    neither overflows on long series.
+    for any other z0 = z q**j, one new memoised tail per term; a factorial
+    power per term for z0 off the grid.  So neither c_k nor the power is
+    formed apart, and neither overflows on long series.
     """
-    q = p.q
+    alpha, beta, z0, q = mp.alpha, mp.beta, mp.z0, p.q
+    j = _start_steps(z0, z, q)  # None for z0 = 0, -1 off the grid
+
+    def finite_terms(factors: int) -> Iterator[float]:
+        zeta = mp.lam * (1.0 - q) ** alpha * special.q_factorial_power(z, 0.0, alpha, p)
+        power, below = (1.0 - q) ** (beta - 1.0), special.q_pochhammer(j - 1, p)
+        start, shift = q**beta, q**alpha
+        while True:
+            c, product = start, power
+            for _ in range(factors):
+                if c < _UNIT_FACTOR:
+                    break
+                product *= 1.0 - c
+                c *= q
+            yield product / below
+            power *= zeta
+            start *= shift
 
     def steps() -> Iterator[float]:
-        j = _start_steps(z0, z, q)  # None for z0 = 0, -1 off the grid
         if j == -1:
             yield from (special.q_factorial_power(z, z0 * q ** (alpha * k), alpha, p)
                         for k in itertools.count())
@@ -159,10 +187,13 @@ def _ml_sum(ratios: Callable[[int], float], alpha: float, z: float, z0: float, p
                 yield power * before / after
                 before = after
 
-    terms = itertools.accumulate(
-        map(operator.mul, map(ratios, itertools.count(1)), steps()), operator.mul,
-        initial=ratios(0),
-    )
+    if j is not None and 1.0 <= beta <= j and beta == int(beta):
+        terms = finite_terms(j - int(beta))
+    else:
+        terms = itertools.accumulate(
+            map(operator.mul, map(ratios, itertools.count(1)), steps()), operator.mul,
+            initial=ratios(0),
+        )
     return _accumulate(terms, p.trunc, detect_growth=True, count=count,
                        where=("q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, q={!r}",
                               z, z0, alpha, q))
@@ -262,7 +293,8 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     q = p.q
     # Every term of the forcing series samples f on the same lattice points.
     forcing = None if prob.forcing is None else cache(prob.forcing)
-    ratios = _ml_ratios(alpha, 1.0, lam, p)  # the head's coefficients, once per solution
+    head = MLParams(alpha, 1.0, lam, a)
+    ratios = _ml_ratios(head, p)  # the head's coefficients, once per solution
     head_terms = None if m is None else m + 1
     kernel = None if forcing is None or lam == 0.0 or m is not None else _Kernel(alpha, lam, p)
     diagnostics = {"terms": 0, "evaluations": 0}
@@ -305,12 +337,15 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
             raise DomainError(f"with a > 0, Picard iterates live on the time scale "
                               f"a q**-j; t={t} is not on it (a={a})")
         with count_terms() as counter:
-            value = a0 * _ml_sum(ratios, alpha, t, a, p, head_terms) if a0 != 0.0 else 0.0
-            # At t = a the integrals are empty; Picard(0) has no forcing term.
-            if forcing is not None and t > a and m != 0:
-                # With lam = 0 every term after the first is 0.0 times an integral.
-                value += (forced(t, steps) if lam != 0.0
-                          else left_frac_integral(forcing, a, alpha, t, p))
+            if t == a:  # the head's terms past the first and the integrals vanish
+                value = a0
+            else:
+                value = a0 * _ml_sum(head, ratios, t, p, head_terms) if a0 != 0.0 else 0.0
+                # Picard(0) has no forcing term.
+                if forcing is not None and m != 0:
+                    # With lam = 0 every term after the first is 0.0 times an integral.
+                    value += (forced(t, steps) if lam != 0.0
+                              else left_frac_integral(forcing, a, alpha, t, p))
         diagnostics["evaluations"] += 1
         diagnostics["terms"] += counter.total
         return value
@@ -334,7 +369,10 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     the solution's points share, unless the stopping rule ends the terms
     first; |z| >= 1 there raises NonConvergence.  From an a off the grid of
     t the terms are summed one by one, and terms that grow raise
-    NonConvergence.  t < a raises DomainError; y(a) = a0.
+    NonConvergence.  On the time scale, t = a q**-j with j >= 1, the head's
+    terms are the finite q-products z**k (q**(alpha k + 1); q)_(j-1) /
+    (q; q)_(j-1) (see _ml_sum), so at j = 1 the head is a0 / (1 - z).  t < a
+    raises DomainError; y(a) = a0, with nothing summed.
     """
     return _series_solution(prob, None, p)
 

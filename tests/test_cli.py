@@ -188,6 +188,12 @@ class TestEvalErrors:
         assert code == 3
         assert "error" in err
 
+    def test_negative_endpoint_names_the_operator(self):
+        code, out, err = run_cli(["eval", "fracint", "--q", "0.5", "--alpha", "0.5", "--t", "-1",
+                                  "--f", "s"])
+        assert (code, out) == (3, "")
+        assert "left fractional integral at t=-1.0, a=0.0, alpha=0.5, q=0.5" in err
+
     def test_missing_flag(self):
         code, _, err = run_cli(["eval", "fracint", "--q", "0.5", "--alpha", "1",
                                 "--t", "1"])

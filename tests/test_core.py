@@ -310,6 +310,52 @@ class TestCutSum:
         assert got == 5.0
 
 
+class TestAlternatingTail:
+    """An infinite sum closes a geometric tail of negative ratio as it does one
+    of positive ratio, under the same drift test."""
+
+    WHERE = ("alternating sum at x={!r}", 1.5)
+
+    def _sum(self, terms, trunc=Truncation()):
+        with count_terms() as counter:
+            value = _accumulate(terms, trunc, detect_growth=True, where=self.WHERE)
+        return value, counter.total
+
+    @pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
+    def test_negative_geometric_ratio_closes_early(self, r):
+        # Three settled ratios after the first: 5 terms, where the small-term
+        # stop takes hundreds (thousands at r = 0.99).
+        value, terms = self._sum((-r) ** k for k in itertools.count())
+        assert terms == 5
+        assert abs(value - 1.0 / (1.0 + r)) <= 1e-15
+
+    def test_slowly_settling_alternating_ratio_is_not_closed_early(self):
+        # (-1)**k / (k + 1) has ratio -(k + 1) / (k + 2), which drifts like
+        # 1 / k**2: by default its drift stays above the bound for the whole
+        # budget, and at rel_tol 1e-8 the tail closes only after hundreds of
+        # terms, within a tenth of rel_tol of log 2.
+        leibniz = lambda: ((-1.0) ** k / (k + 1) for k in itertools.count())
+        with pytest.raises(NonConvergence, match="did not fire within 10000 terms"):
+            self._sum(leibniz())
+        value, terms = self._sum(leibniz(), Truncation(1e-8))
+        assert terms > 500
+        assert abs(value - math.log(2.0)) <= 0.1 * 1e-8 * math.log(2.0)
+
+    def test_ratio_changing_sign_restarts_the_run(self):
+        # Ratios 1/2 for three steps, then -1/2: the run of settled ratios
+        # starts over at the change, so the tail closes three steps later, at
+        # term 8, to 1 + 1/2 + 1/4 + 1/8 - (1/16) / (1 + 1/2) = 11/6.
+        def terms():
+            term = 1.0
+            for k in itertools.count():
+                yield term
+                term *= 0.5 if k < 3 else -0.5
+
+        value, count = self._sum(terms())
+        assert count == 8
+        assert abs(value - 11.0 / 6.0) <= 1e-15
+
+
 _Q = 0.3
 _T = 1.7
 

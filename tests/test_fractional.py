@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,13 @@ class TestRightEndpoint:
         assert r_coef(0.0, 0.5) == 1.0
         assert r_coef(2.0, 0.5) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("alpha", [1e200, -1e200])
+    def test_r_coefficient_exponent_overflow_raises(self, alpha):
+        # -alpha (alpha - 1) / 2 overflows to -inf, and q**-inf is inf
+        # without an OverflowError.
+        with pytest.raises(NumericOverflow, match=re.escape(f"alpha={alpha!r}, q=0.5")):
+            r_coef(alpha, 0.5)
+
     def test_nonpositive_endpoint_rejected(self, p_half):
         for b in (0.0, -1.0, -INF, math.nan):
             with pytest.raises(DomainError):
@@ -114,6 +122,13 @@ class TestRightEndpoint:
 
 
 class TestLeftIntegral:
+    @pytest.mark.parametrize(("a", "t"), [(0.0, -1.0), (0.0, -INF), (-0.5, 1.0), (-1.0, -0.5)])
+    def test_negative_endpoint_names_the_operator(self, p_half, a, t):
+        with pytest.raises(DomainError, match=(
+                rf"^left fractional integral at t={t!r}, a={a!r}, alpha=0\.5, q=0\.5: "
+                r"endpoints must be >= 0$")):
+            left_frac_integral(lambda s: s, a, 0.5, t, p_half)
+
     def test_order_one_is_plain_integral(self, p_half):
         f = lambda s: s + s * s
         for t in (0.25, 1.0):

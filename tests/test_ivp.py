@@ -130,6 +130,64 @@ class TestMittagLeffler:
         assert q_mittag_leffler(mp, 0.5**4, p_half) == 1.0
 
 
+class TestTimeScaleHead:
+    """From z0 = z q**j with an integer 1 <= beta <= j every q-Mittag-Leffler
+    term is a finite q-product (see ivp._ml_sum)."""
+
+    @staticmethod
+    def power_rule_terms(mp, z, p, count):
+        return [mp.lam**k * q_factorial_power(z, mp.z0, mp.alpha * k, p)
+                / q_gamma(mp.alpha * k + mp.beta, p) for k in range(count)]
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize(("j", "beta"),
+                             [(1, 1.0), (2, 1.0), (2, 2.0), (4, 1.0), (4, 2.0), (40, 1.0),
+                              (40, 2.0)])
+    @pytest.mark.parametrize("lam", [0.3, -0.4])
+    def test_terms_against_the_power_rule(self, q, j, beta, lam):
+        p = QParams(q)
+        mp = MLParams(0.7, beta, lam, q**j)
+        cut = qfrac.ivp._ml_sum(mp, qfrac.ivp._ml_ratios(mp, p), 1.0, p, 12)
+        want = math.fsum(self.power_rule_terms(mp, 1.0, p, 12))
+        assert abs(cut - want) <= 1e-14 * abs(want)
+        whole = math.fsum(self.power_rule_terms(mp, 1.0, p, 80))
+        assert abs(q_mittag_leffler(mp, 1.0, p) - whole) <= 1e-13 * abs(whole)
+
+    @pytest.mark.parametrize("m", [None, 0, 3])
+    def test_initial_point_sums_nothing(self, p_half, m):
+        prob = IVProblem(0.7, 0.3, 0.5**4, 2.5, lambda s: s)
+        y = solve_ivp_closed(prob, p_half) if m is None else solve_ivp_picard(prob, m, p_half)
+        with count_terms() as counter:
+            assert y(0.5**4) == 2.5
+        assert counter.total == 0
+        assert y.diagnostics["terms"] == 0 and y.diagnostics["evaluations"] == 1
+
+    def test_divergent_head_raises_and_its_iterates_stay_finite(self, p_half):
+        # zeta = lam (1-q) t = -1.5 at t = 1: the closed form's terms grow,
+        # while Picard(5) is the sum of the first six.
+        a = 0.5**4
+        prob = IVProblem(1.0, -3.0, a, 1.0)
+        with pytest.raises(NonConvergence, match="q-Mittag-Leffler"):
+            solve_ivp_closed(prob, p_half)(1.0)
+        got = solve_ivp_picard(prob, 5, p_half)(1.0)
+        want = math.fsum(self.power_rule_terms(MLParams(1.0, 1.0, -3.0, a), 1.0, p_half, 6))
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_no_pochhammer_tail(self, monkeypatch, p_half):
+        # No q_gamma and no infinite product, for the closed form or Picard,
+        # at any depth.
+        calls = []
+        inner = qfrac.special._pochhammer_tail
+        monkeypatch.setattr(qfrac.special, "_pochhammer_tail",
+                            lambda *args: calls.append(args) or inner(*args))
+        prob = IVProblem(0.7, 0.3, 0.5**4, 1.0)
+        closed, picard = solve_ivp_closed(prob, p_half), solve_ivp_picard(prob, 6, p_half)
+        for t in (0.5**3, 0.25, 1.0, 2.0):
+            assert math.isfinite(closed(t)) and math.isfinite(picard(t))
+        assert calls == []
+
+
 class TestProblemTypes:
     @pytest.mark.parametrize("alpha", [0.0, 1.2, -0.3])
     def test_order_range(self, alpha):
@@ -525,18 +583,20 @@ class TestForcingKernel:
     def test_residual_reads_the_solution_cells(self, p_half):
         # The residual's 19 points lie on the chain of t, whose kernel rows
         # closed(t) has filled: order by order the residual took 3,422
-        # terms; one series per point takes 995.  A second residual reads
-        # the point memo: it evaluates no point, so it fills no cell.
+        # terms; one series per point takes 991 (995, and 2,219 in all, while
+        # y(a) still summed the head; it is a0 now, with no terms).  A second
+        # residual reads the point memo: it evaluates no point, so it fills
+        # no cell.
         prob = IVProblem(0.8, 0.3, 0.0, 1.0, quadratic(1.0, -0.5, 0.7))
         y = solve_ivp_closed(prob, p_half)
         y(1.0)
         with count_terms() as counter:
             first = ivp_residual(prob, y, 1.0, p_half)
-        assert counter.total == 995 < 3_422
+        assert counter.total == 991 < 3_422
         assert abs(first) <= 1e-13
-        assert y.diagnostics == {"terms": 2_219, "evaluations": 19}
+        assert y.diagnostics == {"terms": 2_215, "evaluations": 19}
         assert ivp_residual(prob, y, 1.0, p_half) == first
-        assert y.diagnostics == {"terms": 2_219, "evaluations": 19}
+        assert y.diagnostics == {"terms": 2_215, "evaluations": 19}
 
 
 @settings(max_examples=30, deadline=None)
