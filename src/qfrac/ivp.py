@@ -18,7 +18,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import special
 from .core import (QFunction, QParams, _accumulate, _chain_sum, _name, _power, _start_steps,
@@ -43,7 +43,9 @@ class MLParams:
 
     The series is sum_k lam**k (z - z0)_q^(alpha k) / q_gamma(alpha k + beta);
     the fractional exponent alpha*k sits on the q-factorial power, which does
-    not factor into a plain k-th power unless z0 = 0.
+    not factor into a plain k-th power unless z0 = 0.  alpha must be a finite
+    real > 0, beta finite (1 / q_gamma is entire, so beta may sit on a pole
+    of q_gamma) and z0 >= 0.
     """
 
     alpha: float
@@ -54,6 +56,8 @@ class MLParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise DomainError(f"alpha must be a finite real > 0, got {self.alpha}")
+        if not math.isfinite(self.beta):
+            raise DomainError(f"beta must be finite, got {self.beta}")
         if self.z0 < 0.0:
             raise DomainError(f"z0 must be >= 0, got {self.z0}")
 
@@ -61,10 +65,10 @@ class MLParams:
 def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
     """Evaluate the q-Mittag-Leffler series at z; divergence detected at runtime.
 
-    The sum is _ml_sum's for every z0, over one _ml_ratios column, which
-    it reads only where its terms are not finite q-products.
+    The sum is _ml_sum's at the lattice position of z0 below z.  A term whose
+    alpha k + beta is a pole of q_gamma is 0, as 1 / q_gamma is entire.
     """
-    return _ml_sum(mp, _ml_ratios(mp, p), z, p)
+    return _ml_sum(mp, z, _start_steps(mp.z0, z, p.q), p)
 
 
 @dataclass(frozen=True)
@@ -105,98 +109,72 @@ class IVPSolution:
         return f"IVPSolution(method={self.method!r})"
 
 
-def _ml_ratios(mp: MLParams, p: QParams) -> Callable[[int], float]:
-    """The q-Mittag-Leffler coefficients c_k = lam**k / q_gamma(alpha k + beta)
-    as k -> c_0 for k = 0 and c_k / c_{k-1} for k >= 1, memoised by
-    functools.cache, so each is computed once and only if a sum reads it.
-
-    Once x = alpha (k - 1) + beta > 0 the ratio is lam times
-    q_gamma(x) / q_gamma(x + alpha) = (1-q)**alpha (q**(x+alpha); q)_inf / (q**x; q)_inf,
-    one new q-Pochhammer tail per coefficient, and no power of lam or 1 - q
-    grows with k.
-    """
-    alpha, beta, lam = mp.alpha, mp.beta, mp.lam
-    step = lam * (1.0 - p.q) ** alpha
-
-    def fill(k: int) -> float:
-        x, before = alpha * k + beta, alpha * (k - 1) + beta
-        if k == 0:
-            return 1.0 / special.q_gamma(x, p)
-        if before <= 0.0:
-            return lam * special.q_gamma(before, p) / special.q_gamma(x, p)
-        tail = special._pochhammer_tail
-        return step * tail(x, p) / tail(before, p)
-
-    return cache(fill)
-
-
 # Below this c, 1 - c rounds to 1.0, so a factor 1 - c of a finite
 # q-product changes nothing.
 _UNIT_FACTOR = 2.0**-54
 
+_ML_AT = "q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, beta={!r}, lam={!r}, q={!r}"
 
-def _ml_sum(mp: MLParams, ratios: Callable[[int], float], z: float, p: QParams,
+
+def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
             count: int | None = None) -> float:
-    """sum_k c_k (z - z0)_q^(alpha k) over the ratios of _ml_ratios(mp, p), to
-    the stopping rule watched for growth, or over k < count in full if count
-    is given (see core._accumulate).
+    """sum_k lam**k (z - z0)_q^(alpha k) / q_gamma(alpha k + beta) with
+    j = _start_steps(z0, z, q), to the stopping rule watched for growth, or
+    over k < count in full if count is given (see core._accumulate).
 
-    For z0 = z q**j with an integer 1 <= beta <= j each term is a finite
-    q-product: by the q-power rule and q_gamma's product form, term k is
-    (1-q)**(beta-1) zeta**k N_k / (q; q)_(j-1) with zeta = lam ((1-q) z)**alpha
-    and N_k = (q**(alpha k + beta); q)_(j - beta), whose factors are
-    multiplied until they round to 1, so no q_gamma and no infinite product
-    is formed; for beta = 1 and j = 1 it is zeta**k.
+    By q_gamma's product form Gamma_q(x) = (q; q)_inf (1-q)**(1-x) /
+    (q**x; q)_inf, term k is (1-q)**(beta-1) zeta**k (q**(alpha k + beta);
+    q)_inf R_k / (q; q)_inf, with zeta = lam ((1-q) z)**alpha and
+    R_k = (z - z0)_q^(alpha k) / z**(alpha k): 1 for z0 = 0, (q**j; q)_inf /
+    (q**(j + alpha k); q)_inf for z0 = z q**j (so j = 0 keeps only the k = 0
+    term), and, by the q-power rule, the running product of
+    (z - z0 q**(alpha i))_q^(alpha) / z**alpha, i < k, for z0 off the grid of
+    z or above it.  zeta**k (with R_k off the grid) is a running product, so
+    no power of lam or 1 - q grows apart, and no q_gamma is called.
 
-    Else each term is the one before times c_k / c_{k-1} and, by the q-power
-    rule, (z - q**(alpha (k-1)) z0)_q^(alpha): z**alpha for z0 = 0, one power
-    per sum; z**alpha (q**(j + alpha (k-1)); q)_inf / (q**(j + alpha k); q)_inf
-    for any other z0 = z q**j, one new memoised tail per term; a factorial
-    power per term for z0 off the grid.  So neither c_k nor the power is
-    formed apart, and neither overflows on long series.
+    For an integer beta and j >= 1 the tails' quotient is finite:
+    (q**(alpha k + beta); q)_(j - beta) / (q; q)_(j-1) for beta <= j and
+    1 / ((q**(alpha k + j); q)_(beta - j) (q; q)_(j-1)) for beta > j.  Its
+    factors 1 - c are taken until c rounds them to 1, and no infinite product
+    is formed; for beta = 1 and j = 1 term k is zeta**k.
     """
-    alpha, beta, z0, q = mp.alpha, mp.beta, mp.z0, p.q
-    j = _start_steps(z0, z, q)  # None for z0 = 0, -1 off the grid
+    alpha, beta, lam, z0, q = mp.alpha, mp.beta, mp.lam, mp.z0, p.q
+    where = (_ML_AT, z, z0, alpha, beta, lam, q)
+    step, tail = lam * (1.0 - q) ** alpha, special._pochhammer_tail
+    if j == -1:
+        steps = (step * special.q_factorial_power(z, z0 * q ** (alpha * i), alpha, p)
+                 for i in itertools.count())
+    else:
+        steps = itertools.repeat(step * special.q_factorial_power(z, 0.0, alpha, p))
+    # (1-q)**(beta-1) zeta**k, times R_k off the grid
+    powers = itertools.accumulate(steps, operator.mul, initial=_power(1.0 - q, beta - 1.0, *where))
 
-    def finite_terms(factors: int) -> Iterator[float]:
-        zeta = mp.lam * (1.0 - q) ** alpha * special.q_factorial_power(z, 0.0, alpha, p)
-        power, below = (1.0 - q) ** (beta - 1.0), special.q_pochhammer(j - 1, p)
-        start, shift = q**beta, q**alpha
-        while True:
-            c, product = start, power
-            for _ in range(factors):
+    def finite_terms() -> Iterator[float]:
+        below, divide = special.q_pochhammer(j - 1, p), beta > j
+        start, shift = _power(q, min(beta, j), *where), q**alpha
+        for power in powers:
+            c, product = start, 1.0 if divide else power
+            for _ in range(abs(j - int(beta))):
                 if c < _UNIT_FACTOR:
                     break
                 product *= 1.0 - c
                 c *= q
-            yield product / below
-            power *= zeta
+            yield (power / product if divide else product) / below
             start *= shift
 
-    def steps() -> Iterator[float]:
-        if j == -1:
-            yield from (special.q_factorial_power(z, z0 * q ** (alpha * k), alpha, p)
-                        for k in itertools.count())
-        elif j is None:
-            yield from itertools.repeat(special.q_factorial_power(z, 0.0, alpha, p))
-        else:
-            power, tail = special.q_factorial_power(z, 0.0, alpha, p), special._pochhammer_tail
+    def tail_terms() -> Iterator[float]:
+        below = tail(1.0, p)
+        ratios = itertools.repeat(1.0)
+        if j is not None and j >= 0:
             before = tail(float(j), p)
-            for k in itertools.count(1):
-                after = tail(j + alpha * k, p)
-                yield power * before / after
-                before = after
+            ratios = itertools.chain([1.0], (before / tail(j + alpha * k, p)
+                                             for k in itertools.count(1)))
+        for k, power, ratio in zip(itertools.count(), powers, ratios):
+            yield power * tail(alpha * k + beta, p) * ratio / below
 
-    if j is not None and 1.0 <= beta <= j and beta == int(beta):
-        terms = finite_terms(j - int(beta))
-    else:
-        terms = itertools.accumulate(
-            map(operator.mul, map(ratios, itertools.count(1)), steps()), operator.mul,
-            initial=ratios(0),
-        )
-    return _accumulate(terms, p.trunc, detect_growth=True, count=count,
-                       where=("q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, q={!r}",
-                              z, z0, alpha, q))
+    finite = j is not None and j >= 1 and beta == int(beta)
+    return _accumulate(finite_terms() if finite else tail_terms(), p.trunc, detect_growth=True,
+                       count=count, where=where)
 
 
 _FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
@@ -294,7 +272,6 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     # Every term of the forcing series samples f on the same lattice points.
     forcing = None if prob.forcing is None else cache(prob.forcing)
     head = MLParams(alpha, 1.0, lam, a)
-    ratios = _ml_ratios(head, p)  # the head's coefficients, once per solution
     head_terms = None if m is None else m + 1
     kernel = None if forcing is None or lam == 0.0 or m is not None else _Kernel(alpha, lam, p)
     diagnostics = {"terms": 0, "evaluations": 0}
@@ -340,7 +317,7 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
             if t == a:  # the head's terms past the first and the integrals vanish
                 value = a0
             else:
-                value = a0 * _ml_sum(head, ratios, t, p, head_terms) if a0 != 0.0 else 0.0
+                value = a0 * _ml_sum(head, t, steps, p, head_terms) if a0 != 0.0 else 0.0
                 # Picard(0) has no forcing term.
                 if forcing is not None and m != 0:
                     # With lam = 0 every term after the first is 0.0 times an integral.
@@ -369,10 +346,13 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     the solution's points share, unless the stopping rule ends the terms
     first; |z| >= 1 there raises NonConvergence.  From an a off the grid of
     t the terms are summed one by one, and terms that grow raise
-    NonConvergence.  On the time scale, t = a q**-j with j >= 1, the head's
-    terms are the finite q-products z**k (q**(alpha k + 1); q)_(j-1) /
-    (q; q)_(j-1) (see _ml_sum), so at j = 1 the head is a0 / (1 - z).  t < a
-    raises DomainError; y(a) = a0, with nothing summed.
+    NonConvergence.  The head is a0 times _ml_sum's series at the lattice
+    position of a below t, which the solution finds once per point, and no
+    q_gamma is called: from a = 0 term k is z**k (q**(alpha k + 1); q)_inf /
+    (q; q)_inf, one cached tail per term; on the time scale, t = a q**-j with
+    j >= 1, it is the finite q-product z**k (q**(alpha k + 1); q)_(j-1) /
+    (q; q)_(j-1), so at j = 1 the head is a0 / (1 - z).  t < a raises
+    DomainError; y(a) = a0, with nothing summed.
     """
     return _series_solution(prob, None, p)
 

@@ -194,6 +194,13 @@ class TestEvalErrors:
         assert (code, out) == (3, "")
         assert "left fractional integral at t=-1.0, a=0.0, alpha=0.5, q=0.5" in err
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+    def test_non_finite_beta_is_usage(self, beta):
+        code, out, err = run_cli(["eval", "ml", "--q", "0.5", "--alpha", "0.5", "--lambda", "0.3",
+                                  f"--beta={beta}", "--z", "1"])
+        assert (code, out) == (3, "")
+        assert f"beta must be finite, got {beta}" in err
+
     def test_missing_flag(self):
         code, _, err = run_cli(["eval", "fracint", "--q", "0.5", "--alpha", "1",
                                 "--t", "1"])

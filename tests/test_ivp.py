@@ -64,6 +64,11 @@ class TestMLParams:
         with pytest.raises(DomainError):
             MLParams(alpha)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_beta_finite(self, beta):
+        with pytest.raises(DomainError, match="beta must be finite"):
+            MLParams(0.9, beta)
+
     def test_negative_origin_rejected(self):
         with pytest.raises(DomainError):
             MLParams(0.9, z0=-1.0)
@@ -97,23 +102,41 @@ class TestMittagLeffler:
             )
         assert rel_err(got, total) < 1e-13
 
-    def test_beta_on_a_gamma_pole_within_float_resolution(self, p_half):
-        with pytest.raises(PoleError, match=r"alpha=1e-320, q=0\.5"):
-            q_mittag_leffler(MLParams(0.5, 1e-320, 0.5), 0.5, p_half)
+    @pytest.mark.parametrize("beta", [1e-320, -0.5])
+    def test_beta_on_a_gamma_pole(self, p_half, beta):
+        # 1 / q_gamma is entire: a term whose alpha k + beta is on a pole of
+        # q_gamma (within float resolution at beta = 1e-320, k = 0; exactly
+        # at beta = -0.5, k = 1) is 0, and the rest is the power rule's sum.
+        terms = []
+        for k in range(80):
+            try:
+                terms.append(0.5**k * 0.5 ** (0.5 * k) / q_gamma(0.5 * k + beta, p_half))
+            except PoleError:
+                pass
+        assert len(terms) == 79
+        want = math.fsum(terms)
+        got = q_mittag_leffler(MLParams(0.5, beta, 0.5), 0.5, p_half)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_failure_names_beta_and_lam(self):
+        # 1 / q_gamma(-40.5) overflows at q = 0.3: the error names beta and lam.
+        with pytest.raises(QCalculusError, match=r"beta=-40\.5, lam=0\.3"):
+            q_mittag_leffler(MLParams(0.5, -40.5, 0.3), 1.0, QParams(0.3))
 
     def test_alternating_ratio_near_one_does_not_overflow(self):
         # Term ratio lam z (1 - q) -> -0.993: the sum takes thousands of terms.
-        # Each coefficient comes from the one before by a ratio of q-Pochhammer
-        # tails, so no q_gamma(1049) overflows on 0.5078125**-1048.  The value
-        # is e_q(lam z) = 1 / ((1 - q) lam z; q)_inf, from 40-digit mpmath.
+        # Each term is a running power of lam ((1 - q) z)**alpha times one
+        # q-Pochhammer tail, so no q_gamma(1049) overflows on
+        # 0.5078125**-1048.  The value is e_q(lam z) = 1 / ((1 - q) lam z;
+        # q)_inf, from 40-digit mpmath.
         got = q_mittag_leffler(MLParams(1.0, 1.0, -1.40625), 1.390625, QParams(0.4921875))
         assert abs(got - 0.21703696478195688) <= 1e-10
 
     @pytest.mark.parametrize(("z0", "calls"), [(0.0, 1), (0.5**3, 1), (0.37, 14)])
     def test_factorial_powers_per_sum(self, monkeypatch, p_half, z0, calls):
-        # From z0 = 0 each step is z**alpha, and from z0 = z q**j a ratio of
-        # memoised q-Pochhammer tails times z**alpha: one factorial power per
-        # sum.  Only a z0 off the grid of z takes one per term.
+        # From z0 = 0 and from z0 = z q**j each term takes its power of z from
+        # z**alpha: one factorial power per sum.  Only a z0 off the grid of z
+        # takes one per term.
         counted = []
         inner = qfrac.special.q_factorial_power
         monkeypatch.setattr(qfrac.special, "q_factorial_power",
@@ -131,7 +154,7 @@ class TestMittagLeffler:
 
 
 class TestTimeScaleHead:
-    """From z0 = z q**j with an integer 1 <= beta <= j every q-Mittag-Leffler
+    """From z0 = z q**j with j >= 1 and an integer beta every q-Mittag-Leffler
     term is a finite q-product (see ivp._ml_sum)."""
 
     @staticmethod
@@ -142,12 +165,12 @@ class TestTimeScaleHead:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     @pytest.mark.parametrize(("j", "beta"),
                              [(1, 1.0), (2, 1.0), (2, 2.0), (4, 1.0), (4, 2.0), (40, 1.0),
-                              (40, 2.0)])
+                              (40, 2.0), (1, 2.0), (2, 3.0), (4, 6.0), (2, 1.5)])
     @pytest.mark.parametrize("lam", [0.3, -0.4])
     def test_terms_against_the_power_rule(self, q, j, beta, lam):
         p = QParams(q)
         mp = MLParams(0.7, beta, lam, q**j)
-        cut = qfrac.ivp._ml_sum(mp, qfrac.ivp._ml_ratios(mp, p), 1.0, p, 12)
+        cut = qfrac.ivp._ml_sum(mp, 1.0, j, p, 12)
         want = math.fsum(self.power_rule_terms(mp, 1.0, p, 12))
         assert abs(cut - want) <= 1e-14 * abs(want)
         whole = math.fsum(self.power_rule_terms(mp, 1.0, p, 80))
@@ -176,7 +199,8 @@ class TestTimeScaleHead:
 
     def test_no_pochhammer_tail(self, monkeypatch, p_half):
         # No q_gamma and no infinite product, for the closed form or Picard,
-        # at any depth.
+        # at any depth, nor for beta = 3 > j = 2, where term k is
+        # zeta**k / (q**(alpha k + 2); q)_1 up to a constant.
         calls = []
         inner = qfrac.special._pochhammer_tail
         monkeypatch.setattr(qfrac.special, "_pochhammer_tail",
@@ -185,7 +209,21 @@ class TestTimeScaleHead:
         closed, picard = solve_ivp_closed(prob, p_half), solve_ivp_picard(prob, 6, p_half)
         for t in (0.5**3, 0.25, 1.0, 2.0):
             assert math.isfinite(closed(t)) and math.isfinite(picard(t))
+        assert math.isfinite(q_mittag_leffler(MLParams(0.7, 3.0, 0.3, 0.25), 1.0, p_half))
         assert calls == []
+
+    def test_lattice_steps_once_per_point(self, monkeypatch, p_half):
+        # The solution's rule finds how far t lies above a and hands it to
+        # the head's sum, which does not find it again.
+        calls = []
+        inner = qfrac.ivp._start_steps
+        monkeypatch.setattr(qfrac.ivp, "_start_steps",
+                            lambda *args: calls.append(args) or inner(*args))
+        y = solve_ivp_closed(IVProblem(0.7, 0.3, 0.5**4, 1.0), p_half)
+        points = (0.5**3, 0.25, 1.0, 2.0)
+        for t in points:
+            y(t)
+        assert len(calls) == len(points) == y.diagnostics["evaluations"]
 
 
 class TestProblemTypes:
@@ -223,16 +261,16 @@ class TestClosedForm:
         for t in (0.5**3, 0.25, 0.5, 1.0):
             assert rel_err(y(t), q_exp_e(t, p_half)) < 1e-8
 
-    def test_head_coefficients_once_per_solution(self, monkeypatch, p_half):
-        # From a = 0 the head's lam**k / q_gamma(alpha k + 1) are computed once
-        # per solution: one q_gamma call, whatever the number of points.
+    def test_head_calls_no_q_gamma(self, monkeypatch, p_half):
+        # From a = 0 each head term reads one q-Pochhammer tail: no q_gamma,
+        # whatever the number of points, and q_mittag_leffler's values.
         calls = []
         q_gamma_inner = qfrac.special.q_gamma
         monkeypatch.setattr(
             qfrac.special, "q_gamma", lambda *args: calls.append(args) or q_gamma_inner(*args))
         y = solve_ivp_closed(IVProblem(0.9, 0.3, 0.0, 1.0), p_half)
         values = [y(0.5**k) for k in range(8)]
-        assert len(calls) == 1
+        assert calls == []
         for k, value in enumerate(values):
             want = q_mittag_leffler(MLParams(0.9, 1.0, 0.3), 0.5**k, p_half)
             assert value == want
@@ -582,21 +620,29 @@ class TestForcingKernel:
 
     def test_residual_reads_the_solution_cells(self, p_half):
         # The residual's 19 points lie on the chain of t, whose kernel rows
-        # closed(t) has filled: order by order the residual took 3,422
-        # terms; one series per point takes 991 (995, and 2,219 in all, while
-        # y(a) still summed the head; it is a0 now, with no terms).  A second
-        # residual reads the point memo: it evaluates no point, so it fills
-        # no cell.
+        # closed(t) has filled.  Order by order the residual took 3,422 terms,
+        # 146 of them the head's; one series per point takes 845 for the
+        # forcing.  Each head term notes the terms of its q-Pochhammer tail at
+        # every point (5,915 over the 18 new points), where a memo per
+        # solution noted each coefficient's once.  A second residual reads the
+        # point memo: it evaluates no point, so it fills no cell.
         prob = IVProblem(0.8, 0.3, 0.0, 1.0, quadratic(1.0, -0.5, 0.7))
         y = solve_ivp_closed(prob, p_half)
         y(1.0)
         with count_terms() as counter:
             first = ivp_residual(prob, y, 1.0, p_half)
-        assert counter.total == 991 < 3_422
+        assert counter.total == 6_760
+        free = IVProblem(0.8, 0.3, 0.0, 1.0)
+        head = solve_ivp_closed(free, p_half)
+        head(1.0)
+        with count_terms() as head_counter:
+            ivp_residual(free, head, 1.0, p_half)
+        assert head_counter.total == 5_915
+        assert counter.total - head_counter.total == 845 < 3_422 - 146
         assert abs(first) <= 1e-13
-        assert y.diagnostics == {"terms": 2_215, "evaluations": 19}
+        assert y.diagnostics == {"terms": 7_432, "evaluations": 19}
         assert ivp_residual(prob, y, 1.0, p_half) == first
-        assert y.diagnostics == {"terms": 2_215, "evaluations": 19}
+        assert y.diagnostics == {"terms": 7_432, "evaluations": 19}
 
 
 @settings(max_examples=30, deadline=None)
@@ -682,13 +728,14 @@ class TestPicardLattice:
     def test_frozen_problem_term_count(self, p_half):
         # The series sum_k 0.3**k / Gamma_q(0.84 k + 1), k <= 10, is
         # 1.398405088791997 to 16 digits; one point, its 11 terms and their
-        # q_gamma products.  Iterates summed whole on lattice columns took
-        # 77,910 terms over 1,855 evaluations, and increment columns 3,451
-        # terms over 270.
+        # q-Pochhammer tails, one a term (859 terms with two a term, as
+        # ratios of coefficients).  Iterates summed whole on lattice columns
+        # took 77,910 terms over 1,855 evaluations, and increment columns
+        # 3,451 terms over 270.
         y = solve_ivp_picard(IVProblem(0.84, 0.3, 0.0, 1.0), 10, p_half)
         with count_terms() as counter:
             value = y(1.0)
-        assert counter.total == 859
+        assert counter.total == 473
         assert y.diagnostics["evaluations"] == 1
         assert counter.total < 77_910 and y.diagnostics["evaluations"] < 1_855
         assert rel_err(value, 1.3984050887919977) < 1e-14
