@@ -7,7 +7,10 @@ behaviour is governed by a :class:`Truncation` policy.  Every infinite sum
 of the package stops in ``_accumulate``: once its terms fall geometrically it
 adds their closed tail, and otherwise it stops on a run of small terms.  Every
 infinite product is a q-Pochhammer symbol (c; q)_inf, taken by
-``special._q_product``, which closes its tail the same way.
+``special._q_product``, which closes its tail the same way; the same loop,
+given a count, forms the finite (c; q)_n.  A power that may overflow goes
+through ``_power``, which raises NumericOverflow naming its caller's
+parameters instead of a bare OverflowError.
 """
 
 from __future__ import annotations
@@ -271,7 +274,7 @@ def _power(base: float, exponent: float, where: str, *args: object) -> float:
 
 def q_bracket(r: float, p: QParams) -> float:
     """The q-number [r]_q = (1 - q**r) / (1 - q)."""
-    return (1.0 - p.q**r) / (1.0 - p.q)
+    return (1.0 - _power(p.q, r, "[r]_q at r={!r}, q={!r}", r, p.q)) / (1.0 - p.q)
 
 
 def nabla_q(f: QFunction, t: float, p: QParams) -> float:

@@ -91,7 +91,8 @@ def _lattice_series(
     Downward they are the kernel of a fractional integral over q_gamma(alpha)
     on the lattice, a ratio of q-Pochhammer symbols, so no factorial power is
     ever rebuilt.  With c = a / t < 1 they follow the kernel
-    (t - qs)_q^(alpha-1) along s = a q**k.
+    (t - qs)_q^(alpha-1) along s = a q**k.  A power q**alpha or q**-alpha
+    too large for a double raises NumericOverflow through where.
     """
     # The state comes in as arguments, as a closure over it makes each call
     # slower, which shows on short series.
@@ -103,8 +104,9 @@ def _lattice_series(
             den *= q
 
     q = p.q
-    ratio = q**-alpha if upward else q
-    return _chain_sum(f, x, upward, weights(weight, ratio, offset * q**alpha, offset * q, q),
+    ratio = _power(q, -alpha, *where) if upward else q
+    return _chain_sum(f, x, upward,
+                      weights(weight, ratio, offset * _power(q, alpha, *where), offset * q, q),
                       steps, p, where)
 
 
@@ -215,7 +217,8 @@ def right_riemann_deriv(
     For non-integer alpha it is the right integral's lattice series at order
     -alpha to b q**-n (n = ceil(alpha)), for every b: with b = t q**-m its
     m + n terms reach no point above b, and b = infinity stays infinite.
-    b below t raises DomainError, as the integral to b does.
+    b below t raises DomainError, as the integral to b does, and an n whose
+    q**n underflows to 0 raises NumericOverflow naming t, b, alpha and q.
     """
     alpha, n = _derivative_order(order)
     sign = -1.0 if n % 2 else 1.0
@@ -223,7 +226,11 @@ def right_riemann_deriv(
         return sign * nabla_q_n(f, t, n, p)
     if not b >= t:
         raise DomainError(f"right Riemann derivative needs b >= t, got t={t}, b={b}")
-    return right_frac_integral(f, b / p.q**n, -alpha, t, p)
+    shift = p.q**n
+    if shift == 0.0:
+        raise NumericOverflow(f"right Riemann derivative at t={t!r}, b={b!r}, alpha={alpha!r}, "
+                              f"q={p.q!r}: q**-{n} overflowed")
+    return right_frac_integral(f, b / shift, -alpha, t, p)
 
 
 def _taylor_remainder(

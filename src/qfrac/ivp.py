@@ -23,7 +23,7 @@ from typing import Iterator
 from . import special
 from .core import (QFunction, QParams, _accumulate, _chain_sum, _name, _power, _start_steps,
                    count_terms)
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, NumericOverflow
 from .fractional import _LEFT_AT, _left_series, left_caputo, left_frac_integral
 
 __all__ = [
@@ -109,10 +109,6 @@ class IVPSolution:
         return f"IVPSolution(method={self.method!r})"
 
 
-# Below this c, 1 - c rounds to 1.0, so a factor 1 - c of a finite
-# q-product changes nothing.
-_UNIT_FACTOR = 2.0**-54
-
 _ML_AT = "q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, beta={!r}, lam={!r}, q={!r}"
 
 
@@ -134,9 +130,10 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
 
     For an integer beta and j >= 1 the tails' quotient is finite:
     (q**(alpha k + beta); q)_(j - beta) / (q; q)_(j-1) for beta <= j and
-    1 / ((q**(alpha k + j); q)_(beta - j) (q; q)_(j-1)) for beta > j.  Its
-    factors 1 - c are taken until c rounds them to 1, and no infinite product
-    is formed; for beta = 1 and j = 1 term k is zeta**k.
+    1 / ((q**(alpha k + j); q)_(beta - j) (q; q)_(j-1)) for beta > j, whose
+    |j - beta| factors special._q_product multiplies out, and no infinite
+    product is formed; for beta = 1 and j = 1 term k is zeta**k.  A term that
+    overflows raises NumericOverflow naming z, z0, alpha, beta, lam and q.
     """
     alpha, beta, lam, z0, q = mp.alpha, mp.beta, mp.lam, mp.z0, p.q
     where = (_ML_AT, z, z0, alpha, beta, lam, q)
@@ -150,16 +147,11 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
     powers = itertools.accumulate(steps, operator.mul, initial=_power(1.0 - q, beta - 1.0, *where))
 
     def finite_terms() -> Iterator[float]:
-        below, divide = special.q_pochhammer(j - 1, p), beta > j
+        below, divide, factors = special.q_pochhammer(j - 1, p), beta > j, abs(j - int(beta))
         start, shift = _power(q, min(beta, j), *where), q**alpha
         for power in powers:
-            c, product = start, 1.0 if divide else power
-            for _ in range(abs(j - int(beta))):
-                if c < _UNIT_FACTOR:
-                    break
-                product *= 1.0 - c
-                c *= q
-            yield (power / product if divide else product) / below
+            product = special._q_product(start, p, factors)
+            yield (power / product if divide else power * product) / below
             start *= shift
 
     def tail_terms() -> Iterator[float]:
@@ -172,9 +164,15 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
         for k, power, ratio in zip(itertools.count(), powers, ratios):
             yield power * tail(alpha * k + beta, p) * ratio / below
 
+    def checked(terms: Iterator[float]) -> Iterator[float]:
+        for k, term in enumerate(terms):
+            if math.isinf(term):
+                raise NumericOverflow(f"{_name(where)}: term {k} overflowed")
+            yield term
+
     finite = j is not None and j >= 1 and beta == int(beta)
-    return _accumulate(finite_terms() if finite else tail_terms(), p.trunc, detect_growth=True,
-                       count=count, where=where)
+    return _accumulate(checked(finite_terms() if finite else tail_terms()), p.trunc,
+                       detect_growth=True, count=count, where=where)
 
 
 _FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"

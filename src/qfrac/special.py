@@ -5,9 +5,11 @@ product for integer alpha >= 0, otherwise the ratio
 
     t**alpha * (s/t; q)_inf / ((s/t) q**alpha; q)_inf.
 
-q_gamma and E_q are quotients of the same products (c; q)_inf, and every one
-of them comes from one loop, ``_q_product``, which closes its tail.  When s/t
-coincides with an integer power of q the ratio is snapped onto the grid so
+q_gamma and E_q are quotients of the same products (c; q)_inf.  Every one of
+them, and every finite (c; q)_n (q_pochhammer, the integer factorial power on
+the grid and, in ivp, the q-Mittag-Leffler terms on the time scale), comes
+from one loop, ``_q_product``, which closes an infinite product's tail.  When
+s/t coincides with an integer power of q the ratio is snapped onto the grid so
 that vanishing (s/t = q**-j) and poles surface exactly instead of as rounding
 noise.  Aligned products are tails (q**x; q)_inf, memoised per (q, x,
 truncation policy) in a bounded cache.
@@ -40,35 +42,36 @@ def q_pochhammer(n: int, p: QParams) -> float:
     """(q)_n = prod_{j=1..n} (1 - q**j), with (q)_0 = 1."""
     if n < 0 or n != int(n):
         raise DomainError(f"q_pochhammer needs an integer n >= 0, got {n}")
-    q = p.q
-    product = 1.0
-    power = 1.0
-    for _ in range(int(n)):
-        power *= q
-        product *= 1.0 - power
-    return product
+    return _q_product(p.q, p, int(n))
 
 
-def _q_product(c: float, p: QParams) -> float:
-    """(c; q)_inf = prod_{j>=0} (1 - c q**j) for finite c, uncached.
+def _q_product(c: float, p: QParams, count: int | None = None) -> float:
+    """(c; q)_count = prod_{j<count} (1 - c q**j), or for count None
+    (c; q)_inf for finite c, uncached.
 
-    It takes the factors up to and including the _SMALL_RUN (3) successive
-    |c q**j| at most rel_tol (they fall monotonically, so their number is
-    known up front) and multiplies in the closed tail
+    A finite product takes its count factors and notes no terms.  An
+    infinite one takes the factors up to and including the _SMALL_RUN (3)
+    successive |c q**j| at most rel_tol (they fall monotonically, so their
+    number is known up front), notes them, and multiplies in the closed tail
     prod_{i>j} (1 - c q**i) = 1 - c q**(j+1) / (1 - q), whose error is at
     most (rel_tol / (1 - q))**2.
     """
-    q, rel_tol, max_terms = p.q, p.trunc.rel_tol, p.trunc.max_terms
-    count = _SMALL_RUN
-    if abs(c) > rel_tol:
-        count += math.ceil((math.log(abs(c)) - math.log(rel_tol)) / -math.log(q))
-    if count > max_terms:
-        _note_terms(max_terms)
-        raise NonConvergence(f"(c; q)_inf did not converge for c={c!r}, q={q!r}")
+    q = p.q
+    finite = count is not None
+    if not finite:
+        rel_tol, max_terms = p.trunc.rel_tol, p.trunc.max_terms
+        count = _SMALL_RUN
+        if abs(c) > rel_tol:
+            count += math.ceil((math.log(abs(c)) - math.log(rel_tol)) / -math.log(q))
+        if count > max_terms:
+            _note_terms(max_terms)
+            raise NonConvergence(f"(c; q)_inf did not converge for c={c!r}, q={q!r}")
     product = 1.0
     for _ in range(count):
         product *= 1.0 - c
         c *= q
+    if finite:
+        return product
     _note_terms(count)
     return product * (1.0 - c / (1.0 - q))
 
@@ -109,13 +112,17 @@ _QFACT_AT = "(t - s)_q^alpha at t={!r}, s={!r}, alpha={!r}, q={!r}"
 def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     """The q-factorial power (t - s)_q^alpha.
 
-    Integer alpha >= 0 gives the finite product prod_{i<alpha} (t - q**i s);
+    Integer alpha = m >= 0 gives the finite product prod_{i<m} (t - q**i s),
+    on the grid s = t q**d the q-Pochhammer symbol t**m (q**d; q)_m, which is
+    a signed zero exactly when its factor 1 - q**0 exists (d <= 0 < d + m);
     with t != 0 an alpha above the truncation's max_terms raises
     NonConvergence instead of multiplying that many factors, and a product
     too large for a double raises NumericOverflow.
     Any other real alpha uses the infinite ratio product, which vanishes
     exactly when s = t q**-j (j >= 0) and raises PoleError when a denominator
     factor hits zero (negative integer alpha on the grid) or rounds to zero.
+    A power q**alpha, q**d or t**alpha, or a value, too large for a double
+    raises NumericOverflow naming t, s, alpha and q.
     """
     q = p.q
     if not math.isfinite(alpha):
@@ -133,19 +140,16 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
                 f"the budget of {p.trunc.max_terms} factors"
             )
         d = _grid_exponent(s / t, q) if s != 0.0 and s / t > 0.0 else None
-        product = 1.0
         if d is not None:
-            for i in range(m):
-                factor = 1.0 - q ** (d + i)
-                if factor == 0.0:
-                    # s = t q**-i: the factors left lie in (0, 1), so the
-                    # product is a signed zero even if those before overflowed.
-                    product = math.copysign(0.0, product)
-                    break
-                product *= factor
+            # t**m (q**d; q)_m.  Its factor 1 - q**0 vanishes for d <= 0 < d + m,
+            # and the -d factors before it are negative.
+            if d <= 0 < d + m:
+                product = -0.0 if d % 2 else 0.0
+            else:
+                product = _q_product(_power(q, d, _QFACT_AT, t, s, alpha, q), p, m)
             product *= _power(t, m, _QFACT_AT, t, s, alpha, q)
         else:
-            power = 1.0
+            product, power = 1.0, 1.0
             for _ in range(m):
                 product *= t - power * s
                 power *= q
@@ -190,7 +194,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     # itself carries rounding), so it is reported as one instead of returning
     # a meaninglessly amplified product.  Only for c > 0 can a factor
     # 1 - c q**j vanish; the one nearest zero has q**j nearest 1/c.
-    c = u * q**alpha
+    c = u * _power(q, alpha, _QFACT_AT, t, s, alpha, q)
     if c > 0.0 and abs(1.0 - c * q ** max(0, round(math.log(c) / -math.log(q)))) < 1e-12:
         raise PoleError(f"(t - s)_q^{alpha} denominator vanished for s/t = {u}")
     # While |u q**j| > 1 both products grow like q**(-j**2 / 2) and would

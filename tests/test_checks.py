@@ -102,6 +102,8 @@ def test_suite_builders_are_generator_functions():
     # Each record is computed when it is asked for, so it can be timed alone.
     assert set(checks._SUITE_BUILDERS) == set(checks.SUITE_NAMES)
     assert all(inspect.isgeneratorfunction(b) for b in checks._SUITE_BUILDERS.values())
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        checks.run_suite("nope")
 
 
 # The operators whose nested evaluation the suite memo must serve.

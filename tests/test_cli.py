@@ -3,12 +3,13 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfrac.checks
@@ -326,13 +327,20 @@ class TestEvalErrors:
          ["r(alpha) at alpha=60.0, q=0.5", "overflowed"]),
         (["explore", "--b", "1", "--t", "0.25", "--grid", "1e308,1"],
          ["NumericOverflow: right integral from x=0.5 to b=1.0, alpha=1e+308, q=0.5"]),
-    ], ids=["eval", "explore"])
+        (["eval", "qfact", "--t", "1", "--s", "0.3", "--alpha", "-2000.5"],
+         ["(t - s)_q^alpha at t=1.0, s=0.3, alpha=-2000.5, q=0.5", "overflowed"]),
+        (["eval", "fracder", "--alpha", "2000.5", "--t", "2", "--f", "1"],
+         ["left fractional integral at t=2.0, a=0.0, alpha=-2000.5, q=0.5", "overflowed"]),
+        (["eval", "fracder", "--side", "right", "--alpha", "1100.5", "--t", "1", "--f", "s"],
+         ["right Riemann derivative at t=1.0, b=inf, alpha=1100.5, q=0.5", "overflowed"]),
+    ], ids=["eval", "explore", "qfact", "left-riemann", "right-riemann"])
     def test_right_power_overflow_names_parameters(self, argv, names):
         code, out, err = run_cli([argv[0], "--q", "0.5", *argv[1:]])
         assert code == 2
         for name in names:
             assert name in out + err
         assert "Numerical result out of range" not in out + err
+        assert "float division by zero" not in out + err
 
     @pytest.mark.parametrize("endpoints, name", [
         (["--t", "1", "--a", "nan"], "t=1.0, a=nan, alpha=0.5, q=0.5"),
@@ -609,6 +617,19 @@ class TestExplore:
         code, _, _ = run_cli(["explore", "--q", "0.5", "--b", "0.25", "--t", "1"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "0.5"], "--grid pairs must look like 'alpha,beta', got '0.5'"),
+        (["--grid", "0.5,x"], "--grid pair '0.5,x' is not numeric"),
+        (["--q", "1.5"], "--q must lie in (0, 1), got 1.5"),
+        (["--b", "inf"], "explore requires a finite positive --b, got inf"),
+        (["--b", "-1"], "explore requires a finite positive --b, got -1.0"),
+        (["--b", "1", "--t", "0.3"], "--t relative to --b=0.3 must be an integer power of q=0.5"),
+    ], ids=["grid-shape", "grid-number", "q", "b-infinite", "b-negative", "t-off-grid"])
+    def test_bad_arguments_are_usage_errors(self, argv, message):
+        code, out, err = run_cli(["explore", *argv])
+        assert code == 3 and out == ""
+        assert err == f"qfrac: error: {message}\n"
+
     def test_rows_roundtrip_through_csv(self, tmp_path):
         target = tmp_path / "explore.csv"
         code, _, _ = run_cli(
@@ -623,28 +644,44 @@ class TestExplore:
 
 # Values that break naive numerics, next to ordinary ones.
 EXTREME_FLOATS = st.sampled_from(
-    [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308, 5e-324, 0.0, -1.0]
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308, 5e-324, 0.0, -1.0,
+     1100.5, -1100.5, 2000.5, -2000.5]
 )
 FUZZ_FLOATS = st.one_of(
     EXTREME_FLOATS, st.floats(0.0, 3.0), st.floats(-3.0, 3.0), st.floats(-1e12, 1e12),
     st.floats(),
 )
 EVAL_TARGETS = ["gamma", "qfact", "ml", "eq", "Eq", "fracint", "fracder", "caputo"]
+FUZZ_NAMES = ("alpha", "beta", "lambda", "a", "b", "s", "t", "z", "z0")
+FINITE_OPERANDS = {"s", "s*s - 0.3*s", "s^0.5", "t - s"}
+# A float error's own text, where a named failure opens with the operator.
+BARE_FLOAT_ERROR = re.compile(
+    r"qfrac: numeric failure: (\(34, |float division by zero|math domain error)")
+
+
+def fuzz_values(**given: float) -> dict[str, float]:
+    """Every fuzzed flag, 0.0 where not given."""
+    return {name: given.get(name, 0.0) for name in FUZZ_NAMES}
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     target=st.sampled_from(EVAL_TARGETS),
     q=st.one_of(st.floats(0.05, 0.95), st.floats(0.95, 1.0), FUZZ_FLOATS),
-    values=st.fixed_dictionaries(
-        {name: FUZZ_FLOATS for name in ("alpha", "beta", "lambda", "a", "b", "s", "t", "z", "z0")}
-    ),
+    values=st.fixed_dictionaries({name: FUZZ_FLOATS for name in FUZZ_NAMES}),
     f=st.sampled_from(["s", "s*s - 0.3*s", "inv(s)", "s^0.5", "s^-3", "t - s"]),
     side=st.sampled_from(["left", "right"]),
 )
+@example("qfact", 0.5, fuzz_values(t=1.0, s=0.3, alpha=-2000.5), "s", "left")
+@example("fracder", 0.5, fuzz_values(alpha=2000.5, t=2.0), "s", "left")
+@example("fracder", 0.5, fuzz_values(alpha=1100.5, t=1.0, b=math.inf), "s", "right")
 def test_eval_fuzz_exits_through_documented_codes(target, q, values, f, side):
     # A small term budget keeps nested operators quick on every example.
     argv = ["eval", target, f"--q={q!r}", "--max-terms=300", f"--f={f}", f"--side={side}"]
     argv += [f"--{name}={value!r}" for name, value in values.items()]
-    code, _, _ = run_cli(argv)
+    code, _, err = run_cli(argv)
     assert code in (0, 2, 3)
+    # An operand finite on [0, inf) fails only through a message that names
+    # the operator; a singular one such as inv(s) may raise on its own.
+    if f in FINITE_OPERANDS:
+        assert not BARE_FLOAT_ERROR.match(err), err

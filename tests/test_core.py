@@ -12,6 +12,7 @@ from qfrac import (
     IVProblem,
     MLParams,
     NonConvergence,
+    NumericOverflow,
     QCalculusError,
     QParams,
     Truncation,
@@ -69,6 +70,8 @@ class TestBracketAndDerivative:
         assert q_bracket(0.0, p_half) == 0.0
         assert q_bracket(1.0, p_half) == 1.0
         assert q_bracket(2.0, p_half) == 1.5
+        with pytest.raises(NumericOverflow, match=r"r=-2000, q=0\.5"):
+            q_bracket(-2000, p_half)
 
     def test_derivative_of_constant(self, p_half):
         assert nabla_q(lambda s: 3.0, 1.0, p_half) == 0.0

@@ -223,6 +223,18 @@ class TestRiemannDerivative:
         for t in (0.25, 1.0):
             got = left_riemann_deriv(lambda s: c, 0.0, 0.5, t, p_half)
             assert rel_err(got, c * t**-0.5 / q_gamma(0.5, p_half)) < 1e-9
+        for t in (0.0, -1.0):
+            with pytest.raises(DomainError, match="needs t > 0"):
+                left_riemann_deriv(lambda s: c, 0.0, 0.5, t, p_half)
+
+    def test_extreme_orders_overflow_names_parameters(self, p_half):
+        # At t = 2 the weight ((1-q) t)**alpha is 1, and the lattice series'
+        # q**alpha overflows; to infinity, b q**-n does.
+        with pytest.raises(NumericOverflow, match=r"t=2\.0, a=0\.0, alpha=-1100\.5, q=0\.5"):
+            left_riemann_deriv(lambda s: 1.0, 0.0, 1100.5, 2.0, p_half)
+        with pytest.raises(NumericOverflow, match=r"right Riemann derivative at t=1\.0, b=inf, "
+                                                  r"alpha=1100\.5, q=0\.5"):
+            right_riemann_deriv(lambda s: s**-2, INF, 1100.5, 1.0, p_half)
 
     def test_integer_order_right(self, p_half):
         f = lambda s: s**-2.0

@@ -14,6 +14,7 @@ from qfrac import (
     IVProblem,
     MLParams,
     NonConvergence,
+    NumericOverflow,
     PoleError,
     QCalculusError,
     QParams,
@@ -119,8 +120,10 @@ class TestMittagLeffler:
         assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_failure_names_beta_and_lam(self):
-        # 1 / q_gamma(-40.5) overflows at q = 0.3: the error names beta and lam.
-        with pytest.raises(QCalculusError, match=r"beta=-40\.5, lam=0\.3"):
+        # 1 / q_gamma(-40.5) overflows at q = 0.3, as (q**-40.5; q)_inf does:
+        # the overflow names beta and lam.
+        with pytest.raises(NumericOverflow,
+                           match=r"beta=-40\.5, lam=0\.3, q=0\.3: term 0 overflowed"):
             q_mittag_leffler(MLParams(0.5, -40.5, 0.3), 1.0, QParams(0.3))
 
     def test_alternating_ratio_near_one_does_not_overflow(self):

@@ -33,9 +33,12 @@ EXP_E_QUARTER_AT_Q_HALF = 1.7313733097275318  # e_q(1/2) = E_q(1/4) at q = 1/2
 
 class TestPochhammer:
     def test_values(self, p_half):
-        assert q_pochhammer(0, p_half) == 1.0
-        assert q_pochhammer(1, p_half) == 0.5
-        assert q_pochhammer(2, p_half) == 0.375
+        with count_terms() as counter:  # a finite product notes no terms
+            assert q_pochhammer(0, p_half) == 1.0
+            assert q_pochhammer(1, p_half) == 0.5
+            assert q_pochhammer(2, p_half) == 0.375
+            assert q_pochhammer(3, p_half) == 0.5 * 0.75 * 0.875
+        assert counter.total == 0
 
     def test_negative_rejected(self, p_half):
         with pytest.raises(DomainError):
@@ -58,6 +61,10 @@ class TestFactorialPower:
         t, s = 1.7, 0.9
         direct = (t - s) * (t - 0.3 * s) * (t - 0.09 * s)
         assert q_factorial_power(t, s, 3.0, p) == pytest.approx(direct, rel=1e-14)
+        # (1e200 - 1)(1e200 - 0.5) leaves the range of a double.
+        with pytest.raises(NumericOverflow, match=r"t=1e\+200, s=1\.0, alpha=2\.0, q=0\.5: "
+                                                  r"product overflowed"):
+            q_factorial_power(1e200, 1.0, 2.0, QParams(0.5))
 
     def test_zero_subtrahend_gives_plain_power(self, p_half):
         assert q_factorial_power(2.0, 0.0, 0.7, p_half) == pytest.approx(2.0**0.7)
@@ -70,7 +77,9 @@ class TestFactorialPower:
         for j in (1, 2, 4):
             r = 1.0 / q**j
             for m in (j + 1, j + 3):
-                assert q_factorial_power(1.0, r, float(m), p) == 0.0
+                # The j factors before the vanishing one are negative.
+                got = q_factorial_power(1.0, r, float(m), p)
+                assert got == 0.0 and math.copysign(1.0, got) == (-1.0) ** j
             # The fractional branch vanishes there as well.
             assert q_factorial_power(1.0, r, 0.7, p) == 0.0
         assert q_factorial_power(1.0, 1.0, 0.7, p) == 0.0
@@ -166,6 +175,9 @@ class TestFactorialPower:
         # s = t q: the denominator (q**(1 + alpha); q)_inf starts at 2**1999.5.
         with pytest.raises(NumericOverflow, match="x=-1999.5"):
             q_factorial_power(1.0, 0.5, -2000.5, p_half)
+        # Off the grid (s = 0.3 t) its first factor 0.3 q**alpha overflows.
+        with pytest.raises(NumericOverflow, match=r"t=1\.0, s=0\.3, alpha=-1100\.5, q=0\.5"):
+            q_factorial_power(1.0, 0.3, -1100.5, p_half)
 
     def test_fractional_matches_integer_route(self):
         # Lemma-style split consistency: alpha = 2 via the ratio product.
