@@ -8,9 +8,13 @@ of the package stops in ``_accumulate``: once its terms fall geometrically it
 adds their closed tail, and otherwise it stops on a run of small terms.  Every
 infinite product is a q-Pochhammer symbol (c; q)_inf, taken by
 ``special._q_product``, which closes its tail the same way; the same loop,
-given a count, forms the finite (c; q)_n.  A power that may overflow goes
-through ``_power``, which raises NumericOverflow naming its caller's
-parameters instead of a bare OverflowError.
+given a count, forms the finite (c; q)_n.  Work whose length is known before
+it starts (a cut sum, a finite product, an iterated derivative, a run of
+shift steps) checks that length against ``max_terms`` once, in
+``_check_budget``, before any of it is done; only an infinite sum runs into
+the budget as it goes.  A power that may overflow goes through ``_power``,
+which raises NumericOverflow naming its caller's parameters instead of a
+bare OverflowError.
 """
 
 from __future__ import annotations
@@ -65,7 +69,11 @@ class Truncation:
     number of terms is summed in full.  A product (c; q)_inf stops once 3
     successive ``|c q**j|`` are at most rel_tol and multiplies in its closed
     tail ``1 - c q**(j+1) / (1 - q)``, within ``(rel_tol / (1 - q))**2``.
-    Exhausting ``max_terms`` raises :class:`~qfrac.errors.NonConvergence`.
+    Work of a length known up front (a sum with a known number of terms,
+    every product, whose factors up to that stop are counted before the
+    first) raises :class:`~qfrac.errors.NonConvergence` before it starts if
+    that length exceeds ``max_terms``; an infinite sum raises it once it has
+    taken ``max_terms`` terms without the stopping rule firing.
     """
 
     rel_tol: float = 1e-12
@@ -145,44 +153,45 @@ def _accumulate(
 ) -> float:
     """Sum terms under the stopping rule, or their first ``count`` in full.
 
-    A cut sum (``count`` given) adds its first count terms whatever they are:
-    zero terms do not end it, and growing ones do not raise even with
-    ``detect_growth``.  An infinite one (``count`` None) tracks the last
-    ratio rho_n = term_n / term_{n-1}: while it and the one before both lie
-    in (0, 1) or both in (-1, 0), the tail is taken as geometric, worth
-    term_n rho_n / (1 - rho_n), and after ``_SMALL_RUN`` successive terms
-    whose drift |rho_n - rho_{n-1}| |term_n| / (1 - rho_n)**2 (the error of
-    that tail when the ratio moves as it just did) stays within
+    A cut sum (``count`` given) is a length known before the work starts:
+    past ``max_terms`` it raises through _check_budget before drawing a
+    term, and otherwise it adds its first count terms in order whatever they
+    are, with no ratio, small-run or growth test.  An infinite one (``count``
+    None) tracks the last ratio rho_n = term_n / term_{n-1}: while it and the
+    one before both lie in (0, 1) or both in (-1, 0), the tail is taken as
+    geometric, worth term_n rho_n / (1 - rho_n), and after ``_SMALL_RUN``
+    successive terms whose drift |rho_n - rho_{n-1}| |term_n| / (1 - rho_n)**2
+    (the error of that tail when the ratio moves as it just did) stays within
     ``_TAIL_SHARE * rel_tol * |S + tail| + abs_tol`` the sum returns
     S + tail; any other ratio (a ratio changing sign, a zero or growing
     term) restarts that run.  Otherwise it stops on ``_SMALL_RUN`` small
-    terms, and with ``detect_growth`` raises NonConvergence on a growth run.
-    Both kinds raise NonConvergence past ``max_terms`` terms or at a
-    non-finite term.
+    terms, and with ``detect_growth`` raises NonConvergence on a growth run;
+    past ``max_terms`` terms it raises NonConvergence, the stopping rule not
+    having fired.  Both kinds raise NonConvergence at a non-finite term.
     A failure's message opens with ``where[0].format(*where[1:])``, a
     template and its arguments (as _power takes them), formatted only when it
     is raised.
     """
-    max_terms, rel_tol, abs_tol = trunc.max_terms, trunc.rel_tol, _ABS_TOL
-    finite = count is not None
-    if finite:
-        terms = itertools.islice(terms, count)
-        detect_growth = False
-    # A small run never reaches max_terms + 1 before the budget check fires.
-    small_limit = max_terms + 1 if finite else _SMALL_RUN
-    tail_tol = _TAIL_SHARE * rel_tol
+    n = 0
     total = 0.0
+    if count is not None:
+        _check_budget(count, trunc, where)
+        for n, term in enumerate(itertools.islice(terms, count), 1):
+            if not math.isfinite(term):
+                _note_terms(n)
+                raise NonConvergence(f"{_name(where)}: non-finite term at index {n - 1}")
+            total += term
+        _note_terms(n)
+        return total
+    max_terms, rel_tol, abs_tol = trunc.max_terms, trunc.rel_tol, _ABS_TOL
+    tail_tol = _TAIL_SHARE * rel_tol
     small_run = 0
-    # A cut sum never closes a tail: its previous term stays 0.
     prev_term = 0.0
     prev_ratio = 0.0
     tail_run = 0
     growth_run = 0
-    growth_base = math.inf
-    prev_mag = math.inf
-    n = 0
-    for term in terms:
-        n += 1
+    growth_base = 0.0
+    for n, term in enumerate(terms, 1):
         if n > max_terms:
             _note_terms(n)
             raise NonConvergence(
@@ -211,19 +220,17 @@ def _accumulate(
             else:
                 tail_run = 0
             prev_ratio = ratio
-        if not finite:
-            prev_term = term
         if mag <= rel_tol * abs(total) + abs_tol:
             small_run += 1
-            if small_run >= small_limit:
+            if small_run >= _SMALL_RUN:
                 _note_terms(n)
                 return total
         else:
             small_run = 0
         if detect_growth:
-            if math.isfinite(prev_mag) and 0.0 < prev_mag < mag:
+            if 0.0 < abs(prev_term) < mag:
                 if growth_run == 0:
-                    growth_base = prev_mag
+                    growth_base = abs(prev_term)
                 growth_run += 1
                 if (
                     growth_run >= _SMALL_RUN
@@ -235,9 +242,18 @@ def _accumulate(
                     )
             else:
                 growth_run = 0
-            prev_mag = mag
+        prev_term = term
     _note_terms(n)
     return total
+
+
+def _check_budget(n: int, trunc: Truncation, where: tuple) -> None:
+    """Raise NonConvergence if a computation whose length n is known before
+    it starts (a cut sum, a finite product, a count of factors or steps)
+    would exceed ``max_terms``; called before any of that work is done.
+    where names the computation, as in _accumulate."""
+    if n > trunc.max_terms:
+        raise NonConvergence(f"{_name(where)}: {n} terms exceed the budget of {trunc.max_terms}")
 
 
 def _name(where: tuple) -> str:
@@ -300,11 +316,7 @@ def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
     if n == 1:
         return nabla_q(f, t, p)
     q = p.q
-    if n > p.trunc.max_terms:
-        raise NonConvergence(
-            f"nabla_q^n with n={n} at t={t!r}, q={q!r}: n exceeds the budget of "
-            f"{p.trunc.max_terms} terms"
-        )
+    _check_budget(n, p.trunc, ("nabla_q^n with n={!r} at t={!r}, q={!r}", n, t, q))
     points = [t]
     for _ in range(n):
         points.append(q * points[-1])

@@ -21,8 +21,8 @@ from functools import cache
 from typing import Iterator
 
 from . import special
-from .core import (QFunction, QParams, _accumulate, _chain_sum, _name, _power, _start_steps,
-                   count_terms)
+from .core import (QFunction, QParams, _accumulate, _chain_sum, _check_budget, _name, _power,
+                   _start_steps, count_terms, q_bracket)
 from .errors import DomainError, NonConvergence, NumericOverflow
 from .fractional import _LEFT_AT, _left_series, left_caputo, left_frac_integral
 
@@ -128,11 +128,15 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
     z or above it.  zeta**k (with R_k off the grid) is a running product, so
     no power of lam or 1 - q grows apart, and no q_gamma is called.
 
-    For an integer beta and j >= 1 the tails' quotient is finite:
-    (q**(alpha k + beta); q)_(j - beta) / (q; q)_(j-1) for beta <= j and
-    1 / ((q**(alpha k + j); q)_(beta - j) (q; q)_(j-1)) for beta > j, whose
-    |j - beta| factors special._q_product multiplies out, and no infinite
-    product is formed; for beta = 1 and j = 1 term k is zeta**k.  A term that
+    For an integer beta and j >= 1 the tails' quotient is finite, and term k
+    is zeta**k / [beta-1]_q! times the |j - beta| factors
+    (1 - q**(alpha k + lo + i)) / (1 - q**max(lo + i, 1)), lo = min(beta, j),
+    each inverted for beta > j ([beta-1]_q! = 1 for beta <= 1, where the
+    first 1 - beta factors are the q-numbers [alpha k + beta + i]_q).  So
+    no infinite product is formed, and no finite one apart: (q; q)_(j-1) and
+    (1-q)**(beta-1) underflow for q near 1 while their quotient does not.
+    For beta = 1 and j = 1 term k is zeta**k.  The factors a term takes are
+    checked against the budget before the first term.  A term that
     overflows raises NumericOverflow naming z, z0, alpha, beta, lam and q.
     """
     alpha, beta, lam, z0, q = mp.alpha, mp.beta, mp.lam, mp.z0, p.q
@@ -143,18 +147,28 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
                  for i in itertools.count())
     else:
         steps = itertools.repeat(step * special.q_factorial_power(z, 0.0, alpha, p))
-    # (1-q)**(beta-1) zeta**k, times R_k off the grid
-    powers = itertools.accumulate(steps, operator.mul, initial=_power(1.0 - q, beta - 1.0, *where))
 
     def finite_terms() -> Iterator[float]:
-        below, divide, factors = special.q_pochhammer(j - 1, p), beta > j, abs(j - int(beta))
-        start, shift = _power(q, min(beta, j), *where), q**alpha
-        for power in powers:
-            product = special._q_product(start, p, factors)
-            yield (power / product if divide else power * product) / below
+        b = int(beta)
+        lo, n, invert = min(b, j), abs(j - b), b > j
+        _check_budget(n + max(b - 2, 0), p.trunc, where)
+        start, shift = _power(q, lo, *where), q**alpha
+        # 1 - q**max(lo + i, 1), from the products the k = 0 factors take
+        fixed = [1.0 - min(c, q) for c in itertools.islice(
+            itertools.accumulate(itertools.repeat(q), operator.mul, initial=start), n)]
+        first = 1.0 / math.prod(q_bracket(i, p) for i in range(2, b))  # 1 / [b-1]_q!
+        for power in itertools.accumulate(steps, operator.mul, initial=first):
+            moving = start
+            for factor in fixed:
+                power *= factor / (1.0 - moving) if invert else (1.0 - moving) / factor
+                moving *= q
+            yield power
             start *= shift
 
     def tail_terms() -> Iterator[float]:
+        # (1-q)**(beta-1) zeta**k, times R_k off the grid
+        powers = itertools.accumulate(steps, operator.mul,
+                                      initial=_power(1.0 - q, beta - 1.0, *where))
         below = tail(1.0, p)
         ratios = itertools.repeat(1.0)
         if j is not None and j >= 0:
@@ -191,7 +205,8 @@ def _kernel_orders(alpha: float, p: QParams) -> int:
 
     def within(orders: int) -> bool:
         beta = alpha * (orders + 1)
-        gain = special._q_product(-(p.q**beta), p) / special._pochhammer_tail(beta, p)
+        where = ("(-q**beta; q)_inf at beta={!r}, q={!r}", beta, p.q)
+        gain = special._q_product(-(p.q**beta), p, where) / special._pochhammer_tail(beta, p)
         return gain <= _KERNEL_GAIN
 
     top = 1
@@ -348,9 +363,9 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     position of a below t, which the solution finds once per point, and no
     q_gamma is called: from a = 0 term k is z**k (q**(alpha k + 1); q)_inf /
     (q; q)_inf, one cached tail per term; on the time scale, t = a q**-j with
-    j >= 1, it is the finite q-product z**k (q**(alpha k + 1); q)_(j-1) /
-    (q; q)_(j-1), so at j = 1 the head is a0 / (1 - z).  t < a raises
-    DomainError; y(a) = a0, with nothing summed.
+    j >= 1, it is the finite quotient z**k (q**(alpha k + 1); q)_(j-1) /
+    (q; q)_(j-1), taken a factor of each at a time, so at j = 1 the head is
+    a0 / (1 - z).  t < a raises DomainError; y(a) = a0, with nothing summed.
     """
     return _series_solution(prob, None, p)
 

@@ -6,9 +6,12 @@ product for integer alpha >= 0, otherwise the ratio
     t**alpha * (s/t; q)_inf / ((s/t) q**alpha; q)_inf.
 
 q_gamma and E_q are quotients of the same products (c; q)_inf.  Every one of
-them, and every finite (c; q)_n (q_pochhammer, the integer factorial power on
-the grid and, in ivp, the q-Mittag-Leffler terms on the time scale), comes
-from one loop, ``_q_product``, which closes an infinite product's tail.  When
+them, and every finite (c; q)_n (q_pochhammer and the integer factorial power
+on the grid), comes from one loop, ``_q_product``, which closes an infinite
+product's tail and checks its number of factors against the budget first.
+Quotients that would overflow or underflow apart (the off-grid ratio's
+prefix here, the q-Mittag-Leffler terms on the time scale in ivp) take their
+factors in pairs instead.  When
 s/t coincides with an integer power of q the ratio is snapped onto the grid so
 that vanishing (s/t = q**-j) and poles surface exactly instead of as rounding
 noise.  Aligned products are tails (q**x; q)_inf, memoised per (q, x,
@@ -21,9 +24,10 @@ import math
 from typing import Iterator
 
 from .core import (
-    _SMALL_RUN, QParams, Truncation, _accumulate, _grid_exponent, _note_terms, _power, count_terms,
+    _SMALL_RUN, QParams, Truncation, _accumulate, _check_budget, _grid_exponent, _note_terms,
+    _power, count_terms,
 )
-from .errors import DomainError, NonConvergence, NumericOverflow, PoleError
+from .errors import DomainError, NumericOverflow, PoleError
 
 __all__ = [
     "q_pochhammer",
@@ -39,13 +43,14 @@ def _is_integer_valued(x: float) -> bool:
 
 
 def q_pochhammer(n: int, p: QParams) -> float:
-    """(q)_n = prod_{j=1..n} (1 - q**j), with (q)_0 = 1."""
+    """(q)_n = prod_{j=1..n} (1 - q**j), with (q)_0 = 1; an n above the
+    truncation's max_terms raises NonConvergence before any factor is taken."""
     if n < 0 or n != int(n):
         raise DomainError(f"q_pochhammer needs an integer n >= 0, got {n}")
-    return _q_product(p.q, p, int(n))
+    return _q_product(p.q, p, ("(q; q)_n at n={!r}, q={!r}", n, p.q), int(n))
 
 
-def _q_product(c: float, p: QParams, count: int | None = None) -> float:
+def _q_product(c: float, p: QParams, where: tuple, count: int | None = None) -> float:
     """(c; q)_count = prod_{j<count} (1 - c q**j), or for count None
     (c; q)_inf for finite c, uncached.
 
@@ -54,18 +59,18 @@ def _q_product(c: float, p: QParams, count: int | None = None) -> float:
     successive |c q**j| at most rel_tol (they fall monotonically, so their
     number is known up front), notes them, and multiplies in the closed tail
     prod_{i>j} (1 - c q**i) = 1 - c q**(j+1) / (1 - q), whose error is at
-    most (rel_tol / (1 - q))**2.
+    most (rel_tol / (1 - q))**2.  Either count is checked against the
+    budget (core._check_budget, where naming the caller's product) before
+    the first factor is taken.
     """
     q = p.q
     finite = count is not None
     if not finite:
-        rel_tol, max_terms = p.trunc.rel_tol, p.trunc.max_terms
+        rel_tol = p.trunc.rel_tol
         count = _SMALL_RUN
         if abs(c) > rel_tol:
             count += math.ceil((math.log(abs(c)) - math.log(rel_tol)) / -math.log(q))
-        if count > max_terms:
-            _note_terms(max_terms)
-            raise NonConvergence(f"(c; q)_inf did not converge for c={c!r}, q={q!r}")
+    _check_budget(count, p.trunc, where)
     product = 1.0
     for _ in range(count):
         product *= 1.0 - c
@@ -97,8 +102,9 @@ def _pochhammer_tail(x: float, p: QParams) -> float:
     if cached is not None:
         _note_terms(cached[1])
         return cached[0]
+    where = ("(q**x; q)_inf at x={!r}, q={!r}", x, p.q)
     with count_terms() as counter:
-        product = _q_product(_power(p.q, x, "(q**x; q)_inf at x={!r}, q={!r}", x, p.q), p)
+        product = _q_product(_power(p.q, x, *where), p, where)
     if counter.total > _SMALL_RUN:
         if len(_TAIL_CACHE) >= _TAIL_CACHE_SIZE:
             _TAIL_CACHE.clear()
@@ -116,8 +122,8 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     on the grid s = t q**d the q-Pochhammer symbol t**m (q**d; q)_m, which is
     a signed zero exactly when its factor 1 - q**0 exists (d <= 0 < d + m);
     with t != 0 an alpha above the truncation's max_terms raises
-    NonConvergence instead of multiplying that many factors, and a product
-    too large for a double raises NumericOverflow.
+    NonConvergence (core._check_budget) instead of multiplying that many
+    factors, and a product too large for a double raises NumericOverflow.
     Any other real alpha uses the infinite ratio product, which vanishes
     exactly when s = t q**-j (j >= 0) and raises PoleError when a denominator
     factor hits zero (negative integer alpha on the grid) or rounds to zero.
@@ -125,6 +131,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     raises NumericOverflow naming t, s, alpha and q.
     """
     q = p.q
+    where = (_QFACT_AT, t, s, alpha, q)
     if not math.isfinite(alpha):
         raise DomainError(f"exponent must be finite, got {alpha}")
     if _is_integer_valued(alpha) and alpha >= 0:
@@ -133,12 +140,8 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
             return 1.0
         if t == 0.0:
             # prod (0 - q**i s) = (-s)**m q**(m(m-1)/2)
-            return _power(-s, m, _QFACT_AT, t, s, alpha, q) * q ** (m * (m - 1) // 2)
-        if m > p.trunc.max_terms:
-            raise NonConvergence(
-                f"{_QFACT_AT.format(t, s, alpha, q)}: integer order {m} exceeds "
-                f"the budget of {p.trunc.max_terms} factors"
-            )
+            return _power(-s, m, *where) * q ** (m * (m - 1) // 2)
+        _check_budget(m, p.trunc, where)
         d = _grid_exponent(s / t, q) if s != 0.0 and s / t > 0.0 else None
         if d is not None:
             # t**m (q**d; q)_m.  Its factor 1 - q**0 vanishes for d <= 0 < d + m,
@@ -146,8 +149,8 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
             if d <= 0 < d + m:
                 product = -0.0 if d % 2 else 0.0
             else:
-                product = _q_product(_power(q, d, _QFACT_AT, t, s, alpha, q), p, m)
-            product *= _power(t, m, _QFACT_AT, t, s, alpha, q)
+                product = _q_product(_power(q, d, *where), p, where, m)
+            product *= _power(t, m, *where)
         else:
             product, power = 1.0, 1.0
             for _ in range(m):
@@ -167,7 +170,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     if t < 0.0:
         raise DomainError(f"fractional q-factorial power needs t > 0, got t={t}")
     if s == 0.0:
-        return _power(t, alpha, _QFACT_AT, t, s, alpha, q)
+        return _power(t, alpha, *where)
     u = s / t
     if not math.isfinite(u):
         raise DomainError(f"{_QFACT_AT.format(t, s, alpha, q)}: s/t must be finite")
@@ -187,31 +190,28 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
             raise PoleError(
                 f"{_QFACT_AT.format(t, s, alpha, q)}: a denominator factor is numerically 0"
             )
-        return _power(t, alpha, _QFACT_AT, t, s, alpha, q) * _pochhammer_tail(float(d), p) / den
+        return _power(t, alpha, *where) * _pochhammer_tail(float(d), p) / den
 
     # Generic, off-grid ratio.  A denominator factor within ~1e-12 of zero
     # cannot be told apart from a true pole at double precision (the ratio u
     # itself carries rounding), so it is reported as one instead of returning
     # a meaninglessly amplified product.  Only for c > 0 can a factor
     # 1 - c q**j vanish; the one nearest zero has q**j nearest 1/c.
-    c = u * _power(q, alpha, _QFACT_AT, t, s, alpha, q)
+    c = u * _power(q, alpha, *where)
     if c > 0.0 and abs(1.0 - c * q ** max(0, round(math.log(c) / -math.log(q)))) < 1e-12:
         raise PoleError(f"(t - s)_q^{alpha} denominator vanished for s/t = {u}")
     # While |u q**j| > 1 both products grow like q**(-j**2 / 2) and would
     # overflow apart; the ratio of their factors stays near q**-alpha.  That
-    # takes log|u| / -log q steps, known before the loop.
-    if abs(u) > 1.0 and math.log(abs(u)) / -math.log(q) > p.trunc.max_terms:
-        raise NonConvergence(
-            f"{_QFACT_AT.format(t, s, alpha, q)}: the factors with |s/t q**j| > 1 "
-            f"exceed the budget of {p.trunc.max_terms}"
-        )
-    value = _power(t, alpha, _QFACT_AT, t, s, alpha, q)
+    # takes ceil(log|u| / -log q) steps, known before the loop.
+    if abs(u) > 1.0:
+        _check_budget(math.ceil(math.log(abs(u)) / -math.log(q)), p.trunc, where)
+    value = _power(t, alpha, *where)
     while abs(u) > 1.0:
         value *= (1.0 - u) / (1.0 - c)
         u *= q
         c *= q
         _note_terms(1)
-    value *= _q_product(u, p) / _q_product(c, p)
+    value *= _q_product(u, p, where) / _q_product(c, p, where)
     if not math.isfinite(value):
         raise NumericOverflow(f"{_QFACT_AT.format(t, s, alpha, q)}: the value overflowed")
     return value
@@ -225,19 +225,15 @@ def q_gamma(alpha: float, p: QParams) -> float:
 
     Satisfies the recurrence q_gamma(alpha + 1) = [alpha]_q q_gamma(alpha)
     with q_gamma(1) = 1; poles at alpha = 0, -1, -2, ...  Negative alpha is
-    shifted up through the recurrence, one step per unit, within the
-    truncation's max_terms.
+    shifted up through the recurrence, one step per unit; ceil(-alpha) steps
+    above the truncation's max_terms raise NonConvergence before the first.
     """
     if not math.isfinite(alpha):
         raise DomainError(f"q_gamma argument must be finite, got {alpha}")
     if _is_integer_valued(alpha) and alpha <= 0.0:
         raise PoleError(f"q_gamma has a pole at alpha = {alpha}")
     q = p.q
-    if -alpha > p.trunc.max_terms:
-        raise NonConvergence(
-            f"{_GAMMA_AT.format(alpha, q)}: shifting to alpha > 0 takes more than "
-            f"the budget of {p.trunc.max_terms} steps"
-        )
+    _check_budget(math.ceil(-alpha), p.trunc, (_GAMMA_AT, alpha, q))
     divisor = 1.0
     a = alpha
     while a <= 0.0:
@@ -274,4 +270,4 @@ def q_exp_E(t: float, p: QParams) -> float:
     """Big q-exponential E_q(t) = prod_{n>=0} (1 - q**n t)**-1 for |t| < 1."""
     if not abs(t) < 1.0:
         raise DomainError(f"E_q requires |t| < 1, got t={t}")
-    return 1.0 / _q_product(t, p)
+    return 1.0 / _q_product(t, p, ("E_q at t={!r}, q={!r}", t, p.q))

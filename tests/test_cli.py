@@ -52,6 +52,17 @@ class TestEval:
         assert code == 0
         assert float(parse_csv(out)[0]["value"]) == pytest.approx(1.0)
 
+    def test_ml_on_the_time_scale_near_q_one(self):
+        # z = z0 q**-1000: (q; q)_999 underflows at q = 0.998, and the head
+        # used to print 1.0.  The value is from a 40-digit evaluation of the
+        # definition.
+        code, out, _ = run_cli(
+            ["eval", "ml", "--q", "0.998", "--alpha", "0.5", "--lambda", "0.3",
+             "--z0", "0.01", "--z", "0.0740386877238432"]
+        )
+        assert code == 0
+        assert float(parse_csv(out)[0]["value"]) == pytest.approx(1.0917599926911134, rel=1e-13)
+
     def test_left_fractional_integral_of_identity(self):
         code, out, _ = run_cli(
             ["eval", "fracint", "--side", "left", "--q", "0.5", "--alpha", "1",
@@ -201,6 +212,13 @@ class TestEvalErrors:
                                   f"--beta={beta}", "--z", "1"])
         assert (code, out) == (3, "")
         assert f"beta must be finite, got {beta}" in err
+
+    def test_product_past_the_budget_names_its_argument(self):
+        # (q**0.5; q)_inf at q = 0.999 takes 27,620 factors to reach rel_tol.
+        code, out, err = run_cli(["eval", "gamma", "--q", "0.999", "--alpha", "0.5"])
+        assert (code, out) == (2, "")
+        assert err == ("qfrac: numeric failure: (q**x; q)_inf at x=0.5, q=0.999: "
+                       "27620 terms exceed the budget of 10000\n")
 
     def test_missing_flag(self):
         code, _, err = run_cli(["eval", "fracint", "--q", "0.5", "--alpha", "1",

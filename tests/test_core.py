@@ -1,6 +1,8 @@
 import asyncio
+import functools
 import itertools
 import math
+import operator
 import threading
 
 import pytest
@@ -199,6 +201,15 @@ class TestIntegral:
         with pytest.raises(NonConvergence):
             q_integral(chain_wobble(0.9), 0.0, 1.0, p)
 
+    def test_finite_sum_past_the_budget_samples_nothing(self):
+        # 20,000 lattice points against a budget of 10,000: the length is
+        # known before the sum starts, so the operand is never called.
+        calls = []
+        with pytest.raises(NonConvergence, match=r"^q-integral at x=1\.0, q=0\.999: "
+                           r"20000 terms exceed the budget of 10000$"):
+            q_integral(lambda s: calls.append(s) or s, 0.999**20000, 1.0, QParams(0.999))
+        assert calls == []
+
     def test_term_counting(self, p_half):
         f = chain_wobble(0.5)
         with count_terms() as counter:
@@ -304,13 +315,42 @@ class TestCutSum:
             _accumulate(growing(), Truncation(), detect_growth=True, where=self.WHERE)
 
     def test_terms_past_the_budget_raise(self):
-        with pytest.raises(NonConvergence) as info:
-            _accumulate(itertools.repeat(1.0), Truncation(max_terms=5), detect_growth=False,
+        # The count is checked before a term is drawn.
+        def untouchable():
+            raise AssertionError("a term was drawn")
+            yield
+
+        with pytest.raises(NonConvergence,
+                           match=r"^cut sum at x=1\.5: 10 terms exceed the budget of 5$"):
+            _accumulate(untouchable(), Truncation(max_terms=5), detect_growth=False,
                         count=10, where=self.WHERE)
-        assert str(info.value).startswith("cut sum at x=1.5: ")
         got = _accumulate(itertools.repeat(1.0), Truncation(max_terms=5), detect_growth=False,
                           count=5, where=self.WHERE)
         assert got == 5.0
+
+    def test_no_tail_is_closed(self):
+        # An infinite sum of 2**-k closes its geometric tail; cut after 5
+        # terms, it is their plain sum.
+        halves = lambda: (0.5**k for k in itertools.count())
+        got = _accumulate(halves(), Truncation(), detect_growth=True, count=5, where=self.WHERE)
+        assert got == 1.9375
+        assert _accumulate(halves(), Truncation(), detect_growth=True, where=self.WHERE) == 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xs=st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6),
+                              st.integers(0, 60).map(lambda k: 2.0**k)), max_size=40),
+        count=st.integers(0, 40),
+        detect_growth=st.booleans(),
+    )
+    def test_equals_the_plain_sum(self, xs, count, detect_growth):
+        # Zero, growing and arbitrary terms alike: the first count terms
+        # added in order, bit for bit, and that many terms noted.
+        with count_terms() as counter:
+            got = _accumulate(iter(xs), Truncation(), detect_growth=detect_growth, count=count,
+                              where=self.WHERE)
+        assert got == functools.reduce(operator.add, xs[:count], 0.0)
+        assert counter.total == min(count, len(xs))
 
 
 class TestAlternatingTail:

@@ -51,6 +51,8 @@ class TestRejected:
             "[s]",
             "'s'",
             "s // 2",
+            "~s",               # operator Invert
+            "not s",            # operator Not
         ],
     )
     def test_outside_grammar(self, text):

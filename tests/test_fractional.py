@@ -155,6 +155,17 @@ class TestLeftIntegral:
         value = left_frac_integral(lambda s: s, 0.0, -0.5, 1.0, p_half)
         assert math.isfinite(value)
 
+    def test_lattice_series_past_the_budget_samples_nothing(self):
+        # a = t q**20000: the series' 20,000 terms exceed the budget of
+        # 10,000, which is known before the first sample of f.
+        calls = []
+        with pytest.raises(NonConvergence, match=(
+                r"^left fractional integral at t=1\.0, a=.*, alpha=0\.5, q=0\.999: "
+                r"20000 terms exceed the budget of 10000$")):
+            left_frac_integral(lambda s: calls.append(s) or s, 0.999**20000, 0.5, 1.0,
+                               QParams(0.999))
+        assert calls == []
+
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
     def test_power_rule(self, q):
         p = QParams(q)
@@ -264,6 +275,13 @@ class TestCaputo:
     def test_kills_constants(self, p_half):
         assert abs(left_caputo(lambda s: 7.0, 0.0, 0.6, 1.0, p_half)) < 1e-12
         assert abs(right_caputo(lambda s: 7.0, 4.0, 0.6, 1.0, p_half)) < 1e-12
+
+    def test_budget_failure_of_the_taylor_coefficients_passes_through(self):
+        # nabla_q^6 f(a) is past a budget of 5: that failure reaches the
+        # caller as it is, not as non-finite q-Taylor coefficients.
+        with pytest.raises(NonConvergence, match=(
+                r"^nabla_q\^n with n=6 at t=0\.5, q=0\.5: 6 terms exceed the budget of 5$")):
+            left_caputo(lambda s: s * s, 0.5, 6.5, 1.0, QParams(0.5, Truncation(max_terms=5)))
 
     def test_integer_order_left(self, p_half):
         f = lambda s: s * s * s

@@ -37,6 +37,7 @@ from qfrac import (
     solve_ivp_picard,
 )
 
+from qfrac.core import _start_steps
 from qfrac.fractional import _left_series
 
 from conftest import chain_wobble, rel_err
@@ -215,6 +216,58 @@ class TestTimeScaleHead:
         assert math.isfinite(q_mittag_leffler(MLParams(0.7, 3.0, 0.3, 0.25), 1.0, p_half))
         assert calls == []
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize(("j", "beta"), [(1, 0.0), (2, 0.0), (4, -1.0), (2, -3.0)])
+    def test_beta_on_a_gamma_pole(self, q, j, beta):
+        # Term 0 is 1 / Gamma_q(beta) = 0; the first 1 - beta factors of each
+        # other term are the q-numbers [alpha k + beta + i]_q.  At beta = -3,
+        # q = 0.3 the sum is 2.5e-14 off a 40-digit value, as it was when the
+        # two products were formed apart.
+        p = QParams(q)
+        mp = MLParams(0.7, beta, 0.3, q**j)
+        want = math.fsum(0.3**k * q_factorial_power(1.0, q**j, 0.7 * k, p)
+                         / q_gamma(0.7 * k + beta, p) for k in range(1, 12))
+        assert abs(qfrac.ivp._ml_sum(mp, 1.0, j, p, 12) - want) <= 1e-13 * abs(want)
+
+    # z = z0 q**-j at q near 1, where (q; q)_(j-1) and the numerator product
+    # become subnormal or 0 while their quotient does not: the head used to
+    # be 1.2e-6 off at j = 900, return 1.0 at j = 1000 and 1500, and divide
+    # by zero at q = 0.999.
+    # The values are from a 40-digit evaluation of the definition,
+    # sum_k lam**k (z - z0)_q^(alpha k) / Gamma_q(alpha k + 1).
+    @pytest.mark.parametrize(("q", "j", "z", "value"), [
+        (0.998, 900, 0.01 * 0.998**-900, 1.0809343891245199),
+        (0.998, 1000, 0.0740386877238432, 1.0917599926911134),
+        (0.998, 1500, 0.01 * 0.998**-1500, 1.1671948726084316),
+        (0.999, 353, 0.014235825511856419, 1.0224105873657911),
+    ])
+    def test_near_q_one(self, q, j, z, value):
+        p = QParams(q)
+        mp = MLParams(0.5, 1.0, 0.3, 0.01)
+        assert _start_steps(0.01, z, q) == j
+        assert abs(q_mittag_leffler(mp, z, p) - value) <= 1e-13 * value
+
+    def test_solution_near_q_one(self):
+        # The closed form from a = 0.01 is the head above; it used to read
+        # 1.0, and its residual -0.759.
+        p, t = QParams(0.998), 0.0740386877238432
+        prob = IVProblem(0.5, 0.3, 0.01, 1.0)
+        y = solve_ivp_closed(prob, p)
+        assert abs(y(t) - 1.0917599926911134) <= 1e-13
+        assert abs(solve_ivp_picard(prob, 8, p)(t) - 1.0917599926911134) <= 1e-11
+        assert abs(ivp_residual(prob, y, t, p)) <= 1e-11
+
+    def test_depth_past_the_budget_raises(self):
+        # Term k takes j - 1 factors: j = 11 is within a budget of 10, and
+        # j = 12 raises before any term is formed.
+        p = QParams(0.5, Truncation(max_terms=10))
+        mp = MLParams(0.7, 1.0, 0.3, 0.5**12)
+        assert math.isfinite(qfrac.ivp._ml_sum(mp, 0.5, 11, p, 5))
+        with pytest.raises(NonConvergence, match=(
+                r"^q-Mittag-Leffler at z=1\.0, z0=0\.000244140625, alpha=0\.7, beta=1\.0, "
+                r"lam=0\.3, q=0\.5: 11 terms exceed the budget of 10$")):
+            qfrac.ivp._ml_sum(mp, 1.0, 12, p, 5)
+
     def test_lattice_steps_once_per_point(self, monkeypatch, p_half):
         # The solution's rule finds how far t lies above a and hands it to
         # the head's sum, which does not find it again.
@@ -283,6 +336,8 @@ class TestClosedForm:
         y(1.0)
         assert y.method == "closed-form"
         assert y.diagnostics["evaluations"] >= 1
+        picard = solve_ivp_picard(IVProblem(0.9, 0.3, 0.0, 1.0), 3, p_half)
+        assert repr(picard) == "IVPSolution(method='picard(3)')"
 
 
 class TestPicard:
@@ -578,7 +633,9 @@ class TestForcingKernel:
         p = QParams(q)
 
         def gain(beta):
-            return qfrac.special._q_product(-(q**beta), p) / qfrac.special._pochhammer_tail(beta, p)
+            where = ("gain at beta={!r}", beta)
+            return (qfrac.special._q_product(-(q**beta), p, where)
+                    / qfrac.special._pochhammer_tail(beta, p))
 
         assert qfrac.ivp._kernel_orders(alpha, p) == orders
         assert gain(alpha * (orders + 1)) <= 8.0
@@ -753,6 +810,14 @@ class TestPicardLattice:
     def test_initial_point_gives_initial_value(self, p_half, a):
         y = solve_ivp_picard(IVProblem(0.9, 0.3, a, 2.5, lambda s: s), 3, p_half)
         assert y(a) == 2.5
+
+    def test_head_past_the_budget_raises_before_summing(self):
+        # Picard(20000)'s head has 20,001 terms, a length known up front.
+        with count_terms() as counter, pytest.raises(NonConvergence, match=(
+                r"^q-Mittag-Leffler at z=1\.0, z0=0\.0, alpha=0\.5, beta=1\.0, lam=0\.3, "
+                r"q=0\.5: 20001 terms exceed the budget of 10000$")):
+            solve_ivp_picard(IVProblem(0.5, 0.3, 0.0, 1.0), 20000, QParams(0.5))(1.0)
+        assert counter.total == 0
 
     def test_budget_exhaustion_from_origin(self):
         # 60 terms cover q_gamma's products; the forcing integral's terms

@@ -44,6 +44,17 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             q_pochhammer(-1, p_half)
 
+    def test_count_past_the_budget_raises(self):
+        # As q_factorial_power(1, q, n) = (q; q)_n does, rather than
+        # multiplying 20,000 factors.
+        p = QParams(0.5, Truncation(max_terms=10))
+        assert q_pochhammer(10, p) == q_factorial_power(1.0, 0.5, 10.0, p)
+        with pytest.raises(NonConvergence,
+                           match=r"^\(q; q\)_n at n=11, q=0\.5: 11 terms exceed the budget of 10$"):
+            q_pochhammer(11, p)
+        with pytest.raises(NonConvergence, match="20000 terms exceed the budget of 10000"):
+            q_pochhammer(20000, QParams(0.5))
+
 
 class TestFactorialPower:
     def test_zero_exponent(self, p_half):
