@@ -18,7 +18,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import special
 from .core import (QFunction, QParams, _accumulate, _chain_sum, _check_budget, _name, _power,
@@ -63,12 +63,19 @@ class MLParams:
 
 
 def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
-    """Evaluate the q-Mittag-Leffler series at z; divergence detected at runtime.
+    """Evaluate the q-Mittag-Leffler series at z.
 
     The sum is _ml_sum's at the lattice position of z0 below z.  A term whose
-    alpha k + beta is a pole of q_gamma is 0, as 1 / q_gamma is entire.
+    alpha k + beta is a pole of q_gamma is 0, as 1 / q_gamma is entire.  From
+    z0 = 0 (z > 0) the series is a geometric one in zeta = lam ((1-q)
+    z)**alpha: |zeta| >= 1 raises NonConvergence before any term, and where
+    it is shorter the sum takes Euler's expansion past its first terms
+    (_euler_split, worked out once per call).  From any other z0 divergence
+    is detected at runtime, by terms that grow.
     """
-    return _ml_sum(mp, z, _start_steps(mp.z0, z, p.q), p)
+    j = _start_steps(mp.z0, z, p.q)
+    split = _euler_split(mp.alpha, mp.beta, p) if j is None else None
+    return _ml_sum(mp, z, j, p, split=split)
 
 
 @dataclass(frozen=True)
@@ -110,13 +117,65 @@ class IVPSolution:
 
 
 _ML_AT = "q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, beta={!r}, lam={!r}, q={!r}"
+# The gain A(x) = (-q**x; q)_inf / (q**x; q)_inf bounds how far rounding
+# grows in the forcing kernel's recurrence (x = alpha (P + 1) its lowest
+# order; see _kernel_orders) and in the cancellation of Euler's expansion of
+# the q-Mittag-Leffler series (x = beta + alpha P; see _euler_split).  Each
+# sums its first P orders, the fewest that keep A within this bound, one by
+# one instead.
+_KERNEL_GAIN = 8.0
+
+
+def _euler_split(alpha: float, beta: float, p: QParams) -> tuple[int, float]:
+    """(P, P + N_E) for _ml_sum's series from z0 = 0: the terms summed one by
+    one ahead of Euler's expansion, and what the two parts cost together.
+
+    P is the fewest with y / (1 - y) <= (ln _KERNEL_GAIN / 2) (1 - q),
+    y = q**(beta + alpha P): as ln A(x) = sum_i ln((1 + x q**i) / (1 - x q**i))
+    <= 2 x / ((1 - x) (1 - q)), that keeps the cancellation
+    A(beta + alpha P) = (-y; q)_inf / (y; q)_inf of the expansion's
+    alternating sum within _KERNEL_GAIN.  N_E is the fewest n with
+    q**(n(n-1)/2) y**n <= rel_tol, the length of that sum.  A P past
+    max_terms costs infinity, so the expansion is never taken.
+    """
+    q, trunc = p.q, p.trunc
+    log_q = math.log(q)
+    gain = 0.5 * math.log(_KERNEL_GAIN) * (1.0 - q)
+    lowest = (math.log(gain / (1.0 + gain)) / log_q - beta) / alpha  # the least real P
+    if not lowest <= trunc.max_terms:
+        return 0, math.inf
+    orders = math.ceil(max(lowest, 0.0))
+    # N_E: the fewest n with n (n-1) / 2 lq + n ly >= lt, a quadratic in n,
+    # where lq = -ln q, ly = -ln y and lt = -ln rel_tol
+    lq, ly, lt = -log_q, -(beta + alpha * orders) * log_q, -math.log(trunc.rel_tol)
+    if ly >= lt:
+        return orders, orders + 1
+    b = ly - 0.5 * lq
+    return orders, orders + math.ceil((math.sqrt(b * b + 2.0 * lq * lt) - b) / lq)
+
+
+def _split_sum(terms: Iterator[float], orders: int, rest: Callable[[], float], p: QParams,
+               where: tuple, detect_growth: bool = True) -> float:
+    """The first `orders` terms under the stopping rule (see core._accumulate)
+    plus rest(), the sum past them, unless the rule has ended them first:
+    where the terms are small from the start the sum ends as it would with
+    no rest, whose terms are below the rule."""
+    passed = []  # set once all the orders are summed and the rule has not ended them
+
+    def first() -> Iterator[float]:
+        yield from itertools.islice(terms, orders)
+        passed.append(True)
+
+    value = _accumulate(first(), p.trunc, detect_growth=detect_growth, where=where)
+    return value + rest() if passed else value
 
 
 def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
-            count: int | None = None) -> float:
+            count: int | None = None, split: tuple[int, float] | None = None) -> float:
     """sum_k lam**k (z - z0)_q^(alpha k) / q_gamma(alpha k + beta) with
-    j = _start_steps(z0, z, q), to the stopping rule watched for growth, or
-    over k < count in full if count is given (see core._accumulate).
+    j = _start_steps(z0, z, q), to the stopping rule watched for growth
+    (from z0 = 0 only where the terms alternate, see below), or over
+    k < count in full if count is given (see core._accumulate).
 
     By q_gamma's product form Gamma_q(x) = (q; q)_inf (1-q)**(1-x) /
     (q**x; q)_inf, term k is (1-q)**(beta-1) zeta**k (q**(alpha k + beta);
@@ -127,6 +186,20 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
     (z - z0 q**(alpha i))_q^(alpha) / z**alpha, i < k, for z0 off the grid of
     z or above it.  zeta**k (with R_k off the grid) is a running product, so
     no power of lam or 1 - q grows apart, and no q_gamma is called.
+
+    From z0 = 0 with no count (j None) the series is geometric in zeta:
+    |zeta| >= 1 raises NonConvergence before any term, and below 1 it
+    converges, so terms that grow are a hump, watched only for zeta < 0,
+    where they cancel.  split, (P, P + N_E) from _euler_split, is given
+    there only; where P + N_E < ln(rel_tol) / ln|zeta|, the direct sum's
+    length, the first P terms are summed one by one and, unless the stopping
+    rule ends them, the rest by Euler's expansion (x; q)_inf = sum_n (-1)**n
+    q**(n(n-1)/2) x**n / (q; q)_n, at x = q**(alpha k + beta) and summed over
+    k >= P as a geometric series (|zeta| < 1, and the sum converges
+    absolutely): sum_{k>=P} zeta**k (q**(alpha k + beta); q)_inf = zeta**P
+    sum_n (-1)**n q**(n(n-1)/2) y**n / ((q; q)_n (1 - zeta q**(alpha n))),
+    y = q**(beta + alpha P), whose terms follow each other in O(1) with no
+    infinite product.
 
     For an integer beta and j >= 1 the tails' quotient is finite, and term k
     is zeta**k / [beta-1]_q! times the |j - beta| factors
@@ -146,7 +219,11 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
         steps = (step * special.q_factorial_power(z, z0 * q ** (alpha * i), alpha, p)
                  for i in itertools.count())
     else:
-        steps = itertools.repeat(step * special.q_factorial_power(z, 0.0, alpha, p))
+        zeta = step * special.q_factorial_power(z, 0.0, alpha, p)
+        steps = itertools.repeat(zeta)
+        if j is None and count is None and not abs(zeta) < 1.0:
+            raise NonConvergence(f"{_name(where)}: |lam ((1-q) z)**alpha| = {abs(zeta)!r} "
+                                 f">= 1, so the series diverges")
 
     def finite_terms() -> Iterator[float]:
         b = int(beta)
@@ -165,11 +242,13 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
             yield power
             start *= shift
 
-    def tail_terms() -> Iterator[float]:
+    def scale() -> tuple[float, float]:
+        return _power(1.0 - q, beta - 1.0, *where), tail(1.0, p)  # (1-q)**(beta-1), (q; q)_inf
+
+    def tail_terms(parts: tuple[float, float] | None = None) -> Iterator[float]:
         # (1-q)**(beta-1) zeta**k, times R_k off the grid
-        powers = itertools.accumulate(steps, operator.mul,
-                                      initial=_power(1.0 - q, beta - 1.0, *where))
-        below = tail(1.0, p)
+        first, below = parts or scale()
+        powers = itertools.accumulate(steps, operator.mul, initial=first)
         ratios = itertools.repeat(1.0)
         if j is not None and j >= 0:
             before = tail(float(j), p)
@@ -178,23 +257,38 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
         for k, power, ratio in zip(itertools.count(), powers, ratios):
             yield power * tail(alpha * k + beta, p) * ratio / below
 
+    def euler_terms(orders: int, first: float, below: float) -> Iterator[float]:
+        # term n of the expansion past the first `orders` terms, times
+        # (1-q)**(beta-1) zeta**orders / (q; q)_inf
+        coef = first * zeta**orders / below
+        y, shift, lifted, fall = q ** (beta + alpha * orders), q**alpha, zeta, 1.0
+        while True:
+            yield coef / (1.0 - lifted)
+            fall *= q
+            coef *= -y / (1.0 - fall)
+            y *= q
+            lifted *= shift
+
     def checked(terms: Iterator[float]) -> Iterator[float]:
         for k, term in enumerate(terms):
             if math.isinf(term):
                 raise NumericOverflow(f"{_name(where)}: term {k} overflowed")
             yield term
 
-    finite = j is not None and j >= 1 and beta == int(beta)
-    return _accumulate(checked(finite_terms() if finite else tail_terms()), p.trunc,
-                       detect_growth=True, count=count, where=where)
+    # From z0 = 0 terms of zeta >= 0 share one sign (past those of
+    # alpha k + beta < 0), so a hump in them cancels nothing.
+    watch = j is not None or zeta < 0.0
+    if split is None or not abs(zeta) ** split[1] > p.trunc.rel_tol:
+        finite = j is not None and j >= 1 and beta == int(beta)
+        terms = finite_terms() if finite else tail_terms()
+        return _accumulate(checked(terms), p.trunc, detect_growth=watch, count=count, where=where)
+    orders, parts = split[0], scale()
+    return _split_sum(checked(tail_terms(parts)), orders, lambda: _accumulate(
+        euler_terms(orders, *parts), p.trunc, detect_growth=False, where=where), p, where,
+        detect_growth=watch)
 
 
 _FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
-# The kernel's recurrence carries each rounding error into later cells grown
-# by at most A(beta) = (-q**beta; q)_inf / (q**beta; q)_inf, beta = alpha (P + 1)
-# its lowest order; the first P orders, the fewest that keep A within this
-# bound, are summed one by one instead.
-_KERNEL_GAIN = 8.0
 # Cells a kernel row is first filled to when its series has no known length.
 _KERNEL_CHUNK = 16
 
@@ -286,6 +380,8 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     forcing = None if prob.forcing is None else cache(prob.forcing)
     head = MLParams(alpha, 1.0, lam, a)
     head_terms = None if m is None else m + 1
+    # From a = 0 the closed form's head may take Euler's expansion (see _ml_sum).
+    split = _euler_split(alpha, 1.0, p) if a == 0.0 and m is None else None
     kernel = None if forcing is None or lam == 0.0 or m is not None else _Kernel(alpha, lam, p)
     diagnostics = {"terms": 0, "evaluations": 0}
 
@@ -305,19 +401,9 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
         if not abs(lam * h) < 1.0:
             raise NonConvergence(f"{_name(where)}: |lam ((1-q) t)**alpha| = {abs(lam * h)!r} "
                                  f">= 1, so the series diverges")
-        passed = []  # set once all P orders are summed and the rule has not ended them
-
-        def orders() -> Iterator[float]:
-            yield from itertools.islice(order_terms(t, steps, h), kernel.orders)
-            passed.append(True)
-
-        # Where z is small (far down the chain) the stopping rule ends the
-        # orders before P, as it did with no kernel, and the kernel's terms,
-        # below the rule, are left out.
-        value = _accumulate(orders(), p.trunc, detect_growth=True, where=where)
-        if passed:
-            value += _chain_sum(forcing, t, False, kernel.weights(t, h, steps), steps, p, where)
-        return value
+        # Far down the chain z is small, and the rule ends the orders before P.
+        return _split_sum(order_terms(t, steps, h), kernel.orders, lambda: _chain_sum(
+            forcing, t, False, kernel.weights(t, h, steps), steps, p, where), p, where)
 
     def rule(t: float) -> float:
         if not t >= a:
@@ -330,7 +416,7 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
             if t == a:  # the head's terms past the first and the integrals vanish
                 value = a0
             else:
-                value = a0 * _ml_sum(head, t, steps, p, head_terms) if a0 != 0.0 else 0.0
+                value = a0 * _ml_sum(head, t, steps, p, head_terms, split) if a0 != 0.0 else 0.0
                 # Picard(0) has no forcing term.
                 if forcing is not None and m != 0:
                     # With lam = 0 every term after the first is 0.0 times an integral.
@@ -362,10 +448,14 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     NonConvergence.  The head is a0 times _ml_sum's series at the lattice
     position of a below t, which the solution finds once per point, and no
     q_gamma is called: from a = 0 term k is z**k (q**(alpha k + 1); q)_inf /
-    (q; q)_inf, one cached tail per term; on the time scale, t = a q**-j with
-    j >= 1, it is the finite quotient z**k (q**(alpha k + 1); q)_(j-1) /
-    (q; q)_(j-1), taken a factor of each at a time, so at j = 1 the head is
-    a0 / (1 - z).  t < a raises DomainError; y(a) = a0, with nothing summed.
+    (q; q)_inf, |z| >= 1 raises NonConvergence, and where it is shorter the
+    terms past the first P are one sum by Euler's expansion, with no
+    infinite product per term (_euler_split, worked out once per solution;
+    see _ml_sum), else one cached tail per term; on the time scale,
+    t = a q**-j with j >= 1, it is the finite quotient z**k
+    (q**(alpha k + 1); q)_(j-1) / (q; q)_(j-1), taken a factor of each at a
+    time, so at j = 1 the head is a0 / (1 - z).  t < a raises DomainError;
+    y(a) = a0, with nothing summed.
     """
     return _series_solution(prob, None, p)
 

@@ -15,7 +15,7 @@ factors in pairs instead.  When
 s/t coincides with an integer power of q the ratio is snapped onto the grid so
 that vanishing (s/t = q**-j) and poles surface exactly instead of as rounding
 noise.  Aligned products are tails (q**x; q)_inf, memoised per (q, x,
-truncation policy) in a bounded cache.
+rel_tol, max_terms) in a bounded cache.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import math
 from typing import Iterator
 
 from .core import (
-    _SMALL_RUN, QParams, Truncation, _accumulate, _check_budget, _grid_exponent, _note_terms,
-    _power, count_terms,
+    _SMALL_RUN, QParams, _accumulate, _check_budget, _grid_exponent, _note_terms, _power,
+    count_terms,
 )
 from .errors import DomainError, NumericOverflow, PoleError
 
@@ -81,7 +81,9 @@ def _q_product(c: float, p: QParams, where: tuple, count: int | None = None) -> 
     return product * (1.0 - c / (1.0 - q))
 
 
-_TAIL_CACHE: dict[tuple[float, float, Truncation], tuple[float, int]] = {}
+# Keyed by (q, x, rel_tol, max_terms), plain floats and an int: a Truncation
+# or QParams key would hash in Python and compare its dataclass on every hit.
+_TAIL_CACHE: dict[tuple[float, float, float, int], tuple[float, int]] = {}
 # Entries kept before the cache starts over: aligned products (q_gamma and
 # the grid-snapped factorial powers) reuse a few thousand (q, x) pairs, while
 # random off-grid arguments would otherwise grow it without bound.
@@ -97,7 +99,7 @@ def _pochhammer_tail(x: float, p: QParams) -> float:
     is not stored.  The cache is cleared once it holds _TAIL_CACHE_SIZE
     entries.
     """
-    key = (p.q, x, p.trunc)
+    key = (p.q, x, p.trunc.rel_tol, p.trunc.max_terms)
     cached = _TAIL_CACHE.get(key)
     if cached is not None:
         _note_terms(cached[1])

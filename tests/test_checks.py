@@ -53,6 +53,7 @@ RECORD_COUNTS = {
         "ivp_nonhomogeneous": 4,
         "ivp_residual_closed": 4,
         "ivp_residual_forced": 8,
+        "ml_euler_vs_series": 180,
         "ml_exp_reduction": 12,
         "ml_term_picard_increment": 12,
         "picard_error_monotone": 1,
@@ -90,12 +91,12 @@ def test_record_counts_per_identity(report_all):
         counts[rec.identity] = counts.get(rec.identity, 0) + 1
     expected = {name: n for suite in RECORD_COUNTS.values() for name, n in suite.items()}
     assert counts == expected
-    assert len(counts) == 41
+    assert len(counts) == 42
     suites = {suite: {entry.name for entry in checks._TABLE[suite]} for suite in checks.SUITE_NAMES}
     assert suites == {suite: set(by_name) for suite, by_name in RECORD_COUNTS.items()}
     totals = {suite: sum(by_name.values()) for suite, by_name in RECORD_COUNTS.items()}
-    assert totals == {"core": 519, "special": 309, "frac": 3378, "ivp": 189}
-    assert len(report_all.records) == 4395
+    assert totals == {"core": 519, "special": 309, "frac": 3378, "ivp": 369}
+    assert len(report_all.records) == 4575
 
 
 def test_suite_builders_are_generator_functions():

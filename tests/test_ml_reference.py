@@ -1,0 +1,243 @@
+"""The q-Mittag-Leffler series from z0 = 0 against a 40-digit decimal reference.
+
+The reference sums the definition, term k = (1-q)**(beta-1) zeta**k
+(q**(alpha k + beta); q)_inf / (q; q)_inf with zeta = lam ((1-q) z)**alpha,
+in decimal arithmetic at 40 digits from the float arguments, each infinite
+product taken factor by factor.  Products and sums run until their next
+factor or term is below 1e-25 of the whole, so the reference is good to
+about 1e-24: far below double rounding, and sharing no code with either of
+ivp._ml_sum's routes (the term rule over cached tails, and Euler's expansion
+past the first P terms).
+"""
+
+import decimal
+import math
+import random
+from decimal import Decimal
+
+import pytest
+
+import qfrac.ivp
+from qfrac import (IVProblem, MLParams, NonConvergence, QParams, q_gamma, q_mittag_leffler,
+                   solve_ivp_closed, solve_ivp_picard)
+from qfrac.ivp import _euler_split, _ml_sum
+
+_CONTEXT = decimal.Context(prec=40)
+_CUT = Decimal("1e-25")
+_EPS = 2.0**-52
+
+
+def q_product(c: Decimal, q: Decimal) -> Decimal:
+    """(c; q)_inf at 40 digits: the factors 1 - c q**j while |c q**j| >= 1e-25."""
+    with decimal.localcontext(_CONTEXT):
+        product = Decimal(1)
+        while abs(c) >= _CUT:
+            product *= 1 - c
+            c *= q
+        return product
+
+
+def ml_from_zero(alpha: float, beta: float, lam: float, z: float,
+                 q: float) -> tuple[float, float]:
+    """E_{alpha,beta}(lam; z) from z0 = 0, and its condition sum_k |term k| / |sum|.
+
+    Once alpha k + beta > 0 every product is in (0, 1), so the terms left
+    are below |zeta|**k / (1 - |zeta|) times the scale; the sum stops when
+    that is below 1e-25 of it.  A term on a pole of q_gamma (alpha k + beta
+    a non-positive integer, exact in decimal from binary floats) has the
+    factor 1 - q**0 = 0.
+    """
+    with decimal.localcontext(_CONTEXT):
+        qd, a, b = Decimal(q), Decimal(alpha), Decimal(beta)
+        zeta = Decimal(lam) * ((1 - qd) * Decimal(z)) ** a
+        total, mass, power, k = Decimal(0), Decimal(0), Decimal(1), 0
+        while True:
+            term = power * q_product(qd ** (a * k + b), qd)
+            total += term
+            mass += abs(term)
+            power *= zeta
+            k += 1
+            if a * k + b > 0 and abs(power) <= _CUT * abs(total) * (1 - abs(zeta)):
+                break
+        scale = (1 - qd) ** (b - 1) / q_product(qd, qd)
+        return float(scale * total), float(mass / abs(total))
+
+
+def test_product_against_the_pentagonal_series():
+    # (q; q)_inf = sum_k (-1)**k q**(k (3k - 1) / 2) over all integers k
+    # (Euler's pentagonal number theorem), a sum, not a product.
+    with decimal.localcontext(_CONTEXT):
+        for q in (Decimal("0.3"), Decimal("0.5"), Decimal("0.9")):
+            series = sum((-1 if k % 2 else 1) * q ** (k * (3 * k - 1) // 2)
+                         for k in range(-60, 61))
+            assert abs(q_product(q, q) - series) <= Decimal("1e-24")
+
+
+def _uses_euler(alpha, beta, lam, z, p):
+    zeta = abs(lam) * ((1.0 - p.q) * z) ** alpha
+    return zeta ** _euler_split(alpha, beta, p)[1] > p.trunc.rel_tol
+
+
+def _sweep():
+    """60 seeded cases: q in {0.3, 0.5, 0.7, 0.9}, alpha in (0.3, 1.5), beta 1
+    or in (-1, 3), lam of either sign, |zeta| in (0.05, 0.9)."""
+    rng = random.Random(20261019)
+    for _ in range(60):
+        q = rng.choice((0.3, 0.5, 0.7, 0.9))
+        alpha = rng.uniform(0.3, 1.5)
+        beta = rng.choice((1.0, rng.uniform(-1.0, 3.0)))
+        lam = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0)
+        zeta = rng.uniform(0.05, 0.9)
+        yield q, alpha, beta, lam, (zeta / abs(lam)) ** (1.0 / alpha) / (1.0 - q)
+
+
+# The worst error over the sweep, in units of eps times the condition
+# (measured, and pinned with a margin): 24.9 over the 49 cases that take
+# Euler's expansion (5.5e-15 relative, at q = 0.9), against 1,515 for the
+# term rule on the same cases, and 95 over the 10 that keep the term rule.
+EULER_BOUND = 32.0
+TERM_RULE_BOUND = 128.0
+
+
+def test_sweep_over_both_routes():
+    """Each case against the reference, in units of eps times its
+    condition; where Euler's expansion is taken, the term rule to the
+    stopping rule (_ml_sum with no split) on the same cases is no more
+    accurate at its worst.  The one alternating series whose hump the
+    growth watch rejects (q = 0.9, alpha = 1.49) is rejected by both."""
+    worst = {True: 0.0, False: 0.0}
+    cases = {True: 0, False: 0}
+    term_rule_worst = 0.0
+    rejected = 0
+    for q, alpha, beta, lam, z in _sweep():
+        p, mp = QParams(q), MLParams(alpha, beta, lam)
+        euler = _uses_euler(alpha, beta, lam, z, p)
+        try:
+            got = q_mittag_leffler(mp, z, p)
+        except NonConvergence:
+            with pytest.raises(NonConvergence, match="terms grew"):
+                _ml_sum(mp, z, None, p)
+            assert lam < 0.0
+            rejected += 1
+            continue
+        cases[euler] += 1
+        want, condition = ml_from_zero(alpha, beta, lam, z, q)
+        unit = _EPS * condition * abs(want)
+        worst[euler] = max(worst[euler], abs(got - want) / unit)
+        if euler:
+            term_rule_worst = max(term_rule_worst, abs(_ml_sum(mp, z, None, p) - want) / unit)
+    assert rejected == 1 and cases == {True: 49, False: 10}
+    assert worst[True] <= EULER_BOUND
+    assert worst[False] <= TERM_RULE_BOUND
+    assert worst[True] <= term_rule_worst
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("beta", [1.0, 0.37, 2.5, -0.5])
+def test_zero_rate_gives_the_first_term(q, beta):
+    # lam = 0: every term after the first is 0, and E = 1 / Gamma_q(beta).
+    # The worst is 12.9 eps, at q = 0.9, where each product takes 265
+    # rounded factors.
+    p = QParams(q)
+    want, _ = ml_from_zero(0.7, beta, 0.0, 1.3, q)
+    got = q_mittag_leffler(MLParams(0.7, beta, 0.0), 1.3, p)
+    assert abs(got - want) <= 16 * _EPS * abs(want)
+    assert abs(got * q_gamma(beta, p) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize(("alpha", "beta", "poles"), [(0.5, -0.5, [1]), (1.0, -1.0, [0, 1]),
+                                                      (0.25, -0.75, [3])])
+def test_pole_within_the_first_terms_is_zero(alpha, beta, poles):
+    # alpha k + beta = 0 or -1 for the k in poles, all below P: those terms
+    # are exactly 0, and the sum, which takes Euler's expansion past P, meets
+    # the reference.
+    p, lam, z = QParams(0.5), 0.6, 1.1
+    mp = MLParams(alpha, beta, lam)
+    orders = _euler_split(alpha, beta, p)[0]
+    assert max(poles) < orders and _uses_euler(alpha, beta, lam, z, p)
+    for k in poles:
+        assert _ml_sum(mp, z, None, p, k + 1) - _ml_sum(mp, z, None, p, k) == 0.0
+    want, condition = ml_from_zero(alpha, beta, lam, z, 0.5)
+    assert abs(q_mittag_leffler(mp, z, p) - want) <= EULER_BOUND * _EPS * condition * abs(want)
+
+
+# Picard's cut head keeps the term rule: its values, bit for bit, as the
+# term rule gave them before Euler's expansion was added (a0 = 1, from a = 0).
+PICARD_HEADS = {
+    (0.5, 0.3, 5, 1.0): 1.4046285605802116,
+    (0.5, 0.3, 5, 0.25): 1.1121508394688095,
+    (0.5, -0.6, 5, 1.0): 0.5724176207836985,
+    (0.5, 0.3, 25, 1.0): 1.4047344713059247,
+    (0.5, 0.3, 25, 0.25): 1.112150958989532,
+    (0.5, -0.6, 25, 1.0): 0.576559146816053,
+    (0.9, 0.3, 5, 1.0): 1.3965557401772244,
+    (0.9, 0.3, 5, 0.25): 1.1132069180973767,
+    (0.9, -0.6, 5, 1.0): 0.5531996568741935,
+    (0.9, 0.3, 25, 1.0): 1.3965705470175933,
+    (0.9, 0.3, 25, 0.25): 1.1132069360050267,
+    (0.9, -0.6, 25, 1.0): 0.5539300940420524,
+}
+
+
+@pytest.mark.parametrize(("q", "lam", "m", "t"), PICARD_HEADS)
+def test_picard_head_is_unchanged(q, lam, m, t):
+    y = solve_ivp_picard(IVProblem(0.8, lam, 0.0, 1.0), m, QParams(q))
+    assert y(t) == PICARD_HEADS[q, lam, m, t]
+
+
+def test_cut_sums_are_unchanged():
+    assert _ml_sum(MLParams(0.9, 2.5, -0.7), 3.0, None, QParams(0.7), 30) == 0.37198614468551405
+    assert _ml_sum(MLParams(0.4, -0.5, 0.8), 2.0, None, QParams(0.3), 12) == 10.63690030043625
+
+
+@pytest.mark.parametrize("lam", [0.5, -0.5])
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_divergent_rate_raises_before_any_term(monkeypatch, lam, alpha):
+    # |zeta| = 1.5 >= 1 at z = 3**(1/alpha) / (1-q): NonConvergence naming the
+    # parameters, with no tail taken, whether or not the split is given.
+    calls = []
+    inner = qfrac.special._pochhammer_tail
+    monkeypatch.setattr(qfrac.special, "_pochhammer_tail",
+                        lambda *args: calls.append(args) or inner(*args))
+    p = QParams(0.5)
+    z = 3.0 ** (1.0 / alpha) / 0.5
+    mp = MLParams(alpha, 1.0, lam)
+    where = (rf"^q-Mittag-Leffler at z={z!r}, z0=0\.0, alpha={alpha!r}, beta=1\.0, "
+             rf"lam={lam!r}, q=0\.5: \|lam \(\(1-q\) z\)\*\*alpha\| = 1\.5\d* >= 1")
+    with pytest.raises(NonConvergence, match=where):
+        q_mittag_leffler(mp, z, p)
+    with pytest.raises(NonConvergence, match=where):
+        _ml_sum(mp, z, None, p)
+    assert calls == []
+    assert math.isfinite(_ml_sum(mp, z, None, p, 20))  # a cut sum still runs
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9, 0.99])
+@pytest.mark.parametrize(("alpha", "beta"), [(0.4, 1.0), (0.9, 0.5), (1.3, 2.5), (0.5, -1.5)])
+def test_split_is_the_fewest(q, alpha, beta):
+    # P is the fewest orders with y / (1 - y) <= (ln 8 / 2) (1 - q),
+    # y = q**(beta + alpha P), and N_E the fewest n with
+    # q**(n (n-1) / 2) y**n <= rel_tol.
+    p = QParams(q)
+    orders, cost = _euler_split(alpha, beta, p)
+    gain = 0.5 * math.log(8.0) * (1.0 - q)
+    fits = lambda k: q ** (beta + alpha * k) / (1.0 - q ** (beta + alpha * k)) <= gain
+    assert fits(orders) and (orders == 0 or not fits(orders - 1))
+    y = q ** (beta + alpha * orders)
+    small = lambda n: q ** (n * (n - 1) / 2) * y**n <= 1e-12
+    assert small(cost - orders) and not small(cost - orders - 1)
+
+
+@pytest.mark.parametrize(("alpha", "lam", "z"), [(0.9, 0.31995139835925074, 30.32866740282942),
+                                                 (0.9, 0.9 / 0.1**0.9, 1.0)])
+def test_hump_of_one_sign_is_summed(alpha, lam, z):
+    # zeta = 0.87 and 0.9 at q = 0.9: the terms rise more than a
+    # thousandfold for 6 or 7 steps before they fall, which a growth watch
+    # takes for divergence.  They share one sign, so nothing cancels: the sum
+    # and the closed form's head meet the reference to 4e-15.
+    p = QParams(0.9)
+    want, condition = ml_from_zero(alpha, 1.0, lam, z, 0.9)
+    assert condition == 1.0
+    assert abs(q_mittag_leffler(MLParams(alpha, 1.0, lam), z, p) - want) <= 4e-15 * want
+    y = solve_ivp_closed(IVProblem(alpha, lam, 0.0, 1.0), p)
+    assert abs(y(z) - want) <= 4e-15 * want

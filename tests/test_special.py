@@ -19,7 +19,6 @@ from qfrac import (
     q_exp_e,
     q_factorial_power,
     q_gamma,
-    q_mittag_leffler,
     q_pochhammer,
 )
 
@@ -442,20 +441,23 @@ def test_tail_memo_replays_term_counts():
         with count_terms() as counter:
             q_gamma(0.3, p)
         counts.append(counter.total)
-    assert (0.9, 0.3, p.trunc) in special._TAIL_CACHE
+    assert (0.9, 0.3, p.trunc.rel_tol, p.trunc.max_terms) in special._TAIL_CACHE
     assert counts[0] == counts[1] > 0
 
 
 def test_short_tails_skip_the_cache():
-    # A q-Mittag-Leffler series takes one tail per coefficient.  Those with
-    # q**x below rel_tol are 3 factors, cheaper than an entry, so a long
-    # series leaves in place the tails q_gamma stored.
+    # A q-Mittag-Leffler series cut after 40 terms takes one tail per term,
+    # (q**(k+1); q)_inf at alpha = beta = 1.  Those with q**x below rel_tol
+    # (x = 39, 40) are 3 factors, cheaper than an entry, and are not stored;
+    # the tails q_gamma stored stay in place.
     from qfrac import special
+    from qfrac.ivp import _ml_sum
 
     p = QParams(0.4921875)
     special._TAIL_CACHE.clear()
     q_gamma(0.37, p)
     assert len(special._TAIL_CACHE) == 2
-    q_mittag_leffler(MLParams(1.0, 1.0, -1.40625), 1.390625, p)
+    _ml_sum(MLParams(1.0, 1.0, -1.40625), 1.390625, None, p, count=40)
     assert len(special._TAIL_CACHE) == 39
-    assert (p.q, 0.37, p.trunc) in special._TAIL_CACHE
+    assert (p.q, 0.37, p.trunc.rel_tol, p.trunc.max_terms) in special._TAIL_CACHE
+    assert (p.q, 39.0, p.trunc.rel_tol, p.trunc.max_terms) not in special._TAIL_CACHE
