@@ -70,8 +70,9 @@ def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
     z0 = 0 (z > 0) the series is a geometric one in zeta = lam ((1-q)
     z)**alpha: |zeta| >= 1 raises NonConvergence before any term, and where
     it is shorter the sum takes Euler's expansion past its first terms
-    (_euler_split, worked out once per call).  From any other z0 divergence
-    is detected at runtime, by terms that grow.
+    (_euler_split, worked out once per call); alternating terms that rise
+    past the growth watch raise NonConvergence naming that cancellation.
+    From any other z0 divergence is detected at runtime, by terms that grow.
     """
     j = _start_steps(mp.z0, z, p.q)
     split = _euler_split(mp.alpha, mp.beta, p) if j is None else None
@@ -121,26 +122,31 @@ _ML_AT = "q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, beta={!r}, lam={!r}, 
 # grows in the forcing kernel's recurrence (x = alpha (P + 1) its lowest
 # order; see _kernel_orders) and in the cancellation of Euler's expansion of
 # the q-Mittag-Leffler series (x = beta + alpha P; see _euler_split).  Each
-# sums its first P orders, the fewest that keep A within this bound, one by
-# one instead.
-_KERNEL_GAIN = 8.0
+# sums its first P orders, the fewest that keep A within its bound, one by
+# one instead.  The kernel's 32 leaves P = 0 at q <= 0.5 for alpha >= 0.5,
+# where A(alpha) is at most 24.9, so that the forcing there is one series;
+# against 40-digit values it stays at the floor that the lattice series'
+# truncation sets, as at 8 (tests/test_ml_reference.py).  The expansion's 8
+# is pinned in eps units in the same file.
+_KERNEL_GAIN = 32.0
+_EULER_GAIN = 8.0
 
 
 def _euler_split(alpha: float, beta: float, p: QParams) -> tuple[int, float]:
     """(P, P + N_E) for _ml_sum's series from z0 = 0: the terms summed one by
     one ahead of Euler's expansion, and what the two parts cost together.
 
-    P is the fewest with y / (1 - y) <= (ln _KERNEL_GAIN / 2) (1 - q),
+    P is the fewest with y / (1 - y) <= (ln _EULER_GAIN / 2) (1 - q),
     y = q**(beta + alpha P): as ln A(x) = sum_i ln((1 + x q**i) / (1 - x q**i))
     <= 2 x / ((1 - x) (1 - q)), that keeps the cancellation
     A(beta + alpha P) = (-y; q)_inf / (y; q)_inf of the expansion's
-    alternating sum within _KERNEL_GAIN.  N_E is the fewest n with
+    alternating sum within _EULER_GAIN.  N_E is the fewest n with
     q**(n(n-1)/2) y**n <= rel_tol, the length of that sum.  A P past
     max_terms costs infinity, so the expansion is never taken.
     """
     q, trunc = p.q, p.trunc
     log_q = math.log(q)
-    gain = 0.5 * math.log(_KERNEL_GAIN) * (1.0 - q)
+    gain = 0.5 * math.log(_EULER_GAIN) * (1.0 - q)
     lowest = (math.log(gain / (1.0 + gain)) / log_q - beta) / alpha  # the least real P
     if not lowest <= trunc.max_terms:
         return 0, math.inf
@@ -171,7 +177,8 @@ def _split_sum(terms: Iterator[float], orders: int, rest: Callable[[], float], p
 
 
 def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
-            count: int | None = None, split: tuple[int, float] | None = None) -> float:
+            count: int | None = None, split: tuple[int, float] | None = None,
+            taken: list[float] | None = None) -> float:
     """sum_k lam**k (z - z0)_q^(alpha k) / q_gamma(alpha k + beta) with
     j = _start_steps(z0, z, q), to the stopping rule watched for growth
     (from z0 = 0 only where the terms alternate, see below), or over
@@ -190,16 +197,23 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
     From z0 = 0 with no count (j None) the series is geometric in zeta:
     |zeta| >= 1 raises NonConvergence before any term, and below 1 it
     converges, so terms that grow are a hump, watched only for zeta < 0,
-    where they cancel.  split, (P, P + N_E) from _euler_split, is given
-    there only; where P + N_E < ln(rel_tol) / ln|zeta|, the direct sum's
-    length, the first P terms are summed one by one and, unless the stopping
-    rule ends them, the rest by Euler's expansion (x; q)_inf = sum_n (-1)**n
-    q**(n(n-1)/2) x**n / (q; q)_n, at x = q**(alpha k + beta) and summed over
-    k >= P as a geometric series (|zeta| < 1, and the sum converges
+    where they cancel: one the watch rejects raises NonConvergence that says
+    so, as a term-wise sum would lose the hump's digits.  split,
+    (P, P + N_E) from _euler_split, is given there only; where
+    P + N_E < ln(rel_tol) / ln|zeta|, the direct sum's length, the first P
+    terms are summed one by one and, unless the stopping rule ends them, the
+    rest by Euler's expansion (x; q)_inf = sum_n (-1)**n q**(n(n-1)/2) x**n
+    / (q; q)_n, at x = q**(alpha k + beta) and summed over k >= P as a
+    geometric series (|zeta| < 1, and the sum converges
     absolutely): sum_{k>=P} zeta**k (q**(alpha k + beta); q)_inf = zeta**P
     sum_n (-1)**n q**(n(n-1)/2) y**n / ((q; q)_n (1 - zeta q**(alpha n))),
     y = q**(beta + alpha P), whose terms follow each other in O(1) with no
-    infinite product.
+    infinite product.  taken, given from z0 = 0 by a closed-form solution,
+    is the list of what the terms have taken from the tail cache at its
+    points so far: (1-q)**(beta-1), (q; q)_inf and the coefficients
+    (q**(alpha k + beta); q)_inf in order of k.  Each is taken once per
+    solution, noting its product's terms then, and read from the list at
+    every later point; the terms are the same floats.
 
     For an integer beta and j >= 1 the tails' quotient is finite, and term k
     is zeta**k / [beta-1]_q! times the |j - beta| factors
@@ -243,7 +257,24 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
             start *= shift
 
     def scale() -> tuple[float, float]:
-        return _power(1.0 - q, beta - 1.0, *where), tail(1.0, p)  # (1-q)**(beta-1), (q; q)_inf
+        if taken:
+            return taken[0], taken[1]
+        parts = _power(1.0 - q, beta - 1.0, *where), tail(1.0, p)  # (1-q)**(beta-1), (q; q)_inf
+        if taken is not None:
+            taken.extend(parts)
+        return parts
+
+    def coefficients() -> Iterator[float]:
+        # (q**(alpha k + beta); q)_inf for k = 0, 1, ...
+        if taken is None:
+            return (tail(alpha * k + beta, p) for k in itertools.count())
+
+        def more() -> Iterator[float]:
+            for k in itertools.count(len(taken) - 2):
+                taken.append(tail(alpha * k + beta, p))
+                yield taken[-1]
+
+        return itertools.chain(itertools.islice(taken, 2, None), more())
 
     def tail_terms(parts: tuple[float, float] | None = None) -> Iterator[float]:
         # (1-q)**(beta-1) zeta**k, times R_k off the grid
@@ -254,8 +285,8 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
             before = tail(float(j), p)
             ratios = itertools.chain([1.0], (before / tail(j + alpha * k, p)
                                              for k in itertools.count(1)))
-        for k, power, ratio in zip(itertools.count(), powers, ratios):
-            yield power * tail(alpha * k + beta, p) * ratio / below
+        for power, ratio, coefficient in zip(powers, ratios, coefficients()):
+            yield power * coefficient * ratio / below
 
     def euler_terms(orders: int, first: float, below: float) -> Iterator[float]:
         # term n of the expansion past the first `orders` terms, times
@@ -278,14 +309,24 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
     # From z0 = 0 terms of zeta >= 0 share one sign (past those of
     # alpha k + beta < 0), so a hump in them cancels nothing.
     watch = j is not None or zeta < 0.0
-    if split is None or not abs(zeta) ** split[1] > p.trunc.rel_tol:
-        finite = j is not None and j >= 1 and beta == int(beta)
-        terms = finite_terms() if finite else tail_terms()
-        return _accumulate(checked(terms), p.trunc, detect_growth=watch, count=count, where=where)
-    orders, parts = split[0], scale()
-    return _split_sum(checked(tail_terms(parts)), orders, lambda: _accumulate(
-        euler_terms(orders, *parts), p.trunc, detect_growth=False, where=where), p, where,
-        detect_growth=watch)
+    try:
+        if split is None or not abs(zeta) ** split[1] > p.trunc.rel_tol:
+            finite = j is not None and j >= 1 and beta == int(beta)
+            terms = finite_terms() if finite else tail_terms()
+            return _accumulate(checked(terms), p.trunc, detect_growth=watch, count=count,
+                               where=where)
+        orders, parts = split[0], scale()
+        return _split_sum(checked(tail_terms(parts)), orders, lambda: _accumulate(
+            euler_terms(orders, *parts), p.trunc, detect_growth=False, where=where), p, where,
+            detect_growth=watch)
+    except NonConvergence as exc:
+        # From z0 = 0 the series converges, so terms that grew are a hump.
+        if j is not None or count is not None or "terms grew" not in str(exc):
+            raise
+        raise NonConvergence(
+            f"{_name(where)}: the series converges (|lam ((1-q) z)**alpha| = {abs(zeta)!r} "
+            f"< 1), but its alternating terms grew past the growth watch, so a term-wise "
+            f"sum would cancel their digits") from exc
 
 
 _FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
@@ -294,19 +335,35 @@ _KERNEL_CHUNK = 16
 
 
 def _kernel_orders(alpha: float, p: QParams) -> int:
-    """The fewest P >= 0 with A(alpha (P + 1)) <= _KERNEL_GAIN, by doubling
-    and bisection: A falls as beta grows, so a large P takes few products."""
+    """The fewest P >= 0 with A(alpha (P + 1)) <= _KERNEL_GAIN, G: 0 at
+    q <= 0.5 for alpha >= 0.5, 1 to 3 at q = 0.7 and 16 to 33 at q = 0.9
+    (alpha from 1 down to 0.5).
+
+    With y = q**(alpha (P + 1)) and c = (ln G / 2) (1 - q), the sum
+    ln A = sum_i ln((1 + y q**i) / (1 - y q**i)) lies between 2 y / (1 - q)
+    and 2 y / ((1 - y) (1 - q)): A <= G needs y <= c, and y / (1 - y) <= c
+    is enough.  P is found by bisection between the two, as A falls while P
+    grows: a bracket 43 wide at q = 0.99, alpha = 0.04 (P = 10,087).
+    """
+    q = p.q
+    log_q, c = math.log(q), 0.5 * math.log(_KERNEL_GAIN) * (1.0 - q)
+
+    def least(y: float) -> int:
+        # the fewest P >= 0 with q**(alpha (P + 1)) <= y
+        return max(0, math.ceil(math.log(min(y, 1.0)) / (alpha * log_q) - 1.0))
 
     def within(orders: int) -> bool:
         beta = alpha * (orders + 1)
-        where = ("(-q**beta; q)_inf at beta={!r}, q={!r}", beta, p.q)
-        gain = special._q_product(-(p.q**beta), p, where) / special._pochhammer_tail(beta, p)
+        where = ("(-q**beta; q)_inf at beta={!r}, q={!r}", beta, q)
+        gain = special._q_product(-(q**beta), p, where) / special._pochhammer_tail(beta, p)
         return gain <= _KERNEL_GAIN
 
-    top = 1
-    while not within(top):
-        top *= 2
-    return bisect.bisect_left(range(top), True, key=within)
+    hi = least(1.0 / (1.0 + 1.0 / c))  # c / (1 + c), also for G infinite
+    orders = bisect.bisect_left(range(hi), True, least(c), key=within)
+    if orders < hi:  # the search saw it hold
+        return orders
+    # The upper end holds in exact arithmetic; past rounding, step on.
+    return next(P for P in itertools.count(hi) if within(P))
 
 
 class _Kernel:
@@ -315,7 +372,8 @@ class _Kernel:
     P = _kernel_orders(alpha, p) and w^(mu) the weights of
     fractional._lattice_series downward at order mu, weight 1 and offset 1:
     past its first P orders the forcing at x is the one series
-    h sum_i K_i(x) f(x q**i), h = ((1-q) x)**alpha.
+    h sum_i K_i(x) f(x q**i), h = ((1-q) x)**alpha, and for P = 0 (at
+    q <= 0.5 for alpha >= 0.5) the whole forcing is that series.
 
     Row x holds K_0(x), K_1(x), ...  K_0 = z**P / (1 - z), and as
     z(xq) = q**alpha z(x) the weights' recurrence gives K_i(x)
@@ -380,8 +438,10 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     forcing = None if prob.forcing is None else cache(prob.forcing)
     head = MLParams(alpha, 1.0, lam, a)
     head_terms = None if m is None else m + 1
-    # From a = 0 the closed form's head may take Euler's expansion (see _ml_sum).
+    # From a = 0 the closed form's head may take Euler's expansion, and takes
+    # each coefficient from the tail cache once for all its points (see _ml_sum).
     split = _euler_split(alpha, 1.0, p) if a == 0.0 and m is None else None
+    taken = None if split is None else []
     kernel = None if forcing is None or lam == 0.0 or m is not None else _Kernel(alpha, lam, p)
     diagnostics = {"terms": 0, "evaluations": 0}
 
@@ -392,7 +452,8 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
 
     def forced(t: float, steps: int | None) -> float:
         """The forcing term at t > a: order by order for Picard and from an a
-        off the grid of t, else its first P orders and the kernel's series."""
+        off the grid of t, else its first P orders and the kernel's series,
+        or for P = 0 that series alone."""
         h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
         where = ("forcing at t={!r}, alpha={!r}, lam={!r}, q={!r}", t, alpha, lam, q)
         if kernel is None or steps == -1:
@@ -401,9 +462,12 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
         if not abs(lam * h) < 1.0:
             raise NonConvergence(f"{_name(where)}: |lam ((1-q) t)**alpha| = {abs(lam * h)!r} "
                                  f">= 1, so the series diverges")
+        series = lambda: _chain_sum(forcing, t, False, kernel.weights(t, h, steps), steps, p,
+                                    where)
+        if not kernel.orders:
+            return series()
         # Far down the chain z is small, and the rule ends the orders before P.
-        return _split_sum(order_terms(t, steps, h), kernel.orders, lambda: _chain_sum(
-            forcing, t, False, kernel.weights(t, h, steps), steps, p, where), p, where)
+        return _split_sum(order_terms(t, steps, h), kernel.orders, series, p, where)
 
     def rule(t: float) -> float:
         if not t >= a:
@@ -416,7 +480,8 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
             if t == a:  # the head's terms past the first and the integrals vanish
                 value = a0
             else:
-                value = a0 * _ml_sum(head, t, steps, p, head_terms, split) if a0 != 0.0 else 0.0
+                value = (a0 * _ml_sum(head, t, steps, p, head_terms, split, taken)
+                         if a0 != 0.0 else 0.0)
                 # Picard(0) has no forcing term.
                 if forcing is not None and m != 0:
                     # With lam = 0 every term after the first is 0.0 times an integral.
@@ -443,19 +508,22 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     lam**k nor Gamma_q(alpha(k+1)) is formed.  From a = 0 or on the grid of
     a the terms past the first P are one series over _Kernel, whose cells
     the solution's points share, unless the stopping rule ends the terms
-    first; |z| >= 1 there raises NonConvergence.  From an a off the grid of
-    t the terms are summed one by one, and terms that grow raise
+    first, and for P = 0 (at q <= 0.5 for alpha >= 0.5) the forcing is that
+    one series; |z| >= 1 there raises NonConvergence.  From an a off the
+    grid of t the terms are summed one by one, and terms that grow raise
     NonConvergence.  The head is a0 times _ml_sum's series at the lattice
     position of a below t, which the solution finds once per point, and no
     q_gamma is called: from a = 0 term k is z**k (q**(alpha k + 1); q)_inf /
     (q; q)_inf, |z| >= 1 raises NonConvergence, and where it is shorter the
     terms past the first P are one sum by Euler's expansion, with no
     infinite product per term (_euler_split, worked out once per solution;
-    see _ml_sum), else one cached tail per term; on the time scale,
-    t = a q**-j with j >= 1, it is the finite quotient z**k
-    (q**(alpha k + 1); q)_(j-1) / (q; q)_(j-1), taken a factor of each at a
-    time, so at j = 1 the head is a0 / (1 - z).  t < a raises DomainError;
-    y(a) = a0, with nothing summed.
+    see _ml_sum), else one tail per term, and each tail is taken from the
+    cache once per solution and read from its list at every later point;
+    an alternating hump too steep to sum raises NonConvergence naming the
+    cancellation.  On the time scale, t = a q**-j with j >= 1, it is the
+    finite quotient z**k (q**(alpha k + 1); q)_(j-1) / (q; q)_(j-1), taken
+    a factor of each at a time, so at j = 1 the head is a0 / (1 - z).
+    t < a raises DomainError; y(a) = a0, with nothing summed.
     """
     return _series_solution(prob, None, p)
 

@@ -550,7 +550,7 @@ class TestForcingSeries:
         # The head's alternating series at lam = -1.5 runs about 1,750
         # terms, past the k = 1,751 where lam**k leaves the double range;
         # z**k, z = lam ((1-q) t)**alpha = -0.984, does not, and the forcing
-        # is one kernel series past its first order.  At alpha = 1 the equation is
+        # is one kernel series (P = 0).  At alpha = 1 the equation is
         # the q-difference recursion y(x) (1 - (1-q) x lam) = y(qx) + (1-q) x f(x),
         # run up the chain of t from y(0) = 1 at depth 400.
         q, lam, t = 0.5625, -1.5, 1.5
@@ -623,13 +623,13 @@ class TestOffGridClosedForm:
 
 class TestForcingKernel:
     @pytest.mark.parametrize(("q", "alpha", "orders"), [
-        (0.3, 0.5, 0), (0.3, 1.0, 0), (0.5, 0.5, 2), (0.5, 1.0, 1),
-        (0.9, 0.5, 42), (0.9, 1.0, 21),
+        (0.3, 0.5, 0), (0.3, 1.0, 0), (0.5, 0.5, 0), (0.5, 1.0, 0), (0.5, 0.4, 1),
+        (0.7, 0.5, 3), (0.7, 1.0, 1), (0.9, 0.5, 33), (0.9, 1.0, 16), (0.99, 0.04, 10_087),
     ])
     def test_orders_kept_apart(self, q, alpha, orders):
         # P is the fewest orders that bring the recurrence's gain
         # A(beta) = (-q**beta; q)_inf / (q**beta; q)_inf, beta = alpha (P + 1),
-        # within 8.
+        # within 32.
         p = QParams(q)
 
         def gain(beta):
@@ -638,12 +638,12 @@ class TestForcingKernel:
                     / qfrac.special._pochhammer_tail(beta, p))
 
         assert qfrac.ivp._kernel_orders(alpha, p) == orders
-        assert gain(alpha * (orders + 1)) <= 8.0
-        assert orders == 0 or gain(alpha * orders) > 8.0
+        assert gain(alpha * (orders + 1)) <= 32.0
+        assert orders == 0 or gain(alpha * orders) > 32.0
 
     def test_orders_apart_keep_the_kernel_accurate(self, monkeypatch):
-        # z = lam ((1-q) t)**alpha = 0.378, so z**23 is above rel_tol and the
-        # kernel takes the orders past P = 23.  With no order kept apart the
+        # z = lam ((1-q) t)**alpha = 0.378, so z**18 is above rel_tol and the
+        # kernel takes the orders past P = 18.  With no order kept apart the
         # recurrence's rounding reaches 1e-10 here; with P the kernel meets
         # the orders to 1e-14.
         p, f = QParams(0.9), quadratic(1.0, -0.5, 0.7)
@@ -654,8 +654,8 @@ class TestForcingKernel:
         assert rel_err(solve_ivp_closed(prob, p)(1.0), want) > 1e-11
 
     @pytest.mark.parametrize(("q", "alpha", "orders", "terms", "value"), [
-        (0.9, 0.1, 214, 1_741, 1.3408618799972052),
-        (0.99, 0.04, 11_358, 15_799, 1.392971839841547),
+        (0.9, 0.1, 166, 1_741, 1.3408618799972052),
+        (0.99, 0.04, 10_087, 15_799, 1.392971839841547),
     ])
     def test_rule_ends_the_orders_before_the_kernel(self, q, alpha, orders, terms, value):
         # As q nears 1 or alpha 0, P grows past what the stopping rule needs
@@ -681,30 +681,58 @@ class TestForcingKernel:
     def test_residual_reads_the_solution_cells(self, p_half):
         # The residual's 19 points lie on the chain of t, whose kernel rows
         # closed(t) has filled.  Order by order the residual took 3,422 terms,
-        # 146 of them the head's; one series per point takes 845 for the
-        # forcing.  Each head term notes the terms of its q-Pochhammer tail at
-        # every point (5,053 over the 18 new points; 5,915 when every point
-        # took the term rule, before the 3 highest took Euler's expansion past
-        # their first term), where a memo per solution noted each
-        # coefficient's once.  A second residual reads the point memo: it
+        # 146 of them the head's; the order apart and one kernel series per
+        # point took 845 for the forcing, and at P = 0 the one series takes
+        # 404.  The head takes each coefficient (q**(alpha k + 1); q)_inf
+        # from the tail cache once per solution and notes its terms then
+        # (491 terms over the 18 new points, where noting them at every
+        # point took 5,053).  A second residual reads the point memo: it
         # evaluates no point, so it fills no cell.
         prob = IVProblem(0.8, 0.3, 0.0, 1.0, quadratic(1.0, -0.5, 0.7))
         y = solve_ivp_closed(prob, p_half)
         y(1.0)
         with count_terms() as counter:
             first = ivp_residual(prob, y, 1.0, p_half)
-        assert counter.total == 5_898
+        assert counter.total == 895
         free = IVProblem(0.8, 0.3, 0.0, 1.0)
         head = solve_ivp_closed(free, p_half)
         head(1.0)
         with count_terms() as head_counter:
             ivp_residual(free, head, 1.0, p_half)
-        assert head_counter.total == 5_053
-        assert counter.total - head_counter.total == 845 < 3_422 - 146
+        assert head_counter.total == 491
+        assert counter.total - head_counter.total == 404 < 845
         assert abs(first) <= 1e-13
-        assert y.diagnostics == {"terms": 6_026, "evaluations": 19}
+        assert y.diagnostics == {"terms": 998, "evaluations": 19}
         assert ivp_residual(prob, y, 1.0, p_half) == first
-        assert y.diagnostics == {"terms": 6_026, "evaluations": 19}
+        assert y.diagnostics == {"terms": 998, "evaluations": 19}
+
+    @pytest.mark.parametrize(("alpha", "points"), [(0.5, 23), (0.8, 19), (0.95, 18)])
+    @pytest.mark.parametrize("lam", [0.3, -0.3])
+    def test_one_series_per_point_at_q_half(self, monkeypatch, p_half, alpha, points, lam):
+        # P = 0 at q = 0.5 for alpha >= 0.5: at each of the residual's points
+        # the forcing is the kernel's one series, with no order apart.
+        calls = []
+        monkeypatch.setattr(qfrac.ivp, "_left_series",
+                            lambda *args: calls.append(args) or _left_series(*args))
+        prob = IVProblem(alpha, lam, 0.0, 1.0, quadratic(1.0, -0.5, 0.7))
+        y = solve_ivp_closed(prob, p_half)
+        assert abs(ivp_residual(prob, y, 1.0, p_half)) <= 1e-13
+        assert y.diagnostics["evaluations"] == points and calls == []
+
+    def test_head_takes_each_coefficient_once(self, monkeypatch, p_half):
+        # Over the residual's 19 points the head takes each coefficient
+        # (q**(alpha k + 1); q)_inf from the tail cache once: 1.0 twice, as
+        # (q; q)_inf and as coefficient 0.
+        calls = []
+        inner = qfrac.special._pochhammer_tail
+        monkeypatch.setattr(qfrac.special, "_pochhammer_tail",
+                            lambda x, p: calls.append(x) or inner(x, p))
+        prob = IVProblem(0.8, 0.3, 0.0, 1.0)
+        y = solve_ivp_closed(prob, p_half)
+        residual = ivp_residual(prob, y, 1.0, p_half)
+        assert abs(residual) <= 1e-13 and y.diagnostics["evaluations"] == 19
+        assert calls.count(1.0) == 2 and len(set(calls)) == len(calls) - 1
+        assert sorted(calls) == sorted([1.0] + [0.8 * k + 1.0 for k in range(len(calls) - 1)])
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,13 +1,15 @@
-"""The q-Mittag-Leffler series from z0 = 0 against a 40-digit decimal reference.
+"""The q-Mittag-Leffler series and the closed form's forcing from 0 against
+40-digit decimal references.
 
-The reference sums the definition, term k = (1-q)**(beta-1) zeta**k
+The series' reference sums the definition, term k = (1-q)**(beta-1) zeta**k
 (q**(alpha k + beta); q)_inf / (q; q)_inf with zeta = lam ((1-q) z)**alpha,
 in decimal arithmetic at 40 digits from the float arguments, each infinite
 product taken factor by factor.  Products and sums run until their next
 factor or term is below 1e-25 of the whole, so the reference is good to
 about 1e-24: far below double rounding, and sharing no code with either of
 ivp._ml_sum's routes (the term rule over cached tails, and Euler's expansion
-past the first P terms).
+past the first P terms).  The forcing's sums the q-power rule order by
+order, sharing no code with the closed form's kernel series.
 """
 
 import decimal
@@ -18,8 +20,8 @@ from decimal import Decimal
 import pytest
 
 import qfrac.ivp
-from qfrac import (IVProblem, MLParams, NonConvergence, QParams, q_gamma, q_mittag_leffler,
-                   solve_ivp_closed, solve_ivp_picard)
+from qfrac import (IVProblem, MLParams, NonConvergence, QParams, Truncation, q_gamma,
+                   q_mittag_leffler, solve_ivp_closed, solve_ivp_picard)
 from qfrac.ivp import _euler_split, _ml_sum
 
 _CONTEXT = decimal.Context(prec=40)
@@ -241,3 +243,79 @@ def test_hump_of_one_sign_is_summed(alpha, lam, z):
     assert abs(q_mittag_leffler(MLParams(alpha, 1.0, lam), z, p) - want) <= 4e-15 * want
     y = solve_ivp_closed(IVProblem(alpha, lam, 0.0, 1.0), p)
     assert abs(y(z) - want) <= 4e-15 * want
+
+
+def test_alternating_hump_names_its_cancellation():
+    # |zeta| = 0.9: the series converges to 0.02185673091428556 (40 digits),
+    # but its terms rise to 2.9e7 times that before they fall, and their
+    # cancellation would take that many digits.  The cut sum still runs.
+    mp, z, p = MLParams(0.9, 1.0, -1.0), 8.895253798041736, QParams(0.9)
+    where = (r"^q-Mittag-Leffler at z=8\.895253798041736, z0=0\.0, alpha=0\.9, beta=1\.0, "
+             r"lam=-1\.0, q=0\.9: the series converges \(\|lam \(\(1-q\) z\)\*\*alpha\| = "
+             r"0\.9\d* < 1\), but its alternating terms grew past the growth watch, so a "
+             r"term-wise sum would cancel their digits$")
+    with pytest.raises(NonConvergence, match=where):
+        q_mittag_leffler(mp, z, p)
+    with pytest.raises(NonConvergence, match=where):
+        _ml_sum(mp, z, None, p)
+    assert math.isfinite(_ml_sum(mp, z, None, p, 40))
+
+
+def forcing_from_zero(alpha: float, lam: float, coeffs: tuple, t: float, q: float) -> float:
+    """sum_k lam**k I_0^(alpha(k+1)) f(t) for f(s) = sum_n coeffs[n] s**n.
+
+    By the q-power rule I_0^mu s**n = Gamma_q(n+1) / Gamma_q(n+1+mu)
+    s**(n+mu), and by Gamma_q(x) = (q; q)_inf (1-q)**(1-x) / (q**x; q)_inf,
+    term k of power n is t**n h z**k (q**(n+1+alpha(k+1)); q)_inf /
+    (q**(n+1); q)_inf, with h = ((1-q) t)**alpha and z = lam h.  The
+    products lie in (0, 1), so each sum stops once |z|**k / (1 - |z|) is
+    below 1e-25 of it.
+    """
+    with decimal.localcontext(_CONTEXT):
+        qd, a, td = Decimal(q), Decimal(alpha), Decimal(t)
+        h = ((1 - qd) * td) ** a
+        z = Decimal(lam) * h
+        total = Decimal(0)
+        for n, c in enumerate(coeffs):
+            part, power, k = Decimal(0), h, 0
+            while True:
+                part += power * q_product(qd ** (n + 1 + a * (k + 1)), qd)
+                power *= z
+                k += 1
+                if abs(power) <= _CUT * abs(part) * (1 - abs(z)):
+                    break
+            total += Decimal(c) * td**n * part / q_product(qd ** (n + 1), qd)
+        return float(total)
+
+
+# The worst relative error of the closed form's forcing from a = 0 over the
+# sweep below, per q (measured, and pinned with a margin): 3.9e-16, 3.9e-15,
+# 2.9e-14 and 4.6e-13.  Every route the forcing has taken meets the same
+# floor, which the lattice series' truncation sets, not the kernel: summed
+# order by order it is 2.9e-14 and 4.6e-13 at q = 0.7 and 0.9, and with
+# rel_tol 1e-16 the q = 0.9 worst falls to 2.0e-15.
+FORCING_BOUNDS = {0.3: 5e-16, 0.5: 5e-15, 0.7: 4e-14, 0.9: 6e-13}
+
+
+def _forcing_error(q: float, p: QParams) -> float:
+    """The worst relative error over alpha in {0.5, 0.75, 1}, lam = +-0.4
+    and t in {1, q**3}, for f(s) = 1 - 0.5 s + 0.7 s**2."""
+    coeffs = (1.0, -0.5, 0.7)
+    f = lambda s: 1.0 - 0.5 * s + 0.7 * s * s
+    worst = 0.0
+    for alpha in (0.5, 0.75, 1.0):
+        for lam in (0.4, -0.4):
+            y = solve_ivp_closed(IVProblem(alpha, lam, 0.0, 0.0, f), p)
+            for t in (1.0, q**3):
+                want = forcing_from_zero(alpha, lam, coeffs, t, q)
+                worst = max(worst, abs(y(t) - want) / abs(want))
+    return worst
+
+
+@pytest.mark.parametrize("q", FORCING_BOUNDS)
+def test_forcing_against_the_power_rule(q):
+    assert _forcing_error(q, QParams(q)) <= FORCING_BOUNDS[q]
+
+
+def test_forcing_floor_is_the_truncation():
+    assert _forcing_error(0.9, QParams(0.9, Truncation(rel_tol=1e-16))) <= 3e-15
