@@ -118,17 +118,21 @@ class IVPSolution:
 
 
 _ML_AT = "q-Mittag-Leffler at z={!r}, z0={!r}, alpha={!r}, beta={!r}, lam={!r}, q={!r}"
+_HUMP_AT = (_ML_AT + ": the series converges (|lam ((1-q) z)**alpha| = {!r} < 1), but its "
+            "alternating terms grew past the growth watch, so a term-wise sum would cancel "
+            "their digits")
 # The gain A(x) = (-q**x; q)_inf / (q**x; q)_inf bounds how far rounding
 # grows in the forcing kernel's recurrence (x = alpha (P + 1) its lowest
 # order; see _kernel_orders) and in the cancellation of Euler's expansion of
 # the q-Mittag-Leffler series (x = beta + alpha P; see _euler_split).  Each
 # sums its first P orders, the fewest that keep A within its bound, one by
-# one instead.  The kernel's 32 leaves P = 0 at q <= 0.5 for alpha >= 0.5,
-# where A(alpha) is at most 24.9, so that the forcing there is one series;
-# against 40-digit values it stays at the floor that the lattice series'
-# truncation sets, as at 8 (tests/test_ml_reference.py).  The expansion's 8
-# is pinned in eps units in the same file.
-_KERNEL_GAIN = 32.0
+# one instead.  The kernel's 28 leaves P = 0 at q <= 0.5 for alpha >= 0.5,
+# where A(alpha) is at most 24.9, so that the forcing there is one series,
+# and stays below A(2) = 30.0 at q = 0.7, which keeps P = 2 there for
+# alpha = 1 as at 8: against 40-digit values the forcing is at least as
+# accurate as at 8 at each q of tests/test_ml_reference.py.  The
+# expansion's 8 is pinned in eps units in the same file.
+_KERNEL_GAIN = 28.0
 _EULER_GAIN = 8.0
 
 
@@ -161,18 +165,19 @@ def _euler_split(alpha: float, beta: float, p: QParams) -> tuple[int, float]:
 
 
 def _split_sum(terms: Iterator[float], orders: int, rest: Callable[[], float], p: QParams,
-               where: tuple, detect_growth: bool = True) -> float:
-    """The first `orders` terms under the stopping rule (see core._accumulate)
-    plus rest(), the sum past them, unless the rule has ended them first:
-    where the terms are small from the start the sum ends as it would with
-    no rest, whose terms are below the rule."""
+               where: tuple, detect_growth: bool = True, grew: tuple | None = None) -> float:
+    """The first `orders` terms under the stopping rule (see core._accumulate,
+    which takes detect_growth, where and grew) plus rest(), the sum past
+    them, unless the rule has ended them first: where the terms are small
+    from the start the sum ends as it would with no rest, whose terms are
+    below the rule."""
     passed = []  # set once all the orders are summed and the rule has not ended them
 
     def first() -> Iterator[float]:
         yield from itertools.islice(terms, orders)
         passed.append(True)
 
-    value = _accumulate(first(), p.trunc, detect_growth=detect_growth, where=where)
+    value = _accumulate(first(), p.trunc, detect_growth=detect_growth, where=where, grew=grew)
     return value + rest() if passed else value
 
 
@@ -307,26 +312,19 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
             yield term
 
     # From z0 = 0 terms of zeta >= 0 share one sign (past those of
-    # alpha k + beta < 0), so a hump in them cancels nothing.
+    # alpha k + beta < 0), so a hump in them cancels nothing; as the series
+    # converges, terms of zeta < 0 that grow are a hump that cancels.
     watch = j is not None or zeta < 0.0
-    try:
-        if split is None or not abs(zeta) ** split[1] > p.trunc.rel_tol:
-            finite = j is not None and j >= 1 and beta == int(beta)
-            terms = finite_terms() if finite else tail_terms()
-            return _accumulate(checked(terms), p.trunc, detect_growth=watch, count=count,
-                               where=where)
-        orders, parts = split[0], scale()
-        return _split_sum(checked(tail_terms(parts)), orders, lambda: _accumulate(
-            euler_terms(orders, *parts), p.trunc, detect_growth=False, where=where), p, where,
-            detect_growth=watch)
-    except NonConvergence as exc:
-        # From z0 = 0 the series converges, so terms that grew are a hump.
-        if j is not None or count is not None or "terms grew" not in str(exc):
-            raise
-        raise NonConvergence(
-            f"{_name(where)}: the series converges (|lam ((1-q) z)**alpha| = {abs(zeta)!r} "
-            f"< 1), but its alternating terms grew past the growth watch, so a term-wise "
-            f"sum would cancel their digits") from exc
+    hump = None if j is not None else (_HUMP_AT, *where[1:], abs(zeta))
+    if split is None or not abs(zeta) ** split[1] > p.trunc.rel_tol:
+        finite = j is not None and j >= 1 and beta == int(beta)
+        terms = finite_terms() if finite else tail_terms()
+        return _accumulate(checked(terms), p.trunc, detect_growth=watch, count=count,
+                           where=where, grew=hump)
+    orders, parts = split[0], scale()
+    return _split_sum(checked(tail_terms(parts)), orders, lambda: _accumulate(
+        euler_terms(orders, *parts), p.trunc, detect_growth=False, where=where), p, where,
+        detect_growth=watch, grew=hump)
 
 
 _FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
@@ -335,35 +333,21 @@ _KERNEL_CHUNK = 16
 
 
 def _kernel_orders(alpha: float, p: QParams) -> int:
-    """The fewest P >= 0 with A(alpha (P + 1)) <= _KERNEL_GAIN, G: 0 at
-    q <= 0.5 for alpha >= 0.5, 1 to 3 at q = 0.7 and 16 to 33 at q = 0.9
-    (alpha from 1 down to 0.5).
-
-    With y = q**(alpha (P + 1)) and c = (ln G / 2) (1 - q), the sum
-    ln A = sum_i ln((1 + y q**i) / (1 - y q**i)) lies between 2 y / (1 - q)
-    and 2 y / ((1 - y) (1 - q)): A <= G needs y <= c, and y / (1 - y) <= c
-    is enough.  P is found by bisection between the two, as A falls while P
-    grows: a bracket 43 wide at q = 0.99, alpha = 0.04 (P = 10,087).
-    """
-    q = p.q
-    log_q, c = math.log(q), 0.5 * math.log(_KERNEL_GAIN) * (1.0 - q)
-
-    def least(y: float) -> int:
-        # the fewest P >= 0 with q**(alpha (P + 1)) <= y
-        return max(0, math.ceil(math.log(min(y, 1.0)) / (alpha * log_q) - 1.0))
+    """The fewest P >= 0 with A(alpha (P + 1)) <= _KERNEL_GAIN, by doubling
+    and bisection: A falls as beta grows, so a large P takes few products.
+    P is 0 at q <= 0.5 for alpha >= 0.5, 2 to 4 at q = 0.7 and 17 to 34 at
+    q = 0.9 (alpha from 1 down to 0.5)."""
 
     def within(orders: int) -> bool:
         beta = alpha * (orders + 1)
-        where = ("(-q**beta; q)_inf at beta={!r}, q={!r}", beta, q)
-        gain = special._q_product(-(q**beta), p, where) / special._pochhammer_tail(beta, p)
+        where = ("(-q**beta; q)_inf at beta={!r}, q={!r}", beta, p.q)
+        gain = special._q_product(-(p.q**beta), p, where) / special._pochhammer_tail(beta, p)
         return gain <= _KERNEL_GAIN
 
-    hi = least(1.0 / (1.0 + 1.0 / c))  # c / (1 + c), also for G infinite
-    orders = bisect.bisect_left(range(hi), True, least(c), key=within)
-    if orders < hi:  # the search saw it hold
-        return orders
-    # The upper end holds in exact arithmetic; past rounding, step on.
-    return next(P for P in itertools.count(hi) if within(P))
+    top = 1
+    while not within(top):
+        top *= 2
+    return bisect.bisect_left(range(top), True, key=within)
 
 
 class _Kernel:
@@ -464,8 +448,6 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
                                  f">= 1, so the series diverges")
         series = lambda: _chain_sum(forcing, t, False, kernel.weights(t, h, steps), steps, p,
                                     where)
-        if not kernel.orders:
-            return series()
         # Far down the chain z is small, and the rule ends the orders before P.
         return _split_sum(order_terms(t, steps, h), kernel.orders, series, p, where)
 
