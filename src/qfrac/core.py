@@ -5,7 +5,9 @@ base 0 < q < 1.  The backward q-derivative is an exact difference quotient;
 integrals are Jackson sums, i.e. truncated geometric series whose stopping
 behaviour is governed by a :class:`Truncation` policy.  Every infinite sum
 of the package stops in ``_accumulate``: once its terms fall geometrically it
-adds their closed tail, and otherwise it stops on a run of small terms.  Every
+adds their closed tail, and otherwise it stops on a run of small terms; a
+lattice series whose operand's ratio has settled draws the rest of its terms
+from its weights alone, with no further call of the operand.  Every
 infinite product is a q-Pochhammer symbol (c; q)_inf, taken by
 ``special._q_product``, which closes its tail the same way; the same loop,
 given a count, forms the finite (c; q)_n.  Work whose length is known before
@@ -51,6 +53,14 @@ _ABS_TOL = 1e-300
 _SMALL_RUN = 3
 # Share of rel_tol that the drift of a closed geometric tail may reach.
 _TAIL_SHARE = 0.1
+# The operand test of a lattice series (see _accumulate).  A relative drift of
+# the operand's ratio within 4 eps (_SIGMA_EPS2 is its square) is read as 0;
+# otherwise the drift times the rest's second moment must be within
+# _OPERAND_SHARE of rel_tol of the sum.  At 0.01 every identity record and
+# the 40-digit lattice references (tests/test_ml_reference.py) are at least
+# as accurate as with the term test alone.
+_OPERAND_SHARE = 0.01
+_SIGMA_EPS2 = (4.0 * 2.0**-52) ** 2
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,15 @@ class Truncation:
     ``_TAIL_SHARE * rel_tol * |S + tail| + _ABS_TOL`` (0.1 and 1e-300).
     Any other infinite sum (ratios that change sign or never settle) stops
     once 3 successive terms satisfy
-    ``|term| <= rel_tol * |partial_sum| + _ABS_TOL``.  A sum with a known
+    ``|term| <= rel_tol * |partial_sum| + _ABS_TOL``.  An infinite lattice
+    series (weights w_n that are not geometric, terms w_n v_n) also watches
+    its operand's ratio sigma_n = v_n / v_{n-1}: once for 3 successive terms
+    its relative drift is within 4 eps, or that drift times the rest's second
+    moment ``|term_n| r / (1 - r)**3`` (r = |rho_n| < 1) is within
+    ``_OPERAND_SHARE * rel_tol * |S + tail| + _ABS_TOL`` (0.01), the rest of
+    the sum takes v_n sigma**k for its samples, calls the operand no more, and
+    runs under the rule above at ``rel_tol (1 - r)``; its terms count as
+    terms.  A sum with a known
     number of terms is summed in full.  A product (c; q)_inf stops once 3
     successive ``|c q**j|`` are at most rel_tol and multiplies in its closed
     tail ``1 - c q**(j+1) / (1 - q)``, within ``(rel_tol / (1 - q))**2``.
@@ -151,6 +169,7 @@ def _accumulate(
     count: int | None = None,
     where: tuple,
     grew: tuple | None = None,
+    samples: list[float] | None = None,
 ) -> float:
     """Sum terms under the stopping rule, or their first ``count`` in full.
 
@@ -169,6 +188,30 @@ def _accumulate(
     terms, and with ``detect_growth`` raises NonConvergence on a growth run;
     past ``max_terms`` terms it raises NonConvergence, the stopping rule not
     having fired.  Both kinds raise NonConvergence at a non-finite term.
+
+    A weighted sum also closes on its operand.  Its terms w_n v_n come from
+    _walk, which puts each sample v_n in ``samples[0]`` while the sum watches
+    the operand's ratio sigma_n = v_n / v_{n-1}; past the sample v_N at which
+    sigma has settled, the rest of the sum is v_N sum_{k>=1} w_{N+k} sigma**k.
+    Its error, if sigma moves on by its last relative drift d, is about d
+    times the rest's second moment sum_{k>=1} k (k+1) / 2 |term_N| r**k
+    = |term_N| r / (1 - r)**3, r = |rho_N|.  After ``_SMALL_RUN`` successive
+    terms with d read as 0 (within 4 eps), or with that error within
+    ``_OPERAND_SHARE * rel_tol * |S + tail| + abs_tol``, and |rho_N| < 1, the
+    sum puts sigma_N in ``samples[0]``: the walk then draws the rest's terms
+    from the same weights with v_N sigma**k for samples, and no operand call.
+    The term test above then runs on at rel_tol (1 - |rho_N|) (the closed tail
+    of a ratio that still settles is off by more than its drift, the more so
+    as rho nears 1, and the rest's terms call no operand); they count as
+    terms, under ``max_terms``, and are also summed apart, so that the sum
+    returns S + rest with one rounding at the scale of S.  A power of s
+    closes after 5 samples (an operand that is a power only over its first
+    samples is taken for it, a limit as a zero run is for the term test).
+    An operand whose ratio moves by more than rel_tol between samples is
+    watched no further (``samples[0]`` becomes None), so one that settles no
+    faster than the weights, such as a polynomial, costs the test its first
+    3 terms.
+
     A failure's message opens with ``where[0].format(*where[1:])``, a
     template and its arguments (as _power takes them), formatted only when it
     is raised; a growth run's is ``grew``'s in full where it is given, for
@@ -185,25 +228,23 @@ def _accumulate(
             total += term
         _note_terms(n)
         return total
-    max_terms, rel_tol, abs_tol = trunc.max_terms, trunc.rel_tol, _ABS_TOL
+    max_terms, rel_tol, abs_tol, inf = trunc.max_terms, trunc.rel_tol, _ABS_TOL, math.inf
     tail_tol = _TAIL_SHARE * rel_tol
-    small_run = 0
-    prev_term = 0.0
-    prev_ratio = 0.0
-    tail_run = 0
-    growth_run = 0
-    growth_base = 0.0
+    small_run = tail_run = growth_run = 0
+    prev_term = prev_ratio = growth_base = 0.0
+    watch, rest = detect_growth or samples, None
     for n, term in enumerate(terms, 1):
         if n > max_terms:
             _note_terms(n)
             raise NonConvergence(
                 f"{_name(where)}: stopping rule did not fire within {max_terms} terms"
             )
-        if not math.isfinite(term):
+        # abs() and math.isfinite() are calls; the tests below are not.
+        mag = term if term >= 0.0 else -term
+        if not mag < inf:
             _note_terms(n)
             raise NonConvergence(f"{_name(where)}: non-finite term at index {n - 1}")
         total += term
-        mag = abs(term)
         if prev_term:
             ratio = term / prev_term
             gap = 1.0 - ratio
@@ -217,37 +258,87 @@ def _accumulate(
             ):
                 tail_run += 1
                 if tail_run >= _SMALL_RUN:
-                    _note_terms(n)
-                    return total + term * ratio / gap
+                    closed = term * ratio / gap
+                    total += closed
+                    break
             else:
                 tail_run = 0
             prev_ratio = ratio
-        if mag <= rel_tol * abs(total) + abs_tol:
+        if mag <= rel_tol * (total if total >= 0.0 else -total) + abs_tol:
             small_run += 1
             if small_run >= _SMALL_RUN:
-                _note_terms(n)
-                return total
+                break
         else:
             small_run = 0
-        if detect_growth:
-            if 0.0 < abs(prev_term) < mag:
-                if growth_run == 0:
-                    growth_base = abs(prev_term)
-                growth_run += 1
-                if (
-                    growth_run >= _SMALL_RUN
-                    and mag > _GROWTH_FACTOR * growth_base
-                ):
-                    _note_terms(n)
-                    raise NonConvergence(
-                        _name(grew) if grew else
-                        f"{_name(where)}: terms grew for {growth_run} successive steps"
-                    )
+        if watch:
+            if detect_growth:
+                if 0.0 < abs(prev_term) < mag:
+                    if growth_run == 0:
+                        growth_base = abs(prev_term)
+                    growth_run += 1
+                    if (
+                        growth_run >= _SMALL_RUN
+                        and mag > _GROWTH_FACTOR * growth_base
+                    ):
+                        _note_terms(n)
+                        raise NonConvergence(
+                            _name(grew) if grew else
+                            f"{_name(where)}: terms grew for {growth_run} successive steps"
+                        )
+                else:
+                    growth_run = 0
+            if not samples:  # unweighted, or its operand did not settle
+                pass
+            elif rest is not None:
+                rest += term
             else:
-                growth_run = 0
+                sample = samples[0]
+                if not prev_term:
+                    prev_sigma, operand_run = 0.0, 0
+                else:
+                    sigma = sample / prev_sample
+                    if prev_sigma:
+                        # Squares of sigma's drift and of sigma: no abs or
+                        # division on the common paths.  A sigma past 1e154
+                        # is not taken for settled.
+                        drift = sigma - prev_sigma
+                        drift *= drift
+                        size = sigma * sigma
+                        if drift > rel_tol * rel_tol * size:
+                            samples[0], samples, watch = None, None, detect_growth
+                        elif drift <= _SIGMA_EPS2 * size < inf or _rest_within(
+                                math.sqrt(drift / size), term, ratio, total, rel_tol):
+                            operand_run += 1
+                            if operand_run >= _SMALL_RUN and 0.0 < abs(ratio) < 1.0:
+                                samples[0], head, rest, closed = sigma, total, 0.0, 0.0
+                                rel_tol *= 1.0 - abs(ratio)
+                                tail_tol = _TAIL_SHARE * rel_tol
+                                small_run = tail_run = 0
+                        else:
+                            operand_run = 0
+                    prev_sigma = sigma
+                prev_sample = sample
         prev_term = term
+    else:
+        _note_terms(n)
+        return total if rest is None else head + rest
     _note_terms(n)
-    return total
+    # The rest, summed apart from the terms up to N; the last term and the
+    # closed tail did not reach it.
+    return total if rest is None else head + (rest + term + closed)
+
+
+def _rest_within(drift: float, term: float, ratio: float, total: float, rel_tol: float) -> bool:
+    """The operand test of _accumulate past a drift read as 0: the relative
+    drift times the rest's second moment |term| r / (1 - r)**3, r = |ratio|
+    in (0, 1), within _OPERAND_SHARE * rel_tol * |S + tail| + _ABS_TOL, tail
+    = term ratio / (1 - ratio); both sides times (1 - r)**3."""
+    r = abs(ratio)
+    if not 0.0 < r < 1.0:
+        return False
+    c = 1.0 - r
+    return drift * abs(term) * r <= (_OPERAND_SHARE * rel_tol * abs(
+        total + term * ratio / (1.0 - ratio)) + _ABS_TOL) * c * c * c
 
 
 def _check_budget(n: int, trunc: Truncation, where: tuple) -> None:
@@ -335,21 +426,51 @@ def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
 
 def _chain_sum(
     f: QFunction, x: float, upward: bool, weights: Iterable[float],
-    steps: int | None, p: QParams, where: tuple,
+    steps: int | None, p: QParams, where: tuple, *, geometric: bool = False,
 ) -> float:
     """sum_k w_k f(x_k) over k < steps (all k >= 0 if steps is None) with w_k the
-    weights, x_0 = x and x_{k+1} = x_k / q (upward) or x_k * q; the one loop that
-    walks a chain.  An infinite upward sum is watched for growth; where names
-    a failure, as in _accumulate."""
-    q = p.q
+    weights, x_0 = x and x_{k+1} = x_k / q (upward) or x_k * q, by _walk, the one
+    loop that walks a chain.  An infinite sum whose weights are not
+    ``geometric`` watches its operand's ratio and may close on it (see
+    _accumulate); geometric weights (a Jackson sum) make the term ratio the
+    operand's times a constant, whose closed tail is already exact in the
+    weights.  An infinite upward sum is watched for growth; where names a
+    failure, as in _accumulate."""
+    seen = [0.0] if steps is None and not geometric else []
+    return _accumulate(_walk(f, x, p.q, upward, weights, seen), p.trunc, detect_growth=upward,
+                       count=steps, where=where, samples=seen)
 
-    def terms() -> Iterator[float]:
-        point = x
+
+def _walk(f: QFunction, point: float, q: float, upward: bool, weights: Iterable[float],
+          seen: list[float]) -> Iterator[float]:
+    """The terms w_k f(x_k) of _chain_sum, for weights that do not run out.
+    While seen is not empty, each sample goes to seen[0], and _accumulate
+    answers by replacing it: with None once it stops watching the operand,
+    and the walk goes on plainly; or with the operand's settled ratio sigma,
+    and the walk yields w_k v_N sigma**k from then on, v_N the last sample,
+    with no further call of f.  The state comes in as arguments, as a
+    closure over it makes each term slower."""
+    weights = iter(weights)
+    if seen:
+        for w in weights:
+            seen[0] = sample = f(point)
+            yield w * sample
+            point = point / q if upward else point * q
+            if seen[0] is not sample:
+                break
+    if seen and seen[0] is not None:
+        sigma = seen[0]
+        for w in weights:
+            sample *= sigma
+            yield w * sample
+    elif upward:
         for w in weights:
             yield w * f(point)
-            point = point / q if upward else point * q
-
-    return _accumulate(terms(), p.trunc, detect_growth=upward, count=steps, where=where)
+            point /= q
+    else:
+        for w in weights:
+            yield w * f(point)
+            point *= q
 
 
 def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -> float:
@@ -359,7 +480,8 @@ def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -
         return 0.0
     q = p.q
     weights = itertools.accumulate(itertools.repeat(q), operator.mul, initial=(1.0 - q) * x)
-    return _chain_sum(f, x, False, weights, steps, p, ("q-integral at x={!r}, q={!r}", x, q))
+    return _chain_sum(f, x, False, weights, steps, p, ("q-integral at x={!r}, q={!r}", x, q),
+                      geometric=True)
 
 
 def q_integral(f: QFunction, a: float, t: float, p: QParams) -> float:
@@ -398,7 +520,7 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
         itertools.repeat(q), operator.truediv, initial=(1.0 - q) * t / q
     )
     return _chain_sum(f, t / q, True, weights, steps, p,
-                      ("tail integral from t={!r} to b={!r}, q={!r}", t, b, q))
+                      ("tail integral from t={!r} to b={!r}, q={!r}", t, b, q), geometric=True)
 
 
 def _start_steps(a: float, t: float, q: float) -> int | None:

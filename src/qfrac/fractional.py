@@ -91,23 +91,26 @@ def _lattice_series(
     Downward they are the kernel of a fractional integral over q_gamma(alpha)
     on the lattice, a ratio of q-Pochhammer symbols, so no factorial power is
     ever rebuilt.  With c = a / t < 1 they follow the kernel
-    (t - qs)_q^(alpha-1) along s = a q**k.  A power q**alpha or q**-alpha
+    (t - qs)_q^(alpha-1) along s = a q**k.  These weights are not geometric,
+    so an infinite series may close on its operand's ratio (see
+    core._accumulate): a power of s is sampled 5 times, and the rest of the
+    series is drawn from these weights alone.  A power q**alpha or q**-alpha
     too large for a double raises NumericOverflow through where.
     """
-    # The state comes in as arguments, as a closure over it makes each call
-    # slower, which shows on short series.
-    def weights(w: float, ratio: float, num: float, den: float, q: float) -> Iterator[float]:
-        while True:
-            yield w
-            w *= ratio * (1.0 - num) / (1.0 - den)
-            num *= q
-            den *= q
-
     q = p.q
     ratio = _power(q, -alpha, *where) if upward else q
-    return _chain_sum(f, x, upward,
-                      weights(weight, ratio, offset * _power(q, alpha, *where), offset * q, q),
-                      steps, p, where)
+    return _chain_sum(f, x, upward, _lattice_weights(
+        weight, ratio, offset * _power(q, alpha, *where), offset * q, q), steps, p, where)
+
+
+def _lattice_weights(w: float, ratio: float, num: float, den: float, q: float) -> Iterator[float]:
+    """The weights of _lattice_series from w = w_0, with num = c q**(alpha+k)
+    and den = c q**(k+1) at step k."""
+    while True:
+        yield w
+        w *= ratio * (1.0 - num) / (1.0 - den)
+        num *= q
+        den *= q
 
 
 def _left_series(f: QFunction, a: float, alpha: float, t: float, steps: int | None,
@@ -175,9 +178,10 @@ def right_frac_integral(
     the operand is sampled on the shifted grid s * q**(1 - alpha).  With b
     infinite or b = t q**-m, this is the lattice series sum_{i=1..m} w_i
     f(t q**(1-alpha-i)), w_1 = r(alpha) ((1-q) t)**alpha q**-alpha and
-    w_{i+1} = w_i q**-alpha (1 - q**(alpha+i-1)) / (1 - q**i); divergence of
-    the infinite series is detected at runtime.  Any other b (b <= 0, NaN, or
-    off the grid of t) raises DomainError.
+    w_{i+1} = w_i q**-alpha (1 - q**(alpha+i-1)) / (1 - q**i), its chain walked
+    from t q**-alpha = (t / q) q**(1-alpha) itself; divergence of the
+    infinite series is detected at runtime.  Any other b (b <= 0, NaN, or off
+    the grid of t) raises DomainError.
     """
     alpha = _integral_order(order)
     if not t > 0.0:
@@ -187,7 +191,7 @@ def right_frac_integral(
     where = (_RIGHT_AT, t, b, alpha, q)
     shift = _power(q, 1.0 - alpha, *where)
     weight = r_coef(alpha, q) * q**-alpha * _power((1.0 - q) * t, alpha, *where)
-    return _lattice_series(lambda s: f(s * shift), t / q, True, alpha, weight, steps, p, where)
+    return _lattice_series(f, t / q * shift, True, alpha, weight, steps, p, where)
 
 
 def left_riemann_deriv(

@@ -654,15 +654,20 @@ class TestForcingKernel:
         assert rel_err(solve_ivp_closed(prob, p)(1.0), want) > 1e-11
 
     @pytest.mark.parametrize(("q", "alpha", "orders", "terms", "value"), [
-        (0.9, 0.1, 170, 1_741, 1.3408618799972052),
-        (0.99, 0.04, 10_185, 15_799, 1.392971839841547),
+        (0.9, 0.1, 170, 1_863, 1.3408618799973173),
+        (0.99, 0.04, 10_185, 17_158, 1.3929718398448179),
     ])
     def test_rule_ends_the_orders_before_the_kernel(self, q, alpha, orders, terms, value):
         # As q nears 1 or alpha 0, P grows past what the stopping rule needs
         # where z is small: here z = 0.24 and 0.25, and the rule ends the
-        # orders after about 20, as it did before the kernel, with the same
-        # terms and value.  Summing all P orders first took 22,075 terms at
-        # q = 0.9 and ran out of the 10,000-term budget at q = 0.99.
+        # orders after about 20, as it did before the kernel.  Summing all P
+        # orders first took 22,075 terms at q = 0.9 and ran out of the
+        # 10,000-term budget at q = 0.99.  Each order's series closes on its
+        # operand s after 5 samples, and its rest, held to rel_tol (1 - |rho|),
+        # is 4.6e-14 off the 40-digit 1.3408618799973788 where the term test
+        # alone was 1.3e-13 off (1,741 terms), and 7.5e-13 off
+        # 1.3929718398458573 at q = 0.99 where it was 3.1e-12 off (15,799
+        # terms).
         p = QParams(q)
         y = solve_ivp_closed(IVProblem(alpha, 0.3, 0.0, 0.0, lambda s: s), p)
         assert qfrac.ivp._kernel_orders(alpha, p) == orders

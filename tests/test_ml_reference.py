@@ -1,5 +1,5 @@
-"""The q-Mittag-Leffler series and the closed form's forcing from 0 against
-40-digit decimal references.
+"""The q-Mittag-Leffler series, the closed form's forcing from 0 and the left
+and right lattice series against 40-digit decimal references.
 
 The series' reference sums the definition, term k = (1-q)**(beta-1) zeta**k
 (q**(alpha k + beta); q)_inf / (q; q)_inf with zeta = lam ((1-q) z)**alpha,
@@ -9,7 +9,9 @@ factor or term is below 1e-25 of the whole, so the reference is good to
 about 1e-24: far below double rounding, and sharing no code with either of
 ivp._ml_sum's routes (the term rule over cached tails, and Euler's expansion
 past the first P terms).  The forcing's sums the q-power rule order by
-order, sharing no code with the closed form's kernel series.
+order, sharing no code with the closed form's kernel series.  The left
+lattice series from 0 is checked against the q-power rule, the right one to
+infinity against its own series summed in decimal.
 """
 
 import decimal
@@ -20,8 +22,9 @@ from decimal import Decimal
 import pytest
 
 import qfrac.ivp
-from qfrac import (IVProblem, MLParams, NonConvergence, QParams, Truncation, q_gamma,
-                   q_mittag_leffler, solve_ivp_closed, solve_ivp_picard)
+from qfrac import (IVProblem, MLParams, NonConvergence, QParams, Truncation, left_frac_integral,
+                   q_gamma, q_mittag_leffler, right_frac_integral, solve_ivp_closed,
+                   solve_ivp_picard)
 from qfrac.ivp import _euler_split, _ml_sum
 
 _CONTEXT = decimal.Context(prec=40)
@@ -322,3 +325,97 @@ def test_forcing_against_the_power_rule(q):
 
 def test_forcing_floor_is_the_truncation():
     assert _forcing_error(0.9, QParams(0.9, Truncation(rel_tol=1e-16))) <= 3e-15
+
+
+def left_from_zero(coeffs: tuple, mu: float, t: float, q: float) -> float:
+    """I_0^mu f(t) for f(s) = sum_n coeffs[n] s**n, at any order mu (mu < 0
+    the Riemann derivative of order -mu), by the q-power rule
+    I_0^mu s**n = Gamma_q(n+1) / Gamma_q(n+1+mu) s**(n+mu)
+    = (1-q)**mu (q**(n+1+mu); q)_inf / (q**(n+1); q)_inf s**(n+mu)."""
+    with decimal.localcontext(_CONTEXT):
+        qd, m, td = Decimal(q), Decimal(mu), Decimal(t)
+        total = Decimal(0)
+        for n, c in enumerate(coeffs):
+            if c:
+                total += (Decimal(c) * td ** (n + m) * (1 - qd) ** m
+                          * q_product(qd ** (n + 1 + m), qd) / q_product(qd ** (n + 1), qd))
+        return float(total)
+
+
+def right_to_infinity(powers: tuple, mu: float, t: float, q: float) -> float:
+    """The right series to infinity, sum_{i>=1} w_i f(t q**(1-mu-i)) with
+    w_1 = r(mu) ((1-q) t)**mu q**-mu and w_{i+1} = w_i q**-mu (1 - q**(mu+i-1))
+    / (1 - q**i), for f(s) = sum c s**-k over powers (c, k), summed in
+    decimal until a term is below 1e-25 of the sum past the weights' hump."""
+    with decimal.localcontext(_CONTEXT):
+        qd, m, td = Decimal(q), Decimal(mu), Decimal(t)
+        lift = 1 / qd**m
+        w = qd ** (-m * (m - 1) / 2) * ((1 - qd) * td) ** m * lift
+        s, num, den = td * lift, qd**m, qd  # t q**(1-mu-i), q**(mu+i-1), q**i
+        total = Decimal(0)
+        while True:
+            term = w * sum(Decimal(c) * s**-k for c, k in powers)
+            total += term
+            if abs(term) <= _CUT * abs(total) and den < Decimal("0.5"):
+                return float(total)
+            w *= lift * (1 - num) / (1 - den)
+            s, num, den = s / qd, num * qd, den * qd
+
+
+def test_right_reference_against_the_q_binomial_theorem():
+    # For f = s**-k the series is W t**-k q**(k mu) sum_j (q**mu; q)_j /
+    # (q; q)_j q**((k-mu) j), and by the q-binomial theorem the sum is
+    # (q**k; q)_inf / (q**(k-mu); q)_inf: a product, not a series.
+    for q, k, mu in ((0.3, 2, 0.4), (0.9, 2, 1.3), (0.9, 4, -0.3), (0.5, 4, 0.9)):
+        with decimal.localcontext(_CONTEXT):
+            qd, m, td = Decimal(q), Decimal(mu), Decimal(0.7)
+            w = qd ** (-m * (m - 1) / 2) * ((1 - qd) * td) ** m / qd**m
+            closed = (w * td**-k * qd ** (k * m)
+                      * q_product(qd**k, qd) / q_product(qd ** (k - m), qd))
+        assert right_to_infinity(((1.0, k),), mu, 0.7, q) == float(closed)
+
+
+_LATTICE_POLYS = ((1.0,), (0.0, 1.0), (0.0, 0.0, 1.0), (1.0, -0.5, 0.7), (0.3, 0.0, 0.0, 1.0))
+_LATTICE_POWERS = {"s^-2": ((1.0, 2),), "s^-4": ((1.0, 4),), "2s^-3+s^-4": ((2.0, 3), (1.0, 4))}
+
+# The worst relative error of the lattice series over the sweep below, per
+# side and q, as the parent of the operand test gave it (4.43e-16, 4.38e-15,
+# 3.22e-14 and 3.16e-13 on the left, 7.20e-16, 3.91e-15, 3.58e-14 and
+# 3.81e-13 on the right), rounded up: the series must be no less accurate.
+# The operand test gives 4.41e-16, 4.38e-15, 3.22e-14 and 3.11e-13 on the
+# left, where the polynomials that set the worst do not close on their
+# operand, and 7.20e-16, 1.10e-15, 1.56e-14 and 1.82e-13 on the right, whose
+# rest is held to rel_tol (1 - |rho|).
+LATTICE_BOUNDS = {
+    "left": {0.3: 4.5e-16, 0.5: 4.4e-15, 0.7: 3.3e-14, 0.9: 3.2e-13},
+    "right": {0.3: 7.2e-16, 0.5: 4.0e-15, 0.7: 3.6e-14, 0.9: 3.9e-13},
+}
+
+
+def _lattice_errors(q: float) -> dict:
+    """The worst relative error per side over t in {1, q**3}: left from 0 of
+    _LATTICE_POLYS at orders 0.4, 0.9, 1.3, -0.3 and -0.6, right to infinity
+    of _LATTICE_POWERS at orders 0.4, 0.9, 1.3 and -0.3."""
+    p = QParams(q)
+    worst = {"left": 0.0, "right": 0.0}
+    for t in (1.0, q**3):
+        for mu in (0.4, 0.9, 1.3, -0.3, -0.6):
+            for coeffs in _LATTICE_POLYS:
+                f = lambda s, coeffs=coeffs: sum(c * s**n for n, c in enumerate(coeffs))
+                want = left_from_zero(coeffs, mu, t, q)
+                got = left_frac_integral(f, 0.0, mu, t, p)
+                worst["left"] = max(worst["left"], abs(got - want) / abs(want))
+        for mu in (0.4, 0.9, 1.3, -0.3):
+            for powers in _LATTICE_POWERS.values():
+                f = lambda s, powers=powers: sum(c * s**-k for c, k in powers)
+                want = right_to_infinity(powers, mu, t, q)
+                got = right_frac_integral(f, math.inf, mu, t, p)
+                worst["right"] = max(worst["right"], abs(got - want) / abs(want))
+    return worst
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+def test_lattice_series_against_the_reference(q):
+    worst = _lattice_errors(q)
+    assert worst["left"] <= LATTICE_BOUNDS["left"][q]
+    assert worst["right"] <= LATTICE_BOUNDS["right"][q]
