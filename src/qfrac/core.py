@@ -58,8 +58,13 @@ _TAIL_SHARE = 0.1
 # otherwise the drift times the rest's second moment must be within
 # _OPERAND_SHARE of rel_tol of the sum.  At 0.01 every identity record and
 # the 40-digit lattice references (tests/test_ml_reference.py) are at least
-# as accurate as with the term test alone.
+# as accurate as with the term test alone.  Each spot check of the rest may
+# cost it _TAIL_SHARE of rel_tol: at 0.01 the rounding of sigma, which grows
+# along the rest, failed the checks of exact powers at q = 0.9.
 _OPERAND_SHARE = 0.01
+# A rest is drawn only where it would run to at least _REST_MIN times the
+# terms already taken (see _rest_holds).
+_REST_MIN = 8
 _SIGMA_EPS2 = (4.0 * 2.0**-52) ** 2
 
 
@@ -80,10 +85,15 @@ class Truncation:
     its operand's ratio sigma_n = v_n / v_{n-1}: once for 3 successive terms
     its relative drift is within 4 eps, or that drift times the rest's second
     moment ``|term_n| r / (1 - r)**3`` (r = |rho_n| < 1) is within
-    ``_OPERAND_SHARE * rel_tol * |S + tail| + _ABS_TOL`` (0.01), the rest of
-    the sum takes v_n sigma**k for its samples, calls the operand no more, and
-    runs under the rule above at ``rel_tol (1 - r)``; its terms count as
-    terms.  A sum with a known
+    ``_OPERAND_SHARE * rel_tol * |S + tail| + _ABS_TOL`` (0.01), the operand
+    is sampled at a few points further down the chain (doubling the stretch
+    seen, up to where the rest's terms are within that share); if each sample
+    is v_n sigma**k to within that share of the sum, the rest of the sum
+    takes v_n sigma**k for its samples, calls the operand no more, and runs
+    under the rule above at ``rel_tol (1 - r)``; its terms count as terms.
+    Otherwise, where the rest would run to fewer than 8 n terms, or once
+    sigma moves by more than rel_tol, the operand is sampled at every term.
+    A sum with a known
     number of terms is summed in full.  A product (c; q)_inf stops once 3
     successive ``|c q**j|`` are at most rel_tol and multiplies in its closed
     tail ``1 - c q**(j+1) / (1 - q)``, within ``(rel_tol / (1 - q))**2``.
@@ -169,7 +179,7 @@ def _accumulate(
     count: int | None = None,
     where: tuple,
     grew: tuple | None = None,
-    samples: list[float] | None = None,
+    chain: _Chain | None = None,
 ) -> float:
     """Sum terms under the stopping rule, or their first ``count`` in full.
 
@@ -189,28 +199,28 @@ def _accumulate(
     past ``max_terms`` terms it raises NonConvergence, the stopping rule not
     having fired.  Both kinds raise NonConvergence at a non-finite term.
 
-    A weighted sum also closes on its operand.  Its terms w_n v_n come from
-    _walk, which puts each sample v_n in ``samples[0]`` while the sum watches
-    the operand's ratio sigma_n = v_n / v_{n-1}; past the sample v_N at which
+    A lattice series also closes on its operand.  Its terms w_n v_n come from
+    _walk, which puts each sample v_n in ``chain`` while the sum watches the
+    operand's ratio sigma_n = v_n / v_{n-1}; past the sample v_N at which
     sigma has settled, the rest of the sum is v_N sum_{k>=1} w_{N+k} sigma**k.
     Its error, if sigma moves on by its last relative drift d, is about d
     times the rest's second moment sum_{k>=1} k (k+1) / 2 |term_N| r**k
     = |term_N| r / (1 - r)**3, r = |rho_N|.  After ``_SMALL_RUN`` successive
     terms with d read as 0 (within 4 eps), or with that error within
     ``_OPERAND_SHARE * rel_tol * |S + tail| + abs_tol``, and |rho_N| < 1, the
-    sum puts sigma_N in ``samples[0]``: the walk then draws the rest's terms
-    from the same weights with v_N sigma**k for samples, and no operand call.
-    The term test above then runs on at rel_tol (1 - |rho_N|) (the closed tail
-    of a ratio that still settles is off by more than its drift, the more so
-    as rho nears 1, and the rest's terms call no operand); they count as
-    terms, under ``max_terms``, and are also summed apart, so that the sum
-    returns S + rest with one rounding at the scale of S.  A power of s
-    closes after 5 samples (an operand that is a power only over its first
-    samples is taken for it, a limit as a zero run is for the term test).
-    An operand whose ratio moves by more than rel_tol between samples is
-    watched no further (``samples[0]`` becomes None), so one that settles no
-    faster than the weights, such as a polynomial, costs the test its first
-    3 terms.
+    sum spot-checks the rest (_rest_holds): a few samples further down the
+    chain must match v_N sigma**k.  If they do, the walk draws the rest's
+    terms from the same weights with v_N sigma**k for samples, and no operand
+    call.  The term test above then runs on at rel_tol (1 - |rho_N|) (the
+    closed tail of a ratio that still settles is off by more than its drift,
+    the more so as rho nears 1, and the rest's terms call no operand); they
+    count as terms, under ``max_terms``, and are also summed apart, so that
+    the sum returns S + rest with one rounding at the scale of S.  A power of
+    s closes after 5 samples and its spot checks where its rest is long.  An
+    operand that fails the spot checks, or whose ratio moves by more than
+    rel_tol between samples, is watched no further and sampled at every
+    term, so one that settles no faster than the weights, such as a
+    polynomial, costs the test its first 3 terms.
 
     A failure's message opens with ``where[0].format(*where[1:])``, a
     template and its arguments (as _power takes them), formatted only when it
@@ -232,7 +242,7 @@ def _accumulate(
     tail_tol = _TAIL_SHARE * rel_tol
     small_run = tail_run = growth_run = 0
     prev_term = prev_ratio = growth_base = 0.0
-    watch, rest = detect_growth or samples, None
+    rest = None
     for n, term in enumerate(terms, 1):
         if n > max_terms:
             _note_terms(n)
@@ -270,54 +280,57 @@ def _accumulate(
                 break
         else:
             small_run = 0
-        if watch:
-            if detect_growth:
-                if 0.0 < abs(prev_term) < mag:
-                    if growth_run == 0:
-                        growth_base = abs(prev_term)
-                    growth_run += 1
-                    if (
-                        growth_run >= _SMALL_RUN
-                        and mag > _GROWTH_FACTOR * growth_base
-                    ):
-                        _note_terms(n)
-                        raise NonConvergence(
-                            _name(grew) if grew else
-                            f"{_name(where)}: terms grew for {growth_run} successive steps"
-                        )
-                else:
-                    growth_run = 0
-            if not samples:  # unweighted, or its operand did not settle
-                pass
-            elif rest is not None:
-                rest += term
+        if detect_growth:
+            if 0.0 < abs(prev_term) < mag:
+                if growth_run == 0:
+                    growth_base = abs(prev_term)
+                growth_run += 1
+                if (
+                    growth_run >= _SMALL_RUN
+                    and mag > _GROWTH_FACTOR * growth_base
+                ):
+                    _note_terms(n)
+                    raise NonConvergence(
+                        _name(grew) if grew else
+                        f"{_name(where)}: terms grew for {growth_run} successive steps"
+                    )
             else:
-                sample = samples[0]
-                if not prev_term:
-                    prev_sigma, operand_run = 0.0, 0
-                else:
-                    sigma = sample / prev_sample
-                    if prev_sigma:
-                        # Squares of sigma's drift and of sigma: no abs or
-                        # division on the common paths.  A sigma past 1e154
-                        # is not taken for settled.
-                        drift = sigma - prev_sigma
-                        drift *= drift
-                        size = sigma * sigma
-                        if drift > rel_tol * rel_tol * size:
-                            samples[0], samples, watch = None, None, detect_growth
-                        elif drift <= _SIGMA_EPS2 * size < inf or _rest_within(
-                                math.sqrt(drift / size), term, ratio, total, rel_tol):
-                            operand_run += 1
-                            if operand_run >= _SMALL_RUN and 0.0 < abs(ratio) < 1.0:
-                                samples[0], head, rest, closed = sigma, total, 0.0, 0.0
+                growth_run = 0
+        if chain is None:  # unweighted, or its operand did not settle
+            pass
+        elif rest is not None:
+            rest += term
+        else:
+            sample = chain.sample
+            if not prev_term:
+                prev_sigma, operand_run = 0.0, 0
+            else:
+                sigma = sample / prev_sample
+                if prev_sigma:
+                    # Squares of sigma's drift and of sigma: no abs or
+                    # division on the common paths.  A sigma past 1e154
+                    # is not taken for settled.
+                    drift = sigma - prev_sigma
+                    drift *= drift
+                    size = sigma * sigma
+                    if drift > rel_tol * rel_tol * size:
+                        chain.sigma, chain = 0.0, None
+                    elif drift <= _SIGMA_EPS2 * size < inf or _rest_within(
+                            math.sqrt(drift / size), term, ratio, total, rel_tol):
+                        operand_run += 1
+                        if operand_run >= _SMALL_RUN and 0.0 < abs(ratio) < 1.0:
+                            if _rest_holds(chain, sigma, n, term, ratio, total, rel_tol,
+                                           max_terms):
+                                chain.sigma, head, rest, closed = sigma, total, 0.0, 0.0
                                 rel_tol *= 1.0 - abs(ratio)
                                 tail_tol = _TAIL_SHARE * rel_tol
                                 small_run = tail_run = 0
-                        else:
-                            operand_run = 0
-                    prev_sigma = sigma
-                prev_sample = sample
+                            else:
+                                chain.sigma, chain = 0.0, None
+                    else:
+                        operand_run = 0
+                prev_sigma = sigma
+            prev_sample = sample
         prev_term = term
     else:
         _note_terms(n)
@@ -339,6 +352,55 @@ def _rest_within(drift: float, term: float, ratio: float, total: float, rel_tol:
     c = 1.0 - r
     return drift * abs(term) * r <= (_OPERAND_SHARE * rel_tol * abs(
         total + term * ratio / (1.0 - ratio)) + _ABS_TOL) * c * c * c
+
+
+def _rest_holds(chain: _Chain, sigma: float, n: int, term: float, ratio: float,
+                total: float, rel_tol: float, max_terms: int) -> bool:
+    """The spot checks of _accumulate before the rest past its n-th term takes
+    v_n sigma**k for its samples: whether the operand matches that at a few
+    points further down the chain.  Ratios alone cannot tell a power from an
+    operand that is one only near the chain's start (a step, a clamp, a
+    forcing of compact support).
+
+    The rest's terms fall about as |term| r**k, r = |ratio| in (0, 1), and
+    from the k-th on sum to |term| r**k / (1 - r).  Let scale be
+    _TAIL_SHARE * rel_tol * |S + tail| + _ABS_TOL, tol the relative
+    deviation scale (1 - r) / |term|, and last the first k with r**k <= tol
+    (at most max_terms).  A rest with last below _REST_MIN * n is not drawn:
+    it would save fewer samples than its checks and the rest's tighter
+    tolerance cost a cheap operand.  Otherwise the operand is sampled at
+    k = n, 3n, 7n, ... (each check doubling the stretch of the chain seen)
+    below last, and at last; each sample must lie within tol r**-j of
+    v_n sigma**k, j the check before it (0 for the first).  A deviation that
+    grows or holds between two checks, such as a step's, then costs the rest
+    at most scale per check, and one past last at most scale times its size.
+    A deviation confined between two checks goes unseen.  A sample that
+    fails to evaluate fails the check: the walk that follows samples that
+    point only if the sum reaches it, and raises there as before.
+    """
+    r = abs(ratio)
+    scale = _TAIL_SHARE * rel_tol * abs(total + term * ratio / (1.0 - ratio)) + _ABS_TOL
+    f, q, x, v = chain.f, chain.q, chain.point, chain.sample
+    if chain.upward:
+        q = 1.0 / q
+    # A sample, sigma**k or r**-k out of range fails the check alike.
+    try:
+        bound = tol = scale * (1.0 - r) / abs(term)
+        last = min(max_terms, math.ceil(math.log(tol) / math.log(r))) if tol < 1.0 else 1
+        if last < _REST_MIN * n:
+            return False
+        k = n
+        while True:
+            expected = v * sigma**k
+            if not abs(f(x * q**k) - expected) <= bound * abs(expected):
+                return False
+            if k == last:
+                return True
+            bound, k = tol * r**-k, 2 * k + n
+            if k > last:
+                k = last
+    except Exception:
+        return False
 
 
 def _check_budget(n: int, trunc: Truncation, where: tuple) -> None:
@@ -436,41 +498,54 @@ def _chain_sum(
     operand's times a constant, whose closed tail is already exact in the
     weights.  An infinite upward sum is watched for growth; where names a
     failure, as in _accumulate."""
-    seen = [0.0] if steps is None and not geometric else []
-    return _accumulate(_walk(f, x, p.q, upward, weights, seen), p.trunc, detect_growth=upward,
-                       count=steps, where=where, samples=seen)
+    q = p.q
+    chain = _Chain(f, q, upward) if steps is None and not geometric else None
+    return _accumulate(_walk(f, x, q, upward, weights, chain), p.trunc, detect_growth=upward,
+                       count=steps, where=where, chain=chain)
+
+
+class _Chain:
+    """The operand of an infinite lattice series on its chain, which _walk
+    samples and _accumulate watches.
+
+    While ``sigma`` is None, _walk puts each point x_N and its sample
+    v_N = f(x_N) in ``point`` and ``sample``, and reads ``sigma`` after each
+    term.  _accumulate sets it once: to 0.0 when it stops watching the
+    operand, and the walk goes on sampling; or to the operand's settled ratio,
+    and the walk takes v_N sigma**k for its samples from then on.  The spot
+    checks (_rest_holds) sample f off the walk, from ``point`` by powers of q.
+    """
+
+    __slots__ = ("f", "q", "upward", "point", "sample", "sigma")
+
+    def __init__(self, f: QFunction, q: float, upward: bool) -> None:
+        self.f, self.q, self.upward = f, q, upward
+        self.point = self.sample = 0.0
+        self.sigma: float | None = None
 
 
 def _walk(f: QFunction, point: float, q: float, upward: bool, weights: Iterable[float],
-          seen: list[float]) -> Iterator[float]:
-    """The terms w_k f(x_k) of _chain_sum, for weights that do not run out.
-    While seen is not empty, each sample goes to seen[0], and _accumulate
-    answers by replacing it: with None once it stops watching the operand,
-    and the walk goes on plainly; or with the operand's settled ratio sigma,
-    and the walk yields w_k v_N sigma**k from then on, v_N the last sample,
-    with no further call of f.  The state comes in as arguments, as a
-    closure over it makes each term slower."""
+          chain: _Chain | None) -> Iterator[float]:
+    """The terms w_k f(x_k) of _chain_sum, for weights that do not run out,
+    under the protocol of _Chain where a chain is given.  The state comes in
+    as arguments, as a closure over it makes each term slower."""
     weights = iter(weights)
-    if seen:
+    if chain is not None:
         for w in weights:
-            seen[0] = sample = f(point)
+            chain.point = point
+            chain.sample = sample = f(point)
             yield w * sample
             point = point / q if upward else point * q
-            if seen[0] is not sample:
+            if chain.sigma is not None:
                 break
-    if seen and seen[0] is not None:
-        sigma = seen[0]
-        for w in weights:
-            sample *= sigma
-            yield w * sample
-    elif upward:
-        for w in weights:
-            yield w * f(point)
-            point /= q
-    else:
-        for w in weights:
-            yield w * f(point)
-            point *= q
+        sigma = chain.sigma
+        if sigma:
+            for w in weights:
+                sample *= sigma
+                yield w * sample
+    for w in weights:
+        yield w * f(point)
+        point = point / q if upward else point * q
 
 
 def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -> float:

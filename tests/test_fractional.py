@@ -9,6 +9,7 @@ import qfrac.special
 
 from qfrac import (
     DomainError,
+    IVProblem,
     NonConvergence,
     NumericOverflow,
     QCalculusError,
@@ -27,6 +28,7 @@ from qfrac import (
     right_caputo,
     right_frac_integral,
     right_riemann_deriv,
+    solve_ivp_closed,
 )
 
 from qfrac.core import _grid_exponent
@@ -542,14 +544,16 @@ class TestOperandClose:
     def test_nested_right_integral_samples_its_operand_a_few_times(self):
         # The record right_semigroup_infinite at q = 0.8, alpha = 1.3,
         # beta = 0.4, f = s**-2, t = q**3: the inner integral, itself a
-        # power of s to rounding, is sampled 5 times, and each inner series
-        # samples s**-2 5 times.  The term test alone sampled them 103 and
-        # 7,931 times, and left the nested route 2.2e-13 off the direct one.
+        # power of s to rounding, is sampled 11 times (5 to settle, 6 spot
+        # checks), and each inner series samples s**-2 11 times, 121 in all.
+        # The term test alone sampled them 103 and 7,931 times, and left the
+        # nested route 2.2e-13 off the direct one.
         q, p = 0.8, QParams(0.8)
         f, calls = counted(lambda s: s**-2.0)
         inner, points = counted(lambda s: right_frac_integral(f, INF, 1.3, s, p))
-        nested = right_frac_integral(inner, INF, 0.4, q**3, p)
-        assert len(points) <= 8 and len(calls) <= 40
+        with count_terms() as counter:
+            nested = right_frac_integral(inner, INF, 0.4, q**3, p)
+        assert (len(points), len(calls), counter.total) == (11, 121, 1022)
         assert rel_err(nested, right_frac_integral(lambda s: s**-2.0, INF, 1.7, q**3, p)) < 3e-14
 
     def test_polynomial_samples_as_many_times_as_before(self):
@@ -560,38 +564,60 @@ class TestOperandClose:
         left_frac_integral(f, 0.0, 0.7, 1.0, QParams(0.5))
         assert len(calls) == 25
 
-    @pytest.mark.parametrize(("q", "left_terms", "right_terms"), [
-        (0.3, 13, 10), (0.5, 20, 15), (0.9, 107, 79)])
-    def test_power_closes_after_five_samples(self, q, left_terms, right_terms):
-        # The rest's terms count as terms: from 13, 19 and 101 terms on the
-        # left and 10, 15 and 76 on the right, every one a sample, to the
-        # counts here, 5 of them samples.
+    @pytest.mark.parametrize(("q", "left", "right"), [
+        (0.5, (19, 19), (15, 15)), (0.8, (9, 53), (9, 40)), (0.9, (10, 107), (10, 79))])
+    def test_power_closes_after_five_samples(self, q, left, right):
+        # (samples, terms): 5 samples settle the ratio, and 4 or 5 spot
+        # checks confirm it.  The rest's terms count as terms: from 51 and
+        # 101 terms on the left and 39 and 76 on the right, every one a
+        # sample, to the counts here.  At q = 0.5 the rests would be shorter
+        # than 8 times the 5 terms taken, and every term is a sample, as
+        # with the term test alone.
         p = QParams(q)
         f, calls = counted(lambda s: s**0.5)
         with count_terms() as counter:
             left_frac_integral(f, 0.0, 0.7, 1.0, p)
-        assert (len(calls), counter.total) == (5, left_terms)
+        assert (len(calls), counter.total) == left
         f, calls = counted(lambda s: s**-3.0)
         with count_terms() as counter:
             right_frac_integral(f, INF, 0.7, 1.0, p)
-        assert (len(calls), counter.total) == (5, right_terms)
+        assert (len(calls), counter.total) == right
 
     def test_rest_runs_under_the_budget(self):
-        # The rest's terms count against max_terms as the samples do.
-        f, calls = counted(lambda s: s)
-        with pytest.raises(NonConvergence, match=r"stopping rule did not fire within 20 terms$"):
-            left_frac_integral(f, 0.0, 0.7, 1.0, QParams(0.9, Truncation(max_terms=20)))
-        assert len(calls) == 5
+        # The rest's terms count against max_terms as the samples do; its
+        # spot checks end at the budget (5 samples and 4 checks).  A budget
+        # below 8 times the 5 terms taken leaves no room for a rest.
+        for budget, samples in ((60, 9), (20, 21)):
+            f, calls = counted(lambda s: s)
+            with pytest.raises(NonConvergence,
+                               match=rf"stopping rule did not fire within {budget} terms$"):
+                left_frac_integral(f, 0.0, 0.7, 1.0, QParams(0.9, Truncation(max_terms=budget)))
+            assert len(calls) == samples
 
-    def test_operand_that_changes_past_its_first_samples(self):
-        # The documented limit of the operand test: an operand that is a power
-        # of s over its first samples is taken for that power, here s, which
-        # the operand below is only above 0.05.  The term test alone gave
-        # 0.6683974267809896, 1.4e-3 above the value here.
+    # Operands that are a power of s over the first samples of their chain
+    # and change further down, with the values the term test alone gives
+    # (every point sampled).  Taken for that power, the first two were 1.4e-3
+    # and 59% off; the spot checks see them change and sample every point.
+    @pytest.mark.parametrize(("f", "side", "t", "want"), [
+        (lambda s: s if s > 0.05 else 2.0 * s, "left", 1.0, 0.6683974267809896),
+        (lambda s: 1.0 if s > 0.5 else 0.0, "left", 1.0, 0.6872374109127325),
+        (lambda s: min(s, 0.3), "left", 1.0, 0.2940420960516399),
+        (lambda s: s**-2.0 if s < 3.0 else 0.0, "right", 1.0, 0.6767714092624845),
+        (lambda s: min(s**-2.0, 0.5), "right", 0.5, 0.8877960860551876),
+    ])
+    def test_operand_that_changes_past_its_first_samples(self, f, side, t, want):
         p = QParams(0.9)
-        f = lambda s: s if s > 0.05 else 2.0 * s
-        got = left_frac_integral(f, 0.0, 0.7, 1.0, p)
-        assert got == left_frac_integral(lambda s: s, 0.0, 0.7, 1.0, p) == 0.6674798419368423
+        got = (left_frac_integral(f, 0.0, 0.7, t, p) if side == "left"
+               else right_frac_integral(f, INF, 0.7, t, p))
+        assert rel_err(got, want) <= 4e-16
+
+    def test_forcing_that_changes_past_its_first_samples(self):
+        # The forcing kernel's series closes on its operand as the fractional
+        # integrals do: a step forcing is sampled at every point, for the
+        # term test's values, where taken for the constant 1 it was 48% high.
+        sol = solve_ivp_closed(
+            IVProblem(0.6, -0.8, 0.0, 0.0, lambda s: 1.0 if s > 0.5 else 0.0), QParams(0.9))
+        assert (sol(1.0), sol(2.0)) == (0.5024589139997364, 0.7367483414018885)
 
     def test_jackson_sum_keeps_its_closed_tail(self):
         # Geometric weights: the term ratio is the operand's times q, and the

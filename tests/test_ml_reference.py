@@ -382,9 +382,9 @@ _LATTICE_POWERS = {"s^-2": ((1.0, 2),), "s^-4": ((1.0, 4),), "2s^-3+s^-4": ((2.0
 # side and q, as the parent of the operand test gave it (4.43e-16, 4.38e-15,
 # 3.22e-14 and 3.16e-13 on the left, 7.20e-16, 3.91e-15, 3.58e-14 and
 # 3.81e-13 on the right), rounded up: the series must be no less accurate.
-# The operand test gives 4.41e-16, 4.38e-15, 3.22e-14 and 3.11e-13 on the
+# The operand test gives 4.43e-16, 4.38e-15, 3.22e-14 and 3.11e-13 on the
 # left, where the polynomials that set the worst do not close on their
-# operand, and 7.20e-16, 1.10e-15, 1.56e-14 and 1.82e-13 on the right, whose
+# operand, and 7.20e-16, 1.99e-15, 1.56e-14 and 1.82e-13 on the right, whose
 # rest is held to rel_tol (1 - |rho|).
 LATTICE_BOUNDS = {
     "left": {0.3: 4.5e-16, 0.5: 4.4e-15, 0.7: 3.3e-14, 0.9: 3.2e-13},
