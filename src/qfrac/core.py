@@ -51,21 +51,14 @@ QFunction = Callable[[float], float]
 # The fixed parts of the stopping rule that Truncation describes.
 _ABS_TOL = 1e-300
 _SMALL_RUN = 3
-# Share of rel_tol that the drift of a closed geometric tail may reach.
+# Share of rel_tol that the drift of a closed geometric tail may reach, and
+# that each spot check of a lattice series' rest may cost it (see
+# _rest_holds): at 0.01 the rounding of sigma, which grows along the rest,
+# failed the checks of exact powers at q = 0.9.
 _TAIL_SHARE = 0.1
-# The operand test of a lattice series (see _accumulate).  A relative drift of
-# the operand's ratio within 4 eps (_SIGMA_EPS2 is its square) is read as 0;
-# otherwise the drift times the rest's second moment must be within
-# _OPERAND_SHARE of rel_tol of the sum.  At 0.01 every identity record and
-# the 40-digit lattice references (tests/test_ml_reference.py) are at least
-# as accurate as with the term test alone.  Each spot check of the rest may
-# cost it _TAIL_SHARE of rel_tol: at 0.01 the rounding of sigma, which grows
-# along the rest, failed the checks of exact powers at q = 0.9.
-_OPERAND_SHARE = 0.01
 # A rest is drawn only where it would run to at least _REST_MIN times the
 # terms already taken (see _rest_holds).
 _REST_MIN = 8
-_SIGMA_EPS2 = (4.0 * 2.0**-52) ** 2
 
 
 @dataclass(frozen=True)
@@ -82,18 +75,17 @@ class Truncation:
     once 3 successive terms satisfy
     ``|term| <= rel_tol * |partial_sum| + _ABS_TOL``.  An infinite lattice
     series (weights w_n that are not geometric, terms w_n v_n) also watches
-    its operand's ratio sigma_n = v_n / v_{n-1}: once for 3 successive terms
-    its relative drift is within 4 eps, or that drift times the rest's second
-    moment ``|term_n| r / (1 - r)**3`` (r = |rho_n| < 1) is within
-    ``_OPERAND_SHARE * rel_tol * |S + tail| + _ABS_TOL`` (0.01), the operand
-    is sampled at a few points further down the chain (doubling the stretch
-    seen, up to where the rest's terms are within that share); if each sample
-    is v_n sigma**k to within that share of the sum, the rest of the sum
-    takes v_n sigma**k for its samples, calls the operand no more, and runs
-    under the rule above at ``rel_tol (1 - r)``; its terms count as terms.
-    Otherwise, where the rest would run to fewer than 8 n terms, or once
-    sigma moves by more than rel_tol, the operand is sampled at every term.
-    A sum with a known
+    its operand's ratio sigma_n = v_n / v_{n-1}: once its relative drift has
+    stayed within rel_tol for 3 successive terms, at the first term with
+    r = |rho_n| < 1 the operand is sampled at a few points further down the
+    chain (doubling the stretch seen, up to where the rest's terms are within
+    ``_TAIL_SHARE * rel_tol * |S + tail| + _ABS_TOL``); if each sample is
+    v_n sigma**k to within that share of the sum, the rest of the sum takes
+    v_n sigma**k for its samples, calls the operand no more, and runs under
+    the rule above at ``rel_tol (1 - r)``; its terms count as terms.
+    Otherwise, where a sample fails, where the rest would run to fewer than
+    8 n terms, or once sigma moves by more than rel_tol, the operand is
+    sampled at every term.  A sum with a known
     number of terms is summed in full.  A product (c; q)_inf stops once 3
     successive ``|c q**j|`` are at most rel_tol and multiplies in its closed
     tail ``1 - c q**(j+1) / (1 - q)``, within ``(rel_tol / (1 - q))**2``.
@@ -203,13 +195,11 @@ def _accumulate(
     _walk, which puts each sample v_n in ``chain`` while the sum watches the
     operand's ratio sigma_n = v_n / v_{n-1}; past the sample v_N at which
     sigma has settled, the rest of the sum is v_N sum_{k>=1} w_{N+k} sigma**k.
-    Its error, if sigma moves on by its last relative drift d, is about d
-    times the rest's second moment sum_{k>=1} k (k+1) / 2 |term_N| r**k
-    = |term_N| r / (1 - r)**3, r = |rho_N|.  After ``_SMALL_RUN`` successive
-    terms with d read as 0 (within 4 eps), or with that error within
-    ``_OPERAND_SHARE * rel_tol * |S + tail| + abs_tol``, and |rho_N| < 1, the
-    sum spot-checks the rest (_rest_holds): a few samples further down the
-    chain must match v_N sigma**k.  If they do, the walk draws the rest's
+    While sigma's relative drift between samples stays within rel_tol, the
+    operand is watched; after ``_SMALL_RUN`` such drifts, at the first term
+    with |rho_N| < 1, the sum spot-checks the rest (_rest_holds), the one
+    test of whether sigma has settled: a few samples further down the chain
+    must match v_N sigma**k.  If they do, the walk draws the rest's
     terms from the same weights with v_N sigma**k for samples, and no operand
     call.  The term test above then runs on at rel_tol (1 - |rho_N|) (the
     closed tail of a ratio that still settles is off by more than its drift,
@@ -308,15 +298,14 @@ def _accumulate(
                 sigma = sample / prev_sample
                 if prev_sigma:
                     # Squares of sigma's drift and of sigma: no abs or
-                    # division on the common paths.  A sigma past 1e154
-                    # is not taken for settled.
+                    # division on the common path.  A sigma past 1e154,
+                    # whose square overflows, is not dropped here; no rest
+                    # is drawn at it, as its term ratio is not below 1 or
+                    # sigma**k overflows in the spot checks.
                     drift = sigma - prev_sigma
-                    drift *= drift
-                    size = sigma * sigma
-                    if drift > rel_tol * rel_tol * size:
+                    if drift * drift > rel_tol * rel_tol * (sigma * sigma):
                         chain.sigma, chain = 0.0, None
-                    elif drift <= _SIGMA_EPS2 * size < inf or _rest_within(
-                            math.sqrt(drift / size), term, ratio, total, rel_tol):
+                    else:
                         operand_run += 1
                         if operand_run >= _SMALL_RUN and 0.0 < abs(ratio) < 1.0:
                             if _rest_holds(chain, sigma, n, term, ratio, total, rel_tol,
@@ -327,8 +316,6 @@ def _accumulate(
                                 small_run = tail_run = 0
                             else:
                                 chain.sigma, chain = 0.0, None
-                    else:
-                        operand_run = 0
                 prev_sigma = sigma
             prev_sample = sample
         prev_term = term
@@ -341,26 +328,14 @@ def _accumulate(
     return total if rest is None else head + (rest + term + closed)
 
 
-def _rest_within(drift: float, term: float, ratio: float, total: float, rel_tol: float) -> bool:
-    """The operand test of _accumulate past a drift read as 0: the relative
-    drift times the rest's second moment |term| r / (1 - r)**3, r = |ratio|
-    in (0, 1), within _OPERAND_SHARE * rel_tol * |S + tail| + _ABS_TOL, tail
-    = term ratio / (1 - ratio); both sides times (1 - r)**3."""
-    r = abs(ratio)
-    if not 0.0 < r < 1.0:
-        return False
-    c = 1.0 - r
-    return drift * abs(term) * r <= (_OPERAND_SHARE * rel_tol * abs(
-        total + term * ratio / (1.0 - ratio)) + _ABS_TOL) * c * c * c
-
-
 def _rest_holds(chain: _Chain, sigma: float, n: int, term: float, ratio: float,
                 total: float, rel_tol: float, max_terms: int) -> bool:
     """The spot checks of _accumulate before the rest past its n-th term takes
     v_n sigma**k for its samples: whether the operand matches that at a few
-    points further down the chain.  Ratios alone cannot tell a power from an
-    operand that is one only near the chain's start (a step, a clamp, a
-    forcing of compact support).
+    points further down the chain.  They alone decide whether sigma has
+    settled, as the watch before them only rules out a drift past rel_tol;
+    and ratios alone cannot tell a power from an operand that is one only
+    near the chain's start (a step, a clamp, a forcing of compact support).
 
     The rest's terms fall about as |term| r**k, r = |ratio| in (0, 1), and
     from the k-th on sum to |term| r**k / (1 - r).  Let scale be

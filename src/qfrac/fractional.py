@@ -93,9 +93,10 @@ def _lattice_series(
     ever rebuilt.  With c = a / t < 1 they follow the kernel
     (t - qs)_q^(alpha-1) along s = a q**k.  These weights are not geometric,
     so an infinite series may close on its operand's ratio (see
-    core._accumulate): where the rest is long, a power of s is sampled 5
-    times and at a few spot checks further down, and the rest of the series
-    is drawn from these weights alone.  A power q**alpha or q**-alpha
+    core._accumulate): where the rest is long, an operand whose ratio stays
+    within rel_tol over 5 samples is sampled at a few spot checks further
+    down, and if it is a power of s there too, the rest of the series is
+    drawn from these weights alone.  A power q**alpha or q**-alpha
     too large for a double raises NumericOverflow through where.
     """
     q = p.q

@@ -564,6 +564,13 @@ def _alternating(q):
     return lambda s: math.cos(c * math.log(s))
 
 
+def _nudge(alpha, t):
+    """A relative perturbation eps, |eps| from 1e-16 to 1e-13 as alpha runs
+    over the draws' [0.2, 2.5], negative below t = 1.65."""
+    eps = 10.0 ** (-16.0 + 3.0 * (alpha - 0.2) / 2.3)
+    return eps if t > 1.65 else -eps
+
+
 _LATTICE_SUMS = {
     "left s^g": lambda q, al, t, g, p: left_frac_integral(lambda s: s**g, 0.0, al, t, p),
     "left s^2+s^2.5": lambda q, al, t, g, p: left_frac_integral(
@@ -575,6 +582,14 @@ _LATTICE_SUMS = {
         lambda s, sign=_alternating(q): sign(s) * (1.0 + s), 0.0, al, t, p),
     "right s^-g": lambda q, al, t, g, p: right_frac_integral(
         lambda s: s ** -(al + g), INF, al, t, p),
+    # Powers of s up to a relative eps s or eps / s, whose ratio drifts
+    # within rel_tol, and for the larger eps by more than 4 eps: the spot
+    # checks alone decide whether their rest is drawn.  Over 1,800 random
+    # cases each, worst 1.9e-13 on the left and 3.9e-13 on the right.
+    "left s^g (1+eps s)": lambda q, al, t, g, p: left_frac_integral(
+        lambda s, e=_nudge(al, t): s**g * (1.0 + e * s), 0.0, al, t, p),
+    "right s^-g (1+eps/s)": lambda q, al, t, g, p: right_frac_integral(
+        lambda s, e=_nudge(al, t): s ** -(al + g) * (1.0 + e / s), INF, al, t, p),
     "right s^-2+s^-2.5": lambda q, al, t, g, p: right_frac_integral(
         lambda s: s**-2.0 + s**-2.5, INF, min(al, 1.5), t, p),
     "right exp": lambda q, al, t, g, p: right_frac_integral(_DECAY, INF, al, t, p),

@@ -2,7 +2,9 @@
 name it exports, and some module of the package reads each private name
 bound at the top level of a module, so no helper outlives its callers.  Each
 default of a private helper is passed by one call and left to by another, so
-no default stands for a constant or is never read.
+no default stands for a constant or is never read.  Each `module.name` that
+the README gives for a module of the package is bound there, so the README
+names no deleted code.
 
 A name counts as used when the module reads it (including inside a quoted
 annotation) or lists it in ``__all__``, so a stale ``__all__`` entry would
@@ -11,6 +13,7 @@ pass the first check; the second imports each module and looks the entries up.
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -147,6 +150,28 @@ def test_detects_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_privates(sources) == []
+
+
+def unbound_code_names(text: str, modules: dict[str, types.ModuleType]) -> list[str]:
+    """The `module.name` spans of text, for a module of modules, that the
+    module does not bind; a file name such as `checks.py` is not one."""
+    spans = re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", text)
+    return [f"{module}.{name}" for module, name in dict.fromkeys(spans)
+            if module in modules and name != "py" and not hasattr(modules[module], name)]
+
+
+def test_detects_a_stale_code_name():
+    module = types.ModuleType("core")
+    module._KEPT = 1
+    text = "`core._KEPT`, `core._GONE`, `core.py`, `math.inf` and `other._X`"
+    assert unbound_code_names(text, {"core": module}) == ["core._GONE"]
+
+
+def test_readme_code_names_exist():
+    modules = {p.stem: importlib.import_module(f"qfrac.{p.stem}")
+               for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__")}
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert unbound_code_names(readme, modules) == []
 
 
 def private_callables(tree: ast.Module):
