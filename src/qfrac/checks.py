@@ -20,7 +20,7 @@ from functools import cache, partial
 from operator import itemgetter
 
 from . import special
-from .core import (QFunction, QParams, Truncation, _power, count_terms, nabla_q, nabla_q_n,
+from .core import (QFunction, QParams, Truncation, count_terms, nabla_q, nabla_q_n,
                    q_bracket, q_integral, q_integral_tail)
 from .errors import QCalculusError
 from .fractional import (left_caputo, left_frac_integral, left_riemann_deriv, r_coef,
@@ -108,10 +108,6 @@ class CheckReport:
     def n_failed(self) -> int:
         return sum(not r.passed for r in self.records)
 
-    @property
-    def has_errors(self) -> bool:
-        return any(r.error is not None for r in self.records)
-
     def to_json_obj(self) -> dict:
         # The wall-clock duration is deliberately omitted so identical seeds
         # produce byte-identical reports.  Records skip dataclasses.asdict: its
@@ -194,14 +190,14 @@ def _record(identity, params, lhs_fn, rhs_fn, tolerance, judge=_within) -> Ident
     (lhs_fn may return raw values that the judge reduces to one).
 
     A numeric failure, from this package or from float arithmetic, becomes
-    the record's error, so one bad record never aborts its suite.
+    the record's error, with lhs, rhs and rel_err left NaN, so one bad record
+    never aborts its suite.
     """
     rec = IdentityRecord(identity, params, tolerance=tolerance)
     with count_terms() as counter:
         try:
-            rec.lhs = lhs_fn()
-            rec.rhs = rhs_fn()
-            rec.lhs, rec.rel_err, rec.passed = judge(rec.lhs, rec.rhs, tolerance)
+            lhs, rhs = lhs_fn(), rhs_fn()
+            (rec.lhs, rec.rel_err, rec.passed), rec.rhs = judge(lhs, rhs, tolerance), rhs
         except (QCalculusError, ArithmeticError) as exc:
             rec.error = f"{type(exc).__name__}: {exc}"
         rec.terms = counter.total
@@ -510,11 +506,16 @@ _TABLE = {
             lambda alpha, beta, f, t, p, memo: right_frac_integral(
                 memo(_pointwise, right_frac_integral, f, INF, alpha, p), INF, beta, t, p),
             lambda alpha, beta, f, t, p: right_frac_integral(f, INF, alpha + beta, t, p)),
-        # To a finite b the nested route equals the direct one to b q: exact finite sums.
-        _Identity("right_semigroup_shifted", 1e-12, {"alpha": _ORDERS, **_RIGHT},
-            lambda alpha, b, f, t, p, memo: right_frac_integral(
-                memo(_pointwise, right_frac_integral, f, b, alpha, p), b, 1.0, t, p),
-            lambda q, alpha, b, f, t, p: right_frac_integral(f, b * q, alpha + 1.0, t, p)),
+        # To a finite b: with the inner endpoint at b q**(1-beta) the outer
+        # integral samples it on its own lattice, and the nested route equals
+        # the direct one to b q for every alpha, beta (q-Chu-Vandermonde on
+        # the weights).  Exact finite sums; explore reads this entry.
+        _Identity("right_semigroup_finite", 1e-12,
+            {("alpha", "beta"): ((0.4, 1.0), (0.9, 0.9), (1.3, 1.7)), **_RIGHT},
+            lambda q, alpha, beta, b, f, t, p, memo: right_frac_integral(
+                memo(_pointwise, right_frac_integral, f, b * q ** (1.0 - beta), alpha, p),
+                b, beta, t, p),
+            lambda q, alpha, beta, b, f, t, p: right_frac_integral(f, b * q, alpha + beta, t, p)),
         # Every summand vanishes identically, so the sum is exactly zero.
         _Identity("vanishing_above_endpoint", 0.0,
             {("alpha", "beta"): ((0.5, 0.7), (1.3, 0.4)), "b": (1.0,), "t": lambda q: [q**2]},
@@ -668,32 +669,12 @@ def run_suite(
 
 
 # ---------------------------------------------------------------------------
-# Finite-b right semigroup exploration (measured, never asserted).
+# explore: the finite-b right semigroup of check frac over a grid of orders.
 
 def default_explore_grid() -> list[tuple[float, float]]:
     """6 x 6 grid over 0.25..1.5; includes pairs with integer alpha + beta."""
     values = [0.25 * k for k in range(1, 7)]
     return [(a, b) for a in values for b in values]
-
-
-def _right_integral_anchored(
-    f: QFunction, b: float, alpha: float, x: float, p: QParams
-) -> float:
-    """Right integral with a lower limit off the grid of b.
-
-    Uses the signed zero-anchored Jackson difference for the range [x, b], the
-    natural extension when b / x is not an integer power of q (it matches the
-    grid-aligned definition exactly whenever the points do align).
-    """
-    q = p.q
-    shift = _power(q, 1.0 - alpha, "right integral from x={!r} to b={!r}, alpha={!r}, q={!r}",
-                   x, b, alpha, q)
-
-    def integrand(s: float) -> float:
-        kernel = special.q_factorial_power(s, x, alpha - 1.0, p)
-        return kernel * f(s * shift) if kernel != 0.0 else 0.0
-
-    return r_coef(alpha, q) * q_integral(integrand, x, b, p) / special.q_gamma(alpha, p)
 
 
 def explore_finite_right_semigroup(
@@ -704,22 +685,22 @@ def explore_finite_right_semigroup(
     t: float,
     trunc: Truncation | None = None,
 ) -> list[IdentityRecord]:
-    """Residuals of the nested-vs-direct finite-b right integrals on a grid.
+    """check frac's right_semigroup_finite records at one q, b, t and operand f.
 
-    One "right_semigroup_finite" record per (alpha, beta) pair: lhs is the
-    nested route, rhs the direct alpha + beta integral.  The nested route
-    needs the inner integral at points off the grid of b, where no proved
-    composition rule exists; the tolerance is therefore NaN, so a record
-    carries its residual and is never judged.  A pair whose evaluation fails
-    numerically carries the failure in its error field.
+    One record per (alpha, beta) pair, judged at the entry's tolerance: lhs
+    is I_b^beta [I_{b q^(1-beta)}^alpha f](t), the nested route, and rhs is
+    I_{b q}^(alpha+beta) f(t).  The pairs share one memo of inner values.  A
+    pair whose evaluation fails numerically carries the failure in its error
+    field.
     """
-    p = QParams(q, trunc or Truncation())
+    entry = next(e for e in _TABLE["frac"] if e.name == "right_semigroup_finite")
+    read_lhs, read_rhs = _reader(entry.lhs), _reader(entry.rhs)
+    case = {"p": QParams(q, trunc or Truncation()), "f": f,
+            "memo": cache(lambda fn, *args: fn(*args))}
     records = []
     for alpha, beta in pairs:
-        inner = cache(partial(_right_integral_anchored, f, b, alpha, p=p))
-        records.append(_record(
-            "right_semigroup_finite", {"q": q, "alpha": alpha, "beta": beta, "b": b, "t": t},
-            partial(right_frac_integral, inner, b, beta, t, p),
-            partial(right_frac_integral, f, b, alpha + beta, t, p), math.nan,
-        ))
+        params = {"q": q, "alpha": alpha, "beta": beta, "b": b, "t": t}
+        case.update(params)
+        records.append(_record(entry.name, params, partial(entry.lhs, *read_lhs(case)),
+                               partial(entry.rhs, *read_rhs(case)), entry.tolerance))
     return records

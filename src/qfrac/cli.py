@@ -1,9 +1,11 @@
 """Command-line front end: evaluate operators, run identity suites, explore.
 
-Exit codes: 0 success, 1 identity failure (check), 2 numeric failure
-(non-convergence, pole or overflow), 3 usage error (bad flags, malformed
-expression, domain violations).  Reports are byte-reproducible for a fixed
-seed.
+explore judges the finite-endpoint right semigroup of check frac over a grid
+of order pairs.  Exit codes: 0 success, 1 identity failure (a check record or
+explore row outside its tolerance), 2 numeric failure (non-convergence, pole
+or overflow; in check and explore, a record or row in error), 3 usage error
+(bad flags, malformed expression, domain violations).  Reports are
+byte-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -197,6 +199,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # check
 
+def _verdict(records: list[checks.IdentityRecord]) -> int:
+    """The exit code of check and explore: 2 if a record errored, 1 if one
+    missed its tolerance, else 0."""
+    if any(rec.error is not None for rec in records):
+        return 2
+    return 0 if all(rec.passed for rec in records) else 1
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     trunc = _resolve_truncation(args)
     # Open --out first, so an unwritable path fails before the suite runs.
@@ -215,9 +225,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"failed={report.n_failed} duration={report.duration:.2f}s",
         file=sys.stderr,
     )
-    if report.has_errors:
-        return 2
-    return 0 if report.passed else 1
+    return _verdict(report.records)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +284,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                     "value_rhs": blank_nan(rec.rhs),
                     "rel_err": blank_nan(rec.rel_err),
                     "terms": rec.terms,
-                    "status": "error" if rec.error else "ok",
+                    "status": "error" if rec.error else "pass" if rec.passed else "fail",
                     "error": rec.error,
                 }
             )
-    if records and all(rec.error for rec in records):
-        return 2
-    return 0
+    return _verdict(records)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser(
         "explore",
-        help="measure finite-endpoint right-integral composition residuals",
+        help="judge the finite-endpoint right semigroup over order pairs",
     )
     ex.add_argument("--q", type=float, default=None)
     ex.add_argument("--b", type=float, default=None)

@@ -145,10 +145,13 @@ def test_criterion_8_right_operator_reductions(frac_report):
     ok = _all_pass(frac_report, "right_inverse_reduction", 1e-8)
     ok = ok and _all_pass(frac_report, "right_semigroup_infinite", 1e-6)
     # The right Riemann series to every b against its definition, the finite
-    # right semigroup with the endpoint moved to b q, and right Caputo
-    # against the Riemann series to infinity.
+    # right semigroup I_b^beta I_{b q^(1-beta)}^alpha = I_{b q}^(alpha+beta)
+    # at beta = 1 and beyond it, and right Caputo against the Riemann series
+    # to infinity.
     ok = ok and _all_pass(frac_report, "riemann_series_right", 1e-10)
-    ok = ok and _all_pass(frac_report, "right_semigroup_shifted", 1e-12)
+    ok = ok and _all_pass(frac_report, "right_semigroup_finite", 1e-12)
+    betas = {r.params["beta"] for r in _pick(frac_report, "right_semigroup_finite")}
+    ok = ok and 1.0 in betas and len(betas) > 1
     ok = ok and _all_pass(frac_report, "caputo_riemann_right_infinite", 1e-10)
     # The analytically derived tail value: the order-one right integral of
     # s^-2 is q / t, whose q-derivative returns -1/t^2.
@@ -161,8 +164,8 @@ def test_criterion_8_right_operator_reductions(frac_report):
         8,
         "right-operator reductions at 1e-8 (incl. the q/t tail), the "
         "infinite right semigroup at 1e-6, the right Riemann series to every b "
-        "and right Caputo to infinity at 1e-10, and the shifted finite "
-        "right semigroup at 1e-12",
+        "and right Caputo to infinity at 1e-10, and the finite right "
+        "semigroup at beta = 1 and beyond at 1e-12",
         ok,
     )
 

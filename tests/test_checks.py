@@ -1,4 +1,5 @@
 import inspect
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -42,7 +43,7 @@ RECORD_COUNTS = {
         "riemann_series_right": 324,
         "right_inverse_reduction": 24,
         "right_semigroup_infinite": 108,
-        "right_semigroup_shifted": 252,
+        "right_semigroup_finite": 252,
         "right_transfer": 252,
         "vanishing_above_endpoint": 6,
     },
@@ -78,6 +79,22 @@ def test_record_keeps_arithmetic_error_as_error_record():
     assert not rec.passed
 
 
+def zero_division(parts, rhs, tolerance):
+    return 1.0 / 0.0
+
+
+@pytest.mark.parametrize("rhs_fn, judge", [
+    (overflowing, checks._within),
+    (lambda: 0.0, zero_division),
+], ids=["rhs", "judge"])
+def test_errored_record_keeps_no_raw_value(rhs_fn, judge):
+    # The lhs route's raw value (here a list a reducing judge would sum)
+    # is never recorded next to the error.
+    rec = checks._record("boom", {"q": 0.5}, lambda: [(0.25, -2.5)], rhs_fn, 1e-9, judge)
+    assert rec.error is not None and not rec.passed
+    assert all(math.isnan(value) for value in (rec.lhs, rec.rhs, rec.rel_err))
+
+
 def test_picard_error_monotone_counts_its_terms():
     report = checks.run_suite("ivp", seed=0)
     (rec,) = [r for r in report.records if r.identity == "picard_error_monotone"]
@@ -97,6 +114,18 @@ def test_record_counts_per_identity(report_all):
     totals = {suite: sum(by_name.values()) for suite, by_name in RECORD_COUNTS.items()}
     assert totals == {"core": 519, "special": 309, "frac": 3378, "ivp": 369}
     assert len(report_all.records) == 4575
+
+
+def test_explore_row_is_the_check_frac_record(report_all):
+    # Both come from the one right_semigroup_finite entry of the table.
+    params = {"q": 0.5, "alpha": 0.4, "beta": 1.0, "b": 1.0, "t": 0.25}
+    (row,) = checks.explore_finite_right_semigroup(
+        [(0.4, 1.0)], 0.5, 1.0, checks._POLYS["t"], 0.25)
+    (rec,) = [r for r in report_all.records
+              if r.identity == row.identity and r.params == {**params, "f": "t"}]
+    assert row.params == params
+    assert (row.lhs, row.rhs, row.rel_err) == (rec.lhs, rec.rhs, rec.rel_err)
+    assert row.passed and row.tolerance == rec.tolerance == 1e-12
 
 
 def test_suite_builders_are_generator_functions():

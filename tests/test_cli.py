@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -344,7 +345,8 @@ class TestEvalErrors:
         (["eval", "fracint", "--side", "right", "--alpha", "60", "--t", "1", "--f", "inv(s)"],
          ["r(alpha) at alpha=60.0, q=0.5", "overflowed"]),
         (["explore", "--b", "1", "--t", "0.25", "--grid", "1e308,1"],
-         ["NumericOverflow: right integral from x=0.5 to b=1.0, alpha=1e+308, q=0.5"]),
+         ["NumericOverflow: right fractional integral at t=0.5, b=1.0, alpha=1e+308, q=0.5: "
+          "0.5**-1e+308 overflowed"]),
         (["eval", "qfact", "--t", "1", "--s", "0.3", "--alpha", "-2000.5"],
          ["(t - s)_q^alpha at t=1.0, s=0.3, alpha=-2000.5, q=0.5", "overflowed"]),
         (["eval", "fracder", "--alpha", "2000.5", "--t", "2", "--f", "1"],
@@ -558,6 +560,7 @@ class TestExplore:
         rows = parse_csv(out)
         assert len(rows) == 36
         assert set(r["identity_id"] for r in rows) == {"right_semigroup_finite"}
+        assert set(r["status"] for r in rows) == {"pass"}
 
     def test_integer_sum_pairs_present(self):
         code, out, _ = run_cli(["explore", "--q", "0.5", "--b", "1"])
@@ -578,53 +581,62 @@ class TestExplore:
         )
         assert code == 0
         row = parse_csv(out)[0]
-        assert row["status"] == "ok"
-        assert float(row["rel_err"]) >= 0.0
+        assert row["status"] == "pass"
+        assert 0.0 <= float(row["rel_err"]) <= 1e-12
 
-    def test_error_rows_reported_with_reason(self):
-        # Matching orders re-align the shifted grids onto kernel poles; the
-        # healthy pair keeps the overall run successful.
+    def test_matching_orders_pass(self):
+        # Equal orders, once poles of an off-grid inner integral, sit on the
+        # lattice with the inner endpoint at b q**(1 - beta).
         code, out, _ = run_cli(
             ["explore", "--q", "0.5", "--b", "1", "--grid", "0.5,0.5;0.25,0.5"]
         )
         assert code == 0
-        rows = parse_csv(out)
-        assert rows[0]["status"] == "error"
-        assert "PoleError" in rows[0]["error"]
-        assert rows[1]["status"] == "ok"
+        assert [row["status"] for row in parse_csv(out)] == ["pass", "pass"]
 
     def test_arithmetic_error_becomes_error_row(self):
+        # The error row keeps no value of the route that ran before the
+        # failure; one error row makes the run a numeric failure, as in check.
         code, out, _ = run_cli(
             ["explore", "--q", "0.5", "--b", "1", "--t", "0.25", "--f", "inv(s - 0.5)",
              "--grid", "0.75,0.25;1,1"]
         )
-        assert code == 0
+        assert code == 2
         rows = parse_csv(out)
-        assert [row["status"] for row in rows] == ["error", "ok"]
+        assert [row["status"] for row in rows] == ["error", "pass"]
         assert rows[0]["error"].startswith("ZeroDivisionError: ")
+        assert rows[0]["value_lhs"] == rows[0]["value_rhs"] == rows[0]["rel_err"] == ""
 
     def test_all_rows_erroring_is_numeric_failure(self):
         code, out, _ = run_cli(
-            ["explore", "--q", "0.5", "--b", "1", "--grid", "0.5,0.5"]
+            ["explore", "--q", "0.5", "--b", "1", "--grid", "1e308,1"]
         )
         assert code == 2
-        assert parse_csv(out)[0]["status"] == "error"
+        (row,) = parse_csv(out)
+        assert row["status"] == "error" and row["error"].startswith("NumericOverflow: ")
+
+    def test_row_outside_its_tolerance_is_identity_failure(self, monkeypatch):
+        # A negative tolerance fails every row, as a wrong route would.
+        frac = tuple(entry._replace(tolerance=-1.0) if entry.name == "right_semigroup_finite"
+                     else entry for entry in qfrac.checks._TABLE["frac"])
+        monkeypatch.setitem(qfrac.checks._TABLE, "frac", frac)
+        code, out, _ = run_cli(
+            ["explore", "--q", "0.5", "--b", "1", "--grid", "0.5,0.5;0.25,0.5"]
+        )
+        assert code == 1
+        assert [row["status"] for row in parse_csv(out)] == ["fail", "fail"]
 
     def test_values_pinned(self):
-        # The nested and direct routes disagree off the grid of b; the error
-        # row is a pole of the kernel.  The nested value is 1.1e-15 from a
-        # 40-digit evaluation of its definition (the pin before closed
-        # product tails was -2.6e-13 off); its terms count both products of
-        # every off-grid kernel.
+        # Exact finite sums on both routes: the nested one equals the direct
+        # one to b q up to rounding, for every pair.
         code, out, _ = run_cli(
             ["explore", "--q", "0.5", "--b", "1", "--grid", "0.25,0.5;0.5,0.5;1,1"]
         )
         assert code == 0
         fields = ("value_lhs", "value_rhs", "rel_err", "terms", "status")
         assert [tuple(row[k] for k in fields) for row in parse_csv(out)] == [
-            ("-0.42817117603589105", "0.7830775818059572", "1.2112487578418483", "5154", "ok"),
-            ("", "", "", "84", "error"),
-            ("0.125", "0.875", "0.75", "173", "ok"),
+            ("0.33130916078993533", "0.33130916078993533", "0.0", "4", "pass"),
+            ("0.25000000000000006", "0.25", "5.551115123125783e-17", "4", "pass"),
+            ("0.125", "0.125", "0.0", "4", "pass"),
         ]
 
     def test_misaligned_endpoint_rejected(self):
@@ -658,6 +670,48 @@ class TestExplore:
         rows = parse_csv(target.read_text())
         assert len(rows) == 2
         assert rows[0].keys() == rows[1].keys()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands(text: str, out_dir: Path) -> list[list[str]]:
+    """The arguments of each `qfrac` line in text's sh blocks, split as a
+    shell would with comments dropped, an --out file moved into out_dir."""
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] != ["qfrac"]:
+                continue
+            argv = argv[1:]
+            if "--out" in argv and argv[argv.index("--out") + 1] != "-":
+                at = argv.index("--out") + 1
+                argv[at] = str(out_dir / Path(argv[at]).name)
+            commands.append(argv)
+    return commands
+
+
+def failing_commands(commands: list[list[str]]) -> list[list[str]]:
+    return [argv for argv in commands if run_cli(argv)[0] != 0]
+
+
+class TestReadmeExamples:
+    def test_examples_exit_zero(self, tmp_path):
+        commands = readme_commands(README.read_text(encoding="utf-8"), tmp_path)
+        assert {argv[0] for argv in commands} == {"eval", "check", "explore"}
+        assert len(commands) >= 13
+        assert failing_commands(commands) == []
+        assert {path.name for path in tmp_path.iterdir()} == {"report.json", "residuals.csv"}
+
+    def test_detects_a_stale_flag(self, tmp_path):
+        text = ("```sh\nqfrac eval gamma --q 0.5 --alpha 1   # kept\n"
+                "qfrac eval gamma --q 0.5 --order 1\n```\n"
+                "```\nqfrac eval gamma --order 1\n```\n")
+        commands = readme_commands(text, tmp_path)
+        assert commands == [["eval", "gamma", "--q", "0.5", "--alpha", "1"],
+                            ["eval", "gamma", "--q", "0.5", "--order", "1"]]
+        assert failing_commands(commands) == [commands[1]]
 
 
 # Values that break naive numerics, next to ordinary ones.
