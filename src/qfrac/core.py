@@ -575,8 +575,8 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
 
 def _start_steps(a: float, t: float, q: float) -> int | None:
     """The number of lattice steps down from t to a: m for a = t q**m
-    (m >= 0), None (infinitely many) for a = 0, and -1 where no lattice
-    series serves (t <= 0, or a off the grid of t or above t)."""
+    (m >= 0), None (infinitely many) for a = 0, and -1 where no count of
+    steps down from t reaches a (t <= 0, or a off the grid of t or above t)."""
     if not t > 0.0:
         return -1
     if a == 0.0:

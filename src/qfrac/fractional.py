@@ -3,7 +3,9 @@
 Left operators integrate downward from t on the chain t, tq, tq**2, ...;
 right operators integrate upward toward b (or infinity) and evaluate their
 operand at shifted points s * q**(1 - alpha), i.e. on a shifted q-grid.
-On grid-aligned endpoints an operator is one lattice series.  A derivative
+On grid-aligned endpoints an operator is one lattice series; the left
+integral is one from every start a >= 0, less its part anchored at an a off
+the grid of t or above t, with no Jackson sum of a kernel.  A derivative
 of non-integer order alpha is the integral at order -alpha (the
 q-Grunwald-Letnikov form of Al-Salam and Agarwal): the left Riemann one from
 every start, left Caputo (on f less its q-Taylor part) from every start
@@ -29,7 +31,6 @@ from .core import (
     _upper_steps,
     nabla_q_n,
     q_bracket,
-    q_integral,
 )
 from .errors import DomainError, NonConvergence, NumericOverflow, QCalculusError
 
@@ -120,20 +121,27 @@ def _left_series(f: QFunction, a: float, alpha: float, t: float, steps: int | No
     """weight * sum_{i<m} c_i f(t q**i), c_i = q**i (q**alpha; q)_i / (q; q)_i, for
     m = steps = _start_steps(a, t, q): I_a^alpha f(t) at weight ((1-q) t)**alpha.
 
-    For steps = -1 (0 < a < t off the grid of t) it is that series for m
-    infinite less the one anchored at a, sum_i W_i f(a q**i), W_0 = weight c
+    For steps = -1 (a > 0 off the grid of t, or above t) it is that series for
+    m infinite less the one anchored at a, sum_i W_i f(a q**i), W_0 = weight c
     (1 - qc)_q^(alpha-1) (q**alpha; q)_inf / (q; q)_inf and W_{i+1} = W_i q
     (1 - c q**(alpha+i)) / (1 - c q**(i+1)), c = a / t: one factorial power and
     two memoised q-Pochhammer tails, no q_gamma, so a large alpha does not overflow.
+    From a = t q**-m above t (t = a q**m by the step rule) the two agree past
+    the first m anchored terms, so it is minus those: W_0 is an exact zero for
+    non-integer alpha, and past them 1 - c q**m would divide by zero.  The
+    step rule and q_factorial_power snap a to the grid within one radius, so
+    a snapped W_0 never reaches the series from 0.
     """
     q = p.q
     where = (_LEFT_AT, t, a, alpha, q)
     if steps != -1:
         return _lattice_series(f, t, False, alpha, weight, steps, p, where)
     c = a / t
-    tail = special._pochhammer_tail
     start = weight * c * special.q_factorial_power(1.0, q * c, alpha - 1.0, p)
-    start *= tail(alpha, p) / tail(1.0, p)
+    start *= special._pochhammer_tail(alpha, p) / special._pochhammer_tail(1.0, p)
+    above = _start_steps(t, a, q) if c > 1.0 else -1
+    if above != -1:
+        return -_lattice_series(f, a, False, alpha, start, above, p, where, c)
     whole = _lattice_series(f, t, False, alpha, weight, None, p, where)
     return whole - _lattice_series(f, a, False, alpha, start, None, p, where, c)
 
@@ -145,30 +153,26 @@ def left_frac_integral(
 
     (1 / q_gamma(alpha)) * integral_a^t (t - qs)_q^(alpha-1) f(s) nabla_q s.
 
-    From a = 0, a = t q**m (m >= 0) or 0 < a < t off the grid of t it is
-    _left_series of weight ((1-q) t)**alpha: a lattice series, less its part
-    anchored at a off the grid.  Any other a (a > t off or on the grid, or
-    t = 0) takes the Jackson sum of the kernel built by q_factorial_power at
-    every point; a NaN or negative a or t raises DomainError.  A negative
+    For t > 0 and every a >= 0 it is _left_series of weight ((1-q) t)**alpha:
+    a lattice series, less its part anchored at an a off the grid of t or
+    above t.  a = t = 0 gives 0.0; a NaN or negative a or t, or t = 0 below
+    a > 0, raises DomainError naming t, a, alpha and q.  A negative
     non-integer order -alpha gives the left Riemann derivative of order alpha
-    on every route.
+    from every start.
     """
     alpha = _integral_order(order)
     q = p.q
     steps = _start_steps(a, t, q)
-    if steps != -1 or 0.0 < a < t:
+    if steps != -1 or (a > 0.0 and t > 0.0):
         weight = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
         return _left_series(f, a, alpha, t, steps, weight, p)
     if math.isnan(a) or math.isnan(t):
         raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: an endpoint is NaN")
     if a < 0.0 or t < 0.0:
         raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: endpoints must be >= 0")
-
-    def integrand(s: float) -> float:
-        kernel = special.q_factorial_power(t, q * s, alpha - 1.0, p)
-        return kernel * f(s) if kernel != 0.0 else 0.0
-
-    return q_integral(integrand, a, t, p) / special.q_gamma(alpha, p)
+    if a > 0.0:
+        raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: t = 0 lies below a")
+    return 0.0
 
 
 def right_frac_integral(

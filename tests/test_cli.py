@@ -207,6 +207,12 @@ class TestEvalErrors:
         assert (code, out) == (3, "")
         assert "left fractional integral at t=-1.0, a=0.0, alpha=0.5, q=0.5" in err
 
+    def test_point_zero_below_the_start_is_usage(self):
+        code, out, err = run_cli(["eval", "fracint", "--q", "0.5", "--t", "0", "--a", "1",
+                                  "--alpha", "1", "--f", "1+s"])
+        assert (code, out) == (3, "")
+        assert "left fractional integral at t=0.0, a=1.0, alpha=1.0, q=0.5" in err
+
     @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
     def test_non_finite_beta_is_usage(self, beta):
         code, out, err = run_cli(["eval", "ml", "--q", "0.5", "--alpha", "0.5", "--lambda", "0.3",

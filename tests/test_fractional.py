@@ -2,7 +2,7 @@ import math
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qfrac.special
@@ -131,6 +131,15 @@ class TestLeftIntegral:
                 rf"^left fractional integral at t={t!r}, a={a!r}, alpha=0\.5, q=0\.5: "
                 r"endpoints must be >= 0$")):
             left_frac_integral(lambda s: s, a, 0.5, t, p_half)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5, 1.7, -0.5])
+    def test_point_zero_below_the_start_is_rejected(self, p_half, alpha):
+        # Integer orders used to return a value (-1.6667 for f = 1 + s,
+        # a = 1, alpha = 1), the others failed inside q_factorial_power.
+        with pytest.raises(DomainError, match=(
+                rf"^left fractional integral at t=0\.0, a=1\.0, alpha={alpha!r}, q=0\.5: ")):
+            left_frac_integral(lambda s: 1.0 + s, 1.0, alpha, 0.0, p_half)
+        assert left_frac_integral(lambda s: 1.0 + s, 0.0, alpha, 0.0, p_half) == 0.0
 
     def test_order_one_is_plain_integral(self, p_half):
         f = lambda s: s + s * s
@@ -501,13 +510,16 @@ class TestLatticeSeries:
         assert abs(got - frozen) <= 1e-14 * abs(frozen)
 
 
-# Off-grid starts 0 < a < t: the lattice series from 0 at t minus the series
+# Off-grid starts a > 0: the lattice series from 0 at t minus the series
 # anchored at a, whose weights run the lattice recurrence at offset c = a / t.
 # The reference is the Jackson-sum route it replaced: the kernel
 # (t - qs)_q^(alpha-1) built by q_factorial_power at every Jackson point.
 OFF_GRID_QS = (0.3, 0.5, 0.7, 0.9)
 OFF_GRID_ORDERS = (0.3, 0.77, 1.4, 1.8, 2.6)
 OFF_GRID_RATIOS = (0.13, 0.37, 0.71)
+# Starts above t, off the grid of t for every q above.  The Caputo sweeps
+# leave them out: the Taylor step's q-power rule does not hold above t.
+OFF_GRID_ABOVE = (1.19, 1.63, 2.4)
 OFF_GRID_TS = (1.0, 0.6)
 # Polynomials as coefficients of s**0, s**1, ...
 OFF_GRID_POLYS = ((1.0,), (0.0, 1.0), (0.5, -0.3, 1.0))
@@ -544,9 +556,9 @@ def jackson_left_integral(f, a, alpha, t, p):
     return q_integral(integrand, a, t, p) / q_gamma(alpha, p)
 
 
-def off_grid_sweep(q):
+def off_grid_sweep(ratios=OFF_GRID_RATIOS):
     for alpha in OFF_GRID_ORDERS:
-        for c in OFF_GRID_RATIOS:
+        for c in ratios:
             for t in OFF_GRID_TS:
                 yield alpha, c * t, t
 
@@ -712,7 +724,7 @@ class TestOffGridStart:
     @pytest.mark.parametrize("q", OFF_GRID_QS)
     def test_integral_matches_jackson_route(self, q):
         p = QParams(q)
-        for alpha, a, t in off_grid_sweep(q):
+        for alpha, a, t in off_grid_sweep(OFF_GRID_RATIOS + OFF_GRID_ABOVE):
             for f in OFF_GRID_OPERANDS:
                 got = left_frac_integral(f, a, alpha, t, p)
                 want = jackson_left_integral(f, a, alpha, t, p)
@@ -727,7 +739,7 @@ class TestOffGridStart:
         # it gave 1.2507 for 1.4709, and for alpha = 2.6 (n = 3) up to 16
         # where the value is 0.
         p = QParams(q)
-        for alpha, a, t in off_grid_sweep(q):
+        for alpha, a, t in off_grid_sweep():
             for coeffs in OFF_GRID_POLYS:
                 got = left_caputo(polynomial(coeffs), a, alpha, t, p)
                 want = power_rule(coeffs, a, alpha, t, p, math.ceil(alpha))
@@ -736,7 +748,7 @@ class TestOffGridStart:
     @pytest.mark.parametrize("q", OFF_GRID_QS)
     def test_riemann_matches_power_rule(self, q):
         p = QParams(q)
-        for alpha, a, t in off_grid_sweep(q):
+        for alpha, a, t in off_grid_sweep(OFF_GRID_RATIOS + OFF_GRID_ABOVE):
             for coeffs in OFF_GRID_POLYS:
                 got = left_riemann_deriv(polynomial(coeffs), a, alpha, t, p)
                 want = power_rule(coeffs, a, alpha, t, p)
@@ -749,7 +761,7 @@ class TestOffGridStart:
         # run), which left cubics off by up to 6e-2; the sum starts at
         # a q**3 instead.
         p, coeffs = QParams(q), (0.5, -0.3, 1.0, 1.0)
-        for alpha, a, t in off_grid_sweep(q):
+        for alpha, a, t in off_grid_sweep():
             if alpha > 2.0:
                 got = left_caputo(polynomial(coeffs), a, alpha, t, p)
                 want = power_rule(coeffs, a, alpha, t, p, 3)
@@ -772,6 +784,17 @@ class TestOffGridStart:
         assert calls == {"q_factorial_power": 1, "q_gamma": 0}
         left_caputo(f, 0.37, 0.77, 1.0, p_half)
         assert calls == {"q_factorial_power": 2, "q_gamma": 0}
+        # Starts above t, off the grid and on it (a = t q**-2).
+        left_frac_integral(f, 1.3, 0.77, 1.0, p_half)
+        assert calls == {"q_factorial_power": 3, "q_gamma": 0}
+        left_frac_integral(f, 1.0 / 0.5**2, 0.77, 1.0, p_half)
+        assert calls == {"q_factorial_power": 4, "q_gamma": 0}
+
+    def test_start_above_point_takes_few_terms(self):
+        # The Jackson sum of the kernel took 104,847 terms here.
+        with count_terms() as counter:
+            left_frac_integral(lambda s: 1.0 + s * s, 1.45, 0.3, 1.0, QParams(0.9))
+        assert counter.total <= 2000
 
     def test_constant_against_exact_value(self):
         # I_a^alpha 1 (t) = (t - a)_q^(alpha) / q_gamma(alpha + 1).  The error
@@ -781,17 +804,17 @@ class TestOffGridStart:
         worst = 0.0
         for q in OFF_GRID_QS:
             p = QParams(q)
-            for alpha, a, t in off_grid_sweep(q):
+            for alpha, a, t in off_grid_sweep():
                 got = left_frac_integral(lambda s: 1.0, a, alpha, t, p)
                 exact = q_factorial_power(t, a, alpha, p) / q_gamma(alpha + 1.0, p)
                 worst = max(worst, abs(got - exact) / abs(exact))
         assert worst <= jackson_worst
 
-    # a > t stays on the Jackson route; its values, frozen from that route
-    # once sums and products closed their geometric tails.  Each is closer to
-    # a 40-digit evaluation of the definition than the pin before (relative
-    # error then -> now: -4.1e-13 -> -8.9e-16, -7.7e-15 -> -5.0e-16,
-    # -2.7e-12 -> -6.5e-14).
+    # a > t, values frozen from the Jackson sum of the kernel that it took
+    # until the offset lattice series replaced it; the series keeps them
+    # within 1.5e-15.  Against 40-digit values of the q-power rule the pins
+    # are 8.5e-16, 5.5e-16 and 6.5e-14 off, the series 1.5e-15, 5.5e-16 and
+    # 6.7e-14.
     @pytest.mark.parametrize(
         "q, alpha, a, t, frozen",
         [
@@ -848,8 +871,10 @@ RIGHT_OPERANDS = st.sampled_from(
 )
 # Largest gap seen between a series and its composition over these ranges is
 # 9e-12, at q near 0.8, from 0 and n = 3; the composition's nested sums carry it.
-# Against the q-power rule the largest is 1.4e-11 (Riemann from a > t, a
-# value of 2.5e3).
+# Against the q-power rule the largest over 10,000 random draws is 1.1e-11
+# (Riemann from a > t off the grid, a value of 3.1e4, where the float power
+# rule is 7.9e-12 off 40 digits and the series 3.3e-12); the Jackson sum of
+# the kernel that it replaced was 2.1e-11 off there.
 SERIES_TOL = 1e-10
 
 
@@ -904,6 +929,10 @@ class TestDerivativeSeries:
     @settings(max_examples=40, deadline=None)
     @given(q=SERIES_Q, alpha=SERIES_ORDERS, t=SERIES_TS, coeffs=COEFFS,
            ratio=st.floats(0.1, 1.9), m=st.integers(1, 4))
+    # Riemann from a > t off the grid: 1.53e-10 off a 60-digit value by the
+    # Jackson sum of the kernel, 4.5e-12 by the anchored series.
+    @example(q=0.5837667558639746, alpha=2.341388004503047, t=1.0, coeffs=(0.0, 1.0, 0.0),
+             ratio=1.4254387110139353, m=1)
     def test_other_endpoints_keep_the_composition(self, q, alpha, t, coeffs, ratio, m):
         # Caputo from 0 with n >= 2 and from a > t give the composition bit
         # for bit, or fail as it does (Caputo from 0 with n >= 3 can, see

@@ -10,8 +10,9 @@ about 1e-24: far below double rounding, and sharing no code with either of
 ivp._ml_sum's routes (the term rule over cached tails, and Euler's expansion
 past the first P terms).  The forcing's sums the q-power rule order by
 order, sharing no code with the closed form's kernel series.  The left
-lattice series from 0 is checked against the q-power rule, the right one to
-infinity against its own series summed in decimal.
+lattice series from 0 and the left integral from starts above t next to the
+grid are checked against the q-power rule, the right series to infinity
+against its own series summed in decimal.
 """
 
 import decimal
@@ -327,18 +328,26 @@ def test_forcing_floor_is_the_truncation():
     assert _forcing_error(0.9, QParams(0.9, Truncation(rel_tol=1e-16))) <= 3e-15
 
 
-def left_from_zero(coeffs: tuple, mu: float, t: float, q: float) -> float:
-    """I_0^mu f(t) for f(s) = sum_n coeffs[n] s**n, at any order mu (mu < 0
-    the Riemann derivative of order -mu), by the q-power rule
-    I_0^mu s**n = Gamma_q(n+1) / Gamma_q(n+1+mu) s**(n+mu)
-    = (1-q)**mu (q**(n+1+mu); q)_inf / (q**(n+1); q)_inf s**(n+mu)."""
+def left_from(coeffs: tuple, a: float, mu: float, t: float, q: float) -> float:
+    """I_a^mu f(t) for f(s) = sum_n coeffs[n] s**n, at any order mu (mu < 0
+    the Riemann derivative of order -mu) and from any start a >= 0, by the
+    q-power rule sum_k nabla_q^k f(a) (t - a)_q^(k+mu) / Gamma_q(k+1+mu)
+    = sum_k nabla_q^k f(a) ((1-q) t)**b (c; q)_inf (q**(b+1); q)_inf
+    / ((q**b c; q)_inf (q; q)_inf), b = k + mu, c = a / t, the q-derivatives
+    at a from the coefficients, nabla_q s**n = [n]_q s**(n-1)."""
     with decimal.localcontext(_CONTEXT):
-        qd, m, td = Decimal(q), Decimal(mu), Decimal(t)
-        total = Decimal(0)
-        for n, c in enumerate(coeffs):
-            if c:
-                total += (Decimal(c) * td ** (n + m) * (1 - qd) ** m
-                          * q_product(qd ** (n + 1 + m), qd) / q_product(qd ** (n + 1), qd))
+        qd, m, td, c = Decimal(q), Decimal(mu), Decimal(t), Decimal(a) / Decimal(t)
+        coeffs = [Decimal(x) for x in coeffs]
+        total, k = Decimal(0), 0
+        while coeffs:
+            value = Decimal(0)
+            for x in reversed(coeffs):
+                value = value * Decimal(a) + x
+            b = k + m
+            total += (value * ((1 - qd) * td) ** b * q_product(c, qd) * q_product(qd ** (b + 1), qd)
+                      / (q_product(qd**b * c, qd) * q_product(qd, qd)))
+            coeffs = [x * (1 - qd**n) / (1 - qd) for n, x in enumerate(coeffs)][1:]
+            k += 1
         return float(total)
 
 
@@ -402,7 +411,7 @@ def _lattice_errors(q: float) -> dict:
         for mu in (0.4, 0.9, 1.3, -0.3, -0.6):
             for coeffs in _LATTICE_POLYS:
                 f = lambda s, coeffs=coeffs: sum(c * s**n for n, c in enumerate(coeffs))
-                want = left_from_zero(coeffs, mu, t, q)
+                want = left_from(coeffs, 0.0, mu, t, q)
                 got = left_frac_integral(f, 0.0, mu, t, p)
                 worst["left"] = max(worst["left"], abs(got - want) / abs(want))
         for mu in (0.4, 0.9, 1.3, -0.3):
@@ -419,3 +428,33 @@ def test_lattice_series_against_the_reference(q):
     worst = _lattice_errors(q)
     assert worst["left"] <= LATTICE_BOUNDS["left"][q]
     assert worst["right"] <= LATTICE_BOUNDS["right"][q]
+
+
+# Starts a = t q**-m (1 + eps) above t next to the grid, for orders mu, with
+# the bound on the error (relative past 1) just outside the snap radius:
+# the series from 0 less the one anchored at a cancel, and both routes lose
+# up to 2e-15 at m = 1 and 3.3e-13 at m = 2.  Integer orders n >= 2 lose
+# more: the anchored weights divide by 1 - c q**m (c = a / t), which the
+# numerator's chain of q-powers multiplied in with another rounding, so past
+# that index every weight is off by about 1e-16 / |1 - c q**m| (6.3e-11 at
+# m = n = 2, where the Jackson sum of the exact integer-order kernel was
+# 4e-16 off).
+_NEAR_GRID = [(m, mu, bound) for m, bound in ((1, 5e-15), (2, 5e-13))
+              for mu in (0.7, 1.0, 2.0, 2.6, -0.7) if (m, mu) != (2, 2.0)] + [(2, 2.0, 1e-10)]
+
+
+@pytest.mark.parametrize("m, mu, bound", _NEAR_GRID)
+def test_start_above_t_next_to_the_grid(m, mu, bound):
+    # a = t q**-m (1 + 1e-9) lies within the radius in which a grid exponent
+    # snaps, and the step rule and the anchored sum's opening weight snap
+    # alike: the value is the one on the grid, to the 1e-9 move of a.  Were
+    # a taken off the grid with its opening weight snapped to 0, the integral
+    # would be the whole series from 0.  a = t q**-m (1 + 2e-9) lies outside.
+    q, coeffs = 0.3, (1.0, 0.0, 1.0)
+    f, p, grid = (lambda s: 1.0 + s * s), QParams(q), q**-m
+    got = left_frac_integral(f, grid * (1.0 + 1e-9), mu, 1.0, p)
+    want = left_from(coeffs, grid, mu, 1.0, q)
+    assert abs(got - want) <= 1e-8 * max(abs(want), 1.0)
+    got = left_frac_integral(f, grid * (1.0 + 2e-9), mu, 1.0, p)
+    want = left_from(coeffs, grid * (1.0 + 2e-9), mu, 1.0, q)
+    assert abs(got - want) <= bound * max(abs(want), 1.0)
