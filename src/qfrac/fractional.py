@@ -127,19 +127,25 @@ def _left_series(f: QFunction, a: float, alpha: float, t: float, steps: int | No
     (1 - c q**(alpha+i)) / (1 - c q**(i+1)), c = a / t: one factorial power and
     two memoised q-Pochhammer tails, no q_gamma, so a large alpha does not overflow.
     From a = t q**-m above t (t = a q**m by the step rule) the two agree past
-    the first m anchored terms, so it is minus those: W_0 is an exact zero for
-    non-integer alpha, and past them 1 - c q**m would divide by zero.  The
-    step rule and q_factorial_power snap a to the grid within one radius, so
-    a snapped W_0 never reaches the series from 0.
+    the first m anchored terms, so it is minus those, and past them
+    1 - c q**m would divide by zero.  The kernel is an exact zero at every one
+    of them for non-integer alpha (W_0 = 0), so the value is 0.0 with nothing
+    sampled, and at the last n - 1 of them for alpha = n, so those are not
+    sampled.  The step rule and q_factorial_power snap a to the grid within
+    one radius, so a snapped W_0 never reaches the series from 0.
     """
     q = p.q
     where = (_LEFT_AT, t, a, alpha, q)
     if steps != -1:
         return _lattice_series(f, t, False, alpha, weight, steps, p, where)
     c = a / t
+    above = _start_steps(t, a, q) if c > 1.0 else -1
+    if above != -1:
+        above = above + 1 - int(alpha) if alpha == int(alpha) else 0
+        if above <= 0:
+            return 0.0
     start = weight * c * special.q_factorial_power(1.0, q * c, alpha - 1.0, p)
     start *= special._pochhammer_tail(alpha, p) / special._pochhammer_tail(1.0, p)
-    above = _start_steps(t, a, q) if c > 1.0 else -1
     if above != -1:
         return -_lattice_series(f, a, False, alpha, start, above, p, where, c)
     whole = _lattice_series(f, t, False, alpha, weight, None, p, where)

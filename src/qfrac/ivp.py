@@ -68,10 +68,10 @@ def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
     The sum is _ml_sum's at the lattice position of z0 below z.  A term whose
     alpha k + beta is a pole of q_gamma is 0, as 1 / q_gamma is entire.  From
     z0 = 0 (z > 0) the series is a geometric one in zeta = lam ((1-q)
-    z)**alpha: |zeta| >= 1 raises NonConvergence before any term, and where
-    it is shorter the sum takes Euler's expansion past its first terms
-    (_euler_split, worked out once per call); alternating terms that rise
-    past the growth watch raise NonConvergence naming that cancellation.
+    z)**alpha: |zeta| >= 1 raises NonConvergence before any term, and the
+    sum takes Euler's expansion past its first P terms (_euler_split, worked
+    out once per call); alternating terms that rise past the growth watch
+    raise NonConvergence naming that cancellation.
     From any other z0 divergence is detected at runtime, by terms that grow.
     """
     j = _start_steps(mp.z0, z, p.q)
@@ -136,32 +136,23 @@ _KERNEL_GAIN = 28.0
 _EULER_GAIN = 8.0
 
 
-def _euler_split(alpha: float, beta: float, p: QParams) -> tuple[int, float]:
-    """(P, P + N_E) for _ml_sum's series from z0 = 0: the terms summed one by
-    one ahead of Euler's expansion, and what the two parts cost together.
+def _euler_split(alpha: float, beta: float, p: QParams) -> int | None:
+    """P for _ml_sum's series from z0 = 0: the terms summed one by one ahead
+    of Euler's expansion, or None where P passes max_terms and the expansion
+    is never taken.
 
     P is the fewest with y / (1 - y) <= (ln _EULER_GAIN / 2) (1 - q),
     y = q**(beta + alpha P): as ln A(x) = sum_i ln((1 + x q**i) / (1 - x q**i))
     <= 2 x / ((1 - x) (1 - q)), that keeps the cancellation
     A(beta + alpha P) = (-y; q)_inf / (y; q)_inf of the expansion's
-    alternating sum within _EULER_GAIN.  N_E is the fewest n with
-    q**(n(n-1)/2) y**n <= rel_tol, the length of that sum.  A P past
-    max_terms costs infinity, so the expansion is never taken.
+    alternating sum within _EULER_GAIN.
     """
-    q, trunc = p.q, p.trunc
-    log_q = math.log(q)
+    q = p.q
     gain = 0.5 * math.log(_EULER_GAIN) * (1.0 - q)
-    lowest = (math.log(gain / (1.0 + gain)) / log_q - beta) / alpha  # the least real P
-    if not lowest <= trunc.max_terms:
-        return 0, math.inf
-    orders = math.ceil(max(lowest, 0.0))
-    # N_E: the fewest n with n (n-1) / 2 lq + n ly >= lt, a quadratic in n,
-    # where lq = -ln q, ly = -ln y and lt = -ln rel_tol
-    lq, ly, lt = -log_q, -(beta + alpha * orders) * log_q, -math.log(trunc.rel_tol)
-    if ly >= lt:
-        return orders, orders + 1
-    b = ly - 0.5 * lq
-    return orders, orders + math.ceil((math.sqrt(b * b + 2.0 * lq * lt) - b) / lq)
+    lowest = (math.log(gain / (1.0 + gain)) / math.log(q) - beta) / alpha  # the least real P
+    if not lowest <= p.trunc.max_terms:
+        return None
+    return math.ceil(max(lowest, 0.0))
 
 
 def _split_sum(terms: Iterator[float], orders: int, rest: Callable[[], float], p: QParams,
@@ -182,8 +173,7 @@ def _split_sum(terms: Iterator[float], orders: int, rest: Callable[[], float], p
 
 
 def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
-            count: int | None = None, split: tuple[int, float] | None = None,
-            taken: list[float] | None = None) -> float:
+            count: int | None = None, split: int | None = None) -> float:
     """sum_k lam**k (z - z0)_q^(alpha k) / q_gamma(alpha k + beta) with
     j = _start_steps(z0, z, q), to the stopping rule watched for growth
     (from z0 = 0 only where the terms alternate, see below), or over
@@ -203,22 +193,17 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
     |zeta| >= 1 raises NonConvergence before any term, and below 1 it
     converges, so terms that grow are a hump, watched only for zeta < 0,
     where they cancel: one the watch rejects raises NonConvergence that says
-    so, as a term-wise sum would lose the hump's digits.  split,
-    (P, P + N_E) from _euler_split, is given there only; where
-    P + N_E < ln(rel_tol) / ln|zeta|, the direct sum's length, the first P
-    terms are summed one by one and, unless the stopping rule ends them, the
-    rest by Euler's expansion (x; q)_inf = sum_n (-1)**n q**(n(n-1)/2) x**n
-    / (q; q)_n, at x = q**(alpha k + beta) and summed over k >= P as a
-    geometric series (|zeta| < 1, and the sum converges
-    absolutely): sum_{k>=P} zeta**k (q**(alpha k + beta); q)_inf = zeta**P
-    sum_n (-1)**n q**(n(n-1)/2) y**n / ((q; q)_n (1 - zeta q**(alpha n))),
-    y = q**(beta + alpha P), whose terms follow each other in O(1) with no
-    infinite product.  taken, given from z0 = 0 by a closed-form solution,
-    is the list of what the terms have taken from the tail cache at its
-    points so far: (1-q)**(beta-1), (q; q)_inf and the coefficients
-    (q**(alpha k + beta); q)_inf in order of k.  Each is taken once per
-    solution, noting its product's terms then, and read from the list at
-    every later point; the terms are the same floats.
+    so, as a term-wise sum would lose the hump's digits.  split, P from
+    _euler_split, is given there only: the first P terms are summed one by
+    one and, unless the stopping rule ends them, the rest by Euler's
+    expansion (x; q)_inf = sum_n (-1)**n q**(n(n-1)/2) x**n / (q; q)_n, at
+    x = q**(alpha k + beta) and summed over k >= P as a geometric series
+    (|zeta| < 1, and the sum converges absolutely): sum_{k>=P} zeta**k
+    (q**(alpha k + beta); q)_inf = zeta**P sum_n (-1)**n q**(n(n-1)/2) y**n
+    / ((q; q)_n (1 - zeta q**(alpha n))), y = q**(beta + alpha P), whose
+    terms follow each other in O(1) with no infinite product.  So a sum
+    reads at most P + 1 products from the tail cache, which notes their
+    terms on every read.
 
     For an integer beta and j >= 1 the tails' quotient is finite, and term k
     is zeta**k / [beta-1]_q! times the |j - beta| factors
@@ -262,27 +247,11 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
             start *= shift
 
     def scale() -> tuple[float, float]:
-        if taken:
-            return taken[0], taken[1]
-        parts = _power(1.0 - q, beta - 1.0, *where), tail(1.0, p)  # (1-q)**(beta-1), (q; q)_inf
-        if taken is not None:
-            taken.extend(parts)
-        return parts
-
-    def coefficients() -> Iterator[float]:
-        # (q**(alpha k + beta); q)_inf for k = 0, 1, ...
-        if taken is None:
-            return (tail(alpha * k + beta, p) for k in itertools.count())
-
-        def more() -> Iterator[float]:
-            for k in itertools.count(len(taken) - 2):
-                taken.append(tail(alpha * k + beta, p))
-                yield taken[-1]
-
-        return itertools.chain(itertools.islice(taken, 2, None), more())
+        return _power(1.0 - q, beta - 1.0, *where), tail(1.0, p)  # (1-q)**(beta-1), (q; q)_inf
 
     def tail_terms(parts: tuple[float, float] | None = None) -> Iterator[float]:
-        # (1-q)**(beta-1) zeta**k, times R_k off the grid
+        # (1-q)**(beta-1) zeta**k (q**(alpha k + beta); q)_inf / (q; q)_inf,
+        # times R_k off the grid
         first, below = parts or scale()
         powers = itertools.accumulate(steps, operator.mul, initial=first)
         ratios = itertools.repeat(1.0)
@@ -290,8 +259,8 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
             before = tail(float(j), p)
             ratios = itertools.chain([1.0], (before / tail(j + alpha * k, p)
                                              for k in itertools.count(1)))
-        for power, ratio, coefficient in zip(powers, ratios, coefficients()):
-            yield power * coefficient * ratio / below
+        for k, (power, ratio) in enumerate(zip(powers, ratios)):
+            yield power * tail(alpha * k + beta, p) * ratio / below
 
     def euler_terms(orders: int, first: float, below: float) -> Iterator[float]:
         # term n of the expansion past the first `orders` terms, times
@@ -316,14 +285,14 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
     # converges, terms of zeta < 0 that grow are a hump that cancels.
     watch = j is not None or zeta < 0.0
     hump = None if j is not None else (_HUMP_AT, *where[1:], abs(zeta))
-    if split is None or not abs(zeta) ** split[1] > p.trunc.rel_tol:
+    if split is None:
         finite = j is not None and j >= 1 and beta == int(beta)
         terms = finite_terms() if finite else tail_terms()
         return _accumulate(checked(terms), p.trunc, detect_growth=watch, count=count,
                            where=where, grew=hump)
-    orders, parts = split[0], scale()
-    return _split_sum(checked(tail_terms(parts)), orders, lambda: _accumulate(
-        euler_terms(orders, *parts), p.trunc, detect_growth=False, where=where), p, where,
+    parts = scale()
+    return _split_sum(checked(tail_terms(parts)), split, lambda: _accumulate(
+        euler_terms(split, *parts), p.trunc, detect_growth=False, where=where), p, where,
         detect_growth=watch, grew=hump)
 
 
@@ -422,10 +391,8 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     forcing = None if prob.forcing is None else cache(prob.forcing)
     head = MLParams(alpha, 1.0, lam, a)
     head_terms = None if m is None else m + 1
-    # From a = 0 the closed form's head may take Euler's expansion, and takes
-    # each coefficient from the tail cache once for all its points (see _ml_sum).
+    # From a = 0 the closed form's head takes Euler's expansion past P (see _ml_sum).
     split = _euler_split(alpha, 1.0, p) if a == 0.0 and m is None else None
-    taken = None if split is None else []
     kernel = None if forcing is None or lam == 0.0 or m is not None else _Kernel(alpha, lam, p)
     diagnostics = {"terms": 0, "evaluations": 0}
 
@@ -462,7 +429,7 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
             if t == a:  # the head's terms past the first and the integrals vanish
                 value = a0
             else:
-                value = (a0 * _ml_sum(head, t, steps, p, head_terms, split, taken)
+                value = (a0 * _ml_sum(head, t, steps, p, head_terms, split)
                          if a0 != 0.0 else 0.0)
                 # Picard(0) has no forcing term.
                 if forcing is not None and m != 0:
@@ -496,12 +463,10 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     NonConvergence.  The head is a0 times _ml_sum's series at the lattice
     position of a below t, which the solution finds once per point, and no
     q_gamma is called: from a = 0 term k is z**k (q**(alpha k + 1); q)_inf /
-    (q; q)_inf, |z| >= 1 raises NonConvergence, and where it is shorter the
-    terms past the first P are one sum by Euler's expansion, with no
-    infinite product per term (_euler_split, worked out once per solution;
-    see _ml_sum), else one tail per term, and each tail is taken from the
-    cache once per solution and read from its list at every later point;
-    an alternating hump too steep to sum raises NonConvergence naming the
+    (q; q)_inf, |z| >= 1 raises NonConvergence, and the terms past the
+    first P are one sum by Euler's expansion, with no infinite product per
+    term (_euler_split, worked out once per solution; see _ml_sum); an
+    alternating hump too steep to sum raises NonConvergence naming the
     cancellation.  On the time scale, t = a q**-j with j >= 1, it is the
     finite quotient z**k (q**(alpha k + 1); q)_(j-1) / (q; q)_(j-1), taken
     a factor of each at a time, so at j = 1 the head is a0 / (1 - z).

@@ -128,6 +128,22 @@ def test_explore_row_is_the_check_frac_record(report_all):
     assert row.passed and row.tolerance == rec.tolerance == 1e-12
 
 
+def test_records_come_in_the_table_order(report_all):
+    # No sort: suite by suite in SUITE_NAMES order, entry by entry as the
+    # table lists them, each entry's records in the order of its sweep.
+    want = [(entry.name, params) for suite in checks.SUITE_NAMES
+            for entry in checks._TABLE[suite]
+            for params in checks._expand(entry.sweep, checks._draws(suite, 7))]
+    assert [(r.identity, r.params) for r in report_all.records] == want
+    start = 0
+    for suite in checks.SUITE_NAMES:
+        records = checks.run_suite(suite, seed=7).records
+        within_all = report_all.records[start:start + len(records)]
+        assert list(map(repr, records)) == list(map(repr, within_all))
+        start += len(records)
+    assert start == len(report_all.records)
+
+
 def test_suite_builders_are_generator_functions():
     # Each record is computed when it is asked for, so it can be timed alone.
     assert set(checks._SUITE_BUILDERS) == set(checks.SUITE_NAMES)

@@ -213,6 +213,14 @@ class TestEvalErrors:
         assert (code, out) == (3, "")
         assert "left fractional integral at t=0.0, a=1.0, alpha=1.0, q=0.5" in err
 
+    def test_start_on_the_grid_above_skips_the_kernel_zeros(self):
+        # a = 4 = t q**-2 at alpha = 2: the kernel vanishes at the anchored
+        # point s = 2, where the operand is singular, so only s = 4 is sampled.
+        code, out, err = run_cli(["eval", "fracint", "--q", "0.5", "--t", "1", "--a", "4",
+                                  "--alpha", "2", "--f", "1/(s-2)"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "fracint,0.5,2.0,,,4.0,,,1.0,,,1/(s-2),1.0"
+
     @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
     def test_non_finite_beta_is_usage(self, beta):
         code, out, err = run_cli(["eval", "ml", "--q", "0.5", "--alpha", "0.5", "--lambda", "0.3",

@@ -784,11 +784,12 @@ class TestOffGridStart:
         assert calls == {"q_factorial_power": 1, "q_gamma": 0}
         left_caputo(f, 0.37, 0.77, 1.0, p_half)
         assert calls == {"q_factorial_power": 2, "q_gamma": 0}
-        # Starts above t, off the grid and on it (a = t q**-2).
+        # Starts above t, off the grid and on it (a = t q**-2), where the
+        # kernel vanishes at every anchored point and no power is built.
         left_frac_integral(f, 1.3, 0.77, 1.0, p_half)
         assert calls == {"q_factorial_power": 3, "q_gamma": 0}
         left_frac_integral(f, 1.0 / 0.5**2, 0.77, 1.0, p_half)
-        assert calls == {"q_factorial_power": 4, "q_gamma": 0}
+        assert calls == {"q_factorial_power": 3, "q_gamma": 0}
 
     def test_start_above_point_takes_few_terms(self):
         # The Jackson sum of the kernel took 104,847 terms here.
@@ -826,6 +827,42 @@ class TestOffGridStart:
     def test_start_above_point_keeps_values(self, q, alpha, a, t, frozen):
         got = left_frac_integral(lambda s: 1.0 + s * s, a, alpha, t, QParams(q))
         assert abs(got - frozen) <= 1e-14 * abs(frozen)
+
+    @pytest.mark.parametrize("alpha", [0.77, 2.3, -0.4])
+    def test_non_integer_order_on_the_grid_above_is_zero(self, p_half, alpha):
+        # From a = t q**-2 the kernel is an exact zero at every anchored
+        # point: 0.0, with no operand sampled.
+        def operand(s):
+            raise AssertionError(f"sampled at {s}")
+
+        got = left_frac_integral(operand, 0.5**-2, alpha, 1.0, p_half)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("q", [0.5, 0.7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_integer_order_on_the_grid_above_is_the_jackson_sum(self, q, n, m):
+        # I_a^n f(t) = -(1-q) / [n-1]_q! sum_{i<m} a q**i (t - a q**(i+1))_q^(n-1)
+        # f(a q**i) from a = t q**-m, the kernel an exact finite product, which
+        # vanishes at the last n - 1 points: only the first m + 1 - n are
+        # sampled, and the operand is singular at the others.
+        t, a = 1.3, 1.3 * q**-m
+        points = [a * q**i for i in range(max(m + 1 - n, 0))]
+        zeros = [a * q**i for i in range(len(points), m)]
+        samples = []
+
+        def f(s):
+            samples.append(s)
+            assert not any(math.isclose(s, z) for z in zeros)
+            return 1.0 + s * s
+
+        kernel = lambda s: math.prod(t - q**j * q * s for j in range(n - 1))
+        factorial = math.prod((1.0 - q**k) / (1.0 - q) for k in range(1, n))
+        want = -(1.0 - q) / factorial * sum(s * kernel(s) * f(s) for s in points)
+        samples.clear()
+        got = left_frac_integral(f, a, float(n), t, QParams(q))
+        assert len(samples) == len(points)
+        assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
 
     def test_failure_names_the_parameters(self, p_half):
         with pytest.raises(NonConvergence) as info:

@@ -39,6 +39,7 @@ from qfrac import (
 
 from qfrac.core import _start_steps
 from qfrac.fractional import _left_series
+from qfrac.ivp import _euler_split
 
 from conftest import chain_wobble, rel_err
 
@@ -688,28 +689,28 @@ class TestForcingKernel:
         # closed(t) has filled.  Order by order the residual took 3,422 terms,
         # 146 of them the head's; the order apart and one kernel series per
         # point took 845 for the forcing, and at P = 0 the one series takes
-        # 404.  The head takes each coefficient (q**(alpha k + 1); q)_inf
-        # from the tail cache once per solution and notes its terms then
-        # (491 terms over the 18 new points, where noting them at every
-        # point took 5,053).  A second residual reads the point memo: it
+        # 404.  At each of the 18 new points the head reads (q; q)_inf and
+        # its P = 1 coefficient from the tail cache, which notes their terms
+        # on every read, and sums the rest by Euler's expansion (1,650 terms
+        # over the 18 points).  A second residual reads the point memo: it
         # evaluates no point, so it fills no cell.
         prob = IVProblem(0.8, 0.3, 0.0, 1.0, quadratic(1.0, -0.5, 0.7))
         y = solve_ivp_closed(prob, p_half)
         y(1.0)
         with count_terms() as counter:
             first = ivp_residual(prob, y, 1.0, p_half)
-        assert counter.total == 895
+        assert counter.total == 2054
         free = IVProblem(0.8, 0.3, 0.0, 1.0)
         head = solve_ivp_closed(free, p_half)
         head(1.0)
         with count_terms() as head_counter:
             ivp_residual(free, head, 1.0, p_half)
-        assert head_counter.total == 491
+        assert head_counter.total == 1650
         assert counter.total - head_counter.total == 404 < 845
         assert abs(first) <= 1e-13
-        assert y.diagnostics == {"terms": 998, "evaluations": 19}
+        assert y.diagnostics == {"terms": 2157, "evaluations": 19}
         assert ivp_residual(prob, y, 1.0, p_half) == first
-        assert y.diagnostics == {"terms": 998, "evaluations": 19}
+        assert y.diagnostics == {"terms": 2157, "evaluations": 19}
 
     @pytest.mark.parametrize(("alpha", "points"), [(0.5, 23), (0.8, 19), (0.95, 18)])
     @pytest.mark.parametrize("lam", [0.3, -0.3])
@@ -724,20 +725,25 @@ class TestForcingKernel:
         assert abs(ivp_residual(prob, y, 1.0, p_half)) <= 1e-13
         assert y.diagnostics["evaluations"] == points and calls == []
 
-    def test_head_takes_each_coefficient_once(self, monkeypatch, p_half):
-        # Over the residual's 19 points the head takes each coefficient
-        # (q**(alpha k + 1); q)_inf from the tail cache once: 1.0 twice, as
-        # (q; q)_inf and as coefficient 0.
+    def test_head_reads_only_its_first_terms(self, monkeypatch, p_half):
+        # P = 1 at q = 0.5 for alpha = 0.8: at each of the residual's points
+        # past a = 0 the head reads (q; q)_inf and its one coefficient
+        # (q**(0.8 k + 1); q)_inf, k = 0, from the tail cache, both x = 1.0,
+        # and sums the rest by Euler's expansion; y(0) = a0 reads nothing.
         calls = []
         inner = qfrac.special._pochhammer_tail
         monkeypatch.setattr(qfrac.special, "_pochhammer_tail",
                             lambda x, p: calls.append(x) or inner(x, p))
         prob = IVProblem(0.8, 0.3, 0.0, 1.0)
         y = solve_ivp_closed(prob, p_half)
+        assert _euler_split(0.8, 1.0, p_half) == 1
+        for t in [0.0] + [0.5**i for i in range(18)]:
+            read = len(calls)
+            y(t)
+            assert calls[read:] == ([] if t == 0.0 else [1.0, 1.0])
         residual = ivp_residual(prob, y, 1.0, p_half)
         assert abs(residual) <= 1e-13 and y.diagnostics["evaluations"] == 19
-        assert calls.count(1.0) == 2 and len(set(calls)) == len(calls) - 1
-        assert sorted(calls) == sorted([1.0] + [0.8 * k + 1.0 for k in range(len(calls) - 1)])
+        assert calls == [1.0] * 36
 
 
 @settings(max_examples=30, deadline=None)

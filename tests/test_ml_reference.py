@@ -79,11 +79,6 @@ def test_product_against_the_pentagonal_series():
             assert abs(q_product(q, q) - series) <= Decimal("1e-24")
 
 
-def _uses_euler(alpha, beta, lam, z, p):
-    zeta = abs(lam) * ((1.0 - p.q) * z) ** alpha
-    return zeta ** _euler_split(alpha, beta, p)[1] > p.trunc.rel_tol
-
-
 def _sweep():
     """60 seeded cases: q in {0.3, 0.5, 0.7, 0.9}, alpha in (0.3, 1.5), beta 1
     or in (-1, 3), lam of either sign, |zeta| in (0.05, 0.9)."""
@@ -98,26 +93,23 @@ def _sweep():
 
 
 # The worst error over the sweep, in units of eps times the condition
-# (measured, and pinned with a margin): 24.9 over the 49 cases that take
-# Euler's expansion (5.5e-15 relative, at q = 0.9), against 1,515 for the
-# term rule on the same cases, and 95 over the 10 that keep the term rule.
+# (measured, and pinned with a margin): 24.9 over the 59 cases, all of which
+# take Euler's expansion past P (5.5e-15 relative, at q = 0.9), against
+# 1,515 for the term rule on the same cases.
 EULER_BOUND = 32.0
-TERM_RULE_BOUND = 128.0
 
 
 def test_sweep_over_both_routes():
     """Each case against the reference, in units of eps times its
-    condition; where Euler's expansion is taken, the term rule to the
-    stopping rule (_ml_sum with no split) on the same cases is no more
-    accurate at its worst.  The one alternating series whose hump the
+    condition: every case takes Euler's expansion past P, and the term rule
+    to the stopping rule (_ml_sum with no split) on the same cases is no
+    more accurate at its worst.  The one alternating series whose hump the
     growth watch rejects (q = 0.9, alpha = 1.49) is rejected by both."""
-    worst = {True: 0.0, False: 0.0}
-    cases = {True: 0, False: 0}
-    term_rule_worst = 0.0
-    rejected = 0
+    worst = term_rule_worst = 0.0
+    cases = rejected = 0
     for q, alpha, beta, lam, z in _sweep():
         p, mp = QParams(q), MLParams(alpha, beta, lam)
-        euler = _uses_euler(alpha, beta, lam, z, p)
+        assert _euler_split(alpha, beta, p) is not None
         try:
             got = q_mittag_leffler(mp, z, p)
         except NonConvergence:
@@ -126,16 +118,14 @@ def test_sweep_over_both_routes():
             assert lam < 0.0
             rejected += 1
             continue
-        cases[euler] += 1
+        cases += 1
         want, condition = ml_from_zero(alpha, beta, lam, z, q)
         unit = _EPS * condition * abs(want)
-        worst[euler] = max(worst[euler], abs(got - want) / unit)
-        if euler:
-            term_rule_worst = max(term_rule_worst, abs(_ml_sum(mp, z, None, p) - want) / unit)
-    assert rejected == 1 and cases == {True: 49, False: 10}
-    assert worst[True] <= EULER_BOUND
-    assert worst[False] <= TERM_RULE_BOUND
-    assert worst[True] <= term_rule_worst
+        worst = max(worst, abs(got - want) / unit)
+        term_rule_worst = max(term_rule_worst, abs(_ml_sum(mp, z, None, p) - want) / unit)
+    assert rejected == 1 and cases == 59
+    assert worst <= EULER_BOUND
+    assert worst <= term_rule_worst
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
@@ -159,8 +149,8 @@ def test_pole_within_the_first_terms_is_zero(alpha, beta, poles):
     # the reference.
     p, lam, z = QParams(0.5), 0.6, 1.1
     mp = MLParams(alpha, beta, lam)
-    orders = _euler_split(alpha, beta, p)[0]
-    assert max(poles) < orders and _uses_euler(alpha, beta, lam, z, p)
+    orders = _euler_split(alpha, beta, p)
+    assert orders is not None and max(poles) < orders
     for k in poles:
         assert _ml_sum(mp, z, None, p, k + 1) - _ml_sum(mp, z, None, p, k) == 0.0
     want, condition = ml_from_zero(alpha, beta, lam, z, 0.5)
@@ -222,16 +212,24 @@ def test_divergent_rate_raises_before_any_term(monkeypatch, lam, alpha):
 @pytest.mark.parametrize(("alpha", "beta"), [(0.4, 1.0), (0.9, 0.5), (1.3, 2.5), (0.5, -1.5)])
 def test_split_is_the_fewest(q, alpha, beta):
     # P is the fewest orders with y / (1 - y) <= (ln 8 / 2) (1 - q),
-    # y = q**(beta + alpha P), and N_E the fewest n with
-    # q**(n (n-1) / 2) y**n <= rel_tol.
-    p = QParams(q)
-    orders, cost = _euler_split(alpha, beta, p)
+    # y = q**(beta + alpha P).
+    orders = _euler_split(alpha, beta, QParams(q))
     gain = 0.5 * math.log(8.0) * (1.0 - q)
     fits = lambda k: q ** (beta + alpha * k) / (1.0 - q ** (beta + alpha * k)) <= gain
     assert fits(orders) and (orders == 0 or not fits(orders - 1))
-    y = q ** (beta + alpha * orders)
-    small = lambda n: q ** (n * (n - 1) / 2) * y**n <= 1e-12
-    assert small(cost - orders) and not small(cost - orders - 1)
+
+
+def test_split_past_the_budget_keeps_the_term_rule():
+    # alpha = 1e-5 at q = 0.5: P = 54,775 passes max_terms (10,000), so the
+    # expansion is never taken and the sum is the term rule's, which meets
+    # the reference.
+    p, mp, z = QParams(0.5), MLParams(1e-5, 1.0, 0.3), 1.7
+    assert _euler_split(mp.alpha, mp.beta, p) is None
+    assert _euler_split(mp.alpha, mp.beta, QParams(0.5, Truncation(max_terms=60_000))) == 54_775
+    got = q_mittag_leffler(mp, z, p)
+    assert got == _ml_sum(mp, z, None, p)
+    want, condition = ml_from_zero(mp.alpha, mp.beta, mp.lam, z, 0.5)
+    assert abs(got - want) <= EULER_BOUND * _EPS * condition * abs(want)
 
 
 @pytest.mark.parametrize(("alpha", "lam", "z"), [(0.9, 0.31995139835925074, 30.32866740282942),
