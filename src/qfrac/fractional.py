@@ -7,13 +7,14 @@ On grid-aligned endpoints an operator is one lattice series; the left
 integral is one from every start a >= 0, less its part anchored at an a off
 the grid of t or above t, with no Jackson sum of a kernel.  A derivative
 of non-integer order alpha is the integral at order -alpha (the
-q-Grunwald-Letnikov form of Al-Salam and Agarwal): the left Riemann one from
-every start, left Caputo (on f less its q-Taylor part) from every start
-below t, and the right Riemann one to every b, whose endpoint moves to
-b q**-n (n = ceil(alpha)).  Left Caputo from 0 with n >= 2 or from above t,
-and right Caputo, compose an exact n-fold q-derivative with a fractional
-integral of order n - alpha, the definitions themselves.  Integer orders
-short-circuit to the plain iterated q-derivative.
+q-Grunwald-Letnikov form of Al-Salam and Agarwal): the Riemann ones of f,
+left from every start and right to every b, whose endpoint moves to
+b q**-n (n = ceil(alpha)); the Caputo ones of f less its q-Taylor part,
+left from every start a > 0 (and from 0 with n = 1) and right to every b.
+One composition stays: left Caputo from 0 with n >= 2 (and at t <= 0)
+composes an exact n-fold q-derivative with the integral of order
+n - alpha, the definition itself.  Integer orders short-circuit to the
+plain iterated q-derivative.
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ from typing import Iterator
 
 from . import special
 from .core import (
-    QFunction,
-    QParams,
-    _chain_sum,
-    _power,
-    _start_steps,
-    _upper_steps,
-    nabla_q_n,
-    q_bracket,
+    QFunction, QParams, _chain_sum, _grid_exponent, _name, _power, _start_steps, _upper_steps,
+    nabla_q_n, q_bracket,
 )
 from .errors import DomainError, NonConvergence, NumericOverflow, QCalculusError
 
@@ -76,9 +71,12 @@ def _integral_order(order: float) -> float:
 
 
 # Failures of an integral's lattice series or weight name its parameters
-# through these, formatted only when raised.
+# through these, formatted only when raised,
 _LEFT_AT = "left fractional integral at t={!r}, a={!r}, alpha={!r}, q={!r}"
 _RIGHT_AT = "right fractional integral at t={!r}, b={!r}, alpha={!r}, q={!r}"
+# and the q-Taylor part of a Caputo derivative through this, with its side
+# and endpoint.
+_CAPUTO_AT = "{} Caputo derivative at t={!r}, {}={!r}, alpha={!r}, q={!r}"
 
 
 def _lattice_series(
@@ -249,30 +247,30 @@ def right_riemann_deriv(
     return right_frac_integral(f, b / shift, -alpha, t, p)
 
 
-def _taylor_remainder(
-    f: QFunction, a: float, n: int, alpha: float, t: float, p: QParams
-) -> QFunction:
-    """s -> f(s) - sum_{k<n} nabla_q^k f(a) (s - a)_q^(k) / [k]_q!: f less the
-    q-Taylor part that a Caputo derivative of order alpha in (n - 1, n) from a
-    drops.  A coefficient that fails in float arithmetic or is not finite (f
-    singular at a) raises NonConvergence naming t, a and alpha.
+def _taylor_remainder(f: QFunction, a: float, n: int, where: tuple, p: QParams) -> QFunction:
+    """s -> f(s) - sum_{k<n} nabla_q^k f(a) (s - a)_q^(k) / [k]_q!: f less its
+    q-Taylor part of degree n - 1 at a, the polynomial that interpolates f at
+    a, aq, ..., a q**(n-1), where the remainder vanishes.  The coefficients
+    are taken from the highest order down, so an order past the term budget
+    raises before f is sampled.  A coefficient that fails in float
+    arithmetic or is not finite (f singular at a) raises NonConvergence
+    through where, a _CAPUTO_AT tuple.
     """
     q = p.q
     try:
-        coeffs = [nabla_q_n(f, a, k, p) for k in range(n)]
-        failure = None if all(map(math.isfinite, coeffs)) else f"got {coeffs}"
+        coeffs = [nabla_q_n(f, a, k, p) for k in range(n - 1, -1, -1)]
+        failure = None if all(map(math.isfinite, coeffs)) else f"got {coeffs[::-1]}"
     except QCalculusError:
         raise
     except (ZeroDivisionError, OverflowError) as exc:
         failure = f"{type(exc).__name__}: {exc}"
     if failure is not None:
         raise NonConvergence(
-            f"left Caputo derivative at t={t!r}, a={a!r}, alpha={alpha!r}, q={q!r}: "
-            f"the q-Taylor coefficients of f at a are not finite ({failure})"
+            f"{_name(where)}: the q-Taylor coefficients of f at {a!r} are not finite ({failure})"
         )
     # Horner's scheme: (s - a)_q^(k) / [k]_q! = prod_{j<k} (s - a q**j) / [j + 1]_q.
-    top = coeffs[-1]
-    nest = [(coeffs[j], a * q**j, q_bracket(j + 1, p)) for j in range(n - 2, -1, -1)]
+    top = coeffs[0]
+    nest = [(c, a * q**j, q_bracket(j + 1, p)) for j, c in zip(range(n - 2, -1, -1), coeffs[1:])]
 
     def remainder(s: float) -> float:
         value = top
@@ -288,39 +286,53 @@ def left_caputo(
 ) -> float:
     """Left Caputo q-fractional derivative I_a^(n - alpha) nabla_q^n f(t).
 
-    From 0 < a < t, on the grid of t or off it, it is left_frac_integral at
-    order -alpha of f minus its q-Taylor part of degree n - 1 at a; from
-    a = 0 with n = 1, of f - f(0).  Caputo from 0 with n >= 2 (which needs
-    nabla_q^k f(0)) and from a > t (where the q-power rule behind the Taylor
-    step fails), or at t <= 0, keep the composition; from a = t it is an
-    empty sum.  Kills constants for non-integer order; integer order is the
-    plain n-fold q-derivative.
+    For t > 0 and every start a > 0, below t or above it, on the grid of t
+    or off it, it is left_frac_integral at order -alpha of f less its
+    q-Taylor part of degree n - 1 at a; from a = 0 with n = 1, of f - f(0).
+    From a = t it is an empty sum, 0.0 with no sample.  From a = 0 with
+    n >= 2 (whose Taylor part needs nabla_q^k f(0)), and at t <= 0, it is
+    the composition itself.  Kills constants for non-integer order; integer
+    order is the plain n-fold q-derivative.
     """
     alpha, n = _derivative_order(order)
     if n == alpha:
         return nabla_q_n(f, t, n, p)
-    if 0.0 < a < t or (a == 0.0 < t and n == 1):
-        remainder = _taylor_remainder(f, a, n, alpha, t, p)
-        # The remainder vanishes at a q**k, k < n, so from an a off the grid
-        # of t the integral is the one from a q**n, whose anchored sum does
-        # not open with the n zero terms that the stopping rule takes for its end.
-        start = a if _start_steps(a, t, p.q) != -1 else a * p.q**n
-        return left_frac_integral(remainder, start, -alpha, t, p)
-    return left_frac_integral(lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p)
+    if not (t > 0.0 and (a > 0.0 or a == 0.0 and n == 1)):
+        return left_frac_integral(lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p)
+    if a == t:
+        return 0.0
+    q = p.q
+    remainder = _taylor_remainder(f, a, n, (_CAPUTO_AT, "left", t, "a", a, alpha, q), p)
+    # The remainder vanishes at a q**k, k < n, so from an a off the grid of
+    # t the integral is the one from a q**n, whose anchored sum does not
+    # open with the n zero terms that the stopping rule takes for its end.
+    start = a if _grid_exponent(a / t, q) is not None else a * q**n
+    return left_frac_integral(remainder, start, -alpha, t, p)
 
 
 def right_caputo(
     f: QFunction, b: float, order: float, t: float, p: QParams
 ) -> float:
-    """Right Caputo q-fractional derivative via the compositional definition.
+    """Right Caputo q-fractional derivative: the right (n - alpha)-integral
+    to b of (-nabla_q)**n f.
 
-    The right (n - alpha)-integral applied to the n-fold image of f under the
-    reflected derivative, which on this scale is -nabla_q.
+    For non-integer alpha it is right_riemann_deriv of f less its q-Taylor
+    part, with no q-derivative of f under a sum.  To b = infinity it is the
+    Riemann series of f itself, whose weights sum to 0 against every power
+    s**d with d < alpha, as (-nabla_q)**n gives 0 for it.  To b = t q**-m
+    the part is f's q-Taylor polynomial at b q**(alpha + 1 - n), which
+    interpolates f at b q**(alpha - k), k < n: the top n samples of the
+    Riemann series to b.  The series is taken to b q, one sample shorter,
+    and reads the remainder's zeros at n - 1 of them.  b = t gives 0.0 with
+    no sample; a b off the grid of t or below it raises DomainError naming
+    that b, before any sample.  Integer order is (-1)**n nabla_q^n.
     """
     alpha, n = _derivative_order(order)
-    sign = -1.0 if n % 2 else 1.0
-    if n == alpha:
-        return sign * nabla_q_n(f, t, n, p)
-    return right_frac_integral(
-        lambda s: sign * nabla_q_n(f, s, n, p), b, n - alpha, t, p
-    )
+    if n == alpha or b == math.inf:
+        return right_riemann_deriv(f, b, alpha, t, p)
+    q = p.q
+    if _upper_steps(t, b, q) == 0:
+        return 0.0
+    where = (_CAPUTO_AT, "right", t, "b", b, alpha, q)
+    remainder = _taylor_remainder(f, b * q ** (alpha + 1.0 - n), n, where, p)
+    return right_riemann_deriv(remainder, b * q, alpha, t, p)

@@ -80,6 +80,16 @@ class TestEval:
         assert code == 0
         assert float(parse_csv(out)[0]["value"]) == pytest.approx(0.5, rel=1e-9)
 
+    def test_caputo_from_above_t(self):
+        # The q-Taylor part of a quadratic is the quadratic, so the value is
+        # 0; composing nabla_q^n f under the integral printed -16.0.
+        code, out, err = run_cli(
+            ["eval", "caputo", "--q", "0.9", "--alpha", "2.3", "--a", "2.2", "--t", "1",
+             "--f", "s*s - 0.3*s + 0.5"]
+        )
+        assert code == 0 and err == ""
+        assert abs(float(parse_csv(out)[0]["value"])) <= 1e-11
+
     def test_multiple_points_one_row_each(self):
         code, out, _ = run_cli(["eval", "eq", "--q", "0.5", "--t", "0.25,0.5"])
         assert code == 0

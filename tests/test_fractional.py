@@ -31,6 +31,7 @@ from qfrac import (
     solve_ivp_closed,
 )
 
+from qfrac.checks import _right_caputo_composed
 from qfrac.core import _grid_exponent
 
 from conftest import rel_err
@@ -79,12 +80,12 @@ class TestDerivativeOrder:
 
     @pytest.mark.parametrize("alpha,n", [(0.5, 1), (1.5, 2), (2.25, 3)])
     def test_fractional_order_uses_ceiling(self, alpha, n, p_half):
-        # From 0 and to infinity the Riemann derivatives, and left Caputo with
-        # n = 1, are the series at order -alpha: within 1e-15 of the exact
-        # values, where composing n q-derivatives with the (n - alpha)-integral
-        # is up to 6.3e-15 off.  The routes that keep the composition (left
-        # Caputo from 0 with n >= 2, right Caputo) give it bit for bit, right
-        # ones with (-1)**n from the reflected derivative.
+        # From 0 and to infinity the Riemann derivatives, left Caputo with
+        # n = 1 and right Caputo are the series at order -alpha: within 1e-15
+        # of the exact values, where composing n q-derivatives with the
+        # (n - alpha)-integral is up to 6.3e-15 off.  Right Caputo to infinity
+        # is the Riemann series bit for bit.  Left Caputo from 0 with n >= 2
+        # keeps the composition and gives it bit for bit.
         left_f = lambda s: s * s + 0.4 * s
         right_f = lambda s: s**-3.0
         left_exact, right_exact = self.POWER_RULE[alpha]
@@ -99,10 +100,9 @@ class TestDerivativeOrder:
             assert got == left_frac_integral(
                 lambda s: nabla_q_n(left_f, s, n, p_half), 0.0, n - alpha, 0.8, p_half
             )
-        sign = (-1.0) ** n
-        assert right_caputo(right_f, INF, alpha, 0.8, p_half) == right_frac_integral(
-            lambda s: sign * nabla_q_n(right_f, s, n, p_half), INF, n - alpha, 0.8, p_half
-        )
+        got = right_caputo(right_f, INF, alpha, 0.8, p_half)
+        assert got == right_riemann_deriv(right_f, INF, alpha, 0.8, p_half)
+        assert abs(got - right_exact) <= 1e-15 * right_exact
 
 
 class TestRightEndpoint:
@@ -326,6 +326,41 @@ class TestCaputo:
         assert got == pytest.approx(-nabla_q(f, 1.0, p_half))
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_right_to_infinity_on_operands_that_do_not_decay(self, q):
+        # To infinity right Caputo is the Riemann series of f.  Of a constant
+        # or a linear part, which the composition's q-derivatives remove,
+        # the series' weights sum to 0 or diverge as its integral does.
+        p = QParams(q)
+        for f in (lambda s: 1.0 + s**-2.0, lambda s: 2.0 + 0.5 * s + s**-3.0):
+            for alpha in (0.4, 1.3, 2.6):
+                for t in (0.7, 1.0):
+                    assert_near(value_or_error_type(right_caputo, f, INF, alpha, t, p),
+                                value_or_error_type(_right_caputo_composed, f, INF, alpha, t, p))
+
+    def test_right_empty_sum_samples_nothing(self, p_half):
+        assert right_caputo(raising_operand, 1.0, 1.5, 1.0, p_half) == 0.0
+
+    @pytest.mark.parametrize("b", [1.3, 0.5, -1.0, math.nan])
+    def test_right_endpoint_off_the_grid_or_below_is_rejected(self, p_half, b):
+        # Checked before the q-Taylor part is built: its nodes b q**(alpha-k)
+        # would underflow at this order, and the series' endpoint is b q.
+        with pytest.raises(DomainError, match=f"t=1.0, b={b}$"):
+            right_caputo(raising_operand, b, 900.5, 1.0, p_half)
+
+    @pytest.mark.parametrize("op, endpoint", [(left_caputo, 0.5), (right_caputo, 4.0)])
+    def test_order_past_the_budget_samples_nothing(self, op, endpoint):
+        # nabla_q^6 f is the first q-Taylor coefficient taken.
+        with pytest.raises(NonConvergence, match=r"^nabla_q\^n with n=6 at t="):
+            op(raising_operand, endpoint, 6.5, 1.0, QParams(0.5, Truncation(max_terms=5)))
+
+    def test_right_taylor_failure_names_the_endpoint(self, p_half):
+        # f singular at the q-Taylor point b q**(alpha + 1 - n), here 0.5**0.5.
+        with pytest.raises(NonConvergence, match=(
+                r"^right Caputo derivative at t=0\.25, b=1\.0, alpha=0\.5, q=0\.5: "
+                r"the q-Taylor coefficients of f at 0\.707")):
+            right_caputo(lambda s: 1.0 / (s - 0.5**0.5), 1.0, 0.5, 0.25, p_half)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
     def test_inversion_by_fractional_integral(self, q):
         # Applying the order-alpha integral to the Caputo derivative restores
         # f up to its value at the base point (0 < alpha <= 1).
@@ -517,8 +552,8 @@ class TestLatticeSeries:
 OFF_GRID_QS = (0.3, 0.5, 0.7, 0.9)
 OFF_GRID_ORDERS = (0.3, 0.77, 1.4, 1.8, 2.6)
 OFF_GRID_RATIOS = (0.13, 0.37, 0.71)
-# Starts above t, off the grid of t for every q above.  The Caputo sweeps
-# leave them out: the Taylor step's q-power rule does not hold above t.
+# Starts above t, off the grid of t for every q above.  Left Caputo from
+# them has its own sweep (test_caputo_from_above_t).
 OFF_GRID_ABOVE = (1.19, 1.63, 2.4)
 OFF_GRID_TS = (1.0, 0.6)
 # Polynomials as coefficients of s**0, s**1, ...
@@ -767,6 +802,45 @@ class TestOffGridStart:
                 want = power_rule(coeffs, a, alpha, t, p, 3)
                 assert rel_err(got, want) <= 1e-12, (alpha, a, t)
 
+    # Left Caputo from starts a / t in {1.07, 1.19, 1.63, 2.4} above t, off
+    # the grid, per n = ceil(alpha), with the worst error over the sweep
+    # rounded up (3.5e-13, 6.5e-13, 2.5e-12 and 6.3e-11; against a 40-digit
+    # power rule 3.3e-13, 6.5e-13, 2.5e-12 and 6.3e-11).  It is the integral
+    # at order -alpha of f less its q-Taylor part at a, summed from a q**n.
+    # The composition I^(n-alpha) nabla_q^n f that it replaced samples
+    # nabla_q^n f toward 0: at n >= 2 it was off by more than 1e-8 in 161 of
+    # the 320 cases, by up to 2.0.
+    @pytest.mark.parametrize("n, alphas, bound", [
+        (1, (0.4, 0.8), 5e-13), (2, (1.3, 1.7), 1e-12), (3, (2.3, 2.6), 4e-12), (4, (3.4,), 1e-10)])
+    def test_caputo_from_above_t(self, n, alphas, bound):
+        polys = ((1.0, 2.0), (0.5, -0.3, 1.0), (2.0, 1.0, 0.0, 1.0), (0.3, 0.0, -1.0, 0.0, 1.0))
+        worst = 0.0
+        for q in OFF_GRID_QS:
+            p = QParams(q)
+            for alpha in alphas:
+                for a in (1.07, 1.19, 1.63, 2.4):
+                    for coeffs in polys:
+                        got = left_caputo(polynomial(coeffs), a, alpha, 1.0, p)
+                        want = power_rule(coeffs, a, alpha, 1.0, p, n)
+                        worst = max(worst, rel_err(got, want))
+        assert worst <= bound
+
+    # From above t, where the composition gave -16.0, 0.27161273826981713
+    # and -1.20188.  The references: 0 (the q-Taylor part of a quadratic is
+    # itself), the definition I_a^(n-alpha) nabla_q^n f by Jackson sums at
+    # 50 digits, and the q-power rule.  The third case is the cubic from
+    # a / t = 1.19 whose remainder, summed from a, opened with the three
+    # zeros that end an infinite sum (the small-run stop).
+    def test_caputo_from_above_t_examples(self):
+        got = left_caputo(lambda s: s * s - 0.3 * s + 0.5, 2.2, 2.3, 1.0, QParams(0.9))
+        assert abs(got) <= 1e-12
+        p = QParams(0.5)
+        got = left_caputo(lambda s: 1.0 / (1.0 + s), 1.37, 1.4, 1.0, p)
+        assert abs(got - -0.4625617090251777378) <= 1e-14
+        coeffs = (2.0, 1.0, 0.0, 1.0)
+        got = left_caputo(polynomial(coeffs), 1.19, 2.3, 1.0, p)
+        assert rel_err(got, power_rule(coeffs, 1.19, 2.3, 1.0, p, 3)) <= 1e-13
+
     def test_one_factorial_power_and_no_gamma_per_call(self, monkeypatch, p_half):
         # The anchored sum opens at weight c (1 - qc)_q^(alpha-1) times two
         # memoised q-Pochhammer tails, c = a / t: no q_gamma.
@@ -971,33 +1045,35 @@ class TestDerivativeSeries:
     @example(q=0.5837667558639746, alpha=2.341388004503047, t=1.0, coeffs=(0.0, 1.0, 0.0),
              ratio=1.4254387110139353, m=1)
     def test_other_endpoints_keep_the_composition(self, q, alpha, t, coeffs, ratio, m):
-        # Caputo from 0 with n >= 2 and from a > t give the composition bit
-        # for bit, or fail as it does (Caputo from 0 with n >= 3 can, see
-        # README).  The right Riemann series to a finite b is within
-        # SERIES_TOL of its composition.  Riemann from an a off the grid of t or
-        # above it, and Caputo from an a off the grid below t, are the
-        # integral at order -alpha; for a polynomial the q-power rule gives
-        # their exact values.  The composition is no reference there: near t
-        # it samples nabla_q^n f below a (Caputo of s**2 - 0.3 s + 0.5 from
-        # a / t = 0.9993, alpha = 1.5, q = 0.5: off by 0.19, the series by
-        # 3e-16, against 40 digits).  On a pole of the kernel both raise
-        # PoleError, so the outcomes compare by error type.
+        # Caputo from 0 with n >= 2 gives the composition bit for bit, or
+        # fails as it does (with n >= 3 it can, see README).  The right
+        # Riemann series to a finite b is within SERIES_TOL of its
+        # composition.  Riemann from an a off the grid of t or above it, and
+        # Caputo from an a off the grid below t or from any a above it, are
+        # the integral at order -alpha; for a polynomial the q-power rule
+        # gives their exact values.  The composition is no reference there:
+        # near t it samples nabla_q^n f below a (Caputo of s**2 - 0.3 s + 0.5
+        # from a / t = 0.9993, alpha = 1.5, q = 0.5: off by 0.19, the series
+        # by 3e-16, against 40 digits), and from above t it was O(1) wrong at
+        # n >= 2.  On a pole of the kernel both raise PoleError, so the
+        # outcomes compare by error type.
         p, f, n = QParams(q), polynomial(coeffs), math.ceil(alpha)
         off_grid = [t * ratio] if _grid_exponent(ratio, q) is None else []
-        above = [t / q**m] + [a for a in off_grid if a > t]
-        below = [a for a in off_grid if a < t]
-        for a in above + ([0.0] if n >= 2 else []):
-            assert outcome(left_caputo, f, a, alpha, t, p) == outcome(
-                composed_caputo, f, a, alpha, t, p)
-        for a in above + below:
+        if n >= 2:
+            assert outcome(left_caputo, f, 0.0, alpha, t, p) == outcome(
+                composed_caputo, f, 0.0, alpha, t, p)
+        for a in [t / q**m] + off_grid:
             assert_near(value_or_error_type(left_riemann_deriv, f, a, alpha, t, p),
                         value_or_error_type(power_rule, coeffs, a, alpha, t, p))
-        for a in below:
             assert_near(value_or_error_type(left_caputo, f, a, alpha, t, p),
                         value_or_error_type(power_rule, coeffs, a, alpha, t, p, n))
         decay = lambda s: s**-4.0
         got = right_riemann_deriv(decay, t / q**m, alpha, t, p)
         assert rel_err(got, composed_right_riemann(decay, t / q**m, alpha, t, p)) <= SERIES_TOL
+
+
+def raising_operand(s):
+    raise AssertionError(f"sampled at {s}")
 
 
 def outcome(route, *args):
