@@ -337,8 +337,8 @@ def _picard_errors(q, alpha, lam, a, f, p, memo, m_values):
 
 # The definitions of the derivatives, n = ceil(alpha) q-derivatives composed
 # with the (n - alpha)-integral: references that the integrals at order
-# -alpha, which serve these derivatives from every a > 0, from a = 0 (Caputo
-# there only for n = 1) and to every b, never call.
+# -alpha, which serve these derivatives from every a >= 0 and to every b,
+# never call.
 def _riemann_composed(f, a, alpha, t, p, memo):
     n = math.ceil(alpha)
     return nabla_q_n(memo(_pointwise, left_frac_integral, f, a, n - alpha, p), t, n, p)

@@ -10,11 +10,11 @@ of non-integer order alpha is the integral at order -alpha (the
 q-Grunwald-Letnikov form of Al-Salam and Agarwal): the Riemann ones of f,
 left from every start and right to every b, whose endpoint moves to
 b q**-n (n = ceil(alpha)); the Caputo ones of f less its q-Taylor part,
-left from every start a > 0 (and from 0 with n = 1) and right to every b.
-One composition stays: left Caputo from 0 with n >= 2 (and at t <= 0)
-composes an exact n-fold q-derivative with the integral of order
-n - alpha, the definition itself.  Integer orders short-circuit to the
-plain iterated q-derivative.
+left from every start and right to every b.  From a = 0 the q-Taylor
+coefficients nabla_q^k f(0), k >= 1, are limits, taken by Richardson's
+extrapolation along a geometric chain toward 0.  No operator puts a
+q-derivative under a sum.  Integer orders short-circuit to the plain
+iterated q-derivative.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Iterator
 
 from . import special
 from .core import (
-    QFunction, QParams, _chain_sum, _grid_exponent, _name, _power, _start_steps, _upper_steps,
-    nabla_q_n, q_bracket,
+    QFunction, QParams, _chain_sum, _check_budget, _grid_exponent, _name, _power, _start_steps,
+    _upper_steps, nabla_q_n, q_bracket,
 )
 from .errors import DomainError, NonConvergence, NumericOverflow, QCalculusError
 
@@ -247,18 +247,68 @@ def right_riemann_deriv(
     return right_frac_integral(f, b / shift, -alpha, t, p)
 
 
-def _taylor_remainder(f: QFunction, a: float, n: int, where: tuple, p: QParams) -> QFunction:
+# Richardson's table toward 0 runs on the nodes t r**e, e <= _DEPTH, with the
+# ratio r fixed apart from q.  No node lies above t, so f is sampled only on
+# (0, t], as the series samples it.  With r = q the table lost either way:
+# at q = 0.3 the nodes shrink so fast that the rounding of nabla_q^3 f, about
+# eps |f| / ((1-q) x)**3, reached 1e-7 before the table settled (e^s), and at
+# q = 0.9 it settled too slowly (1/(1+s) at t = 0.8 off by 2e-3).  With
+# r = 0.7 and 12 columns the deepest node is 0.014 t.
+_RATIO, _DEPTH = 0.7, 12
+
+
+def _limits_at_zero(f: QFunction, t: float, n: int, where: tuple, p: QParams) -> list[float]:
+    """nabla_q^k f(0) for k = n - 1 down to 1, each the limit of
+    nabla_q^k f(x_e) on the nodes x_e = t r**e by Richardson's table
+    T_{e,j} = (T_{e+1,j-1} - r**j T_{e,j-1}) / (1 - r**j): for f analytic at
+    0, nabla_q^k f(x) is a power series in x, and column j removes x**j.
+    Of the diagonal T_{0,j} it keeps the entry closest to T_{0,j-1}, as
+    depth past what f needs amplifies rounding.  That gap must be within
+    sqrt(rel_tol) of the scale max(|nabla_q^k f|, |f| / t**k) on the nodes,
+    or it raises NonConvergence through where.  At n <= 4 polynomials settle
+    to 1.1e-11 of it and e^s, cos s and 1/(1+s) (t <= 0.8) to 3.2e-7; a
+    power x**u in nabla_q^k f, u non-integer in (-3, 2), no closer than 5e-5
+    (s**2.5 at n = 3: 7.7e-3).  The table's samples go through the term
+    budget before any is taken.
+    """
+    nodes = [t * _RATIO**e for e in range(_DEPTH + 1)]
+    _check_budget(len(nodes) * n * (n + 1) // 2, p.trunc, where)
+    rows = [[nabla_q_n(f, x, k, p) for x in nodes] for k in range(n)]
+    size = max(map(abs, rows[0]))
+    limits = []
+    for k in range(n - 1, 0, -1):
+        column, diagonal = rows[k], [rows[k][0]]
+        for r in (_RATIO**j for j in range(1, _DEPTH + 1)):
+            column = [(deeper - r * x) / (1.0 - r) for x, deeper in zip(column, column[1:])]
+            diagonal.append(column[0])
+        gap, best = min((abs(b - a), b) for a, b in zip(diagonal, diagonal[1:]))
+        scale = max(size / t**k, *map(abs, rows[k]))
+        if not gap <= math.sqrt(p.trunc.rel_tol) * scale:
+            raise NonConvergence(f"{_name(where)}: nabla_q^{k} f does not settle toward 0 "
+                                 f"(best gap {gap:.3g} against a scale of {scale:.3g})")
+        limits.append(best)
+    return limits
+
+
+def _taylor_remainder(
+    f: QFunction, a: float, t: float, n: int, where: tuple, p: QParams
+) -> QFunction:
     """s -> f(s) - sum_{k<n} nabla_q^k f(a) (s - a)_q^(k) / [k]_q!: f less its
     q-Taylor part of degree n - 1 at a, the polynomial that interpolates f at
-    a, aq, ..., a q**(n-1), where the remainder vanishes.  The coefficients
-    are taken from the highest order down, so an order past the term budget
-    raises before f is sampled.  A coefficient that fails in float
-    arithmetic or is not finite (f singular at a) raises NonConvergence
-    through where, a _CAPUTO_AT tuple.
+    a, aq, ..., a q**(n-1), where the remainder vanishes.  From a > 0 the
+    coefficients are taken from the highest order down, so an order past the
+    term budget raises before f is sampled; from a = 0 those with k >= 1 are
+    _limits_at_zero on (0, t], and the one with k = 0 is f(0).  A coefficient
+    that fails in float arithmetic or is not finite (f singular at a) raises
+    NonConvergence through where, a _CAPUTO_AT tuple.
     """
     q = p.q
     try:
-        coeffs = [nabla_q_n(f, a, k, p) for k in range(n - 1, -1, -1)]
+        if a == 0.0 and n > 1:
+            coeffs = _limits_at_zero(f, t, n, where, p)
+        else:
+            coeffs = [nabla_q_n(f, a, k, p) for k in range(n - 1, 0, -1)]
+        coeffs.append(f(a))
         failure = None if all(map(math.isfinite, coeffs)) else f"got {coeffs[::-1]}"
     except QCalculusError:
         raise
@@ -286,23 +336,26 @@ def left_caputo(
 ) -> float:
     """Left Caputo q-fractional derivative I_a^(n - alpha) nabla_q^n f(t).
 
-    For t > 0 and every start a > 0, below t or above it, on the grid of t
+    For t > 0 and every start a >= 0, below t or above it, on the grid of t
     or off it, it is left_frac_integral at order -alpha of f less its
-    q-Taylor part of degree n - 1 at a; from a = 0 with n = 1, of f - f(0).
-    From a = t it is an empty sum, 0.0 with no sample.  From a = 0 with
-    n >= 2 (whose Taylor part needs nabla_q^k f(0)), and at t <= 0, it is
-    the composition itself.  Kills constants for non-integer order; integer
-    order is the plain n-fold q-derivative.
+    q-Taylor part of degree n - 1 at a; from a = 0 its coefficients past
+    f(0) are limits toward 0 (_limits_at_zero), and an f with no
+    integer-power expansion at 0 (s**0.5, s**2.5) raises NonConvergence.
+    From a = t (t = 0 included) it is an empty sum, 0.0 with no sample; any
+    other t <= 0, a < 0 or NaN endpoint raises DomainError naming t and a.
+    Kills constants for non-integer order; integer order is the plain
+    n-fold q-derivative.
     """
     alpha, n = _derivative_order(order)
     if n == alpha:
         return nabla_q_n(f, t, n, p)
-    if not (t > 0.0 and (a > 0.0 or a == 0.0 and n == 1)):
-        return left_frac_integral(lambda s: nabla_q_n(f, s, n, p), a, n - alpha, t, p)
-    if a == t:
+    if a == t and t >= 0.0:
         return 0.0
     q = p.q
-    remainder = _taylor_remainder(f, a, n, (_CAPUTO_AT, "left", t, "a", a, alpha, q), p)
+    where = (_CAPUTO_AT, "left", t, "a", a, alpha, q)
+    if not (t > 0.0 and a >= 0.0):
+        raise DomainError(f"{_name(where)}: needs t > 0 and a >= 0")
+    remainder = _taylor_remainder(f, a, t, n, where, p)
     # The remainder vanishes at a q**k, k < n, so from an a off the grid of
     # t the integral is the one from a q**n, whose anchored sum does not
     # open with the n zero terms that the stopping rule takes for its end.
@@ -334,5 +387,5 @@ def right_caputo(
     if _upper_steps(t, b, q) == 0:
         return 0.0
     where = (_CAPUTO_AT, "right", t, "b", b, alpha, q)
-    remainder = _taylor_remainder(f, b * q ** (alpha + 1.0 - n), n, where, p)
+    remainder = _taylor_remainder(f, b * q ** (alpha + 1.0 - n), t, n, where, p)
     return right_riemann_deriv(remainder, b * q, alpha, t, p)

@@ -90,6 +90,29 @@ class TestEval:
         assert code == 0 and err == ""
         assert abs(float(parse_csv(out)[0]["value"])) <= 1e-11
 
+    def test_caputo_from_zero_at_order_two(self):
+        # The q-power rule gives (1 + q) / q_gamma(3 - alpha); composing
+        # nabla_q^2 f under the integral printed 1.1054260982791138.
+        code, out, err = run_cli(
+            ["eval", "caputo", "--q", "0.3", "--alpha", "1.3", "--a", "0", "--t", "1",
+             "--f", "s*s - 0.3*s + 0.5"]
+        )
+        assert code == 0 and err == ""
+        exact = 1.3609321587261653
+        assert abs(float(parse_csv(out)[0]["value"]) - exact) <= 1e-12 * exact
+
+    def test_caputo_from_zero_failure_names_the_derivative(self):
+        # s^0.5 has no q-Taylor coefficients at 0; the message named the
+        # inner integral of the composition, at order 0.5.
+        code, out, err = run_cli(
+            ["eval", "caputo", "--q", "0.5", "--alpha", "1.5", "--a", "0", "--t", "1",
+             "--f", "s^0.5"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "qfrac: numeric failure: left Caputo derivative at t=1.0, a=0.0, alpha=1.5, q=0.5: ")
+        assert "Traceback" not in err
+
     def test_multiple_points_one_row_each(self):
         code, out, _ = run_cli(["eval", "eq", "--q", "0.5", "--t", "0.25,0.5"])
         assert code == 0

@@ -77,6 +77,9 @@ class TestDerivativeOrder:
         1.5: (1.7413999308958668, 190.84293923630435),
         2.25: (1.1884116001938652, 3555.877242267481),
     }
+    # Left Caputo from 0 of s^2 + 0.4 s keeps the terms of degree >= n:
+    # [2]_q / G(3 - alpha) t^(2 - alpha) at n = 2, and 0 at n = 3 (40 digits).
+    CAPUTO = {1.5: 1.4569188331653704, 2.25: 0.0}
 
     @pytest.mark.parametrize("alpha,n", [(0.5, 1), (1.5, 2), (2.25, 3)])
     def test_fractional_order_uses_ceiling(self, alpha, n, p_half):
@@ -85,7 +88,9 @@ class TestDerivativeOrder:
         # of the exact values, where composing n q-derivatives with the
         # (n - alpha)-integral is up to 6.3e-15 off.  Right Caputo to infinity
         # is the Riemann series bit for bit.  Left Caputo from 0 with n >= 2
-        # keeps the composition and gives it bit for bit.
+        # is the series of f less its q-Taylor part, whose coefficients past
+        # f(0) are extrapolated toward 0: 1.5e-15 off at n = 2 (the
+        # composition it replaced: 2.0e-15), and 2.0e-15 where the value is 0.
         left_f = lambda s: s * s + 0.4 * s
         right_f = lambda s: s**-3.0
         left_exact, right_exact = self.POWER_RULE[alpha]
@@ -94,12 +99,8 @@ class TestDerivativeOrder:
         got = right_riemann_deriv(right_f, INF, alpha, 0.8, p_half)
         assert abs(got - right_exact) <= 1e-15 * right_exact
         got = left_caputo(left_f, 0.0, alpha, 0.8, p_half)
-        if n == 1:
-            assert abs(got - left_exact) <= 1e-15 * left_exact
-        else:
-            assert got == left_frac_integral(
-                lambda s: nabla_q_n(left_f, s, n, p_half), 0.0, n - alpha, 0.8, p_half
-            )
+        caputo_exact = self.CAPUTO.get(alpha, left_exact)
+        assert abs(got - caputo_exact) <= (1e-15 if n == 1 else 3e-15) * max(caputo_exact, 1.0)
         got = right_caputo(right_f, INF, alpha, 0.8, p_half)
         assert got == right_riemann_deriv(right_f, INF, alpha, 0.8, p_half)
         assert abs(got - right_exact) <= 1e-15 * right_exact
@@ -359,6 +360,40 @@ class TestCaputo:
                 r"^right Caputo derivative at t=0\.25, b=1\.0, alpha=0\.5, q=0\.5: "
                 r"the q-Taylor coefficients of f at 0\.707")):
             right_caputo(lambda s: 1.0 / (s - 0.5**0.5), 1.0, 0.5, 0.25, p_half)
+
+    def test_from_zero_names_the_derivative_where_f_does_not_settle(self, p_half):
+        # s**0.5 has no integer-power expansion at 0, so nabla_q f(x), a
+        # multiple of x**-0.5, has no limit there.  The composition this
+        # replaced failed in its inner integral and named that, at order 0.5.
+        with pytest.raises(NonConvergence, match=(
+                r"^left Caputo derivative at t=1\.0, a=0\.0, alpha=1\.5, q=0\.5: "
+                r"nabla_q\^1 f does not settle toward 0")):
+            left_caputo(lambda s: s**0.5, 0.0, 1.5, 1.0, p_half)
+
+    @pytest.mark.parametrize("q", [0.3, 0.9])
+    def test_from_zero_without_a_power_expansion_raises(self, q):
+        # The deliberate trade of the extrapolation: nabla_q^2 s**2.5 is a
+        # multiple of x**0.5, whose table settles no closer than 8e-3 of its
+        # scale.  The composition happened to be right here at q = 0.3
+        # (1.568925803918644 against 1.56892580391864).
+        with pytest.raises(NonConvergence, match=r"nabla_q\^2 f does not settle toward 0"):
+            left_caputo(lambda s: s**2.5, 0.0, 2.4, 1.0, QParams(q))
+
+    def test_from_zero_table_past_the_budget_samples_nothing(self):
+        # 13 nodes, each sampled 1 + 2 + 3 times for nabla_q^k f, k < n = 3.
+        with pytest.raises(NonConvergence, match=(
+                r"^left Caputo derivative at t=1\.0, a=0\.0, alpha=2\.5, q=0\.5: "
+                r"78 terms exceed the budget of 77$")):
+            left_caputo(raising_operand, 0.0, 2.5, 1.0, QParams(0.5, Truncation(max_terms=77)))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+    def test_left_endpoints_outside_the_domain(self, p_half, alpha):
+        # a = t = 0 is an empty sum; every other t <= 0, a < 0 or NaN
+        # endpoint raises before f is sampled, naming t and a.
+        assert left_caputo(raising_operand, 0.0, alpha, 0.0, p_half) == 0.0
+        for a, t in [(0.0, -1.0), (1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (-0.5, 1.0)]:
+            with pytest.raises(DomainError, match=f"^left Caputo derivative at t={t}, a={a}, "):
+                left_caputo(raising_operand, a, alpha, t, p_half)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
     def test_inversion_by_fractional_integral(self, q):
@@ -951,7 +986,12 @@ class TestOffGridStart:
 
 # Derivatives on grid-aligned endpoints are the lattice series at order
 # -alpha.  The references are the definitions: n = ceil(alpha) q-derivatives
-# composed with the (n - alpha)-integral.
+# composed with the (n - alpha)-integral.  composed_caputo serves as one from
+# a = t q**m, and from 0 only at n = 1: from 0 with n >= 2 it samples
+# nabla_q^n f toward 0, whose rounding of about eps / s**n left it 11-19% low
+# for s**2 - 0.3 s + 0.5 at n = 2 and O(1) wrong at n = 3, so left Caputo
+# from 0 is checked against the q-power rule instead
+# (test_left_power_rule_and_right_composition).
 def composed_riemann(f, a, alpha, t, p):
     n = math.ceil(alpha)
     return nabla_q_n(lambda x: left_frac_integral(f, a, n - alpha, x, p), t, n, p)
@@ -1044,25 +1084,21 @@ class TestDerivativeSeries:
     # Jackson sum of the kernel, 4.5e-12 by the anchored series.
     @example(q=0.5837667558639746, alpha=2.341388004503047, t=1.0, coeffs=(0.0, 1.0, 0.0),
              ratio=1.4254387110139353, m=1)
-    def test_other_endpoints_keep_the_composition(self, q, alpha, t, coeffs, ratio, m):
-        # Caputo from 0 with n >= 2 gives the composition bit for bit, or
-        # fails as it does (with n >= 3 it can, see README).  The right
-        # Riemann series to a finite b is within SERIES_TOL of its
-        # composition.  Riemann from an a off the grid of t or above it, and
-        # Caputo from an a off the grid below t or from any a above it, are
-        # the integral at order -alpha; for a polynomial the q-power rule
-        # gives their exact values.  The composition is no reference there:
-        # near t it samples nabla_q^n f below a (Caputo of s**2 - 0.3 s + 0.5
-        # from a / t = 0.9993, alpha = 1.5, q = 0.5: off by 0.19, the series
-        # by 3e-16, against 40 digits), and from above t it was O(1) wrong at
-        # n >= 2.  On a pole of the kernel both raise PoleError, so the
-        # outcomes compare by error type.
+    def test_left_power_rule_and_right_composition(self, q, alpha, t, coeffs, ratio, m):
+        # Riemann and Caputo from 0, from a = t q**-m above t and from an a
+        # off the grid of t are the integral at order -alpha (Caputo of f
+        # less its q-Taylor part, whose coefficients from 0 past f(0) are
+        # extrapolated toward 0); for a polynomial the q-power rule gives
+        # their exact values.  The composition is no reference there: it
+        # samples nabla_q^n f toward 0 or, near t, below a (Caputo of
+        # s**2 - 0.3 s + 0.5 from a / t = 0.9993, alpha = 1.5, q = 0.5: off
+        # by 0.19, the series by 3e-16, against 40 digits), and from 0 or
+        # above t it was O(1) wrong at n >= 2.  The right Riemann series to a
+        # finite b is within SERIES_TOL of its composition.  On a pole of the
+        # kernel both raise PoleError, so the outcomes compare by error type.
         p, f, n = QParams(q), polynomial(coeffs), math.ceil(alpha)
         off_grid = [t * ratio] if _grid_exponent(ratio, q) is None else []
-        if n >= 2:
-            assert outcome(left_caputo, f, 0.0, alpha, t, p) == outcome(
-                composed_caputo, f, 0.0, alpha, t, p)
-        for a in [t / q**m] + off_grid:
+        for a in [0.0, t / q**m] + off_grid:
             assert_near(value_or_error_type(left_riemann_deriv, f, a, alpha, t, p),
                         value_or_error_type(power_rule, coeffs, a, alpha, t, p))
             assert_near(value_or_error_type(left_caputo, f, a, alpha, t, p),
@@ -1074,14 +1110,6 @@ class TestDerivativeSeries:
 
 def raising_operand(s):
     raise AssertionError(f"sampled at {s}")
-
-
-def outcome(route, *args):
-    """The route's value, or the type and message of the error it raised."""
-    try:
-        return route(*args)
-    except QCalculusError as exc:
-        return type(exc), str(exc)
 
 
 def value_or_error_type(route, *args):

@@ -11,9 +11,10 @@ ivp._ml_sum's routes (the term rule over cached tails, and Euler's expansion
 past the first P terms).  The forcing's sums the q-power rule order by
 order, sharing no code with the closed form's kernel series.  The left
 lattice series from 0 and the left integral from starts above t next to the
-grid are checked against the q-power rule, the right series to infinity
-against its own series summed in decimal, and right Caputo to a finite b
-against its definition summed in decimal.
+grid are checked against the q-power rule, as is left Caputo from 0 (the
+rule's terms of degree >= n), the right series to infinity against its own
+series summed in decimal, and right Caputo to a finite b against its
+definition summed in decimal.
 """
 
 import decimal
@@ -24,9 +25,9 @@ from decimal import Decimal
 import pytest
 
 import qfrac.ivp
-from qfrac import (IVProblem, MLParams, NonConvergence, QParams, Truncation, left_frac_integral,
-                   q_gamma, q_mittag_leffler, right_caputo, right_frac_integral,
-                   solve_ivp_closed, solve_ivp_picard)
+from qfrac import (IVProblem, MLParams, NonConvergence, QParams, Truncation, left_caputo,
+                   left_frac_integral, q_gamma, q_mittag_leffler, right_caputo,
+                   right_frac_integral, solve_ivp_closed, solve_ivp_picard)
 from qfrac.checks import _right_caputo_composed
 from qfrac.ivp import _euler_split, _ml_sum
 
@@ -521,3 +522,53 @@ def test_right_caputo_to_a_finite_b(n, alphas):
                                                abs(composed - want) / abs(want))
     assert worst["series"] <= RIGHT_CAPUTO_BOUNDS[n]
     assert worst["series"] <= 2.0 * worst["composition"]
+
+
+# Left Caputo from 0 against the q-power rule for its terms of degree >= n,
+# over q in {0.3, 0.5, 0.7, 0.9}, alpha in {1.3, 1.6} (n = 2), {2.4, 2.7}
+# (n = 3) and 3.4 (n = 4) and t in {1, 0.37}; the 18 cases of q in
+# {0.3, 0.5, 0.9}, alpha in {1.3, 1.6, 2.4}, t = 1 and the quadratic and cubic
+# are among them.  The worst relative error per n, rounded up from 8.9e-13,
+# 4.6e-12 and 6.3e-12 for the polynomials and 1.3e-12, 3.9e-10 and 5.2e-8 for
+# e^s; where the value is 0 (the quadratic at n >= 3, the cubic at n = 4) the
+# worst absolute error, from 2.1e-12 and 8.3e-11.  The composition
+# I^(n-alpha) nabla_q^n f that this replaced sampled nabla_q^n f toward 0:
+# 15 of the 18 cases were off by 6.5% to 240%, with no error raised.
+_CAPUTO_ORDERS = {2: (1.3, 1.6), 3: (2.4, 2.7), 4: (3.4,)}
+_CAPUTO_POLYS = ((0.5, -0.3, 1.0), (2.0, 1.0, 0.0, 1.0), (0.3, 0.0, -1.0, 0.0, 1.0))
+_EXP_TAYLOR = tuple(1.0 / math.factorial(j) for j in range(26))
+CAPUTO_FROM_ZERO_BOUNDS = {2: 1e-12, 3: 5e-12, 4: 1e-11}
+CAPUTO_FROM_ZERO_ZERO = {3: 3e-12, 4: 1e-10}
+CAPUTO_EXP_BOUNDS = {2: 2e-12, 3: 5e-10, 4: 6e-8}
+
+
+def _caputo_from_zero_errors(n: int, operands) -> tuple[float, float]:
+    """The worst relative error, and the worst absolute one where the value
+    is 0, of left Caputo from 0 of order n over the sweep, per (f, coeffs)."""
+    worst = [0.0, 0.0]
+    for q in (0.3, 0.5, 0.7, 0.9):
+        for alpha in _CAPUTO_ORDERS[n]:
+            for t in (1.0, 0.37):
+                for f, coeffs in operands:
+                    want = left_from((0.0,) * n + coeffs[n:], 0.0, -alpha, t, q)
+                    got = left_caputo(f, 0.0, alpha, t, QParams(q))
+                    if want == 0.0:
+                        worst[1] = max(worst[1], abs(got))
+                    else:
+                        worst[0] = max(worst[0], abs(got - want) / abs(want))
+    return worst[0], worst[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_left_caputo_from_zero(n):
+    operands = [(lambda s, c=c: sum(x * s**j for j, x in enumerate(c)), c) for c in _CAPUTO_POLYS]
+    relative, absolute = _caputo_from_zero_errors(n, operands)
+    assert relative <= CAPUTO_FROM_ZERO_BOUNDS[n]
+    assert absolute <= CAPUTO_FROM_ZERO_ZERO.get(n, 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_left_caputo_from_zero_of_exp(n):
+    # e^s through its Taylor polynomial of degree 25, within 3e-27 at t = 1.
+    relative, _ = _caputo_from_zero_errors(n, [(math.exp, _EXP_TAYLOR)])
+    assert relative <= CAPUTO_EXP_BOUNDS[n]
