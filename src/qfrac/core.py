@@ -6,8 +6,10 @@ integrals are Jackson sums, i.e. truncated geometric series whose stopping
 behaviour is governed by a :class:`Truncation` policy.  Every infinite sum
 of the package stops in ``_accumulate``: once its terms fall geometrically it
 adds their closed tail, and otherwise it stops on a run of small terms; a
-lattice series whose operand's ratio has settled draws the rest of its terms
-from its weights alone, with no further call of the operand.  Every
+sum over a chain whose operand's ratio has settled draws the rest of its
+terms from its weights alone, with no further call of the operand.  Either
+closure that extrapolates an operand, that rest or the closed tail, is first
+spot-checked further down the chain, by ``_rest_holds``.  Every
 infinite product is a q-Pochhammer symbol (c; q)_inf, taken by
 ``special._q_product``, which closes its tail the same way; the same loop,
 given a count, forms the finite (c; q)_n.  Work whose length is known before
@@ -73,8 +75,8 @@ class Truncation:
     ``_TAIL_SHARE * rel_tol * |S + tail| + _ABS_TOL`` (0.1 and 1e-300).
     Any other infinite sum (ratios that change sign or never settle) stops
     once 3 successive terms satisfy
-    ``|term| <= rel_tol * |partial_sum| + _ABS_TOL``.  An infinite lattice
-    series (weights w_n that are not geometric, terms w_n v_n) also watches
+    ``|term| <= rel_tol * |partial_sum| + _ABS_TOL``.  An infinite sum over
+    a chain (a Jackson sum or a lattice series, terms w_n v_n) also watches
     its operand's ratio sigma_n = v_n / v_{n-1}: once its relative drift has
     stayed within rel_tol for 3 successive terms, at the first term with
     r = |rho_n| < 1 the operand is sampled at a few points further down the
@@ -82,10 +84,14 @@ class Truncation:
     ``_TAIL_SHARE * rel_tol * |S + tail| + _ABS_TOL``); if each sample is
     v_n sigma**k to within that share of the sum, the rest of the sum takes
     v_n sigma**k for its samples, calls the operand no more, and runs under
-    the rule above at ``rel_tol (1 - r)``; its terms count as terms.
-    Otherwise, where a sample fails, where the rest would run to fewer than
-    8 n terms, or once sigma moves by more than rel_tol, the operand is
-    sampled at every term.  A sum with a known
+    the rule above at ``rel_tol (1 - r)``; its terms count as terms.  While
+    the operand is watched, a closed geometric tail is checked by the same
+    samples first, at any length of the rest, and a sample that contradicts
+    it defers the closure.  Where a sample contradicts the rest, the
+    operand is sampled at every term and still watched; where a sample
+    fails to evaluate, where the rest would run to fewer than 8 n terms, or
+    once sigma moves by more than rel_tol, it is watched no further and a
+    closed tail goes unchecked.  A sum with a known
     number of terms is summed in full.  A product (c; q)_inf stops once 3
     successive ``|c q**j|`` are at most rel_tol and multiplies in its closed
     tail ``1 - c q**(j+1) / (1 - q)``, within ``(rel_tol / (1 - q))**2``.
@@ -191,26 +197,37 @@ def _accumulate(
     past ``max_terms`` terms it raises NonConvergence, the stopping rule not
     having fired.  Both kinds raise NonConvergence at a non-finite term.
 
-    A lattice series also closes on its operand.  Its terms w_n v_n come from
-    _walk, which puts each sample v_n in ``chain`` while the sum watches the
-    operand's ratio sigma_n = v_n / v_{n-1}; past the sample v_N at which
-    sigma has settled, the rest of the sum is v_N sum_{k>=1} w_{N+k} sigma**k.
-    While sigma's relative drift between samples stays within rel_tol, the
-    operand is watched; after ``_SMALL_RUN`` such drifts, at the first term
-    with |rho_N| < 1, the sum spot-checks the rest (_rest_holds), the one
-    test of whether sigma has settled: a few samples further down the chain
-    must match v_N sigma**k.  If they do, the walk draws the rest's
-    terms from the same weights with v_N sigma**k for samples, and no operand
-    call.  The term test above then runs on at rel_tol (1 - |rho_N|) (the
-    closed tail of a ratio that still settles is off by more than its drift,
-    the more so as rho nears 1, and the rest's terms call no operand); they
-    count as terms, under ``max_terms``, and are also summed apart, so that
-    the sum returns S + rest with one rounding at the scale of S.  A power of
-    s closes after 5 samples and its spot checks where its rest is long.  An
-    operand that fails the spot checks, or whose ratio moves by more than
-    rel_tol between samples, is watched no further and sampled at every
-    term, so one that settles no faster than the weights, such as a
-    polynomial, costs the test its first 3 terms.
+    A sum over a chain (a Jackson sum, a lattice series, the forcing kernel)
+    also closes on its operand.  Its terms w_n v_n come from _walk, which puts
+    each sample v_n in ``chain`` while the sum watches the operand's ratio
+    sigma_n = v_n / v_{n-1}.  Two closures extrapolate the operand past the
+    sample v_N at hand: the rest v_N sum_{k>=1} w_{N+k} sigma**k drawn from
+    the weights, and the term test's closed tail, which for geometric weights
+    (a Jackson sum, a lattice series at order 1) is the same extrapolation.
+    Both go through one check first (_rest_holds): a few samples further
+    down the chain must match v_N sigma**k.  While sigma's relative drift
+    between samples stays within rel_tol, the operand is watched.  After
+    ``_SMALL_RUN`` such drifts, at the first term with |rho_N| < 1, the sum
+    checks the rest; if it holds, the walk draws the rest's terms from the
+    same weights with v_N sigma**k for samples, and no operand call.  The
+    term test above then runs on at rel_tol (1 - |rho_N|) (the closed tail of
+    a ratio that still settles is off by more than its drift, the more so as
+    rho nears 1, and the rest's terms call no operand); they count as terms,
+    under ``max_terms``, and are also summed apart, so that the sum returns
+    S + rest with one rounding at the scale of S.  A rest shorter than
+    ``_REST_MIN`` times N is not drawn, and the watch ends there.  While the
+    operand is watched and no rest is drawn, the term test's closure is
+    checked at any rest length.  A check that fails defers the closure and
+    does not forbid it: the term test's run starts over, no rest is drawn
+    from then on, and the operand stays watched, so the sum may close past
+    the operand's break, checked again from there.  A check that cannot
+    sample (a sample fails to evaluate, or a power leaves the range of a
+    double) leaves the closure unchecked: the tail closes, or no rest is
+    drawn and the watch ends.  A power of s closes after 5 samples and its
+    spot checks.  An operand whose ratio moves by more than rel_tol between
+    samples is watched no further, and its closures go unchecked; one that
+    settles no faster than the weights, such as a polynomial, costs the
+    watch its first 3 terms.  The spot checks are samples, not terms.
 
     A failure's message opens with ``where[0].format(*where[1:])``, a
     template and its arguments (as _power takes them), formatted only when it
@@ -257,10 +274,17 @@ def _accumulate(
                 <= (tail_tol * abs(total * gap + term * ratio) + abs_tol * gap) * gap
             ):
                 tail_run += 1
+                # A tail that extrapolates a watched operand is checked first;
+                # a sample that contradicts it defers the closure.
                 if tail_run >= _SMALL_RUN:
-                    closed = term * ratio / gap
-                    total += closed
-                    break
+                    if rest is None and chain is not None and _rest_holds(
+                            chain, chain.sample / prev_sample, n, term, ratio, total, rel_tol,
+                            max_terms, 0) is False:
+                        tail_run, operand_run = 0, -inf
+                    else:
+                        closed = term * ratio / gap
+                        total += closed
+                        break
             else:
                 tail_run = 0
             prev_ratio = ratio
@@ -308,14 +332,17 @@ def _accumulate(
                     else:
                         operand_run += 1
                         if operand_run >= _SMALL_RUN and 0.0 < abs(ratio) < 1.0:
-                            if _rest_holds(chain, sigma, n, term, ratio, total, rel_tol,
-                                           max_terms):
+                            holds = _rest_holds(chain, sigma, n, term, ratio, total, rel_tol,
+                                                max_terms, _REST_MIN)
+                            if holds:
                                 chain.sigma, head, rest, closed = sigma, total, 0.0, 0.0
                                 rel_tol *= 1.0 - abs(ratio)
                                 tail_tol = _TAIL_SHARE * rel_tol
                                 small_run = tail_run = 0
-                            else:
+                            elif holds is None:
                                 chain.sigma, chain = 0.0, None
+                            else:  # still watched, for the term test's closure
+                                operand_run = -inf
                 prev_sigma = sigma
             prev_sample = sample
         prev_term = term
@@ -329,42 +356,48 @@ def _accumulate(
 
 
 def _rest_holds(chain: _Chain, sigma: float, n: int, term: float, ratio: float,
-                total: float, rel_tol: float, max_terms: int) -> bool:
-    """The spot checks of _accumulate before the rest past its n-th term takes
-    v_n sigma**k for its samples: whether the operand matches that at a few
-    points further down the chain.  They alone decide whether sigma has
-    settled, as the watch before them only rules out a drift past rel_tol;
-    and ratios alone cannot tell a power from an operand that is one only
-    near the chain's start (a step, a clamp, a forcing of compact support).
+                total: float, rel_tol: float, max_terms: int, least: int) -> bool | None:
+    """The spot checks of _accumulate before a closure extrapolates the
+    operand past its n-th term as v_n sigma**k: the rest drawn from sigma, or
+    the term test's closed tail.  True if the operand matches v_n sigma**k
+    at a few points further down the chain, False if a sample contradicts
+    it, None if the closure goes unchecked.  They alone decide whether sigma
+    has settled, as the watch before them only rules out a drift past
+    rel_tol; and ratios alone cannot tell a power from an operand that is one
+    only near the chain's start (a step, a clamp, a forcing of compact
+    support).
 
     The rest's terms fall about as |term| r**k, r = |ratio| in (0, 1), and
     from the k-th on sum to |term| r**k / (1 - r).  Let scale be
     _TAIL_SHARE * rel_tol * |S + tail| + _ABS_TOL, tol the relative
     deviation scale (1 - r) / |term|, and last the first k with r**k <= tol
-    (at most max_terms).  A rest with last below _REST_MIN * n is not drawn:
-    it would save fewer samples than its checks and the rest's tighter
-    tolerance cost a cheap operand.  Otherwise the operand is sampled at
-    k = n, 3n, 7n, ... (each check doubling the stretch of the chain seen)
-    below last, and at last; each sample must lie within tol r**-j of
-    v_n sigma**k, j the check before it (0 for the first).  A deviation that
-    grows or holds between two checks, such as a step's, then costs the rest
-    at most scale per check, and one past last at most scale times its size.
-    A deviation confined between two checks goes unseen.  A sample that
-    fails to evaluate fails the check: the walk that follows samples that
-    point only if the sum reaches it, and raises there as before.
+    (at most max_terms).  A rest with last below least * n is not checked
+    (None): the rest from sigma takes least = _REST_MIN, as a shorter one
+    would save fewer samples than its checks and the rest's tighter
+    tolerance cost a cheap operand, and the term test's tail takes 0.
+    Otherwise the operand is sampled at k = n, 3n, 7n, ... (each check
+    doubling the stretch of the chain seen) below last, and at last (at
+    last alone where it is below n); each sample must lie within tol r**-j
+    of v_n sigma**k, j the check before it (0 for the first).  A deviation
+    that grows or holds between two checks, such as a step's, then costs the
+    rest at most scale per check, and one past last at most scale times its
+    size.  A deviation confined between two checks goes unseen.  A sample
+    that fails to evaluate leaves the closure unchecked (None): the walk
+    that follows samples that point only if the sum reaches it, and raises
+    there as before.
     """
     r = abs(ratio)
     scale = _TAIL_SHARE * rel_tol * abs(total + term * ratio / (1.0 - ratio)) + _ABS_TOL
     f, q, x, v = chain.f, chain.q, chain.point, chain.sample
     if chain.upward:
         q = 1.0 / q
-    # A sample, sigma**k or r**-k out of range fails the check alike.
+    # A sample, sigma**k or r**-k out of range leaves the rest unchecked alike.
     try:
         bound = tol = scale * (1.0 - r) / abs(term)
         last = min(max_terms, math.ceil(math.log(tol) / math.log(r))) if tol < 1.0 else 1
-        if last < _REST_MIN * n:
-            return False
-        k = n
+        if last < least * n:
+            return None
+        k = min(n, last)
         while True:
             expected = v * sigma**k
             if not abs(f(x * q**k) - expected) <= bound * abs(expected):
@@ -375,7 +408,7 @@ def _rest_holds(chain: _Chain, sigma: float, n: int, term: float, ratio: float,
             if k > last:
                 k = last
     except Exception:
-        return False
+        return None
 
 
 def _check_budget(n: int, trunc: Truncation, where: tuple) -> None:
@@ -463,25 +496,23 @@ def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
 
 def _chain_sum(
     f: QFunction, x: float, upward: bool, weights: Iterable[float],
-    steps: int | None, p: QParams, where: tuple, *, geometric: bool = False,
+    steps: int | None, p: QParams, where: tuple,
 ) -> float:
     """sum_k w_k f(x_k) over k < steps (all k >= 0 if steps is None) with w_k the
     weights, x_0 = x and x_{k+1} = x_k / q (upward) or x_k * q, by _walk, the one
-    loop that walks a chain.  An infinite sum whose weights are not
-    ``geometric`` watches its operand's ratio and may close on it (see
-    _accumulate); geometric weights (a Jackson sum) make the term ratio the
-    operand's times a constant, whose closed tail is already exact in the
-    weights.  An infinite upward sum is watched for growth; where names a
-    failure, as in _accumulate."""
+    loop that walks a chain.  An infinite sum watches its operand, whatever
+    its weights, and spot-checks it before either closure that extrapolates
+    it (see _accumulate).  An infinite upward sum is watched for growth;
+    where names a failure, as in _accumulate."""
     q = p.q
-    chain = _Chain(f, q, upward) if steps is None and not geometric else None
+    chain = _Chain(f, q, upward) if steps is None else None
     return _accumulate(_walk(f, x, q, upward, weights, chain), p.trunc, detect_growth=upward,
                        count=steps, where=where, chain=chain)
 
 
 class _Chain:
-    """The operand of an infinite lattice series on its chain, which _walk
-    samples and _accumulate watches.
+    """The operand of an infinite sum over a chain, which _walk samples and
+    _accumulate watches.
 
     While ``sigma`` is None, _walk puts each point x_N and its sample
     v_N = f(x_N) in ``point`` and ``sample``, and reads ``sigma`` after each
@@ -530,8 +561,7 @@ def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -
         return 0.0
     q = p.q
     weights = itertools.accumulate(itertools.repeat(q), operator.mul, initial=(1.0 - q) * x)
-    return _chain_sum(f, x, False, weights, steps, p, ("q-integral at x={!r}, q={!r}", x, q),
-                      geometric=True)
+    return _chain_sum(f, x, False, weights, steps, p, ("q-integral at x={!r}, q={!r}", x, q))
 
 
 def q_integral(f: QFunction, a: float, t: float, p: QParams) -> float:
@@ -562,15 +592,15 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
     the q-grid through t (b = t q**-m with m >= 0), in which case the two-tail
     difference telescopes to an exact finite sum over the points in (t, b].
     """
-    if not t > 0.0:
-        raise DomainError(f"tail integrals require t > 0, got t={t}")
-    steps = _upper_steps(t, b, p.q)
     q = p.q
+    where = ("tail integral from t={!r} to b={!r}, q={!r}", t, b, q)
+    if not t > 0.0:
+        raise DomainError(f"{_name(where)}: needs t > 0")
+    steps = _upper_steps(t, b, q)
     weights = itertools.accumulate(
         itertools.repeat(q), operator.truediv, initial=(1.0 - q) * t / q
     )
-    return _chain_sum(f, t / q, True, weights, steps, p,
-                      ("tail integral from t={!r} to b={!r}, q={!r}", t, b, q), geometric=True)
+    return _chain_sum(f, t / q, True, weights, steps, p, where)
 
 
 def _start_steps(a: float, t: float, q: float) -> int | None:

@@ -22,4 +22,5 @@ class DomainError(QCalculusError, ValueError):
 
 
 class NumericOverflow(QCalculusError, OverflowError):
-    """A power of valid arguments is too large for a double."""
+    """A power of valid arguments is too large for a double, or an infinite
+    product of them underflows."""

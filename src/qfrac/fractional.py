@@ -90,13 +90,14 @@ def _lattice_series(
     Downward they are the kernel of a fractional integral over q_gamma(alpha)
     on the lattice, a ratio of q-Pochhammer symbols, so no factorial power is
     ever rebuilt.  With c = a / t < 1 they follow the kernel
-    (t - qs)_q^(alpha-1) along s = a q**k.  These weights are not geometric,
-    so an infinite series may close on its operand's ratio (see
-    core._accumulate): where the rest is long, an operand whose ratio stays
-    within rel_tol over 5 samples is sampled at a few spot checks further
-    down, and if it is a power of s there too, the rest of the series is
-    drawn from these weights alone.  A power q**alpha or q**-alpha
-    too large for a double raises NumericOverflow through where.
+    (t - qs)_q^(alpha-1) along s = a q**k.  An infinite series may close on
+    its operand's ratio (see core._accumulate): where the rest is long, an
+    operand whose ratio stays within rel_tol over 5 samples is sampled at a
+    few spot checks further down, and if it is a power of s there too, the
+    rest of the series is drawn from these weights alone.  A closed
+    geometric tail of the term test (at order 1 the weights are geometric,
+    as a Jackson sum's) is spot-checked the same way.  A power q**alpha or
+    q**-alpha too large for a double raises NumericOverflow through where.
     """
     q = p.q
     ratio = _power(q, -alpha, *where) if upward else q
@@ -194,11 +195,11 @@ def right_frac_integral(
     the grid of t) raises DomainError.
     """
     alpha = _integral_order(order)
-    if not t > 0.0:
-        raise DomainError(f"right fractional integrals require t > 0, got t={t}")
     q = p.q
-    steps = _upper_steps(t, b, q)
     where = (_RIGHT_AT, t, b, alpha, q)
+    if not t > 0.0:
+        raise DomainError(f"{_name(where)}: needs t > 0")
+    steps = _upper_steps(t, b, q)
     shift = _power(q, 1.0 - alpha, *where)
     weight = r_coef(alpha, q) * q**-alpha * _power((1.0 - q) * t, alpha, *where)
     return _lattice_series(f, t / q * shift, True, alpha, weight, steps, p, where)
@@ -218,7 +219,8 @@ def left_riemann_deriv(
     if n == alpha:
         return nabla_q_n(f, t, n, p)
     if not t > 0.0:
-        raise DomainError(f"left Riemann derivative needs t > 0, got t={t}")
+        raise DomainError(f"left Riemann derivative at t={t!r}, a={a!r}, alpha={alpha!r}, "
+                          f"q={p.q!r}: needs t > 0")
     return left_frac_integral(f, a, -alpha, t, p)
 
 
@@ -238,12 +240,12 @@ def right_riemann_deriv(
     sign = -1.0 if n % 2 else 1.0
     if n == alpha:
         return sign * nabla_q_n(f, t, n, p)
+    at = f"right Riemann derivative at t={t!r}, b={b!r}, alpha={alpha!r}, q={p.q!r}"
     if not b >= t:
-        raise DomainError(f"right Riemann derivative needs b >= t, got t={t}, b={b}")
+        raise DomainError(f"{at}: needs b >= t")
     shift = p.q**n
     if shift == 0.0:
-        raise NumericOverflow(f"right Riemann derivative at t={t!r}, b={b!r}, alpha={alpha!r}, "
-                              f"q={p.q!r}: q**-{n} overflowed")
+        raise NumericOverflow(f"{at}: q**-{n} overflowed")
     return right_frac_integral(f, b / shift, -alpha, t, p)
 
 

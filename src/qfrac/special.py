@@ -20,11 +20,14 @@ rel_tol, max_terms) in a bounded cache.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import sys
 from typing import Iterator
 
 from .core import (
-    _SMALL_RUN, QParams, _accumulate, _check_budget, _grid_exponent, _note_terms, _power,
+    _SMALL_RUN, QParams, _accumulate, _check_budget, _grid_exponent, _name, _note_terms, _power,
     count_terms,
 )
 from .errors import DomainError, NumericOverflow, PoleError
@@ -61,7 +64,11 @@ def _q_product(c: float, p: QParams, where: tuple, count: int | None = None) -> 
     prod_{i>j} (1 - c q**i) = 1 - c q**(j+1) / (1 - q), whose error is at
     most (rel_tol / (1 - q))**2.  Either count is checked against the
     budget (core._check_budget, where naming the caller's product) before
-    the first factor is taken.
+    the first factor is taken.  An infinite product that underflows to 0 or
+    to a subnormal while none of its factors is exactly 0 raises
+    NumericOverflow through where, before a caller divides by it (near
+    q = 1, where (q; q)_inf falls like exp(-pi**2 / (6 (1 - q)))); a factor
+    that is exactly 0 is a pole or a zero, and its product stays 0.
     """
     q = p.q
     finite = count is not None
@@ -71,14 +78,21 @@ def _q_product(c: float, p: QParams, where: tuple, count: int | None = None) -> 
         if abs(c) > rel_tol:
             count += math.ceil((math.log(abs(c)) - math.log(rel_tol)) / -math.log(q))
     _check_budget(count, p.trunc, where)
-    product = 1.0
+    product, first = 1.0, c
     for _ in range(count):
         product *= 1.0 - c
         c *= q
     if finite:
         return product
     _note_terms(count)
-    return product * (1.0 - c / (1.0 - q))
+    product *= 1.0 - c / (1.0 - q)
+    # Only a factor that is exactly 0 (c q**j == 1.0, a pole or a zero)
+    # lets the product reach 0 or a subnormal without underflowing; the
+    # factors are walked again for it on this rare path alone.
+    if abs(product) < sys.float_info.min and 1.0 not in itertools.accumulate(
+            itertools.repeat(q, count - 1), operator.mul, initial=first):
+        raise NumericOverflow(f"{_name(where)}: the product underflowed to {product!r}")
+    return product
 
 
 # Keyed by (q, x, rel_tol, max_terms), plain floats and an int: a Truncation
@@ -229,6 +243,8 @@ def q_gamma(alpha: float, p: QParams) -> float:
     with q_gamma(1) = 1; poles at alpha = 0, -1, -2, ...  Negative alpha is
     shifted up through the recurrence, one step per unit; ceil(-alpha) steps
     above the truncation's max_terms raise NonConvergence before the first.
+    A product that underflows (q near 1) raises NumericOverflow, and a
+    factor that rounds to exactly 0 PoleError.
     """
     if not math.isfinite(alpha):
         raise DomainError(f"q_gamma argument must be finite, got {alpha}")

@@ -409,6 +409,29 @@ class TestEvalErrors:
         assert "Numerical result out of range" not in out + err
         assert "float division by zero" not in out + err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fracint", "--side", "right", "--t", "0"],
+         "right fractional integral at t=0.0, b=inf, alpha=0.5, q=0.5: needs t > 0"),
+        (["fracder", "--t", "0"],
+         "left Riemann derivative at t=0.0, a=0.0, alpha=0.5, q=0.5: needs t > 0"),
+        (["fracder", "--side", "right", "--b", "0.5", "--t", "1"],
+         "right Riemann derivative at t=1.0, b=0.5, alpha=0.5, q=0.5: needs b >= t"),
+    ], ids=["right-integral", "left-riemann", "right-riemann"])
+    def test_domain_error_names_its_parameters(self, argv, message):
+        code, out, err = run_cli(
+            ["eval", argv[0], "--q", "0.5", "--alpha", "0.5", "--f", "1", *argv[1:]])
+        assert (code, out, err) == (3, "", f"qfrac: error: {message}\n")
+
+    def test_underflow_near_q_one_is_a_numeric_failure(self):
+        # (q; q)_inf underflows to 0 at q = 0.999; the series divided by it,
+        # and printed "float division by zero".
+        code, out, err = run_cli(["eval", "ml", "--q", "0.999", "--alpha", "0.9", "--lambda", "-1",
+                                  "--z", "2", "--max-terms", "1000000"])
+        assert (code, out) == (2, "")
+        assert err.startswith("qfrac: numeric failure: (q**x; q)_inf at x=1.0, q=0.999: "
+                              "the product underflowed")
+        assert "division by zero" not in err
+
     @pytest.mark.parametrize("endpoints, name", [
         (["--t", "1", "--a", "nan"], "t=1.0, a=nan, alpha=0.5, q=0.5"),
         (["--t", "nan"], "t=nan, a=0.0, alpha=0.5, q=0.5"),

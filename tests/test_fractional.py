@@ -271,6 +271,18 @@ class TestRiemannDerivative:
             with pytest.raises(DomainError, match="needs t > 0"):
                 left_riemann_deriv(lambda s: c, 0.0, 0.5, t, p_half)
 
+    def test_domain_errors_name_their_parameters(self, p_half):
+        f = lambda s: 1.0
+        with pytest.raises(DomainError, match=r"^right fractional integral at t=0\.0, b=inf, "
+                                              r"alpha=0\.5, q=0\.5: needs t > 0$"):
+            right_frac_integral(f, INF, 0.5, 0.0, p_half)
+        with pytest.raises(DomainError, match=r"^left Riemann derivative at t=-1\.0, a=0\.0, "
+                                              r"alpha=1\.5, q=0\.5: needs t > 0$"):
+            left_riemann_deriv(f, 0.0, 1.5, -1.0, p_half)
+        with pytest.raises(DomainError, match=r"^right Riemann derivative at t=1\.0, b=0\.5, "
+                                              r"alpha=0\.5, q=0\.5: needs b >= t$"):
+            right_riemann_deriv(f, 0.5, 0.5, 1.0, p_half)
+
     def test_extreme_orders_overflow_names_parameters(self, p_half):
         # At t = 2 the weight ((1-q) t)**alpha is 1, and the lattice series'
         # q**alpha overflows; to infinity, b q**-n does.
@@ -782,12 +794,15 @@ class TestOperandClose:
 
     def test_jackson_sum_keeps_its_closed_tail(self):
         # Geometric weights: the term ratio is the operand's times q, and the
-        # term test closes a power's tail exactly, after the same 5 samples:
-        # (1 - q) sum_i q**(3i) = 4/7 at q = 0.5.
+        # term test closes a power's tail exactly after 5 terms, (1 - q)
+        # sum_i q**(3i) = 4/7 at q = 0.5.  As that tail extrapolates the
+        # operand, it is spot-checked first, at 2 points further down (k = 5
+        # and the rest's end, 11): 7 samples, where the unchecked tail took
+        # 5.  The spot checks are samples, not terms.
         f, calls = counted(lambda s: s * s)
         with count_terms() as counter:
             assert q_integral(f, 0.0, 1.0, QParams(0.5)) == 4.0 / 7.0
-        assert len(calls) == counter.total == 5
+        assert (len(calls), counter.total) == (7, 5)
 
 
 class TestOffGridStart:

@@ -137,6 +137,14 @@ class TestMittagLeffler:
         got = q_mittag_leffler(MLParams(1.0, 1.0, -1.40625), 1.390625, QParams(0.4921875))
         assert abs(got - 0.21703696478195688) <= 1e-10
 
+    def test_underflow_near_q_one_is_numeric_overflow(self):
+        # At q = 0.999 the series divides by (q; q)_inf, which underflows to
+        # 0: it raised a bare ZeroDivisionError.
+        p = QParams(0.999, Truncation(max_terms=10**6))
+        with pytest.raises(NumericOverflow, match=r"^\(q\*\*x; q\)_inf at x=1\.0, q=0\.999: "
+                                                  r"the product underflowed to 0\.0$"):
+            q_mittag_leffler(MLParams(0.9, 1.0, -1.0), 2.0, p)
+
     @pytest.mark.parametrize(("z0", "calls"), [(0.0, 1), (0.5**3, 1), (0.37, 14)])
     def test_factorial_powers_per_sum(self, monkeypatch, p_half, z0, calls):
         # From z0 = 0 and from z0 = z q**j each term takes its power of z from

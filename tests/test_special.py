@@ -239,6 +239,17 @@ class TestGamma:
         with pytest.raises(PoleError, match=rf"alpha={alpha!r}, q=0\.5"):
             q_gamma(alpha, p_half)
 
+    @pytest.mark.parametrize(("q", "low"), [(0.999, "0.0"), (0.9978, "1.69484e-319")])
+    def test_underflow_near_q_one_is_numeric_overflow(self, q, low):
+        # q_gamma(2.5) divides (q; q)_inf by (q**2.5; q)_inf, which fall like
+        # exp(-pi**2 / (6 (1 - q))): at q = 0.999 both underflow to 0, and at
+        # q = 0.9978 to subnormals, while no factor is 0.  That is no pole:
+        # the first raised PoleError, the second returned 22.04 for 1.3288.
+        p = QParams(q, Truncation(max_terms=10**6))
+        with pytest.raises(NumericOverflow, match=(
+                rf"^\(q\*\*x; q\)_inf at x=2\.5, q={q!r}: the product underflowed to {low}$")):
+            q_gamma(2.5, p)
+
     def test_shift_beyond_budget_is_nonconvergence(self):
         # The shift takes one step per unit; it used to run a billion steps.
         with pytest.raises(NonConvergence, match=r"alpha=-999999999\.5, q=0\.999"):
