@@ -18,6 +18,7 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from operator import itemgetter
+from typing import TextIO
 
 from . import special
 from .core import (QFunction, QParams, Truncation, count_terms, nabla_q, nabla_q_n,
@@ -118,31 +119,29 @@ class CheckReport:
         del obj["duration"]
         return obj
 
-    def to_json(self) -> str:
-        """json.dumps(self.to_json_obj(), sort_keys=True, indent=2), byte for byte,
-        from the C encoder.  With indent, json runs its pure-Python encoder:
-        0.17 s against 0.08 s here for the core, special and frac reports at
-        seed 7 (2-core VM).  All records, params masked, are one call and all
-        flat params dicts another; each is spliced in at its key."""
+    def write_json(self, stream: TextIO) -> None:
+        """Write json.dumps(self.to_json_obj(), sort_keys=True, indent=2) and a
+        newline, byte for byte, from the C encoder and REPORT_CHUNK records at
+        a time, so no step holds more than one chunk's text.  With indent, json
+        runs its pure-Python encoder: 0.17 s against 0.08 s here for the core,
+        special and frac reports at seed 7 (2-core VM)."""
         obj = self.to_json_obj()
-        records = obj["records"]
-        params = [rec["params"] for rec in records]
-        flat = [_SCALARS.issuperset(map(type, p.values())) for p in params]
-        bulk = iter(_flat_dicts([p for p, is_flat in zip(params, flat) if is_flat], 3))
-        # Params that hold a container are written a scalar at a time.
-        params = [next(bulk) if is_flat else _indented(p, 3) for p, is_flat in zip(params, flat)]
-        key = '\n      "params": '
-        texts = _flat_dicts([{**rec, "params": 0} for rec in records], 2)
-        texts = [text.replace(key + "0", key + p, 1) for text, p in zip(texts, params)]
-        obj["records"] = 0
-        return _indented(obj, 0).replace(
-            '\n  "records": 0', '\n  "records": ' + _block(texts, 1, "[]"), 1)
+        records, obj["records"] = obj["records"], 0
+        head, tail = _indented(obj, 0).split('\n  "records": 0', 1)
+        stream.write(head + '\n  "records": ' + ("[" if records else "[]"))
+        pad = "\n    "
+        for start in range(0, len(records), REPORT_CHUNK):
+            texts = _record_texts(records[start:start + REPORT_CHUNK])
+            stream.write(("," if start else "") + pad + ("," + pad).join(texts))
+        stream.write(("\n  ]" if records else "") + tail + "\n")
 
 
 # The report's JSON text.  A raw newline in it only ever comes from a
 # separator, since strings escape theirs, so a newline and its indent mark a key.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _encode = json.JSONEncoder().encode  # one key or scalar
+# Records encoded and written at a time: a report is never held whole.
+REPORT_CHUNK = 256
 
 
 def _block(parts: list[str], depth: int, brackets: str) -> str:
@@ -173,6 +172,20 @@ def _flat_dicts(dicts: list[dict], depth: int) -> list[str]:
     # "}," + pad + "{" is only ever where one dict ends and the next begins.
     return ["{" + pad + body + pad[:-2] + "}" if body else "{}"
             for body in text[2:-2].split("}," + pad + "{")]
+
+
+def _record_texts(records: list[dict]) -> list[str]:
+    """_indented(rec, 2) of each record dict.  The records, params masked, are
+    one call of the C encoder and their flat params dicts another; each params
+    text is spliced in at its key."""
+    params = [rec["params"] for rec in records]
+    flat = [_SCALARS.issuperset(map(type, p.values())) for p in params]
+    bulk = iter(_flat_dicts([p for p, is_flat in zip(params, flat) if is_flat], 3))
+    # Params that hold a container are written a scalar at a time.
+    params = [next(bulk) if is_flat else _indented(p, 3) for p, is_flat in zip(params, flat)]
+    key = '\n      "params": '
+    texts = _flat_dicts([{**rec, "params": 0} for rec in records], 2)
+    return [text.replace(key + "0", key + p, 1) for text, p in zip(texts, params)]
 
 
 def _rel_err(lhs: float, rhs: float) -> float:

@@ -4,20 +4,20 @@ explore judges the finite-endpoint right semigroup of check frac over a grid
 of order pairs.  Exit codes: 0 success, 1 identity failure (a check record or
 explore row outside its tolerance), 2 numeric failure (non-convergence, pole
 or overflow; in check and explore, a record or row in error), 3 usage error
-(bad flags, malformed expression, domain violations).  Reports are
-byte-reproducible for a fixed seed.
+(bad flags, malformed expression, domain violations, an --out that cannot
+be opened, written or closed).  Reports are byte-reproducible for a fixed
+seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import math
 import os
 import re
 import sys
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterator
 
 from . import checks
 from .core import QParams, Truncation, _grid_exponent, count_terms
@@ -97,19 +97,35 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise UsageError(f"eval {args.target} requires --{name.replace('_', '-')}")
 
 
-@contextlib.contextmanager
-def _output(path: str | None) -> Iterator[TextIO]:
-    """stdout for None or '-', else the file at path, closed on leaving.  A path
-    that cannot be opened is a usage error."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
-    try:
-        stream = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise UsageError(f"cannot write --out {path!r}: {exc.strerror or exc}")
-    with stream:
-        yield stream
+class _Output:
+    """The --out stream: stdout for None or '-', else the file at path, opened
+    on entering and closed (stdout flushed) on leaving.  An OSError from the
+    open, a write or the close is a usage error naming the path; a write that
+    fails can leave part of the output behind."""
+
+    def __init__(self, path: str | None) -> None:
+        self.path = "-" if path is None else path
+
+    def _call(self, fn: Callable, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {self.path!r}: {exc.strerror or exc}")
+
+    def __enter__(self) -> _Output:
+        if self.path == "-":
+            stream, self._finish = sys.stdout, sys.stdout.flush
+        else:
+            stream = self._call(open, self.path, "w", encoding="utf-8", newline="")
+            self._finish = stream.close
+        self._write = stream.write
+        return self
+
+    def write(self, text: str) -> int:
+        return self._call(self._write, text)
+
+    def __exit__(self, *exc_info) -> None:
+        self._call(self._finish)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +205,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         columns.append("terms")
     # Materialise before writing so failures do not leave partial output.
     rows = list(_eval_rows(args, p))
-    with _output(args.out) as stream:
+    with _Output(args.out) as stream:
         writer = csv.DictWriter(stream, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
@@ -210,9 +226,9 @@ def _verdict(records: list[checks.IdentityRecord]) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     trunc = _resolve_truncation(args)
     # Open --out first, so an unwritable path fails before the suite runs.
-    with _output(args.out) as stream:
+    with _Output(args.out) as stream:
         report = checks.run_suite(args.suite, seed=args.seed, trunc=trunc)
-        stream.write(report.to_json() + "\n")
+        report.write_json(stream)
     if args.verbose:
         for rec in report.records:
             state = "pass" if rec.passed else "FAIL"
@@ -269,7 +285,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     f = lambda s: expr(s, t)
     pairs = _parse_grid(args.grid)
     # Open --out first, so an unwritable path fails before the pairs run.
-    with _output(args.out) as stream:
+    with _Output(args.out) as stream:
         records = checks.explore_finite_right_semigroup(pairs, q, b, f, t, trunc)
         # Columns a record does not fill (a) stay empty, as does a NaN value.
         blank_nan = lambda x: "" if math.isnan(x) else repr(x)
@@ -364,4 +380,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        # A reader that left early (`qfrac check all | head -1`) has had its
+        # error from main; what stdout still buffers goes to devnull, so the
+        # interpreter's flush at exit does not raise it again.
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -460,7 +460,7 @@ def q_bracket(r: float, p: QParams) -> float:
 def nabla_q(f: QFunction, t: float, p: QParams) -> float:
     """Backward q-derivative (f(t) - f(qt)) / ((1 - q) t); exact, t > 0."""
     if not t > 0.0:
-        raise DomainError(f"nabla_q is undefined at t = {t}; requires t > 0")
+        raise DomainError(f"nabla_q at t={t!r}, q={p.q!r}: undefined, requires t > 0")
     return (f(t) - f(p.q * t)) / ((1.0 - p.q) * t)
 
 
@@ -474,20 +474,22 @@ def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
     NonConvergence.
     """
     if n < 0:
-        raise DomainError(f"derivative order must be >= 0, got {n}")
+        raise DomainError(f"nabla_q^n with n={n!r} at t={t!r}, q={p.q!r}: "
+                          "derivative order must be >= 0")
     if n == 0:
         return f(t)
     if n == 1:
         return nabla_q(f, t, p)
     q = p.q
-    _check_budget(n, p.trunc, ("nabla_q^n with n={!r} at t={!r}, q={!r}", n, t, q))
+    where = ("nabla_q^n with n={!r} at t={!r}, q={!r}", n, t, q)
+    _check_budget(n, p.trunc, where)
     points = [t]
     for _ in range(n):
         points.append(q * points[-1])
     if not points[n - 1] > 0.0:
         # The first point the recursion would have rejected.
         bad = next(x for x in points if not x > 0.0)
-        raise DomainError(f"nabla_q is undefined at t = {bad}; requires t > 0")
+        raise DomainError(f"{_name(where)}: nabla_q is undefined at t = {bad!r}; requires t > 0")
     row = [f(x) for x in points]
     for m in range(n, 0, -1):
         row = [(row[k] - row[k + 1]) / ((1.0 - q) * points[k]) for k in range(m)]
@@ -573,7 +575,8 @@ def q_integral(f: QFunction, a: float, t: float, p: QParams) -> float:
     zero, so both endpoints may be arbitrary non-negative reals.
     """
     if a < 0.0 or t < 0.0:
-        raise DomainError(f"integration endpoints must be >= 0, got a={a}, t={t}")
+        raise DomainError(f"q-integral from a={a!r} to t={t!r}, q={p.q!r}: "
+                          "integration endpoints must be >= 0")
     if a == t:
         return 0.0
     d = _grid_exponent(a / t, p.q) if a > 0.0 and t > 0.0 else None
@@ -623,6 +626,7 @@ def _upper_steps(t: float, b: float, q: float) -> int | None:
     m = _start_steps(t, b, q)  # None only for t = 0, below every finite b
     if m is None or m < 0:
         raise DomainError(
-            f"finite upper limit must satisfy b = t * q**-m, m >= 0; got t={t}, b={b}"
+            "finite upper limit must satisfy b = t * q**-m, m >= 0; "
+            f"got q={q!r}, t={t!r}, b={b!r}"
         )
     return m

@@ -48,9 +48,10 @@ def _is_integer_valued(x: float) -> bool:
 def q_pochhammer(n: int, p: QParams) -> float:
     """(q)_n = prod_{j=1..n} (1 - q**j), with (q)_0 = 1; an n above the
     truncation's max_terms raises NonConvergence before any factor is taken."""
+    where = ("(q; q)_n at n={!r}, q={!r}", n, p.q)
     if n < 0 or n != int(n):
-        raise DomainError(f"q_pochhammer needs an integer n >= 0, got {n}")
-    return _q_product(p.q, p, ("(q; q)_n at n={!r}, q={!r}", n, p.q), int(n))
+        raise DomainError(f"{_name(where)}: q_pochhammer needs an integer n >= 0")
+    return _q_product(p.q, p, where, int(n))
 
 
 def _q_product(c: float, p: QParams, where: tuple, count: int | None = None) -> float:
@@ -149,7 +150,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     q = p.q
     where = (_QFACT_AT, t, s, alpha, q)
     if not math.isfinite(alpha):
-        raise DomainError(f"exponent must be finite, got {alpha}")
+        raise DomainError(f"{_name(where)}: the exponent must be finite")
     if _is_integer_valued(alpha) and alpha >= 0:
         m = int(round(alpha))
         if m == 0:
@@ -180,11 +181,9 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     if t == 0.0:
         if s == 0.0 and alpha > 0.0:
             return 0.0
-        raise DomainError(
-            f"(t - s)_q^alpha with non-integer alpha={alpha} requires t != 0 (or s = 0)"
-        )
+        raise DomainError(f"{_name(where)}: a non-integer alpha requires t != 0 (or s = 0)")
     if t < 0.0:
-        raise DomainError(f"fractional q-factorial power needs t > 0, got t={t}")
+        raise DomainError(f"{_name(where)}: a fractional q-factorial power needs t > 0")
     if s == 0.0:
         return _power(t, alpha, *where)
     u = s / t
@@ -193,9 +192,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     d = _grid_exponent(u, q) if u > 0.0 else None
     if d is not None:
         if _is_integer_valued(alpha) and d <= -alpha:
-            raise PoleError(
-                f"(t - s)_q^{alpha} has a vanishing denominator at s = t q**{-d}"
-            )
+            raise PoleError(f"{_name(where)}: a vanishing denominator at s = t q**{d}")
         if d <= 0:
             # Numerator factor 1 - q**(d + i) vanishes identically at i = -d.
             return 0.0
@@ -215,7 +212,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     # 1 - c q**j vanish; the one nearest zero has q**j nearest 1/c.
     c = u * _power(q, alpha, *where)
     if c > 0.0 and abs(1.0 - c * q ** max(0, round(math.log(c) / -math.log(q)))) < 1e-12:
-        raise PoleError(f"(t - s)_q^{alpha} denominator vanished for s/t = {u}")
+        raise PoleError(f"{_name(where)}: the denominator vanished for s/t = {u!r}")
     # While |u q**j| > 1 both products grow like q**(-j**2 / 2) and would
     # overflow apart; the ratio of their factors stays near q**-alpha.  That
     # takes ceil(log|u| / -log q) steps, known before the loop.
@@ -246,11 +243,11 @@ def q_gamma(alpha: float, p: QParams) -> float:
     A product that underflows (q near 1) raises NumericOverflow, and a
     factor that rounds to exactly 0 PoleError.
     """
-    if not math.isfinite(alpha):
-        raise DomainError(f"q_gamma argument must be finite, got {alpha}")
-    if _is_integer_valued(alpha) and alpha <= 0.0:
-        raise PoleError(f"q_gamma has a pole at alpha = {alpha}")
     q = p.q
+    if not math.isfinite(alpha):
+        raise DomainError(f"{_GAMMA_AT.format(alpha, q)}: the argument must be finite")
+    if _is_integer_valued(alpha) and alpha <= 0.0:
+        raise PoleError(f"{_GAMMA_AT.format(alpha, q)}: q_gamma has a pole there")
     _check_budget(math.ceil(-alpha), p.trunc, (_GAMMA_AT, alpha, q))
     divisor = 1.0
     a = alpha
@@ -286,6 +283,7 @@ def q_exp_e(t: float, p: QParams) -> float:
 
 def q_exp_E(t: float, p: QParams) -> float:
     """Big q-exponential E_q(t) = prod_{n>=0} (1 - q**n t)**-1 for |t| < 1."""
+    where = ("E_q at t={!r}, q={!r}", t, p.q)
     if not abs(t) < 1.0:
-        raise DomainError(f"E_q requires |t| < 1, got t={t}")
-    return 1.0 / _q_product(t, p, ("E_q at t={!r}, q={!r}", t, p.q))
+        raise DomainError(f"{_name(where)}: E_q requires |t| < 1")
+    return 1.0 / _q_product(t, p, where)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import qfrac.checks
 import qfrac.special
 from qfrac import NonConvergence, QParams, Truncation
+from qfrac.cli import main
 from qfrac.expr import compile_expr
 from qfrac.fractional import (left_caputo, left_frac_integral, left_riemann_deriv, right_caputo,
                               right_frac_integral, right_riemann_deriv)
@@ -25,6 +28,21 @@ from conftest import run_cli
 
 def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
+
+
+class WriteLog(io.StringIO):
+    """A stdout that keeps the size of each write, and raises error on every
+    write after the first `good` ones."""
+
+    def __init__(self, good: float = math.inf, error: OSError | None = None) -> None:
+        super().__init__()
+        self.sizes, self.good, self.error = [], good, error
+
+    def write(self, text: str) -> int:
+        if len(self.sizes) >= self.good:
+            raise self.error
+        self.sizes.append(len(text))
+        return super().write(text)
 
 
 OPERATORS = {
@@ -229,6 +247,29 @@ class TestEvalErrors:
         assert code == 3 and out == ""
         assert err.startswith("qfrac: error:") and str(target) in err
 
+    WRITERS = [["eval", "gamma", "--q", "0.5", "--alpha", "1.5"], ["check", "core", "--seed", "7"],
+               ["explore", "--grid", "0.5,0.5"]]
+
+    @pytest.mark.parametrize("argv", WRITERS, ids=["eval", "check", "explore"])
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                       BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
+                             ids=["no-space", "broken-pipe"])
+    def test_failed_write_is_usage(self, argv, error):
+        # Every write after the first raises.
+        stdout, err = WriteLog(good=1, error=error), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(err):
+            code = main(argv + ["--out", "-"])
+        assert (code, err.getvalue()) == (
+            3, f"qfrac: error: cannot write --out '-': {error.strerror}\n")
+        assert len(stdout.sizes) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", WRITERS, ids=["eval", "check", "explore"])
+    def test_full_device_is_usage(self, argv):
+        code, out, err = run_cli(argv + ["--out", "/dev/full"])
+        assert (code, out, err) == (
+            3, "", f"qfrac: error: cannot write --out '/dev/full': {os.strerror(errno.ENOSPC)}\n")
+
     def test_domain_error_is_usage(self):
         code, out, err = run_cli(["eval", "Eq", "--q", "0.5", "--t", "1.5"])
         assert code == 3
@@ -416,7 +457,20 @@ class TestEvalErrors:
          "left Riemann derivative at t=0.0, a=0.0, alpha=0.5, q=0.5: needs t > 0"),
         (["fracder", "--side", "right", "--b", "0.5", "--t", "1"],
          "right Riemann derivative at t=1.0, b=0.5, alpha=0.5, q=0.5: needs b >= t"),
-    ], ids=["right-integral", "left-riemann", "right-riemann"])
+        (["fracint", "--side", "right", "--b", "3", "--t", "1"],
+         "finite upper limit must satisfy b = t * q**-m, m >= 0; got q=0.5, t=1.0, b=3.0"),
+        (["gamma", "--alpha", "inf"], "q_gamma at alpha=inf, q=0.5: the argument must be finite"),
+        (["Eq", "--t", "1.5"], "E_q at t=1.5, q=0.5: E_q requires |t| < 1"),
+        (["qfact", "--t", "1", "--s", "0.5", "--alpha", "inf"],
+         "(t - s)_q^alpha at t=1.0, s=0.5, alpha=inf, q=0.5: the exponent must be finite"),
+        (["qfact", "--t", "0", "--s", "0.5"],
+         "(t - s)_q^alpha at t=0.0, s=0.5, alpha=0.5, q=0.5: "
+         "a non-integer alpha requires t != 0 (or s = 0)"),
+        (["qfact", "--t", "-1", "--s", "0.5"],
+         "(t - s)_q^alpha at t=-1.0, s=0.5, alpha=0.5, q=0.5: "
+         "a fractional q-factorial power needs t > 0"),
+    ], ids=["right-integral", "left-riemann", "right-riemann", "right-integral-off-grid-b",
+            "gamma-not-finite", "big-exp", "qfact-not-finite", "qfact-t-zero", "qfact-t-negative"])
     def test_domain_error_names_its_parameters(self, argv, message):
         code, out, err = run_cli(
             ["eval", argv[0], "--q", "0.5", "--alpha", "0.5", "--f", "1", *argv[1:]])
@@ -516,6 +570,21 @@ class TestModuleEntryPoint:
         assert done.returncode == 0, done.stderr
         assert float(parse_csv(done.stdout)[0]["value"]) == pytest.approx(1.0)
 
+    def test_reader_that_leaves_early_gets_no_traceback(self):
+        # As `qfrac check core | head -c 1`: the report is far longer than
+        # the pipe holds, so a write after the reader left fails.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = [sys.executable, "-X", "dev", "-m", "qfrac", "check", "core", "--seed", "7"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (3, f"qfrac: error: cannot write --out '-': "
+                                  f"{os.strerror(errno.EPIPE)}\n")
+
 
 class TestCheck:
     def test_suite_report_to_file(self, tmp_path):
@@ -532,9 +601,10 @@ class TestCheck:
         assert "suite=special" in err
 
     @staticmethod
-    def check_stdout(monkeypatch, argv, report=None):
+    def check_stdout(monkeypatch, argv, report=None, stdout=None):
         """Stdout of `qfrac check ... --out -` and the report it wrote, which is
-        the suite's unless a report is given to write instead."""
+        the suite's unless a report is given to write instead; stdout is the
+        stream written to, a fresh WriteLog unless given."""
         reports = []
         run_suite = qfrac.checks.run_suite
 
@@ -543,9 +613,11 @@ class TestCheck:
             return reports[-1]
 
         monkeypatch.setattr(qfrac.checks, "run_suite", capture)
-        _, out, _ = run_cli(["check", *argv, "--out", "-"])
+        stdout = stdout or WriteLog()
+        with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+            main(["check", *argv, "--out", "-"])
         (written,) = reports
-        return out, written
+        return stdout.getvalue(), written
 
     @pytest.mark.parametrize(
         "argv",
@@ -558,7 +630,16 @@ class TestCheck:
         if "--max-terms" in argv:
             assert sum(rec.error is not None for rec in report.records) > 100
 
-    @pytest.mark.parametrize("n_records", [0, 5], ids=["no-records", "edge-cases"])
+    def test_report_is_written_a_chunk_at_a_time(self, monkeypatch):
+        stdout = WriteLog()
+        out, report = self.check_stdout(monkeypatch, ["frac", "--seed", "7"], stdout=stdout)
+        assert out == json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        assert max(stdout.sizes) <= len(out) / 8
+
+    CHUNK = qfrac.checks.REPORT_CHUNK
+
+    @pytest.mark.parametrize("n_records", [0, 5, 1, CHUNK, CHUNK + 1],
+                             ids=["no-records", "edge-cases", "one", "chunk", "chunk-plus-one"])
     def test_report_bytes_on_edge_cases(self, monkeypatch, n_records):
         error = 'quote " backslash \\ { [ },\n      { \n      "params": 0 new\nline λ \u2192'
         records = [
@@ -569,8 +650,13 @@ class TestCheck:
             qfrac.checks.IdentityRecord("list_param", {"m_values": [5, 10], "none": [],
                                                        "deep": [{"x": [1.5]}, {}], "q": 0.5}),
             qfrac.checks.IdentityRecord("after_list", {"q": 0.3, "t": -0.0}, passed=True),
-        ][:n_records]
-        given = qfrac.checks.CheckReport("core", 7, Truncation(), records)
+        ]
+        if n_records > len(records):
+            # Filler, then the awkward-error and nested-params records: at
+            # CHUNK records the nested params end the one chunk, at CHUNK + 1
+            # the awkward error ends the first and the nested params are the second.
+            records = (records * n_records)[:n_records - 2] + records[1::2]
+        given = qfrac.checks.CheckReport("core", 7, Truncation(), records[:n_records])
         out, report = self.check_stdout(monkeypatch, ["core"], given)
         assert out == json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
 

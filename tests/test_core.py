@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 import threading
 
 import pytest
@@ -88,7 +89,8 @@ class TestBracketAndDerivative:
 
     @pytest.mark.parametrize("t", [0.0, -1.0])
     def test_rejects_nonpositive_point(self, t, p_half):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape(
+                f"nabla_q at t={t!r}, q=0.5: undefined, requires t > 0")):
             nabla_q(lambda s: s, t, p_half)
 
     def test_iterated_derivative(self, p_half):
@@ -97,7 +99,8 @@ class TestBracketAndDerivative:
         second = nabla_q_n(f, 1.0, 2, p_half)
         assert second == pytest.approx(q_bracket(2.0, p_half) * 1.0)
         assert nabla_q_n(f, 1.0, 0, p_half) == f(1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape(
+                "nabla_q^n with n=-1 at t=1.0, q=0.5: derivative order must be >= 0")):
             nabla_q_n(f, 1.0, -1, p_half)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
@@ -135,7 +138,10 @@ class TestBracketAndDerivative:
     # From t = 5e-324 the chain t, qt, ... underflows to 0 at its second point.
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, 5e-324])
     def test_iterated_rejects_nonpositive_point(self, t, p_half):
-        with pytest.raises(DomainError):
+        bad = 0.0 if t == 5e-324 else t
+        with pytest.raises(DomainError, match=re.escape(
+                f"nabla_q^n with n=3 at t={t!r}, q=0.5: "
+                f"nabla_q is undefined at t = {bad!r}; requires t > 0")):
             nabla_q_n(lambda s: s, t, 3, p_half)
 
 
@@ -193,7 +199,8 @@ class TestIntegral:
         assert counter.total == 10
 
     def test_negative_endpoint_rejected(self, p_half):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape(
+                "q-integral from a=-1.0 to t=1.0, q=0.5: integration endpoints must be >= 0")):
             q_integral(lambda s: s, -1.0, 1.0, p_half)
 
     def test_budget_exhaustion(self):
@@ -448,6 +455,9 @@ def test_lattice_step_rules(rule, args, expected):
     # b, q) the steps up from t to b, which is _start_steps(t, b, q).
     if expected is DomainError:
         with pytest.raises(DomainError, match="finite upper limit"):
+            rule(*args)
+        with pytest.raises(DomainError, match=re.escape(
+                "got q={2!r}, t={0!r}, b={1!r}".format(*args))):
             rule(*args)
     else:
         assert rule(*args) == expected

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,12 @@ class TestPochhammer:
     def test_negative_rejected(self, p_half):
         with pytest.raises(DomainError):
             q_pochhammer(-1, p_half)
+
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_domain_error_names_n_and_q(self, n, p_half):
+        with pytest.raises(DomainError, match=re.escape(
+                f"(q; q)_n at n={n!r}, q=0.5: q_pochhammer needs an integer n >= 0")):
+            q_pochhammer(n, p_half)
 
     def test_count_past_the_budget_raises(self):
         # As q_factorial_power(1, q, n) = (q; q)_n does, rather than
@@ -100,12 +107,23 @@ class TestFactorialPower:
         assert q_factorial_power(1.0, 4.0, 2.0, p_half) != 0.0
 
     def test_zero_base_with_nonzero_subtrahend_rejected(self, p_half):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape(
+                "(t - s)_q^alpha at t=0.0, s=0.5, alpha=0.7, q=0.5: "
+                "a non-integer alpha requires t != 0 (or s = 0)")):
             q_factorial_power(0.0, 0.5, 0.7, p_half)
 
     def test_negative_base_fractional_rejected(self, p_half):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape(
+                "(t - s)_q^alpha at t=-1.0, s=0.5, alpha=0.7, q=0.5: "
+                "a fractional q-factorial power needs t > 0")):
             q_factorial_power(-1.0, 0.5, 0.7, p_half)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent_names_its_arguments(self, alpha, p_half):
+        with pytest.raises(DomainError, match=re.escape(
+                f"(t - s)_q^alpha at t=1.0, s=0.5, alpha={alpha!r}, q=0.5: "
+                "the exponent must be finite")):
+            q_factorial_power(1.0, 0.5, alpha, p_half)
 
     def test_zero_base_integer_exponent(self, p_half):
         # prod_i (0 - q^i s) = (-s)^m q^(m(m-1)/2)
@@ -121,7 +139,9 @@ class TestFactorialPower:
 
     def test_negative_integer_exponent_pole_on_grid(self, p_half):
         # s = t q^-1 with exponent -2: a denominator factor hits zero.
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match=re.escape(
+                "(t - s)_q^alpha at t=1.0, s=2.0, alpha=-2.0, q=0.5: "
+                "a vanishing denominator at s = t q**-1")):
             q_factorial_power(1.0, 2.0, -2.0, p_half)
         with pytest.raises(PoleError):
             q_factorial_power(1.0, 1.0, -1.0, p_half)
@@ -155,6 +175,8 @@ class TestFactorialPower:
         q, u = 0.5, 0.7
         alpha = math.log(q**-j / u) / math.log(q)
         with pytest.raises(PoleError, match="denominator vanished"):
+            q_factorial_power(1.0, u, alpha, QParams(q))
+        with pytest.raises(PoleError, match=re.escape(f"alpha={alpha!r}, q=0.5: ")):
             q_factorial_power(1.0, u, alpha, QParams(q))
 
     def test_far_above_the_grid(self):
@@ -230,7 +252,14 @@ class TestGamma:
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, -2.0])
     def test_poles(self, alpha, p_half):
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match=re.escape(
+                f"q_gamma at alpha={alpha!r}, q=0.5: q_gamma has a pole there")):
+            q_gamma(alpha, p_half)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_argument_names_alpha_and_q(self, alpha, p_half):
+        with pytest.raises(DomainError, match=re.escape(
+                f"q_gamma at alpha={alpha!r}, q=0.5: the argument must be finite")):
             q_gamma(alpha, p_half)
 
     @pytest.mark.parametrize("alpha", [1e-17, 1e-320, 5e-324, -1e-17])
@@ -303,7 +332,8 @@ class TestExponentials:
 
     @pytest.mark.parametrize("t", [1.0, -1.0, 1.5])
     def test_big_exp_domain(self, t, p_half):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape(
+                f"E_q at t={t!r}, q=0.5: E_q requires |t| < 1")):
             q_exp_E(t, p_half)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
