@@ -36,6 +36,11 @@ INF = math.inf
 
 SUITE_NAMES = ("core", "special", "frac", "ivp")
 
+# Least distance of a drawn exponent from every integer: the special suite's
+# factorial powers sit on the grid, where a negative integer exponent is a
+# pole of their ratio and a factor 1 - q**(m + x) near it amplifies rounding.
+_INTEGER_MARGIN = 0.1
+
 _Q_SWEEP = (0.3, 0.5, 0.8)
 _Q_SWEEP_GAMMA = (0.3, 0.5, 0.9)
 
@@ -72,11 +77,11 @@ class Lcg:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * (self._step() / 2.0**64)
 
-    def away_from_integers(self, lo: float, hi: float, radius: float = 0.1) -> float:
-        """Uniform draw at least `radius` away from every integer (pole safety)."""
+    def away_from_integers(self, lo: float, hi: float) -> float:
+        """Uniform draw at least _INTEGER_MARGIN away from every integer."""
         while True:
             x = self.uniform(lo, hi)
-            if abs(x - round(x)) >= radius:
+            if abs(x - round(x)) >= _INTEGER_MARGIN:
                 return x
 
 
@@ -126,8 +131,11 @@ class CheckReport:
         runs its pure-Python encoder: 0.17 s against 0.08 s here for the core,
         special and frac reports at seed 7 (2-core VM)."""
         obj = self.to_json_obj()
-        records, obj["records"] = obj["records"], 0
-        head, tail = _indented(obj, 0).split('\n  "records": 0', 1)
+        records, trunc = obj["records"], obj["truncation"]
+        (text,) = _flat_dicts([{**obj, "records": 0, "truncation": 0}], 0)
+        key = '\n  "truncation": '
+        text = text.replace(key + "0", key + _flat_dicts([trunc], 1)[0], 1)
+        head, tail = text.split('\n  "records": 0', 1)
         stream.write(head + '\n  "records": ' + ("[" if records else "[]"))
         pad = "\n    "
         for start in range(0, len(records), REPORT_CHUNK):
@@ -139,31 +147,14 @@ class CheckReport:
 # The report's JSON text.  A raw newline in it only ever comes from a
 # separator, since strings escape theirs, so a newline and its indent mark a key.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_encode = json.JSONEncoder().encode  # one key or scalar
 # Records encoded and written at a time: a report is never held whole.
 REPORT_CHUNK = 256
 
 
-def _block(parts: list[str], depth: int, brackets: str) -> str:
-    """Encoded items as one indent=2 container whose first line is at depth."""
-    if not parts:
-        return brackets
-    pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(parts) + pad[:-2] + brackets[1]
-
-
-def _indented(value, depth: int) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) at depth, a scalar at a time."""
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        return _block([f"{_encode(k)}: {_indented(v, depth + 1)}" for k, v in items], depth, "{}")
-    if isinstance(value, (list, tuple)):
-        return _block([_indented(v, depth + 1) for v in value], depth, "[]")
-    return _encode(value)
-
-
 def _flat_dicts(dicts: list[dict], depth: int) -> list[str]:
-    """_indented(d, depth) of each dict of scalars, from one call of the C encoder."""
+    """json.dumps(d, sort_keys=True, indent=2) of each dict of scalars, its
+    lines past the first indented by depth levels, from one call of the C
+    encoder."""
     if not dicts:
         return []
     pad = "\n" + "  " * (depth + 1)
@@ -175,14 +166,16 @@ def _flat_dicts(dicts: list[dict], depth: int) -> list[str]:
 
 
 def _record_texts(records: list[dict]) -> list[str]:
-    """_indented(rec, 2) of each record dict.  The records, params masked, are
-    one call of the C encoder and their flat params dicts another; each params
-    text is spliced in at its key."""
+    """_flat_dicts(records, 2), with each record's params at any depth.  The
+    records, params masked, are one call of the C encoder and their flat
+    params dicts another; each params text is spliced in at its key."""
     params = [rec["params"] for rec in records]
     flat = [_SCALARS.issuperset(map(type, p.values())) for p in params]
     bulk = iter(_flat_dicts([p for p, is_flat in zip(params, flat) if is_flat], 3))
-    # Params that hold a container are written a scalar at a time.
-    params = [next(bulk) if is_flat else _indented(p, 3) for p, is_flat in zip(params, flat)]
+    # Params that hold a container go through json.dumps, its lines moved
+    # to depth 3.
+    params = [next(bulk) if is_flat else json.dumps(p, sort_keys=True, indent=2).replace(
+        "\n", "\n      ") for p, is_flat in zip(params, flat)]
     key = '\n      "params": '
     texts = _flat_dicts([{**rec, "params": 0} for rec in records], 2)
     return [text.replace(key + "0", key + p, 1) for text, p in zip(texts, params)]
@@ -295,7 +288,7 @@ def _draws(suite, seed):
             pairs = draws[q, m] = []
             while len(pairs) < 3:
                 beta, gam = rng.away_from_integers(-1.5, 2.5), rng.away_from_integers(-1.5, 2.5)
-                if abs((beta + gam) - round(beta + gam)) >= 0.1:
+                if abs((beta + gam) - round(beta + gam)) >= _INTEGER_MARGIN:
                     pairs.append((beta, gam))
     return draws
 

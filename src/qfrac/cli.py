@@ -223,6 +223,13 @@ def _verdict(records: list[checks.IdentityRecord]) -> int:
     return 0 if all(rec.passed for rec in records) else 1
 
 
+def _log_records(records: list[checks.IdentityRecord]) -> None:
+    """The --verbose listing of check and explore: one stderr line per record."""
+    for rec in records:
+        state = "pass" if rec.passed else "FAIL"
+        print(f"[{state}] {rec.identity} {rec.params} rel_err={rec.rel_err:.3e}", file=sys.stderr)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     trunc = _resolve_truncation(args)
     # Open --out first, so an unwritable path fails before the suite runs.
@@ -230,12 +237,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report = checks.run_suite(args.suite, seed=args.seed, trunc=trunc)
         report.write_json(stream)
     if args.verbose:
-        for rec in report.records:
-            state = "pass" if rec.passed else "FAIL"
-            print(
-                f"[{state}] {rec.identity} {rec.params} rel_err={rec.rel_err:.3e}",
-                file=sys.stderr,
-            )
+        _log_records(report.records)
     print(
         f"suite={report.suite} records={len(report.records)} "
         f"failed={report.n_failed} duration={report.duration:.2f}s",
@@ -304,6 +306,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                     "error": rec.error,
                 }
             )
+    if args.verbose:
+        _log_records(records)
     return _verdict(records)
 
 

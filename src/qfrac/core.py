@@ -458,9 +458,11 @@ def q_bracket(r: float, p: QParams) -> float:
 
 
 def nabla_q(f: QFunction, t: float, p: QParams) -> float:
-    """Backward q-derivative (f(t) - f(qt)) / ((1 - q) t); exact, t > 0."""
+    """Backward q-derivative (f(t) - f(qt)) / ((1 - q) t); exact, finite t > 0."""
     if not t > 0.0:
         raise DomainError(f"nabla_q at t={t!r}, q={p.q!r}: undefined, requires t > 0")
+    if t == math.inf:
+        raise DomainError(f"nabla_q at t={t!r}, q={p.q!r}: undefined, requires a finite t")
     return (f(t) - f(p.q * t)) / ((1.0 - p.q) * t)
 
 
@@ -471,7 +473,8 @@ def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
     n rounds of differences D(x_k) = (D(x_k) - D(x_{k+1})) / ((1 - q) x_k)
     give the value bit for bit as the literal recursion would, from n + 1
     samples instead of 2**n.  An order above the term budget raises
-    NonConvergence.
+    NonConvergence, and for n >= 1 a t that is not a finite number > 0
+    raises DomainError.
     """
     if n < 0:
         raise DomainError(f"nabla_q^n with n={n!r} at t={t!r}, q={p.q!r}: "
@@ -482,6 +485,8 @@ def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
         return nabla_q(f, t, p)
     q = p.q
     where = ("nabla_q^n with n={!r} at t={!r}, q={!r}", n, t, q)
+    if t == math.inf:
+        raise DomainError(f"{_name(where)}: nabla_q is undefined there; requires a finite t")
     _check_budget(n, p.trunc, where)
     points = [t]
     for _ in range(n):
@@ -505,11 +510,19 @@ def _chain_sum(
     loop that walks a chain.  An infinite sum watches its operand, whatever
     its weights, and spot-checks it before either closure that extrapolates
     it (see _accumulate).  An infinite upward sum is watched for growth;
-    where names a failure, as in _accumulate."""
+    where names a failure, as in _accumulate, and a bare OverflowError of the
+    operand becomes NumericOverflow through it, so the innermost sum names a
+    nested operand's overflow."""
     q = p.q
     chain = _Chain(f, q, upward) if steps is None else None
-    return _accumulate(_walk(f, x, q, upward, weights, chain), p.trunc, detect_growth=upward,
-                       count=steps, where=where, chain=chain)
+    try:
+        return _accumulate(_walk(f, x, q, upward, weights, chain), p.trunc,
+                           detect_growth=upward, count=steps, where=where, chain=chain)
+    except NumericOverflow:
+        raise
+    except OverflowError as exc:
+        detail = exc.args[-1] if exc.args else type(exc).__name__
+        raise NumericOverflow(f"{_name(where)}: the operand overflowed ({detail})") from None
 
 
 class _Chain:

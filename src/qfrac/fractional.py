@@ -160,13 +160,15 @@ def left_frac_integral(
 
     For t > 0 and every a >= 0 it is _left_series of weight ((1-q) t)**alpha:
     a lattice series, less its part anchored at an a off the grid of t or
-    above t.  a = t = 0 gives 0.0; a NaN or negative a or t, or t = 0 below
-    a > 0, raises DomainError naming t, a, alpha and q.  A negative
-    non-integer order -alpha gives the left Riemann derivative of order alpha
-    from every start.
+    above t.  a = t = 0 gives 0.0; a NaN or negative a or t, an infinite t,
+    or t = 0 below a > 0, raises DomainError naming t, a, alpha and q.  A
+    negative non-integer order -alpha gives the left Riemann derivative of
+    order alpha from every start.
     """
     alpha = _integral_order(order)
     q = p.q
+    if t == math.inf:
+        raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: needs a finite t")
     steps = _start_steps(a, t, q)
     if steps != -1 or (a > 0.0 and t > 0.0):
         weight = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
@@ -192,13 +194,16 @@ def right_frac_integral(
     w_{i+1} = w_i q**-alpha (1 - q**(alpha+i-1)) / (1 - q**i), its chain walked
     from t q**-alpha = (t / q) q**(1-alpha) itself; divergence of the
     infinite series is detected at runtime.  Any other b (b <= 0, NaN, or off
-    the grid of t) raises DomainError.
+    the grid of t) raises DomainError, as does a t that is not a finite
+    number > 0.
     """
     alpha = _integral_order(order)
     q = p.q
     where = (_RIGHT_AT, t, b, alpha, q)
     if not t > 0.0:
         raise DomainError(f"{_name(where)}: needs t > 0")
+    if t == math.inf:
+        raise DomainError(f"{_name(where)}: needs a finite t")
     steps = _upper_steps(t, b, q)
     shift = _power(q, 1.0 - alpha, *where)
     weight = r_coef(alpha, q) * q**-alpha * _power((1.0 - q) * t, alpha, *where)

@@ -45,7 +45,7 @@ class MLParams:
     the fractional exponent alpha*k sits on the q-factorial power, which does
     not factor into a plain k-th power unless z0 = 0.  alpha must be a finite
     real > 0, beta finite (1 / q_gamma is entire, so beta may sit on a pole
-    of q_gamma) and z0 >= 0.
+    of q_gamma), lam finite and z0 finite and >= 0.
     """
 
     alpha: float
@@ -58,8 +58,12 @@ class MLParams:
             raise DomainError(f"alpha must be a finite real > 0, got {self.alpha}")
         if not math.isfinite(self.beta):
             raise DomainError(f"beta must be finite, got {self.beta}")
+        if not math.isfinite(self.lam):
+            raise DomainError(f"lam must be finite, got {self.lam}")
         if self.z0 < 0.0:
             raise DomainError(f"z0 must be >= 0, got {self.z0}")
+        if not math.isfinite(self.z0):
+            raise DomainError(f"z0 must be finite, got {self.z0}")
 
 
 def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
@@ -81,7 +85,8 @@ def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
 
 @dataclass(frozen=True)
 class IVProblem:
-    """Linear Caputo q-fractional initial value problem on the grid through a."""
+    """Linear Caputo q-fractional initial value problem on the grid through a:
+    alpha in (0, 1], lam and a0 finite, a >= 0."""
 
     alpha: float
     lam: float
@@ -92,8 +97,12 @@ class IVProblem:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not math.isfinite(self.lam):
+            raise DomainError(f"lam must be finite, got {self.lam}")
         if self.a < 0.0:
             raise DomainError(f"a must be >= 0, got {self.a}")
+        if not math.isfinite(self.a0):
+            raise DomainError(f"a0 must be finite, got {self.a0}")
 
 
 class IVPSolution:

@@ -6,12 +6,13 @@ product for integer alpha >= 0, otherwise the ratio
     t**alpha * (s/t; q)_inf / ((s/t) q**alpha; q)_inf.
 
 q_gamma and E_q are quotients of the same products (c; q)_inf.  Every one of
-them, and every finite (c; q)_n (q_pochhammer and the integer factorial power
-on the grid), comes from one loop, ``_q_product``, which closes an infinite
-product's tail and checks its number of factors against the budget first.
-Quotients that would overflow or underflow apart (the off-grid ratio's
-prefix here, the q-Mittag-Leffler terms on the time scale in ivp) take their
-factors in pairs instead.  When
+them, and every finite product, (c; q)_n for q_pochhammer and the integer
+factorial power on the grid and prod (t - q**i s) for it off the grid, comes
+from one loop, ``_q_product``, which closes an infinite product's tail and
+checks its number of factors against the budget first.  Quotients that would
+overflow or underflow apart (the off-grid ratio's prefix here, the
+q-Mittag-Leffler terms on the time scale in ivp) take their factors in pairs
+instead.  When
 s/t coincides with an integer power of q the ratio is snapped onto the grid so
 that vanishing (s/t = q**-j) and poles surface exactly instead of as rounding
 noise.  Aligned products are tails (q**x; q)_inf, memoised per (q, x,
@@ -49,16 +50,19 @@ def q_pochhammer(n: int, p: QParams) -> float:
     """(q)_n = prod_{j=1..n} (1 - q**j), with (q)_0 = 1; an n above the
     truncation's max_terms raises NonConvergence before any factor is taken."""
     where = ("(q; q)_n at n={!r}, q={!r}", n, p.q)
-    if n < 0 or n != int(n):
+    if n < 0 or not _is_integer_valued(n):
         raise DomainError(f"{_name(where)}: q_pochhammer needs an integer n >= 0")
     return _q_product(p.q, p, where, int(n))
 
 
-def _q_product(c: float, p: QParams, where: tuple, count: int | None = None) -> float:
+def _q_product(c: float, p: QParams, where: tuple, count: int | None = None,
+               lead: float = 1.0) -> float:
     """(c; q)_count = prod_{j<count} (1 - c q**j), or for count None
     (c; q)_inf for finite c, uncached.
 
-    A finite product takes its count factors and notes no terms.  An
+    A finite product takes its count factors lead - c q**j (so lead = t and
+    c = s give prod (t - q**j s), with no power of t apart that could
+    overflow or underflow against them) and notes no terms.  An
     infinite one takes the factors up to and including the _SMALL_RUN (3)
     successive |c q**j| at most rel_tol (they fall monotonically, so their
     number is known up front), notes them, and multiplies in the closed tail
@@ -81,7 +85,7 @@ def _q_product(c: float, p: QParams, where: tuple, count: int | None = None) -> 
     _check_budget(count, p.trunc, where)
     product, first = 1.0, c
     for _ in range(count):
-        product *= 1.0 - c
+        product *= lead - c
         c *= q
     if finite:
         return product
@@ -138,9 +142,9 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     Integer alpha = m >= 0 gives the finite product prod_{i<m} (t - q**i s),
     on the grid s = t q**d the q-Pochhammer symbol t**m (q**d; q)_m, which is
     a signed zero exactly when its factor 1 - q**0 exists (d <= 0 < d + m);
-    with t != 0 an alpha above the truncation's max_terms raises
-    NonConvergence (core._check_budget) instead of multiplying that many
-    factors, and a product too large for a double raises NumericOverflow.
+    with t != 0 _q_product takes its factors, so that an alpha above the
+    truncation's max_terms raises NonConvergence instead of multiplying that
+    many factors, and a product too large for a double raises NumericOverflow.
     Any other real alpha uses the infinite ratio product, which vanishes
     exactly when s = t q**-j (j >= 0) and raises PoleError when a denominator
     factor hits zero (negative integer alpha on the grid) or rounds to zero.
@@ -158,21 +162,15 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
         if t == 0.0:
             # prod (0 - q**i s) = (-s)**m q**(m(m-1)/2)
             return _power(-s, m, *where) * q ** (m * (m - 1) // 2)
-        _check_budget(m, p.trunc, where)
         d = _grid_exponent(s / t, q) if s != 0.0 and s / t > 0.0 else None
-        if d is not None:
-            # t**m (q**d; q)_m.  Its factor 1 - q**0 vanishes for d <= 0 < d + m,
-            # and the -d factors before it are negative.
-            if d <= 0 < d + m:
-                product = -0.0 if d % 2 else 0.0
-            else:
-                product = _q_product(_power(q, d, *where), p, where, m)
-            product *= _power(t, m, *where)
+        if d is None:
+            product = _q_product(s, p, where, m, t)
+        elif d <= 0 < d + m:
+            # t**m (q**d; q)_m vanishes by its factor 1 - q**0, and the -d
+            # factors before it are negative.
+            product = (-0.0 if d % 2 else 0.0) * _power(t, m, *where)
         else:
-            product, power = 1.0, 1.0
-            for _ in range(m):
-                product *= t - power * s
-                power *= q
+            product = _q_product(_power(q, d, *where), p, where, m) * _power(t, m, *where)
         if not math.isfinite(product):
             raise NumericOverflow(f"{_QFACT_AT.format(t, s, alpha, q)}: product overflowed")
         return product

@@ -469,12 +469,36 @@ class TestEvalErrors:
         (["qfact", "--t", "-1", "--s", "0.5"],
          "(t - s)_q^alpha at t=-1.0, s=0.5, alpha=0.5, q=0.5: "
          "a fractional q-factorial power needs t > 0"),
+        # Non-finite inputs: each with its own message, the field or point named.
+        (["ml", "--lambda", "nan", "--z", "1"], "lam must be finite, got nan"),
+        (["ml", "--z0", "nan", "--z", "1"], "z0 must be finite, got nan"),
+        (["ml", "--z0", "inf", "--z", "1"], "z0 must be finite, got inf"),
+        (["fracder", "--side", "right", "--t", "inf", "--f", "s^-2"],
+         "right fractional integral at t=inf, b=inf, alpha=-0.5, q=0.5: needs a finite t"),
+        (["fracder", "--alpha", "1", "--t", "inf", "--f", "s"],
+         "nabla_q at t=inf, q=0.5: undefined, requires a finite t"),
+        (["caputo", "--alpha", "2", "--t", "inf", "--f", "s"],
+         "nabla_q^n with n=2 at t=inf, q=0.5: nabla_q is undefined there; requires a finite t"),
+        (["fracint", "--t", "inf"],
+         "left fractional integral at t=inf, a=0.0, alpha=0.5, q=0.5: needs a finite t"),
     ], ids=["right-integral", "left-riemann", "right-riemann", "right-integral-off-grid-b",
-            "gamma-not-finite", "big-exp", "qfact-not-finite", "qfact-t-zero", "qfact-t-negative"])
+            "gamma-not-finite", "big-exp", "qfact-not-finite", "qfact-t-zero", "qfact-t-negative",
+            "ml-lambda-nan", "ml-z0-nan", "ml-z0-inf", "right-fracder-t-inf",
+            "integer-fracder-t-inf", "integer-caputo-t-inf", "left-integral-t-inf"])
     def test_domain_error_names_its_parameters(self, argv, message):
         code, out, err = run_cli(
             ["eval", argv[0], "--q", "0.5", "--alpha", "0.5", "--f", "1", *argv[1:]])
         assert (code, out, err) == (3, "", f"qfrac: error: {message}\n")
+
+    @pytest.mark.parametrize("side, end", [("right", "b=inf"), ("left", "a=0.0")])
+    def test_operand_overflow_names_its_sum(self, side, end):
+        # s**-2 leaves the range of a double at s = 1e-300, as a bare
+        # OverflowError that named nothing.
+        code, out, err = run_cli(["eval", "fracint", "--side", side, "--q", "0.5", "--alpha",
+                                  "0.5", "--t", "1e-300", "--f", "s^-2"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qfrac: numeric failure: {side} fractional integral at t=1e-300, "
+                              f"{end}, alpha=0.5, q=0.5: the operand overflowed (")
 
     def test_underflow_near_q_one_is_a_numeric_failure(self):
         # (q; q)_inf underflows to 0 at q = 0.999; the series divided by it,
@@ -670,6 +694,18 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["n_records"] > 2000
 
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+    def test_report_enters_the_pure_python_encoder_once_for_ivp(self, monkeypatch):
+        # Only picard_error_monotone's params hold a container (m_values).
+        calls = []
+        inner = json.encoder._make_iterencode
+        monkeypatch.setattr(json.encoder, "_make_iterencode",
+                            lambda *args: calls.append(args) or inner(*args))
+        code, out, _ = run_cli(["check", "ivp", "--seed", "7", "--out", "-"])
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["n_records"] > 300
+
     def test_unknown_suite(self):
         code, _, _ = run_cli(["check", "bogus"])
         assert code == 3
@@ -723,6 +759,16 @@ class TestExplore:
         rows = parse_csv(out)
         sums = {round(float(r["alpha"]) + float(r["beta"]), 6) for r in rows}
         assert 1.0 in sums and 2.0 in sums
+
+    def test_verbose_lists_rows(self):
+        argv = ["explore", "--q", "0.5", "--b", "1", "--grid", "0.5,0.5;0.25,0.5;1,1"]
+        code, out, err = run_cli([*argv, "--verbose"])
+        assert code == 0
+        assert out == run_cli(argv)[1]
+        lines = err.splitlines()
+        assert len(lines) == len(parse_csv(out)) == 3
+        assert all(line.startswith("[pass] right_semigroup_finite {'q': 0.5, 'alpha': ")
+                   for line in lines)
 
     def test_empty_grid_emits_header_only(self):
         code, out, _ = run_cli(["explore", "--q", "0.5", "--b", "1", "--grid", ""])

@@ -93,6 +93,15 @@ class TestBracketAndDerivative:
                 f"nabla_q at t={t!r}, q=0.5: undefined, requires t > 0")):
             nabla_q(lambda s: s, t, p_half)
 
+    def test_rejects_infinite_point(self, p_half):
+        with pytest.raises(DomainError, match=re.escape(
+                "nabla_q at t=inf, q=0.5: undefined, requires a finite t")):
+            nabla_q(lambda s: s, math.inf, p_half)
+        with pytest.raises(DomainError, match=re.escape(
+                "nabla_q^n with n=3 at t=inf, q=0.5: nabla_q is undefined there; "
+                "requires a finite t")):
+            nabla_q_n(lambda s: s, math.inf, 3, p_half)
+
     def test_iterated_derivative(self, p_half):
         # Second derivative of t^2 is the constant (1 + q) * 1.
         f = lambda s: s * s
@@ -151,6 +160,35 @@ def brute_jackson(f, x, q, terms=400):
     for i in range(terms):
         total += q**i * f(x * q**i)
     return (1.0 - q) * x * total
+
+
+class TestOperandOverflow:
+    """An operand that leaves the range of a double (s**-2 at s = 1e-300)
+    raises NumericOverflow naming the innermost sum that sampled it."""
+
+    @staticmethod
+    def f(s):
+        return s**-2.0
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda f, p: q_integral(f, 0.0, 1e-300, p), "q-integral at x=1e-300, q=0.5"),
+        (lambda f, p: q_integral_tail(f, 1e-300, math.inf, p),
+         "tail integral from t=1e-300 to b=inf, q=0.5"),
+        (lambda f, p: left_frac_integral(f, 0.0, 0.5, 1e-300, p),
+         "left fractional integral at t=1e-300, a=0.0, alpha=0.5, q=0.5"),
+        (lambda f, p: right_frac_integral(f, math.inf, 0.5, 1e-300, p),
+         "right fractional integral at t=1e-300, b=inf, alpha=0.5, q=0.5"),
+        (lambda f, p: solve_ivp_closed(IVProblem(0.5, 0.3, 0.0, 1.0, f), p)(1e-300),
+         "forcing at t=1e-300, alpha=0.5, lam=0.3, q=0.5"),
+        # The inner integral names the overflow, not the outer one.
+        (lambda f, p: left_frac_integral(
+            lambda x: right_frac_integral(f, math.inf, 0.5, 1e-300 * x, p), 0.0, 0.5, 1.0, p),
+         "right fractional integral at t=1e-300, b=inf, alpha=0.5, q=0.5"),
+    ], ids=["q_integral", "q_integral_tail", "left", "right", "closed-form-forcing", "nested"])
+    def test_names_the_sum(self, call, name, p_half):
+        with pytest.raises(NumericOverflow,
+                           match=f"^{re.escape(name)}: the operand overflowed \\("):
+            call(self.f, p_half)
 
 
 class TestIntegral:

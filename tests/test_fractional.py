@@ -283,6 +283,21 @@ class TestRiemannDerivative:
                                               r"alpha=0\.5, q=0\.5: needs b >= t$"):
             right_riemann_deriv(f, 0.5, 0.5, 1.0, p_half)
 
+    @pytest.mark.parametrize("derivative, end, sign", DERIVATIVES)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_infinite_point_is_a_domain_error(self, derivative, end, sign, alpha, p_half):
+        # It printed 0.0 (right, alpha = 0.5) or nan (integer orders).
+        with pytest.raises(DomainError, match="t=inf.*finite t"):
+            derivative(lambda s: s, end, alpha, INF, p_half)
+
+    def test_integral_at_an_infinite_point_is_a_domain_error(self, p_half):
+        with pytest.raises(DomainError, match=r"^left fractional integral at t=inf, a=0\.0, "
+                                              r"alpha=0\.5, q=0\.5: needs a finite t$"):
+            left_frac_integral(lambda s: s, 0.0, 0.5, INF, p_half)
+        with pytest.raises(DomainError, match=r"^right fractional integral at t=inf, b=inf, "
+                                              r"alpha=0\.5, q=0\.5: needs a finite t$"):
+            right_frac_integral(lambda s: s**-2, INF, 0.5, INF, p_half)
+
     def test_extreme_orders_overflow_names_parameters(self, p_half):
         # At t = 2 the weight ((1-q) t)**alpha is 1, and the lattice series'
         # q**alpha overflows; to infinity, b q**-n does.

@@ -76,6 +76,14 @@ class TestMLParams:
         with pytest.raises(DomainError):
             MLParams(0.9, z0=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rate_and_origin_finite(self, value):
+        with pytest.raises(DomainError, match="^lam must be finite"):
+            MLParams(0.9, lam=value)
+        # -inf keeps the sign check's message.
+        with pytest.raises(DomainError, match="^z0 must be " + (">= 0" if value < 0 else "finite")):
+            MLParams(0.9, z0=value)
+
 
 class TestMittagLeffler:
     def test_zero_rate_collapses_to_leading_term(self, p_half):
@@ -300,6 +308,14 @@ class TestProblemTypes:
     def test_negative_base_rejected(self):
         with pytest.raises(DomainError):
             IVProblem(0.9, 0.3, -1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rate_and_initial_value_finite(self, value):
+        # A NaN a0 gave a NaN solution at every t > a.
+        with pytest.raises(DomainError, match="^lam must be finite"):
+            IVProblem(0.5, value, 0.0, 1.0)
+        with pytest.raises(DomainError, match="^a0 must be finite"):
+            IVProblem(0.5, 0.3, 0.0, value)
 
 
 class TestClosedForm:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfrac.special
 from qfrac import (
     DomainError,
     MLParams,
@@ -44,7 +45,7 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             q_pochhammer(-1, p_half)
 
-    @pytest.mark.parametrize("n", [-1, 1.5])
+    @pytest.mark.parametrize("n", [-1, 1.5, math.inf, -math.inf, math.nan])
     def test_domain_error_names_n_and_q(self, n, p_half):
         with pytest.raises(DomainError, match=re.escape(
                 f"(q; q)_n at n={n!r}, q=0.5: q_pochhammer needs an integer n >= 0")):
@@ -82,6 +83,32 @@ class TestFactorialPower:
         with pytest.raises(NumericOverflow, match=r"t=1e\+200, s=1\.0, alpha=2\.0, q=0\.5: "
                                                   r"product overflowed"):
             q_factorial_power(1e200, 1.0, 2.0, QParams(0.5))
+
+    def test_integer_exponent_takes_its_factors_from_q_product(self, monkeypatch):
+        calls = []
+        inner = qfrac.special._q_product
+
+        def spy(c, p, where, count=None, *rest):
+            calls.append(count)
+            value = inner(c, p, where, count, *rest)
+            assert math.isfinite(value)
+            return value
+
+        monkeypatch.setattr(qfrac.special, "_q_product", spy)
+        q_factorial_power(1.7, 0.9, 3.0, QParams(0.3))
+        assert calls == [3]
+
+    @pytest.mark.parametrize("t, s", [(-1.7, 0.9), (1.7, -0.9), (-1.7, -0.9), (0.9, 1.7),
+                                      (-0.9, -1.7), (0.4, -3.1), (-0.4, 3.1), (1e-200, 1e-100)],
+                             ids=["t<0", "s<0", "both<0", "u>1", "both<0,u>1", "s<0,u<-1",
+                                  "t<0,u<-1", "tiny-t"])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_integer_exponent_off_the_grid(self, t, s, m):
+        # prod (t - q**i s); at t = 1e-200, s = 1e-100 the factors
+        # t - q**i s stay in range while t**m alone underflows.
+        p = QParams(0.3)
+        direct = math.prod(t - 0.3**i * s for i in range(m))
+        assert q_factorial_power(t, s, float(m), p) == pytest.approx(direct, rel=1e-14)
 
     def test_zero_subtrahend_gives_plain_power(self, p_half):
         assert q_factorial_power(2.0, 0.0, 0.7, p_half) == pytest.approx(2.0**0.7)
