@@ -631,7 +631,7 @@ _TABLE = {
                 solve_ivp_closed, IVProblem(alpha, lam, a, 0.0, f), p)(t),
             _forcing_by_orders),
         # Euler's expansion past the first P terms, where q_mittag_leffler
-        # takes it, against the term rule cut; the worst rel_err is 6.2e-14.
+        # takes it, against the term rule cut; the worst rel_err is 5.7e-14.
         # At q = 0.9 the alternating series at |zeta| = 0.9 have terms 1e4 to
         # 5e9 times their value, whose cancellation the growth watch rejects;
         # those are left out.

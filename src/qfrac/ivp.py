@@ -18,11 +18,12 @@ import operator
 import threading
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import special
-from .core import (QFunction, QParams, _accumulate, _chain_sum, _check_budget, _name, _power,
-                   _start_steps, count_terms, q_bracket)
+from .core import (_GROWTH_FACTOR, _SMALL_RUN, QFunction, QParams, _accumulate, _chain_sum,
+                   _check_budget, _name, _note_terms, _power, _start_steps, count_terms,
+                   q_bracket)
 from .errors import DomainError, NonConvergence, NumericOverflow
 from .fractional import _LEFT_AT, _left_series, left_caputo, left_frac_integral
 
@@ -73,14 +74,16 @@ def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
     alpha k + beta is a pole of q_gamma is 0, as 1 / q_gamma is entire.  From
     z0 = 0 (z > 0) the series is a geometric one in zeta = lam ((1-q)
     z)**alpha: |zeta| >= 1 raises NonConvergence before any term, and the
-    sum takes Euler's expansion past its first P terms (_euler_split, worked
-    out once per call); alternating terms that rise past the growth watch
-    raise NonConvergence naming that cancellation.
+    sum is a _ZeroHead's, built for this call: its first P terms
+    (_euler_split) and a fixed number of terms of Euler's expansion past
+    them, exact to rounding; alternating terms that rise past the growth
+    watch raise NonConvergence naming that cancellation.  A P past
+    max_terms keeps _ml_sum's terms under the stopping rule.
     From any other z0 divergence is detected at runtime, by terms that grow.
     """
     j = _start_steps(mp.z0, z, p.q)
     split = _euler_split(mp.alpha, mp.beta, p) if j is None else None
-    return _ml_sum(mp, z, j, p, split=split)
+    return _ml_sum(mp, z, j, p) if split is None else _ZeroHead(mp, split, p)(z)
 
 
 @dataclass(frozen=True)
@@ -165,9 +168,9 @@ def _euler_split(alpha: float, beta: float, p: QParams) -> int | None:
 
 
 def _split_sum(terms: Iterator[float], orders: int, rest: Callable[[], float], p: QParams,
-               where: tuple, detect_growth: bool = True, grew: tuple | None = None) -> float:
-    """The first `orders` terms under the stopping rule (see core._accumulate,
-    which takes detect_growth, where and grew) plus rest(), the sum past
+               where: tuple) -> float:
+    """The first `orders` terms under the stopping rule, watched for growth
+    (see core._accumulate, which takes where), plus rest(), the sum past
     them, unless the rule has ended them first: where the terms are small
     from the start the sum ends as it would with no rest, whose terms are
     below the rule."""
@@ -177,16 +180,19 @@ def _split_sum(terms: Iterator[float], orders: int, rest: Callable[[], float], p
         yield from itertools.islice(terms, orders)
         passed.append(True)
 
-    value = _accumulate(first(), p.trunc, detect_growth=detect_growth, where=where, grew=grew)
+    value = _accumulate(first(), p.trunc, detect_growth=True, where=where)
     return value + rest() if passed else value
 
 
 def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
-            count: int | None = None, split: int | None = None) -> float:
+            count: int | None = None) -> float:
     """sum_k lam**k (z - z0)_q^(alpha k) / q_gamma(alpha k + beta) with
     j = _start_steps(z0, z, q), to the stopping rule watched for growth
     (from z0 = 0 only where the terms alternate, see below), or over
-    k < count in full if count is given (see core._accumulate).
+    k < count in full if count is given (see core._accumulate).  These are
+    the plain terms; from z0 = 0 with no count, _ZeroHead sums the same
+    series by a per-call or per-solution plan instead, wherever its split P
+    is within max_terms.
 
     By q_gamma's product form Gamma_q(x) = (q; q)_inf (1-q)**(1-x) /
     (q**x; q)_inf, term k is (1-q)**(beta-1) zeta**k (q**(alpha k + beta);
@@ -202,17 +208,7 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
     |zeta| >= 1 raises NonConvergence before any term, and below 1 it
     converges, so terms that grow are a hump, watched only for zeta < 0,
     where they cancel: one the watch rejects raises NonConvergence that says
-    so, as a term-wise sum would lose the hump's digits.  split, P from
-    _euler_split, is given there only: the first P terms are summed one by
-    one and, unless the stopping rule ends them, the rest by Euler's
-    expansion (x; q)_inf = sum_n (-1)**n q**(n(n-1)/2) x**n / (q; q)_n, at
-    x = q**(alpha k + beta) and summed over k >= P as a geometric series
-    (|zeta| < 1, and the sum converges absolutely): sum_{k>=P} zeta**k
-    (q**(alpha k + beta); q)_inf = zeta**P sum_n (-1)**n q**(n(n-1)/2) y**n
-    / ((q; q)_n (1 - zeta q**(alpha n))), y = q**(beta + alpha P), whose
-    terms follow each other in O(1) with no infinite product.  So a sum
-    reads at most P + 1 products from the tail cache, which notes their
-    terms on every read.
+    so, as a term-wise sum would lose the hump's digits.
 
     For an integer beta and j >= 1 the tails' quotient is finite, and term k
     is zeta**k / [beta-1]_q! times the |j - beta| factors
@@ -235,8 +231,7 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
         zeta = step * special.q_factorial_power(z, 0.0, alpha, p)
         steps = itertools.repeat(zeta)
         if j is None and count is None and not abs(zeta) < 1.0:
-            raise NonConvergence(f"{_name(where)}: |lam ((1-q) z)**alpha| = {abs(zeta)!r} "
-                                 f">= 1, so the series diverges")
+            raise _diverges(zeta, where)
 
     def finite_terms() -> Iterator[float]:
         b = int(beta)
@@ -255,13 +250,10 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
             yield power
             start *= shift
 
-    def scale() -> tuple[float, float]:
-        return _power(1.0 - q, beta - 1.0, *where), tail(1.0, p)  # (1-q)**(beta-1), (q; q)_inf
-
-    def tail_terms(parts: tuple[float, float] | None = None) -> Iterator[float]:
+    def tail_terms() -> Iterator[float]:
         # (1-q)**(beta-1) zeta**k (q**(alpha k + beta); q)_inf / (q; q)_inf,
         # times R_k off the grid
-        first, below = parts or scale()
+        first, below = _power(1.0 - q, beta - 1.0, *where), tail(1.0, p)
         powers = itertools.accumulate(steps, operator.mul, initial=first)
         ratios = itertools.repeat(1.0)
         if j is not None and j >= 0:
@@ -270,18 +262,6 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
                                              for k in itertools.count(1)))
         for k, (power, ratio) in enumerate(zip(powers, ratios)):
             yield power * tail(alpha * k + beta, p) * ratio / below
-
-    def euler_terms(orders: int, first: float, below: float) -> Iterator[float]:
-        # term n of the expansion past the first `orders` terms, times
-        # (1-q)**(beta-1) zeta**orders / (q; q)_inf
-        coef = first * zeta**orders / below
-        y, shift, lifted, fall = q ** (beta + alpha * orders), q**alpha, zeta, 1.0
-        while True:
-            yield coef / (1.0 - lifted)
-            fall *= q
-            coef *= -y / (1.0 - fall)
-            y *= q
-            lifted *= shift
 
     def checked(terms: Iterator[float]) -> Iterator[float]:
         for k, term in enumerate(terms):
@@ -294,15 +274,142 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
     # converges, terms of zeta < 0 that grow are a hump that cancels.
     watch = j is not None or zeta < 0.0
     hump = None if j is not None else (_HUMP_AT, *where[1:], abs(zeta))
-    if split is None:
-        finite = j is not None and j >= 1 and beta == int(beta)
-        terms = finite_terms() if finite else tail_terms()
-        return _accumulate(checked(terms), p.trunc, detect_growth=watch, count=count,
-                           where=where, grew=hump)
-    parts = scale()
-    return _split_sum(checked(tail_terms(parts)), split, lambda: _accumulate(
-        euler_terms(split, *parts), p.trunc, detect_growth=False, where=where), p, where,
-        detect_growth=watch, grew=hump)
+    finite = j is not None and j >= 1 and beta == int(beta)
+    terms = finite_terms() if finite else tail_terms()
+    return _accumulate(checked(terms), p.trunc, detect_growth=watch, count=count, where=where,
+                       grew=hump)
+
+
+def _diverges(zeta: float, where: tuple) -> NonConvergence:
+    """The error of a series from z0 = 0 at |zeta| >= 1."""
+    return NonConvergence(f"{_name(where)}: |lam ((1-q) z)**alpha| = {abs(zeta)!r} >= 1, "
+                          f"so the series diverges")
+
+
+def _euler_multipliers(alpha: float, x: float, q: float) -> list[float]:
+    """The factors -q**(x + n) / (1 - q**(n + 1)), n < N - 1, that take term
+    n of Euler's expansion of sum_k zeta**k (q**(alpha k + x); q)_inf, less
+    zeta and the scale, to term n + 1 (see _ZeroHead), for the fewest
+    N >= 1 whose rest is below 2**-54 (1 - q**alpha) of term 0.
+
+    The ratio r_n = q**(x + n) / (1 - q**(n + 1)) of their sizes falls with
+    n, so past n the sizes add up to at most |e_n| / (1 - r_n) once r_n < 1;
+    they fall like q**(n(n-1)/2), and N is found in a few steps with no
+    tail read.
+    """
+    y, fall = q**x, q
+    floor = 2.0**-54 * (1.0 - q**alpha)
+    multipliers, size, ratio = [], 1.0, y / (1.0 - fall)  # |e_n / e_0|, r_n
+    while True:
+        y, fall = y * q, fall * q
+        following = y / (1.0 - fall)
+        if following < 1.0 and size * ratio <= floor * (1.0 - following):
+            return multipliers
+        multipliers.append(-ratio)
+        size *= ratio
+        ratio = following
+
+
+def _grew(terms: Iterable[float]) -> bool:
+    """Whether the sizes of terms rise as core._accumulate's growth watch
+    rejects: _SMALL_RUN or more successive rises, to more than
+    _GROWTH_FACTOR times the size they rose from."""
+    run, base, last = 0, 0.0, 0.0
+    for size in map(abs, terms):
+        if 0.0 < last < size:
+            if run == 0:
+                base = last
+            run += 1
+            if run >= _SMALL_RUN and size > _GROWTH_FACTOR * base:
+                return True
+        else:
+            run = 0
+        last = size
+    return False
+
+
+class _ZeroHead:
+    """The q-Mittag-Leffler series from z0 = 0 of one MLParams as a function
+    of z, past a split P = orders from _euler_split: P terms and N of Euler's
+    expansion, lengths fixed before any term is formed, with no stopping
+    rule.
+
+    With zeta = lam ((1-q) z)**alpha the series is (see _ml_sum)
+
+        sum_{k<P} c_k zeta**k + zeta**P sum_n e_n / (1 - zeta q**(alpha n)),
+
+    c_k = (1-q)**(beta-1) (q**(alpha k + beta); q)_inf / (q; q)_inf and
+    e_n = (1-q)**(beta-1) (-1)**n q**(n(n-1)/2) y**n / ((q; q)_n (q; q)_inf),
+    y = q**(beta + alpha P): past its first P terms Euler's expansion
+    (x; q)_inf = sum_n (-1)**n q**(n(n-1)/2) x**n / (q; q)_n, taken at
+    x = q**(alpha k + beta), is summed over k first as a geometric series,
+    which |zeta| < 1 and absolute convergence allow.  For n >= 1,
+    |1 - zeta q**(alpha n)| > 1 - q**alpha, so the expansion's rest past N
+    is below its sizes' sum past N over 1 - q**alpha; N is the fewest n >= 1
+    that puts that below 2**-54 |zeta**P e_0| (_euler_multipliers), under
+    the rounding of the first term zeta**P e_0 / (1 - zeta), as |1 - zeta|
+    < 2.  So the sum is exact to rounding, whatever rel_tol.
+
+    The plan, the c_k, the e_n (a running product, by the factors of
+    _euler_multipliers) and the q**(alpha n), depends on no zeta.  It is
+    formed on the first call whose |zeta| < 1, once P + N is checked against
+    max_terms (core._check_budget), and read by every call after it: the
+    P + 1 tails (q; q)_inf and (q**(alpha k + beta); q)_inf are read once,
+    and note their terms once.  A call forms zeta and the P + N terms, adds
+    them by math.fsum and notes P + N terms.  |zeta| >= 1 raises
+    NonConvergence before any tail is read; for zeta < 0 the first P terms
+    are watched for growth as _ml_sum watches them, and a hump raises
+    NonConvergence naming the cancellation; a term that is not finite
+    raises NumericOverflow naming z, z0, alpha, beta, lam and q.  The plan
+    lives in the instance: q_mittag_leffler builds one per call, and a
+    closed-form solution one for all its points.
+    """
+
+    def __init__(self, mp: MLParams, orders: int, p: QParams) -> None:
+        self._mp, self._p, self.orders = mp, p, orders
+        self._step = mp.lam * (1.0 - p.q) ** mp.alpha
+        self._multipliers = _euler_multipliers(mp.alpha, mp.beta + mp.alpha * orders, p.q)
+        self.length = orders + len(self._multipliers) + 1  # P + N
+        self._plan: tuple[list[float], list[float], list[float]] | None = None
+
+    def _build(self, where: tuple) -> tuple[list[float], list[float], list[float]]:
+        """The c_k, the e_n and the q**(alpha n)."""
+        alpha, beta, q, p = self._mp.alpha, self._mp.beta, self._p.q, self._p
+        _check_budget(self.length, p.trunc, where)
+        tail = special._pochhammer_tail
+        scale = _power(1.0 - q, beta - 1.0, *where) / tail(1.0, p)  # e_0
+        coefs = [scale * tail(alpha * k + beta, p) for k in range(self.orders)]
+        euler = itertools.accumulate(self._multipliers, operator.mul, initial=scale)
+        lifts = itertools.accumulate(itertools.repeat(q**alpha, len(self._multipliers)),
+                                     operator.mul, initial=1.0)
+        return coefs, list(euler), list(lifts)
+
+    def __call__(self, z: float) -> float:
+        mp = self._mp
+        where = (_ML_AT, z, mp.z0, mp.alpha, mp.beta, mp.lam, self._p.q)
+        zeta = self._step * _power(z, mp.alpha, *where)
+        if not abs(zeta) < 1.0:
+            raise _diverges(zeta, where)
+        if self._plan is None:
+            self._plan = self._build(where)
+        coefs, euler, lifts = self._plan
+        powers = list(itertools.accumulate(itertools.repeat(zeta, self.orders), operator.mul,
+                                           initial=1.0))
+        top = powers[-1]  # zeta**P
+        terms = list(map(operator.mul, coefs, powers))
+        terms += [top * e / (1.0 - zeta * lift) for e, lift in zip(euler, lifts)]
+        _note_terms(self.length)
+        if zeta < 0.0 and _grew(itertools.islice(terms, self.orders)):
+            raise NonConvergence(_name((_HUMP_AT, *where[1:], abs(zeta))))
+        try:
+            value = math.fsum(terms)
+        except (OverflowError, ValueError):  # past the range of a double, or inf - inf
+            value = math.inf
+        if not math.isfinite(value):
+            k = next((k for k, term in enumerate(terms) if not math.isfinite(term)), None)
+            what = "the sum" if k is None else f"term {k}"
+            raise NumericOverflow(f"{_name(where)}: {what} overflowed")
+        return value
 
 
 _FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
@@ -393,17 +500,25 @@ class _Kernel:
 
 def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     """The closed form's series (see solve_ivp_closed), summed to the stopping
-    rule for m None, else cut after m terms: the m-th Picard iterate."""
+    rule for m None, else cut after m terms: the m-th Picard iterate.  The
+    closed form's head from a = 0 is the solution's own _ZeroHead, whose
+    plan its first point with |zeta| < 1 forms and every later point reads;
+    its P and N are in the diagnostics as head_orders and head_euler_terms.
+    Picard's cut head and the head on the time scale take _ml_sum."""
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
     q = p.q
     # Every term of the forcing series samples f on the same lattice points.
     forcing = None if prob.forcing is None else cache(prob.forcing)
     head = MLParams(alpha, 1.0, lam, a)
     head_terms = None if m is None else m + 1
-    # From a = 0 the closed form's head takes Euler's expansion past P (see _ml_sum).
+    # From a = 0 the closed form's head is one plan's fixed-length sums (see _ZeroHead).
     split = _euler_split(alpha, 1.0, p) if a == 0.0 and m is None else None
+    zero_head = None if split is None else _ZeroHead(head, split, p)
     kernel = None if forcing is None or lam == 0.0 or m is not None else _Kernel(alpha, lam, p)
     diagnostics = {"terms": 0, "evaluations": 0}
+    if zero_head is not None:
+        diagnostics["head_orders"] = split
+        diagnostics["head_euler_terms"] = zero_head.length - split
 
     def order_terms(t: float, steps: int | None, h: float) -> Iterator[float]:
         for k in itertools.count():
@@ -438,8 +553,12 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
             if t == a:  # the head's terms past the first and the integrals vanish
                 value = a0
             else:
-                value = (a0 * _ml_sum(head, t, steps, p, head_terms, split)
-                         if a0 != 0.0 else 0.0)
+                if a0 == 0.0:
+                    value = 0.0
+                elif zero_head is not None:
+                    value = a0 * zero_head(t)
+                else:
+                    value = a0 * _ml_sum(head, t, steps, p, head_terms)
                 # Picard(0) has no forcing term.
                 if forcing is not None and m != 0:
                     # With lam = 0 every term after the first is 0.0 times an integral.
@@ -469,16 +588,17 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     first, and for P = 0 (at q <= 0.5 for alpha >= 0.5) the forcing is that
     one series; |z| >= 1 there raises NonConvergence.  From an a off the
     grid of t the terms are summed one by one, and terms that grow raise
-    NonConvergence.  The head is a0 times _ml_sum's series at the lattice
-    position of a below t, which the solution finds once per point, and no
-    q_gamma is called: from a = 0 term k is z**k (q**(alpha k + 1); q)_inf /
-    (q; q)_inf, |z| >= 1 raises NonConvergence, and the terms past the
-    first P are one sum by Euler's expansion, with no infinite product per
-    term (_euler_split, worked out once per solution; see _ml_sum); an
-    alternating hump too steep to sum raises NonConvergence naming the
-    cancellation.  On the time scale, t = a q**-j with j >= 1, it is the
-    finite quotient z**k (q**(alpha k + 1); q)_(j-1) / (q; q)_(j-1), taken
-    a factor of each at a time, so at j = 1 the head is a0 / (1 - z).
+    NonConvergence.  The head is a0 times the q-Mittag-Leffler series at the
+    lattice position of a below t, which the solution finds once per point,
+    and no q_gamma is called: from a = 0 term k is z**k (q**(alpha k + 1);
+    q)_inf / (q; q)_inf, |z| >= 1 raises NonConvergence, and the head is P
+    terms and N of Euler's expansion past them, a fixed length exact to
+    rounding with no stopping rule, from a plan of coefficients that the
+    first point forms and every point reads (_ZeroHead; P and N are in the
+    diagnostics); an alternating hump too steep to sum raises NonConvergence
+    naming the cancellation.  On the time scale, t = a q**-j with j >= 1, it
+    is the finite quotient z**k (q**(alpha k + 1); q)_(j-1) / (q; q)_(j-1),
+    taken a factor of each at a time, so at j = 1 the head is a0 / (1 - z).
     t < a raises DomainError; y(a) = a0, with nothing summed.
     """
     return _series_solution(prob, None, p)

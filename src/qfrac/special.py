@@ -141,10 +141,13 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
 
     Integer alpha = m >= 0 gives the finite product prod_{i<m} (t - q**i s),
     on the grid s = t q**d the q-Pochhammer symbol t**m (q**d; q)_m, which is
-    a signed zero exactly when its factor 1 - q**0 exists (d <= 0 < d + m);
-    with t != 0 _q_product takes its factors, so that an alpha above the
-    truncation's max_terms raises NonConvergence instead of multiplying that
-    many factors, and a product too large for a double raises NumericOverflow.
+    a signed zero exactly when its factor 1 - q**0 exists (d <= 0 < d + m),
+    and takes the factors t - q**i s whole where t**m (q**d; q)_m is not
+    finite, or is 0 with no zero factor, as its parts over- or underflow
+    apart; with t != 0 _q_product takes its factors, so that an alpha above
+    the truncation's max_terms raises NonConvergence instead of multiplying
+    that many factors, and a product too large for a double raises
+    NumericOverflow.  A non-finite s raises DomainError.
     Any other real alpha uses the infinite ratio product, which vanishes
     exactly when s = t q**-j (j >= 0) and raises PoleError when a denominator
     factor hits zero (negative integer alpha on the grid) or rounds to zero.
@@ -157,21 +160,32 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
         raise DomainError(f"{_name(where)}: the exponent must be finite")
     if _is_integer_valued(alpha) and alpha >= 0:
         m = int(round(alpha))
-        if m == 0:
-            return 1.0
-        if t == 0.0:
+        if m == 0:  # the empty product, but for an s rejected below
+            product = 1.0 if math.isfinite(s) else math.nan
+        elif t == 0.0:
             # prod (0 - q**i s) = (-s)**m q**(m(m-1)/2)
-            return _power(-s, m, *where) * q ** (m * (m - 1) // 2)
-        d = _grid_exponent(s / t, q) if s != 0.0 and s / t > 0.0 else None
-        if d is None:
-            product = _q_product(s, p, where, m, t)
-        elif d <= 0 < d + m:
-            # t**m (q**d; q)_m vanishes by its factor 1 - q**0, and the -d
-            # factors before it are negative.
-            product = (-0.0 if d % 2 else 0.0) * _power(t, m, *where)
+            product = _power(-s, m, *where) * q ** (m * (m - 1) // 2)
         else:
-            product = _q_product(_power(q, d, *where), p, where, m) * _power(t, m, *where)
+            d = _grid_exponent(s / t, q) if s != 0.0 and s / t > 0.0 else None
+            if d is None:
+                product = _q_product(s, p, where, m, t)
+            elif d <= 0 < d + m:
+                # t**m (q**d; q)_m vanishes by its factor 1 - q**0, and the -d
+                # factors before it are negative.
+                product = (-0.0 if d % 2 else 0.0) * _power(t, m, *where)
+            else:
+                # t**m (q**d; q)_m, unless its two factors over- or
+                # underflow apart: then the factors t - q**i s, taken whole.
+                try:
+                    product = _q_product(q**d, p, where, m) * t**m
+                except OverflowError:
+                    product = math.inf
+                if product == 0.0 or not math.isfinite(product):
+                    product = _q_product(s, p, where, m, t)
+        # A non-finite s leaves every product non-finite.
         if not math.isfinite(product):
+            if not math.isfinite(s):
+                raise DomainError(f"{_name(where)}: s must be finite")
             raise NumericOverflow(f"{_QFACT_AT.format(t, s, alpha, q)}: product overflowed")
         return product
 

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import sys
@@ -238,3 +239,26 @@ def test_nested_routes_use_the_memo():
     routes = [route for entries in checks._TABLE.values() for entry in entries
               for route in (entry.lhs, entry.rhs)]
     assert nested_operator_calls(routes, vars(checks)) == []
+
+
+# SHA-256 prefixes of `qfrac check S --seed 7 --out F`: a change that moves
+# any record, or a byte of the report, moves its suite's hash.  A change
+# meant to move one records the new prefix here, with the reason.
+REPORT_HASHES = {
+    "core": "cb923607076f3356",
+    "special": "beb267266a9cca20",
+    "frac": "c2c99df8e2f19db1",
+    "ivp": "7818290558616def",
+    "all": "1a97a0100550d004",
+}
+
+
+@pytest.mark.parametrize("suite", list(REPORT_HASHES))
+def test_report_bytes_are_pinned(tmp_path, monkeypatch, suite):
+    from qfrac.cli import main
+
+    for name in ("QFRAC_REL_TOL", "QFRAC_MAX_TERMS"):  # the default truncation
+        monkeypatch.delenv(name, raising=False)
+    out = tmp_path / f"{suite}.json"
+    assert main(["check", suite, "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == REPORT_HASHES[suite]

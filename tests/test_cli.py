@@ -481,10 +481,15 @@ class TestEvalErrors:
          "nabla_q^n with n=2 at t=inf, q=0.5: nabla_q is undefined there; requires a finite t"),
         (["fracint", "--t", "inf"],
          "left fractional integral at t=inf, a=0.0, alpha=0.5, q=0.5: needs a finite t"),
+        (["qfact", "--alpha", "2", "--t", "1", "--s", "inf"],
+         "(t - s)_q^alpha at t=1.0, s=inf, alpha=2.0, q=0.5: s must be finite"),
+        (["qfact", "--alpha", "2", "--t", "0", "--s", "nan"],
+         "(t - s)_q^alpha at t=0.0, s=nan, alpha=2.0, q=0.5: s must be finite"),
     ], ids=["right-integral", "left-riemann", "right-riemann", "right-integral-off-grid-b",
             "gamma-not-finite", "big-exp", "qfact-not-finite", "qfact-t-zero", "qfact-t-negative",
             "ml-lambda-nan", "ml-z0-nan", "ml-z0-inf", "right-fracder-t-inf",
-            "integer-fracder-t-inf", "integer-caputo-t-inf", "left-integral-t-inf"])
+            "integer-fracder-t-inf", "integer-caputo-t-inf", "left-integral-t-inf",
+            "integer-qfact-s-inf", "integer-qfact-s-nan"])
     def test_domain_error_names_its_parameters(self, argv, message):
         code, out, err = run_cli(
             ["eval", argv[0], "--q", "0.5", "--alpha", "0.5", "--f", "1", *argv[1:]])

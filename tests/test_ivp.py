@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import sys
 import threading
 from functools import cache
@@ -37,7 +39,7 @@ from qfrac import (
     solve_ivp_picard,
 )
 
-from qfrac.core import _start_steps
+from qfrac.core import _accumulate, _start_steps
 from qfrac.fractional import _left_series
 from qfrac.ivp import _euler_split
 
@@ -153,10 +155,11 @@ class TestMittagLeffler:
                                                   r"the product underflowed to 0\.0$"):
             q_mittag_leffler(MLParams(0.9, 1.0, -1.0), 2.0, p)
 
-    @pytest.mark.parametrize(("z0", "calls"), [(0.0, 1), (0.5**3, 1), (0.37, 14)])
+    @pytest.mark.parametrize(("z0", "calls"), [(0.0, 0), (0.5**3, 1), (0.37, 14)])
     def test_factorial_powers_per_sum(self, monkeypatch, p_half, z0, calls):
-        # From z0 = 0 and from z0 = z q**j each term takes its power of z from
-        # z**alpha: one factorial power per sum.  Only a z0 off the grid of z
+        # From z0 = z q**j each term takes its power of z from z**alpha: one
+        # factorial power per sum, and from z0 = 0, where zeta is
+        # lam ((1-q) z)**alpha itself, none.  Only a z0 off the grid of z
         # takes one per term.
         counted = []
         inner = qfrac.special.q_factorial_power
@@ -713,28 +716,30 @@ class TestForcingKernel:
         # closed(t) has filled.  Order by order the residual took 3,422 terms,
         # 146 of them the head's; the order apart and one kernel series per
         # point took 845 for the forcing, and at P = 0 the one series takes
-        # 404.  At each of the 18 new points the head reads (q; q)_inf and
-        # its P = 1 coefficient from the tail cache, which notes their terms
-        # on every read, and sums the rest by Euler's expansion (1,650 terms
-        # over the 18 points).  A second residual reads the point memo: it
-        # evaluates no point, so it fills no cell.
+        # 404.  The head's plan (P = 1, N = 10) was formed at t = 1, where it
+        # read (q; q)_inf and its one coefficient from the tail cache; each
+        # of the 18 new points sums its 11 terms, 198 with the 7 of the
+        # residual's own sums (1,650 when each point read both tails and
+        # summed to the stopping rule).  A second residual reads the point
+        # memo: it evaluates no point, so it fills no cell.
         prob = IVProblem(0.8, 0.3, 0.0, 1.0, quadratic(1.0, -0.5, 0.7))
         y = solve_ivp_closed(prob, p_half)
         y(1.0)
         with count_terms() as counter:
             first = ivp_residual(prob, y, 1.0, p_half)
-        assert counter.total == 2054
+        assert counter.total == 609
         free = IVProblem(0.8, 0.3, 0.0, 1.0)
         head = solve_ivp_closed(free, p_half)
         head(1.0)
         with count_terms() as head_counter:
             ivp_residual(free, head, 1.0, p_half)
-        assert head_counter.total == 1650
+        assert head_counter.total == 205 == 18 * 11 + 7
         assert counter.total - head_counter.total == 404 < 845
         assert abs(first) <= 1e-13
-        assert y.diagnostics == {"terms": 2157, "evaluations": 19}
+        diagnostics = {"terms": 711, "evaluations": 19, "head_orders": 1, "head_euler_terms": 10}
+        assert y.diagnostics == diagnostics
         assert ivp_residual(prob, y, 1.0, p_half) == first
-        assert y.diagnostics == {"terms": 2157, "evaluations": 19}
+        assert y.diagnostics == diagnostics
 
     @pytest.mark.parametrize(("alpha", "points"), [(0.5, 23), (0.8, 19), (0.95, 18)])
     @pytest.mark.parametrize("lam", [0.3, -0.3])
@@ -750,10 +755,10 @@ class TestForcingKernel:
         assert y.diagnostics["evaluations"] == points and calls == []
 
     def test_head_reads_only_its_first_terms(self, monkeypatch, p_half):
-        # P = 1 at q = 0.5 for alpha = 0.8: at each of the residual's points
-        # past a = 0 the head reads (q; q)_inf and its one coefficient
-        # (q**(0.8 k + 1); q)_inf, k = 0, from the tail cache, both x = 1.0,
-        # and sums the rest by Euler's expansion; y(0) = a0 reads nothing.
+        # P = 1 at q = 0.5 for alpha = 0.8: the head's plan, formed at the
+        # first point past a = 0, reads (q; q)_inf and its one coefficient
+        # (q**(0.8 k + 1); q)_inf, k = 0, from the tail cache, both x = 1.0;
+        # no point after it reads a tail, and y(0) = a0 reads nothing.
         calls = []
         inner = qfrac.special._pochhammer_tail
         monkeypatch.setattr(qfrac.special, "_pochhammer_tail",
@@ -764,10 +769,145 @@ class TestForcingKernel:
         for t in [0.0] + [0.5**i for i in range(18)]:
             read = len(calls)
             y(t)
-            assert calls[read:] == ([] if t == 0.0 else [1.0, 1.0])
+            assert calls[read:] == ([1.0, 1.0] if t == 1.0 else [])
         residual = ivp_residual(prob, y, 1.0, p_half)
         assert abs(residual) <= 1e-13 and y.diagnostics["evaluations"] == 19
-        assert calls == [1.0] * 36
+        assert calls == [1.0] * 2
+
+
+class TestHeadPlan:
+    """The closed form's head from a = 0 and q_mittag_leffler from z0 = 0:
+    P terms and N of Euler's expansion, from a plan formed once (see
+    ivp._ZeroHead)."""
+
+    @staticmethod
+    def spy_tails(monkeypatch):
+        calls = []
+        inner = qfrac.special._pochhammer_tail
+        monkeypatch.setattr(qfrac.special, "_pochhammer_tail",
+                            lambda x, p: calls.append(x) or inner(x, p))
+        return calls
+
+    def test_tails_are_read_once_per_solution(self, monkeypatch):
+        # P = 27 at q = 0.9 for alpha = 0.8: the first point reads (q; q)_inf
+        # and the 27 coefficients, each point after it none.  A second
+        # solution of the same problem forms its own plan and reads them again.
+        p = QParams(0.9)
+        orders = _euler_split(0.8, 1.0, p)
+        assert orders == 27
+        calls = self.spy_tails(monkeypatch)
+        want = [1.0] + [0.8 * k + 1.0 for k in range(orders)]
+        for _ in range(2):
+            y = solve_ivp_closed(IVProblem(0.8, 0.3, 0.0, 1.0), p)
+            read = len(calls)
+            for t in (1.0, 0.9, 0.81, 2.0, 0.5):
+                y(t)
+            assert calls[read:] == want
+
+    def test_each_point_notes_its_fixed_length(self, p_half):
+        # The tails note their terms once, at the point that forms the plan;
+        # every point after it notes P + N.
+        y = solve_ivp_closed(IVProblem(0.8, 0.3, 0.0, 1.0), p_half)
+        length = y.diagnostics["head_orders"] + y.diagnostics["head_euler_terms"]
+        assert length == 11
+        with count_terms() as first:
+            y(1.0)
+        assert first.total > length
+        for t in (0.5, 2.0, 0.1):
+            with count_terms() as counter:
+                y(t)
+            assert counter.total == length
+        assert y.diagnostics["terms"] == first.total + 3 * length
+
+    def test_head_takes_no_stopping_rule(self, monkeypatch, p_half):
+        # The head from 0 is summed in full: no sum under core._accumulate,
+        # for the closed form or q_mittag_leffler.  Picard's cut head is.
+        calls = []
+        monkeypatch.setattr(qfrac.ivp, "_accumulate",
+                            lambda *args, **kwargs: calls.append(kwargs.get("count"))
+                            or _accumulate(*args, **kwargs))
+        y = solve_ivp_closed(IVProblem(0.8, -0.3, 0.0, 1.0), p_half)
+        for t in (1.0, 0.5, 2.0):
+            assert math.isfinite(y(t))
+        assert math.isfinite(q_mittag_leffler(MLParams(0.8, 0.5, 0.3), 1.0, p_half))
+        assert calls == []
+        solve_ivp_picard(IVProblem(0.8, -0.3, 0.0, 1.0), 5, p_half)(1.0)
+        assert calls == [6]
+
+    @pytest.mark.parametrize("lam", [0.3, -0.3])
+    def test_budget_below_the_length_raises_first(self, monkeypatch, lam):
+        # P + N = 11 at q = 0.5 for alpha = 0.8: a budget of 10 raises before
+        # any term or tail, at the solution's first point and for a single
+        # series.
+        calls = self.spy_tails(monkeypatch)
+        p = QParams(0.5, Truncation(max_terms=10))
+        y = solve_ivp_closed(IVProblem(0.8, lam, 0.0, 1.0), p)
+        assert y.diagnostics["head_orders"] + y.diagnostics["head_euler_terms"] == 11
+        where = (rf"^q-Mittag-Leffler at z=1\.0, z0=0\.0, alpha=0\.8, beta=1\.0, "
+                 rf"lam={lam!r}, q=0\.5: 11 terms exceed the budget of 10$")
+        with count_terms() as counter:
+            with pytest.raises(NonConvergence, match=where):
+                y(1.0)
+            with pytest.raises(NonConvergence, match=where):
+                q_mittag_leffler(MLParams(0.8, 1.0, lam), 1.0, p)
+        assert calls == [] and counter.total == 0
+        # At 11 the head's check passes, and the first tail meets its own.
+        within = QParams(0.5, Truncation(max_terms=11))
+        with pytest.raises(NonConvergence, match=r"^\(q\*\*x; q\)_inf at x=1\.0, q=0\.5: "):
+            q_mittag_leffler(MLParams(0.8, 1.0, lam), 1.0, within)
+
+    def test_plans_live_in_their_solutions(self, monkeypatch):
+        # Each solution forms one plan at its first point and keeps it: two
+        # solutions of different alpha share no part of theirs, and many
+        # solutions leave every container of the module as it was.
+        built = []
+        inner = qfrac.ivp._ZeroHead._build
+
+        def spy(head, where):
+            plan = inner(head, where)
+            built.append((head, plan))
+            return plan
+
+        monkeypatch.setattr(qfrac.ivp._ZeroHead, "_build", spy)
+        p = QParams(0.7)
+        first, second = (solve_ivp_closed(IVProblem(alpha, 0.3, 0.0, 1.0), p)
+                         for alpha in (0.6, 0.85))
+        for y in (first, second, first, second):
+            for t in (1.0, 0.7, 1.5):
+                y(t)
+        assert len(built) == 2 and built[0][0] is not built[1][0]
+        (_, one), (_, other) = built
+        assert all(a is not b and a != b for a, b in zip(one, other))
+        sizes = lambda: {name: len(value) for name, value in vars(qfrac.ivp).items()
+                         if isinstance(value, (dict, list, set))}
+        before = sizes()
+        for alpha in (0.31, 0.47, 0.52, 0.66, 0.78, 0.83, 0.99):
+            y = solve_ivp_closed(IVProblem(alpha, -0.2, 0.0, 1.0), p)
+            for t in (1.0, 0.7, 0.49):
+                y(t)
+        assert sizes() == before and len(built) == 9
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize(("alpha", "beta"), [(0.4, 1.0), (0.9, 0.5), (1.3, 2.5), (0.5, -1.5)])
+    def test_euler_rest_is_below_the_rounding(self, q, alpha, beta):
+        # The factors are the ratios of the terms' sizes |e_(n+1) / e_n|, and
+        # past N the expansion's terms at |zeta| = 0.99 add up to less than
+        # 2**-53 of its first term.
+        p = QParams(q)
+        orders = _euler_split(alpha, beta, p)
+        multipliers = qfrac.ivp._euler_multipliers(alpha, beta + alpha * orders, q)
+        sizes = [1.0]
+        for n in range(len(multipliers) + 40):
+            y = q ** (beta + alpha * orders + n)
+            sizes.append(sizes[-1] * y / (1.0 - q ** (n + 1)))
+        assert sizes[1:len(multipliers) + 1] == pytest.approx([
+            abs(m) for m in itertools.accumulate(multipliers, operator.mul)], rel=1e-12)
+        length = len(multipliers) + 1
+        for zeta in (0.99, -0.99):
+            first = 1.0 / abs(1.0 - zeta)
+            rest = sum(e / abs(1.0 - zeta * q ** (alpha * n))
+                       for n, e in enumerate(sizes) if n >= length)
+            assert rest <= 2.0**-53 * first
 
 
 @settings(max_examples=30, deadline=None)
@@ -895,14 +1035,10 @@ class TestPicardLattice:
         with pytest.raises(NonConvergence, match="left fractional integral"):
             y(1.0)
 
-    def test_threads_sharing_a_solution(self, p_half):
-        # The memo is shared state: threads evaluating one solution at once
-        # must see the values, and compute the points, of one thread alone.
-        prob = IVProblem(0.9, 0.3, 0.0, 1.0, lambda s: s)
-        points = [0.5**j for j in range(8)]
-        alone = solve_ivp_picard(prob, 6, p_half)
-        want = [alone(t) for t in points]
-        shared = solve_ivp_picard(prob, 6, p_half)
+    @staticmethod
+    def evaluate_in_threads(shared, points):
+        """Six threads evaluating shared at the points at once, each in its
+        own order first: the values each thread saw."""
         got = {}
 
         def worker(i):
@@ -919,10 +1055,33 @@ class TestPicardLattice:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        for i, values in got.items():
-            assert values[-len(points):] == want
         assert len(got) == 6
+        return got
+
+    def test_threads_sharing_a_solution(self, p_half):
+        # The memo is shared state: threads evaluating one solution at once
+        # must see the values, and compute the points, of one thread alone.
+        prob = IVProblem(0.9, 0.3, 0.0, 1.0, lambda s: s)
+        points = [0.5**j for j in range(8)]
+        alone = solve_ivp_picard(prob, 6, p_half)
+        want = [alone(t) for t in points]
+        shared = solve_ivp_picard(prob, 6, p_half)
+        for i, values in self.evaluate_in_threads(shared, points).items():
+            assert values[-len(points):] == want
         assert shared.diagnostics["evaluations"] == alone.diagnostics["evaluations"]
+
+    def test_threads_sharing_a_head_plan(self):
+        # The closed form's head from a = 0 forms its plan at the first point
+        # any thread evaluates, once: the same values and terms as one thread.
+        prob = IVProblem(0.7, -0.3, 0.0, 1.0)
+        p = QParams(0.9)
+        points = [0.9**j for j in range(-4, 12)]
+        alone = solve_ivp_closed(prob, p)
+        want = [alone(t) for t in points]
+        shared = solve_ivp_closed(prob, p)
+        for i, values in self.evaluate_in_threads(shared, points).items():
+            assert values[-len(points):] == want
+        assert shared.diagnostics == alone.diagnostics
 
 
 @settings(max_examples=60, deadline=None)
@@ -1070,6 +1229,141 @@ def test_integer_factorial_power_is_finite_or_an_error(q, order, i, m, place):
     s = {"origin": q**i, "zero": 0.0, "below": t * q**m,
          "off-grid": 0.37 * t * q**m, "above": t * q**-m}[place]
     _finite_or_error(q_factorial_power, t, s, float(order), QParams(q))
+
+
+class TestHeadPlan:
+    """The closed form's head from a = 0 and q_mittag_leffler from z0 = 0:
+    P terms and N of Euler's expansion, from a plan formed once (see
+    ivp._ZeroHead)."""
+
+    @staticmethod
+    def spy_tails(monkeypatch):
+        calls = []
+        inner = qfrac.special._pochhammer_tail
+        monkeypatch.setattr(qfrac.special, "_pochhammer_tail",
+                            lambda x, p: calls.append(x) or inner(x, p))
+        return calls
+
+    def test_tails_are_read_once_per_solution(self, monkeypatch):
+        # P = 27 at q = 0.9 for alpha = 0.8: the first point reads (q; q)_inf
+        # and the 27 coefficients, each point after it none.  A second
+        # solution of the same problem forms its own plan and reads them again.
+        p = QParams(0.9)
+        orders = _euler_split(0.8, 1.0, p)
+        assert orders == 27
+        calls = self.spy_tails(monkeypatch)
+        want = [1.0] + [0.8 * k + 1.0 for k in range(orders)]
+        for _ in range(2):
+            y = solve_ivp_closed(IVProblem(0.8, 0.3, 0.0, 1.0), p)
+            read = len(calls)
+            for t in (1.0, 0.9, 0.81, 2.0, 0.5):
+                y(t)
+            assert calls[read:] == want
+
+    def test_each_point_notes_its_fixed_length(self, p_half):
+        # The tails note their terms once, at the point that forms the plan;
+        # every point after it notes P + N.
+        y = solve_ivp_closed(IVProblem(0.8, 0.3, 0.0, 1.0), p_half)
+        length = y.diagnostics["head_orders"] + y.diagnostics["head_euler_terms"]
+        assert length == 11
+        with count_terms() as first:
+            y(1.0)
+        assert first.total > length
+        for t in (0.5, 2.0, 0.1):
+            with count_terms() as counter:
+                y(t)
+            assert counter.total == length
+        assert y.diagnostics["terms"] == first.total + 3 * length
+
+    def test_head_takes_no_stopping_rule(self, monkeypatch, p_half):
+        # The head from 0 is summed in full: no sum under core._accumulate,
+        # for the closed form or q_mittag_leffler.  Picard's cut head is.
+        calls = []
+        monkeypatch.setattr(qfrac.ivp, "_accumulate",
+                            lambda *args, **kwargs: calls.append(kwargs.get("count"))
+                            or _accumulate(*args, **kwargs))
+        y = solve_ivp_closed(IVProblem(0.8, -0.3, 0.0, 1.0), p_half)
+        for t in (1.0, 0.5, 2.0):
+            assert math.isfinite(y(t))
+        assert math.isfinite(q_mittag_leffler(MLParams(0.8, 0.5, 0.3), 1.0, p_half))
+        assert calls == []
+        solve_ivp_picard(IVProblem(0.8, -0.3, 0.0, 1.0), 5, p_half)(1.0)
+        assert calls == [6]
+
+    @pytest.mark.parametrize("lam", [0.3, -0.3])
+    def test_budget_below_the_length_raises_first(self, monkeypatch, lam):
+        # P + N = 11 at q = 0.5 for alpha = 0.8: a budget of 10 raises before
+        # any term or tail, at the solution's first point and for a single
+        # series.
+        calls = self.spy_tails(monkeypatch)
+        p = QParams(0.5, Truncation(max_terms=10))
+        y = solve_ivp_closed(IVProblem(0.8, lam, 0.0, 1.0), p)
+        assert y.diagnostics["head_orders"] + y.diagnostics["head_euler_terms"] == 11
+        where = (rf"^q-Mittag-Leffler at z=1\.0, z0=0\.0, alpha=0\.8, beta=1\.0, "
+                 rf"lam={lam!r}, q=0\.5: 11 terms exceed the budget of 10$")
+        with count_terms() as counter:
+            with pytest.raises(NonConvergence, match=where):
+                y(1.0)
+            with pytest.raises(NonConvergence, match=where):
+                q_mittag_leffler(MLParams(0.8, 1.0, lam), 1.0, p)
+        assert calls == [] and counter.total == 0
+        # At 11 the head's check passes, and the first tail meets its own.
+        within = QParams(0.5, Truncation(max_terms=11))
+        with pytest.raises(NonConvergence, match=r"^\(q\*\*x; q\)_inf at x=1\.0, q=0\.5: "):
+            q_mittag_leffler(MLParams(0.8, 1.0, lam), 1.0, within)
+
+    def test_plans_live_in_their_solutions(self, monkeypatch):
+        # Each solution forms one plan at its first point and keeps it: two
+        # solutions of different alpha share no part of theirs, and many
+        # solutions leave every container of the module as it was.
+        built = []
+        inner = qfrac.ivp._ZeroHead._build
+
+        def spy(head, where):
+            plan = inner(head, where)
+            built.append((head, plan))
+            return plan
+
+        monkeypatch.setattr(qfrac.ivp._ZeroHead, "_build", spy)
+        p = QParams(0.7)
+        first, second = (solve_ivp_closed(IVProblem(alpha, 0.3, 0.0, 1.0), p)
+                         for alpha in (0.6, 0.85))
+        for y in (first, second, first, second):
+            for t in (1.0, 0.7, 1.5):
+                y(t)
+        assert len(built) == 2 and built[0][0] is not built[1][0]
+        (_, one), (_, other) = built
+        assert all(a is not b and a != b for a, b in zip(one, other))
+        sizes = lambda: {name: len(value) for name, value in vars(qfrac.ivp).items()
+                         if isinstance(value, (dict, list, set))}
+        before = sizes()
+        for alpha in (0.31, 0.47, 0.52, 0.66, 0.78, 0.83, 0.99):
+            y = solve_ivp_closed(IVProblem(alpha, -0.2, 0.0, 1.0), p)
+            for t in (1.0, 0.7, 0.49):
+                y(t)
+        assert sizes() == before and len(built) == 9
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize(("alpha", "beta"), [(0.4, 1.0), (0.9, 0.5), (1.3, 2.5), (0.5, -1.5)])
+    def test_euler_rest_is_below_the_rounding(self, q, alpha, beta):
+        # The factors are the ratios of the terms' sizes |e_(n+1) / e_n|, and
+        # past N the expansion's terms at |zeta| = 0.99 add up to less than
+        # 2**-53 of its first term.
+        p = QParams(q)
+        orders = _euler_split(alpha, beta, p)
+        multipliers = qfrac.ivp._euler_multipliers(alpha, beta + alpha * orders, q)
+        sizes = [1.0]
+        for n in range(len(multipliers) + 40):
+            y = q ** (beta + alpha * orders + n)
+            sizes.append(sizes[-1] * y / (1.0 - q ** (n + 1)))
+        assert sizes[1:len(multipliers) + 1] == pytest.approx([
+            abs(m) for m in itertools.accumulate(multipliers, operator.mul)], rel=1e-12)
+        length = len(multipliers) + 1
+        for zeta in (0.99, -0.99):
+            first = 1.0 / abs(1.0 - zeta)
+            rest = sum(e / abs(1.0 - zeta * q ** (alpha * n))
+                       for n, e in enumerate(sizes) if n >= length)
+            assert rest <= 2.0**-53 * first
 
 
 @settings(max_examples=30, deadline=None)

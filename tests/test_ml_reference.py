@@ -6,10 +6,11 @@ The series' reference sums the definition, term k = (1-q)**(beta-1) zeta**k
 in decimal arithmetic at 40 digits from the float arguments, each infinite
 product taken factor by factor.  Products and sums run until their next
 factor or term is below 1e-25 of the whole, so the reference is good to
-about 1e-24: far below double rounding, and sharing no code with either of
-ivp._ml_sum's routes (the term rule over cached tails, and Euler's expansion
-past the first P terms).  The forcing's sums the q-power rule order by
-order, sharing no code with the closed form's kernel series.  The left
+about 1e-24: far below double rounding, and sharing no code with either
+route (ivp._ml_sum's term rule over cached tails, and ivp._ZeroHead's
+first P terms and fixed length of Euler's expansion past them).  The
+forcing's sums the q-power rule order by order, sharing no code with the
+closed form's kernel series.  The left
 lattice series from 0 and the left integral from starts above t next to the
 grid are checked against the q-power rule, as is left Caputo from 0 (the
 rule's terms of degree >= n), the right series to infinity against its own
@@ -96,16 +97,17 @@ def _sweep():
 
 
 # The worst error over the sweep, in units of eps times the condition
-# (measured, and pinned with a margin): 24.9 over the 59 cases, all of which
-# take Euler's expansion past P (5.5e-15 relative, at q = 0.9), against
-# 1,515 for the term rule on the same cases.
+# (measured, and pinned with a margin): 27.4 over the 59 cases, all of which
+# take Euler's expansion past P (6.1e-15 relative, at q = 0.9, where each
+# tail takes 265 rounded factors; 24.9 when the expansion ran to the
+# stopping rule), against 1,515 for the term rule on the same cases.
 EULER_BOUND = 32.0
 
 
 def test_sweep_over_both_routes():
     """Each case against the reference, in units of eps times its
     condition: every case takes Euler's expansion past P, and the term rule
-    to the stopping rule (_ml_sum with no split) on the same cases is no
+    to the stopping rule (_ml_sum) on the same cases is no
     more accurate at its worst.  The one alternating series whose hump the
     growth watch rejects (q = 0.9, alpha = 1.49) is rejected by both."""
     worst = term_rule_worst = 0.0
@@ -193,7 +195,7 @@ def test_cut_sums_are_unchanged():
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
 def test_divergent_rate_raises_before_any_term(monkeypatch, lam, alpha):
     # |zeta| = 1.5 >= 1 at z = 3**(1/alpha) / (1-q): NonConvergence naming the
-    # parameters, with no tail taken, whether or not the split is given.
+    # parameters, with no tail taken, by the plan's route and the term rule.
     calls = []
     inner = qfrac.special._pochhammer_tail
     monkeypatch.setattr(qfrac.special, "_pochhammer_tail",

@@ -110,6 +110,44 @@ class TestFactorialPower:
         direct = math.prod(t - 0.3**i * s for i in range(m))
         assert q_factorial_power(t, s, float(m), p) == pytest.approx(direct, rel=1e-14)
 
+    @pytest.mark.parametrize("q, t, s, m", [
+        # (q**-600; q)_2 overflows while t**2 underflows; their product is
+        # prod (t - q**i s) = 8.6e-40.
+        (0.5, 1e-200, 1e-200 * 2.0**600, 2),
+        # t**100 overflows while (q; q)_100 is 1e-142: the value is 8.0e256.
+        (0.999, 1e4, 1e4 * 0.999, 100),
+        # (q**600; q)_2 is 1 while t**2 overflows: the value does too.
+        (0.5, 1e200, 1e200 * 2.0**-600, 2),
+    ], ids=["over-under", "power-over", "value-over"])
+    def test_integer_exponent_on_the_grid_out_of_range_apart(self, q, t, s, m):
+        want = math.prod(t - q**i * s for i in range(m))
+        if math.isinf(want):
+            with pytest.raises(NumericOverflow, match=r"alpha=2\.0, q=0\.5: product overflowed$"):
+                q_factorial_power(t, s, float(m), QParams(q))
+        else:
+            # At q = 0.999 the factors t - q**i s cancel: the two products
+            # differ by 5e-13.
+            assert q_factorial_power(t, s, float(m), QParams(q)) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("t, d, m", [(2.0, 3, 3), (0.7, 1, 2), (1.3, -2, 2), (5.0, 4, 6)])
+    def test_integer_exponent_on_the_grid_keeps_its_bits(self, t, d, m):
+        # In range, the value is t**m (q**d; q)_m as its two factors give it.
+        p = QParams(0.5)
+        product, c = 1.0, 0.5**d
+        for _ in range(m):
+            product *= 1.0 - c
+            c *= 0.5
+        assert q_factorial_power(t, t * 0.5**d, float(m), p) == product * t**m
+
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("t", [0.0, 1.0, -2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    def test_integer_exponent_rejects_a_non_finite_s(self, t, s, alpha):
+        with pytest.raises(DomainError, match=re.escape(
+                f"(t - s)_q^alpha at t={t!r}, s={s!r}, alpha={alpha!r}, q=0.5: "
+                "s must be finite")):
+            q_factorial_power(t, s, alpha, QParams(0.5))
+
     def test_zero_subtrahend_gives_plain_power(self, p_half):
         assert q_factorial_power(2.0, 0.0, 0.7, p_half) == pytest.approx(2.0**0.7)
         assert q_factorial_power(0.25, 0.0, -0.3, p_half) == pytest.approx(0.25**-0.3)
