@@ -176,7 +176,6 @@ def _accumulate(
     detect_growth: bool,
     count: int | None = None,
     where: tuple,
-    grew: tuple | None = None,
     chain: _Chain | None = None,
 ) -> float:
     """Sum terms under the stopping rule, or their first ``count`` in full.
@@ -231,8 +230,7 @@ def _accumulate(
 
     A failure's message opens with ``where[0].format(*where[1:])``, a
     template and its arguments (as _power takes them), formatted only when it
-    is raised; a growth run's is ``grew``'s in full where it is given, for
-    a caller that knows what the growth means.
+    is raised.
     """
     n = 0
     total = 0.0
@@ -305,7 +303,6 @@ def _accumulate(
                 ):
                     _note_terms(n)
                     raise NonConvergence(
-                        _name(grew) if grew else
                         f"{_name(where)}: terms grew for {growth_run} successive steps"
                     )
             else:

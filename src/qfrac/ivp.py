@@ -70,26 +70,20 @@ class MLParams:
 def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
     """Evaluate the q-Mittag-Leffler series at z.
 
-    The sum is _ml_sum's at the lattice position of z0 below z.  A term whose
-    alpha k + beta is a pole of q_gamma is 0, as 1 / q_gamma is entire.  From
-    z0 = 0 (z > 0) the series is a geometric one in zeta = lam ((1-q)
-    z)**alpha: |zeta| >= 1 raises NonConvergence before any term, and the
-    sum is a _ZeroHead's, built for this call: its first P terms
-    (_euler_split) and a fixed number of terms of Euler's expansion past
-    them, exact to rounding; alternating terms that rise past the growth
-    watch raise NonConvergence naming that cancellation.  A P past
-    max_terms keeps _ml_sum's terms under the stopping rule.
-    From any other z0 divergence is detected at runtime, by terms that grow.
+    A term whose alpha k + beta is a pole of q_gamma is 0, as 1 / q_gamma is
+    entire.  From z0 = 0 (z > 0) the sum is a _ZeroHead's, built for this
+    call, and |lam ((1-q) z)**alpha| >= 1 raises NonConvergence before any
+    term.  From any other z0 it is _ml_sum's at the lattice position of z0
+    below z, and divergence is detected at runtime, by terms that grow.
     """
     j = _start_steps(mp.z0, z, p.q)
-    split = _euler_split(mp.alpha, mp.beta, p) if j is None else None
-    return _ml_sum(mp, z, j, p) if split is None else _ZeroHead(mp, split, p)(z)
+    return _ZeroHead(mp, p)(z) if j is None else _ml_sum(mp, z, j, p)
 
 
 @dataclass(frozen=True)
 class IVProblem:
     """Linear Caputo q-fractional initial value problem on the grid through a:
-    alpha in (0, 1], lam and a0 finite, a >= 0."""
+    alpha in (0, 1], lam and a0 finite, a finite and >= 0."""
 
     alpha: float
     lam: float
@@ -104,6 +98,8 @@ class IVProblem:
             raise DomainError(f"lam must be finite, got {self.lam}")
         if self.a < 0.0:
             raise DomainError(f"a must be >= 0, got {self.a}")
+        if not math.isfinite(self.a):
+            raise DomainError(f"a must be finite, got {self.a}")
         if not math.isfinite(self.a0):
             raise DomainError(f"a0 must be finite, got {self.a0}")
 
@@ -149,7 +145,7 @@ _EULER_GAIN = 8.0
 
 
 def _euler_split(alpha: float, beta: float, p: QParams) -> int | None:
-    """P for _ml_sum's series from z0 = 0: the terms summed one by one ahead
+    """P for _ZeroHead's series from z0 = 0: the terms summed one by one ahead
     of Euler's expansion, or None where P passes max_terms and the expansion
     is never taken.
 
@@ -184,31 +180,21 @@ def _split_sum(terms: Iterator[float], orders: int, rest: Callable[[], float], p
     return value + rest() if passed else value
 
 
-def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
-            count: int | None = None) -> float:
-    """sum_k lam**k (z - z0)_q^(alpha k) / q_gamma(alpha k + beta) with
-    j = _start_steps(z0, z, q), to the stopping rule watched for growth
-    (from z0 = 0 only where the terms alternate, see below), or over
-    k < count in full if count is given (see core._accumulate).  These are
-    the plain terms; from z0 = 0 with no count, _ZeroHead sums the same
-    series by a per-call or per-solution plan instead, wherever its split P
-    is within max_terms.
+def _ml_sum(mp: MLParams, z: float, j: int, p: QParams, count: int | None = None) -> float:
+    """sum_k lam**k (z - z0)_q^(alpha k) / q_gamma(alpha k + beta) from a
+    z0 > 0, with j = _start_steps(z0, z, q), to the stopping rule watched
+    for growth, or over k < count in full if count is given (see
+    core._accumulate).  From z0 = 0 the series is _ZeroHead's.
 
     By q_gamma's product form Gamma_q(x) = (q; q)_inf (1-q)**(1-x) /
     (q**x; q)_inf, term k is (1-q)**(beta-1) zeta**k (q**(alpha k + beta);
     q)_inf R_k / (q; q)_inf, with zeta = lam ((1-q) z)**alpha and
-    R_k = (z - z0)_q^(alpha k) / z**(alpha k): 1 for z0 = 0, (q**j; q)_inf /
+    R_k = (z - z0)_q^(alpha k) / z**(alpha k): (q**j; q)_inf /
     (q**(j + alpha k); q)_inf for z0 = z q**j (so j = 0 keeps only the k = 0
     term), and, by the q-power rule, the running product of
     (z - z0 q**(alpha i))_q^(alpha) / z**alpha, i < k, for z0 off the grid of
     z or above it.  zeta**k (with R_k off the grid) is a running product, so
     no power of lam or 1 - q grows apart, and no q_gamma is called.
-
-    From z0 = 0 with no count (j None) the series is geometric in zeta:
-    |zeta| >= 1 raises NonConvergence before any term, and below 1 it
-    converges, so terms that grow are a hump, watched only for zeta < 0,
-    where they cancel: one the watch rejects raises NonConvergence that says
-    so, as a term-wise sum would lose the hump's digits.
 
     For an integer beta and j >= 1 the tails' quotient is finite, and term k
     is zeta**k / [beta-1]_q! times the |j - beta| factors
@@ -228,10 +214,7 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
         steps = (step * special.q_factorial_power(z, z0 * q ** (alpha * i), alpha, p)
                  for i in itertools.count())
     else:
-        zeta = step * special.q_factorial_power(z, 0.0, alpha, p)
-        steps = itertools.repeat(zeta)
-        if j is None and count is None and not abs(zeta) < 1.0:
-            raise _diverges(zeta, where)
+        steps = itertools.repeat(step * special.q_factorial_power(z, 0.0, alpha, p))
 
     def finite_terms() -> Iterator[float]:
         b = int(beta)
@@ -256,7 +239,7 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
         first, below = _power(1.0 - q, beta - 1.0, *where), tail(1.0, p)
         powers = itertools.accumulate(steps, operator.mul, initial=first)
         ratios = itertools.repeat(1.0)
-        if j is not None and j >= 0:
+        if j >= 0:
             before = tail(float(j), p)
             ratios = itertools.chain([1.0], (before / tail(j + alpha * k, p)
                                              for k in itertools.count(1)))
@@ -269,21 +252,8 @@ def _ml_sum(mp: MLParams, z: float, j: int | None, p: QParams,
                 raise NumericOverflow(f"{_name(where)}: term {k} overflowed")
             yield term
 
-    # From z0 = 0 terms of zeta >= 0 share one sign (past those of
-    # alpha k + beta < 0), so a hump in them cancels nothing; as the series
-    # converges, terms of zeta < 0 that grow are a hump that cancels.
-    watch = j is not None or zeta < 0.0
-    hump = None if j is not None else (_HUMP_AT, *where[1:], abs(zeta))
-    finite = j is not None and j >= 1 and beta == int(beta)
-    terms = finite_terms() if finite else tail_terms()
-    return _accumulate(checked(terms), p.trunc, detect_growth=watch, count=count, where=where,
-                       grew=hump)
-
-
-def _diverges(zeta: float, where: tuple) -> NonConvergence:
-    """The error of a series from z0 = 0 at |zeta| >= 1."""
-    return NonConvergence(f"{_name(where)}: |lam ((1-q) z)**alpha| = {abs(zeta)!r} >= 1, "
-                          f"so the series diverges")
+    terms = finite_terms() if j >= 1 and beta == int(beta) else tail_terms()
+    return _accumulate(checked(terms), p.trunc, detect_growth=True, count=count, where=where)
 
 
 def _euler_multipliers(alpha: float, x: float, q: float) -> list[float]:
@@ -330,76 +300,112 @@ def _grew(terms: Iterable[float]) -> bool:
 
 class _ZeroHead:
     """The q-Mittag-Leffler series from z0 = 0 of one MLParams as a function
-    of z, past a split P = orders from _euler_split: P terms and N of Euler's
-    expansion, lengths fixed before any term is formed, with no stopping
-    rule.
+    of z, from one list of coefficients grown only as far as a call needs.
 
-    With zeta = lam ((1-q) z)**alpha the series is (see _ml_sum)
+    With zeta = lam ((1-q) z)**alpha and e_0 = (1-q)**(beta-1) / (q; q)_inf
+    the series is the sum of c_k zeta**k, c_k = e_0 (q**(alpha k + beta);
+    q)_inf (see _ml_sum), and past P = orders (_euler_split) it is
 
         sum_{k<P} c_k zeta**k + zeta**P sum_n e_n / (1 - zeta q**(alpha n)),
 
-    c_k = (1-q)**(beta-1) (q**(alpha k + beta); q)_inf / (q; q)_inf and
-    e_n = (1-q)**(beta-1) (-1)**n q**(n(n-1)/2) y**n / ((q; q)_n (q; q)_inf),
-    y = q**(beta + alpha P): past its first P terms Euler's expansion
-    (x; q)_inf = sum_n (-1)**n q**(n(n-1)/2) x**n / (q; q)_n, taken at
-    x = q**(alpha k + beta), is summed over k first as a geometric series,
-    which |zeta| < 1 and absolute convergence allow.  For n >= 1,
-    |1 - zeta q**(alpha n)| > 1 - q**alpha, so the expansion's rest past N
-    is below its sizes' sum past N over 1 - q**alpha; N is the fewest n >= 1
-    that puts that below 2**-54 |zeta**P e_0| (_euler_multipliers), under
-    the rounding of the first term zeta**P e_0 / (1 - zeta), as |1 - zeta|
-    < 2.  So the sum is exact to rounding, whatever rel_tol.
+    e_n = e_0 (-1)**n q**(n(n-1)/2) y**n / (q; q)_n, y = q**(beta + alpha P):
+    Euler's expansion of (x; q)_inf at x = q**(alpha k + beta), summed over
+    k >= P first as a geometric series, which |zeta| < 1 allows.  As
+    |1 - zeta q**(alpha n)| > 1 - q**alpha for n >= 1, N, the fewest n >= 1
+    that put the expansion's rest below 2**-54 |zeta**P e_0|
+    (_euler_multipliers), needs no zeta, and this full plan is exact to
+    rounding whatever rel_tol.  Once alpha k + beta >= 0 each tail is at most
+    1, so the rest past K terms is below 2**-54 |c_0| where |zeta|**K <=
+    floor (1 - |zeta|), floor = 2**-54 |c_0 / e_0|: a call with |zeta|**P <=
+    floor (1 - |zeta|), or any where P is None (past max_terms), sums the
+    fewest such K >= 1 with alpha K + beta >= 0 alone (one math.log).
 
-    The plan, the c_k, the e_n (a running product, by the factors of
-    _euler_multipliers) and the q**(alpha n), depends on no zeta.  It is
-    formed on the first call whose |zeta| < 1, once P + N is checked against
-    max_terms (core._check_budget), and read by every call after it: the
-    P + 1 tails (q; q)_inf and (q**(alpha k + beta); q)_inf are read once,
-    and note their terms once.  A call forms zeta and the P + N terms, adds
-    them by math.fsum and notes P + N terms.  |zeta| >= 1 raises
-    NonConvergence before any tail is read; for zeta < 0 the first P terms
-    are watched for growth as _ml_sum watches them, and a hump raises
-    NonConvergence naming the cancellation; a term that is not finite
-    raises NumericOverflow naming z, z0, alpha, beta, lam and q.  The plan
-    lives in the instance: q_mittag_leffler builds one per call, and a
-    closed-form solution one for all its points.
+    The first call with |zeta| < 1 checks P + N against max_terms
+    (core._check_budget) and reads (q; q)_inf and, but at P = 0, c_0; the list
+    grows to a call's K or P, each tail read and noted once (a K past
+    max_terms raises NonConvergence, as c_0 = 0 there does), and the running
+    product e_n is formed at the first full plan.  A call adds its terms by
+    math.fsum, with no stopping rule, and notes them.  |zeta| >= 1 raises
+    NonConvergence before any tail is read; for zeta < 0 the direct terms
+    summed are watched for growth, and a hump raises NonConvergence naming the
+    cancellation; a term that is not finite raises NumericOverflow naming z,
+    z0, alpha, beta, lam and q.  cut sums the first terms in full: Picard's
+    head.  The list lives in the instance, grown under a solution's lock: one
+    per q_mittag_leffler call, one per solution from a = 0.
     """
 
-    def __init__(self, mp: MLParams, orders: int, p: QParams) -> None:
-        self._mp, self._p, self.orders = mp, p, orders
-        self._step = mp.lam * (1.0 - p.q) ** mp.alpha
-        self._multipliers = _euler_multipliers(mp.alpha, mp.beta + mp.alpha * orders, p.q)
-        self.length = orders + len(self._multipliers) + 1  # P + N
-        self._plan: tuple[list[float], list[float], list[float]] | None = None
+    def __init__(self, mp: MLParams, p: QParams) -> None:
+        alpha, beta, q = mp.alpha, mp.beta, p.q
+        self._mp, self._p, self.orders = mp, p, _euler_split(alpha, beta, p)
+        self._step = mp.lam * (1.0 - q) ** alpha
+        self._least = min(max(-beta / alpha, 1.0), p.trunc.max_terms + 1.0)  # K is no less
+        self._coefs: list[float] = []
+        self._scale: float | None = None
+        self._euler: list[float] | None = None
+        if self.orders is not None:
+            self._multipliers = _euler_multipliers(alpha, beta + alpha * self.orders, q)
+            self._lifts = list(itertools.accumulate(itertools.repeat(
+                q**alpha, len(self._multipliers)), operator.mul, initial=1.0))  # q**(alpha n)
+            self.length = self.orders + len(self._lifts)  # P + N
 
-    def _build(self, where: tuple) -> tuple[list[float], list[float], list[float]]:
-        """The c_k, the e_n and the q**(alpha n)."""
-        alpha, beta, q, p = self._mp.alpha, self._mp.beta, self._p.q, self._p
-        _check_budget(self.length, p.trunc, where)
+    def _grow(self, count: int, where: tuple) -> list[float]:
+        """The c_k, at least count of them, count checked against max_terms
+        before new tails are read; c_0 sets floor, and the first call e_0."""
+        coefs, alpha, beta, p = self._coefs, self._mp.alpha, self._mp.beta, self._p
         tail = special._pochhammer_tail
-        scale = _power(1.0 - q, beta - 1.0, *where) / tail(1.0, p)  # e_0
-        coefs = [scale * tail(alpha * k + beta, p) for k in range(self.orders)]
-        euler = itertools.accumulate(self._multipliers, operator.mul, initial=scale)
-        lifts = itertools.accumulate(itertools.repeat(q**alpha, len(self._multipliers)),
-                                     operator.mul, initial=1.0)
-        return coefs, list(euler), list(lifts)
+        if self._scale is None:
+            self._scale = _power(1.0 - p.q, beta - 1.0, *where) / tail(1.0, p)  # e_0
+        if len(coefs) < count:
+            _check_budget(count, p.trunc, where)
+            if not coefs:
+                first = tail(beta, p)
+                self._floor = 2.0**-54 * abs(first)
+                coefs.append(self._scale * first)
+            coefs += [self._scale * tail(alpha * k + beta, p) for k in range(len(coefs), count)]
+        return coefs
 
     def __call__(self, z: float) -> float:
-        mp = self._mp
-        where = (_ML_AT, z, mp.z0, mp.alpha, mp.beta, mp.lam, self._p.q)
-        zeta = self._step * _power(z, mp.alpha, *where)
-        if not abs(zeta) < 1.0:
-            raise _diverges(zeta, where)
-        if self._plan is None:
-            self._plan = self._build(where)
-        coefs, euler, lifts = self._plan
-        powers = list(itertools.accumulate(itertools.repeat(zeta, self.orders), operator.mul,
+        where = (_ML_AT, z, 0.0, self._mp.alpha, self._mp.beta, self._mp.lam, self._p.q)
+        zeta = self._step * _power(z, self._mp.alpha, *where)
+        size, orders = abs(zeta), self.orders
+        if not size < 1.0:
+            raise NonConvergence(f"{_name(where)}: |lam ((1-q) z)**alpha| = {size!r} >= 1, "
+                                 f"so the series diverges")
+        if self._scale is None:
+            if orders is not None:
+                _check_budget(self.length, self._p.trunc, where)
+            self._grow(int(orders != 0), where)  # c_0 and floor serve no P = 0
+        if orders is None or orders and size**orders <= self._floor * (1.0 - size):
+            rest = self._floor * (1.0 - size)
+            if size and not rest:
+                raise NonConvergence(f"{_name(where)}: term 0 is 0, which bounds no rest")
+            count = math.ceil(max(self._least, math.log(rest, size) if size else 1.0))
+            return self._sum(zeta, count, where, zeta < 0.0)
+        if self._euler is None:
+            self._euler = list(itertools.accumulate(self._multipliers, operator.mul,
+                                                    initial=self._scale))
+        return self._sum(zeta, orders, where, zeta < 0.0, True)
+
+    def cut(self, z: float, count: int) -> float:
+        """The first count terms at z in full, however they grow, count
+        checked against max_terms first: Picard's head."""
+        where = (_ML_AT, z, 0.0, self._mp.alpha, self._mp.beta, self._mp.lam, self._p.q)
+        _check_budget(count, self._p.trunc, where)
+        return self._sum(self._step * _power(z, self._mp.alpha, *where), count, where)
+
+    def _sum(self, zeta: float, count: int, where: tuple, watch: bool = False,
+             expansion: bool = False) -> float:
+        """math.fsum of the terms c_k zeta**k, k < count, and with expansion
+        Euler's N past them, noted; with watch the first count are watched."""
+        powers = list(itertools.accumulate(itertools.repeat(zeta, count), operator.mul,
                                            initial=1.0))
-        top = powers[-1]  # zeta**P
+        top = powers.pop()  # zeta**count
+        coefs = self._coefs if len(self._coefs) >= count else self._grow(count, where)
         terms = list(map(operator.mul, coefs, powers))
-        terms += [top * e / (1.0 - zeta * lift) for e, lift in zip(euler, lifts)]
-        _note_terms(self.length)
-        if zeta < 0.0 and _grew(itertools.islice(terms, self.orders)):
+        if expansion:
+            terms += [top * e / (1.0 - zeta * lift) for e, lift in zip(self._euler, self._lifts)]
+        _note_terms(len(terms))
+        if watch and _grew(itertools.islice(terms, count)):
             raise NonConvergence(_name((_HUMP_AT, *where[1:], abs(zeta))))
         try:
             value = math.fsum(terms)
@@ -501,24 +507,21 @@ class _Kernel:
 def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     """The closed form's series (see solve_ivp_closed), summed to the stopping
     rule for m None, else cut after m terms: the m-th Picard iterate.  The
-    closed form's head from a = 0 is the solution's own _ZeroHead, whose
-    plan its first point with |zeta| < 1 forms and every later point reads;
-    its P and N are in the diagnostics as head_orders and head_euler_terms.
-    Picard's cut head and the head on the time scale take _ml_sum."""
+    head from a = 0 is the solution's own _ZeroHead, whose coefficients its
+    points share, cut after m + 1 terms for Picard; the closed form's P and N
+    are in the diagnostics as head_orders and head_euler_terms.  The head on
+    the time scale takes _ml_sum."""
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
     q = p.q
     # Every term of the forcing series samples f on the same lattice points.
     forcing = None if prob.forcing is None else cache(prob.forcing)
     head = MLParams(alpha, 1.0, lam, a)
-    head_terms = None if m is None else m + 1
-    # From a = 0 the closed form's head is one plan's fixed-length sums (see _ZeroHead).
-    split = _euler_split(alpha, 1.0, p) if a == 0.0 and m is None else None
-    zero_head = None if split is None else _ZeroHead(head, split, p)
+    zero_head = _ZeroHead(head, p) if a == 0.0 else None
     kernel = None if forcing is None or lam == 0.0 or m is not None else _Kernel(alpha, lam, p)
     diagnostics = {"terms": 0, "evaluations": 0}
-    if zero_head is not None:
-        diagnostics["head_orders"] = split
-        diagnostics["head_euler_terms"] = zero_head.length - split
+    if zero_head is not None and zero_head.orders is not None and m is None:
+        diagnostics["head_orders"] = zero_head.orders
+        diagnostics["head_euler_terms"] = zero_head.length - zero_head.orders
 
     def order_terms(t: float, steps: int | None, h: float) -> Iterator[float]:
         for k in itertools.count():
@@ -555,10 +558,10 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
             else:
                 if a0 == 0.0:
                     value = 0.0
-                elif zero_head is not None:
-                    value = a0 * zero_head(t)
+                elif zero_head is None:
+                    value = a0 * _ml_sum(head, t, steps, p, None if m is None else m + 1)
                 else:
-                    value = a0 * _ml_sum(head, t, steps, p, head_terms)
+                    value = a0 * (zero_head(t) if m is None else zero_head.cut(t, m + 1))
                 # Picard(0) has no forcing term.
                 if forcing is not None and m != 0:
                     # With lam = 0 every term after the first is 0.0 times an integral.
@@ -591,10 +594,10 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     NonConvergence.  The head is a0 times the q-Mittag-Leffler series at the
     lattice position of a below t, which the solution finds once per point,
     and no q_gamma is called: from a = 0 term k is z**k (q**(alpha k + 1);
-    q)_inf / (q; q)_inf, |z| >= 1 raises NonConvergence, and the head is P
-    terms and N of Euler's expansion past them, a fixed length exact to
-    rounding with no stopping rule, from a plan of coefficients that the
-    first point forms and every point reads (_ZeroHead; P and N are in the
+    q)_inf / (q; q)_inf, |z| >= 1 raises NonConvergence, and the head is the
+    first K terms where |z| makes the rest negligible, else P terms and N of
+    Euler's expansion, exact to rounding with no stopping rule, from
+    coefficients its points share (_ZeroHead; P and N are in the
     diagnostics); an alternating hump too steep to sum raises NonConvergence
     naming the cancellation.  On the time scale, t = a q**-j with j >= 1, it
     is the finite quotient z**k (q**(alpha k + 1); q)_(j-1) / (q; q)_(j-1),

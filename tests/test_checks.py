@@ -248,8 +248,10 @@ REPORT_HASHES = {
     "core": "cb923607076f3356",
     "special": "beb267266a9cca20",
     "frac": "c2c99df8e2f19db1",
-    "ivp": "7818290558616def",
-    "all": "1a97a0100550d004",
+    # ml_euler_vs_series reads its cut sum from the head's own coefficients,
+    # and the head from 0 sums fewer terms where |zeta| allows.
+    "ivp": "d7a3483c052237bf",
+    "all": "17b0b0d2b656ac58",
 }
 
 

@@ -4,7 +4,9 @@ bound at the top level of a module, so no helper outlives its callers.  Each
 default of a private helper is passed by one call and left to by another, so
 no default stands for a constant or is never read.  Each `module.name` that
 the README gives for a module of the package is bound there, so the README
-names no deleted code.
+names no deleted code.  No module of the package or of the tests defines a
+top-level function or class twice, nor a class a method twice, so no
+definition is shadowed unseen.
 
 A name counts as used when the module reads it (including inside a quoted
 annotation) or lists it in ``__all__``, so a stale ``__all__`` entry would
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qfrac"
+TESTS = Path(__file__).resolve().parent
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -280,3 +283,48 @@ def test_detects_a_default_with_one_use_pattern():
 def test_every_default_has_two_use_patterns():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert default_misuses(sources) == []
+
+
+def repeated_definitions(source: str) -> list[str]:
+    """Top-level functions and classes, and methods of each class, defined
+    again in the same body: the later one shadows the earlier, whose code
+    then runs nowhere (a test class's tests are collected once)."""
+    found = []
+
+    def scan(body: list, prefix: str) -> None:
+        first = {}
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in first:
+                    found.append(f"line {node.lineno}: {prefix}{node.name} "
+                                 f"(first at line {first[node.name]})")
+                first.setdefault(node.name, node.lineno)
+                if isinstance(node, ast.ClassDef):
+                    scan(node.body, f"{prefix}{node.name}.")
+
+    scan(ast.parse(source).body, "")
+    return found
+
+
+def test_detects_a_repeated_definition():
+    source = (
+        "def helper(): pass\n"
+        "class TestPlan:\n"
+        "    def test_a(self): pass\n"
+        "    def test_a(self): pass\n"
+        "def helper(): pass\n"
+        "class TestPlan:\n"
+        "    def test_b(self): pass\n"
+        "def test_a(): pass\n"
+    )
+    assert repeated_definitions(source) == [
+        "line 4: TestPlan.test_a (first at line 3)",
+        "line 5: helper (first at line 1)",
+        "line 6: TestPlan (first at line 2)",
+    ]
+
+
+def test_no_definition_is_repeated():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert [f"{path.name} {found}" for path in paths
+            for found in repeated_definitions(path.read_text(encoding="utf-8"))] == []

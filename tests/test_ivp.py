@@ -320,6 +320,13 @@ class TestProblemTypes:
         with pytest.raises(DomainError, match="^a0 must be finite"):
             IVProblem(0.5, 0.3, 0.0, value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_base_finite(self, value):
+        # Accepted, the first evaluation raised "z0 must be finite", a name
+        # the caller never set.
+        with pytest.raises(DomainError, match=f"^a must be finite, got {value}$"):
+            IVProblem(0.5, 0.3, value, 1.0)
+
 
 class TestClosedForm:
     def test_unforced_zero_rate_is_constant(self, p_half):
@@ -777,8 +784,8 @@ class TestForcingKernel:
 
 class TestHeadPlan:
     """The closed form's head from a = 0 and q_mittag_leffler from z0 = 0:
-    P terms and N of Euler's expansion, from a plan formed once (see
-    ivp._ZeroHead)."""
+    the first K terms alone, or P terms and N of Euler's expansion, from one
+    list of coefficients grown as far as a point needs (see ivp._ZeroHead)."""
 
     @staticmethod
     def spy_tails(monkeypatch):
@@ -789,9 +796,12 @@ class TestHeadPlan:
         return calls
 
     def test_tails_are_read_once_per_solution(self, monkeypatch):
-        # P = 27 at q = 0.9 for alpha = 0.8: the first point reads (q; q)_inf
-        # and the 27 coefficients, each point after it none.  A second
-        # solution of the same problem forms its own plan and reads them again.
+        # P = 27 at q = 0.9 for alpha = 0.8.  At t = 1 (|zeta| = 0.048) the
+        # rest past 17 terms is below 2**-54 c_0: the first point reads
+        # (q; q)_inf and 17 coefficients, t = 2 (0.083) 4 more, t = 6 (0.199)
+        # takes the full plan and the last 6, and the points below read none.
+        # A second solution of the same problem grows its own list and reads
+        # them again.
         p = QParams(0.9)
         orders = _euler_split(0.8, 1.0, p)
         assert orders == 27
@@ -799,10 +809,23 @@ class TestHeadPlan:
         want = [1.0] + [0.8 * k + 1.0 for k in range(orders)]
         for _ in range(2):
             y = solve_ivp_closed(IVProblem(0.8, 0.3, 0.0, 1.0), p)
-            read = len(calls)
-            for t in (1.0, 0.9, 0.81, 2.0, 0.5):
+            read, counts = len(calls), []
+            for t in (1.0, 0.9, 0.81, 2.0, 0.5, 6.0, 3.0):
+                before = len(calls)
                 y(t)
+                counts.append(len(calls) - before)
+            assert counts == [18, 0, 0, 4, 0, 6, 0]
             assert calls[read:] == want
+
+    def test_cold_call_near_q_one_reads_the_tails_it_needs(self, monkeypatch):
+        # At q = 0.99, alpha = 0.5 P = 909, but |zeta| = 0.001 at z = 1: the
+        # rest past 29 terms is below 2**-54 c_0, and a single call reads
+        # (q; q)_inf and those 29 tails, where the full plan read 910.
+        calls = self.spy_tails(monkeypatch)
+        mp, p = MLParams(0.5, 1.0, 0.01), QParams(0.99)
+        assert _euler_split(mp.alpha, mp.beta, p) == 909
+        assert q_mittag_leffler(mp, 1.0, p) == 1.0113774766173935
+        assert len(calls) == 30
 
     def test_each_point_notes_its_fixed_length(self, p_half):
         # The tails note their terms once, at the point that forms the plan;
@@ -821,7 +844,7 @@ class TestHeadPlan:
 
     def test_head_takes_no_stopping_rule(self, monkeypatch, p_half):
         # The head from 0 is summed in full: no sum under core._accumulate,
-        # for the closed form or q_mittag_leffler.  Picard's cut head is.
+        # for the closed form, q_mittag_leffler or Picard's cut head.
         calls = []
         monkeypatch.setattr(qfrac.ivp, "_accumulate",
                             lambda *args, **kwargs: calls.append(kwargs.get("count"))
@@ -831,8 +854,8 @@ class TestHeadPlan:
             assert math.isfinite(y(t))
         assert math.isfinite(q_mittag_leffler(MLParams(0.8, 0.5, 0.3), 1.0, p_half))
         assert calls == []
-        solve_ivp_picard(IVProblem(0.8, -0.3, 0.0, 1.0), 5, p_half)(1.0)
-        assert calls == [6]
+        assert math.isfinite(solve_ivp_picard(IVProblem(0.8, -0.3, 0.0, 1.0), 5, p_half)(1.0))
+        assert calls == []
 
     @pytest.mark.parametrize("lam", [0.3, -0.3])
     def test_budget_below_the_length_raises_first(self, monkeypatch, lam):
@@ -857,27 +880,27 @@ class TestHeadPlan:
             q_mittag_leffler(MLParams(0.8, 1.0, lam), 1.0, within)
 
     def test_plans_live_in_their_solutions(self, monkeypatch):
-        # Each solution forms one plan at its first point and keeps it: two
-        # solutions of different alpha share no part of theirs, and many
-        # solutions leave every container of the module as it was.
-        built = []
-        inner = qfrac.ivp._ZeroHead._build
+        # Each solution grows one list of coefficients and forms one
+        # expansion, and keeps them: two solutions of different alpha share
+        # no part of theirs, and many solutions leave every container of the
+        # module as it was.
+        heads = []
+        inner = qfrac.ivp._ZeroHead._grow
 
-        def spy(head, where):
-            plan = inner(head, where)
-            built.append((head, plan))
-            return plan
+        def spy(head, count, where):
+            heads.append(head)
+            return inner(head, count, where)
 
-        monkeypatch.setattr(qfrac.ivp._ZeroHead, "_build", spy)
+        monkeypatch.setattr(qfrac.ivp._ZeroHead, "_grow", spy)
         p = QParams(0.7)
         first, second = (solve_ivp_closed(IVProblem(alpha, 0.3, 0.0, 1.0), p)
                          for alpha in (0.6, 0.85))
         for y in (first, second, first, second):
             for t in (1.0, 0.7, 1.5):
                 y(t)
-        assert len(built) == 2 and built[0][0] is not built[1][0]
-        (_, one), (_, other) = built
-        assert all(a is not b and a != b for a, b in zip(one, other))
+        one, other = dict.fromkeys(heads)
+        parts = lambda head: (head._coefs, head._euler, head._lifts)
+        assert all(a is not b and a != b for a, b in zip(parts(one), parts(other)))
         sizes = lambda: {name: len(value) for name, value in vars(qfrac.ivp).items()
                          if isinstance(value, (dict, list, set))}
         before = sizes()
@@ -885,7 +908,7 @@ class TestHeadPlan:
             y = solve_ivp_closed(IVProblem(alpha, -0.2, 0.0, 1.0), p)
             for t in (1.0, 0.7, 0.49):
                 y(t)
-        assert sizes() == before and len(built) == 9
+        assert sizes() == before and len(dict.fromkeys(heads)) == 9
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize(("alpha", "beta"), [(0.4, 1.0), (0.9, 0.5), (1.3, 2.5), (0.5, -1.5)])
@@ -1229,141 +1252,6 @@ def test_integer_factorial_power_is_finite_or_an_error(q, order, i, m, place):
     s = {"origin": q**i, "zero": 0.0, "below": t * q**m,
          "off-grid": 0.37 * t * q**m, "above": t * q**-m}[place]
     _finite_or_error(q_factorial_power, t, s, float(order), QParams(q))
-
-
-class TestHeadPlan:
-    """The closed form's head from a = 0 and q_mittag_leffler from z0 = 0:
-    P terms and N of Euler's expansion, from a plan formed once (see
-    ivp._ZeroHead)."""
-
-    @staticmethod
-    def spy_tails(monkeypatch):
-        calls = []
-        inner = qfrac.special._pochhammer_tail
-        monkeypatch.setattr(qfrac.special, "_pochhammer_tail",
-                            lambda x, p: calls.append(x) or inner(x, p))
-        return calls
-
-    def test_tails_are_read_once_per_solution(self, monkeypatch):
-        # P = 27 at q = 0.9 for alpha = 0.8: the first point reads (q; q)_inf
-        # and the 27 coefficients, each point after it none.  A second
-        # solution of the same problem forms its own plan and reads them again.
-        p = QParams(0.9)
-        orders = _euler_split(0.8, 1.0, p)
-        assert orders == 27
-        calls = self.spy_tails(monkeypatch)
-        want = [1.0] + [0.8 * k + 1.0 for k in range(orders)]
-        for _ in range(2):
-            y = solve_ivp_closed(IVProblem(0.8, 0.3, 0.0, 1.0), p)
-            read = len(calls)
-            for t in (1.0, 0.9, 0.81, 2.0, 0.5):
-                y(t)
-            assert calls[read:] == want
-
-    def test_each_point_notes_its_fixed_length(self, p_half):
-        # The tails note their terms once, at the point that forms the plan;
-        # every point after it notes P + N.
-        y = solve_ivp_closed(IVProblem(0.8, 0.3, 0.0, 1.0), p_half)
-        length = y.diagnostics["head_orders"] + y.diagnostics["head_euler_terms"]
-        assert length == 11
-        with count_terms() as first:
-            y(1.0)
-        assert first.total > length
-        for t in (0.5, 2.0, 0.1):
-            with count_terms() as counter:
-                y(t)
-            assert counter.total == length
-        assert y.diagnostics["terms"] == first.total + 3 * length
-
-    def test_head_takes_no_stopping_rule(self, monkeypatch, p_half):
-        # The head from 0 is summed in full: no sum under core._accumulate,
-        # for the closed form or q_mittag_leffler.  Picard's cut head is.
-        calls = []
-        monkeypatch.setattr(qfrac.ivp, "_accumulate",
-                            lambda *args, **kwargs: calls.append(kwargs.get("count"))
-                            or _accumulate(*args, **kwargs))
-        y = solve_ivp_closed(IVProblem(0.8, -0.3, 0.0, 1.0), p_half)
-        for t in (1.0, 0.5, 2.0):
-            assert math.isfinite(y(t))
-        assert math.isfinite(q_mittag_leffler(MLParams(0.8, 0.5, 0.3), 1.0, p_half))
-        assert calls == []
-        solve_ivp_picard(IVProblem(0.8, -0.3, 0.0, 1.0), 5, p_half)(1.0)
-        assert calls == [6]
-
-    @pytest.mark.parametrize("lam", [0.3, -0.3])
-    def test_budget_below_the_length_raises_first(self, monkeypatch, lam):
-        # P + N = 11 at q = 0.5 for alpha = 0.8: a budget of 10 raises before
-        # any term or tail, at the solution's first point and for a single
-        # series.
-        calls = self.spy_tails(monkeypatch)
-        p = QParams(0.5, Truncation(max_terms=10))
-        y = solve_ivp_closed(IVProblem(0.8, lam, 0.0, 1.0), p)
-        assert y.diagnostics["head_orders"] + y.diagnostics["head_euler_terms"] == 11
-        where = (rf"^q-Mittag-Leffler at z=1\.0, z0=0\.0, alpha=0\.8, beta=1\.0, "
-                 rf"lam={lam!r}, q=0\.5: 11 terms exceed the budget of 10$")
-        with count_terms() as counter:
-            with pytest.raises(NonConvergence, match=where):
-                y(1.0)
-            with pytest.raises(NonConvergence, match=where):
-                q_mittag_leffler(MLParams(0.8, 1.0, lam), 1.0, p)
-        assert calls == [] and counter.total == 0
-        # At 11 the head's check passes, and the first tail meets its own.
-        within = QParams(0.5, Truncation(max_terms=11))
-        with pytest.raises(NonConvergence, match=r"^\(q\*\*x; q\)_inf at x=1\.0, q=0\.5: "):
-            q_mittag_leffler(MLParams(0.8, 1.0, lam), 1.0, within)
-
-    def test_plans_live_in_their_solutions(self, monkeypatch):
-        # Each solution forms one plan at its first point and keeps it: two
-        # solutions of different alpha share no part of theirs, and many
-        # solutions leave every container of the module as it was.
-        built = []
-        inner = qfrac.ivp._ZeroHead._build
-
-        def spy(head, where):
-            plan = inner(head, where)
-            built.append((head, plan))
-            return plan
-
-        monkeypatch.setattr(qfrac.ivp._ZeroHead, "_build", spy)
-        p = QParams(0.7)
-        first, second = (solve_ivp_closed(IVProblem(alpha, 0.3, 0.0, 1.0), p)
-                         for alpha in (0.6, 0.85))
-        for y in (first, second, first, second):
-            for t in (1.0, 0.7, 1.5):
-                y(t)
-        assert len(built) == 2 and built[0][0] is not built[1][0]
-        (_, one), (_, other) = built
-        assert all(a is not b and a != b for a, b in zip(one, other))
-        sizes = lambda: {name: len(value) for name, value in vars(qfrac.ivp).items()
-                         if isinstance(value, (dict, list, set))}
-        before = sizes()
-        for alpha in (0.31, 0.47, 0.52, 0.66, 0.78, 0.83, 0.99):
-            y = solve_ivp_closed(IVProblem(alpha, -0.2, 0.0, 1.0), p)
-            for t in (1.0, 0.7, 0.49):
-                y(t)
-        assert sizes() == before and len(built) == 9
-
-    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
-    @pytest.mark.parametrize(("alpha", "beta"), [(0.4, 1.0), (0.9, 0.5), (1.3, 2.5), (0.5, -1.5)])
-    def test_euler_rest_is_below_the_rounding(self, q, alpha, beta):
-        # The factors are the ratios of the terms' sizes |e_(n+1) / e_n|, and
-        # past N the expansion's terms at |zeta| = 0.99 add up to less than
-        # 2**-53 of its first term.
-        p = QParams(q)
-        orders = _euler_split(alpha, beta, p)
-        multipliers = qfrac.ivp._euler_multipliers(alpha, beta + alpha * orders, q)
-        sizes = [1.0]
-        for n in range(len(multipliers) + 40):
-            y = q ** (beta + alpha * orders + n)
-            sizes.append(sizes[-1] * y / (1.0 - q ** (n + 1)))
-        assert sizes[1:len(multipliers) + 1] == pytest.approx([
-            abs(m) for m in itertools.accumulate(multipliers, operator.mul)], rel=1e-12)
-        length = len(multipliers) + 1
-        for zeta in (0.99, -0.99):
-            first = 1.0 / abs(1.0 - zeta)
-            rest = sum(e / abs(1.0 - zeta * q ** (alpha * n))
-                       for n, e in enumerate(sizes) if n >= length)
-            assert rest <= 2.0**-53 * first
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,8 +7,8 @@ in decimal arithmetic at 40 digits from the float arguments, each infinite
 product taken factor by factor.  Products and sums run until their next
 factor or term is below 1e-25 of the whole, so the reference is good to
 about 1e-24: far below double rounding, and sharing no code with either
-route (ivp._ml_sum's term rule over cached tails, and ivp._ZeroHead's
-first P terms and fixed length of Euler's expansion past them).  The
+route (ivp._ZeroHead's first terms alone, or its first P terms and a fixed
+length of Euler's expansion past them).  The
 forcing's sums the q-power rule order by order, sharing no code with the
 closed form's kernel series.  The left
 lattice series from 0 and the left integral from starts above t next to the
@@ -30,7 +30,7 @@ from qfrac import (IVProblem, MLParams, NonConvergence, QParams, Truncation, lef
                    left_frac_integral, q_gamma, q_mittag_leffler, right_caputo,
                    right_frac_integral, solve_ivp_closed, solve_ivp_picard)
 from qfrac.checks import _right_caputo_composed
-from qfrac.ivp import _euler_split, _ml_sum
+from qfrac.ivp import _euler_split, _ZeroHead
 
 _CONTEXT = decimal.Context(prec=40)
 _CUT = Decimal("1e-25")
@@ -47,15 +47,16 @@ def q_product(c: Decimal, q: Decimal) -> Decimal:
         return product
 
 
-def ml_from_zero(alpha: float, beta: float, lam: float, z: float,
-                 q: float) -> tuple[float, float]:
-    """E_{alpha,beta}(lam; z) from z0 = 0, and its condition sum_k |term k| / |sum|.
+def ml_from_zero(alpha: float, beta: float, lam: float, z: float, q: float,
+                 count: int | None = None) -> tuple[float, float]:
+    """E_{alpha,beta}(lam; z) from z0 = 0, or its first count terms, and the
+    condition sum_k |term k| / |sum|.
 
     Once alpha k + beta > 0 every product is in (0, 1), so the terms left
-    are below |zeta|**k / (1 - |zeta|) times the scale; the sum stops when
-    that is below 1e-25 of it.  A term on a pole of q_gamma (alpha k + beta
-    a non-positive integer, exact in decimal from binary floats) has the
-    factor 1 - q**0 = 0.
+    are below |zeta|**k / (1 - |zeta|) times the scale; the whole sum stops
+    when that is below 1e-25 of it.  A term on a pole of q_gamma (alpha k +
+    beta a non-positive integer, exact in decimal from binary floats) has
+    the factor 1 - q**0 = 0.
     """
     with decimal.localcontext(_CONTEXT):
         qd, a, b = Decimal(q), Decimal(alpha), Decimal(beta)
@@ -67,7 +68,8 @@ def ml_from_zero(alpha: float, beta: float, lam: float, z: float,
             mass += abs(term)
             power *= zeta
             k += 1
-            if a * k + b > 0 and abs(power) <= _CUT * abs(total) * (1 - abs(zeta)):
+            if k == count or count is None and a * k + b > 0 and (
+                    abs(power) <= _CUT * abs(total) * (1 - abs(zeta))):
                 break
         scale = (1 - qd) ** (b - 1) / q_product(qd, qd)
         return float(scale * total), float(mass / abs(total))
@@ -97,40 +99,57 @@ def _sweep():
 
 
 # The worst error over the sweep, in units of eps times the condition
-# (measured, and pinned with a margin): 27.4 over the 59 cases, all of which
-# take Euler's expansion past P (6.1e-15 relative, at q = 0.9, where each
-# tail takes 265 rounded factors; 24.9 when the expansion ran to the
-# stopping rule), against 1,515 for the term rule on the same cases.
+# (measured, and pinned with a margin): 27.4 over the 59 cases (6.1e-15
+# relative, at q = 0.9, where each tail takes 265 rounded factors; 24.9 when
+# the expansion ran to the stopping rule), against 1,515 for the plain terms
+# to the stopping rule on the same cases.
 EULER_BOUND = 32.0
 
 
 def test_sweep_over_both_routes():
     """Each case against the reference, in units of eps times its
-    condition: every case takes Euler's expansion past P, and the term rule
-    to the stopping rule (_ml_sum) on the same cases is no
-    more accurate at its worst.  The one alternating series whose hump the
-    growth watch rejects (q = 0.9, alpha = 1.49) is rejected by both."""
-    worst = term_rule_worst = 0.0
-    cases = rejected = 0
+    condition: at |zeta| >= 0.05 every case takes Euler's expansion past P
+    (the first terms alone are test_first_terms_alone_are_the_long_sum's).
+    The one alternating series whose hump the growth watch rejects
+    (q = 0.9, alpha = 1.49) raises the error that names it."""
+    worst, cases, rejected = 0.0, 0, 0
     for q, alpha, beta, lam, z in _sweep():
         p, mp = QParams(q), MLParams(alpha, beta, lam)
-        assert _euler_split(alpha, beta, p) is not None
+        head = _ZeroHead(mp, p)
         try:
-            got = q_mittag_leffler(mp, z, p)
-        except NonConvergence:
-            with pytest.raises(NonConvergence, match="terms grew"):
-                _ml_sum(mp, z, None, p)
-            assert lam < 0.0
+            got = head(z)
+        except NonConvergence as error:
+            assert "grew past the growth watch" in str(error) and lam < 0.0
             rejected += 1
             continue
+        assert head._euler is not None and got == q_mittag_leffler(mp, z, p)
         cases += 1
         want, condition = ml_from_zero(alpha, beta, lam, z, q)
-        unit = _EPS * condition * abs(want)
-        worst = max(worst, abs(got - want) / unit)
-        term_rule_worst = max(term_rule_worst, abs(_ml_sum(mp, z, None, p) - want) / unit)
+        worst = max(worst, abs(got - want) / (_EPS * condition * abs(want)))
     assert rejected == 1 and cases == 59
     assert worst <= EULER_BOUND
-    assert worst <= term_rule_worst
+
+
+def test_first_terms_alone_are_the_long_sum():
+    # 40 seeded cases as _sweep's, at q in {0.5, 0.7, 0.9} and |zeta| in
+    # (1e-6, 0.1).  Where |zeta| makes the rest past K <= P terms below
+    # 2**-54 |c_0| (17 cases) the head sums those K alone, and its value is
+    # the direct sum of 80 terms of the same coefficients, bit for bit.
+    rng, short = random.Random(20261020), 0
+    for _ in range(40):
+        q = rng.choice((0.5, 0.7, 0.9))
+        alpha = rng.uniform(0.3, 1.5)
+        beta = rng.choice((1.0, rng.uniform(-1.0, 3.0)))
+        lam = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0)
+        z = (10 ** rng.uniform(-6, -1) / abs(lam)) ** (1.0 / alpha) / (1.0 - q)
+        p, mp = QParams(q), MLParams(alpha, beta, lam)
+        head = _ZeroHead(mp, p)
+        got = head(z)
+        if head._euler is None:
+            short += 1
+            assert len(head._coefs) <= head.orders
+            assert got == _ZeroHead(mp, p).cut(z, 80)
+    assert short == 17
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
@@ -156,46 +175,44 @@ def test_pole_within_the_first_terms_is_zero(alpha, beta, poles):
     mp = MLParams(alpha, beta, lam)
     orders = _euler_split(alpha, beta, p)
     assert orders is not None and max(poles) < orders
+    head = _ZeroHead(mp, p)
     for k in poles:
-        assert _ml_sum(mp, z, None, p, k + 1) - _ml_sum(mp, z, None, p, k) == 0.0
+        assert head.cut(z, k + 1) - head.cut(z, k) == 0.0
     want, condition = ml_from_zero(alpha, beta, lam, z, 0.5)
     assert abs(q_mittag_leffler(mp, z, p) - want) <= EULER_BOUND * _EPS * condition * abs(want)
 
 
-# Picard's cut head keeps the term rule: its values, bit for bit, as the
-# term rule gave them before Euler's expansion was added (a0 = 1, from a = 0).
-PICARD_HEADS = {
-    (0.5, 0.3, 5, 1.0): 1.4046285605802116,
-    (0.5, 0.3, 5, 0.25): 1.1121508394688095,
-    (0.5, -0.6, 5, 1.0): 0.5724176207836985,
-    (0.5, 0.3, 25, 1.0): 1.4047344713059247,
-    (0.5, 0.3, 25, 0.25): 1.112150958989532,
-    (0.5, -0.6, 25, 1.0): 0.576559146816053,
-    (0.9, 0.3, 5, 1.0): 1.3965557401772244,
-    (0.9, 0.3, 5, 0.25): 1.1132069180973767,
-    (0.9, -0.6, 5, 1.0): 0.5531996568741935,
-    (0.9, 0.3, 25, 1.0): 1.3965705470175933,
-    (0.9, 0.3, 25, 0.25): 1.1132069360050267,
-    (0.9, -0.6, 25, 1.0): 0.5539300940420524,
-}
+# Picard's cut head from a = 0 (a0 = 1) and two cut sums against the
+# 40-digit partial sums of their terms: the worst is 2.25 eps times the
+# condition, at q = 0.9, lam = -0.6, m = 5 (1.75 when the term rule summed
+# the plain terms one by one).
+CUT_BOUND = 3.0
+PICARD_HEADS = [(q, lam, m, t) for q in (0.5, 0.9) for m in (5, 25)
+                for lam, t in ((0.3, 1.0), (0.3, 0.25), (-0.6, 1.0))]
 
 
 @pytest.mark.parametrize(("q", "lam", "m", "t"), PICARD_HEADS)
 def test_picard_head_is_unchanged(q, lam, m, t):
     y = solve_ivp_picard(IVProblem(0.8, lam, 0.0, 1.0), m, QParams(q))
-    assert y(t) == PICARD_HEADS[q, lam, m, t]
+    want, condition = ml_from_zero(0.8, 1.0, lam, t, q, m + 1)
+    assert abs(y(t) - want) <= CUT_BOUND * _EPS * condition * abs(want)
 
 
 def test_cut_sums_are_unchanged():
-    assert _ml_sum(MLParams(0.9, 2.5, -0.7), 3.0, None, QParams(0.7), 30) == 0.37198614468551405
-    assert _ml_sum(MLParams(0.4, -0.5, 0.8), 2.0, None, QParams(0.3), 12) == 10.63690030043625
+    # 0.12 and 0 eps times the condition.
+    for mp, z, q, count in ((MLParams(0.9, 2.5, -0.7), 3.0, 0.7, 30),
+                            (MLParams(0.4, -0.5, 0.8), 2.0, 0.3, 12)):
+        want, condition = ml_from_zero(mp.alpha, mp.beta, mp.lam, z, q, count)
+        got = _ZeroHead(mp, QParams(q)).cut(z, count)
+        assert abs(got - want) <= CUT_BOUND * _EPS * condition * abs(want)
 
 
 @pytest.mark.parametrize("lam", [0.5, -0.5])
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
 def test_divergent_rate_raises_before_any_term(monkeypatch, lam, alpha):
     # |zeta| = 1.5 >= 1 at z = 3**(1/alpha) / (1-q): NonConvergence naming the
-    # parameters, with no tail taken, by the plan's route and the term rule.
+    # parameters, with no tail taken, for a single call and the closed
+    # form's head.
     calls = []
     inner = qfrac.special._pochhammer_tail
     monkeypatch.setattr(qfrac.special, "_pochhammer_tail",
@@ -208,9 +225,9 @@ def test_divergent_rate_raises_before_any_term(monkeypatch, lam, alpha):
     with pytest.raises(NonConvergence, match=where):
         q_mittag_leffler(mp, z, p)
     with pytest.raises(NonConvergence, match=where):
-        _ml_sum(mp, z, None, p)
+        solve_ivp_closed(IVProblem(alpha, lam, 0.0, 1.0), p)(z)
     assert calls == []
-    assert math.isfinite(_ml_sum(mp, z, None, p, 20))  # a cut sum still runs
+    assert math.isfinite(_ZeroHead(mp, p).cut(z, 20))  # a cut sum still runs
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9, 0.99])
@@ -224,17 +241,27 @@ def test_split_is_the_fewest(q, alpha, beta):
     assert fits(orders) and (orders == 0 or not fits(orders - 1))
 
 
-def test_split_past_the_budget_keeps_the_term_rule():
+def test_split_past_the_budget_grows_the_coefficients():
     # alpha = 1e-5 at q = 0.5: P = 54,775 passes max_terms (10,000), so the
-    # expansion is never taken and the sum is the term rule's, which meets
-    # the reference.
+    # expansion is never taken.  The head sums the first 33 terms, whose
+    # rest is below 2**-54 c_0, and meets the reference.  At lam = 0.9 the
+    # head needs 389, and a budget of 100 raises before the list grows past
+    # it.  At beta = 0, c_0 = 0 bounds no rest, and the head raises.
     p, mp, z = QParams(0.5), MLParams(1e-5, 1.0, 0.3), 1.7
     assert _euler_split(mp.alpha, mp.beta, p) is None
     assert _euler_split(mp.alpha, mp.beta, QParams(0.5, Truncation(max_terms=60_000))) == 54_775
-    got = q_mittag_leffler(mp, z, p)
-    assert got == _ml_sum(mp, z, None, p)
+    head = _ZeroHead(mp, p)
+    got = head(z)
+    assert got == q_mittag_leffler(mp, z, p) and len(head._coefs) == 33
     want, condition = ml_from_zero(mp.alpha, mp.beta, mp.lam, z, 0.5)
     assert abs(got - want) <= EULER_BOUND * _EPS * condition * abs(want)
+    where = r"^q-Mittag-Leffler at z=1\.7, z0=0\.0, alpha=1e-05, beta={}, lam={}, q=0\.5: "
+    with pytest.raises(NonConvergence, match=where.format(r"1\.0", r"0\.9") + "389 terms "
+                       "exceed the budget of 100$"):
+        q_mittag_leffler(MLParams(1e-5, 1.0, 0.9), z, QParams(0.5, Truncation(max_terms=100)))
+    with pytest.raises(NonConvergence, match=where.format(r"0\.0", r"0\.3") + "term 0 is 0, "
+                       "which bounds no rest$"):
+        q_mittag_leffler(MLParams(1e-5, 0.0, 0.3), z, p)
 
 
 @pytest.mark.parametrize(("alpha", "lam", "z"), [(0.9, 0.31995139835925074, 30.32866740282942),
@@ -255,7 +282,8 @@ def test_hump_of_one_sign_is_summed(alpha, lam, z):
 def test_alternating_hump_names_its_cancellation():
     # |zeta| = 0.9: the series converges to 0.02185673091428556 (40 digits),
     # but its terms rise to 2.9e7 times that before they fall, and their
-    # cancellation would take that many digits.  The cut sum still runs.
+    # cancellation would take that many digits, for a single call and the
+    # closed form's head.  The cut sum still runs.
     mp, z, p = MLParams(0.9, 1.0, -1.0), 8.895253798041736, QParams(0.9)
     where = (r"^q-Mittag-Leffler at z=8\.895253798041736, z0=0\.0, alpha=0\.9, beta=1\.0, "
              r"lam=-1\.0, q=0\.9: the series converges \(\|lam \(\(1-q\) z\)\*\*alpha\| = "
@@ -264,8 +292,8 @@ def test_alternating_hump_names_its_cancellation():
     with pytest.raises(NonConvergence, match=where):
         q_mittag_leffler(mp, z, p)
     with pytest.raises(NonConvergence, match=where):
-        _ml_sum(mp, z, None, p)
-    assert math.isfinite(_ml_sum(mp, z, None, p, 40))
+        solve_ivp_closed(IVProblem(0.9, -1.0, 0.0, 1.0), p)(z)
+    assert math.isfinite(_ZeroHead(mp, p).cut(z, 40))
 
 
 def forcing_from_zero(alpha: float, lam: float, coeffs: tuple, t: float, q: float) -> float:

@@ -557,13 +557,13 @@ def test_short_tails_skip_the_cache():
     # (x = 39, 40) are 3 factors, cheaper than an entry, and are not stored;
     # the tails q_gamma stored stay in place.
     from qfrac import special
-    from qfrac.ivp import _ml_sum
+    from qfrac.ivp import _ZeroHead
 
     p = QParams(0.4921875)
     special._TAIL_CACHE.clear()
     q_gamma(0.37, p)
     assert len(special._TAIL_CACHE) == 2
-    _ml_sum(MLParams(1.0, 1.0, -1.40625), 1.390625, None, p, count=40)
+    _ZeroHead(MLParams(1.0, 1.0, -1.40625), p).cut(1.390625, 40)
     assert len(special._TAIL_CACHE) == 39
     assert (p.q, 0.37, p.trunc.rel_tol, p.trunc.max_terms) in special._TAIL_CACHE
     assert (p.q, 39.0, p.trunc.rel_tol, p.trunc.max_terms) not in special._TAIL_CACHE
