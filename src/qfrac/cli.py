@@ -261,9 +261,12 @@ def _parse_grid(raw: str | None) -> list[tuple[float, float]]:
         if len(parts) != 2:
             raise UsageError(f"--grid pairs must look like 'alpha,beta', got {chunk!r}")
         try:
-            pairs.append((float(parts[0]), float(parts[1])))
+            pair = float(parts[0]), float(parts[1])
         except ValueError:
             raise UsageError(f"--grid pair {chunk!r} is not numeric")
+        if not all(0.0 < order < math.inf for order in pair):
+            raise UsageError(f"--grid pair {chunk!r} needs finite orders > 0")
+        pairs.append(pair)
     return pairs
 
 

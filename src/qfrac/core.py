@@ -91,15 +91,15 @@ class Truncation:
     operand is sampled at every term and still watched; where a sample
     fails to evaluate, where the rest would run to fewer than 8 n terms, or
     once sigma moves by more than rel_tol, it is watched no further and a
-    closed tail goes unchecked.  A sum with a known
-    number of terms is summed in full.  A product (c; q)_inf stops once 3
-    successive ``|c q**j|`` are at most rel_tol and multiplies in its closed
-    tail ``1 - c q**(j+1) / (1 - q)``, within ``(rel_tol / (1 - q))**2``.
-    Work of a length known up front (a sum with a known number of terms,
-    every product, whose factors up to that stop are counted before the
-    first) raises :class:`~qfrac.errors.NonConvergence` before it starts if
-    that length exceeds ``max_terms``; an infinite sum raises it once it has
-    taken ``max_terms`` terms without the stopping rule firing.
+    closed tail goes unchecked.  A sum with a known number of terms is the
+    math.fsum of them all.  A product (c; q)_inf stops once 3 successive
+    ``|c q**j|`` are at most rel_tol and multiplies in its closed tail
+    ``1 - c q**(j+1) / (1 - q)``, within ``(rel_tol / (1 - q))**2``.  Work
+    of a length known up front (a sum with a known number of terms, every
+    product, whose factors up to that stop are counted before the first)
+    raises :class:`~qfrac.errors.NonConvergence` before it starts if that
+    length exceeds ``max_terms``; an infinite sum raises it once it has taken
+    ``max_terms`` terms without the stopping rule firing.
     """
 
     rel_tol: float = 1e-12
@@ -182,19 +182,21 @@ def _accumulate(
 
     A cut sum (``count`` given) is a length known before the work starts:
     past ``max_terms`` it raises through _check_budget before drawing a
-    term, and otherwise it adds its first count terms in order whatever they
-    are, with no ratio, small-run or growth test.  An infinite one (``count``
-    None) tracks the last ratio rho_n = term_n / term_{n-1}: while it and the
-    one before both lie in (0, 1) or both in (-1, 0), the tail is taken as
-    geometric, worth term_n rho_n / (1 - rho_n), and after ``_SMALL_RUN``
-    successive terms whose drift |rho_n - rho_{n-1}| |term_n| / (1 - rho_n)**2
-    (the error of that tail when the ratio moves as it just did) stays within
-    ``_TAIL_SHARE * rel_tol * |S + tail| + abs_tol`` the sum returns
-    S + tail; any other ratio (a ratio changing sign, a zero or growing
-    term) restarts that run.  Otherwise it stops on ``_SMALL_RUN`` small
-    terms, and with ``detect_growth`` raises NonConvergence on a growth run;
-    past ``max_terms`` terms it raises NonConvergence, the stopping rule not
-    having fired.  Both kinds raise NonConvergence at a non-finite term.
+    term, and otherwise it returns the math.fsum of its first count terms,
+    whatever they are, with no ratio, small-run or growth test.  An infinite
+    one (``count`` None) tracks the last ratio rho_n = term_n / term_{n-1}:
+    while it and the one before both lie in (0, 1) or both in (-1, 0), the
+    tail is taken as geometric, worth term_n rho_n / (1 - rho_n), and after
+    ``_SMALL_RUN`` successive terms whose drift |rho_n - rho_{n-1}| |term_n|
+    / (1 - rho_n)**2 (the error of that tail when the ratio moves as it just
+    did) stays within ``_TAIL_SHARE * rel_tol * |S + tail| + abs_tol`` the
+    sum returns S + tail; any other ratio (a ratio changing sign, a zero or
+    growing term) restarts that run.  Otherwise it stops on ``_SMALL_RUN``
+    small terms, and with ``detect_growth`` raises NonConvergence on a growth
+    run; past ``max_terms`` terms it raises NonConvergence, the stopping rule
+    not having fired.  Either kind raises NumericOverflow "term k overflowed"
+    at a term k that is not finite, the terms up to it noted, and a cut sum
+    of finite terms past the range of a double "the sum overflowed".
 
     A sum over a chain (a Jackson sum, a lattice series, the forcing kernel)
     also closes on its operand.  Its terms w_n v_n come from _walk, which puts
@@ -232,17 +234,20 @@ def _accumulate(
     template and its arguments (as _power takes them), formatted only when it
     is raised.
     """
-    n = 0
-    total = 0.0
     if count is not None:
         _check_budget(count, trunc, where)
-        for n, term in enumerate(itertools.islice(terms, count), 1):
-            if not math.isfinite(term):
-                _note_terms(n)
-                raise NonConvergence(f"{_name(where)}: non-finite term at index {n - 1}")
-            total += term
-        _note_terms(n)
-        return total
+        terms = list(itertools.islice(terms, count))
+        if not all(map(math.isfinite, terms)):
+            n = next(n for n, term in enumerate(terms) if not math.isfinite(term))
+            _note_terms(n + 1)
+            raise NumericOverflow(f"{_name(where)}: term {n} overflowed")
+        _note_terms(len(terms))
+        try:
+            return math.fsum(terms)
+        except OverflowError:  # finite terms past the range of a double
+            raise NumericOverflow(f"{_name(where)}: the sum overflowed") from None
+    n = 0
+    total = 0.0
     max_terms, rel_tol, abs_tol, inf = trunc.max_terms, trunc.rel_tol, _ABS_TOL, math.inf
     tail_tol = _TAIL_SHARE * rel_tol
     small_run = tail_run = growth_run = 0
@@ -258,7 +263,7 @@ def _accumulate(
         mag = term if term >= 0.0 else -term
         if not mag < inf:
             _note_terms(n)
-            raise NonConvergence(f"{_name(where)}: non-finite term at index {n - 1}")
+            raise NumericOverflow(f"{_name(where)}: term {n - 1} overflowed")
         total += term
         if prev_term:
             ratio = term / prev_term

@@ -22,5 +22,5 @@ class DomainError(QCalculusError, ValueError):
 
 
 class NumericOverflow(QCalculusError, OverflowError):
-    """A power of valid arguments is too large for a double, or an infinite
-    product of them underflows."""
+    """A power or a sum's term of valid arguments is not finite in a double,
+    a sum of known length leaves its range, or an infinite product underflows."""

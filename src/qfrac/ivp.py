@@ -17,14 +17,13 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator
 
 from . import special
 from .core import (_GROWTH_FACTOR, _SMALL_RUN, QFunction, QParams, _accumulate, _chain_sum,
-                   _check_budget, _name, _note_terms, _power, _start_steps, count_terms,
-                   q_bracket)
-from .errors import DomainError, NonConvergence, NumericOverflow
+                   _check_budget, _name, _power, _start_steps, count_terms, q_bracket)
+from .errors import DomainError, NonConvergence
 from .fractional import _LEFT_AT, _left_series, left_caputo, left_frac_integral
 
 __all__ = [
@@ -71,11 +70,15 @@ def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
     """Evaluate the q-Mittag-Leffler series at z.
 
     A term whose alpha k + beta is a pole of q_gamma is 0, as 1 / q_gamma is
-    entire.  From z0 = 0 (z > 0) the sum is a _ZeroHead's, built for this
-    call, and |lam ((1-q) z)**alpha| >= 1 raises NonConvergence before any
-    term.  From any other z0 it is _ml_sum's at the lattice position of z0
-    below z, and divergence is detected at runtime, by terms that grow.
+    entire.  A z that is NaN or below 0 raises DomainError.  From z0 = 0
+    (z > 0) the sum is a _ZeroHead's, built for this call, and |lam ((1-q)
+    z)**alpha| >= 1 raises NonConvergence before any term.  From any other z0
+    it is _ml_sum's at the lattice position of z0 below z, and divergence is
+    detected at runtime, by terms that grow.
     """
+    if not z >= 0.0:
+        where = (_ML_AT, z, mp.z0, mp.alpha, mp.beta, mp.lam, p.q)
+        raise DomainError(f"{_name(where)}: needs z >= 0")
     j = _start_steps(mp.z0, z, p.q)
     return _ZeroHead(mp, p)(z) if j is None else _ml_sum(mp, z, j, p)
 
@@ -246,14 +249,8 @@ def _ml_sum(mp: MLParams, z: float, j: int, p: QParams, count: int | None = None
         for k, (power, ratio) in enumerate(zip(powers, ratios)):
             yield power * tail(alpha * k + beta, p) * ratio / below
 
-    def checked(terms: Iterator[float]) -> Iterator[float]:
-        for k, term in enumerate(terms):
-            if math.isinf(term):
-                raise NumericOverflow(f"{_name(where)}: term {k} overflowed")
-            yield term
-
     terms = finite_terms() if j >= 1 and beta == int(beta) else tail_terms()
-    return _accumulate(checked(terms), p.trunc, detect_growth=True, count=count, where=where)
+    return _accumulate(terms, p.trunc, detect_growth=True, count=count, where=where)
 
 
 def _euler_multipliers(alpha: float, x: float, q: float) -> list[float]:
@@ -315,23 +312,22 @@ class _ZeroHead:
     that put the expansion's rest below 2**-54 |zeta**P e_0|
     (_euler_multipliers), needs no zeta, and this full plan is exact to
     rounding whatever rel_tol.  Once alpha k + beta >= 0 each tail is at most
-    1, so the rest past K terms is below 2**-54 |c_0| where |zeta|**K <=
-    floor (1 - |zeta|), floor = 2**-54 |c_0 / e_0|: a call with |zeta|**P <=
-    floor (1 - |zeta|), or any where P is None (past max_terms), sums the
-    fewest such K >= 1 with alpha K + beta >= 0 alone (one math.log).
+    1, so the rest past K terms is below 2**-54 |c_j zeta**j|, c_j the first
+    c_k not 0, if |zeta|**(K-j) <= floor (1 - |zeta|), floor = 2**-54
+    |c_j / e_0|: a call with |zeta|**(P-j) <= floor (1 - |zeta|), or any with
+    P None, sums the fewest such K >= 1 with alpha K + beta >= 0 alone.
 
-    The first call with |zeta| < 1 checks P + N against max_terms
-    (core._check_budget) and reads (q; q)_inf and, but at P = 0, c_0; the list
-    grows to a call's K or P, each tail read and noted once (a K past
-    max_terms raises NonConvergence, as c_0 = 0 there does), and the running
-    product e_n is formed at the first full plan.  A call adds its terms by
-    math.fsum, with no stopping rule, and notes them.  |zeta| >= 1 raises
-    NonConvergence before any tail is read; for zeta < 0 the direct terms
-    summed are watched for growth, and a hump raises NonConvergence naming the
-    cancellation; a term that is not finite raises NumericOverflow naming z,
-    z0, alpha, beta, lam and q.  cut sums the first terms in full: Picard's
-    head.  The list lives in the instance, grown under a solution's lock: one
-    per q_mittag_leffler call, one per solution from a = 0.
+    The first call with |zeta| < 1 checks P + N (length, formed then or for the
+    closed form's diagnostics) against max_terms and reads (q; q)_inf and, but
+    at P = 0, c_0 to c_j; the list grows to a call's K or P, each tail read and
+    noted once (a K past max_terms raises NonConvergence), and the running
+    product e_n is formed at the first full plan.  A call's terms are one cut
+    sum of core._accumulate, math.fsum with no stopping rule.  |zeta| >= 1
+    raises NonConvergence before any tail is read; for zeta < 0 the direct
+    terms summed are watched for growth, and a hump raises NonConvergence
+    naming the cancellation.  cut sums the first terms in full, Picard's head,
+    and forms no N.  The list lives in the instance, grown under a solution's
+    lock: one per q_mittag_leffler call, one per solution from a = 0.
     """
 
     def __init__(self, mp: MLParams, p: QParams) -> None:
@@ -341,27 +337,31 @@ class _ZeroHead:
         self._least = min(max(-beta / alpha, 1.0), p.trunc.max_terms + 1.0)  # K is no less
         self._coefs: list[float] = []
         self._scale: float | None = None
+        self._lead, self._floor = 0, 0.0
         self._euler: list[float] | None = None
-        if self.orders is not None:
-            self._multipliers = _euler_multipliers(alpha, beta + alpha * self.orders, q)
-            self._lifts = list(itertools.accumulate(itertools.repeat(
-                q**alpha, len(self._multipliers)), operator.mul, initial=1.0))  # q**(alpha n)
-            self.length = self.orders + len(self._lifts)  # P + N
+
+    @cached_property
+    def length(self) -> int:
+        """P + N, for orders not None, with the full plan's multipliers."""
+        alpha, q = self._mp.alpha, self._p.q
+        self._multipliers = _euler_multipliers(alpha, self._mp.beta + alpha * self.orders, q)
+        self._lifts = list(itertools.accumulate(itertools.repeat(
+            q**alpha, len(self._multipliers)), operator.mul, initial=1.0))  # q**(alpha n)
+        return self.orders + len(self._lifts)
 
     def _grow(self, count: int, where: tuple) -> list[float]:
         """The c_k, at least count of them, count checked against max_terms
-        before new tails are read; c_0 sets floor, and the first call e_0."""
+        before new tails are read; the first c_j not 0 sets lead (j) and floor."""
         coefs, alpha, beta, p = self._coefs, self._mp.alpha, self._mp.beta, self._p
         tail = special._pochhammer_tail
+        _check_budget(count, p.trunc, where)  # only a count past len(coefs) can fail it
         if self._scale is None:
             self._scale = _power(1.0 - p.q, beta - 1.0, *where) / tail(1.0, p)  # e_0
-        if len(coefs) < count:
-            _check_budget(count, p.trunc, where)
-            if not coefs:
-                first = tail(beta, p)
-                self._floor = 2.0**-54 * abs(first)
-                coefs.append(self._scale * first)
-            coefs += [self._scale * tail(alpha * k + beta, p) for k in range(len(coefs), count)]
+        for k in range(len(coefs), count):
+            value = tail(alpha * k + beta, p)
+            if value and not self._floor:
+                self._lead, self._floor = k, 2.0**-54 * abs(value)
+            coefs.append(self._scale * value)
         return coefs
 
     def __call__(self, z: float) -> float:
@@ -374,12 +374,14 @@ class _ZeroHead:
         if self._scale is None:
             if orders is not None:
                 _check_budget(self.length, self._p.trunc, where)
-            self._grow(int(orders != 0), where)  # c_0 and floor serve no P = 0
-        if orders is None or orders and size**orders <= self._floor * (1.0 - size):
+            self._grow(int(orders != 0), where)  # c_j and floor serve no P = 0
+            while orders != 0 and not self._floor:  # c_0 = 0: up to the first c_j that is not
+                self._grow(len(self._coefs) + 1, where)
+        if orders is None or orders and size**(orders - self._lead) <= self._floor * (1.0 - size):
             rest = self._floor * (1.0 - size)
             if size and not rest:
-                raise NonConvergence(f"{_name(where)}: term 0 is 0, which bounds no rest")
-            count = math.ceil(max(self._least, math.log(rest, size) if size else 1.0))
+                raise NonConvergence(f"{_name(where)}: the bound on the rest underflowed")
+            count = math.ceil(max(self._least, self._lead + math.log(rest, size) if size else 1.0))
             return self._sum(zeta, count, where, zeta < 0.0)
         if self._euler is None:
             self._euler = list(itertools.accumulate(self._multipliers, operator.mul,
@@ -387,35 +389,25 @@ class _ZeroHead:
         return self._sum(zeta, orders, where, zeta < 0.0, True)
 
     def cut(self, z: float, count: int) -> float:
-        """The first count terms at z in full, however they grow, count
-        checked against max_terms first: Picard's head."""
+        """The first count terms at z in full, however they grow: Picard's head."""
         where = (_ML_AT, z, 0.0, self._mp.alpha, self._mp.beta, self._mp.lam, self._p.q)
-        _check_budget(count, self._p.trunc, where)
         return self._sum(self._step * _power(z, self._mp.alpha, *where), count, where)
 
     def _sum(self, zeta: float, count: int, where: tuple, watch: bool = False,
              expansion: bool = False) -> float:
-        """math.fsum of the terms c_k zeta**k, k < count, and with expansion
-        Euler's N past them, noted; with watch the first count are watched."""
+        """core._accumulate's cut sum of c_k zeta**k, k < count, and with expansion
+        Euler's N past them; with watch the first count are watched first."""
+        coefs = self._coefs if len(self._coefs) >= count else self._grow(count, where)
         powers = list(itertools.accumulate(itertools.repeat(zeta, count), operator.mul,
                                            initial=1.0))
         top = powers.pop()  # zeta**count
-        coefs = self._coefs if len(self._coefs) >= count else self._grow(count, where)
         terms = list(map(operator.mul, coefs, powers))
         if expansion:
             terms += [top * e / (1.0 - zeta * lift) for e, lift in zip(self._euler, self._lifts)]
-        _note_terms(len(terms))
         if watch and _grew(itertools.islice(terms, count)):
             raise NonConvergence(_name((_HUMP_AT, *where[1:], abs(zeta))))
-        try:
-            value = math.fsum(terms)
-        except (OverflowError, ValueError):  # past the range of a double, or inf - inf
-            value = math.inf
-        if not math.isfinite(value):
-            k = next((k for k, term in enumerate(terms) if not math.isfinite(term)), None)
-            what = "the sum" if k is None else f"term {k}"
-            raise NumericOverflow(f"{_name(where)}: {what} overflowed")
-        return value
+        return _accumulate(terms, self._p.trunc, detect_growth=False, count=len(terms),
+                           where=where)
 
 
 _FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"

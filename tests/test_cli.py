@@ -419,7 +419,7 @@ class TestEvalErrors:
         (["--side", "right", "--b", "inf", "--f", "s"],
          ["right fractional integral at t=1.0, b=inf, alpha=0.5, q=0.5", "terms grew"]),
         (["--a", "0", "--f", "inv(s)"],
-         ["left fractional integral at t=1.0, a=0.0, alpha=0.5, q=0.5", "non-finite term"]),
+         ["left fractional integral at t=1.0, a=0.0, alpha=0.5, q=0.5", "term 1024 overflowed"]),
     ])
     def test_lattice_series_failure_names_parameters(self, argv, names):
         code, _, err = run_cli(
@@ -473,6 +473,10 @@ class TestEvalErrors:
         (["ml", "--lambda", "nan", "--z", "1"], "lam must be finite, got nan"),
         (["ml", "--z0", "nan", "--z", "1"], "z0 must be finite, got nan"),
         (["ml", "--z0", "inf", "--z", "1"], "z0 must be finite, got inf"),
+        (["ml", "--z", "nan"],
+         "q-Mittag-Leffler at z=nan, z0=0.0, alpha=0.5, beta=1.0, lam=0.0, q=0.5: needs z >= 0"),
+        (["ml", "--z", "-1", "--lambda", "0.3"],
+         "q-Mittag-Leffler at z=-1.0, z0=0.0, alpha=0.5, beta=1.0, lam=0.3, q=0.5: needs z >= 0"),
         (["fracder", "--side", "right", "--t", "inf", "--f", "s^-2"],
          "right fractional integral at t=inf, b=inf, alpha=-0.5, q=0.5: needs a finite t"),
         (["fracder", "--alpha", "1", "--t", "inf", "--f", "s"],
@@ -487,7 +491,8 @@ class TestEvalErrors:
          "(t - s)_q^alpha at t=0.0, s=nan, alpha=2.0, q=0.5: s must be finite"),
     ], ids=["right-integral", "left-riemann", "right-riemann", "right-integral-off-grid-b",
             "gamma-not-finite", "big-exp", "qfact-not-finite", "qfact-t-zero", "qfact-t-negative",
-            "ml-lambda-nan", "ml-z0-nan", "ml-z0-inf", "right-fracder-t-inf",
+            "ml-lambda-nan", "ml-z0-nan", "ml-z0-inf", "ml-z-nan", "ml-z-negative",
+            "right-fracder-t-inf",
             "integer-fracder-t-inf", "integer-caputo-t-inf", "left-integral-t-inf",
             "integer-qfact-s-inf", "integer-qfact-s-nan"])
     def test_domain_error_names_its_parameters(self, argv, message):
@@ -857,15 +862,24 @@ class TestExplore:
     @pytest.mark.parametrize("argv, message", [
         (["--grid", "0.5"], "--grid pairs must look like 'alpha,beta', got '0.5'"),
         (["--grid", "0.5,x"], "--grid pair '0.5,x' is not numeric"),
+        (["--grid", "0.5,nan"], "--grid pair '0.5,nan' needs finite orders > 0"),
+        (["--grid", "0,1"], "--grid pair '0,1' needs finite orders > 0"),
         (["--q", "1.5"], "--q must lie in (0, 1), got 1.5"),
         (["--b", "inf"], "explore requires a finite positive --b, got inf"),
         (["--b", "-1"], "explore requires a finite positive --b, got -1.0"),
         (["--b", "1", "--t", "0.3"], "--t relative to --b=0.3 must be an integer power of q=0.5"),
-    ], ids=["grid-shape", "grid-number", "q", "b-infinite", "b-negative", "t-off-grid"])
+    ], ids=["grid-shape", "grid-number", "grid-order-nan", "grid-order-zero", "q", "b-infinite",
+            "b-negative", "t-off-grid"])
     def test_bad_arguments_are_usage_errors(self, argv, message):
         code, out, err = run_cli(["explore", *argv])
         assert code == 3 and out == ""
         assert err == f"qfrac: error: {message}\n"
+
+    @pytest.mark.parametrize("grid", ["0.5,nan", "0,1"])
+    def test_bad_order_fails_before_the_output_opens(self, tmp_path, grid):
+        target = tmp_path / "explore.csv"
+        code, _, _ = run_cli(["explore", "--grid", grid, "--out", str(target)])
+        assert code == 3 and not target.exists()
 
     def test_rows_roundtrip_through_csv(self, tmp_path):
         target = tmp_path / "explore.csv"

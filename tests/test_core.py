@@ -2,7 +2,6 @@ import asyncio
 import functools
 import itertools
 import math
-import operator
 import re
 import threading
 
@@ -347,7 +346,8 @@ class TestTailIntegral:
 
 
 class TestCutSum:
-    """_accumulate(count=n) adds the first n terms in full, whatever they are."""
+    """_accumulate(count=n) is the math.fsum of the first n terms, whatever
+    they are."""
 
     WHERE = ("cut sum at x={!r}", 1.5)
 
@@ -357,9 +357,28 @@ class TestCutSum:
         # points 1 and 0.5, whose second term is not finite.
         f = lambda s: bad if s == 0.5 else 1.0
         with count_terms() as counter:
-            with pytest.raises(NonConvergence, match=r"^q-integral at x=1\.0, q=0\.5: "
-                                                     r"non-finite term at index 1$"):
+            with pytest.raises(NumericOverflow, match=r"^q-integral at x=1\.0, q=0\.5: "
+                                                      r"term 1 overflowed$"):
                 q_integral(f, 0.25, 1.0, QParams(0.5))
+        assert counter.total == 2
+
+    @pytest.mark.parametrize("count", [None, 4])
+    @pytest.mark.parametrize("bad", [INF, -INF, NAN])
+    def test_either_sum_raises_one_error_for_a_term_not_finite(self, bad, count):
+        # The infinite sum and the cut sum alike: the bad term named by its
+        # index, and the terms up to it noted.
+        with count_terms() as counter:
+            with pytest.raises(NumericOverflow, match=r"^cut sum at x=1\.5: term 2 overflowed$"):
+                _accumulate(iter([1.0, 0.5, bad, 0.25]), Truncation(), detect_growth=False,
+                            count=count, where=self.WHERE)
+        assert counter.total == 3
+
+    def test_sum_past_the_range_of_a_double_raises(self):
+        # Finite terms whose sum is too large for a double.
+        with count_terms() as counter:
+            with pytest.raises(NumericOverflow, match=r"^cut sum at x=1\.5: the sum overflowed$"):
+                _accumulate(iter([1e308, 1e308]), Truncation(), detect_growth=False, count=2,
+                            where=self.WHERE)
         assert counter.total == 2
 
     def test_zero_terms_do_not_end_it(self):
@@ -404,13 +423,13 @@ class TestCutSum:
         count=st.integers(0, 40),
         detect_growth=st.booleans(),
     )
-    def test_equals_the_plain_sum(self, xs, count, detect_growth):
-        # Zero, growing and arbitrary terms alike: the first count terms
-        # added in order, bit for bit, and that many terms noted.
+    def test_equals_math_fsum(self, xs, count, detect_growth):
+        # Zero, growing and arbitrary terms alike: the correctly rounded sum
+        # of the first count terms, bit for bit, and that many terms noted.
         with count_terms() as counter:
             got = _accumulate(iter(xs), Truncation(), detect_growth=detect_growth, count=count,
                               where=self.WHERE)
-        assert got == functools.reduce(operator.add, xs[:count], 0.0)
+        assert got == math.fsum(xs[:count])
         assert counter.total == min(count, len(xs))
 
 

@@ -1004,7 +1004,7 @@ class TestOffGridStart:
         assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
 
     def test_failure_names_the_parameters(self, p_half):
-        with pytest.raises(NonConvergence) as info:
+        with pytest.raises(NumericOverflow, match="term 1024 overflowed") as info:
             left_frac_integral(lambda s: 1.0 / s, 0.3, 0.7, 1.0, p_half)
         for name in ("left fractional integral", "t=1.0", "a=0.3", "alpha=0.7", "q=0.5"):
             assert name in str(info.value)

@@ -6,7 +6,8 @@ no default stands for a constant or is never read.  Each `module.name` that
 the README gives for a module of the package is bound there, so the README
 names no deleted code.  No module of the package or of the tests defines a
 top-level function or class twice, nor a class a method twice, so no
-definition is shadowed unseen.
+definition is shadowed unseen.  No module of the package but core reads
+math.fsum, so every sum of known length is core._accumulate's.
 
 A name counts as used when the module reads it (including inside a quoted
 annotation) or lists it in ``__all__``, so a stale ``__all__`` entry would
@@ -328,3 +329,32 @@ def test_no_definition_is_repeated():
     paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert [f"{path.name} {found}" for path in paths
             for found in repeated_definitions(path.read_text(encoding="utf-8"))] == []
+
+
+def fsum_uses(source: str) -> list[int]:
+    """The lines of source that read math.fsum, as an attribute or by a name
+    imported from math."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "math"
+             for alias in node.names if alias.name == "fsum"}
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "fsum"
+                   or isinstance(node, ast.Name) and node.id in names})
+
+
+def test_detects_an_fsum_outside_core():
+    source = (
+        "import math\n"
+        "from math import fsum as add\n"
+        "total = math.fsum([1.0, 2.0])\n"
+        "total += add([3.0])\n"
+        "sums = list(map(math.fsum, [[1.0]]))\n"
+        "size = math.fabs(total)\n"
+    )
+    assert fsum_uses(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "core.py"))
+def test_only_core_reads_fsum(module):
+    assert fsum_uses((SRC / module).read_text(encoding="utf-8")) == []

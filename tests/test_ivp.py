@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import re
 import sys
 import threading
 from functools import cache
@@ -170,6 +171,21 @@ class TestMittagLeffler:
         total = sum(0.3**k * inner(1.0, z0, 0.9 * k, p_half) / q_gamma(0.9 * k + 1.0, p_half)
                     for k in range(80))
         assert rel_err(got, total) < 1e-14
+
+    @pytest.mark.parametrize("z0", [0.0, 0.5])
+    @pytest.mark.parametrize("z", [math.nan, -1.0])
+    def test_z_that_is_nan_or_negative_is_a_domain_error(self, monkeypatch, p_half, z, z0):
+        # Named through the series' own parameters, before any tail is read.
+        calls = TestHeadPlan.spy_tails(monkeypatch)
+        where = f"q-Mittag-Leffler at z={z!r}, z0={z0!r}, alpha=0.9, beta=1.0, lam=0.3, q=0.5"
+        with pytest.raises(DomainError, match=f"^{re.escape(where)}: needs z >= 0$"):
+            q_mittag_leffler(MLParams(0.9, 1.0, 0.3, z0), z, p_half)
+        assert calls == []
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5, 2.5])
+    def test_z_zero_is_the_first_term(self, p_half, beta):
+        got = q_mittag_leffler(MLParams(0.9, beta, 0.3), 0.0, p_half)
+        assert rel_err(got, 1.0 / q_gamma(beta, p_half)) < 1e-15
 
     def test_vanishing_powers_below_origin(self, p_half):
         # Aligned z below z0 kills every k >= 1 term exactly.
@@ -843,8 +859,9 @@ class TestHeadPlan:
         assert y.diagnostics["terms"] == first.total + 3 * length
 
     def test_head_takes_no_stopping_rule(self, monkeypatch, p_half):
-        # The head from 0 is summed in full: no sum under core._accumulate,
-        # for the closed form, q_mittag_leffler or Picard's cut head.
+        # The head from 0 is summed in full: one cut sum of core._accumulate
+        # per point, of P + N terms for the closed form (11) and for
+        # q_mittag_leffler at beta = 0.5 (12), and of m + 1 for Picard's head.
         calls = []
         monkeypatch.setattr(qfrac.ivp, "_accumulate",
                             lambda *args, **kwargs: calls.append(kwargs.get("count"))
@@ -853,9 +870,26 @@ class TestHeadPlan:
         for t in (1.0, 0.5, 2.0):
             assert math.isfinite(y(t))
         assert math.isfinite(q_mittag_leffler(MLParams(0.8, 0.5, 0.3), 1.0, p_half))
-        assert calls == []
+        assert calls == [11, 11, 11, 12]
         assert math.isfinite(solve_ivp_picard(IVProblem(0.8, -0.3, 0.0, 1.0), 5, p_half)(1.0))
+        assert calls[4:] == [6]
+
+    def test_expansion_is_formed_only_for_the_full_plan(self, monkeypatch, p_half):
+        # Picard's cut head reads no Euler expansion, and forms none; the
+        # closed form forms it once, for its diagnostics and every point.
+        calls = []
+        inner = qfrac.ivp._euler_multipliers
+        monkeypatch.setattr(qfrac.ivp, "_euler_multipliers",
+                            lambda *args: calls.append(args) or inner(*args))
+        prob = IVProblem(0.7, 0.3, 0.0, 1.0)
+        picard = solve_ivp_picard(prob, 5, p_half)
+        for t in (1.0, 0.5, 2.0):
+            picard(t)
         assert calls == []
+        closed = solve_ivp_closed(prob, p_half)
+        for t in (1.0, 0.5, 2.0):
+            closed(t)
+        assert len(calls) == 1 and closed.diagnostics["head_euler_terms"] >= 1
 
     @pytest.mark.parametrize("lam", [0.3, -0.3])
     def test_budget_below_the_length_raises_first(self, monkeypatch, lam):

@@ -246,7 +246,7 @@ def test_split_past_the_budget_grows_the_coefficients():
     # expansion is never taken.  The head sums the first 33 terms, whose
     # rest is below 2**-54 c_0, and meets the reference.  At lam = 0.9 the
     # head needs 389, and a budget of 100 raises before the list grows past
-    # it.  At beta = 0, c_0 = 0 bounds no rest, and the head raises.
+    # it.  At beta = 0, c_0 = 0, and the rest is bounded from c_1.
     p, mp, z = QParams(0.5), MLParams(1e-5, 1.0, 0.3), 1.7
     assert _euler_split(mp.alpha, mp.beta, p) is None
     assert _euler_split(mp.alpha, mp.beta, QParams(0.5, Truncation(max_terms=60_000))) == 54_775
@@ -259,9 +259,25 @@ def test_split_past_the_budget_grows_the_coefficients():
     with pytest.raises(NonConvergence, match=where.format(r"1\.0", r"0\.9") + "389 terms "
                        "exceed the budget of 100$"):
         q_mittag_leffler(MLParams(1e-5, 1.0, 0.9), z, QParams(0.5, Truncation(max_terms=100)))
-    with pytest.raises(NonConvergence, match=where.format(r"0\.0", r"0\.3") + "term 0 is 0, "
-                       "which bounds no rest$"):
-        q_mittag_leffler(MLParams(1e-5, 0.0, 0.3), z, p)
+    # c_1 carries the rounding of q**x before 1 - q**x, x = 1e-5, into its
+    # first factor: up to eps / 2 q**x / (1 - q**x) relative, 7.2e4 eps,
+    # on top of the sum's own error (measured 1.4e4 eps in all).
+    head = _ZeroHead(MLParams(1e-5, 0.0, 0.3), p)
+    got = head(z)
+    assert head._lead == 1 and head._coefs[0] == 0.0
+    want, condition = ml_from_zero(1e-5, 0.0, 0.3, z, 0.5)
+    coefficient = 0.5 * 0.5**1e-5 / (1.0 - 0.5**1e-5)
+    assert abs(got - want) <= (EULER_BOUND + coefficient) * _EPS * condition * abs(want)
+
+
+
+def test_rest_bound_that_underflows_raises():
+    # At q = 0.9976 (q; q)_inf is about 1e-298, so floor = 2**-54 |c_0 / e_0|
+    # is subnormal, and floor (1 - |zeta|) is 0 at |zeta| = 1 - 1e-12: no K
+    # within a double bounds the rest.
+    p = QParams(0.9976, Truncation(max_terms=20_000))
+    with pytest.raises(NonConvergence, match=r": the bound on the rest underflowed$"):
+        q_mittag_leffler(MLParams(1e-5, 1.0, 1.0 - 1e-12), 1.0 / (1.0 - 0.9976), p)
 
 
 @pytest.mark.parametrize(("alpha", "lam", "z"), [(0.9, 0.31995139835925074, 30.32866740282942),
