@@ -11,8 +11,9 @@ terms from its weights alone, with no further call of the operand.  Either
 closure that extrapolates an operand, that rest or the closed tail, is first
 spot-checked further down the chain, by ``_rest_holds``.  Every
 infinite product is a q-Pochhammer symbol (c; q)_inf, taken by
-``special._q_product``, which closes its tail the same way; the same loop,
-given a count, forms the finite (c; q)_n.  Work whose length is known before
+``special._q_product``, which closes its tail where that tail is exact to
+rounding, at a count set by c and q alone; the same loop, given a count,
+forms the finite (c; q)_n.  Work whose length is known before
 it starts (a cut sum, a finite product, an iterated derivative, a run of
 shift steps) checks that length against ``max_terms`` once, in
 ``_check_budget``, before any of it is done; only an infinite sum runs into
@@ -92,13 +93,19 @@ class Truncation:
     fails to evaluate, where the rest would run to fewer than 8 n terms, or
     once sigma moves by more than rel_tol, it is watched no further and a
     closed tail goes unchecked.  A sum with a known number of terms is the
-    math.fsum of them all.  A product (c; q)_inf stops once 3 successive
-    ``|c q**j|`` are at most rel_tol and multiplies in its closed tail
-    ``1 - c q**(j+1) / (1 - q)``, within ``(rel_tol / (1 - q))**2``.  Work
-    of a length known up front (a sum with a known number of terms, every
-    product, whose factors up to that stop are counted before the first)
-    raises :class:`~qfrac.errors.NonConvergence` before it starts if that
-    length exceeds ``max_terms``; an infinite sum raises it once it has taken
+    math.fsum of them all.  Work whose terms are known from its arguments
+    stops where its rest is provably below rounding, and reads no rel_tol:
+    a product (c; q)_inf takes its factors up to the fewest n >= 0 with
+    ``|c| q**n <= x_q = 2**-27 (1 - q) sqrt((1 + q) / q)`` and multiplies
+    in its closed tail ``1 - c q**n / (1 - q)``, whose relative error,
+    about ``(c q**n)**2 q / ((1 - q)**2 (1 + q))``, is then at most
+    ``2**-54``; e_q(t) is the cut sum of its first K + 1 terms and their
+    geometric rest, K set by ``z = (1 - q) t`` and q so that the rest is
+    within ``2**-54`` of the value (see ``special.q_exp_e``).  Work of a
+    length known up front (a sum with a known number of terms, every
+    product, whose factors up to that stop are counted before the first,
+    e_q's K + 2 terms) raises :class:`~qfrac.errors.NonConvergence` before
+    it starts if that length exceeds ``max_terms``; an infinite sum raises it once it has taken
     ``max_terms`` terms without the stopping rule firing.
     """
 
@@ -169,6 +176,27 @@ def _note_terms(n: int) -> None:
 _GROWTH_FACTOR = 1e3
 
 
+def _grew(terms: Iterable[float]) -> bool:
+    """Whether the sizes of terms rise as _accumulate's growth watch
+    rejects: _SMALL_RUN or more successive rises, to more than
+    _GROWTH_FACTOR times the size they rose from.  A cut sum whose terms
+    alternate (the q-Mittag-Leffler head from 0, e_q at t < 0) reads it
+    before it sums: past such a hump the sum cancels the digits of its
+    largest terms."""
+    run, base, last = 0, 0.0, 0.0
+    for size in map(abs, terms):
+        if 0.0 < last < size:
+            if run == 0:
+                base = last
+            run += 1
+            if run >= _SMALL_RUN and size > _GROWTH_FACTOR * base:
+                return True
+        else:
+            run = 0
+        last = size
+    return False
+
+
 def _accumulate(
     terms: Iterable[float],
     trunc: Truncation,
@@ -196,7 +224,9 @@ def _accumulate(
     run; past ``max_terms`` terms it raises NonConvergence, the stopping rule
     not having fired.  Either kind raises NumericOverflow "term k overflowed"
     at a term k that is not finite, the terms up to it noted, and a cut sum
-    of finite terms past the range of a double "the sum overflowed".
+    of finite terms whose sum is past the range of a double "the sum
+    overflowed"; where only math.fsum's partials pass it, the terms are
+    summed scaled by a power of 2 and the sum scaled back.
 
     A sum over a chain (a Jackson sum, a lattice series, the forcing kernel)
     also closes on its operand.  Its terms w_n v_n come from _walk, which puts
@@ -244,8 +274,14 @@ def _accumulate(
         _note_terms(len(terms))
         try:
             return math.fsum(terms)
-        except OverflowError:  # finite terms past the range of a double
-            raise NumericOverflow(f"{_name(where)}: the sum overflowed") from None
+        except OverflowError:
+            # Partials past the range of a double: the sum of the terms
+            # scaled down by a power of 2 above their count, scaled back.
+            shift = len(terms).bit_length()
+            try:
+                return math.ldexp(math.fsum(math.ldexp(term, -shift) for term in terms), shift)
+            except OverflowError:
+                raise NumericOverflow(f"{_name(where)}: the sum overflowed") from None
     n = 0
     total = 0.0
     max_terms, rel_tol, abs_tol, inf = trunc.max_terms, trunc.rel_tol, _ABS_TOL, math.inf

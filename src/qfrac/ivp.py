@@ -18,11 +18,11 @@ import operator
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from . import special
-from .core import (_GROWTH_FACTOR, _SMALL_RUN, QFunction, QParams, _accumulate, _chain_sum,
-                   _check_budget, _name, _power, _start_steps, count_terms, q_bracket)
+from .core import (QFunction, QParams, _accumulate, _chain_sum, _check_budget, _grew, _name,
+                   _power, _start_steps, count_terms, q_bracket)
 from .errors import DomainError, NonConvergence
 from .fractional import _LEFT_AT, _left_series, left_caputo, left_frac_integral
 
@@ -277,24 +277,6 @@ def _euler_multipliers(alpha: float, x: float, q: float) -> list[float]:
         ratio = following
 
 
-def _grew(terms: Iterable[float]) -> bool:
-    """Whether the sizes of terms rise as core._accumulate's growth watch
-    rejects: _SMALL_RUN or more successive rises, to more than
-    _GROWTH_FACTOR times the size they rose from."""
-    run, base, last = 0, 0.0, 0.0
-    for size in map(abs, terms):
-        if 0.0 < last < size:
-            if run == 0:
-                base = last
-            run += 1
-            if run >= _SMALL_RUN and size > _GROWTH_FACTOR * base:
-                return True
-        else:
-            run = 0
-        last = size
-    return False
-
-
 class _ZeroHead:
     """The q-Mittag-Leffler series from z0 = 0 of one MLParams as a function
     of z, from one list of coefficients grown only as far as a call needs.
@@ -317,16 +299,17 @@ class _ZeroHead:
     |c_j / e_0|: a call with |zeta|**(P-j) <= floor (1 - |zeta|), or any with
     P None, sums the fewest such K >= 1 with alpha K + beta >= 0 alone.
 
-    The first call with |zeta| < 1 checks P + N (length, formed then or for the
-    closed form's diagnostics) against max_terms and reads (q; q)_inf and, but
-    at P = 0, c_0 to c_j; the list grows to a call's K or P, each tail read and
-    noted once (a K past max_terms raises NonConvergence), and the running
-    product e_n is formed at the first full plan.  A call's terms are one cut
-    sum of core._accumulate, math.fsum with no stopping rule.  |zeta| >= 1
-    raises NonConvergence before any tail is read; for zeta < 0 the direct
-    terms summed are watched for growth, and a hump raises NonConvergence
-    naming the cancellation.  cut sums the first terms in full, Picard's head,
-    and forms no N.  The list lives in the instance, grown under a solution's
+    The first call with |zeta| < 1, whether or not cut ran before it, checks
+    P + N (length, formed then or for the closed form's diagnostics) against
+    max_terms and reads (q; q)_inf and, but at P = 0, c_0 to c_j; the list
+    grows to a call's K or P, each tail read and noted once (a K past
+    max_terms raises NonConvergence), and the running product e_n is formed
+    at the first full plan.  A call's terms are one cut sum of
+    core._accumulate, math.fsum with no stopping rule.  |zeta| >= 1 raises
+    NonConvergence before any tail is read; for zeta < 0 the direct terms
+    summed are watched for growth (core._grew), and a hump raises
+    NonConvergence naming the cancellation.  cut sums the first terms in
+    full, Picard's head, and forms no N.  The list lives in the instance, grown under a solution's
     lock: one per q_mittag_leffler call, one per solution from a = 0.
     """
 
@@ -339,6 +322,7 @@ class _ZeroHead:
         self._scale: float | None = None
         self._lead, self._floor = 0, 0.0
         self._euler: list[float] | None = None
+        self._called = False
 
     @cached_property
     def length(self) -> int:
@@ -371,12 +355,13 @@ class _ZeroHead:
         if not size < 1.0:
             raise NonConvergence(f"{_name(where)}: |lam ((1-q) z)**alpha| = {size!r} >= 1, "
                                  f"so the series diverges")
-        if self._scale is None:
+        if not self._called:  # cut may have grown the list, and checked no length
             if orders is not None:
                 _check_budget(self.length, self._p.trunc, where)
             self._grow(int(orders != 0), where)  # c_j and floor serve no P = 0
             while orders != 0 and not self._floor:  # c_0 = 0: up to the first c_j that is not
                 self._grow(len(self._coefs) + 1, where)
+            self._called = True
         if orders is None or orders and size**(orders - self._lead) <= self._floor * (1.0 - size):
             rest = self._floor * (1.0 - size)
             if size and not rest:

@@ -8,15 +8,19 @@ product for integer alpha >= 0, otherwise the ratio
 q_gamma and E_q are quotients of the same products (c; q)_inf.  Every one of
 them, and every finite product, (c; q)_n for q_pochhammer and the integer
 factorial power on the grid and prod (t - q**i s) for it off the grid, comes
-from one loop, ``_q_product``, which closes an infinite product's tail and
-checks its number of factors against the budget first.  Quotients that would
-overflow or underflow apart (the off-grid ratio's prefix here, the
-q-Mittag-Leffler terms on the time scale in ivp) take their factors in pairs
-instead.  When
-s/t coincides with an integer power of q the ratio is snapped onto the grid so
-that vanishing (s/t = q**-j) and poles surface exactly instead of as rounding
-noise.  Aligned products are tails (q**x; q)_inf, memoised per (q, x,
-rel_tol, max_terms) in a bounded cache.
+from one loop, ``_q_product``, which checks its number of factors against
+the budget first.  Work here whose terms are known from its arguments stops
+where its rest is provably below rounding, and reads no rel_tol: an
+infinite product closes its tail after the _tail_factors(c, q) factors that
+make the closed tail exact to about 2**-54, and e_q is the cut sum of the
+terms that leave a geometric rest within 2**-54 of its value.  Quotients
+that would overflow or underflow apart (the off-grid ratio's prefix here,
+the q-Mittag-Leffler terms on the time scale in ivp) take their factors in
+pairs instead.  When s/t coincides with an integer power of q the ratio is
+snapped onto the grid so that vanishing (s/t = q**-j) and poles surface
+exactly instead of as rounding noise.  Aligned products are tails
+(q**x; q)_inf, their first factor 1 - q**x taken by expm1 near x = 0,
+memoised per (q, x, max_terms) in a bounded cache.
 """
 
 from __future__ import annotations
@@ -25,13 +29,11 @@ import itertools
 import math
 import operator
 import sys
-from typing import Iterator
 
 from .core import (
-    _SMALL_RUN, QParams, _accumulate, _check_budget, _grid_exponent, _name, _note_terms, _power,
-    count_terms,
+    QParams, _accumulate, _check_budget, _grew, _grid_exponent, _name, _note_terms, _power,
 )
-from .errors import DomainError, NumericOverflow, PoleError
+from .errors import DomainError, NonConvergence, NumericOverflow, PoleError
 
 __all__ = [
     "q_pochhammer",
@@ -56,32 +58,29 @@ def q_pochhammer(n: int, p: QParams) -> float:
 
 
 def _q_product(c: float, p: QParams, where: tuple, count: int | None = None,
-               lead: float = 1.0) -> float:
+               lead: float = 1.0, factors: int | None = None) -> float:
     """(c; q)_count = prod_{j<count} (1 - c q**j), or for count None
     (c; q)_inf for finite c, uncached.
 
     A finite product takes its count factors lead - c q**j (so lead = t and
     c = s give prod (t - q**j s), with no power of t apart that could
-    overflow or underflow against them) and notes no terms.  An
-    infinite one takes the factors up to and including the _SMALL_RUN (3)
-    successive |c q**j| at most rel_tol (they fall monotonically, so their
-    number is known up front), notes them, and multiplies in the closed tail
-    prod_{i>j} (1 - c q**i) = 1 - c q**(j+1) / (1 - q), whose error is at
-    most (rel_tol / (1 - q))**2.  Either count is checked against the
+    overflow or underflow against them) and notes no terms.  An infinite
+    one takes the _tail_factors(c, q) factors before its closed tail, the
+    fewest n with |c| q**n <= x_q (passed as factors by a caller that has
+    them), notes them, and multiplies in the closed tail
+    prod_{i>=n} (1 - c q**i) = 1 - c q**n / (1 - q), exact there to about
+    2**-54 relative whatever rel_tol.  Either count is checked against the
     budget (core._check_budget, where naming the caller's product) before
-    the first factor is taken.  An infinite product that underflows to 0 or
-    to a subnormal while none of its factors is exactly 0 raises
-    NumericOverflow through where, before a caller divides by it (near
-    q = 1, where (q; q)_inf falls like exp(-pi**2 / (6 (1 - q)))); a factor
-    that is exactly 0 is a pole or a zero, and its product stays 0.
+    the first factor is taken.  An infinite product that
+    underflows to 0 or to a subnormal while none of its factors is exactly
+    0 raises NumericOverflow through where, before a caller divides by it
+    (near q = 1, where (q; q)_inf falls like exp(-pi**2 / (6 (1 - q)))); a
+    factor that is exactly 0 is a pole or a zero, and its product stays 0.
     """
     q = p.q
     finite = count is not None
     if not finite:
-        rel_tol = p.trunc.rel_tol
-        count = _SMALL_RUN
-        if abs(c) > rel_tol:
-            count += math.ceil((math.log(abs(c)) - math.log(rel_tol)) / -math.log(q))
+        count = _tail_factors(c, q) if factors is None else factors
     _check_budget(count, p.trunc, where)
     product, first = 1.0, c
     for _ in range(count):
@@ -100,9 +99,26 @@ def _q_product(c: float, p: QParams, where: tuple, count: int | None = None,
     return product
 
 
-# Keyed by (q, x, rel_tol, max_terms), plain floats and an int: a Truncation
-# or QParams key would hash in Python and compare its dataclass on every hit.
-_TAIL_CACHE: dict[tuple[float, float, float, int], tuple[float, int]] = {}
+def _tail_factors(c: float, q: float) -> int:
+    """The factors (c; q)_inf takes before its closed tail: the fewest
+    n >= 0 with |c| q**n <= x_q = 2**-27 (1 - q) sqrt((1 + q) / q), by c
+    and q alone (a NaN c takes none).
+
+    ln prod_{i>=0} (1 - x q**i) = -sum_k x**k / (k (1 - q**k)) and
+    ln(1 - x / (1 - q)) = -sum_k x**k / (k (1 - q)**k) agree in their first
+    term and differ in the second by x**2 q / ((1 - q)**2 (1 + q)), so at
+    x = c q**n <= x_q the closed tail 1 - x / (1 - q) is within about
+    2**-54 of the tail's value, relative.
+    """
+    size, top = abs(c), 2.0**-27 * (1.0 - q) * math.sqrt((1.0 + q) / q)
+    if not size > top:
+        return 0
+    return math.ceil((math.log(size) - math.log(top)) / -math.log(q))
+
+
+# Keyed by (q, x, max_terms), plain floats and an int: a Truncation or
+# QParams key would hash in Python and compare its dataclass on every hit.
+_TAIL_CACHE: dict[tuple[float, float, int], tuple[float, int]] = {}
 # Entries kept before the cache starts over: aligned products (q_gamma and
 # the grid-snapped factorial powers) reuse a few thousand (q, x) pairs, while
 # random off-grid arguments would otherwise grow it without bound.
@@ -110,26 +126,34 @@ _TAIL_CACHE_SIZE = 4096
 
 
 def _pochhammer_tail(x: float, p: QParams) -> float:
-    """(q**x; q)_inf, memoised.
+    """(q**x; q)_inf, memoised, from _q_product.
 
-    Cache hits report the same term count a fresh computation would, so
-    diagnostics stay identical between cold and warm runs.  A product of
-    _SMALL_RUN factors (q**x at most rel_tol) is cheaper than its entry and
-    is not stored.  The cache is cleared once it holds _TAIL_CACHE_SIZE
-    entries.
+    For 0 < x < 1, the arguments q_gamma's shift leaves, where 1 - q**x
+    nears 0 at a pole, that first factor is -expm1(x log q), which carries
+    no rounding of q**x, times (q**(x+1); q)_inf; elsewhere the product
+    takes it as 1 - q**x, exact at x = 1.  Its term count is the factors
+    _q_product takes; cache hits report the same count a fresh computation
+    would, so diagnostics stay identical between cold and warm runs.  A
+    tail that takes no factor before its closed tail is cheaper than its
+    entry and is not stored.  The cache is cleared once it holds
+    _TAIL_CACHE_SIZE entries.
     """
-    key = (p.q, x, p.trunc.rel_tol, p.trunc.max_terms)
+    q = p.q
+    key = (q, x, p.trunc.max_terms)
     cached = _TAIL_CACHE.get(key)
     if cached is not None:
         _note_terms(cached[1])
         return cached[0]
-    where = ("(q**x; q)_inf at x={!r}, q={!r}", x, p.q)
-    with count_terms() as counter:
-        product = _q_product(_power(p.q, x, *where), p, where)
-    if counter.total > _SMALL_RUN:
+    where = ("(q**x; q)_inf at x={!r}, q={!r}", x, q)
+    c, first = _power(q, x, *where), 1.0
+    if 0.0 < x < 1.0:
+        c, first = c * q, -math.expm1(x * math.log(q))
+    factors = _tail_factors(c, q)
+    product = first * _q_product(c, p, where, factors=factors)
+    if factors:
         if len(_TAIL_CACHE) >= _TAIL_CACHE_SIZE:
             _TAIL_CACHE.clear()
-        _TAIL_CACHE[key] = (product, counter.total)
+        _TAIL_CACHE[key] = (product, factors)
     return product
 
 
@@ -209,8 +233,8 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
             # Numerator factor 1 - q**(d + i) vanishes identically at i = -d.
             return 0.0
         den = _pochhammer_tail(d + alpha, p)
-        if den == 0.0:
-            # A denominator factor 1 - q**(d + i + alpha) rounded to 0: alpha
+        if den == 0.0 or _near_pole(d + alpha, q):
+            # A denominator factor 1 - q**(d + i + alpha) rounds to 0: alpha
             # is a pole to within float resolution.
             raise PoleError(
                 f"{_QFACT_AT.format(t, s, alpha, q)}: a denominator factor is numerically 0"
@@ -245,6 +269,17 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
 _GAMMA_AT = "q_gamma at alpha={!r}, q={!r}"
 
 
+def _near_pole(x: float, q: float) -> bool:
+    """Whether x is a pole n <= 0 of 1 / (q**x; q)_inf to within float
+    resolution: the nearest integer n <= 0 leaves q**(x - n) rounded to 1,
+    so that the factor 1 - q**(x - n) would round to 0 by subtraction.
+    expm1 would still tell x from n, but an argument formed in floats (an
+    order d + alpha, an alpha typed as 1e-17) is no closer to its intent
+    than that, so it is taken for the pole."""
+    n = round(x)
+    return n <= 0 and q ** (x - n) == 1.0
+
+
 def q_gamma(alpha: float, p: QParams) -> float:
     """q-gamma via (1 - q)**(1 - alpha) (q; q)_inf / (q**alpha; q)_inf.
 
@@ -252,45 +287,89 @@ def q_gamma(alpha: float, p: QParams) -> float:
     with q_gamma(1) = 1; poles at alpha = 0, -1, -2, ...  Negative alpha is
     shifted up through the recurrence, one step per unit; ceil(-alpha) steps
     above the truncation's max_terms raise NonConvergence before the first.
-    A product that underflows (q near 1) raises NumericOverflow, and a
-    factor that rounds to exactly 0 PoleError.
+    The shift factor 1 - q**a for -1 < a <= 0 is -expm1(a log q), as is the
+    first factor of the tail (q**a; q)_inf for the a in (0, 1] the shift
+    leaves (_pochhammer_tail), so an alpha near a pole keeps its distance to
+    it.  An alpha whose distance to the nearest pole n leaves q**(alpha - n)
+    rounded to 1 raises PoleError (_near_pole), as does a pole itself.  A product that underflows (q near 1) raises
+    NumericOverflow.
     """
     q = p.q
     if not math.isfinite(alpha):
         raise DomainError(f"{_GAMMA_AT.format(alpha, q)}: the argument must be finite")
     if _is_integer_valued(alpha) and alpha <= 0.0:
         raise PoleError(f"{_GAMMA_AT.format(alpha, q)}: q_gamma has a pole there")
+    if _near_pole(alpha, q):
+        raise PoleError(f"{_GAMMA_AT.format(alpha, q)} is numerically on a pole")
     _check_budget(math.ceil(-alpha), p.trunc, (_GAMMA_AT, alpha, q))
-    divisor = 1.0
-    a = alpha
+    divisor, a, log_q = 1.0, alpha, math.log(q)
     while a <= 0.0:
-        divisor *= (1.0 - _power(q, a, _GAMMA_AT, alpha, q)) / (1.0 - q)
+        if a > -1.0:
+            divisor *= -math.expm1(a * log_q) / (1.0 - q)
+        else:
+            divisor *= (1.0 - _power(q, a, _GAMMA_AT, alpha, q)) / (1.0 - q)
         a += 1.0
     scale = _power(1.0 - q, 1.0 - a, _GAMMA_AT, alpha, q)
     tail = _pochhammer_tail(a, p)
-    if tail == 0.0 or divisor == 0.0:
-        # q**a rounded to 1: alpha is a pole to within float resolution.
-        raise PoleError(f"{_GAMMA_AT.format(alpha, q)} is numerically on a pole")
     return scale * _pochhammer_tail(1.0, p) / tail / divisor
 
 
-def q_exp_e(t: float, p: QParams) -> float:
-    """Small q-exponential e_q(t) = sum_k t**k / [k]_q!.
+_EXP_AT = "e_q series at t={!r}, q={!r}"
+# ln 2**-54, the share of e_q's value its rest may leave, and pi**2 / 6
+_LN_ROUNDING, _PI2_6 = -54.0 * math.log(2.0), math.pi**2 / 6.0
 
-    Converges for |t| < 1/(1 - q); divergence is detected at runtime.
+
+def q_exp_e(t: float, p: QParams) -> float:
+    """Small q-exponential e_q(t) = sum_k t**k / [k]_q! = 1 / (z; q)_inf,
+    z = (1 - q) t, for |z| < 1.
+
+    |z| >= 1 (or a NaN z) raises NonConvergence before any term, and z = 0
+    gives 1.0.  Otherwise e_q is the cut sum (core._accumulate, math.fsum)
+    of T_0 = 1, T_k = T_{k-1} z / (1 - q**k) for k <= K and the geometric
+    rest G = T_K z / (1 - z).  With a = q**(K+1) the true rest differs from
+    G by at most |T_K| |z| / (1 - |z|) (1 / (a; q)_inf - 1), and
+    1 / (a; q)_inf - 1 <= 2 a / ((1 - q) (1 - a)) while that is at most 1
+    (it is exp(u) - 1 at most, u = a / ((1 - q) (1 - a))), and below
+    1 / (q; q)_inf always.  K, found before the first term from
+    |T_K| <= |z|**K / (q; q)_inf and ln 1 / (q; q)_inf <= pi**2 / (6 ln 1/q),
+    is the fewer of the two counts that put that bound below 2**-54 L, with
+    L = 1 for z > 0 and exp(-|z| / (1 - q)) for z < 0 lower bounds of e_q:
+    exact to rounding whatever rel_tol, K + 2 terms checked against
+    max_terms first.  For z > 0 the terms are positive; for z < 0 they
+    alternate, and where their sizes rise as core._grew rejects (they rise
+    only while q**k > 1 - |z|) NonConvergence names the cancellation.
     """
     q = p.q
-
-    def terms() -> Iterator[float]:
-        term = 1.0
-        k = 0
-        while True:
-            yield term
-            k += 1
-            term *= t * (1.0 - q) / (1.0 - q**k)
-
-    return _accumulate(terms(), p.trunc, detect_growth=True,
-                       where=("e_q series at t={!r}, q={!r}", t, q))
+    where = (_EXP_AT, t, q)
+    z = (1.0 - q) * t
+    size = abs(z)
+    if not size < 1.0:
+        raise NonConvergence(f"{_name(where)}: |(1-q) t| = {size!r} is not below 1, "
+                             f"so the series diverges")
+    if z == 0.0:
+        return 1.0
+    log_q, log_size = math.log(q), math.log(size)
+    lift = _PI2_6 / -log_q  # ln 1 / (q; q)_inf at most
+    room = _LN_ROUNDING + math.log1p(-size) - (size / (1.0 - q) if z < 0.0 else 0.0)
+    # K + 1 from the bound 2 a / (1 - q)**2, at an a that keeps u <= 1 ...
+    near = max((room - lift + math.log(0.5 * (1.0 - q) ** 2)) / (log_size + log_q),
+               math.log((1.0 - q) / (2.0 - q)) / log_q)
+    # ... or from 1 / (q; q)_inf
+    far = (room - 2.0 * lift) / log_size
+    count = max(math.ceil(min(near, far)), 1) + 1  # T_0 to T_K, and G
+    _check_budget(count, p.trunc, where)
+    term, power, terms = 1.0, 1.0, [1.0]
+    for _ in range(count - 2):
+        power *= q
+        term *= z / (1.0 - power)
+        terms.append(term)
+    terms.append(term * z / (1.0 - z))
+    if z < 0.0 and _grew(terms[:math.floor(math.log1p(-size) / log_q) + 3]):
+        raise NonConvergence(
+            f"{_name(where)}: the series converges (|(1-q) t| = {size!r} < 1), but its "
+            f"alternating terms grew past the growth watch, so a term-wise sum would cancel "
+            f"their digits")
+    return _accumulate(terms, p.trunc, detect_growth=False, count=count, where=where)
 
 
 def q_exp_E(t: float, p: QParams) -> float:

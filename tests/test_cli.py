@@ -163,15 +163,14 @@ class TestEval:
         assert float(rows[0]["value"]) == pytest.approx(1.5)
 
     def test_rel_tol_flag(self):
-        code, out, _ = run_cli(
-            ["eval", "gamma", "--q", "0.5", "--alpha", "0.5",
-             "--rel-tol", "1e-6", "--verbose"]
-        )
+        # The left integral's lattice series runs the stopping rule; q_gamma's
+        # products stop where their closed tails are exact and read no rel_tol.
+        argv = ["eval", "fracint", "--q", "0.5", "--alpha", "0.5", "--t", "1",
+                "--f", "inv(1+s)", "--verbose"]
+        code, out, _ = run_cli(argv + ["--rel-tol", "1e-6"])
         assert code == 0
         loose_terms = int(parse_csv(out)[0]["terms"])
-        code, out, _ = run_cli(
-            ["eval", "gamma", "--q", "0.5", "--alpha", "0.5", "--verbose"]
-        )
+        code, out, _ = run_cli(argv)
         tight_terms = int(parse_csv(out)[0]["terms"])
         assert loose_terms < tight_terms
 
@@ -303,11 +302,13 @@ class TestEvalErrors:
         assert f"beta must be finite, got {beta}" in err
 
     def test_product_past_the_budget_names_its_argument(self):
-        # (q**0.5; q)_inf at q = 0.999 takes 27,620 factors to reach rel_tol.
+        # (q**0.5; q)_inf at q = 0.999 is 1 - q**0.5 times (q**1.5; q)_inf,
+        # which takes 25,262 factors before its closed tail is exact to
+        # rounding (27,620 when products ran to rel_tol).
         code, out, err = run_cli(["eval", "gamma", "--q", "0.999", "--alpha", "0.5"])
         assert (code, out) == (2, "")
         assert err == ("qfrac: numeric failure: (q**x; q)_inf at x=0.5, q=0.999: "
-                       "27620 terms exceed the budget of 10000\n")
+                       "25262 terms exceed the budget of 10000\n")
 
     def test_missing_flag(self):
         code, _, err = run_cli(["eval", "fracint", "--q", "0.5", "--alpha", "1",

@@ -381,6 +381,17 @@ class TestCutSum:
                             where=self.WHERE)
         assert counter.total == 2
 
+    def test_partials_past_the_range_of_a_double_keep_the_sum(self):
+        # math.fsum's partials overflow at 2e308, though the sum is 1e308:
+        # the terms are summed scaled by a power of 2 and scaled back.
+        got = _accumulate(iter([1e308, 1e308, -1e308]), Truncation(), detect_growth=False,
+                          count=3, where=self.WHERE)
+        assert got == 1e308
+        # Scaled, a sum past the range of a double still overflows.
+        with pytest.raises(NumericOverflow, match=r"^cut sum at x=1\.5: the sum overflowed$"):
+            _accumulate(iter([1e308, 1e308, -1e307]), Truncation(), detect_growth=False,
+                        count=3, where=self.WHERE)
+
     def test_zero_terms_do_not_end_it(self):
         terms = [0.0] * 5 + [1.0, 2.0]
         got = _accumulate(terms, Truncation(), detect_growth=False, count=6, where=self.WHERE)

@@ -7,7 +7,9 @@ the README gives for a module of the package is bound there, so the README
 names no deleted code.  No module of the package or of the tests defines a
 top-level function or class twice, nor a class a method twice, so no
 definition is shadowed unseen.  No module of the package but core reads
-math.fsum, so every sum of known length is core._accumulate's.
+math.fsum, so every sum of known length is core._accumulate's.  special
+reads no rel_tol, so its products and e_q stay exact to rounding whatever
+the stopping rule's tolerance.
 
 A name counts as used when the module reads it (including inside a quoted
 annotation) or lists it in ``__all__``, so a stale ``__all__`` entry would
@@ -358,3 +360,30 @@ def test_detects_an_fsum_outside_core():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "core.py"))
 def test_only_core_reads_fsum(module):
     assert fsum_uses((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def rel_tol_reads(source: str) -> list[int]:
+    """The lines of source that read rel_tol, as an attribute (p.trunc.rel_tol)
+    or a name; the word in a docstring or comment is no read."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == "rel_tol"
+                   and isinstance(node.ctx, ast.Load)
+                   or isinstance(node, ast.Name) and node.id == "rel_tol"
+                   and isinstance(node.ctx, ast.Load)})
+
+
+def test_detects_a_rel_tol_read():
+    source = (
+        '"""Stops whatever rel_tol."""\n'
+        "tol = p.trunc.rel_tol\n"
+        "rel_tol = 1e-12  # bound, not read\n"
+        "count = math.log(rel_tol)\n"
+        "getattr(trunc, 'rel_tol')\n"
+    )
+    assert rel_tol_reads(source) == [2, 4]
+
+
+def test_special_reads_no_rel_tol():
+    # Products and e_q stop where their rest is provably below rounding, so
+    # no function of special depends on the stopping rule's tolerance.
+    assert rel_tol_reads((SRC / "special.py").read_text(encoding="utf-8")) == []

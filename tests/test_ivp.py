@@ -744,7 +744,8 @@ class TestForcingKernel:
         # of the 18 new points sums its 11 terms, 198 with the 7 of the
         # residual's own sums (1,650 when each point read both tails and
         # summed to the stopping rule).  A second residual reads the point
-        # memo: it evaluates no point, so it fills no cell.
+        # memo: it evaluates no point, so it fills no cell.  The solution's
+        # own 681 terms (711 when products ran to rel_tol) count its tails.
         prob = IVProblem(0.8, 0.3, 0.0, 1.0, quadratic(1.0, -0.5, 0.7))
         y = solve_ivp_closed(prob, p_half)
         y(1.0)
@@ -759,7 +760,7 @@ class TestForcingKernel:
         assert head_counter.total == 205 == 18 * 11 + 7
         assert counter.total - head_counter.total == 404 < 845
         assert abs(first) <= 1e-13
-        diagnostics = {"terms": 711, "evaluations": 19, "head_orders": 1, "head_euler_terms": 10}
+        diagnostics = {"terms": 681, "evaluations": 19, "head_orders": 1, "head_euler_terms": 10}
         assert y.diagnostics == diagnostics
         assert ivp_residual(prob, y, 1.0, p_half) == first
         assert y.diagnostics == diagnostics
@@ -913,6 +914,18 @@ class TestHeadPlan:
         with pytest.raises(NonConvergence, match=r"^\(q\*\*x; q\)_inf at x=1\.0, q=0\.5: "):
             q_mittag_leffler(MLParams(0.8, 1.0, lam), 1.0, within)
 
+    def test_a_call_after_cut_is_a_first_call(self):
+        # cut grows the coefficient list and sets e_0 too.  A call after it
+        # still checks its length and looks past c_0 = 0 (beta = 0) for the
+        # first coefficient that is not 0, so it returns what a fresh head
+        # returns; it raised "the bound on the rest underflowed" when e_0
+        # alone marked the first call.
+        mp, p = MLParams(1e-5, 0.0, 0.3), QParams(0.5)
+        fresh = qfrac.ivp._ZeroHead(mp, p)(1.7)
+        head = qfrac.ivp._ZeroHead(mp, p)
+        head.cut(1.7, 1)
+        assert head(1.7) == fresh == pytest.approx(8.4876e-06, rel=1e-4)
+
     def test_plans_live_in_their_solutions(self, monkeypatch):
         # Each solution grows one list of coefficients and forms one
         # expansion, and keeps them: two solutions of different alpha share
@@ -1050,14 +1063,15 @@ class TestPicardLattice:
     def test_frozen_problem_term_count(self, p_half):
         # The series sum_k 0.3**k / Gamma_q(0.84 k + 1), k <= 10, is
         # 1.398405088791997 to 16 digits; one point, its 11 terms and their
-        # q-Pochhammer tails, one a term (859 terms with two a term, as
+        # q-Pochhammer tails, one a term, each stopped where its closed tail
+        # is exact (473 when they ran to rel_tol, 859 with two a term, as
         # ratios of coefficients).  Iterates summed whole on lattice columns
         # took 77,910 terms over 1,855 evaluations, and increment columns
         # 3,451 terms over 270.
         y = solve_ivp_picard(IVProblem(0.84, 0.3, 0.0, 1.0), 10, p_half)
         with count_terms() as counter:
             value = y(1.0)
-        assert counter.total == 473
+        assert counter.total == 286
         assert y.diagnostics["evaluations"] == 1
         assert counter.total < 77_910 and y.diagnostics["evaluations"] < 1_855
         assert rel_err(value, 1.3984050887919977) < 1e-14

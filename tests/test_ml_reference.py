@@ -259,15 +259,14 @@ def test_split_past_the_budget_grows_the_coefficients():
     with pytest.raises(NonConvergence, match=where.format(r"1\.0", r"0\.9") + "389 terms "
                        "exceed the budget of 100$"):
         q_mittag_leffler(MLParams(1e-5, 1.0, 0.9), z, QParams(0.5, Truncation(max_terms=100)))
-    # c_1 carries the rounding of q**x before 1 - q**x, x = 1e-5, into its
-    # first factor: up to eps / 2 q**x / (1 - q**x) relative, 7.2e4 eps,
-    # on top of the sum's own error (measured 1.4e4 eps in all).
+    # c_1's tail takes its first factor 1 - q**x, x = 1e-5, by expm1, so it
+    # carries no rounding of q**x (which cost it 1.4e4 eps by subtraction):
+    # the head meets the sum's own bound (measured 2.7 eps).
     head = _ZeroHead(MLParams(1e-5, 0.0, 0.3), p)
     got = head(z)
     assert head._lead == 1 and head._coefs[0] == 0.0
     want, condition = ml_from_zero(1e-5, 0.0, 0.3, z, 0.5)
-    coefficient = 0.5 * 0.5**1e-5 / (1.0 - 0.5**1e-5)
-    assert abs(got - want) <= (EULER_BOUND + coefficient) * _EPS * condition * abs(want)
+    assert abs(got - want) <= EULER_BOUND * _EPS * condition * abs(want)
 
 
 

@@ -1,5 +1,8 @@
+import decimal
 import math
+import random
 import re
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -547,15 +550,16 @@ def test_tail_memo_replays_term_counts():
         with count_terms() as counter:
             q_gamma(0.3, p)
         counts.append(counter.total)
-    assert (0.9, 0.3, p.trunc.rel_tol, p.trunc.max_terms) in special._TAIL_CACHE
+    assert (0.9, 0.3, p.trunc.max_terms) in special._TAIL_CACHE
     assert counts[0] == counts[1] > 0
 
 
 def test_short_tails_skip_the_cache():
     # A q-Mittag-Leffler series cut after 40 terms takes one tail per term,
-    # (q**(k+1); q)_inf at alpha = beta = 1.  Those with q**x below rel_tol
-    # (x = 39, 40) are 3 factors, cheaper than an entry, and are not stored;
-    # the tails q_gamma stored stay in place.
+    # (q**(k+1); q)_inf at alpha = beta = 1.  Those with q**x at most
+    # x_q = 2**-27 (1 - q) sqrt((1 + q) / q) (x = 27 to 40) are their closed
+    # tail alone, cheaper than an entry, and are not stored (x = 39, 40 when
+    # products ran to rel_tol); the tails q_gamma stored stay in place.
     from qfrac import special
     from qfrac.ivp import _ZeroHead
 
@@ -564,6 +568,154 @@ def test_short_tails_skip_the_cache():
     q_gamma(0.37, p)
     assert len(special._TAIL_CACHE) == 2
     _ZeroHead(MLParams(1.0, 1.0, -1.40625), p).cut(1.390625, 40)
-    assert len(special._TAIL_CACHE) == 39
-    assert (p.q, 0.37, p.trunc.rel_tol, p.trunc.max_terms) in special._TAIL_CACHE
-    assert (p.q, 39.0, p.trunc.rel_tol, p.trunc.max_terms) not in special._TAIL_CACHE
+    assert len(special._TAIL_CACHE) == 27
+    assert (p.q, 0.37, p.trunc.max_terms) in special._TAIL_CACHE
+    assert (p.q, 26.0, p.trunc.max_terms) in special._TAIL_CACHE
+    assert (p.q, 27.0, p.trunc.max_terms) not in special._TAIL_CACHE
+
+
+# Products and e_q stop where their rest is provably below rounding, so they
+# read no rel_tol; a decimal reference at 50 digits, sharing no code with
+# them, judges them in units of eps = 2**-52.
+_EPS = 2.0**-52
+_DIGITS = decimal.Context(prec=50)
+
+
+def decimal_product(c, q) -> Decimal:
+    """(c; q)_inf at 50 digits from the float (or Decimal) arguments: the
+    factors 1 - c q**j while |c q**j| >= 1e-45."""
+    with decimal.localcontext(_DIGITS):
+        c, q, product = Decimal(c), Decimal(q), Decimal(1)
+        while abs(c) >= Decimal("1e-45"):
+            product *= 1 - c
+            c *= q
+        return product
+
+
+def decimal_gamma(x: float, q: float) -> Decimal:
+    """(1 - q)**(1 - x) (q; q)_inf / (q**x; q)_inf at 45 digits or better."""
+    with decimal.localcontext(_DIGITS):
+        qd, xd = Decimal(q), Decimal(x)
+        return (1 - qd) ** (1 - xd) * decimal_product(qd, qd) / decimal_product(qd**xd, qd)
+
+
+def eps_off(got: float, want: Decimal) -> float:
+    return float(abs((Decimal(got) - want) / want)) / _EPS
+
+
+# The worst of 200 seeded c in [-1, 1) at each q, in eps: 3.4, 4.2, 6.8 and
+# 16.2 (3.8, 4.4, 10.5 and 15.5 when products ran to rel_tol).  The closed
+# tail is exact to about 2**-54; the rest is the rounding of the factors.
+@pytest.mark.parametrize(("q", "bound"), [(0.3, 4.0), (0.5, 5.0), (0.7, 8.0), (0.9, 20.0)])
+def test_products_meet_a_decimal_product(q, bound):
+    rng = random.Random(f"product:{q}")
+    p = QParams(q)
+    worst = max(eps_off(qfrac.special._q_product(c, p, ("(c; q)_inf",)), decimal_product(c, q))
+                for c in (rng.uniform(-1.0, 1.0) for _ in range(200)))
+    assert worst <= bound
+
+
+# e_q(t) = 1 / (z; q)_inf, z = (1 - q) t: the worst of 200 seeded z in
+# (-0.7, 0.7) at each q, in eps: 1.4, 1.4 and 16.6 (6.8, 34.3 and 138.2 under
+# the stopping rule).  At q = 0.7 the terms at z near -0.7 alternate, and
+# their sum is about 100 times smaller than the sum of their sizes.
+@pytest.mark.parametrize(("q", "bound"), [(0.3, 2.0), (0.5, 2.0), (0.7, 20.0)])
+def test_small_exp_meets_the_product_form(q, bound):
+    rng = random.Random(f"e_q:{q}")
+    p = QParams(q)
+    worst = 0.0
+    for _ in range(200):
+        t = rng.uniform(-0.7, 0.7) / (1.0 - q)
+        with decimal.localcontext(_DIGITS):
+            want = 1 / decimal_product((1.0 - q) * t, q)
+        worst = max(worst, eps_off(q_exp_e(t, p), want))
+    assert worst <= bound
+
+
+@pytest.mark.parametrize("alpha", [3e-16, -2.0 + 1e-11, -1.0 + 1e-9, 2e-8])
+def test_gamma_next_to_a_pole_keeps_its_digits(alpha):
+    # 1 - q**x by expm1 in the shift factors and in the tail's first factor:
+    # within 1.04 eps of 45 digits, where the subtraction was 6.35e-2,
+    # 2.45e-6, 6.58e-8 and 3.99e-9 off (q_gamma(3e-16) read 2**51).
+    assert eps_off(q_gamma(alpha, QParams(0.5)), decimal_gamma(alpha, 0.5)) <= 2.0
+
+
+def test_factorial_power_next_to_a_grid_pole_keeps_its_digits():
+    # s = t q: the power divides by (q**(1 + alpha); q)_inf, whose first
+    # factor is 1 - q**1e-10 at alpha = -1 + 1e-10 (7.6e-7 off by
+    # subtraction; measured 5.4e-16 with expm1).
+    alpha = -1.0 + 1e-10
+    with decimal.localcontext(_DIGITS):
+        q = Decimal(0.5)
+        want = decimal_product(q, q) / decimal_product(q ** (1 + Decimal(alpha)), q)
+    assert eps_off(q_factorial_power(1.0, 0.5, alpha, QParams(0.5)), want) <= 4.0
+
+
+def test_tail_at_a_small_argument_keeps_its_digits():
+    # (q**1e-5; q)_inf at q = 0.5: 5.6e-12 off by subtraction.
+    qfrac.special._TAIL_CACHE.clear()
+    got = qfrac.special._pochhammer_tail(1e-5, QParams(0.5))
+    with decimal.localcontext(_DIGITS):
+        want = decimal_product(Decimal(0.5) ** Decimal(1e-5), 0.5)
+    assert eps_off(got, want) <= 2.0
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_exact_work_reads_no_rel_tol(q):
+    loose, tight = QParams(q, Truncation(1e-6)), QParams(q, Truncation(1e-14))
+    for x in (0.37, 1.0, 2.5, -1.6):
+        gammas = []
+        for p in (loose, tight):  # each from fresh tails, not from the other's
+            qfrac.special._TAIL_CACHE.clear()
+            gammas.append(q_gamma(x, p))
+        assert gammas[0] == gammas[1]
+    for t in (-0.6, -0.2, 0.3, 0.7):
+        assert q_exp_e(t / (1.0 - q), loose) == q_exp_e(t / (1.0 - q), tight)
+        assert q_exp_E(t, loose) == q_exp_E(t, tight)
+
+
+class TestSmallExpLength:
+    """e_q is one cut sum whose length z = (1 - q) t and q set before any
+    term (see special.q_exp_e)."""
+
+    @pytest.mark.parametrize("t", [2.0, -2.0, 1e308, math.inf, math.nan])
+    def test_outside_the_disc_raises_before_any_term(self, t, p_half):
+        with count_terms() as counter:
+            with pytest.raises(NonConvergence, match=re.escape(
+                    f"e_q series at t={t!r}, q=0.5: |(1-q) t| = {abs(0.5 * t)!r} is not below "
+                    f"1, so the series diverges")):
+                q_exp_e(t, p_half)
+        assert counter.total == 0
+
+    def test_zero_takes_no_term(self, p_half):
+        with count_terms() as counter:
+            assert q_exp_e(0.0, p_half) == q_exp_e(-0.0, p_half) == 1.0
+        assert counter.total == 0
+
+    def test_hump_of_positive_terms_is_summed(self):
+        # z = 0.8 at q = 0.9: the terms rise from 1 to about 3.9e3 before they
+        # fall, which the stopping rule's growth watch took for divergence.
+        # They are positive, so nothing cancels; each carries the rounding
+        # of the running product that forms it (measured 14.9 eps in all).
+        p = QParams(0.9)
+        with decimal.localcontext(_DIGITS):
+            want = 1 / decimal_product((1.0 - 0.9) * 8.0, 0.9)
+        assert eps_off(q_exp_e(8.0, p), want) <= 20.0
+
+    def test_alternating_hump_raises(self):
+        with pytest.raises(NonConvergence, match=re.escape(
+                "e_q series at t=-8.0, q=0.9: the series converges (|(1-q) t| = "
+                "0.7999999999999998 < 1), but its alternating terms grew past the growth "
+                "watch, so a term-wise sum would cancel their digits")):
+            q_exp_e(-8.0, QParams(0.9))
+
+    def test_budget_below_the_length_raises_before_any_term(self):
+        # At q = 0.5, z = 0.25 the sum takes T_0 to T_20 and the rest.
+        with count_terms() as counter:
+            assert q_exp_e(0.5, QParams(0.5)) == pytest.approx(EXP_E_HALF_AT_Q_HALF, rel=1e-15)
+        assert counter.total == 22
+        with count_terms() as counter:
+            with pytest.raises(NonConvergence, match=re.escape(
+                    "e_q series at t=0.5, q=0.5: 22 terms exceed the budget of 21")):
+                q_exp_e(0.5, QParams(0.5, Truncation(max_terms=21)))
+        assert counter.total == 0
