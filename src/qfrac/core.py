@@ -29,7 +29,7 @@ import math
 import operator
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import DomainError, NonConvergence, NumericOverflow
 
@@ -204,7 +204,7 @@ def _accumulate(
     detect_growth: bool,
     count: int | None = None,
     where: tuple,
-    chain: _Chain | None = None,
+    operand: tuple[QFunction, float, float, bool] | None = None,
 ) -> float:
     """Sum terms under the stopping rule, or their first ``count`` in full.
 
@@ -228,19 +228,20 @@ def _accumulate(
     overflowed"; where only math.fsum's partials pass it, the terms are
     summed scaled by a power of 2 and the sum scaled back.
 
-    A sum over a chain (a Jackson sum, a lattice series, the forcing kernel)
-    also closes on its operand.  Its terms w_n v_n come from _walk, which puts
-    each sample v_n in ``chain`` while the sum watches the operand's ratio
-    sigma_n = v_n / v_{n-1}.  Two closures extrapolate the operand past the
-    sample v_N at hand: the rest v_N sum_{k>=1} w_{N+k} sigma**k drawn from
-    the weights, and the term test's closed tail, which for geometric weights
-    (a Jackson sum, a lattice series at order 1) is the same extrapolation.
-    Both go through one check first (_rest_holds): a few samples further
-    down the chain must match v_N sigma**k.  While sigma's relative drift
+    A sum over a chain (see _chain_sum) takes its weights w_n for terms and
+    samples its ``operand`` (f, x, q, upward) itself, v_n = f(x_n) at each
+    point of the chain, to sum w_n v_n; an infinite one also watches the
+    operand's ratio sigma_n = v_n / v_{n-1} and closes on it.  Two closures
+    extrapolate the operand past the sample v_N at hand: the rest
+    v_N sum_{k>=1} w_{N+k} sigma**k drawn from the weights, and the term
+    test's closed tail, which for geometric weights (a Jackson sum, a
+    lattice series at order 1) is the same extrapolation.  Both go through
+    one check first (_rest_holds): a few samples further down the chain
+    must match v_N sigma**k.  While sigma's relative drift
     between samples stays within rel_tol, the operand is watched.  After
     ``_SMALL_RUN`` such drifts, at the first term with |rho_N| < 1, the sum
-    checks the rest; if it holds, the walk draws the rest's terms from the
-    same weights with v_N sigma**k for samples, and no operand call.  The
+    checks the rest; if it holds, it draws the rest's terms from the same
+    weights with v_N sigma**k for samples, and no operand call.  The
     term test above then runs on at rel_tol (1 - |rho_N|) (the closed tail of
     a ratio that still settles is off by more than its drift, the more so as
     rho nears 1, and the rest's terms call no operand); they count as terms,
@@ -264,8 +265,14 @@ def _accumulate(
     template and its arguments (as _power takes them), formatted only when it
     is raised.
     """
+    if operand is not None:
+        f, x, q, upward = operand
     if count is not None:
         _check_budget(count, trunc, where)
+        if operand is not None:
+            points = itertools.accumulate(
+                itertools.repeat(q), operator.truediv if upward else operator.mul, initial=x)
+            terms = map(operator.mul, terms, map(f, points))
         terms = list(itertools.islice(terms, count))
         if not all(map(math.isfinite, terms)):
             n = next(n for n, term in enumerate(terms) if not math.isfinite(term))
@@ -289,7 +296,16 @@ def _accumulate(
     small_run = tail_run = growth_run = 0
     prev_term = prev_ratio = growth_base = 0.0
     rest = None
+    watched = operand is not None  # until a rest is drawn or the watch ends
     for n, term in enumerate(terms, 1):
+        if operand is not None:  # term is the weight of the sample v_n
+            if rest is None:
+                # x steps in place: cheaper per term than next() on points.
+                point, x = x, (x / q if upward else x * q)
+                sample = f(point)
+            else:
+                sample *= sigma
+            term *= sample
         if n > max_terms:
             _note_terms(n)
             raise NonConvergence(
@@ -316,9 +332,9 @@ def _accumulate(
                 # A tail that extrapolates a watched operand is checked first;
                 # a sample that contradicts it defers the closure.
                 if tail_run >= _SMALL_RUN:
-                    if rest is None and chain is not None and _rest_holds(
-                            chain, chain.sample / prev_sample, n, term, ratio, total, rel_tol,
-                            max_terms, 0) is False:
+                    if watched and _rest_holds(operand, point, sample, sample / prev_sample,
+                                               n, term, ratio, total, rel_tol, max_terms,
+                                               0) is False:
                         tail_run, operand_run = 0, -inf
                     else:
                         closed = term * ratio / gap
@@ -348,12 +364,9 @@ def _accumulate(
                     )
             else:
                 growth_run = 0
-        if chain is None:  # unweighted, or its operand did not settle
-            pass
-        elif rest is not None:
+        if rest is not None:
             rest += term
-        else:
-            sample = chain.sample
+        elif watched:
             if not prev_term:
                 prev_sigma, operand_run = 0.0, 0
             else:
@@ -366,19 +379,19 @@ def _accumulate(
                     # sigma**k overflows in the spot checks.
                     drift = sigma - prev_sigma
                     if drift * drift > rel_tol * rel_tol * (sigma * sigma):
-                        chain.sigma, chain = 0.0, None
+                        watched = False
                     else:
                         operand_run += 1
                         if operand_run >= _SMALL_RUN and 0.0 < abs(ratio) < 1.0:
-                            holds = _rest_holds(chain, sigma, n, term, ratio, total, rel_tol,
-                                                max_terms, _REST_MIN)
+                            holds = _rest_holds(operand, point, sample, sigma, n, term, ratio,
+                                                total, rel_tol, max_terms, _REST_MIN)
                             if holds:
-                                chain.sigma, head, rest, closed = sigma, total, 0.0, 0.0
+                                watched, head, rest, closed = False, total, 0.0, 0.0
                                 rel_tol *= 1.0 - abs(ratio)
                                 tail_tol = _TAIL_SHARE * rel_tol
                                 small_run = tail_run = 0
                             elif holds is None:
-                                chain.sigma, chain = 0.0, None
+                                watched = False
                             else:  # still watched, for the term test's closure
                                 operand_run = -inf
                 prev_sigma = sigma
@@ -393,17 +406,18 @@ def _accumulate(
     return total if rest is None else head + (rest + term + closed)
 
 
-def _rest_holds(chain: _Chain, sigma: float, n: int, term: float, ratio: float,
-                total: float, rel_tol: float, max_terms: int, least: int) -> bool | None:
+def _rest_holds(operand: tuple[QFunction, float, float, bool], x: float, v: float,
+                sigma: float, n: int, term: float, ratio: float, total: float,
+                rel_tol: float, max_terms: int, least: int) -> bool | None:
     """The spot checks of _accumulate before a closure extrapolates the
-    operand past its n-th term as v_n sigma**k: the rest drawn from sigma, or
-    the term test's closed tail.  True if the operand matches v_n sigma**k
-    at a few points further down the chain, False if a sample contradicts
-    it, None if the closure goes unchecked.  They alone decide whether sigma
-    has settled, as the watch before them only rules out a drift past
-    rel_tol; and ratios alone cannot tell a power from an operand that is one
-    only near the chain's start (a step, a clamp, a forcing of compact
-    support).
+    operand past its n-th term, the sample v = v_n at x = x_n, as
+    v_n sigma**k: the rest drawn from sigma, or the term test's closed tail.
+    True if the operand matches v_n sigma**k at a few points further down
+    the chain, False if a sample contradicts it, None if the closure goes
+    unchecked.  They alone decide whether sigma has settled, as the watch
+    before them only rules out a drift past rel_tol; and ratios alone cannot
+    tell a power from an operand that is one only near the chain's start (a
+    step, a clamp, a forcing of compact support).
 
     The rest's terms fall about as |term| r**k, r = |ratio| in (0, 1), and
     from the k-th on sum to |term| r**k / (1 - r).  Let scale be
@@ -420,14 +434,13 @@ def _rest_holds(chain: _Chain, sigma: float, n: int, term: float, ratio: float,
     that grows or holds between two checks, such as a step's, then costs the
     rest at most scale per check, and one past last at most scale times its
     size.  A deviation confined between two checks goes unseen.  A sample
-    that fails to evaluate leaves the closure unchecked (None): the walk
-    that follows samples that point only if the sum reaches it, and raises
-    there as before.
+    that fails to evaluate leaves the closure unchecked (None): the sum
+    samples that point only if it reaches it, and raises there as before.
     """
     r = abs(ratio)
     scale = _TAIL_SHARE * rel_tol * abs(total + term * ratio / (1.0 - ratio)) + _ABS_TOL
-    f, q, x, v = chain.f, chain.q, chain.point, chain.sample
-    if chain.upward:
+    f, _, q, upward = operand
+    if upward:
         q = 1.0 / q
     # A sample, sigma**k or r**-k out of range leaves the rest unchecked alike.
     try:
@@ -543,68 +556,21 @@ def _chain_sum(
     f: QFunction, x: float, upward: bool, weights: Iterable[float],
     steps: int | None, p: QParams, where: tuple,
 ) -> float:
-    """sum_k w_k f(x_k) over k < steps (all k >= 0 if steps is None) with w_k the
-    weights, x_0 = x and x_{k+1} = x_k / q (upward) or x_k * q, by _walk, the one
-    loop that walks a chain.  An infinite sum watches its operand, whatever
-    its weights, and spot-checks it before either closure that extrapolates
-    it (see _accumulate).  An infinite upward sum is watched for growth;
-    where names a failure, as in _accumulate, and a bare OverflowError of the
-    operand becomes NumericOverflow through it, so the innermost sum names a
-    nested operand's overflow."""
-    q = p.q
-    chain = _Chain(f, q, upward) if steps is None else None
+    """sum_k w_k f(x_k) over k < steps (all k >= 0 if steps is None) with w_k
+    the weights, which do not run out, x_0 = x and x_{k+1} = x_k / q
+    (upward) or x_k * q, in _accumulate, which watches an infinite sum's
+    operand whatever its weights, and an infinite upward sum for growth.
+    where names a failure, as in _accumulate, and a bare OverflowError of
+    the operand becomes NumericOverflow through it, so the innermost sum
+    names a nested operand's overflow."""
     try:
-        return _accumulate(_walk(f, x, q, upward, weights, chain), p.trunc,
-                           detect_growth=upward, count=steps, where=where, chain=chain)
+        return _accumulate(weights, p.trunc, detect_growth=upward, count=steps, where=where,
+                           operand=(f, x, p.q, upward))
     except NumericOverflow:
         raise
     except OverflowError as exc:
         detail = exc.args[-1] if exc.args else type(exc).__name__
         raise NumericOverflow(f"{_name(where)}: the operand overflowed ({detail})") from None
-
-
-class _Chain:
-    """The operand of an infinite sum over a chain, which _walk samples and
-    _accumulate watches.
-
-    While ``sigma`` is None, _walk puts each point x_N and its sample
-    v_N = f(x_N) in ``point`` and ``sample``, and reads ``sigma`` after each
-    term.  _accumulate sets it once: to 0.0 when it stops watching the
-    operand, and the walk goes on sampling; or to the operand's settled ratio,
-    and the walk takes v_N sigma**k for its samples from then on.  The spot
-    checks (_rest_holds) sample f off the walk, from ``point`` by powers of q.
-    """
-
-    __slots__ = ("f", "q", "upward", "point", "sample", "sigma")
-
-    def __init__(self, f: QFunction, q: float, upward: bool) -> None:
-        self.f, self.q, self.upward = f, q, upward
-        self.point = self.sample = 0.0
-        self.sigma: float | None = None
-
-
-def _walk(f: QFunction, point: float, q: float, upward: bool, weights: Iterable[float],
-          chain: _Chain | None) -> Iterator[float]:
-    """The terms w_k f(x_k) of _chain_sum, for weights that do not run out,
-    under the protocol of _Chain where a chain is given.  The state comes in
-    as arguments, as a closure over it makes each term slower."""
-    weights = iter(weights)
-    if chain is not None:
-        for w in weights:
-            chain.point = point
-            chain.sample = sample = f(point)
-            yield w * sample
-            point = point / q if upward else point * q
-            if chain.sigma is not None:
-                break
-        sigma = chain.sigma
-        if sigma:
-            for w in weights:
-                sample *= sigma
-                yield w * sample
-    for w in weights:
-        yield w * f(point)
-        point = point / q if upward else point * q
 
 
 def _jackson_sum(f: QFunction, x: float, p: QParams, steps: int | None = None) -> float:
@@ -623,11 +589,15 @@ def q_integral(f: QFunction, a: float, t: float, p: QParams) -> float:
     When a / t = q**d for an integer d (a, t > 0) the integral is the finite
     Jackson sum over the |d| lattice points of the larger endpoint, negated
     when a > t.  Otherwise it is the difference of two Jackson sums anchored at
-    zero, so both endpoints may be arbitrary non-negative reals.
+    zero, so both endpoints may be arbitrary finite non-negative reals; any
+    other endpoint raises DomainError before f is sampled.
     """
     if a < 0.0 or t < 0.0:
         raise DomainError(f"q-integral from a={a!r} to t={t!r}, q={p.q!r}: "
                           "integration endpoints must be >= 0")
+    if not (math.isfinite(a) and math.isfinite(t)):
+        raise DomainError(f"q-integral from a={a!r} to t={t!r}, q={p.q!r}: "
+                          "integration endpoints must be finite")
     if a == t:
         return 0.0
     d = _grid_exponent(a / t, p.q) if a > 0.0 and t > 0.0 else None
@@ -645,11 +615,14 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
     detected at runtime by watching the terms grow.  A finite b must sit on
     the q-grid through t (b = t q**-m with m >= 0), in which case the two-tail
     difference telescopes to an exact finite sum over the points in (t, b].
+    A t that is not finite and > 0 raises DomainError before f is sampled.
     """
     q = p.q
     where = ("tail integral from t={!r} to b={!r}, q={!r}", t, b, q)
     if not t > 0.0:
         raise DomainError(f"{_name(where)}: needs t > 0")
+    if t == math.inf:
+        raise DomainError(f"{_name(where)}: needs a finite t")
     steps = _upper_steps(t, b, q)
     weights = itertools.accumulate(
         itertools.repeat(q), operator.truediv, initial=(1.0 - q) * t / q

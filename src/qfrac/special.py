@@ -163,6 +163,7 @@ _QFACT_AT = "(t - s)_q^alpha at t={!r}, s={!r}, alpha={!r}, q={!r}"
 def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     """The q-factorial power (t - s)_q^alpha.
 
+    A non-finite t or alpha raises DomainError before any factor is taken.
     Integer alpha = m >= 0 gives the finite product prod_{i<m} (t - q**i s),
     on the grid s = t q**d the q-Pochhammer symbol t**m (q**d; q)_m, which is
     a signed zero exactly when its factor 1 - q**0 exists (d <= 0 < d + m),
@@ -182,6 +183,8 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     where = (_QFACT_AT, t, s, alpha, q)
     if not math.isfinite(alpha):
         raise DomainError(f"{_name(where)}: the exponent must be finite")
+    if not math.isfinite(t):
+        raise DomainError(f"{_name(where)}: t must be finite")
     if _is_integer_valued(alpha) and alpha >= 0:
         m = int(round(alpha))
         if m == 0:  # the empty product, but for an s rejected below

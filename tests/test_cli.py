@@ -490,12 +490,21 @@ class TestEvalErrors:
          "(t - s)_q^alpha at t=1.0, s=inf, alpha=2.0, q=0.5: s must be finite"),
         (["qfact", "--alpha", "2", "--t", "0", "--s", "nan"],
          "(t - s)_q^alpha at t=0.0, s=nan, alpha=2.0, q=0.5: s must be finite"),
+        (["qfact", "--alpha", "2", "--t", "nan", "--s", "0.5"],
+         "(t - s)_q^alpha at t=nan, s=0.5, alpha=2.0, q=0.5: t must be finite"),
+        (["qfact", "--alpha", "2", "--t", "inf", "--s", "0.5"],
+         "(t - s)_q^alpha at t=inf, s=0.5, alpha=2.0, q=0.5: t must be finite"),
+        (["qfact", "--t", "nan", "--s", "0.5"],
+         "(t - s)_q^alpha at t=nan, s=0.5, alpha=0.5, q=0.5: t must be finite"),
+        (["qfact", "--t", "inf", "--s", "0.5"],
+         "(t - s)_q^alpha at t=inf, s=0.5, alpha=0.5, q=0.5: t must be finite"),
     ], ids=["right-integral", "left-riemann", "right-riemann", "right-integral-off-grid-b",
             "gamma-not-finite", "big-exp", "qfact-not-finite", "qfact-t-zero", "qfact-t-negative",
             "ml-lambda-nan", "ml-z0-nan", "ml-z0-inf", "ml-z-nan", "ml-z-negative",
             "right-fracder-t-inf",
             "integer-fracder-t-inf", "integer-caputo-t-inf", "left-integral-t-inf",
-            "integer-qfact-s-inf", "integer-qfact-s-nan"])
+            "integer-qfact-s-inf", "integer-qfact-s-nan", "integer-qfact-t-nan",
+            "integer-qfact-t-inf", "qfact-t-nan", "qfact-t-inf"])
     def test_domain_error_names_its_parameters(self, argv, message):
         code, out, err = run_cli(
             ["eval", argv[0], "--q", "0.5", "--alpha", "0.5", "--f", "1", *argv[1:]])

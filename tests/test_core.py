@@ -239,6 +239,15 @@ class TestIntegral:
         with pytest.raises(DomainError, match=re.escape(
                 "q-integral from a=-1.0 to t=1.0, q=0.5: integration endpoints must be >= 0")):
             q_integral(lambda s: s, -1.0, 1.0, p_half)
+        # A NaN or infinite endpoint is rejected before the operand is
+        # sampled; it was sampled there, and the sum said "term 0 overflowed".
+        calls = []
+        for a, t in ((0.0, NAN), (1.0, INF), (NAN, 1.0), (INF, 0.5), (INF, INF)):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"q-integral from a={a!r} to t={t!r}, q=0.5: "
+                    "integration endpoints must be finite")):
+                q_integral(lambda s: calls.append(s) or s, a, t, p_half)
+        assert calls == []
 
     def test_budget_exhaustion(self):
         p = QParams(0.9, Truncation(max_terms=5))
@@ -338,6 +347,18 @@ class TestTailIntegral:
     def test_nonpositive_point_rejected(self, p_half):
         with pytest.raises(DomainError):
             q_integral_tail(lambda s: s, 0.0, INF, p_half)
+
+    @pytest.mark.parametrize("b", [INF, 4.0])
+    def test_infinite_point_rejected_before_any_sample(self, b, p_half):
+        # It was sampled at t / q = inf, and the sum said "term 0 overflowed".
+        calls = []
+        with pytest.raises(DomainError, match=re.escape(
+                f"tail integral from t=inf to b={b!r}, q=0.5: needs a finite t")):
+            q_integral_tail(lambda s: calls.append(s) or s**-2.0, INF, b, p_half)
+        with pytest.raises(DomainError, match=re.escape(
+                f"tail integral from t=nan to b={b!r}, q=0.5: needs t > 0")):
+            q_integral_tail(lambda s: calls.append(s) or s**-2.0, NAN, b, p_half)
+        assert calls == []
 
     def test_nonpositive_point_names_its_parameters(self, p_half):
         with pytest.raises(DomainError, match=r"^tail integral from t=-1\.0 to b=4\.0, "

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import re
 
 import pytest
@@ -770,6 +772,33 @@ class TestOperandClose:
         with count_terms() as counter:
             right_frac_integral(f, INF, 0.7, 1.0, p)
         assert (len(calls), counter.total) == right
+
+    def test_cut_sums_sample_each_point_once_in_order(self, p_half):
+        # x q**k down and x q**-k up for k < steps, exact at q = 1/2: a
+        # Jackson sum over [q**6, 1] and a right series to b = t q**-6.
+        f, calls = counted(lambda s: s)
+        q_integral(f, 0.5**6, 1.0, p_half)
+        assert calls == [0.5**k for k in range(6)]
+        f, calls = counted(lambda s: s**-3.0)
+        right_frac_integral(f, 2.0**6, 0.7, 1.0, p_half)
+        x = 1.0 / 0.5 * 0.5**(1.0 - 0.7)
+        assert calls == [x * 0.5**-k for k in range(6)]
+
+    def test_power_samples_its_walk_then_its_spot_checks(self):
+        # The 5 points walked (x_k by repeated steps of q), then the spot
+        # checks at x_4 q**k, k = 5, 15, 35, 75 and the rest's end; past
+        # them the rest calls the operand no more.
+        q = 0.9
+        p = QParams(q)
+        f, calls = counted(lambda s: s**0.5)
+        left_frac_integral(f, 0.0, 0.7, 1.0, p)
+        walked = list(itertools.accumulate(itertools.repeat(q, 4), operator.mul, initial=1.0))
+        assert calls == walked + [walked[-1] * q**k for k in (5, 15, 35, 75, 131)]
+        f, calls = counted(lambda s: s**-3.0)
+        right_frac_integral(f, INF, 0.7, 1.0, p)
+        walked = list(itertools.accumulate(
+            itertools.repeat(q, 4), operator.truediv, initial=1.0 / q * q**(1.0 - 0.7)))
+        assert calls == walked + [walked[-1] * (1.0 / q)**k for k in (5, 15, 35, 75, 94)]
 
     def test_rest_runs_under_the_budget(self):
         # The rest's terms count against max_terms as the samples do; its

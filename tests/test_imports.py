@@ -9,7 +9,9 @@ top-level function or class twice, nor a class a method twice, so no
 definition is shadowed unseen.  No module of the package but core reads
 math.fsum, so every sum of known length is core._accumulate's.  special
 reads no rel_tol, so its products and e_q stay exact to rounding whatever
-the stopping rule's tolerance.
+the stopping rule's tolerance.  No class of the package is a record with no
+behaviour: each one is decorated, has a base class or a method other than
+__init__.
 
 A name counts as used when the module reads it (including inside a quoted
 annotation) or lists it in ``__all__``, so a stale ``__all__`` entry would
@@ -387,3 +389,48 @@ def test_special_reads_no_rel_tol():
     # Products and e_q stop where their rest is provably below rounding, so
     # no function of special depends on the stopping rule's tolerance.
     assert rel_tol_reads((SRC / "special.py").read_text(encoding="utf-8")) == []
+
+
+def behaviourless_classes(source: str) -> list[str]:
+    """The classes of source, at any depth, that have no decorator, no base
+    class and no method but __init__: state passed around with no behaviour
+    of its own."""
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    return [f"line {node.lineno}: {node.name}"
+            for node in sorted(classes, key=lambda node: node.lineno)
+            if not node.decorator_list and not node.bases and not node.keywords
+            and {item.name for item in node.body
+                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))} <= {"__init__"}]
+
+
+def test_detects_a_class_with_no_behaviour():
+    source = (
+        "class _Record:\n"
+        "    __slots__ = ('a',)\n"
+        "    def __init__(self, a):\n"
+        "        self.a = a\n"
+        "class _Empty:\n"
+        "    pass\n"
+        "class _Counter:\n"
+        "    def __init__(self):\n"
+        "        self.n = 0\n"
+        "    def bump(self):\n"
+        "        self.n += 1\n"
+        "class Failure(Exception):\n"
+        "    pass\n"
+        "@dataclass\n"
+        "class Params:\n"
+        "    q: float\n"
+        "def make():\n"
+        "    class _Local:\n"
+        "        def __init__(self):\n"
+        "            pass\n"
+        "    return _Local\n"
+    )
+    assert behaviourless_classes(source) == ["line 1: _Record", "line 5: _Empty",
+                                             "line 18: _Local"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_class_without_behaviour(module):
+    assert behaviourless_classes((SRC / module).read_text(encoding="utf-8")) == []

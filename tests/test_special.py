@@ -193,6 +193,20 @@ class TestFactorialPower:
                 "the exponent must be finite")):
             q_factorial_power(1.0, 0.5, alpha, p_half)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, 0.5])
+    def test_non_finite_base_is_rejected_before_any_factor(self, t, alpha, p_half,
+                                                             monkeypatch):
+        # At alpha = 2 the factors of t = nan or inf made a product that
+        # "overflowed", and at 0.5 t = inf made a value that did.
+        calls = []
+        for name in ("_q_product", "_power", "_pochhammer_tail"):
+            monkeypatch.setattr(qfrac.special, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(DomainError, match=re.escape(
+                f"(t - s)_q^alpha at t={t!r}, s=0.5, alpha={alpha!r}, q=0.5: t must be finite")):
+            q_factorial_power(t, 0.5, alpha, p_half)
+        assert calls == []
+
     def test_zero_base_integer_exponent(self, p_half):
         # prod_i (0 - q^i s) = (-s)^m q^(m(m-1)/2)
         got = q_factorial_power(0.0, 2.0, 2.0, p_half)
