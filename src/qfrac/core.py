@@ -504,8 +504,12 @@ def _power(base: float, exponent: float, where: str, *args: object) -> float:
 
 
 def q_bracket(r: float, p: QParams) -> float:
-    """The q-number [r]_q = (1 - q**r) / (1 - q)."""
-    return (1.0 - _power(p.q, r, "[r]_q at r={!r}, q={!r}", r, p.q)) / (1.0 - p.q)
+    """The q-number [r]_q = (1 - q**r) / (1 - q); an r that is not finite
+    raises DomainError."""
+    where = "[r]_q at r={!r}, q={!r}"
+    if not math.isfinite(r):
+        raise DomainError(f"{where.format(r, p.q)}: r must be finite")
+    return (1.0 - _power(p.q, r, where, r, p.q)) / (1.0 - p.q)
 
 
 def nabla_q(f: QFunction, t: float, p: QParams) -> float:

@@ -52,9 +52,12 @@ def _derivative_order(order: float) -> tuple[float, int]:
 
 def r_coef(alpha: float, q: float) -> float:
     """Prefactor q**(-alpha (alpha - 1) / 2) of right-sided operators; an
-    overflow, of the power or of its exponent (|alpha| above about 1e154),
-    raises NumericOverflow naming alpha and q."""
+    alpha that is not finite raises DomainError, and an overflow, of the
+    power or of its exponent (|alpha| above about 1e154), NumericOverflow,
+    each naming alpha and q."""
     where = "r(alpha) at alpha={!r}, q={!r}"
+    if not math.isfinite(alpha):
+        raise DomainError(f"{where.format(alpha, q)}: alpha must be finite")
     value = _power(q, -0.5 * alpha * (alpha - 1.0), where, alpha, q)
     if math.isinf(value):
         raise NumericOverflow(f"{where.format(alpha, q)}: the exponent overflowed")
@@ -160,15 +163,16 @@ def left_frac_integral(
 
     For t > 0 and every a >= 0 it is _left_series of weight ((1-q) t)**alpha:
     a lattice series, less its part anchored at an a off the grid of t or
-    above t.  a = t = 0 gives 0.0; a NaN or negative a or t, an infinite t,
-    or t = 0 below a > 0, raises DomainError naming t, a, alpha and q.  A
-    negative non-integer order -alpha gives the left Riemann derivative of
-    order alpha from every start.
+    above t.  a = t = 0 gives 0.0; a NaN or negative a or t, an infinite a
+    or t, or t = 0 below a > 0, raises DomainError naming t, a, alpha and q,
+    before any sample.  A negative non-integer order -alpha gives the left
+    Riemann derivative of order alpha from every start.
     """
     alpha = _integral_order(order)
     q = p.q
-    if t == math.inf:
-        raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: needs a finite t")
+    if t == math.inf or a == math.inf:
+        end = "t" if t == math.inf else "a"
+        raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: needs a finite {end}")
     steps = _start_steps(a, t, q)
     if steps != -1 or (a > 0.0 and t > 0.0):
         weight = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
@@ -217,15 +221,17 @@ def left_riemann_deriv(
 
     For non-integer alpha it is left_frac_integral at order -alpha from every
     start a: the kernel's derivative in t is the kernel of one order less,
-    so the n q-derivatives pass through the sum term by term.  t <= 0 raises
-    DomainError.
+    so the n q-derivatives pass through the sum term by term.  t <= 0, or
+    at any order an infinite a, raises DomainError before any sample.
     """
     alpha, n = _derivative_order(order)
+    where = ("left Riemann derivative at t={!r}, a={!r}, alpha={!r}, q={!r}", t, a, alpha, p.q)
+    if a == math.inf:
+        raise DomainError(f"{_name(where)}: needs a finite a")
     if n == alpha:
         return nabla_q_n(f, t, n, p)
     if not t > 0.0:
-        raise DomainError(f"left Riemann derivative at t={t!r}, a={a!r}, alpha={alpha!r}, "
-                          f"q={p.q!r}: needs t > 0")
+        raise DomainError(f"{_name(where)}: needs t > 0")
     return left_frac_integral(f, a, -alpha, t, p)
 
 
@@ -349,17 +355,19 @@ def left_caputo(
     f(0) are limits toward 0 (_limits_at_zero), and an f with no
     integer-power expansion at 0 (s**0.5, s**2.5) raises NonConvergence.
     From a = t (t = 0 included) it is an empty sum, 0.0 with no sample; any
-    other t <= 0, a < 0 or NaN endpoint raises DomainError naming t and a.
-    Kills constants for non-integer order; integer order is the plain
-    n-fold q-derivative.
+    other t <= 0, a < 0 or NaN endpoint, or at any order an infinite a,
+    raises DomainError naming t and a, before any sample.  Kills constants
+    for non-integer order; integer order is the plain n-fold q-derivative.
     """
     alpha, n = _derivative_order(order)
+    q = p.q
+    where = (_CAPUTO_AT, "left", t, "a", a, alpha, q)
+    if a == math.inf:
+        raise DomainError(f"{_name(where)}: needs a finite a")
     if n == alpha:
         return nabla_q_n(f, t, n, p)
     if a == t and t >= 0.0:
         return 0.0
-    q = p.q
-    where = (_CAPUTO_AT, "left", t, "a", a, alpha, q)
     if not (t > 0.0 and a >= 0.0):
         raise DomainError(f"{_name(where)}: needs t > 0 and a >= 0")
     remainder = _taylor_remainder(f, a, t, n, where, p)

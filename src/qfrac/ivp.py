@@ -24,7 +24,8 @@ from . import special
 from .core import (QFunction, QParams, _accumulate, _chain_sum, _check_budget, _grew, _name,
                    _power, _start_steps, count_terms, q_bracket)
 from .errors import DomainError, NonConvergence
-from .fractional import _LEFT_AT, _left_series, left_caputo, left_frac_integral
+from .fractional import (_LEFT_AT, _lattice_weights, _left_series, left_caputo,
+                         left_frac_integral)
 
 __all__ = [
     "MLParams",
@@ -70,15 +71,16 @@ def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
     """Evaluate the q-Mittag-Leffler series at z.
 
     A term whose alpha k + beta is a pole of q_gamma is 0, as 1 / q_gamma is
-    entire.  A z that is NaN or below 0 raises DomainError.  From z0 = 0
-    (z > 0) the sum is a _ZeroHead's, built for this call, and |lam ((1-q)
-    z)**alpha| >= 1 raises NonConvergence before any term.  From any other z0
-    it is _ml_sum's at the lattice position of z0 below z, and divergence is
-    detected at runtime, by terms that grow.
+    entire.  A z that is NaN, below 0 or infinite raises DomainError.  From
+    z0 = 0 (z > 0) the sum is a _ZeroHead's, built for this call, and
+    |lam ((1-q) z)**alpha| >= 1 raises NonConvergence before any term.  From
+    any other z0 it is _ml_sum's at the lattice position of z0 below z, and
+    divergence is detected at runtime, by terms that grow.
     """
-    if not z >= 0.0:
+    if not 0.0 <= z < math.inf:
         where = (_ML_AT, z, mp.z0, mp.alpha, mp.beta, mp.lam, p.q)
-        raise DomainError(f"{_name(where)}: needs z >= 0")
+        need = "a finite z" if z == math.inf else "z >= 0"
+        raise DomainError(f"{_name(where)}: needs {need}")
     j = _start_steps(mp.z0, z, p.q)
     return _ZeroHead(mp, p)(z) if j is None else _ml_sum(mp, z, j, p)
 
@@ -487,7 +489,9 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     head from a = 0 is the solution's own _ZeroHead, whose coefficients its
     points share, cut after m + 1 terms for Picard; the closed form's P and N
     are in the diagnostics as head_orders and head_euler_terms.  The head on
-    the time scale takes _ml_sum."""
+    the time scale takes _ml_sum.  Picard's forcing at a point is one
+    lattice series whose weights sum its m orders', each from its own
+    recurrence, so f's samples are weighted once, not once per order."""
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
     q = p.q
     # Every term of the forcing series samples f on the same lattice points.
@@ -506,19 +510,28 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
                    * _left_series(forcing, a, alpha * (k + 1), t, steps, h, p))
 
     def forced(t: float, steps: int | None) -> float:
-        """The forcing term at t > a: order by order for Picard and from an a
-        off the grid of t, else its first P orders and the kernel's series,
-        or for P = 0 that series alone."""
+        """The forcing term at t > a: for Picard one series whose weight at
+        index i is h sum_{k<m} (lam h)**k w_i^(alpha(k+1)), the lattice weights
+        of each order added in k order; for the closed form order by order
+        from an a off the grid of t, else its first P orders and the
+        kernel's series, or for P = 0 that series alone."""
         h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
         where = ("forcing at t={!r}, alpha={!r}, lam={!r}, q={!r}", t, alpha, lam, q)
-        if kernel is None or steps == -1:
-            return _accumulate(order_terms(t, steps, h), p.trunc, detect_growth=True, count=m,
+        if m is not None:  # every Picard point lies on the grid of a
+            _check_budget(m, p.trunc, where)
+            orders = [_lattice_weights(h * _power(lam * h, k, _FORCING_AT, t, alpha, lam, k), q,
+                                       q ** (alpha * (k + 1)), q, q) for k in range(m)]
+            return _chain_sum(forcing, t, False, map(sum, zip(*orders)), steps, p, where)
+        if steps == -1:
+            return _accumulate(order_terms(t, steps, h), p.trunc, detect_growth=True,
                                where=where)
         if not abs(lam * h) < 1.0:
             raise NonConvergence(f"{_name(where)}: |lam ((1-q) t)**alpha| = {abs(lam * h)!r} "
                                  f">= 1, so the series diverges")
         series = lambda: _chain_sum(forcing, t, False, kernel.weights(t, h, steps), steps, p,
                                     where)
+        if kernel.orders == 0:
+            return series()
         # Far down the chain z is small, and the rule ends the orders before P.
         return _split_sum(order_terms(t, steps, h), kernel.orders, series, p, where)
 
@@ -593,10 +606,16 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
         y_m(t) = a0 sum_{k<=m} lam**k (t - a)_q^(alpha k) / Gamma_q(alpha k + 1)
                  + sum_{k<m} lam**k I_a^(alpha(k+1)) f(t),
 
-    each summed in full however its terms grow, so y_m exists where the closed
-    form raises NonConvergence.  Diagnostics count the evaluated points and
-    their terms.  m < 0, t < a and, with a > 0, a t off the time scale
-    a q**-j raise DomainError; y(a) = a0, and y_0 = a0 even when forced.
+    the head summed in full however its terms grow, so y_m exists where the
+    closed form raises NonConvergence.  Every point lies on the grid of a,
+    so each I_a^(alpha(k+1)) f(t) is a lattice series over the same samples
+    f(t q**i), and the forcing is one series over them, its weight at i
+    h sum_{k<m} (lam h)**k w_i^(alpha(k+1)), h = ((1-q) t)**alpha, with w the
+    unit-weight lattice weights of each order (fractional._lattice_weights),
+    added in k order; m is checked against max_terms before any weight is
+    formed.  Diagnostics count the evaluated points and their terms.  m < 0,
+    t < a and, with a > 0, a t off the time scale a q**-j raise DomainError;
+    y(a) = a0, and y_0 = a0 even when forced.
     """
     if m < 0:
         raise DomainError(f"iteration count must be >= 0, got {m}")

@@ -326,11 +326,12 @@ def q_exp_e(t: float, p: QParams) -> float:
     """Small q-exponential e_q(t) = sum_k t**k / [k]_q! = 1 / (z; q)_inf,
     z = (1 - q) t, for |z| < 1.
 
-    |z| >= 1 (or a NaN z) raises NonConvergence before any term, and z = 0
-    gives 1.0.  Otherwise e_q is the cut sum (core._accumulate, math.fsum)
-    of T_0 = 1, T_k = T_{k-1} z / (1 - q**k) for k <= K and the geometric
-    rest G = T_K z / (1 - z).  With a = q**(K+1) the true rest differs from
-    G by at most |T_K| |z| / (1 - |z|) (1 / (a; q)_inf - 1), and
+    A t that is not finite raises DomainError, and |z| >= 1 NonConvergence,
+    before any term; z = 0 gives 1.0.  Otherwise e_q is the cut sum
+    (core._accumulate, math.fsum) of T_0 = 1, T_k = T_{k-1} z / (1 - q**k)
+    for k <= K and the geometric rest G = T_K z / (1 - z).  With
+    a = q**(K+1) the true rest differs from G by at most
+    |T_K| |z| / (1 - |z|) (1 / (a; q)_inf - 1), and
     1 / (a; q)_inf - 1 <= 2 a / ((1 - q) (1 - a)) while that is at most 1
     (it is exp(u) - 1 at most, u = a / ((1 - q) (1 - a))), and below
     1 / (q; q)_inf always.  K, found before the first term from
@@ -344,6 +345,8 @@ def q_exp_e(t: float, p: QParams) -> float:
     """
     q = p.q
     where = (_EXP_AT, t, q)
+    if not math.isfinite(t):
+        raise DomainError(f"{_name(where)}: t must be finite")
     z = (1.0 - q) * t
     size = abs(z)
     if not size < 1.0:

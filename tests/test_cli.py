@@ -1,6 +1,7 @@
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -53,6 +54,21 @@ OPERATORS = {
     ("caputo", "left"): left_caputo,
     ("caputo", "right"): right_caputo,
 }
+
+
+# Each eval target, as the words that select it, with a valid value for every
+# numeric flag it reads besides the common --q, --rel-tol and --max-terms.
+NUMERIC_FLAGS = {
+    ("gamma",): {"--alpha": "0.5"},
+    ("qfact",): {"--t": "1", "--s": "0.5", "--alpha": "0.5"},
+    ("ml",): {"--alpha": "0.5", "--beta": "1", "--lambda": "0.3", "--z": "1", "--z0": "0"},
+    ("eq",): {"--t": "0.5"},
+    ("Eq",): {"--t": "0.5"},
+    **{(target, "--side", side, "--f", "s"):
+       {"--alpha": "0.5", "--t": "1", **({"--a": "0"} if side == "left" else {"--b": "4"})}
+       for target, side in OPERATORS},
+}
+COMMON_FLAGS = {"--q": "0.5", "--rel-tol": "1e-12", "--max-terms": "10000"}
 
 
 class TestEval:
@@ -509,6 +525,23 @@ class TestEvalErrors:
         code, out, err = run_cli(
             ["eval", argv[0], "--q", "0.5", "--alpha", "0.5", "--f", "1", *argv[1:]])
         assert (code, out, err) == (3, "", f"qfrac: error: {message}\n")
+
+    # --b inf is the documented end of the right operators, not an error.
+    @pytest.mark.parametrize("words, flag, value", [
+        (words, flag, value)
+        for words, flags in NUMERIC_FLAGS.items()
+        for flag in [*COMMON_FLAGS, *flags]
+        for value in ("nan", "inf", "-inf")
+        if (flag, value) != ("--b", "inf")
+    ])
+    def test_non_finite_number_is_a_usage_error(self, words, flag, value):
+        # Every numeric flag of every target: exit 3, naming the value,
+        # before any output.
+        flags = {**COMMON_FLAGS, **NUMERIC_FLAGS[words], flag: value}
+        code, out, err = run_cli(["eval", *words, *itertools.chain(*flags.items())])
+        assert (code, out) == (3, "")
+        assert err.startswith("qfrac: error: ")
+        assert re.search(rf"(=|got |'){re.escape(value)}\b", err), err
 
     @pytest.mark.parametrize("side, end", [("right", "b=inf"), ("left", "a=0.0")])
     def test_operand_overflow_names_its_sum(self, side, end):

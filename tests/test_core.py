@@ -75,6 +75,13 @@ class TestBracketAndDerivative:
         with pytest.raises(NumericOverflow, match=r"r=-2000, q=0\.5"):
             q_bracket(-2000, p_half)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_bracket_of_a_non_finite_number_is_a_domain_error(self, p_half, r):
+        # A NaN gave nan.
+        message = f"[r]_q at r={r!r}, q=0.5: r must be finite"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            q_bracket(r, p_half)
+
     def test_derivative_of_constant(self, p_half):
         assert nabla_q(lambda s: 3.0, 1.0, p_half) == 0.0
 

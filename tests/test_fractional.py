@@ -121,6 +121,13 @@ class TestRightEndpoint:
         with pytest.raises(NumericOverflow, match=re.escape(f"alpha={alpha!r}, q=0.5")):
             r_coef(alpha, 0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, INF, -INF])
+    def test_r_coefficient_of_a_non_finite_order_is_a_domain_error(self, alpha):
+        # A NaN gave nan, and an infinity read as an overflow.
+        with pytest.raises(DomainError, match=re.escape(
+                f"r(alpha) at alpha={alpha!r}, q=0.5: alpha must be finite")):
+            r_coef(alpha, 0.5)
+
     def test_nonpositive_endpoint_rejected(self, p_half):
         for b in (0.0, -1.0, -INF, math.nan):
             with pytest.raises(DomainError):
@@ -414,6 +421,20 @@ class TestCaputo:
                 r"^left Caputo derivative at t=1\.0, a=0\.0, alpha=2\.5, q=0\.5: "
                 r"78 terms exceed the budget of 77$")):
             left_caputo(raising_operand, 0.0, 2.5, 1.0, QParams(0.5, Truncation(max_terms=77)))
+
+    @pytest.mark.parametrize("name, operator", [
+        ("left fractional integral", left_frac_integral),
+        ("left Riemann derivative", left_riemann_deriv),
+        ("left Caputo derivative", left_caputo),
+    ], ids=["integral", "riemann", "caputo"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    def test_infinite_start_is_a_domain_error(self, p_half, name, operator, alpha):
+        # Named through the operator and its a, before any sample, at every
+        # order: the integral named an internal factorial power, and Caputo
+        # read f at inf for its q-Taylor part.
+        with pytest.raises(DomainError, match=re.escape(
+                f"{name} at t=1.0, a=inf, alpha={alpha!r}, q=0.5: needs a finite a")):
+            operator(raising_operand, INF, alpha, 1.0, p_half)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
     def test_left_endpoints_outside_the_domain(self, p_half, alpha):

@@ -182,6 +182,15 @@ class TestMittagLeffler:
             q_mittag_leffler(MLParams(0.9, 1.0, 0.3, z0), z, p_half)
         assert calls == []
 
+    @pytest.mark.parametrize("z0", [0.0, 0.5])
+    def test_infinite_z_is_a_domain_error(self, monkeypatch, p_half, z0):
+        # It read as a divergent series (exit 2 in the CLI) from z0 = 0.
+        calls = TestHeadPlan.spy_tails(monkeypatch)
+        where = f"q-Mittag-Leffler at z=inf, z0={z0!r}, alpha=0.9, beta=1.0, lam=0.3, q=0.5"
+        with pytest.raises(DomainError, match=f"^{re.escape(where)}: needs a finite z$"):
+            q_mittag_leffler(MLParams(0.9, 1.0, 0.3, z0), math.inf, p_half)
+        assert calls == []
+
     @pytest.mark.parametrize("beta", [1.0, 0.5, 2.5])
     def test_z_zero_is_the_first_term(self, p_half, beta):
         got = q_mittag_leffler(MLParams(0.9, beta, 0.3), 0.0, p_half)
@@ -778,6 +787,26 @@ class TestForcingKernel:
         assert abs(ivp_residual(prob, y, 1.0, p_half)) <= 1e-13
         assert y.diagnostics["evaluations"] == points and calls == []
 
+    @pytest.mark.parametrize(("q", "orders"), [(0.3, 0), (0.5, 0), (0.9, 21)])
+    def test_split_sum_serves_only_orders_apart(self, monkeypatch, q, orders):
+        # At P = 0 the forcing is the kernel's series alone, with its value
+        # unchanged; only orders kept apart (P = 21 at q = 0.9) enter
+        # _split_sum.
+        def split_sum(*args, **kwargs):
+            raise AssertionError("_split_sum entered")
+
+        p = QParams(q)
+        prob = IVProblem(0.8, 0.3, 0.0, 1.0, quadratic(1.0, -0.5, 0.7))
+        want = solve_ivp_closed(prob, p)(1.0)
+        monkeypatch.setattr(qfrac.ivp, "_split_sum", split_sum)
+        y = solve_ivp_closed(prob, p)
+        assert qfrac.ivp._kernel_orders(0.8, p) == orders
+        if orders:
+            with pytest.raises(AssertionError, match="_split_sum entered"):
+                y(1.0)
+        else:
+            assert y(1.0) == want
+
     def test_head_reads_only_its_first_terms(self, monkeypatch, p_half):
         # P = 1 at q = 0.5 for alpha = 0.8: the head's plan, formed at the
         # first point past a = 0, reads (q; q)_inf and its one coefficient
@@ -1096,15 +1125,59 @@ class TestPicardLattice:
         assert counter.total == 0
 
     def test_budget_exhaustion_from_origin(self):
-        # 60 terms cover q_gamma's products; the forcing integral's terms
-        # fall like q**(0.1 i) with no settled ratio and need more.
+        # 60 terms cover q_gamma's products; the forcing series' terms fall
+        # like q**(0.1 i) with no settled ratio and need more.
         p = QParams(0.5, Truncation(max_terms=60))
         wobble = chain_wobble(0.5)
         y = solve_ivp_picard(
             IVProblem(0.9, 0.3, 0.0, 1.0, lambda s: s**-0.9 * wobble(s)), 2, p
         )
-        with pytest.raises(NonConvergence, match="left fractional integral"):
+        with pytest.raises(NonConvergence, match=r"forcing at t=1\.0.*did not fire"):
             y(1.0)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [1, 3, 25])
+    @pytest.mark.parametrize("lam", [0.3, -0.3])
+    @pytest.mark.parametrize("forcing", [quadratic(1.0, 1.0, -1.0), math.exp], ids=["poly", "exp"])
+    def test_forcing_is_the_sum_of_its_orders(self, q, m, lam, forcing):
+        # The forcing is one series over the summed weights of its m orders;
+        # it equals the orders lam**k I_a^(alpha(k+1)) f(t), k < m, each
+        # through the public operator.  Both stop under the rule at rel_tol,
+        # at different terms: the worst gap, 2.1e-14 at q = 0.9, is within
+        # the bound.
+        p = QParams(q)
+        for a in (0.0, q**4):
+            y = solve_ivp_picard(IVProblem(0.8, lam, a, 1.0, forcing), m, p)
+            head = solve_ivp_picard(IVProblem(0.8, lam, a, 1.0), m, p)
+            for t in (1.0, q**2 if a == 0.0 else q**3):
+                orders = math.fsum(lam**k * left_frac_integral(forcing, a, 0.8 * (k + 1), t, p)
+                                   for k in range(m))
+                assert rel_err(y(t), head(t) + orders) < 5e-14, (a, t)
+
+    @pytest.mark.parametrize(("q", "terms"), [(0.3, 16), (0.5, 25), (0.9, 134)])
+    def test_forcing_terms_do_not_grow_with_the_iterations(self, q, terms):
+        # The terms of the forcing alone, the forced problem's less the
+        # unforced one's: one series whatever m.  Order by order they were
+        # 17, 26 and 135 at m = 1 and 425, 556 and 3,725 at m = 25.
+        p, f = QParams(q), quadratic(1.0, 1.0, -1.0)
+        for m in (1, 3, 25):
+            counts = []
+            for forcing in (f, None):
+                y = solve_ivp_picard(IVProblem(0.8, 0.3, 0.0, 1.0, forcing), m, p)
+                y(1.0)
+                counts.append(y.diagnostics["terms"])
+            assert counts[0] - counts[1] == terms, m
+
+    def test_forcing_past_the_budget_raises_before_any_sample(self):
+        # a0 = 0 sums no head; the forcing's m orders, a length known up
+        # front, are checked before any weight is formed.
+        samples = []
+        y = solve_ivp_picard(IVProblem(0.5, 0.3, 0.0, 0.0, samples.append), 20000, QParams(0.5))
+        with count_terms() as counter, pytest.raises(NonConvergence, match=(
+                r"^forcing at t=1\.0, alpha=0\.5, lam=0\.3, q=0\.5: 20000 terms exceed the "
+                r"budget of 10000$")):
+            y(1.0)
+        assert counter.total == 0 and samples == []
 
     @staticmethod
     def evaluate_in_threads(shared, points):

@@ -694,10 +694,15 @@ class TestSmallExpLength:
 
     @pytest.mark.parametrize("t", [2.0, -2.0, 1e308, math.inf, math.nan])
     def test_outside_the_disc_raises_before_any_term(self, t, p_half):
+        # A finite t outside the disc is a divergent series; one that is not
+        # finite is outside the domain.
+        if math.isfinite(t):
+            error, message = NonConvergence, (f"|(1-q) t| = {abs(0.5 * t)!r} is not below 1, "
+                                              f"so the series diverges")
+        else:
+            error, message = DomainError, "t must be finite"
         with count_terms() as counter:
-            with pytest.raises(NonConvergence, match=re.escape(
-                    f"e_q series at t={t!r}, q=0.5: |(1-q) t| = {abs(0.5 * t)!r} is not below "
-                    f"1, so the series diverges")):
+            with pytest.raises(error, match=re.escape(f"e_q series at t={t!r}, q=0.5: {message}")):
                 q_exp_e(t, p_half)
         assert counter.total == 0
 
