@@ -19,7 +19,8 @@ shift steps) checks that length against ``max_terms`` once, in
 ``_check_budget``, before any of it is done; only an infinite sum runs into
 the budget as it goes.  A power that may overflow goes through ``_power``,
 which raises NumericOverflow naming its caller's parameters instead of a
-bare OverflowError.
+bare OverflowError.  Every public entry point first checks its numeric
+arguments against one table, ``_DOMAINS``, in ``_check_domain``.
 """
 
 from __future__ import annotations
@@ -113,10 +114,7 @@ class Truncation:
     max_terms: int = 10_000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < 1.0:
-            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be at least 1, got {self.max_terms}")
+        _check_domain("Truncation", self.rel_tol, self.max_terms)
 
 
 @dataclass(frozen=True)
@@ -127,8 +125,7 @@ class QParams:
     trunc: Truncation = field(default_factory=Truncation)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.q < 1.0):
-            raise DomainError(f"q must lie strictly inside (0, 1), got {self.q}")
+        _check_domain("QParams", self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +468,72 @@ def _check_budget(n: int, trunc: Truncation, where: tuple) -> None:
         raise NonConvergence(f"{_name(where)}: {n} terms exceed the budget of {trunc.max_terms}")
 
 
+# The input contract: the numeric parameters of each public entry point, in
+# its call order, and the kind of value each takes.  A kind is
+# (lo, hi, top, whole, text): its values are those with lo <= value <= hi,
+# an open end taken to the next double inside, so that NaN is in no kind,
+# less those at or below top that are integers (whole) or that are not (not
+# whole); text names it in a message.
+_MAX = 1.7976931348623157e308  # the largest double
+_FINITE = (-_MAX, _MAX, -math.inf, False, "finite")
+_POSITIVE = (5e-324, _MAX, -math.inf, False, "finite and > 0")
+_NON_NEGATIVE = (0.0, _MAX, -math.inf, False, "finite and >= 0")
+_UNIT = (5e-324, 1.0 - 2.0**-53, -math.inf, False, "in (0, 1)")
+_DISC = (-1.0 + 2.0**-53, 1.0 - 2.0**-53, -math.inf, False, "in (-1, 1)")
+_IVP_ORDER = (5e-324, 1.0, -math.inf, False, "in (0, 1]")
+_COUNT = (0.0, _MAX, _MAX, False, "an integer >= 0")
+_BUDGET = (1.0, _MAX, _MAX, False, "an integer >= 1")
+_ORDER = (-_MAX, _MAX, 0.0, True, "finite and not 0, -1, -2, ...")
+_END = (5e-324, math.inf, -math.inf, False, "in (0, inf]")
+_ANY = (-math.inf, math.inf, -math.inf, False, "")  # pads a row to four parameters
+_DOMAINS = {
+    "Truncation": (("rel_tol", "max_terms"), _UNIT, _BUDGET, _ANY, _ANY),
+    "QParams": (("q",), _UNIT, _ANY, _ANY, _ANY),
+    "q_bracket": (("r",), _FINITE, _ANY, _ANY, _ANY),
+    "nabla_q": (("t",), _POSITIVE, _ANY, _ANY, _ANY),
+    "nabla_q_n": (("t", "n"), _FINITE, _COUNT, _ANY, _ANY),
+    "q_integral": (("a", "t"), _NON_NEGATIVE, _NON_NEGATIVE, _ANY, _ANY),
+    "q_integral_tail": (("t", "b"), _POSITIVE, _END, _ANY, _ANY),
+    "q_pochhammer": (("n",), _COUNT, _ANY, _ANY, _ANY),
+    "q_factorial_power": (("t", "s", "alpha"), _FINITE, _FINITE, _FINITE, _ANY),
+    "q_gamma": (("alpha",), _FINITE, _ANY, _ANY, _ANY),
+    "q_exp_e": (("t",), _FINITE, _ANY, _ANY, _ANY),
+    "q_exp_E": (("t",), _DISC, _ANY, _ANY, _ANY),
+    "r_coef": (("alpha", "q"), _FINITE, _UNIT, _ANY, _ANY),
+    "left_frac_integral": (("a", "order", "t"), _NON_NEGATIVE, _ORDER, _NON_NEGATIVE, _ANY),
+    "right_frac_integral": (("b", "order", "t"), _END, _ORDER, _POSITIVE, _ANY),
+    "left_riemann_deriv": (("a", "order", "t"), _NON_NEGATIVE, _POSITIVE, _POSITIVE, _ANY),
+    "right_riemann_deriv": (("b", "order", "t"), _END, _POSITIVE, _POSITIVE, _ANY),
+    "left_caputo": (("a", "order", "t"), _NON_NEGATIVE, _POSITIVE, _NON_NEGATIVE, _ANY),
+    "right_caputo": (("b", "order", "t"), _END, _POSITIVE, _POSITIVE, _ANY),
+    "MLParams": (("alpha", "beta", "lam", "z0"), _POSITIVE, _FINITE, _FINITE, _NON_NEGATIVE),
+    "q_mittag_leffler": (("z",), _NON_NEGATIVE, _ANY, _ANY, _ANY),
+    "IVProblem": (("alpha", "lam", "a", "a0"), _IVP_ORDER, _FINITE, _NON_NEGATIVE, _FINITE),
+    "IVPSolution": (("t",), _FINITE, _ANY, _ANY, _ANY),
+    "solve_ivp_picard": (("m",), _COUNT, _ANY, _ANY, _ANY),
+    "ivp_residual": (("t",), _FINITE, _ANY, _ANY, _ANY),
+}
+
+
+def _check_domain(fn: str, x: float, y: float = 0.0, z: float = 0.0, w: float = 0.0) -> None:
+    """Raise DomainError, naming fn, the parameter and its value, at the first
+    of fn's numeric arguments x, y, z, w (its row of _DOMAINS, in order) that
+    is not of its kind; every public entry point calls it first, before any
+    sample, factor or term.  Each value is compared with its kind's bounds
+    and top, with no call; only a failure takes the loop that finds the
+    parameter to name."""
+    _, (a, b, i, u, _), (c, d, j, v, _), (e, f, k, s, _), (g, h, m, r, _) = _DOMAINS[fn]
+    if (a <= x <= b and not (x <= i and (x % 1 == 0) == u)
+            and c <= y <= d and not (y <= j and (y % 1 == 0) == v)
+            and e <= z <= f and not (z <= k and (z % 1 == 0) == s)
+            and g <= w <= h and not (w <= m and (w % 1 == 0) == r)):
+        return
+    names, *kinds = _DOMAINS[fn]
+    for name, (lo, hi, top, whole, text), value in zip(names, kinds, (x, y, z, w)):
+        if not lo <= value <= hi or value <= top and (value % 1 == 0) == whole:
+            raise DomainError(f"{fn}: {name} must be {text}, got {value!r}")
+
+
 def _name(where: tuple) -> str:
     """The message prefix that a (template, *args) tuple stands for."""
     return where[0].format(*where[1:])
@@ -504,20 +567,14 @@ def _power(base: float, exponent: float, where: str, *args: object) -> float:
 
 
 def q_bracket(r: float, p: QParams) -> float:
-    """The q-number [r]_q = (1 - q**r) / (1 - q); an r that is not finite
-    raises DomainError."""
-    where = "[r]_q at r={!r}, q={!r}"
-    if not math.isfinite(r):
-        raise DomainError(f"{where.format(r, p.q)}: r must be finite")
-    return (1.0 - _power(p.q, r, where, r, p.q)) / (1.0 - p.q)
+    """The q-number [r]_q = (1 - q**r) / (1 - q), for a finite r."""
+    _check_domain("q_bracket", r)
+    return (1.0 - _power(p.q, r, "[r]_q at r={!r}, q={!r}", r, p.q)) / (1.0 - p.q)
 
 
 def nabla_q(f: QFunction, t: float, p: QParams) -> float:
     """Backward q-derivative (f(t) - f(qt)) / ((1 - q) t); exact, finite t > 0."""
-    if not t > 0.0:
-        raise DomainError(f"nabla_q at t={t!r}, q={p.q!r}: undefined, requires t > 0")
-    if t == math.inf:
-        raise DomainError(f"nabla_q at t={t!r}, q={p.q!r}: undefined, requires a finite t")
+    _check_domain("nabla_q", t)
     return (f(t) - f(p.q * t)) / ((1.0 - p.q) * t)
 
 
@@ -528,20 +585,15 @@ def nabla_q_n(f: QFunction, t: float, n: int, p: QParams) -> float:
     n rounds of differences D(x_k) = (D(x_k) - D(x_{k+1})) / ((1 - q) x_k)
     give the value bit for bit as the literal recursion would, from n + 1
     samples instead of 2**n.  An order above the term budget raises
-    NonConvergence, and for n >= 1 a t that is not a finite number > 0
-    raises DomainError.
+    NonConvergence, and for n >= 1 a t <= 0 raises DomainError.
     """
-    if n < 0:
-        raise DomainError(f"nabla_q^n with n={n!r} at t={t!r}, q={p.q!r}: "
-                          "derivative order must be >= 0")
+    _check_domain("nabla_q_n", t, n)
     if n == 0:
         return f(t)
     if n == 1:
         return nabla_q(f, t, p)
-    q = p.q
+    q, n = p.q, int(n)
     where = ("nabla_q^n with n={!r} at t={!r}, q={!r}", n, t, q)
-    if t == math.inf:
-        raise DomainError(f"{_name(where)}: nabla_q is undefined there; requires a finite t")
     _check_budget(n, p.trunc, where)
     points = [t]
     for _ in range(n):
@@ -593,15 +645,9 @@ def q_integral(f: QFunction, a: float, t: float, p: QParams) -> float:
     When a / t = q**d for an integer d (a, t > 0) the integral is the finite
     Jackson sum over the |d| lattice points of the larger endpoint, negated
     when a > t.  Otherwise it is the difference of two Jackson sums anchored at
-    zero, so both endpoints may be arbitrary finite non-negative reals; any
-    other endpoint raises DomainError before f is sampled.
+    zero, so both endpoints may be arbitrary finite non-negative reals.
     """
-    if a < 0.0 or t < 0.0:
-        raise DomainError(f"q-integral from a={a!r} to t={t!r}, q={p.q!r}: "
-                          "integration endpoints must be >= 0")
-    if not (math.isfinite(a) and math.isfinite(t)):
-        raise DomainError(f"q-integral from a={a!r} to t={t!r}, q={p.q!r}: "
-                          "integration endpoints must be finite")
+    _check_domain("q_integral", a, t)
     if a == t:
         return 0.0
     d = _grid_exponent(a / t, p.q) if a > 0.0 and t > 0.0 else None
@@ -619,14 +665,10 @@ def q_integral_tail(f: QFunction, t: float, b: float, p: QParams) -> float:
     detected at runtime by watching the terms grow.  A finite b must sit on
     the q-grid through t (b = t q**-m with m >= 0), in which case the two-tail
     difference telescopes to an exact finite sum over the points in (t, b].
-    A t that is not finite and > 0 raises DomainError before f is sampled.
     """
+    _check_domain("q_integral_tail", t, b)
     q = p.q
     where = ("tail integral from t={!r} to b={!r}, q={!r}", t, b, q)
-    if not t > 0.0:
-        raise DomainError(f"{_name(where)}: needs t > 0")
-    if t == math.inf:
-        raise DomainError(f"{_name(where)}: needs a finite t")
     steps = _upper_steps(t, b, q)
     weights = itertools.accumulate(
         itertools.repeat(q), operator.truediv, initial=(1.0 - q) * t / q

@@ -24,8 +24,8 @@ from typing import Iterator
 
 from . import special
 from .core import (
-    QFunction, QParams, _chain_sum, _check_budget, _grid_exponent, _name, _power, _start_steps,
-    _upper_steps, nabla_q_n, q_bracket,
+    QFunction, QParams, _chain_sum, _check_budget, _check_domain, _grid_exponent, _name, _power,
+    _start_steps, _upper_steps, nabla_q_n, q_bracket,
 )
 from .errors import DomainError, NonConvergence, NumericOverflow, QCalculusError
 
@@ -39,38 +39,18 @@ __all__ = [
     "right_caputo",
 ]
 
-def _derivative_order(order: float) -> tuple[float, int]:
-    """(alpha, n) for a derivative order alpha > 0, with n = ceil(alpha).
-
-    n == alpha selects an operator's integer-order clause.
-    """
-    alpha = float(order)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"derivative order must be a finite real > 0, got {alpha}")
-    return alpha, math.ceil(alpha)
-
 
 def r_coef(alpha: float, q: float) -> float:
-    """Prefactor q**(-alpha (alpha - 1) / 2) of right-sided operators; an
-    alpha that is not finite raises DomainError, and an overflow, of the
-    power or of its exponent (|alpha| above about 1e154), NumericOverflow,
-    each naming alpha and q."""
+    """Prefactor q**(-alpha (alpha - 1) / 2) of right-sided operators, for a
+    finite alpha and q in (0, 1); an overflow, of the power or of its
+    exponent (|alpha| above about 1e154), raises NumericOverflow naming alpha
+    and q."""
+    _check_domain("r_coef", alpha, q)
     where = "r(alpha) at alpha={!r}, q={!r}"
-    if not math.isfinite(alpha):
-        raise DomainError(f"{where.format(alpha, q)}: alpha must be finite")
     value = _power(q, -0.5 * alpha * (alpha - 1.0), where, alpha, q)
     if math.isinf(value):
         raise NumericOverflow(f"{where.format(alpha, q)}: the exponent overflowed")
     return value
-
-
-def _integral_order(order: float) -> float:
-    alpha = float(order)
-    if not math.isfinite(alpha) or (alpha == round(alpha) and alpha <= 0.0):
-        raise DomainError(
-            f"fractional integral order must avoid 0, -1, -2, ...; got {alpha}"
-        )
-    return alpha
 
 
 # Failures of an integral's lattice series or weight name its parameters
@@ -163,24 +143,16 @@ def left_frac_integral(
 
     For t > 0 and every a >= 0 it is _left_series of weight ((1-q) t)**alpha:
     a lattice series, less its part anchored at an a off the grid of t or
-    above t.  a = t = 0 gives 0.0; a NaN or negative a or t, an infinite a
-    or t, or t = 0 below a > 0, raises DomainError naming t, a, alpha and q,
-    before any sample.  A negative non-integer order -alpha gives the left
-    Riemann derivative of order alpha from every start.
+    above t.  a = t = 0 gives 0.0, and t = 0 below a > 0 raises DomainError
+    naming t, a, alpha and q, before any sample.  A negative non-integer
+    order -alpha gives the left Riemann derivative of order alpha from every
+    start.
     """
-    alpha = _integral_order(order)
-    q = p.q
-    if t == math.inf or a == math.inf:
-        end = "t" if t == math.inf else "a"
-        raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: needs a finite {end}")
-    steps = _start_steps(a, t, q)
-    if steps != -1 or (a > 0.0 and t > 0.0):
+    _check_domain("left_frac_integral", a, order, t)
+    alpha, q = float(order), p.q
+    if t > 0.0:
         weight = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
-        return _left_series(f, a, alpha, t, steps, weight, p)
-    if math.isnan(a) or math.isnan(t):
-        raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: an endpoint is NaN")
-    if a < 0.0 or t < 0.0:
-        raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: endpoints must be >= 0")
+        return _left_series(f, a, alpha, t, _start_steps(a, t, q), weight, p)
     if a > 0.0:
         raise DomainError(f"{_LEFT_AT.format(t, a, alpha, q)}: t = 0 lies below a")
     return 0.0
@@ -197,17 +169,12 @@ def right_frac_integral(
     f(t q**(1-alpha-i)), w_1 = r(alpha) ((1-q) t)**alpha q**-alpha and
     w_{i+1} = w_i q**-alpha (1 - q**(alpha+i-1)) / (1 - q**i), its chain walked
     from t q**-alpha = (t / q) q**(1-alpha) itself; divergence of the
-    infinite series is detected at runtime.  Any other b (b <= 0, NaN, or off
-    the grid of t) raises DomainError, as does a t that is not a finite
-    number > 0.
+    infinite series is detected at runtime.  A finite b off the grid of t
+    raises DomainError.
     """
-    alpha = _integral_order(order)
-    q = p.q
+    _check_domain("right_frac_integral", b, order, t)
+    alpha, q = float(order), p.q
     where = (_RIGHT_AT, t, b, alpha, q)
-    if not t > 0.0:
-        raise DomainError(f"{_name(where)}: needs t > 0")
-    if t == math.inf:
-        raise DomainError(f"{_name(where)}: needs a finite t")
     steps = _upper_steps(t, b, q)
     shift = _power(q, 1.0 - alpha, *where)
     weight = r_coef(alpha, q) * q**-alpha * _power((1.0 - q) * t, alpha, *where)
@@ -221,17 +188,12 @@ def left_riemann_deriv(
 
     For non-integer alpha it is left_frac_integral at order -alpha from every
     start a: the kernel's derivative in t is the kernel of one order less,
-    so the n q-derivatives pass through the sum term by term.  t <= 0, or
-    at any order an infinite a, raises DomainError before any sample.
+    so the n q-derivatives pass through the sum term by term.
     """
-    alpha, n = _derivative_order(order)
-    where = ("left Riemann derivative at t={!r}, a={!r}, alpha={!r}, q={!r}", t, a, alpha, p.q)
-    if a == math.inf:
-        raise DomainError(f"{_name(where)}: needs a finite a")
+    _check_domain("left_riemann_deriv", a, order, t)
+    alpha, n = float(order), math.ceil(order)
     if n == alpha:
         return nabla_q_n(f, t, n, p)
-    if not t > 0.0:
-        raise DomainError(f"{_name(where)}: needs t > 0")
     return left_frac_integral(f, a, -alpha, t, p)
 
 
@@ -247,7 +209,8 @@ def right_riemann_deriv(
     b below t raises DomainError, as the integral to b does, and an n whose
     q**n underflows to 0 raises NumericOverflow naming t, b, alpha and q.
     """
-    alpha, n = _derivative_order(order)
+    _check_domain("right_riemann_deriv", b, order, t)
+    alpha, n = float(order), math.ceil(order)
     sign = -1.0 if n % 2 else 1.0
     if n == alpha:
         return sign * nabla_q_n(f, t, n, p)
@@ -354,22 +317,20 @@ def left_caputo(
     q-Taylor part of degree n - 1 at a; from a = 0 its coefficients past
     f(0) are limits toward 0 (_limits_at_zero), and an f with no
     integer-power expansion at 0 (s**0.5, s**2.5) raises NonConvergence.
-    From a = t (t = 0 included) it is an empty sum, 0.0 with no sample; any
-    other t <= 0, a < 0 or NaN endpoint, or at any order an infinite a,
-    raises DomainError naming t and a, before any sample.  Kills constants
-    for non-integer order; integer order is the plain n-fold q-derivative.
+    From a = t (t = 0 included) it is an empty sum, 0.0 with no sample; t = 0
+    below a > 0 raises DomainError naming t and a, before any sample.  Kills
+    constants for non-integer order; integer order is the plain n-fold
+    q-derivative.
     """
-    alpha, n = _derivative_order(order)
-    q = p.q
+    _check_domain("left_caputo", a, order, t)
+    alpha, n, q = float(order), math.ceil(order), p.q
     where = (_CAPUTO_AT, "left", t, "a", a, alpha, q)
-    if a == math.inf:
-        raise DomainError(f"{_name(where)}: needs a finite a")
     if n == alpha:
         return nabla_q_n(f, t, n, p)
-    if a == t and t >= 0.0:
+    if a == t:
         return 0.0
-    if not (t > 0.0 and a >= 0.0):
-        raise DomainError(f"{_name(where)}: needs t > 0 and a >= 0")
+    if not t > 0.0:
+        raise DomainError(f"{_name(where)}: t = 0 lies below a")
     remainder = _taylor_remainder(f, a, t, n, where, p)
     # The remainder vanishes at a q**k, k < n, so from an a off the grid of
     # t the integral is the one from a q**n, whose anchored sum does not
@@ -395,7 +356,8 @@ def right_caputo(
     no sample; a b off the grid of t or below it raises DomainError naming
     that b, before any sample.  Integer order is (-1)**n nabla_q^n.
     """
-    alpha, n = _derivative_order(order)
+    _check_domain("right_caputo", b, order, t)
+    alpha, n = float(order), math.ceil(order)
     if n == alpha or b == math.inf:
         return right_riemann_deriv(f, b, alpha, t, p)
     q = p.q

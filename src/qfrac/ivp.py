@@ -21,8 +21,8 @@ from functools import cache, cached_property
 from typing import Callable, Iterator
 
 from . import special
-from .core import (QFunction, QParams, _accumulate, _chain_sum, _check_budget, _grew, _name,
-                   _power, _start_steps, count_terms, q_bracket)
+from .core import (QFunction, QParams, _accumulate, _chain_sum, _check_budget, _check_domain,
+                   _grew, _name, _power, _start_steps, count_terms, q_bracket)
 from .errors import DomainError, NonConvergence
 from .fractional import (_LEFT_AT, _lattice_weights, _left_series, left_caputo,
                          left_frac_integral)
@@ -55,32 +55,19 @@ class MLParams:
     z0: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise DomainError(f"alpha must be a finite real > 0, got {self.alpha}")
-        if not math.isfinite(self.beta):
-            raise DomainError(f"beta must be finite, got {self.beta}")
-        if not math.isfinite(self.lam):
-            raise DomainError(f"lam must be finite, got {self.lam}")
-        if self.z0 < 0.0:
-            raise DomainError(f"z0 must be >= 0, got {self.z0}")
-        if not math.isfinite(self.z0):
-            raise DomainError(f"z0 must be finite, got {self.z0}")
+        _check_domain("MLParams", self.alpha, self.beta, self.lam, self.z0)
 
 
 def q_mittag_leffler(mp: MLParams, z: float, p: QParams) -> float:
     """Evaluate the q-Mittag-Leffler series at z.
 
     A term whose alpha k + beta is a pole of q_gamma is 0, as 1 / q_gamma is
-    entire.  A z that is NaN, below 0 or infinite raises DomainError.  From
-    z0 = 0 (z > 0) the sum is a _ZeroHead's, built for this call, and
-    |lam ((1-q) z)**alpha| >= 1 raises NonConvergence before any term.  From
-    any other z0 it is _ml_sum's at the lattice position of z0 below z, and
-    divergence is detected at runtime, by terms that grow.
+    entire.  From z0 = 0 (z > 0) the sum is a _ZeroHead's, built for this
+    call, and |lam ((1-q) z)**alpha| >= 1 raises NonConvergence before any
+    term.  From any other z0 it is _ml_sum's at the lattice position of z0
+    below z, and divergence is detected at runtime, by terms that grow.
     """
-    if not 0.0 <= z < math.inf:
-        where = (_ML_AT, z, mp.z0, mp.alpha, mp.beta, mp.lam, p.q)
-        need = "a finite z" if z == math.inf else "z >= 0"
-        raise DomainError(f"{_name(where)}: needs {need}")
+    _check_domain("q_mittag_leffler", z)
     j = _start_steps(mp.z0, z, p.q)
     return _ZeroHead(mp, p)(z) if j is None else _ml_sum(mp, z, j, p)
 
@@ -97,16 +84,7 @@ class IVProblem:
     forcing: QFunction | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not math.isfinite(self.lam):
-            raise DomainError(f"lam must be finite, got {self.lam}")
-        if self.a < 0.0:
-            raise DomainError(f"a must be >= 0, got {self.a}")
-        if not math.isfinite(self.a):
-            raise DomainError(f"a must be finite, got {self.a}")
-        if not math.isfinite(self.a0):
-            raise DomainError(f"a0 must be finite, got {self.a0}")
+        _check_domain("IVProblem", self.alpha, self.lam, self.a, self.a0)
 
 
 class IVPSolution:
@@ -536,6 +514,7 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
         return _split_sum(order_terms(t, steps, h), kernel.orders, series, p, where)
 
     def rule(t: float) -> float:
+        _check_domain("IVPSolution", t)
         if not t >= a:
             raise DomainError(f"the solution needs t >= a, got t={t}, a={a}")
         steps = _start_steps(a, t, q)
@@ -613,19 +592,19 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
     h sum_{k<m} (lam h)**k w_i^(alpha(k+1)), h = ((1-q) t)**alpha, with w the
     unit-weight lattice weights of each order (fractional._lattice_weights),
     added in k order; m is checked against max_terms before any weight is
-    formed.  Diagnostics count the evaluated points and their terms.  m < 0,
-    t < a and, with a > 0, a t off the time scale a q**-j raise DomainError;
+    formed.  Diagnostics count the evaluated points and their terms.  t < a
+    and, with a > 0, a t off the time scale a q**-j raise DomainError;
     y(a) = a0, and y_0 = a0 even when forced.
     """
-    if m < 0:
-        raise DomainError(f"iteration count must be >= 0, got {m}")
-    return _series_solution(prob, m, p)
+    _check_domain("solve_ivp_picard", m)
+    return _series_solution(prob, int(m), p)
 
 
 def ivp_residual(
     prob: IVProblem, y: "IVPSolution | QFunction", t: float, p: QParams
 ) -> float:
     """Pointwise defect of y in the equation: Caputo term minus lam y(t) + f(t)."""
+    _check_domain("ivp_residual", t)
     if not t > prob.a:
         raise DomainError(f"residual point must satisfy t > a, got t={t}, a={prob.a}")
     forcing_value = prob.forcing(t) if prob.forcing is not None else 0.0

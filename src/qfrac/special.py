@@ -31,7 +31,8 @@ import operator
 import sys
 
 from .core import (
-    QParams, _accumulate, _check_budget, _grew, _grid_exponent, _name, _note_terms, _power,
+    QParams, _accumulate, _check_budget, _check_domain, _grew, _grid_exponent, _name, _note_terms,
+    _power,
 )
 from .errors import DomainError, NonConvergence, NumericOverflow, PoleError
 
@@ -44,17 +45,11 @@ __all__ = [
 ]
 
 
-def _is_integer_valued(x: float) -> bool:
-    return math.isfinite(x) and x == round(x)
-
-
 def q_pochhammer(n: int, p: QParams) -> float:
     """(q)_n = prod_{j=1..n} (1 - q**j), with (q)_0 = 1; an n above the
     truncation's max_terms raises NonConvergence before any factor is taken."""
-    where = ("(q; q)_n at n={!r}, q={!r}", n, p.q)
-    if n < 0 or not _is_integer_valued(n):
-        raise DomainError(f"{_name(where)}: q_pochhammer needs an integer n >= 0")
-    return _q_product(p.q, p, where, int(n))
+    _check_domain("q_pochhammer", n)
+    return _q_product(p.q, p, ("(q; q)_n at n={!r}, q={!r}", n, p.q), int(n))
 
 
 def _q_product(c: float, p: QParams, where: tuple, count: int | None = None,
@@ -161,9 +156,8 @@ _QFACT_AT = "(t - s)_q^alpha at t={!r}, s={!r}, alpha={!r}, q={!r}"
 
 
 def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
-    """The q-factorial power (t - s)_q^alpha.
+    """The q-factorial power (t - s)_q^alpha, for finite t, s and alpha.
 
-    A non-finite t or alpha raises DomainError before any factor is taken.
     Integer alpha = m >= 0 gives the finite product prod_{i<m} (t - q**i s),
     on the grid s = t q**d the q-Pochhammer symbol t**m (q**d; q)_m, which is
     a signed zero exactly when its factor 1 - q**0 exists (d <= 0 < d + m),
@@ -172,23 +166,20 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
     apart; with t != 0 _q_product takes its factors, so that an alpha above
     the truncation's max_terms raises NonConvergence instead of multiplying
     that many factors, and a product too large for a double raises
-    NumericOverflow.  A non-finite s raises DomainError.
+    NumericOverflow.
     Any other real alpha uses the infinite ratio product, which vanishes
     exactly when s = t q**-j (j >= 0) and raises PoleError when a denominator
     factor hits zero (negative integer alpha on the grid) or rounds to zero.
     A power q**alpha, q**d or t**alpha, or a value, too large for a double
     raises NumericOverflow naming t, s, alpha and q.
     """
+    _check_domain("q_factorial_power", t, s, alpha)
     q = p.q
     where = (_QFACT_AT, t, s, alpha, q)
-    if not math.isfinite(alpha):
-        raise DomainError(f"{_name(where)}: the exponent must be finite")
-    if not math.isfinite(t):
-        raise DomainError(f"{_name(where)}: t must be finite")
-    if _is_integer_valued(alpha) and alpha >= 0:
+    if alpha == round(alpha) and alpha >= 0:
         m = int(round(alpha))
-        if m == 0:  # the empty product, but for an s rejected below
-            product = 1.0 if math.isfinite(s) else math.nan
+        if m == 0:  # the empty product
+            product = 1.0
         elif t == 0.0:
             # prod (0 - q**i s) = (-s)**m q**(m(m-1)/2)
             product = _power(-s, m, *where) * q ** (m * (m - 1) // 2)
@@ -209,10 +200,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
                     product = math.inf
                 if product == 0.0 or not math.isfinite(product):
                     product = _q_product(s, p, where, m, t)
-        # A non-finite s leaves every product non-finite.
         if not math.isfinite(product):
-            if not math.isfinite(s):
-                raise DomainError(f"{_name(where)}: s must be finite")
             raise NumericOverflow(f"{_QFACT_AT.format(t, s, alpha, q)}: product overflowed")
         return product
 
@@ -230,7 +218,7 @@ def q_factorial_power(t: float, s: float, alpha: float, p: QParams) -> float:
         raise DomainError(f"{_QFACT_AT.format(t, s, alpha, q)}: s/t must be finite")
     d = _grid_exponent(u, q) if u > 0.0 else None
     if d is not None:
-        if _is_integer_valued(alpha) and d <= -alpha:
+        if alpha == round(alpha) and d <= -alpha:
             raise PoleError(f"{_name(where)}: a vanishing denominator at s = t q**{d}")
         if d <= 0:
             # Numerator factor 1 - q**(d + i) vanishes identically at i = -d.
@@ -297,10 +285,9 @@ def q_gamma(alpha: float, p: QParams) -> float:
     rounded to 1 raises PoleError (_near_pole), as does a pole itself.  A product that underflows (q near 1) raises
     NumericOverflow.
     """
+    _check_domain("q_gamma", alpha)
     q = p.q
-    if not math.isfinite(alpha):
-        raise DomainError(f"{_GAMMA_AT.format(alpha, q)}: the argument must be finite")
-    if _is_integer_valued(alpha) and alpha <= 0.0:
+    if alpha == round(alpha) and alpha <= 0.0:
         raise PoleError(f"{_GAMMA_AT.format(alpha, q)}: q_gamma has a pole there")
     if _near_pole(alpha, q):
         raise PoleError(f"{_GAMMA_AT.format(alpha, q)} is numerically on a pole")
@@ -326,10 +313,10 @@ def q_exp_e(t: float, p: QParams) -> float:
     """Small q-exponential e_q(t) = sum_k t**k / [k]_q! = 1 / (z; q)_inf,
     z = (1 - q) t, for |z| < 1.
 
-    A t that is not finite raises DomainError, and |z| >= 1 NonConvergence,
-    before any term; z = 0 gives 1.0.  Otherwise e_q is the cut sum
-    (core._accumulate, math.fsum) of T_0 = 1, T_k = T_{k-1} z / (1 - q**k)
-    for k <= K and the geometric rest G = T_K z / (1 - z).  With
+    |z| >= 1 raises NonConvergence before any term; z = 0 gives 1.0.
+    Otherwise e_q is the cut sum (core._accumulate, math.fsum) of T_0 = 1,
+    T_k = T_{k-1} z / (1 - q**k) for k <= K and the geometric rest
+    G = T_K z / (1 - z).  With
     a = q**(K+1) the true rest differs from G by at most
     |T_K| |z| / (1 - |z|) (1 / (a; q)_inf - 1), and
     1 / (a; q)_inf - 1 <= 2 a / ((1 - q) (1 - a)) while that is at most 1
@@ -343,10 +330,9 @@ def q_exp_e(t: float, p: QParams) -> float:
     alternate, and where their sizes rise as core._grew rejects (they rise
     only while q**k > 1 - |z|) NonConvergence names the cancellation.
     """
+    _check_domain("q_exp_e", t)
     q = p.q
     where = (_EXP_AT, t, q)
-    if not math.isfinite(t):
-        raise DomainError(f"{_name(where)}: t must be finite")
     z = (1.0 - q) * t
     size = abs(z)
     if not size < 1.0:
@@ -380,7 +366,5 @@ def q_exp_e(t: float, p: QParams) -> float:
 
 def q_exp_E(t: float, p: QParams) -> float:
     """Big q-exponential E_q(t) = prod_{n>=0} (1 - q**n t)**-1 for |t| < 1."""
-    where = ("E_q at t={!r}, q={!r}", t, p.q)
-    if not abs(t) < 1.0:
-        raise DomainError(f"{_name(where)}: E_q requires |t| < 1")
-    return 1.0 / _q_product(t, p, where)
+    _check_domain("q_exp_E", t)
+    return 1.0 / _q_product(t, p, ("E_q at t={!r}, q={!r}", t, p.q))

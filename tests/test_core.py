@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qfrac
 from qfrac import (
     DomainError,
     IVProblem,
@@ -78,7 +79,7 @@ class TestBracketAndDerivative:
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
     def test_bracket_of_a_non_finite_number_is_a_domain_error(self, p_half, r):
         # A NaN gave nan.
-        message = f"[r]_q at r={r!r}, q=0.5: r must be finite"
+        message = f"q_bracket: r must be finite, got {r!r}"
         with pytest.raises(DomainError, match=re.escape(message)):
             q_bracket(r, p_half)
 
@@ -96,16 +97,14 @@ class TestBracketAndDerivative:
     @pytest.mark.parametrize("t", [0.0, -1.0])
     def test_rejects_nonpositive_point(self, t, p_half):
         with pytest.raises(DomainError, match=re.escape(
-                f"nabla_q at t={t!r}, q=0.5: undefined, requires t > 0")):
+                f"nabla_q: t must be finite and > 0, got {t!r}")):
             nabla_q(lambda s: s, t, p_half)
 
     def test_rejects_infinite_point(self, p_half):
         with pytest.raises(DomainError, match=re.escape(
-                "nabla_q at t=inf, q=0.5: undefined, requires a finite t")):
+                "nabla_q: t must be finite and > 0, got inf")):
             nabla_q(lambda s: s, math.inf, p_half)
-        with pytest.raises(DomainError, match=re.escape(
-                "nabla_q^n with n=3 at t=inf, q=0.5: nabla_q is undefined there; "
-                "requires a finite t")):
+        with pytest.raises(DomainError, match=re.escape("nabla_q_n: t must be finite, got inf")):
             nabla_q_n(lambda s: s, math.inf, 3, p_half)
 
     def test_iterated_derivative(self, p_half):
@@ -115,7 +114,7 @@ class TestBracketAndDerivative:
         assert second == pytest.approx(q_bracket(2.0, p_half) * 1.0)
         assert nabla_q_n(f, 1.0, 0, p_half) == f(1.0)
         with pytest.raises(DomainError, match=re.escape(
-                "nabla_q^n with n=-1 at t=1.0, q=0.5: derivative order must be >= 0")):
+                "nabla_q_n: n must be an integer >= 0, got -1")):
             nabla_q_n(f, 1.0, -1, p_half)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
@@ -154,9 +153,11 @@ class TestBracketAndDerivative:
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, 5e-324])
     def test_iterated_rejects_nonpositive_point(self, t, p_half):
         bad = 0.0 if t == 5e-324 else t
-        with pytest.raises(DomainError, match=re.escape(
-                f"nabla_q^n with n=3 at t={t!r}, q=0.5: "
-                f"nabla_q is undefined at t = {bad!r}; requires t > 0")):
+        message = (f"nabla_q^n with n=3 at t={t!r}, q=0.5: "
+                   f"nabla_q is undefined at t = {bad!r}; requires t > 0")
+        if math.isnan(t):
+            message = "nabla_q_n: t must be finite, got nan"
+        with pytest.raises(DomainError, match=re.escape(message)):
             nabla_q_n(lambda s: s, t, 3, p_half)
 
 
@@ -244,15 +245,15 @@ class TestIntegral:
 
     def test_negative_endpoint_rejected(self, p_half):
         with pytest.raises(DomainError, match=re.escape(
-                "q-integral from a=-1.0 to t=1.0, q=0.5: integration endpoints must be >= 0")):
+                "q_integral: a must be finite and >= 0, got -1.0")):
             q_integral(lambda s: s, -1.0, 1.0, p_half)
         # A NaN or infinite endpoint is rejected before the operand is
         # sampled; it was sampled there, and the sum said "term 0 overflowed".
         calls = []
         for a, t in ((0.0, NAN), (1.0, INF), (NAN, 1.0), (INF, 0.5), (INF, INF)):
+            end, value = ("a", a) if not math.isfinite(a) else ("t", t)
             with pytest.raises(DomainError, match=re.escape(
-                    f"q-integral from a={a!r} to t={t!r}, q=0.5: "
-                    "integration endpoints must be finite")):
+                    f"q_integral: {end} must be finite and >= 0, got {value!r}")):
                 q_integral(lambda s: calls.append(s) or s, a, t, p_half)
         assert calls == []
 
@@ -360,16 +361,16 @@ class TestTailIntegral:
         # It was sampled at t / q = inf, and the sum said "term 0 overflowed".
         calls = []
         with pytest.raises(DomainError, match=re.escape(
-                f"tail integral from t=inf to b={b!r}, q=0.5: needs a finite t")):
+                "q_integral_tail: t must be finite and > 0, got inf")):
             q_integral_tail(lambda s: calls.append(s) or s**-2.0, INF, b, p_half)
         with pytest.raises(DomainError, match=re.escape(
-                f"tail integral from t=nan to b={b!r}, q=0.5: needs t > 0")):
+                "q_integral_tail: t must be finite and > 0, got nan")):
             q_integral_tail(lambda s: calls.append(s) or s**-2.0, NAN, b, p_half)
         assert calls == []
 
     def test_nonpositive_point_names_its_parameters(self, p_half):
-        with pytest.raises(DomainError, match=r"^tail integral from t=-1\.0 to b=4\.0, "
-                                              r"q=0\.5: needs t > 0$"):
+        with pytest.raises(DomainError,
+                           match=r"^q_integral_tail: t must be finite and > 0, got -1\.0$"):
             q_integral_tail(lambda s: s, -1.0, 4.0, p_half)
 
 
@@ -843,3 +844,81 @@ def test_zero_run_at_chain_start_stops_the_sum():
     # (1 - q) sum_{i>=3} q**i = 0.125 at q = 0.5.
     f = lambda s: 0.0 if s > 0.2 else 1.0
     assert q_integral(f, 0.0, 1.0, QParams(0.5)) == 0.0
+
+
+# The input contract, walked: each public entry point with valid values of
+# its numeric parameters.  Each parameter in turn takes nan, inf and -inf (and
+# 2.5 for an integer one); the call must raise DomainError naming that
+# parameter and value, before any operand call or term.  b = inf is a valid
+# right end.
+CONTRACT_SAMPLES = []
+
+
+def contract_operand(s):
+    CONTRACT_SAMPLES.append(s)
+    return 1.0 + s
+
+
+CONTRACT_P = QParams(0.5)
+CONTRACT_PROBLEM = IVProblem(0.5, 0.3, 0.0, 1.0, contract_operand)
+CONTRACT_WALK = {
+    "Truncation": (Truncation, {"rel_tol": 1e-12, "max_terms": 100}),
+    "QParams": (QParams, {"q": 0.5}),
+    "MLParams": (MLParams, {"alpha": 0.5, "beta": 1.0, "lam": 0.3, "z0": 0.0}),
+    "IVProblem": (functools.partial(IVProblem, forcing=contract_operand),
+                  {"alpha": 0.5, "lam": 0.3, "a": 0.0, "a0": 1.0}),
+    "q_bracket": (functools.partial(q_bracket, p=CONTRACT_P), {"r": 0.5}),
+    "nabla_q": (functools.partial(nabla_q, contract_operand, p=CONTRACT_P), {"t": 1.0}),
+    "nabla_q_n": (functools.partial(nabla_q_n, contract_operand, p=CONTRACT_P),
+                  {"t": 1.0, "n": 2}),
+    "q_integral": (functools.partial(q_integral, contract_operand, p=CONTRACT_P),
+                   {"a": 0.25, "t": 1.0}),
+    "q_integral_tail": (functools.partial(q_integral_tail, lambda s: contract_operand(s) / s**3,
+                                          p=CONTRACT_P), {"t": 1.0, "b": 4.0}),
+    "q_pochhammer": (functools.partial(qfrac.q_pochhammer, p=CONTRACT_P), {"n": 3}),
+    **{f"q_factorial_power[{alpha}]": (functools.partial(qfrac.q_factorial_power, p=CONTRACT_P),
+                                       {"t": 1.0, "s": 0.5, "alpha": alpha})
+       for alpha in (2.0, 0.7)},
+    "q_gamma": (functools.partial(qfrac.q_gamma, p=CONTRACT_P), {"alpha": 0.7}),
+    "q_exp_e": (functools.partial(q_exp_e, p=CONTRACT_P), {"t": 0.5}),
+    "q_exp_E": (functools.partial(qfrac.q_exp_E, p=CONTRACT_P), {"t": 0.5}),
+    "r_coef": (qfrac.r_coef, {"alpha": 0.7, "q": 0.5}),
+    **{f"{op.__name__}[{order}]": (
+        functools.partial(op, lambda s: contract_operand(s) / s**3, p=CONTRACT_P),
+        {end: value, "order": order, "t": 1.0})
+       for op, end, value in [
+           (left_frac_integral, "a", 0.25), (qfrac.left_riemann_deriv, "a", 0.25),
+           (qfrac.left_caputo, "a", 0.25), (right_frac_integral, "b", 4.0),
+           (qfrac.right_riemann_deriv, "b", 4.0), (qfrac.right_caputo, "b", 4.0)]
+       for order in (0.7, 2.0)},
+    "q_mittag_leffler": (functools.partial(q_mittag_leffler, MLParams(0.5, 1.0, 0.3),
+                                           p=CONTRACT_P), {"z": 1.0}),
+    "solve_ivp_picard": (functools.partial(solve_ivp_picard, CONTRACT_PROBLEM, p=CONTRACT_P),
+                         {"m": 3}),
+    "IVPSolution[closed-form]": (solve_ivp_closed(CONTRACT_PROBLEM, CONTRACT_P), {"t": 1.0}),
+    "IVPSolution[picard]": (solve_ivp_picard(CONTRACT_PROBLEM, 3, CONTRACT_P), {"t": 1.0}),
+    "ivp_residual": (functools.partial(qfrac.ivp_residual, CONTRACT_PROBLEM, contract_operand,
+                                       p=CONTRACT_P), {"t": 1.0}),
+}
+CONTRACT_PROBES = [
+    pytest.param(entry, name, value, id=f"{entry}-{name}-{value!r}")
+    for entry, (_, valid) in CONTRACT_WALK.items()
+    for name, good in valid.items()
+    for value in (math.nan, INF, -INF, *([2.5] if isinstance(good, int) else []))
+    if (name, value) != ("b", INF)
+]
+
+
+def test_contract_walk_covers_every_row():
+    assert {entry.partition("[")[0] for entry in CONTRACT_WALK} == set(qfrac.core._DOMAINS)
+
+
+@pytest.mark.parametrize("entry, name, value", CONTRACT_PROBES)
+def test_non_finite_argument_is_a_domain_error_before_any_work(entry, name, value):
+    call, valid = CONTRACT_WALK[entry]
+    CONTRACT_SAMPLES.clear()
+    with count_terms() as counter:
+        with pytest.raises(DomainError,
+                           match=rf"\b{name} must be .*, got {re.escape(repr(value))}$"):
+            call(**{**valid, name: value})
+    assert (CONTRACT_SAMPLES, counter.total) == ([], 0)

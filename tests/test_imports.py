@@ -11,7 +11,9 @@ math.fsum, so every sum of known length is core._accumulate's.  special
 reads no rel_tol, so its products and e_q stay exact to rounding whatever
 the stopping rule's tolerance.  No class of the package is a record with no
 behaviour: each one is decorated, has a base class or a method other than
-__init__.
+__init__.  Each callable of qfrac.__all__ that takes a numeric parameter has
+its row in the input contract, core._DOMAINS, naming those parameters in
+order, and each row names such a callable, so no entry point goes unchecked.
 
 A name counts as used when the module reads it (including inside a quoted
 annotation) or lists it in ``__all__``, so a stale ``__all__`` entry would
@@ -434,3 +436,74 @@ def test_detects_a_class_with_no_behaviour():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_class_without_behaviour(module):
     assert behaviourless_classes((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def numeric_parameters(tree: ast.Module) -> dict[str, tuple[str, ...]]:
+    """Top-level function or class -> the parameters annotated float or int
+    that it takes, in order: a function's, or a class's fields and then those
+    of its __init__ and __call__ (the calls of a built instance)."""
+    numeric = lambda node: isinstance(node, ast.Name) and node.id in ("float", "int")
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = tuple(a.arg for a in node.args.args if numeric(a.annotation))
+        elif isinstance(node, ast.ClassDef):
+            names = [item.target.id for item in node.body
+                     if isinstance(item, ast.AnnAssign) and numeric(item.annotation)]
+            names += [a.arg for item in node.body if isinstance(item, ast.FunctionDef)
+                      and item.name in ("__init__", "__call__")
+                      for a in item.args.args if numeric(a.annotation)]
+            found[node.name] = tuple(names)
+    return found
+
+
+def contract_gaps(sources: dict[str, str], exported: list[str],
+                  rows: dict[str, tuple]) -> list[str]:
+    """The exported names that take a numeric parameter and have no row of
+    rows (name -> (parameter names, kinds...)) naming those parameters in
+    order, and the rows that name no such callable."""
+    taken = {}
+    for source in sources.values():
+        taken.update(numeric_parameters(ast.parse(source)))
+    wanted = {name: taken[name] for name in exported if taken.get(name)}
+    found = [f"{name}{params}: no row" if name not in rows
+             else f"{name}{params}: its row names {rows[name][0]}"
+             for name, params in wanted.items() if rows.get(name, ((),))[0] != params]
+    return found + [f"{name}: a row of no entry point" for name in rows if name not in wanted]
+
+
+def test_detects_an_entry_point_outside_the_contract():
+    sources = {
+        "a.py": (
+            "def checked(f, t: float, n: int, p): pass\n"
+            "def unchecked(x: float): pass\n"
+            "def reordered(a: float, t: float): pass\n"
+            "def plain(f, p): pass\n"
+            "def _private(x: float): pass\n"
+        ),
+        "b.py": (
+            "@dataclass\n"
+            "class Params:\n"
+            "    q: float\n"
+            "    trunc: Truncation = None\n"
+            "class Solution:\n"
+            "    def __init__(self, rule, method: str): pass\n"
+            "    def __call__(self, t: float): pass\n"
+        ),
+    }
+    exported = ["checked", "unchecked", "reordered", "plain", "Params", "Solution"]
+    rows = {"checked": (("t", "n"), None, None), "reordered": (("t", "a"), None),
+            "Params": (("q",), None), "gone": (("x",), None)}
+    assert contract_gaps(sources, exported, rows) == [
+        "unchecked('x',): no row",
+        "reordered('a', 't'): its row names ('t', 'a')",
+        "Solution('t',): no row",
+        "gone: a row of no entry point",
+    ]
+
+
+def test_every_numeric_entry_point_has_a_contract_row():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    qfrac = importlib.import_module("qfrac")
+    rows = importlib.import_module("qfrac.core")._DOMAINS
+    assert contract_gaps(sources, qfrac.__all__, rows) == []
