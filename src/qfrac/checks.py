@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import TextIO
 
 from . import special
-from .core import (QFunction, QParams, Truncation, count_terms, nabla_q, nabla_q_n,
+from .core import (QFunction, QParams, Truncation, _accumulate, count_terms, nabla_q, nabla_q_n,
                    q_bracket, q_integral, q_integral_tail)
 from .errors import QCalculusError
 from .fractional import (left_caputo, left_frac_integral, left_riemann_deriv, r_coef,
@@ -216,6 +216,15 @@ def _all_zero(parts, rhs, tolerance):
     return total, abs(total), all(v == 0.0 for pair in parts for v in pair)
 
 
+def _within_terms(parts, rhs, tolerance):
+    """parts = (lhs, mass): the error in units of mass, the total size of the
+    terms that rhs sums, so that a tolerance in eps is one in eps times the
+    condition mass / |rhs|."""
+    lhs, mass = parts
+    err = abs(lhs - rhs) / mass
+    return lhs, err, err <= tolerance
+
+
 def _non_increasing(errors, rhs, tolerance):
     ok = all(later <= earlier + tolerance for earlier, later in zip(errors, errors[1:]))
     return errors[-1], 0.0 if ok else max(errors), ok
@@ -376,6 +385,28 @@ _ml_from_zero = lambda q, alpha, beta, lam, zeta, p: q_mittag_leffler(
 _ml_cut = lambda q, alpha, beta, lam, zeta, p: _ZeroHead(MLParams(alpha, beta, lam), p).cut(
     _ml_point(q, alpha, zeta),
     math.ceil(math.log(1e-17 * special._pochhammer_tail(1.0, p)) / math.log(zeta)))
+
+
+def _partial_fractions(q, alpha, lam, t, j):
+    """The unforced closed form with a0 = 1 at t = a q**-j, j >= 1, as j
+    partial fractions: by the finite q-binomial theorem its head
+    sum_k zeta**k (q**(alpha k + 1); q)_(j-1) / (q; q)_(j-1), zeta = lam
+    ((1-q) t)**alpha, is sum_{i<j} (-1)**i q**(i(i+1)/2) / ((q; q)_i
+    (q; q)_(j-1-i) (1 - zeta q**(alpha i))), whose poles are the zeros of the
+    lattice recursion's diagonals and which reads no lattice weight."""
+    zeta = lam * ((1.0 - q) * t) ** alpha
+    poch = [1.0]  # (q; q)_n
+    for n in range(1, j):
+        poch.append(poch[-1] * (1.0 - q**n))
+    return [(-1.0) ** i * q ** (i * (i + 1) / 2)
+            / (poch[i] * poch[j - 1 - i] * (1.0 - zeta * q ** (alpha * i))) for i in range(j)]
+
+
+_pf_condition = lambda terms: sum(map(abs, terms)) / abs(sum(terms))
+_pf_point = lambda q, j: _grid_desc(q)[6 - j]  # a q**-j for a = q^6
+_pf_sum = lambda alpha, lam, t, q, j, p, memo: _accumulate(
+    memo(_partial_fractions, q, alpha, lam, t, j), p.trunc, detect_growth=False, count=j,
+    where=("partial fractions at t={!r}, j={!r}", t, j))
 
 
 # ivp_fixed_point's solutions, memoised under their own key: its records
@@ -640,6 +671,19 @@ _TABLE = {
                 "lam": (1.0, -1.0),
                 "zeta": lambda q, lam: (0.3,) if q == 0.9 and lam < 0.0 else (0.3, 0.9)},
             _ml_from_zero, _ml_cut),
+        # The closed form on the time scale, the lattice recursion's cells,
+        # against its head as partial fractions, which share no lattice
+        # weight with it; rel_err is in units of the fractions' total size,
+        # so the tolerance is 16 eps times their condition, kept at most 64.
+        _Identity("closed_time_scale_partial_fractions", 16 * 2.0**-52, {
+                "q": (0.3, 0.5, 0.7), "alpha": (0.5, 0.9, 1.0), "lam": (0.3, -0.4),
+                "j": lambda q, alpha, lam: [j for j in (1, 2, 4, 6) if _pf_condition(
+                    _partial_fractions(q, alpha, lam, _pf_point(q, j), j)) <= 64.0],
+                "a": lambda q: (_grid_desc(q)[6],), "t": lambda q, j: (_pf_point(q, j),)},
+            lambda alpha, lam, a, t, q, j, p, memo: (
+                memo(solve_ivp_closed, IVProblem(alpha, lam, a, 1.0), p)(t),
+                sum(map(abs, memo(_partial_fractions, q, alpha, lam, t, j)))),
+            _pf_sum, _within_terms),
     ),
 }
 

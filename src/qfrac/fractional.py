@@ -20,12 +20,13 @@ iterated q-derivative.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+import operator
+from typing import Callable, Iterator
 
 from . import special
 from .core import (
-    QFunction, QParams, _chain_sum, _check_budget, _check_domain, _grid_exponent, _name, _power,
-    _start_steps, _upper_steps, nabla_q_n, q_bracket,
+    QFunction, QParams, _accumulate, _chain_sum, _check_budget, _check_domain, _grid_exponent,
+    _name, _power, _start_steps, _upper_steps, nabla_q_n, q_bracket,
 )
 from .errors import DomainError, NonConvergence, NumericOverflow, QCalculusError
 
@@ -96,6 +97,47 @@ def _lattice_weights(w: float, ratio: float, num: float, den: float, q: float) -
         w *= ratio * (1.0 - num) / (1.0 - den)
         num *= q
         den *= q
+
+
+def _lattice_cells(cells: list[float], depth: int, alpha: float, a: float,
+                   step: Callable[[float, float], float], p: QParams, where: tuple) -> list[float]:
+    """cells = [u_0 = 0, u_1, ...] on the time scale t_k = a q**-k, grown to
+    u_depth by forward substitution: u_k = step(t_k, s_k), with
+    s_k = sum_{i=1}^{k-1} w_i u_{k-i} and w the downward weights of
+    _lattice_series at order -alpha, weight 1 and offset 1 (w_0 = 1,
+    w_{i+1} = w_i q (1 - q**(i-alpha)) / (1 - q**(i+1))).
+
+    For y(t_k) = y(a) + u_k, left_caputo of order 0 < alpha <= 1 from a at
+    t_k is exactly ((1-q) t_k)**-alpha (u_k + s_k), its lattice series of k
+    terms (at alpha = 1, w_1 = -1 and w_i = 0 past it: nabla_q).  So an
+    equation C^alpha y = F(t, y) on the time scale is one scalar equation
+    per cell, which step solves for u_k given s_k.  Each factor 1 - q**x of
+    the weights is -expm1(x log q): by subtraction it loses digits where
+    q**x nears 1 (i near alpha, q near 1), and every cell carries the
+    weights' error into the next (at q = 0.998, depth 1,000, 3.9e-14 off
+    against 2.2e-16).  depth goes through _check_budget before any cell is
+    formed, and each s_k is a cut sum of core._accumulate; where, a template
+    whose first field is t and its other arguments, names a failure at t_k.
+    A cell that is not finite raises NumericOverflow.
+    """
+    if depth < len(cells):
+        return cells
+    q = p.q
+    at = lambda t: (where[0], t, *where[1:])
+    _check_budget(depth, p.trunc, at(a / q**depth))
+    weights, log_q = [1.0], math.log(q)
+    for i in range(depth - 1):
+        weights.append(weights[i] * q * math.expm1((i - alpha) * log_q)
+                       / math.expm1((i + 1) * log_q))
+    for k in range(len(cells), depth + 1):
+        t = a / q**k
+        s = _accumulate(map(operator.mul, weights[1:k], cells[k - 1:0:-1]), p.trunc,
+                        detect_growth=False, count=k - 1, where=at(t))
+        u = step(t, s)
+        if not math.isfinite(u):
+            raise NumericOverflow(f"{_name(at(t))}: the cell is {u!r}")
+        cells.append(u)
+    return cells
 
 
 def _left_series(f: QFunction, a: float, alpha: float, t: float, steps: int | None,

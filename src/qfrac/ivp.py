@@ -7,6 +7,8 @@ Solves, for 0 < alpha <= 1 on the q-grid through a,
 in closed form through the q-Mittag-Leffler kernel, or by m steps of Picard
 successive approximation, which are that series cut after m terms; a
 pointwise residual check ties the solutions back to the equation itself.
+On the time scale a q**-k of a > 0 the closed form is the solution of the
+lattice equations, one forward substitution over the points up to t.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import special
 from .core import (QFunction, QParams, _accumulate, _chain_sum, _check_budget, _check_domain,
                    _grew, _name, _power, _start_steps, count_terms, q_bracket)
 from .errors import DomainError, NonConvergence
-from .fractional import (_LEFT_AT, _lattice_weights, _left_series, left_caputo,
+from .fractional import (_LEFT_AT, _lattice_cells, _lattice_weights, _left_series, left_caputo,
                          left_frac_integral)
 
 __all__ = [
@@ -376,7 +378,8 @@ class _ZeroHead:
 
 
 _FORCING_AT = "forcing term at t={!r}, alpha={!r}, lam={!r}, k={!r}"
-# Cells a kernel row is first filled to when its series has no known length.
+_FORCING_SUM_AT = "forcing at t={!r}, alpha={!r}, lam={!r}, q={!r}"
+# Cells a kernel row is first filled to.
 _KERNEL_CHUNK = 16
 
 
@@ -451,10 +454,9 @@ class _Kernel:
             below = row
         return below
 
-    def weights(self, x: float, h: float, steps: int | None) -> Iterator[float]:
-        """h K_0(x), h K_1(x), ...: the weights of the series at x, steps
-        of them, or without end for steps None."""
-        row = self.row(x, steps or _KERNEL_CHUNK)
+    def weights(self, x: float, h: float) -> Iterator[float]:
+        """h K_0(x), h K_1(x), ...: the weights of the series at x, without end."""
+        row = self.row(x, _KERNEL_CHUNK)
         for i in itertools.count():
             if i == len(row):
                 row = self.row(x, i + i // 2)
@@ -466,17 +468,22 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
     rule for m None, else cut after m terms: the m-th Picard iterate.  The
     head from a = 0 is the solution's own _ZeroHead, whose coefficients its
     points share, cut after m + 1 terms for Picard; the closed form's P and N
-    are in the diagnostics as head_orders and head_euler_terms.  The head on
-    the time scale takes _ml_sum.  Picard's forcing at a point is one
-    lattice series whose weights sum its m orders', each from its own
-    recurrence, so f's samples are weighted once, not once per order."""
+    are in the diagnostics as head_orders and head_euler_terms.  The closed
+    form on the time scale of a > 0 with lam != 0 is a0 plus the solution's
+    own lattice cells (fractional._lattice_cells), which its points share;
+    elsewhere the head on the time scale takes _ml_sum.  Picard's forcing at
+    a point is one lattice series whose weights sum its m orders', each from
+    its own recurrence, so f's samples are weighted once, not once per
+    order."""
     alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
     q = p.q
     # Every term of the forcing series samples f on the same lattice points.
     forcing = None if prob.forcing is None else cache(prob.forcing)
     head = MLParams(alpha, 1.0, lam, a)
     zero_head = _ZeroHead(head, p) if a == 0.0 else None
-    kernel = None if forcing is None or lam == 0.0 or m is not None else _Kernel(alpha, lam, p)
+    kernel = (_Kernel(alpha, lam, p) if forcing is not None and lam != 0.0 and m is None
+              and a == 0.0 else None)
+    cells = [0.0]  # u_k = y(a q**-k) - a0 of the closed form on the time scale
     diagnostics = {"terms": 0, "evaluations": 0}
     if zero_head is not None and zero_head.orders is not None and m is None:
         diagnostics["head_orders"] = zero_head.orders
@@ -487,14 +494,18 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
             yield (_power(lam * h, k, _FORCING_AT, t, alpha, lam, k)
                    * _left_series(forcing, a, alpha * (k + 1), t, steps, h, p))
 
+    def diverges(where: tuple, size: float, x: str = "t") -> NonConvergence:
+        return NonConvergence(f"{_name(where)}: |lam ((1-q) {x})**alpha| = {size!r} >= 1, "
+                              f"so the series diverges")
+
     def forced(t: float, steps: int | None) -> float:
         """The forcing term at t > a: for Picard one series whose weight at
         index i is h sum_{k<m} (lam h)**k w_i^(alpha(k+1)), the lattice weights
         of each order added in k order; for the closed form order by order
-        from an a off the grid of t, else its first P orders and the
-        kernel's series, or for P = 0 that series alone."""
+        from an a off the grid of t, else (from a = 0) its first P orders and
+        the kernel's series, or for P = 0 that series alone."""
         h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
-        where = ("forcing at t={!r}, alpha={!r}, lam={!r}, q={!r}", t, alpha, lam, q)
+        where = (_FORCING_SUM_AT, t, alpha, lam, q)
         if m is not None:  # every Picard point lies on the grid of a
             _check_budget(m, p.trunc, where)
             orders = [_lattice_weights(h * _power(lam * h, k, _FORCING_AT, t, alpha, lam, k), q,
@@ -504,14 +515,35 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
             return _accumulate(order_terms(t, steps, h), p.trunc, detect_growth=True,
                                where=where)
         if not abs(lam * h) < 1.0:
-            raise NonConvergence(f"{_name(where)}: |lam ((1-q) t)**alpha| = {abs(lam * h)!r} "
-                                 f">= 1, so the series diverges")
-        series = lambda: _chain_sum(forcing, t, False, kernel.weights(t, h, steps), steps, p,
-                                    where)
+            raise diverges(where, abs(lam * h))
+        series = lambda: _chain_sum(forcing, t, False, kernel.weights(t, h), None, p, where)
         if kernel.orders == 0:
             return series()
         # Far down the chain z is small, and the rule ends the orders before P.
         return _split_sum(order_terms(t, steps, h), kernel.orders, series, p, where)
+
+    def step(t: float, s: float) -> float:
+        """u_k at t = t_k from the convolution s of the cells below: with
+        h = ((1-q) t)**alpha, C^alpha y = lam y + f reads
+        u_k (1 - lam h) = (lam a0 + f(t_k)) h - s."""
+        h = ((1.0 - q) * t) ** alpha
+        source = lam * a0 if forcing is None else lam * a0 + forcing(t)
+        return (source * h - s) / (1.0 - lam * h)
+
+    def on_lattice(t: float, j: int) -> float:
+        """The closed form at t = a q**-j: a0 + u_j.  |zeta(t)| >= 1, where the
+        series diverges, raises NonConvergence naming the head (for a0 != 0)
+        or the forcing, before any cell is formed or f sampled.  Below it
+        every cell, t_k <= t, has |lam h_k| < 1, so no diagonal 1 - lam h_k
+        vanishes and no cell needs a PoleError."""
+        if a0 == 0.0 and forcing is None:
+            return 0.0
+        size = abs(lam) * ((1.0 - q) * max(t, a / q**j)) ** alpha
+        if not size < 1.0:
+            raise (diverges((_ML_AT, t, a, alpha, 1.0, lam, q), size, "z") if a0 != 0.0
+                   else diverges((_FORCING_SUM_AT, t, alpha, lam, q), size))
+        where = ("lattice cell at t={!r}, a={!r}, alpha={!r}, lam={!r}, q={!r}", a, alpha, lam, q)
+        return a0 + _lattice_cells(cells, j, alpha, a, step, p, where)[j]
 
     def rule(t: float) -> float:
         _check_domain("IVPSolution", t)
@@ -524,6 +556,8 @@ def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
         with count_terms() as counter:
             if t == a:  # the head's terms past the first and the integrals vanish
                 value = a0
+            elif m is None and a > 0.0 and lam != 0.0 and steps != -1:
+                value = on_lattice(t, steps)
             else:
                 if a0 == 0.0:
                     value = 0.0
@@ -554,23 +588,31 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     I_a^(alpha(k+1)) f(t) is h**(k+1) times the left series of unit weight
     (on the lattice or from an a off the grid of t), h = ((1-q) t)**alpha, so
     term k is z**k, z = lam h, times the series of weight h, and neither
-    lam**k nor Gamma_q(alpha(k+1)) is formed.  From a = 0 or on the grid of
-    a the terms past the first P are one series over _Kernel, whose cells
-    the solution's points share, unless the stopping rule ends the terms
-    first, and for P = 0 (at q <= 0.5 for alpha >= 0.5) the forcing is that
-    one series; |z| >= 1 there raises NonConvergence.  From an a off the
-    grid of t the terms are summed one by one, and terms that grow raise
-    NonConvergence.  The head is a0 times the q-Mittag-Leffler series at the
-    lattice position of a below t, which the solution finds once per point,
-    and no q_gamma is called: from a = 0 term k is z**k (q**(alpha k + 1);
-    q)_inf / (q; q)_inf, |z| >= 1 raises NonConvergence, and the head is the
-    first K terms where |z| makes the rest negligible, else P terms and N of
-    Euler's expansion, exact to rounding with no stopping rule, from
-    coefficients its points share (_ZeroHead; P and N are in the
-    diagnostics); an alternating hump too steep to sum raises NonConvergence
-    naming the cancellation.  On the time scale, t = a q**-j with j >= 1, it
-    is the finite quotient z**k (q**(alpha k + 1); q)_(j-1) / (q; q)_(j-1),
-    taken a factor of each at a time, so at j = 1 the head is a0 / (1 - z).
+    lam**k nor Gamma_q(alpha(k+1)) is formed.  From a = 0 the terms past
+    the first P are one series over _Kernel, whose cells the solution's
+    points share, unless the stopping rule ends the terms first, and for
+    P = 0 (at q <= 0.5 for alpha >= 0.5) the forcing is that one series;
+    |z| >= 1 there raises NonConvergence.  From an a off the grid of t the
+    terms are summed one by one, and terms that grow raise NonConvergence.
+    The head is a0 times the q-Mittag-Leffler series at the lattice position
+    of a below t, which the solution finds once per point, and no q_gamma is
+    called: from a = 0 term k is z**k (q**(alpha k + 1); q)_inf / (q; q)_inf,
+    |z| >= 1 raises NonConvergence, and the head is the first K terms where
+    |z| makes the rest negligible, else P terms and N of Euler's expansion,
+    exact to rounding with no stopping rule, from coefficients its points
+    share (_ZeroHead; P and N are in the diagnostics); an alternating hump
+    too steep to sum raises NonConvergence naming the cancellation.
+
+    On the time scale, t = a q**-j with j >= 1 and lam != 0, the series
+    is the solution of the lattice equations themselves, found by forward
+    substitution: with t_k = a q**-k, h_k = ((1-q) t_k)**alpha and
+    u_k = y(t_k) - a0, u_k (1 - lam h_k) = (lam a0 + f(t_k)) h_k
+    - sum_{i=1}^{k-1} w_i u_{k-i}, w the order -alpha lattice weights that
+    left_caputo takes (fractional._lattice_cells).  One pass of O(j**2)
+    forms u_1 .. u_j, which the solution keeps for its later points, and
+    y(t) = a0 + u_j.  |z| >= 1 at t, where the series diverges, raises
+    NonConvergence before any cell is formed or f sampled.  (With lam = 0
+    the head is a0 and the forcing one fractional integral.)
     t < a raises DomainError; y(a) = a0, with nothing summed.
     """
     return _series_solution(prob, None, p)

@@ -234,12 +234,18 @@ class TestTimeScaleHead:
         assert y.diagnostics["terms"] == 0 and y.diagnostics["evaluations"] == 1
 
     def test_divergent_head_raises_and_its_iterates_stay_finite(self, p_half):
-        # zeta = lam (1-q) t = -1.5 at t = 1: the closed form's terms grow,
+        # zeta = lam (1-q) t = -1.5 at t = 1: the closed form's series
+        # diverges, and it raises before any cell is formed or f sampled,
         # while Picard(5) is the sum of the first six.
         a = 0.5**4
         prob = IVProblem(1.0, -3.0, a, 1.0)
         with pytest.raises(NonConvergence, match="q-Mittag-Leffler"):
             solve_ivp_closed(prob, p_half)(1.0)
+        samples = []
+        forced = IVProblem(1.0, -3.0, a, 1.0, lambda s: samples.append(s) or s)
+        with count_terms() as counter, pytest.raises(NonConvergence, match="q-Mittag-Leffler"):
+            solve_ivp_closed(forced, p_half)(1.0)
+        assert counter.total == 0 and samples == []
         got = solve_ivp_picard(prob, 5, p_half)(1.0)
         want = math.fsum(self.power_rule_terms(MLParams(1.0, 1.0, -3.0, a), 1.0, p_half, 6))
         assert math.isfinite(got)
@@ -324,6 +330,77 @@ class TestTimeScaleHead:
         for t in points:
             y(t)
         assert len(calls) == len(points) == y.diagnostics["evaluations"]
+
+
+class TestLatticeCells:
+    """The closed form at t = a q**-j, a > 0 and lam != 0, is a0 plus the
+    solution's lattice cell u_j (see fractional._lattice_cells)."""
+
+    def test_residual_samples_nothing_and_forms_no_cell(self, monkeypatch, p_half):
+        # closed(1.0) forms the cells u_1 .. u_4 once, sampling f at each
+        # t_k; the residual's points 1, q, q**2 and q**3 are those cells, so
+        # it adds no sample of its own but the f(t) of its equation.
+        grown = []
+        inner = qfrac.ivp._lattice_cells
+        monkeypatch.setattr(qfrac.ivp, "_lattice_cells",
+                            lambda cells, *args: grown.append(cells) or inner(cells, *args))
+        samples = []
+        prob = IVProblem(0.73, -0.31, 0.5**4, 1.0,
+                         lambda s: samples.append(s) or 1.0 - 0.5 * s + 0.7 * s * s)
+        y = solve_ivp_closed(prob, p_half)
+        y(1.0)
+        assert sorted(samples) == [0.125, 0.25, 0.5, 1.0] and len(grown[0]) == 5
+        with count_terms() as counter:
+            residual = ivp_residual(prob, y, 1.0, p_half)
+        assert abs(residual) <= 1e-15
+        assert samples[4:] == [1.0] and len(grown[0]) == 5
+        assert y.diagnostics == {"terms": 6, "evaluations": 5}
+        assert counter.total == 4  # the residual's own lattice series
+
+    def test_depth_past_the_budget_raises_before_any_sample(self):
+        # Depth 10 is within a budget of 10; depth 12 raises, naming the top
+        # cell, before any cell is formed or f sampled.
+        samples = []
+        p = QParams(0.5, Truncation(max_terms=10))
+        prob = IVProblem(0.7, 0.3, 0.5**12, 1.0, lambda s: samples.append(s) or s)
+        y = solve_ivp_closed(prob, p)
+        assert math.isfinite(y(0.25)) and len(samples) == 10
+        samples.clear()
+        with count_terms() as counter, pytest.raises(NonConvergence, match=(
+                r"^lattice cell at t=1\.0, a=0\.000244140625, alpha=0\.7, lam=0\.3, q=0\.5: "
+                r"12 terms exceed the budget of 10$")):
+            y(1.0)
+        assert counter.total == 0 and samples == []
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_no_series_and_no_kernel(self, monkeypatch, q):
+        # Neither the q-Mittag-Leffler series nor the forcing kernel is
+        # entered at a point of the time scale, nor by its residual.
+        def entered(*args, **kwargs):
+            raise AssertionError("entered")
+
+        monkeypatch.setattr(qfrac.ivp, "_ml_sum", entered)
+        monkeypatch.setattr(qfrac.ivp, "_Kernel", entered)
+        a = q**6
+        for f in (None, quadratic(1.0, -0.5, 0.7)):
+            prob = IVProblem(0.8, -0.4, a, 1.0, f)
+            y = solve_ivp_closed(prob, QParams(q))
+            for j in (1, 3, 6):
+                assert math.isfinite(y(a / q**j))
+            assert abs(ivp_residual(prob, y, a / q**6, QParams(q))) <= 1e-14
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_order_one_is_the_q_difference_equation(self, q):
+        # At alpha = 1 the weights past w_1 = -1 are 0, and the cells solve
+        # nabla_q y = lam y + f step by step:
+        # y_k = (y_(k-1) + (1-q) t_k f(t_k)) / (1 - lam (1-q) t_k).
+        a, lam, f = q**5, -0.4, quadratic(1.0, -0.5, 0.7)
+        y = solve_ivp_closed(IVProblem(1.0, lam, a, 1.0, f), QParams(q))
+        want = 1.0
+        for k in range(1, 6):
+            t = a / q**k
+            want = (want + (1.0 - q) * t * f(t)) / (1.0 - lam * (1.0 - q) * t)
+            assert rel_err(y(t), want) <= 1e-14
 
 
 class TestProblemTypes:
@@ -738,10 +815,13 @@ class TestForcingKernel:
     @pytest.mark.parametrize("a", [0.0, 0.5**4])
     def test_divergent_forcing_raises(self, p_half, a):
         # |lam ((1-q) t)**alpha| = 10.7 >= 1 at t = 1: the forcing series
-        # diverges, and the message names the parameters.
-        y = solve_ivp_closed(IVProblem(0.9, 20.0, a, 0.0, lambda s: s), p_half)
+        # diverges, and the message names the parameters, before any sample.
+        samples = []
+        y = solve_ivp_closed(IVProblem(0.9, 20.0, a, 0.0, lambda s: samples.append(s) or s),
+                             p_half)
         with pytest.raises(NonConvergence, match=r"t=1\.0, alpha=0\.9, lam=20\.0, q=0\.5"):
             y(1.0)
+        assert samples == []
 
     def test_residual_reads_the_solution_cells(self, p_half):
         # The residual's 19 points lie on the chain of t, whose kernel rows
@@ -1227,6 +1307,20 @@ class TestPicardLattice:
         for i, values in self.evaluate_in_threads(shared, points).items():
             assert values[-len(points):] == want
         assert shared.diagnostics == alone.diagnostics
+
+    def test_threads_sharing_lattice_cells(self):
+        # The closed form on the time scale grows its cells at the deepest
+        # point any thread asks for, each cell once, in whatever order the
+        # threads come: the same values and terms as one thread.
+        p, a = QParams(0.9), 0.9**20
+        prob = IVProblem(0.7, -0.3, a, 1.0, lambda s: 1.0 - s)
+        points = [a / 0.9**j for j in (20, 3, 11, 0, 17, 6, 1, 14, 9)]
+        alone = solve_ivp_closed(prob, p)
+        want = [alone(t) for t in points]
+        shared = solve_ivp_closed(prob, p)
+        for i, values in self.evaluate_in_threads(shared, points).items():
+            assert values[-len(points):] == want
+        assert shared.diagnostics == alone.diagnostics == {"terms": 190, "evaluations": 9}
 
 
 @settings(max_examples=60, deadline=None)
