@@ -7,8 +7,9 @@ Solves, for 0 < alpha <= 1 on the q-grid through a,
 in closed form through the q-Mittag-Leffler kernel, or by m steps of Picard
 successive approximation, which are that series cut after m terms; a
 pointwise residual check ties the solutions back to the equation itself.
-On the time scale a q**-k of a > 0 the closed form is the solution of the
-lattice equations, one forward substitution over the points up to t.
+On the time scale a q**-k of a > 0 both are one lattice pass over
+lam a0 + f: the closed form the solution of the lattice equations, one
+forward substitution over the points up to t, and Picard one cut series.
 """
 
 from __future__ import annotations
@@ -129,6 +130,13 @@ _KERNEL_GAIN = 28.0
 _EULER_GAIN = 8.0
 
 
+def _diverges(where: tuple, size: float, x: str = "t") -> NonConvergence:
+    """The error of a series in lam ((1-q) x)**alpha, named by where, whose
+    ratio has size |lam ((1-q) x)**alpha| >= 1."""
+    return NonConvergence(f"{_name(where)}: |lam ((1-q) {x})**alpha| = {size!r} >= 1, "
+                          f"so the series diverges")
+
+
 def _euler_split(alpha: float, beta: float, p: QParams) -> int | None:
     """P for _ZeroHead's series from z0 = 0: the terms summed one by one ahead
     of Euler's expansion, or None where P passes max_terms and the expansion
@@ -165,11 +173,11 @@ def _split_sum(terms: Iterator[float], orders: int, rest: Callable[[], float], p
     return value + rest() if passed else value
 
 
-def _ml_sum(mp: MLParams, z: float, j: int, p: QParams, count: int | None = None) -> float:
+def _ml_sum(mp: MLParams, z: float, j: int, p: QParams) -> float:
     """sum_k lam**k (z - z0)_q^(alpha k) / q_gamma(alpha k + beta) from a
     z0 > 0, with j = _start_steps(z0, z, q), to the stopping rule watched
-    for growth, or over k < count in full if count is given (see
-    core._accumulate).  From z0 = 0 the series is _ZeroHead's.
+    for growth (see core._accumulate): the closed form's head off the time
+    scale.  From z0 = 0 the series is _ZeroHead's.
 
     By q_gamma's product form Gamma_q(x) = (q; q)_inf (1-q)**(1-x) /
     (q**x; q)_inf, term k is (1-q)**(beta-1) zeta**k (q**(alpha k + beta);
@@ -232,7 +240,7 @@ def _ml_sum(mp: MLParams, z: float, j: int, p: QParams, count: int | None = None
             yield power * tail(alpha * k + beta, p) * ratio / below
 
     terms = finite_terms() if j >= 1 and beta == int(beta) else tail_terms()
-    return _accumulate(terms, p.trunc, detect_growth=True, count=count, where=where)
+    return _accumulate(terms, p.trunc, detect_growth=True, where=where)
 
 
 def _euler_multipliers(alpha: float, x: float, q: float) -> list[float]:
@@ -291,8 +299,9 @@ class _ZeroHead:
     NonConvergence before any tail is read; for zeta < 0 the direct terms
     summed are watched for growth (core._grew), and a hump raises
     NonConvergence naming the cancellation.  cut sums the first terms in
-    full, Picard's head, and forms no N.  The list lives in the instance, grown under a solution's
-    lock: one per q_mittag_leffler call, one per solution from a = 0.
+    full, Picard's head from a = 0, and forms no N.  The list lives in the
+    instance, grown under a solution's lock: one per q_mittag_leffler call,
+    one per solution from a = 0.
     """
 
     def __init__(self, mp: MLParams, p: QParams) -> None:
@@ -335,8 +344,7 @@ class _ZeroHead:
         zeta = self._step * _power(z, self._mp.alpha, *where)
         size, orders = abs(zeta), self.orders
         if not size < 1.0:
-            raise NonConvergence(f"{_name(where)}: |lam ((1-q) z)**alpha| = {size!r} >= 1, "
-                                 f"so the series diverges")
+            raise _diverges(where, size, "z")
         if not self._called:  # cut may have grown the list, and checked no length
             if orders is not None:
                 _check_budget(self.length, self._p.trunc, where)
@@ -463,120 +471,38 @@ class _Kernel:
             yield h * row[i]
 
 
-def _series_solution(prob: IVProblem, m: int | None, p: QParams) -> IVPSolution:
-    """The closed form's series (see solve_ivp_closed), summed to the stopping
-    rule for m None, else cut after m terms: the m-th Picard iterate.  The
-    head from a = 0 is the solution's own _ZeroHead, whose coefficients its
-    points share, cut after m + 1 terms for Picard; the closed form's P and N
-    are in the diagnostics as head_orders and head_euler_terms.  The closed
-    form on the time scale of a > 0 with lam != 0 is a0 plus the solution's
-    own lattice cells (fractional._lattice_cells), which its points share;
-    elsewhere the head on the time scale takes _ml_sum.  Picard's forcing at
-    a point is one lattice series whose weights sum its m orders', each from
-    its own recurrence, so f's samples are weighted once, not once per
-    order."""
-    alpha, lam, a, a0 = prob.alpha, prob.lam, prob.a, prob.a0
-    q = p.q
-    # Every term of the forcing series samples f on the same lattice points.
-    forcing = None if prob.forcing is None else cache(prob.forcing)
-    head = MLParams(alpha, 1.0, lam, a)
-    zero_head = _ZeroHead(head, p) if a == 0.0 else None
-    kernel = (_Kernel(alpha, lam, p) if forcing is not None and lam != 0.0 and m is None
-              and a == 0.0 else None)
-    cells = [0.0]  # u_k = y(a q**-k) - a0 of the closed form on the time scale
-    diagnostics = {"terms": 0, "evaluations": 0}
-    if zero_head is not None and zero_head.orders is not None and m is None:
-        diagnostics["head_orders"] = zero_head.orders
-        diagnostics["head_euler_terms"] = zero_head.length - zero_head.orders
-
-    def order_terms(t: float, steps: int | None, h: float) -> Iterator[float]:
-        for k in itertools.count():
-            yield (_power(lam * h, k, _FORCING_AT, t, alpha, lam, k)
-                   * _left_series(forcing, a, alpha * (k + 1), t, steps, h, p))
-
-    def diverges(where: tuple, size: float, x: str = "t") -> NonConvergence:
-        return NonConvergence(f"{_name(where)}: |lam ((1-q) {x})**alpha| = {size!r} >= 1, "
-                              f"so the series diverges")
-
-    def forced(t: float, steps: int | None) -> float:
-        """The forcing term at t > a: for Picard one series whose weight at
-        index i is h sum_{k<m} (lam h)**k w_i^(alpha(k+1)), the lattice weights
-        of each order added in k order; for the closed form order by order
-        from an a off the grid of t, else (from a = 0) its first P orders and
-        the kernel's series, or for P = 0 that series alone."""
-        h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
-        where = (_FORCING_SUM_AT, t, alpha, lam, q)
-        if m is not None:  # every Picard point lies on the grid of a
-            _check_budget(m, p.trunc, where)
-            orders = [_lattice_weights(h * _power(lam * h, k, _FORCING_AT, t, alpha, lam, k), q,
-                                       q ** (alpha * (k + 1)), q, q) for k in range(m)]
-            return _chain_sum(forcing, t, False, map(sum, zip(*orders)), steps, p, where)
-        if steps == -1:
-            return _accumulate(order_terms(t, steps, h), p.trunc, detect_growth=True,
-                               where=where)
-        if not abs(lam * h) < 1.0:
-            raise diverges(where, abs(lam * h))
-        series = lambda: _chain_sum(forcing, t, False, kernel.weights(t, h), None, p, where)
-        if kernel.orders == 0:
-            return series()
-        # Far down the chain z is small, and the rule ends the orders before P.
-        return _split_sum(order_terms(t, steps, h), kernel.orders, series, p, where)
-
-    def step(t: float, s: float) -> float:
-        """u_k at t = t_k from the convolution s of the cells below: with
-        h = ((1-q) t)**alpha, C^alpha y = lam y + f reads
-        u_k (1 - lam h) = (lam a0 + f(t_k)) h - s."""
-        h = ((1.0 - q) * t) ** alpha
-        source = lam * a0 if forcing is None else lam * a0 + forcing(t)
-        return (source * h - s) / (1.0 - lam * h)
-
-    def on_lattice(t: float, j: int) -> float:
-        """The closed form at t = a q**-j: a0 + u_j.  |zeta(t)| >= 1, where the
-        series diverges, raises NonConvergence naming the head (for a0 != 0)
-        or the forcing, before any cell is formed or f sampled.  Below it
-        every cell, t_k <= t, has |lam h_k| < 1, so no diagonal 1 - lam h_k
-        vanishes and no cell needs a PoleError."""
-        if a0 == 0.0 and forcing is None:
-            return 0.0
-        size = abs(lam) * ((1.0 - q) * max(t, a / q**j)) ** alpha
-        if not size < 1.0:
-            raise (diverges((_ML_AT, t, a, alpha, 1.0, lam, q), size, "z") if a0 != 0.0
-                   else diverges((_FORCING_SUM_AT, t, alpha, lam, q), size))
-        where = ("lattice cell at t={!r}, a={!r}, alpha={!r}, lam={!r}, q={!r}", a, alpha, lam, q)
-        return a0 + _lattice_cells(cells, j, alpha, a, step, p, where)[j]
+def _solution(prob: IVProblem, value: Callable[[float, int | None], float], method: str,
+              p: QParams, **diagnostics: int) -> IVPSolution:
+    """The solution both solvers build: at t > a it is value(t, steps), with
+    steps = _start_steps(a, t, q) found once per point.  t is checked, t < a
+    raises DomainError and y(a) = a0 with nothing summed; the diagnostics
+    count the evaluated points and their terms, then hold the solver's own."""
+    a = prob.a
+    diagnostics = {"terms": 0, "evaluations": 0, **diagnostics}
 
     def rule(t: float) -> float:
         _check_domain("IVPSolution", t)
         if not t >= a:
             raise DomainError(f"the solution needs t >= a, got t={t}, a={a}")
-        steps = _start_steps(a, t, q)
-        if m is not None and a > 0.0 and steps == -1:
-            raise DomainError(f"with a > 0, Picard iterates live on the time scale "
-                              f"a q**-j; t={t} is not on it (a={a})")
         with count_terms() as counter:
-            if t == a:  # the head's terms past the first and the integrals vanish
-                value = a0
-            elif m is None and a > 0.0 and lam != 0.0 and steps != -1:
-                value = on_lattice(t, steps)
-            else:
-                if a0 == 0.0:
-                    value = 0.0
-                elif zero_head is None:
-                    value = a0 * _ml_sum(head, t, steps, p, None if m is None else m + 1)
-                else:
-                    value = a0 * (zero_head(t) if m is None else zero_head.cut(t, m + 1))
-                # Picard(0) has no forcing term.
-                if forcing is not None and m != 0:
-                    # With lam = 0 every term after the first is 0.0 times an integral.
-                    value += (forced(t, steps) if lam != 0.0
-                              else left_frac_integral(forcing, a, alpha, t, p))
+            # At t = a the head's terms past the first and the integrals vanish.
+            result = prob.a0 if t == a else value(t, _start_steps(a, t, p.q))
         diagnostics["evaluations"] += 1
         diagnostics["terms"] += counter.total
-        return value
+        return result
 
-    if m is not None:
-        diagnostics["iterations"] = m
-    return IVPSolution(rule, "closed-form" if m is None else f"picard({m})", diagnostics)
+    return IVPSolution(rule, method, diagnostics)
+
+
+def _operands(prob: IVProblem) -> tuple[QFunction | None, QFunction | None]:
+    """f, memoised, as the terms of a forcing series sample it on the same
+    lattice points, and g = lam a0 + f, the operand of the one lattice pass
+    that a point of the time scale a q**-k takes, None where it is 0."""
+    f = None if prob.forcing is None else cache(prob.forcing)
+    rate = prob.lam * prob.a0
+    if f is None:
+        return None, None if rate == 0.0 else lambda s: rate
+    return f, lambda s: rate + f(s)
 
 
 def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
@@ -585,37 +511,84 @@ def solve_ivp_closed(prob: IVProblem, p: QParams) -> IVPSolution:
     The forcing term integral_a^t (t - qs)_q^(alpha-1) E_{alpha,alpha}(lam,
     t - q**alpha s) f(s) nabla_q s is, by the q-power rule (t - s)_q^(mu)
     (t - q**mu s)_q^(nu) = (t - s)_q^(mu+nu), sum_k lam**k I_a^(alpha(k+1)) f(t).
-    I_a^(alpha(k+1)) f(t) is h**(k+1) times the left series of unit weight
-    (on the lattice or from an a off the grid of t), h = ((1-q) t)**alpha, so
-    term k is z**k, z = lam h, times the series of weight h, and neither
-    lam**k nor Gamma_q(alpha(k+1)) is formed.  From a = 0 the terms past
-    the first P are one series over _Kernel, whose cells the solution's
-    points share, unless the stopping rule ends the terms first, and for
-    P = 0 (at q <= 0.5 for alpha >= 0.5) the forcing is that one series;
-    |z| >= 1 there raises NonConvergence.  From an a off the grid of t the
-    terms are summed one by one, and terms that grow raise NonConvergence.
-    The head is a0 times the q-Mittag-Leffler series at the lattice position
-    of a below t, which the solution finds once per point, and no q_gamma is
-    called: from a = 0 term k is z**k (q**(alpha k + 1); q)_inf / (q; q)_inf,
-    |z| >= 1 raises NonConvergence, and the head is the first K terms where
-    |z| makes the rest negligible, else P terms and N of Euler's expansion,
-    exact to rounding with no stopping rule, from coefficients its points
-    share (_ZeroHead; P and N are in the diagnostics); an alternating hump
-    too steep to sum raises NonConvergence naming the cancellation.
 
-    On the time scale, t = a q**-j with j >= 1 and lam != 0, the series
-    is the solution of the lattice equations themselves, found by forward
-    substitution: with t_k = a q**-k, h_k = ((1-q) t_k)**alpha and
-    u_k = y(t_k) - a0, u_k (1 - lam h_k) = (lam a0 + f(t_k)) h_k
-    - sum_{i=1}^{k-1} w_i u_{k-i}, w the order -alpha lattice weights that
-    left_caputo takes (fractional._lattice_cells).  One pass of O(j**2)
-    forms u_1 .. u_j, which the solution keeps for its later points, and
-    y(t) = a0 + u_j.  |z| >= 1 at t, where the series diverges, raises
-    NonConvergence before any cell is formed or f sampled.  (With lam = 0
-    the head is a0 and the forcing one fractional integral.)
-    t < a raises DomainError; y(a) = a0, with nothing summed.
+    On the time scale, t = a q**-j with a > 0, y solves the lattice
+    equations at every lam, one forward substitution over g = lam a0 + f:
+    with t_k = a q**-k, h_k = ((1-q) t_k)**alpha and u_k = y(t_k) - a0,
+    u_k (1 - lam h_k) = g(t_k) h_k - sum_{i=1}^{k-1} w_i u_{k-i}, w the
+    order -alpha lattice weights of left_caputo (fractional._lattice_cells),
+    and y(t) = a0 + u_j, the cells kept for the solution's later points.
+
+    Elsewhere y is a0 times the q-Mittag-Leffler series plus the forcing
+    series, whose term k is z**k (z = lam h, h = ((1-q) t)**alpha) times a
+    left series of weight h; with lam = 0 the forcing is one fractional
+    integral.  From a = 0 the head is _ZeroHead's, exact to rounding (its P
+    and N are head_orders and head_euler_terms in the diagnostics), and the
+    forcing orders past the first P are one series over _Kernel, whose cells
+    the points share, unless the stopping rule ends them first; for P = 0
+    (q <= 0.5, alpha >= 0.5) that series is the whole forcing.  From an a
+    off the grid of t the head is _ml_sum's and the orders are summed one by
+    one, and terms that grow raise NonConvergence.
+
+    |z| >= 1 at t from a = 0 or on the time scale raises NonConvergence
+    before any cell is formed or f sampled, and so does an alternating hump
+    of the head from 0 too steep to sum, naming the cancellation.  t < a
+    raises DomainError; y(a) = a0, with nothing summed.
     """
-    return _series_solution(prob, None, p)
+    alpha, lam, a, a0, q = prob.alpha, prob.lam, prob.a, prob.a0, p.q
+    forcing, source = _operands(prob)
+    cells = [0.0]  # u_k = y(a q**-k) - a0 on the time scale
+    mp = MLParams(alpha, 1.0, lam, a)
+    zero_head = _ZeroHead(mp, p) if a == 0.0 else None
+    kernel = _Kernel(alpha, lam, p) if a == 0.0 and forcing is not None and lam != 0.0 else None
+    orders = None if zero_head is None else zero_head.orders
+    diagnostics = {} if orders is None else {
+        "head_orders": orders, "head_euler_terms": zero_head.length - orders}
+
+    def forced(t: float, steps: int | None) -> float:
+        """The forcing term at t off the time scale."""
+        if forcing is None:
+            return 0.0
+        if lam == 0.0:  # every term after the first is 0.0 times an integral
+            return left_frac_integral(forcing, a, alpha, t, p)
+        h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
+        where = (_FORCING_SUM_AT, t, alpha, lam, q)
+        orders = (_power(lam * h, k, _FORCING_AT, t, alpha, lam, k)
+                  * _left_series(forcing, a, alpha * (k + 1), t, steps, h, p)
+                  for k in itertools.count())
+        if steps == -1:
+            return _accumulate(orders, p.trunc, detect_growth=True, where=where)
+        if not abs(lam * h) < 1.0:
+            raise _diverges(where, abs(lam * h))
+        series = lambda: _chain_sum(forcing, t, False, kernel.weights(t, h), None, p, where)
+        if kernel.orders == 0:
+            return series()
+        # Far down the chain z is small, and the rule ends the orders before P.
+        return _split_sum(orders, kernel.orders, series, p, where)
+
+    def step(t: float, s: float) -> float:
+        """u_k at t = t_k from the convolution s of the cells below."""
+        h = ((1.0 - q) * t) ** alpha
+        return (source(t) * h - s) / (1.0 - lam * h)
+
+    def value(t: float, steps: int | None) -> float:
+        if steps is None or steps == -1:  # from a = 0, or off the time scale
+            if a0 == 0.0:
+                return forced(t, steps)
+            head = _ml_sum(mp, t, steps, p) if zero_head is None else zero_head(t)
+            return a0 * head + forced(t, steps)
+        if source is None:
+            return a0
+        # Below t every cell has |lam h_k| < 1, so no diagonal 1 - lam h_k
+        # vanishes and no cell needs a PoleError.
+        size = abs(lam) * ((1.0 - q) * max(t, a / q**steps)) ** alpha
+        if not size < 1.0:
+            raise (_diverges((_ML_AT, t, a, alpha, 1.0, lam, q), size, "z") if a0 != 0.0
+                   else _diverges((_FORCING_SUM_AT, t, alpha, lam, q), size))
+        where = ("lattice cell at t={!r}, a={!r}, alpha={!r}, lam={!r}, q={!r}", a, alpha, lam, q)
+        return a0 + _lattice_cells(cells, steps, alpha, a, step, p, where)[steps]
+
+    return _solution(prob, value, "closed-form", p, **diagnostics)
 
 
 def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
@@ -627,19 +600,44 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
         y_m(t) = a0 sum_{k<=m} lam**k (t - a)_q^(alpha k) / Gamma_q(alpha k + 1)
                  + sum_{k<m} lam**k I_a^(alpha(k+1)) f(t),
 
-    the head summed in full however its terms grow, so y_m exists where the
-    closed form raises NonConvergence.  Every point lies on the grid of a,
-    so each I_a^(alpha(k+1)) f(t) is a lattice series over the same samples
-    f(t q**i), and the forcing is one series over them, its weight at i
-    h sum_{k<m} (lam h)**k w_i^(alpha(k+1)), h = ((1-q) t)**alpha, with w the
-    unit-weight lattice weights of each order (fractional._lattice_weights),
-    added in k order; m is checked against max_terms before any weight is
-    formed.  Diagnostics count the evaluated points and their terms.  t < a
-    and, with a > 0, a t off the time scale a q**-j raise DomainError;
-    y(a) = a0, and y_0 = a0 even when forced.
+    summed in full however its terms grow, so y_m exists where the closed
+    form raises NonConvergence.  Every point lies on the grid of a, so the
+    sum over k of lam**k I_a^(alpha(k+1)) g(t) is one lattice series over the
+    samples g(t q**i), its weight at i h sum_{k<m} (lam h)**k w_i^(alpha(k+1)),
+    h = ((1-q) t)**alpha, with w the unit-weight lattice weights of each
+    order (fractional._lattice_weights), added in k order; m is checked
+    against max_terms before any weight is formed.  On the time scale,
+    t = a q**-j with a > 0, y_m(t) = a0 + sum_{k<m} lam**k I_a^(alpha(k+1)) g(t)
+    for g = lam a0 + f, that series over the j points below t; from a = 0 it
+    is a0 times the first m + 1 terms of _ZeroHead's series (cut) plus that
+    series of f, without end.  Diagnostics count the evaluated points and
+    their terms.  t < a and, with a > 0, a t off the time scale raise
+    DomainError; y(a) = a0, and y_0 = a0 even when forced.
     """
     _check_domain("solve_ivp_picard", m)
-    return _series_solution(prob, int(m), p)
+    alpha, lam, a, a0, q, m = prob.alpha, prob.lam, prob.a, prob.a0, p.q, int(m)
+    forcing, source = _operands(prob)
+    zero_head = _ZeroHead(MLParams(alpha, 1.0, lam), p) if a == 0.0 else None
+
+    def series(g: QFunction, t: float, steps: int | None) -> float:
+        """sum_{k<m} lam**k I_a^(alpha(k+1)) g(t), one lattice series."""
+        h = _power((1.0 - q) * t, alpha, _LEFT_AT, t, a, alpha, q)
+        where = (_FORCING_SUM_AT, t, alpha, lam, q)
+        _check_budget(m, p.trunc, where)
+        orders = [_lattice_weights(h * _power(lam * h, k, _FORCING_AT, t, alpha, lam, k), q,
+                                   q ** (alpha * (k + 1)), q, q) for k in range(m)]
+        return _chain_sum(g, t, False, map(sum, zip(*orders)), steps, p, where)
+
+    def value(t: float, steps: int | None) -> float:
+        if steps == -1:
+            raise DomainError(f"with a > 0, Picard iterates live on the time scale "
+                              f"a q**-j; t={t} is not on it (a={a})")
+        if zero_head is None:
+            return a0 if source is None or m == 0 else a0 + series(source, t, steps)
+        head = 0.0 if a0 == 0.0 else a0 * zero_head.cut(t, m + 1)
+        return head if forcing is None or m == 0 else head + series(forcing, t, None)
+
+    return _solution(prob, value, f"picard({m})", p, iterations=m)
 
 
 def ivp_residual(

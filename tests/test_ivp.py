@@ -216,12 +216,13 @@ class TestTimeScaleHead:
                               (40, 2.0), (1, 2.0), (2, 3.0), (4, 6.0), (2, 1.5)])
     @pytest.mark.parametrize("lam", [0.3, -0.4])
     def test_terms_against_the_power_rule(self, q, j, beta, lam):
+        # Summed to a stopping rule at rel_tol 1e-16 the terms are within
+        # 2.0e-15 of 80 power-rule terms over these cases.
         p = QParams(q)
         mp = MLParams(0.7, beta, lam, q**j)
-        cut = qfrac.ivp._ml_sum(mp, 1.0, j, p, 12)
-        want = math.fsum(self.power_rule_terms(mp, 1.0, p, 12))
-        assert abs(cut - want) <= 1e-14 * abs(want)
         whole = math.fsum(self.power_rule_terms(mp, 1.0, p, 80))
+        tight = qfrac.ivp._ml_sum(mp, 1.0, j, QParams(q, Truncation(1e-16)))
+        assert abs(tight - whole) <= 1e-14 * abs(whole)
         assert abs(q_mittag_leffler(mp, 1.0, p) - whole) <= 1e-13 * abs(whole)
 
     @pytest.mark.parametrize("m", [None, 0, 3])
@@ -276,8 +277,9 @@ class TestTimeScaleHead:
         p = QParams(q)
         mp = MLParams(0.7, beta, 0.3, q**j)
         want = math.fsum(0.3**k * q_factorial_power(1.0, q**j, 0.7 * k, p)
-                         / q_gamma(0.7 * k + beta, p) for k in range(1, 12))
-        assert abs(qfrac.ivp._ml_sum(mp, 1.0, j, p, 12) - want) <= 1e-13 * abs(want)
+                         / q_gamma(0.7 * k + beta, p) for k in range(1, 80))
+        tight = qfrac.ivp._ml_sum(mp, 1.0, j, QParams(q, Truncation(1e-16)))
+        assert abs(tight - want) <= 1e-13 * abs(want)
 
     # z = z0 q**-j at q near 1, where (q; q)_(j-1) and the numerator product
     # become subnormal or 0 while their quotient does not: the head used to
@@ -308,15 +310,19 @@ class TestTimeScaleHead:
         assert abs(ivp_residual(prob, y, t, p)) <= 1e-11
 
     def test_depth_past_the_budget_raises(self):
-        # Term k takes j - 1 factors: j = 11 is within a budget of 10, and
-        # j = 12 raises before any term is formed.
+        # Term k takes j - 1 factors: j = 11 is within a budget of 10, where
+        # the terms at lam = 0.01 end after 8, and j = 12 raises before any
+        # term is formed.
         p = QParams(0.5, Truncation(max_terms=10))
-        mp = MLParams(0.7, 1.0, 0.3, 0.5**12)
-        assert math.isfinite(qfrac.ivp._ml_sum(mp, 0.5, 11, p, 5))
-        with pytest.raises(NonConvergence, match=(
+        mp = MLParams(0.7, 1.0, 0.01, 0.5**12)
+        with count_terms() as counter:
+            assert math.isfinite(qfrac.ivp._ml_sum(mp, 0.5, 11, p))
+        assert counter.total == 8
+        with count_terms() as counter, pytest.raises(NonConvergence, match=(
                 r"^q-Mittag-Leffler at z=1\.0, z0=0\.000244140625, alpha=0\.7, beta=1\.0, "
-                r"lam=0\.3, q=0\.5: 11 terms exceed the budget of 10$")):
-            qfrac.ivp._ml_sum(mp, 1.0, 12, p, 5)
+                r"lam=0\.01, q=0\.5: 11 terms exceed the budget of 10$")):
+            qfrac.ivp._ml_sum(mp, 1.0, 12, p)
+        assert counter.total == 0
 
     def test_lattice_steps_once_per_point(self, monkeypatch, p_half):
         # The solution's rule finds how far t lies above a and hands it to
@@ -333,8 +339,9 @@ class TestTimeScaleHead:
 
 
 class TestLatticeCells:
-    """The closed form at t = a q**-j, a > 0 and lam != 0, is a0 plus the
-    solution's lattice cell u_j (see fractional._lattice_cells)."""
+    """The closed form at t = a q**-j, a > 0, is a0 plus the solution's
+    lattice cell u_j (see fractional._lattice_cells), and Picard(m) there a0
+    plus one cut lattice series over lam a0 + f."""
 
     def test_residual_samples_nothing_and_forms_no_cell(self, monkeypatch, p_half):
         # closed(1.0) forms the cells u_1 .. u_4 once, sampling f at each
@@ -374,20 +381,25 @@ class TestLatticeCells:
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_no_series_and_no_kernel(self, monkeypatch, q):
-        # Neither the q-Mittag-Leffler series nor the forcing kernel is
-        # entered at a point of the time scale, nor by its residual.
+        # Neither the q-Mittag-Leffler series, its exact head from 0, the
+        # forcing kernel nor an infinite q-product is entered at a point of
+        # the time scale, by either solver at any lam, nor by the residual.
         def entered(*args, **kwargs):
             raise AssertionError("entered")
 
-        monkeypatch.setattr(qfrac.ivp, "_ml_sum", entered)
-        monkeypatch.setattr(qfrac.ivp, "_Kernel", entered)
-        a = q**6
-        for f in (None, quadratic(1.0, -0.5, 0.7)):
-            prob = IVProblem(0.8, -0.4, a, 1.0, f)
-            y = solve_ivp_closed(prob, QParams(q))
-            for j in (1, 3, 6):
-                assert math.isfinite(y(a / q**j))
-            assert abs(ivp_residual(prob, y, a / q**6, QParams(q))) <= 1e-14
+        for module, name in ((qfrac.ivp, "_ml_sum"), (qfrac.ivp, "_ZeroHead"),
+                             (qfrac.ivp, "_Kernel"), (qfrac.special, "_pochhammer_tail")):
+            monkeypatch.setattr(module, name, entered)
+        p, a = QParams(q), q**6
+        for lam in (-0.4, 0.0, 0.3):
+            for f in (None, quadratic(1.0, -0.5, 0.7)):
+                prob = IVProblem(0.8, lam, a, 1.0, f)
+                solutions = [solve_ivp_closed(prob, p)]
+                solutions += [solve_ivp_picard(prob, m, p) for m in (0, 1, 5)]
+                for y in solutions:
+                    for j in (1, 3, 6):
+                        assert math.isfinite(y(a / q**j))
+                assert abs(ivp_residual(prob, solutions[0], a / q**6, p)) <= 1e-14
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_order_one_is_the_q_difference_equation(self, q):
@@ -1346,7 +1358,9 @@ def test_picard_increments_match_chained_integrals(q, alpha, lam, m, from_origin
 
 
 def test_zero_rate_takes_one_forcing_integral(monkeypatch):
-    # With lam = 0 every later term of the forcing series is 0.0 * integral.
+    # With lam = 0 every later term of the forcing series from a = 0 is
+    # 0.0 * integral.  (On the time scale of a > 0 the cells take lam = 0 as
+    # any other lam; see TestLatticeCells.)
     orders = []
 
     def recorded(f, a, order, t, p):
@@ -1356,11 +1370,9 @@ def test_zero_rate_takes_one_forcing_integral(monkeypatch):
     monkeypatch.setattr(qfrac.ivp, "left_frac_integral", recorded)
     p, alpha = QParams(0.5), 0.8
     f = quadratic(1.0, -0.5, 0.7)
-    for a in (0.0, 0.5**4):
-        orders.clear()
-        y = solve_ivp_closed(IVProblem(alpha, 0.0, a, 0.0, f), p)
-        assert y(1.0) == left_frac_integral(f, a, alpha, 1.0, p)
-        assert orders == [alpha]
+    y = solve_ivp_closed(IVProblem(alpha, 0.0, 0.0, 0.0, f), p)
+    assert y(1.0) == left_frac_integral(f, 0.0, alpha, 1.0, p)
+    assert orders == [alpha]
 
 
 POINT_EXPONENTS = st.integers(-2, 4)

@@ -438,14 +438,15 @@ TIME_SCALE_DEPTHS = (1, 2, 3, 4, 6, 10, 20, 30, 34, 40)
 
 @pytest.mark.parametrize("q", TIME_SCALE_BOUNDS)
 def test_closed_form_on_the_time_scale(q):
-    # alpha in {0.5, 0.8, 1}, lam = 0.3 or -0.4, unforced with a0 = 1 and
-    # forced by 1 - 0.5 s + 0.7 s**2 with a0 = 0 and 1, one solution each
-    # for every depth.
+    # alpha in {0.5, 0.8, 1}, lam = 0.3, 0 or -0.4, unforced with a0 = 1
+    # and forced by 1 - 0.5 s + 0.7 s**2 with a0 = 0 and 1, one solution
+    # each for every depth.  At lam = 0 the cells are at most 3.2e-16 off
+    # (q = 0.9), where left_frac_integral is 1.6e-15.
     p, a, coeffs = QParams(q), q**40, (1.0, -0.5, 0.7)
     f = lambda s: 1.0 - 0.5 * s + 0.7 * s * s
     worst = {"unforced": 0.0, "forced": 0.0}
     for alpha in (0.5, 0.8, 1.0):
-        for lam in (0.3, -0.4):
+        for lam in (0.3, 0.0, -0.4):
             for kind, a0 in (("unforced", 1.0), ("forced", 0.0), ("forced", 1.0)):
                 forced = kind == "forced"
                 y = solve_ivp_closed(IVProblem(alpha, lam, a, a0, f if forced else None), p)
