@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import islice
 from typing import Callable, Iterator
 
 from . import special
@@ -83,15 +84,26 @@ def _lattice_series(
     as a Jackson sum's) is spot-checked the same way.  A power q**alpha or
     q**-alpha too large for a double raises NumericOverflow through where.
     """
-    q = p.q
-    ratio = _power(q, -alpha, *where) if upward else q
-    return _chain_sum(f, x, upward, _lattice_weights(
-        weight, ratio, offset * _power(q, alpha, *where), offset * q, q), steps, p, where)
+    ratio = _power(p.q, -alpha, *where) if upward else p.q
+    return _chain_sum(f, x, upward, _lattice_weights(weight, ratio, alpha, offset, p.q, where),
+                      steps, p, where)
 
 
-def _lattice_weights(w: float, ratio: float, num: float, den: float, q: float) -> Iterator[float]:
-    """The weights of _lattice_series from w = w_0, with num = c q**(alpha+k)
-    and den = c q**(k+1) at step k."""
+def _lattice_weights(w: float, ratio: float, alpha: float, c: float, q: float,
+                     where: tuple) -> Iterator[float]:
+    """The weights of _lattice_series from w = w_0; no other loop forms them.
+    1 - v, exact by subtraction for 1/2 <= v <= 2 (Sterbenz), magnifies the
+    rounding of a running v = c q**x by v / (1 - v), so for c = 1 it is
+    -expm1(x log q) while v > 1/2, v restarting from it (by subtraction, a
+    residual at q = 0.998 read 7.9e-13); log c + x log q cancels for c != 1."""
+    num, den, k = c * _power(q, alpha, *where), c * q, 0
+    log_q = math.log(q) if c == 1.0 and (num > 0.5 or den > 0.5) else None
+    while log_q is not None and (num > 0.5 or den > 0.5):
+        yield w
+        top = -math.expm1((alpha + k) * log_q) if num > 0.5 else 1.0 - num
+        bottom = -math.expm1((k + 1) * log_q) if den > 0.5 else 1.0 - den
+        w *= ratio * top / bottom
+        num, den, k = (1.0 - top) * q, (1.0 - bottom) * q, k + 1
     while True:
         yield w
         w *= ratio * (1.0 - num) / (1.0 - den)
@@ -103,32 +115,25 @@ def _lattice_cells(cells: list[float], depth: int, alpha: float, a: float,
                    step: Callable[[float, float], float], p: QParams, where: tuple) -> list[float]:
     """cells = [u_0 = 0, u_1, ...] on the time scale t_k = a q**-k, grown to
     u_depth by forward substitution: u_k = step(t_k, s_k), with
-    s_k = sum_{i=1}^{k-1} w_i u_{k-i} and w the downward weights of
-    _lattice_series at order -alpha, weight 1 and offset 1 (w_0 = 1,
-    w_{i+1} = w_i q (1 - q**(i-alpha)) / (1 - q**(i+1))).
+    s_k = sum_{i=1}^{k-1} w_i u_{k-i} and w the _lattice_weights of order
+    -alpha, weight 1 and offset 1 (w_0 = 1, w_1 = q (1 - q**-alpha) / (1 - q)).
 
     For y(t_k) = y(a) + u_k, left_caputo of order 0 < alpha <= 1 from a at
     t_k is exactly ((1-q) t_k)**-alpha (u_k + s_k), its lattice series of k
     terms (at alpha = 1, w_1 = -1 and w_i = 0 past it: nabla_q).  So an
     equation C^alpha y = F(t, y) on the time scale is one scalar equation
-    per cell, which step solves for u_k given s_k.  Each factor 1 - q**x of
-    the weights is -expm1(x log q): by subtraction it loses digits where
-    q**x nears 1 (i near alpha, q near 1), and every cell carries the
-    weights' error into the next (at q = 0.998, depth 1,000, 3.9e-14 off
-    against 2.2e-16).  depth goes through _check_budget before any cell is
-    formed, and each s_k is a cut sum of core._accumulate; where, a template
-    whose first field is t and its other arguments, names a failure at t_k.
-    A cell that is not finite raises NumericOverflow.
+    per cell, which step solves for u_k given s_k.  depth goes through
+    _check_budget before any cell is formed, and each s_k is a cut sum of
+    core._accumulate; where, a template whose first field is t and its other
+    arguments, names a failure at t_k.  A cell that is not finite raises
+    NumericOverflow.
     """
     if depth < len(cells):
         return cells
     q = p.q
     at = lambda t: (where[0], t, *where[1:])
     _check_budget(depth, p.trunc, at(a / q**depth))
-    weights, log_q = [1.0], math.log(q)
-    for i in range(depth - 1):
-        weights.append(weights[i] * q * math.expm1((i - alpha) * log_q)
-                       / math.expm1((i + 1) * log_q))
+    weights = list(islice(_lattice_weights(1.0, q, -alpha, 1.0, q, at(a)), depth))
     for k in range(len(cells), depth + 1):
         t = a / q**k
         s = _accumulate(map(operator.mul, weights[1:k], cells[k - 1:0:-1]), p.trunc,

@@ -625,7 +625,7 @@ def solve_ivp_picard(prob: IVProblem, m: int, p: QParams) -> IVPSolution:
         where = (_FORCING_SUM_AT, t, alpha, lam, q)
         _check_budget(m, p.trunc, where)
         orders = [_lattice_weights(h * _power(lam * h, k, _FORCING_AT, t, alpha, lam, k), q,
-                                   q ** (alpha * (k + 1)), q, q) for k in range(m)]
+                                   alpha * (k + 1), 1.0, q, where) for k in range(m)]
         return _chain_sum(g, t, False, map(sum, zip(*orders)), steps, p, where)
 
     def value(t: float, steps: int | None) -> float:

@@ -7,7 +7,9 @@ the README gives for a module of the package is bound there, so the README
 names no deleted code.  No module of the package or of the tests defines a
 top-level function or class twice, nor a class a method twice, so no
 definition is shadowed unseen.  No module of the package but core reads
-math.fsum, so every sum of known length is core._accumulate's.  special
+math.fsum, so every sum of known length is core._accumulate's.  No function
+of fractional but _lattice_weights reads math.expm1, so every lattice weight
+is formed by that one loop.  special
 reads no rel_tol, so its products and e_q stay exact to rounding whatever
 the stopping rule's tolerance.  No class of the package is a record with no
 behaviour: each one is decorated, has a base class or a method other than
@@ -337,15 +339,15 @@ def test_no_definition_is_repeated():
             for found in repeated_definitions(path.read_text(encoding="utf-8"))] == []
 
 
-def fsum_uses(source: str) -> list[int]:
-    """The lines of source that read math.fsum, as an attribute or by a name
-    imported from math."""
+def math_uses(source: str, name: str) -> list[int]:
+    """The lines of source that read math.<name>, as an attribute or by a
+    name imported from math."""
     tree = ast.parse(source)
     names = {alias.asname or alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "math"
-             for alias in node.names if alias.name == "fsum"}
+             for alias in node.names if alias.name == name}
     return sorted({node.lineno for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and node.attr == "fsum"
+                   if isinstance(node, ast.Attribute) and node.attr == name
                    or isinstance(node, ast.Name) and node.id in names})
 
 
@@ -358,12 +360,41 @@ def test_detects_an_fsum_outside_core():
         "sums = list(map(math.fsum, [[1.0]]))\n"
         "size = math.fabs(total)\n"
     )
-    assert fsum_uses(source) == [3, 4, 5]
+    assert math_uses(source, "fsum") == [3, 4, 5]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "core.py"))
 def test_only_core_reads_fsum(module):
-    assert fsum_uses((SRC / module).read_text(encoding="utf-8")) == []
+    assert math_uses((SRC / module).read_text(encoding="utf-8"), "fsum") == []
+
+
+def expm1_readers(source: str) -> list[str]:
+    """The top-level definitions of source that read math.expm1, by name,
+    and "<module>" for a read outside them."""
+    spans = [(node.lineno, node.end_lineno, node.name) for node in ast.parse(source).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return sorted({next((name for first, last, name in spans if first <= line <= last), "<module>")
+                   for line in math_uses(source, "expm1")})
+
+
+def test_detects_an_expm1_outside_the_weights():
+    source = (
+        "import math\n"
+        "from math import expm1 as e\n"
+        "def _lattice_weights(x):\n"
+        "    return -math.expm1(x)\n"
+        "def _lattice_cells(x):\n"
+        "    return [e(x)]\n"
+        "TOP = math.expm1(1.0)\n"
+    )
+    assert expm1_readers(source) == ["<module>", "_lattice_cells", "_lattice_weights"]
+
+
+def test_only_the_lattice_weights_read_expm1():
+    # Every lattice series, Picard's per-order weights and the IVP's cells
+    # draw their weights, and so their expm1 factors, from one loop.
+    source = (SRC / "fractional.py").read_text(encoding="utf-8")
+    assert expm1_readers(source) == ["_lattice_weights"]
 
 
 def rel_tol_reads(source: str) -> list[int]:

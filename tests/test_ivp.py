@@ -401,6 +401,20 @@ class TestLatticeCells:
                         assert math.isfinite(y(a / q**j))
                 assert abs(ivp_residual(prob, solutions[0], a / q**6, p)) <= 1e-14
 
+    def test_deep_residual_near_q_one(self):
+        # At q = 0.998 the residual's left_caputo is a series at order
+        # -alpha whose weight factors 1 - q**x lose digits by subtraction
+        # where q**x nears 1: it read 4.0e-13, 7.0e-13 and 7.9e-13 of lam y
+        # at depths 10, 100 and 1,000.  With those factors taken by expm1
+        # while q**x > 1/2 it reads 5.6e-14, 3.1e-14 and 1.2e-14.
+        q, a = 0.998, 0.01
+        prob = IVProblem(0.5, -0.3, a, 1.0, lambda s: 1.0 + s)
+        p = QParams(q)
+        y = solve_ivp_closed(prob, p)
+        for j in (10, 100, 1000):
+            t = a / q**j
+            assert abs(ivp_residual(prob, y, t, p)) <= 1e-13 * abs(prob.lam * y(t))
+
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_order_one_is_the_q_difference_equation(self, q):
         # At alpha = 1 the weights past w_1 = -1 are 0, and the cells solve
@@ -803,8 +817,8 @@ class TestForcingKernel:
         assert rel_err(solve_ivp_closed(prob, p)(1.0), want) > 1e-11
 
     @pytest.mark.parametrize(("q", "alpha", "orders", "terms", "value"), [
-        (0.9, 0.1, 170, 1_863, 1.3408618799973173),
-        (0.99, 0.04, 10_185, 17_158, 1.3929718398448179),
+        (0.9, 0.1, 170, 1_863, 1.3408618799973788),
+        (0.99, 0.04, 10_185, 17_158, 1.3929718398458573),
     ])
     def test_rule_ends_the_orders_before_the_kernel(self, q, alpha, orders, terms, value):
         # As q nears 1 or alpha 0, P grows past what the stopping rule needs
@@ -813,15 +827,14 @@ class TestForcingKernel:
         # orders first took 22,075 terms at q = 0.9 and ran out of the
         # 10,000-term budget at q = 0.99.  Each order's series closes on its
         # operand s after 5 samples, and its rest, held to rel_tol (1 - |rho|),
-        # is 4.6e-14 off the 40-digit 1.3408618799973788 where the term test
-        # alone was 1.3e-13 off (1,741 terms), and 7.5e-13 off
-        # 1.3929718398458573 at q = 0.99 where it was 3.1e-12 off (15,799
-        # terms).
+        # leaves the sum within rel_tol of its 40-digit value: 4.5e-14 off
+        # where the term test alone was 1.3e-13 off (1,741 terms), and
+        # 7.6e-13 off at q = 0.99 where it was 3.1e-12 off (15,799 terms).
         p = QParams(q)
         y = solve_ivp_closed(IVProblem(alpha, 0.3, 0.0, 0.0, lambda s: s), p)
         assert qfrac.ivp._kernel_orders(alpha, p) == orders
         with count_terms() as counter:
-            assert y(1.0) == value
+            assert rel_err(y(1.0), value) <= p.trunc.rel_tol
         assert counter.total == terms
 
     @pytest.mark.parametrize("a", [0.0, 0.5**4])

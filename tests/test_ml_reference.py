@@ -425,9 +425,10 @@ def on_time_scale(alpha: float, lam: float, a0: float, coeffs: tuple, a: float, 
 # sweep below, per q and kind, in units of |a0| + |forcing|, rounded up: one
 # to two rounding units at every depth.  The summed series the closed form
 # took before were 5.0e-16 to 2.7e-15 off on the same sweep.  The cells are
-# a recursion, and with the weights' factors 1 - q**x taken by subtraction,
-# as _lattice_weights takes them, the error grew with the depth, to 5.9e-15
-# at q = 0.9 (forced: alpha = 1, lam = 0.3, a0 = 0, j = 34 to 40).
+# a recursion, and with every factor 1 - q**x of the weights taken by
+# subtraction the error grew with the depth, to 5.9e-15 at q = 0.9 (forced:
+# alpha = 1, lam = 0.3, a0 = 0, j = 34 to 40); _lattice_weights takes those
+# with q**x > 1/2 by expm1.
 TIME_SCALE_BOUNDS = {
     0.3: {"unforced": 2.3e-16, "forced": 2.6e-16},
     0.5: {"unforced": 1.2e-16, "forced": 4.1e-16},
@@ -440,8 +441,9 @@ TIME_SCALE_DEPTHS = (1, 2, 3, 4, 6, 10, 20, 30, 34, 40)
 def test_closed_form_on_the_time_scale(q):
     # alpha in {0.5, 0.8, 1}, lam = 0.3, 0 or -0.4, unforced with a0 = 1
     # and forced by 1 - 0.5 s + 0.7 s**2 with a0 = 0 and 1, one solution
-    # each for every depth.  At lam = 0 the cells are at most 3.2e-16 off
-    # (q = 0.9), where left_frac_integral is 1.6e-15.
+    # each for every depth.  At lam = 0 the cells are at most 2.2e-16 off,
+    # where left_frac_integral is 4.5e-16 (q = 0.9; 1.6e-15 with every
+    # weight factor 1 - q**x by subtraction).
     p, a, coeffs = QParams(q), q**40, (1.0, -0.5, 0.7)
     f = lambda s: 1.0 - 0.5 * s + 0.7 * s * s
     worst = {"unforced": 0.0, "forced": 0.0}
@@ -530,11 +532,10 @@ LATTICE_BOUNDS = {
 }
 
 
-def _lattice_errors(q: float) -> dict:
+def _lattice_errors(q: float, p: QParams) -> dict:
     """The worst relative error per side over t in {1, q**3}: left from 0 of
     _LATTICE_POLYS at orders 0.4, 0.9, 1.3, -0.3 and -0.6, right to infinity
     of _LATTICE_POWERS at orders 0.4, 0.9, 1.3 and -0.3."""
-    p = QParams(q)
     worst = {"left": 0.0, "right": 0.0}
     for t in (1.0, q**3):
         for mu in (0.4, 0.9, 1.3, -0.3, -0.6):
@@ -554,9 +555,28 @@ def _lattice_errors(q: float) -> dict:
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
 def test_lattice_series_against_the_reference(q):
-    worst = _lattice_errors(q)
+    worst = _lattice_errors(q, QParams(q))
     assert worst["left"] <= LATTICE_BOUNDS["left"][q]
     assert worst["right"] <= LATTICE_BOUNDS["right"][q]
+
+
+# The same sweep at rel_tol 1e-16, where rounding and not truncation sets
+# the error, rounded up.  At q <= 0.7 these are the values measured when the
+# weights' factors 1 - q**x were all taken by subtraction.  At q = 0.9 that
+# gave 5.6e-15 on the left and 4.1e-15 on the right, as a running q**x near
+# 1 loses its rounding to the subtraction; with those factors taken by expm1
+# while q**x > 1/2 it reads 1.6e-15 and 2.1e-15.
+LATTICE_FLOOR_BOUNDS = {
+    "left": {0.3: 4.48e-16, 0.5: 8.12e-16, 0.7: 1.40e-15, 0.9: 3e-15},
+    "right": {0.3: 7.2e-16, 0.5: 5.57e-16, 0.7: 1.46e-15, 0.9: 3e-15},
+}
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+def test_lattice_series_at_the_rounding_floor(q):
+    worst = _lattice_errors(q, QParams(q, Truncation(rel_tol=1e-16)))
+    assert worst["left"] <= LATTICE_FLOOR_BOUNDS["left"][q]
+    assert worst["right"] <= LATTICE_FLOOR_BOUNDS["right"][q]
 
 
 # Starts a = t q**-m (1 + eps) above t next to the grid, for orders mu, with
